@@ -6,87 +6,8 @@ multi-depth or complex single-plane objects by multiplicative
 gradient-descent minimization of the Poisson likelihood with total
 variation sparsity and an optional per-pixel upper bound. Includes an
 additive least-squares comparator, image-quality and autofocus metrics,
-and a CLI for reproducible runs.
+and a CLI for reproducible runs. Import from the submodules: holoem.em,
+holoem.baseline, holoem.forward, holoem.metrics, holoem.cli and so on.
 """
 
 __version__ = "0.1.0"
-
-from .baseline import BaselineParams, baseline_reconstruct, estimate_step_size
-from .em import (
-    NumericError,
-    ReconParams,
-    ReconTrace,
-    alternating_update,
-    apply_upper_bound,
-    em_step,
-    nll,
-    nll_gradient_slices,
-    nll_gradient_slices_complex,
-    predicted_intensity,
-    reconstruct_complex,
-    reconstruct_real,
-    tv_gradient,
-    tv_value,
-)
-from .forward import (
-    Hologram,
-    ObjectStack,
-    OpticalConfig,
-    add_poisson_noise,
-    default_photon_scale,
-    scaled_object_stack,
-    simulate,
-    synthesize_full,
-    synthesize_linear,
-)
-from .grid import (
-    ComplexGrid2D,
-    FrequencyGrid,
-    RealGrid2D,
-    dft2,
-    frequency_coordinates,
-    idft2,
-)
-from .io import (
-    ConfigError,
-    HoloIOError,
-    apply_reference_illumination,
-    load_image,
-    load_metadata,
-    read_trace,
-    save_image,
-    write_trace,
-)
-from .metrics import (
-    QualityReport,
-    autofocus,
-    display_normalize,
-    focus_metric,
-    median_filter,
-    mse,
-    ncc,
-    normalize01,
-    psnr,
-    quality_report,
-    resolution_limits,
-    ssim,
-)
-from .propagation import KernelSums, TransferFunction, kernel_sums, propagate, transfer_function
-
-__all__ = [
-    "__version__",
-    "ComplexGrid2D", "RealGrid2D", "FrequencyGrid", "dft2", "idft2", "frequency_coordinates",
-    "TransferFunction", "KernelSums", "transfer_function", "propagate", "kernel_sums",
-    "OpticalConfig", "ObjectStack", "Hologram", "synthesize_linear", "synthesize_full",
-    "scaled_object_stack", "add_poisson_noise", "default_photon_scale", "simulate",
-    "NumericError", "ReconParams", "ReconTrace", "predicted_intensity", "nll",
-    "nll_gradient_slices", "nll_gradient_slices_complex", "tv_value", "tv_gradient",
-    "em_step", "alternating_update", "apply_upper_bound",
-    "reconstruct_real", "reconstruct_complex",
-    "BaselineParams", "estimate_step_size", "baseline_reconstruct",
-    "QualityReport", "mse", "psnr", "ssim", "median_filter", "normalize01",
-    "display_normalize", "ncc", "focus_metric",
-    "autofocus", "resolution_limits", "quality_report",
-    "HoloIOError", "ConfigError", "save_image", "load_image", "load_metadata",
-    "apply_reference_illumination", "write_trace", "read_trace",
-]

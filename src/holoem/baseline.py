@@ -2,27 +2,25 @@
 
 Minimizes the least-squares data term 0.5 ||g - H w||^2 by plain gradient
 descent at step 1/L (L from seeded power iteration on H*H), alternated
-with a TV gradient step of the same step size, sharing the TV gradient
-and trace plumbing of the statistical reconstruction. This is a simple
-shrinkage-thresholding-style reference point, not a faithful port of any
-published two-step or fast iterative solver; convergence comparisons
-against it should be read with that in mind.
+with a TV gradient step of the same step size. It runs on the iteration
+loop of the statistical reconstruction (trace, divergence rule, step
+halving) and differs only in its data term and additive update. This is
+a simple shrinkage-thresholding-style reference point, not a faithful
+port of any published two-step or fast iterative solver; convergence
+comparisons against it should be read with that in mind.
 """
 
 from __future__ import annotations
 
-import logging
-import time
 from dataclasses import dataclass
 
 import numpy as np
 
-from .em import ReconTrace, _trace_ssim, _truth_parts, _tv_gradient_array, tv_value
+from .em import ReconTrace, _iterate, _real_stack, _recon_config, _resolve_tau, _truth_parts
+# no longer called here; kept as module names that perfbench/tracing.py wraps
+from .em import _tv_gradient_array, tv_value  # noqa: F401
 from .forward import Hologram, ObjectStack, OpticalConfig
-from .grid import ComplexGrid2D
 from .operators import stack_adjoint, stack_forward
-
-logger = logging.getLogger(__name__)
 
 __all__ = ["BaselineParams", "estimate_step_size", "baseline_reconstruct"]
 
@@ -87,50 +85,26 @@ def baseline_reconstruct(
     Returns (estimate stack, trace). The trace's nll column records the
     least-squares objective 0.5 ||g - H w||^2 for this solver.
     """
-    cfg = hologram.config if config is None else config
+    cfg = _recon_config(hologram, config)
     params = params or BaselineParams()
     g = hologram.intensity.data
-    px, py, lam, zs = cfg.pitch_x, cfg.pitch_y, cfg.wavelength, cfg.slice_distances
-    pad = params.pad
 
     step = params.step_size
     if step is None:
-        step = estimate_step_size(cfg, pad=pad, n_iters=params.power_iters,
+        step = estimate_step_size(cfg, pad=params.pad, n_iters=params.power_iters,
                                   seed=params.power_seed)
-    tau = 0.002 * float(g.mean()) if params.tau is None else float(params.tau)
+    tau = _resolve_tau(g, params)
 
-    w = stack_adjoint(g, px, py, lam, zs, pad=pad).real
-    span = float(w.max() - w.min())
-    eps = params.tv_epsilon if params.tv_epsilon is not None else (1e-4 * span if span > 0 else 1e-4)
+    def data_term(ghat):
+        resid = ghat - g
+        return 0.5 * float(np.sum(resid**2)), resid
 
-    truth = _truth_parts(ground_truth, complex_mode=False)
-    trace = ReconTrace()
-    resid = stack_forward(w, px, py, lam, zs, pad=pad) - g
-    prev_obj = 0.5 * float(np.sum(resid**2))
-    consecutive_up = 0
+    def update(w, grad, tv_grad, scale):
+        s = scale * step
+        return (w - s * grad) - (s * tau) * tv_grad
 
-    for k in range(1, params.max_iters + 1):
-        t0 = time.perf_counter()
-        grad = stack_adjoint(resid, px, py, lam, zs, pad=pad).real
-        t_grad = np.stack([_tv_gradient_array(s, eps) for s in w])
-        w = (w - step * grad) - step * tau * t_grad
-        resid = stack_forward(w, px, py, lam, zs, pad=pad) - g
-        obj = 0.5 * float(np.sum(resid**2))
-        tv_now = sum(tv_value(s) for s in w)
-        ssim_now = None if truth is None else _trace_ssim(list(w), truth)
-        trace.append(k, obj, tv_now, ssim_now, (time.perf_counter() - t0) * 1e3)
-        if obj > prev_obj:
-            consecutive_up += 1
-            if consecutive_up >= 5:
-                trace.diverged = True
-                logger.warning("baseline objective increased 5 iterations running; halting")
-                break
-        else:
-            consecutive_up = 0
-        prev_obj = obj
-
-    stack = ObjectStack(
-        tuple(ComplexGrid2D(s, cfg.pitch_x, cfg.pitch_y) for s in w.astype(np.complex128)),
-        real_only=True,
-    )
-    return stack, trace
+    start = stack_adjoint(g, cfg.pitch_x, cfg.pitch_y, cfg.wavelength, cfg.slice_distances,
+                          pad=params.pad).real
+    (w,), trace = _iterate(g, cfg, params, [start], data_term, update,
+                           _truth_parts(ground_truth, complex_mode=False))
+    return _real_stack(w, cfg), trace

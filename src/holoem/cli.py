@@ -17,7 +17,7 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -115,47 +115,6 @@ def _parse_opt_float(text: str) -> float | None:
     return _parse_float(text)
 
 
-# key -> (kind, help); kind drives both config and flag parsing.
-_KEYS: dict[str, tuple[str, str]] = {
-    "mode": ("str", "run mode"),
-    "wavelength": ("length", "illumination wavelength"),
-    "pitch": ("length", "pixel pitch (square pixels)"),
-    "pitch_y": ("length", "vertical pixel pitch when pixels are not square"),
-    "width": ("int", "grid width in pixels"),
-    "height": ("int", "grid height in pixels"),
-    "slice_distances": ("lengths", "comma-separated object-to-sensor distances"),
-    "illumination_amplitude": ("float", "plane-wave amplitude A"),
-    "model": ("str", "forward model: linear or full"),
-    "photon_scale": ("optfloat", "photons per intensity unit ('auto' scales mean to 1e4)"),
-    "noise_seed": ("optint", "Poisson seed; omit for a noise-free hologram"),
-    "pad": ("bool", "zero-pad propagations to twice the grid"),
-    "phantom": ("str", "built-in object: multi-depth, single or complex"),
-    "contrast": ("float", "phantom absorption contrast"),
-    "phase_contrast": ("float", "phantom phase contrast (complex phantom)"),
-    "objects": ("paths", "comma-separated per-slice object images"),
-    "input": ("path", "input hologram image"),
-    "reference": ("path", "reference illumination image (upper-bound source)"),
-    "truth": ("paths", "ground-truth image(s)"),
-    "iters": ("int", "iteration count"),
-    "tau": ("optfloat", "TV weight ('auto' = 0.002 * mean intensity)"),
-    "beta": ("float", "upper-bound relaxation factor"),
-    "tv_epsilon": ("optfloat", "TV smoothing epsilon ('auto')"),
-    "ratio_floor": ("optfloat", "intensity ratio floor ('auto')"),
-    "init": ("str", "initialization: backpropagation or constant"),
-    "stop": ("str", "stop rule: fixed_iters or relative_change"),
-    "stop_delta": ("float", "relative-change stop threshold"),
-    "step_size": ("optfloat", "baseline step size ('auto' = 1/L)"),
-    "power_iters": ("int", "power iterations for the step-size estimate"),
-    "power_seed": ("int", "seed for the step-size power iteration"),
-    "z_min": ("length", "autofocus scan start"),
-    "z_max": ("length", "autofocus scan end"),
-    "z_step": ("length", "autofocus scan step"),
-    "numerical_aperture": ("float", "effective numerical aperture"),
-    "peak": ("optfloat", "dynamic range for PSNR/SSIM ('auto' = reference max)"),
-    "median_size": ("int", "median filter size for the quality report"),
-    "output_dir": ("path", "output directory"),
-}
-
 _CONFIG_PARSERS = {
     "str": str,
     "path": str,
@@ -176,47 +135,57 @@ _FLAG_PARSERS = dict(
 )
 
 
+def _key(kind: str, help_text: str, default=None):
+    """A run-config key: kind drives both config and flag parsing, help is the flag help."""
+    return field(default=default, metadata={"kind": kind, "help": help_text})
+
+
 @dataclass
 class RunConfig:
-    """Resolved flat run configuration (SI units throughout)."""
+    """Resolved flat run configuration (SI units throughout).
 
-    mode: str = ""
-    wavelength: float | None = None
-    pitch: float | None = None
-    pitch_y: float | None = None
-    width: int | None = None
-    height: int | None = None
-    slice_distances: tuple[float, ...] | None = None
-    illumination_amplitude: float = 1.0
-    model: str = "linear"
-    photon_scale: float | None = None
-    noise_seed: int | None = None
-    pad: bool = True
-    phantom: str | None = None
-    contrast: float = 0.04
-    phase_contrast: float = 0.05
-    objects: tuple[str, ...] | None = None
-    input: str | None = None
-    reference: str | None = None
-    truth: tuple[str, ...] | None = None
-    iters: int = 100
-    tau: float | None = None
-    beta: float = 0.5
-    tv_epsilon: float | None = None
-    ratio_floor: float | None = None
-    init: str = "backpropagation"
-    stop: str = "fixed_iters"
-    stop_delta: float = 1e-6
-    step_size: float | None = None
-    power_iters: int = 20
-    power_seed: int = 0
-    z_min: float | None = None
-    z_max: float | None = None
-    z_step: float | None = None
-    numerical_aperture: float | None = None
-    peak: float | None = None
-    median_size: int = 3
-    output_dir: str = "out"
+    Each field is one config key and one command-line flag.
+    """
+
+    mode: str = _key("str", "run mode", "")
+    wavelength: float | None = _key("length", "illumination wavelength")
+    pitch: float | None = _key("length", "pixel pitch (square pixels)")
+    pitch_y: float | None = _key("length", "vertical pixel pitch when pixels are not square")
+    width: int | None = _key("int", "grid width in pixels")
+    height: int | None = _key("int", "grid height in pixels")
+    slice_distances: tuple[float, ...] | None = _key(
+        "lengths", "comma-separated object-to-sensor distances")
+    illumination_amplitude: float = _key("float", "plane-wave amplitude A", 1.0)
+    model: str = _key("str", "forward model: linear or full", "linear")
+    photon_scale: float | None = _key(
+        "optfloat", "photons per intensity unit ('auto' scales mean to 1e4)")
+    noise_seed: int | None = _key("optint", "Poisson seed; omit for a noise-free hologram")
+    pad: bool = _key("bool", "zero-pad propagations to twice the grid", True)
+    phantom: str | None = _key("str", "built-in object: multi-depth, single or complex")
+    contrast: float = _key("float", "phantom absorption contrast", 0.04)
+    phase_contrast: float = _key("float", "phantom phase contrast (complex phantom)", 0.05)
+    objects: tuple[str, ...] | None = _key("paths", "comma-separated per-slice object images")
+    input: str | None = _key("path", "input hologram image")
+    reference: str | None = _key("path", "reference illumination image (upper-bound source)")
+    truth: tuple[str, ...] | None = _key("paths", "ground-truth image(s)")
+    iters: int = _key("int", "iteration count", 100)
+    tau: float | None = _key("optfloat", "TV weight ('auto' = 0.002 * mean intensity)")
+    beta: float = _key("float", "upper-bound relaxation factor", 0.5)
+    tv_epsilon: float | None = _key("optfloat", "TV smoothing epsilon ('auto')")
+    ratio_floor: float | None = _key("optfloat", "intensity ratio floor ('auto')")
+    init: str = _key("str", "initialization: backpropagation or constant", "backpropagation")
+    stop: str = _key("str", "stop rule: fixed_iters or relative_change", "fixed_iters")
+    stop_delta: float = _key("float", "relative-change stop threshold", 1e-6)
+    step_size: float | None = _key("optfloat", "baseline step size ('auto' = 1/L)")
+    power_iters: int = _key("int", "power iterations for the step-size estimate", 20)
+    power_seed: int = _key("int", "seed for the step-size power iteration", 0)
+    z_min: float | None = _key("length", "autofocus scan start")
+    z_max: float | None = _key("length", "autofocus scan end")
+    z_step: float | None = _key("length", "autofocus scan step")
+    numerical_aperture: float | None = _key("float", "effective numerical aperture")
+    peak: float | None = _key("optfloat", "dynamic range for PSNR/SSIM ('auto' = reference max)")
+    median_size: int = _key("int", "median filter size for the quality report", 3)
+    output_dir: str = _key("path", "output directory", "out")
 
     @classmethod
     def from_mapping(cls, mapping: dict[str, str], where: str = "<config>",
@@ -228,12 +197,13 @@ class RunConfig:
 
     def update(self, mapping: dict[str, str], where: str = "<config>", parsers=None):
         parsers = parsers or _CONFIG_PARSERS
+        kinds = {f.name: f.metadata["kind"] for f in fields(self)}
         for key, raw in mapping.items():
             if key == "holoem_version" or key.startswith("output."):
                 continue  # manifest bookkeeping keys are legal config input
-            if key not in _KEYS:
+            if key not in kinds:
                 raise ConfigError(f"{where}: unknown key {key!r}")
-            kind = _KEYS[key][0]
+            kind = kinds[key]
             try:
                 value = parsers[kind](raw) if isinstance(raw, str) else raw
             except ConfigError as exc:
@@ -292,9 +262,18 @@ class _Manifest:
             value = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
         self.entries[key] = value
 
-    def record_params(self, cfg: RunConfig, keys):
+    def record_params(self, cfg: RunConfig, keys, auto: bool = False):
+        """Record config keys as set; with auto, an unset key is recorded as 'auto'."""
         for key in keys:
-            self.record(key, getattr(cfg, key))
+            value = getattr(cfg, key)
+            self.record(key, "auto" if auto and value is None else value)
+
+    def record_optics(self, optics: OpticalConfig):
+        self.record("wavelength", optics.wavelength)
+        self.record("pitch", optics.pitch_x)
+        self.record("pitch_y", optics.pitch_y)
+        self.record("slice_distances", list(optics.slice_distances))
+        self.record("illumination_amplitude", optics.illumination_amplitude)
 
     def outputs(self, paths):
         for p in paths:
@@ -367,11 +346,8 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
                     seed=cfg.noise_seed, pad=cfg.pad)
 
     manifest = _Manifest(cfg)
-    manifest.record("wavelength", wavelength)
-    manifest.record("pitch", pitch[0])
-    manifest.record("pitch_y", pitch[1])
-    manifest.record_params(cfg, ("width", "height", "slice_distances",
-                                 "illumination_amplitude", "model", "pad",
+    manifest.record_optics(optics)
+    manifest.record_params(cfg, ("width", "height", "model", "pad",
                                  "phantom", "contrast", "phase_contrast", "objects"))
     manifest.record("photon_scale", holo.photon_scale)
     manifest.record("noise_seed", holo.noise_seed)
@@ -388,7 +364,7 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _load_hologram(cfg: RunConfig) -> tuple[Hologram, dict[str, str]]:
+def _load_hologram(cfg: RunConfig) -> Hologram:
     cfg.require("input")
     img = load_image(cfg.input)
     meta = load_metadata(cfg.input)
@@ -403,7 +379,7 @@ def _load_hologram(cfg: RunConfig) -> tuple[Hologram, dict[str, str]]:
         )
     optics = _optical_config(cfg, img.width, img.height, pitch, wavelength)
     img = RealGrid2D(img.data, pitch[0], pitch[1])
-    return Hologram(img, optics), meta
+    return Hologram(img, optics)
 
 
 def _load_truth(cfg: RunConfig, optics: OpticalConfig, complex_mode: bool) -> ObjectStack | None:
@@ -452,49 +428,59 @@ def _quality_json(stack: ObjectStack, truth: ObjectStack, complex_mode: bool) ->
     return json.dumps(out, indent=2)
 
 
-def _recon_params(cfg: RunConfig, ub: RealGrid2D | None) -> ReconParams:
+def _params(cls, **kwargs):
     try:
-        return ReconParams(
-            max_iters=cfg.iters, tau=cfg.tau, beta=cfg.beta, tv_epsilon=cfg.tv_epsilon,
-            ratio_floor=cfg.ratio_floor, init_mode=cfg.init, stop_rule=cfg.stop,
-            stop_delta=cfg.stop_delta, upper_bound=ub, pad=cfg.pad,
-        )
+        return cls(**kwargs)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
 
 
-def _run_reconstruct(cfg: RunConfig, out: Path, complex_mode: bool) -> int:
-    holo, _ = _load_hologram(cfg)
+def _upper_bound(cfg: RunConfig, optics: OpticalConfig) -> RealGrid2D | None:
+    if cfg.reference is None:
+        return None
+    ref = load_image(cfg.reference)
+    if ref.shape != optics.grid_shape:
+        raise ConfigError(f"reference shape {ref.shape} does not match {optics.grid_shape}")
+    return apply_reference_illumination(RealGrid2D(ref.data, optics.pitch_x, optics.pitch_y))
+
+
+def _run_reconstruct(cfg: RunConfig, out: Path) -> int:
+    """reconstruct-real, reconstruct-complex and baseline: solve, then one output tail."""
+    holo = _load_hologram(cfg)
     optics = holo.config
-    ub = None
-    if cfg.reference is not None:
-        if complex_mode:
-            raise ConfigError("the upper bound (reference) applies to real mode only")
-        ref = load_image(cfg.reference)
-        if ref.shape != optics.grid_shape:
-            raise ConfigError(f"reference shape {ref.shape} does not match {optics.grid_shape}")
-        ub = apply_reference_illumination(RealGrid2D(ref.data, optics.pitch_x, optics.pitch_y))
-    params = _recon_params(cfg, ub)
-    truth = _load_truth(cfg, optics, complex_mode)
-
-    if complex_mode:
-        stack, trace = reconstruct_complex(holo, params, ground_truth=truth)
-    else:
-        stack, trace = reconstruct_real(holo, params, ground_truth=truth)
-
+    complex_mode = cfg.mode == "reconstruct-complex"
     manifest = _Manifest(cfg)
     manifest.record("input", cfg.input)
-    manifest.record("reference", cfg.reference)
+    if cfg.mode == "baseline":
+        params = _params(
+            BaselineParams, max_iters=cfg.iters, tau=cfg.tau, step_size=cfg.step_size,
+            tv_epsilon=cfg.tv_epsilon, pad=cfg.pad,
+            power_iters=cfg.power_iters, power_seed=cfg.power_seed,
+        )
+        solve = baseline_reconstruct
+        # solver keys for the manifest: recorded as given, then 'auto' when unset
+        given = ("iters", "pad", "power_iters", "power_seed")
+        auto = ("tau", "tv_epsilon", "step_size")
+    else:
+        if complex_mode and cfg.reference is not None:
+            raise ConfigError("the upper bound (reference) applies to real mode only")
+        params = _params(
+            ReconParams, max_iters=cfg.iters, tau=cfg.tau, beta=cfg.beta,
+            tv_epsilon=cfg.tv_epsilon, ratio_floor=cfg.ratio_floor, init_mode=cfg.init,
+            stop_rule=cfg.stop, stop_delta=cfg.stop_delta,
+            upper_bound=_upper_bound(cfg, optics), pad=cfg.pad,
+        )
+        solve = reconstruct_complex if complex_mode else reconstruct_real
+        given = ("iters", "beta", "init", "stop", "stop_delta", "pad")
+        auto = ("tau", "tv_epsilon", "ratio_floor")
+        manifest.record("reference", cfg.reference)
+    truth = _load_truth(cfg, optics, complex_mode)
+    stack, trace = solve(holo, params, ground_truth=truth)
+
     manifest.record("truth", cfg.truth)
-    manifest.record("wavelength", optics.wavelength)
-    manifest.record("pitch", optics.pitch_x)
-    manifest.record("pitch_y", optics.pitch_y)
-    manifest.record("slice_distances", list(optics.slice_distances))
-    manifest.record("illumination_amplitude", optics.illumination_amplitude)
-    manifest.record_params(cfg, ("iters", "beta", "init", "stop", "stop_delta", "pad"))
-    manifest.record("tau", cfg.tau if cfg.tau is not None else "auto")
-    manifest.record("tv_epsilon", cfg.tv_epsilon if cfg.tv_epsilon is not None else "auto")
-    manifest.record("ratio_floor", cfg.ratio_floor if cfg.ratio_floor is not None else "auto")
+    manifest.record_optics(optics)
+    manifest.record_params(cfg, given)
+    manifest.record_params(cfg, auto, auto=True)
 
     grids = []
     for i, s in enumerate(stack.slices):
@@ -517,53 +503,10 @@ def _run_reconstruct(cfg: RunConfig, out: Path, complex_mode: bool) -> int:
     if trace.diverged:
         write_error_record(out, 3, "Divergence",
                            "objective increased for 5 consecutive iterations")
-        print("reconstruction halted: diverging objective (outputs written)", file=sys.stderr)
+        print(f"{cfg.mode} halted: diverging objective (outputs written)", file=sys.stderr)
         return 3
     print(f"reconstructed {optics.n_slices} slice(s) in {len(trace)} iteration(s), "
           f"final objective {trace.nll[-1]:.6g}")
-    return 0
-
-
-def _run_baseline(cfg: RunConfig, out: Path) -> int:
-    holo, _ = _load_hologram(cfg)
-    optics = holo.config
-    try:
-        params = BaselineParams(
-            max_iters=cfg.iters, tau=cfg.tau, step_size=cfg.step_size,
-            tv_epsilon=cfg.tv_epsilon, pad=cfg.pad,
-            power_iters=cfg.power_iters, power_seed=cfg.power_seed,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    truth = _load_truth(cfg, optics, complex_mode=False)
-    stack, trace = baseline_reconstruct(holo, params, ground_truth=truth)
-
-    manifest = _Manifest(cfg)
-    manifest.record("input", cfg.input)
-    manifest.record("truth", cfg.truth)
-    manifest.record("wavelength", optics.wavelength)
-    manifest.record("pitch", optics.pitch_x)
-    manifest.record("pitch_y", optics.pitch_y)
-    manifest.record("slice_distances", list(optics.slice_distances))
-    manifest.record_params(cfg, ("iters", "pad", "power_iters", "power_seed"))
-    manifest.record("tau", cfg.tau if cfg.tau is not None else "auto")
-    manifest.record("step_size", cfg.step_size if cfg.step_size is not None else "auto")
-
-    grids = [(f"slice_{i:02d}.pfm", s.real_part()) for i, s in enumerate(stack.slices)]
-    _save_all(out, grids, optics.wavelength, manifest)
-    trace_path = write_trace(out / "trace.csv", trace)
-    manifest.outputs([trace_path])
-    if truth is not None:
-        qpath = out / "quality.json"
-        qpath.write_text(_quality_json(stack, truth, complex_mode=False), encoding="utf-8")
-        manifest.outputs([qpath])
-    manifest.write(out)
-
-    if trace.diverged:
-        write_error_record(out, 3, "Divergence", "least-squares objective diverged")
-        print("baseline halted: diverging objective (outputs written)", file=sys.stderr)
-        return 3
-    print(f"baseline reconstructed {optics.n_slices} slice(s) in {len(trace)} iteration(s)")
     return 0
 
 
@@ -571,12 +514,11 @@ def _run_autofocus(cfg: RunConfig, out: Path) -> int:
     cfg.require("input", "z_min", "z_max", "z_step")
     if cfg.slice_distances is None:
         cfg.slice_distances = (cfg.z_min + (cfg.z_max - cfg.z_min) / 2,)  # placeholder geometry
-    holo, _ = _load_hologram(cfg)
+    holo = _load_hologram(cfg)
     best = autofocus(holo, cfg.z_min, cfg.z_max, cfg.z_step, pad=cfg.pad)
     manifest = _Manifest(cfg)
     manifest.record("input", cfg.input)
-    manifest.record("wavelength", holo.config.wavelength)
-    manifest.record("pitch", holo.config.pitch_x)
+    manifest.record_optics(holo.config)
     manifest.record_params(cfg, ("z_min", "z_max", "z_step", "pad"))
     result = write_key_values(out / "autofocus.txt", {"best_z": best})
     manifest.outputs([result])
@@ -596,9 +538,8 @@ def _run_metrics(cfg: RunConfig, out: Path) -> int:
     report = quality_report(test.data, reference.data, peak=cfg.peak,
                             median_size=cfg.median_size)
     manifest = _Manifest(cfg)
-    manifest.record("input", cfg.input)
-    manifest.record("truth", cfg.truth)
-    manifest.record("peak", cfg.peak if cfg.peak is not None else "auto")
+    manifest.record_params(cfg, ("input", "truth"))
+    manifest.record_params(cfg, ("peak",), auto=True)
     manifest.record("median_size", cfg.median_size)
     qpath = out / "quality.json"
     qpath.write_text(report.to_json() + "\n", encoding="utf-8")
@@ -627,13 +568,13 @@ def _run_resolution(cfg: RunConfig, out: Path) -> int:
 
 
 _RUNNERS = {
-    "simulate": lambda cfg, out: _run_simulate(cfg, out),
-    "reconstruct-real": lambda cfg, out: _run_reconstruct(cfg, out, complex_mode=False),
-    "reconstruct-complex": lambda cfg, out: _run_reconstruct(cfg, out, complex_mode=True),
-    "baseline": lambda cfg, out: _run_baseline(cfg, out),
-    "autofocus": lambda cfg, out: _run_autofocus(cfg, out),
-    "metrics": lambda cfg, out: _run_metrics(cfg, out),
-    "resolution": lambda cfg, out: _run_resolution(cfg, out),
+    "simulate": _run_simulate,
+    "reconstruct-real": _run_reconstruct,
+    "reconstruct-complex": _run_reconstruct,
+    "baseline": _run_reconstruct,
+    "autofocus": _run_autofocus,
+    "metrics": _run_metrics,
+    "resolution": _run_resolution,
 }
 
 
@@ -645,7 +586,8 @@ def run(cfg: RunConfig) -> int:
             raise ConfigError(f"unknown mode {cfg.mode!r}, expected one of {', '.join(MODES)}")
         out.mkdir(parents=True, exist_ok=True)
         return _RUNNERS[cfg.mode](cfg, out)
-    except ConfigError as exc:
+    except (ConfigError, ValueError) as exc:
+        # invalid parameter combinations surface as configuration errors
         logger.error("configuration error: %s", exc)
         write_error_record(out, 2, type(exc).__name__, str(exc))
         return 2
@@ -657,11 +599,6 @@ def run(cfg: RunConfig) -> int:
         logger.error("I/O failure: %s", exc)
         write_error_record(out, 4, type(exc).__name__, str(exc))
         return 4
-    except ValueError as exc:
-        # invalid parameter combinations surface as configuration errors
-        logger.error("configuration error: %s", exc)
-        write_error_record(out, 2, type(exc).__name__, str(exc))
-        return 2
 
 
 def _flag_name(key: str) -> str:
@@ -680,12 +617,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", help="flat key = value config document (SI units)")
         p.add_argument("--out", help="output directory (default: out)")
         p.add_argument("-v", "--verbose", action="store_true", help="debug logging")
-        for key, (kind, help_text) in _KEYS.items():
-            if key in ("mode", "output_dir"):
+        for f in fields(RunConfig):
+            if f.name in ("mode", "output_dir"):
                 continue
+            kind = f.metadata["kind"]
             suffix = " (accepts units: nm, um, mm)" if kind in ("length", "lengths") else ""
-            p.add_argument(_flag_name(key), dest=f"key_{key}", metavar="V",
-                           help=help_text + suffix)
+            p.add_argument(_flag_name(f.name), dest=f"key_{f.name}", metavar="V",
+                           help=f.metadata["help"] + suffix)
     return parser
 
 

@@ -32,6 +32,7 @@ smoothed functional (forward-difference operator and its exact adjoint).
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -141,15 +142,23 @@ class ReconTrace:
         return len(self.iterations)
 
 
-def _intensity_array(observed) -> np.ndarray:
-    if isinstance(observed, Hologram):
-        return observed.intensity.data
-    if isinstance(observed, RealGrid2D):
-        return observed.data
-    return np.asarray(observed, dtype=np.float64)
+def _unwrap(value) -> np.ndarray:
+    """Float array behind a hologram, a real grid or an array-like."""
+    if isinstance(value, Hologram):
+        return value.intensity.data
+    if isinstance(value, RealGrid2D):
+        return value.data
+    return np.asarray(value, dtype=np.float64)
 
 
-def _auto_floor(g: np.ndarray) -> float:
+def _rewrap(template, arr: np.ndarray):
+    return template.with_data(arr) if isinstance(template, RealGrid2D) else arr
+
+
+def _resolve_floor(g: np.ndarray, ratio_floor: float | None) -> float:
+    """The ratio floor: ratio_floor, or 1e-12 * mean(g) when None."""
+    if ratio_floor is not None:
+        return float(ratio_floor)
     mean = float(g.mean())
     return 1e-12 * mean if mean > 0 else np.finfo(np.float64).tiny
 
@@ -170,13 +179,13 @@ def nll(observed, predicted, ratio_floor: float | None = None) -> float:
     The predicted intensity is clamped to the ratio floor inside the log
     only. Zero observed counts contribute g_hat alone.
     """
-    g = _intensity_array(observed)
-    ghat = _intensity_array(predicted)
+    g = _unwrap(observed)
+    ghat = _unwrap(predicted)
     if g.shape != ghat.shape:
         raise ValueError(f"shapes differ: {g.shape} vs {ghat.shape}")
     if g.min() < 0:
         raise ValueError("observed intensity must be non-negative")
-    floor = _auto_floor(g) if ratio_floor is None else float(ratio_floor)
+    floor = _resolve_floor(g, ratio_floor)
     return float(np.sum(ghat - xlogy(g, np.maximum(ghat, floor))))
 
 
@@ -193,9 +202,9 @@ def nll_gradient_slices(
     the (optionally padded) forward map to the ratio residual. The ratio
     denominator is clamped to the floor.
     """
-    g = _intensity_array(observed)
-    ghat = _intensity_array(predicted)
-    floor = _auto_floor(g) if ratio_floor is None else float(ratio_floor)
+    g = _unwrap(observed)
+    ghat = _unwrap(predicted)
+    floor = _resolve_floor(g, ratio_floor)
     adj = stack_adjoint(
         _ratio_residual(g, ghat, floor),
         config.pitch_x, config.pitch_y, config.wavelength, config.slice_distances, pad=pad,
@@ -212,9 +221,9 @@ def nll_gradient_slices_complex(
     the slice's real part, the imaginary part the gradient with respect
     to its imaginary part: grad_z = P_{-z}(1 - g / g_hat).
     """
-    g = _intensity_array(observed)
-    ghat = _intensity_array(predicted)
-    floor = _auto_floor(g) if ratio_floor is None else float(ratio_floor)
+    g = _unwrap(observed)
+    ghat = _unwrap(predicted)
+    floor = _resolve_floor(g, ratio_floor)
     adj = stack_adjoint(
         _ratio_residual(g, ghat, floor),
         config.pitch_x, config.pitch_y, config.wavelength, config.slice_distances, pad=pad,
@@ -232,8 +241,7 @@ def _forward_diffs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def tv_value(w) -> float:
     """Isotropic total variation with forward differences, replicated edges."""
-    arr = w.data if isinstance(w, RealGrid2D) else np.asarray(w, dtype=np.float64)
-    dx, dy = _forward_diffs(arr)
+    dx, dy = _forward_diffs(_unwrap(w))
     return float(np.sum(np.hypot(dx, dy)))
 
 
@@ -260,17 +268,7 @@ def tv_gradient(w, epsilon: float):
     """
     if not epsilon > 0:
         raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    if isinstance(w, RealGrid2D):
-        return w.with_data(_tv_gradient_array(w.data, float(epsilon)))
-    return _tv_gradient_array(np.asarray(w, dtype=np.float64), float(epsilon))
-
-
-def _unwrap(value):
-    return value.data if isinstance(value, RealGrid2D) else np.asarray(value, dtype=np.float64)
-
-
-def _rewrap(template, arr: np.ndarray):
-    return template.with_data(arr) if isinstance(template, RealGrid2D) else arr
+    return _rewrap(w, _tv_gradient_array(_unwrap(w), float(epsilon)))
 
 
 def em_step(w, gradient):
@@ -285,9 +283,8 @@ def alternating_update(w, nll_gradient, tv_gradient, tau: float):
     """Data step then TV step, both gradients evaluated at the input iterate."""
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    wa = _unwrap(w)
-    w_mle = wa - np.abs(wa) * _unwrap(nll_gradient)
-    return _rewrap(w, w_mle - np.abs(w_mle) * (tau * _unwrap(tv_gradient)))
+    w_mle = em_step(w, nll_gradient)
+    return em_step(w_mle, tau * _unwrap(tv_gradient))
 
 
 def apply_upper_bound(w, upper_bound, beta: float):
@@ -312,20 +309,21 @@ def _sign_floor(arr: np.ndarray, floor: float) -> np.ndarray:
     return np.where(small, np.where(arr < 0, -floor, floor), arr)
 
 
-def _trace_ssim(parts: list[np.ndarray], truth_parts: list[np.ndarray]) -> float:
-    vals = [
-        _ssim(display_normalize(p), t, peak=1.0) for p, t in zip(parts, truth_parts)
-    ]
-    return float(np.mean(vals))
+def _trace_ssim(parts: list[np.ndarray], truth_parts: list[np.ndarray] | None) -> float | None:
+    """Mean SSIM of every slice of every part against the truth; None without truth."""
+    if truth_parts is None:
+        return None
+    slices = [s for p in parts for s in p]
+    return float(np.mean([_ssim(display_normalize(s), t, peak=1.0)
+                          for s, t in zip(slices, truth_parts)]))
 
 
-def _resolve_common(g: np.ndarray, params: ReconParams):
-    tau = 0.002 * float(g.mean()) if params.tau is None else float(params.tau)
-    floor = _auto_floor(g) if params.ratio_floor is None else float(params.ratio_floor)
-    return tau, floor
+def _resolve_tau(g: np.ndarray, params) -> float:
+    """TV weight: params.tau, or 0.002 * mean(g) when None (shared by both solvers)."""
+    return 0.002 * float(g.mean()) if params.tau is None else float(params.tau)
 
 
-def _resolve_epsilon(params: ReconParams, init_parts: list[np.ndarray]) -> float:
+def _resolve_epsilon(params, init_parts: list[np.ndarray]) -> float:
     if params.tv_epsilon is not None:
         return float(params.tv_epsilon)
     lo = min(float(p.min()) for p in init_parts)
@@ -334,81 +332,59 @@ def _resolve_epsilon(params: ReconParams, init_parts: list[np.ndarray]) -> float
     return 1e-4 * span if span > 0 else 1e-4
 
 
+def _joined(parts: list[np.ndarray]) -> np.ndarray:
+    return parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
+
+
+def _relative_change(new: list[np.ndarray], old: list[np.ndarray]) -> float:
+    """||new - old|| / ||old||, taken over all parts."""
+    delta = math.hypot(*(np.linalg.norm(n - o) for n, o in zip(new, old)))
+    return delta / max(math.hypot(*(np.linalg.norm(o) for o in old)), np.finfo(np.float64).tiny)
+
+
 def _iterate(
     g: np.ndarray,
     config: OpticalConfig,
-    params: ReconParams,
-    complex_mode: bool,
+    params,
+    parts: list[np.ndarray],
+    data_term,
+    update,
     truth_parts: list[np.ndarray] | None,
-) -> tuple[np.ndarray, ReconTrace]:
+    stop_delta: float | None = None,
+) -> tuple[list[np.ndarray], ReconTrace]:
+    """The iteration loop shared by every solver.
+
+    The estimate is a list of real parts: [w] in real mode, [Re w, Im w]
+    in complex mode, each stacked over slices. params supplies max_iters,
+    pad and tv_epsilon. The solver supplies the rest:
+
+    - data_term(ghat) -> (value, residual): the data objective at the
+      predicted intensity and the residual whose adjoint is its gradient;
+    - update(w, grad, tv_grad, scale) -> new part: one step with the
+      gradient scaled by scale, which halves while the result is
+      non-finite.
+
+    The run halts when the objective rises 5 iterations in a row (each
+    rise above 1e-6 relative) and, when stop_delta is given, once the
+    relative change of the estimate falls below it.
+    """
     px, py, lam, zs = config.pitch_x, config.pitch_y, config.wavelength, config.slice_distances
-    n_slices = len(zs)
     pad = params.pad
-    tau, floor = _resolve_common(g, params)
-
-    if params.init_mode == "backpropagation":
-        bp = stack_adjoint(g, px, py, lam, zs, pad=pad)
-        w_re = bp.real.copy()
-        w_im = bp.imag.copy() if complex_mode else None
-        w_re = _sign_floor(w_re, 1e-6 * float(np.abs(w_re).mean()))
-        if complex_mode:
-            w_im = _sign_floor(w_im, 1e-6 * float(np.abs(w_im).mean()))
-    else:
-        # DC-matched flat start: levels d_z with sum_z cos(k0 z) d_z = mean(g),
-        # minimum-norm, so the initial prediction already carries the right DC
-        k0 = 2.0 * np.pi / lam
-        cosz = np.cos(k0 * np.asarray(zs))
-        denom = float(np.sum(cosz**2))
-        if denom > np.finfo(np.float64).tiny:
-            levels = cosz * float(g.mean()) / denom
-        else:
-            levels = np.full(n_slices, float(g.mean()) / n_slices)
-        w_re = np.broadcast_to(
-            levels[:, None, None], (n_slices,) + config.grid_shape
-        ).copy()
-        w_re = _sign_floor(w_re, 1e-6 * max(float(np.abs(levels).mean()), np.finfo(np.float64).tiny))
-        # small nonzero tilt: a zero imaginary part is a multiplicative fixed point
-        w_im = np.full_like(w_re, 0.01 * float(np.abs(levels).mean())) if complex_mode else None
-
-    parts = [w_re, w_im] if complex_mode else [w_re]
     eps = _resolve_epsilon(params, parts)
-
-    ub = None
-    if params.upper_bound is not None:
-        if complex_mode:
-            raise ValueError("the upper-bound constraint applies to real mode only")
-        if isinstance(params.upper_bound, RealGrid2D):
-            _check_geometry(params.upper_bound.shape, params.upper_bound.pitch_x,
-                            params.upper_bound.pitch_y, config)
-            ub = params.upper_bound.data
-        else:
-            ub = float(params.upper_bound)
-
     trace = ReconTrace()
-    current = (w_re + 1j * w_im) if complex_mode else w_re
-    ghat = stack_forward(current, px, py, lam, zs, pad=pad)
-    prev_nll = float(np.sum(ghat - xlogy(g, np.maximum(ghat, floor))))
+    prev, resid = data_term(stack_forward(_joined(parts), px, py, lam, zs, pad=pad))
     consecutive_up = 0
 
     for k in range(1, params.max_iters + 1):
         t0 = time.perf_counter()
-        adj = stack_adjoint(_ratio_residual(g, ghat, floor), px, py, lam, zs, pad=pad)
-        d_re = adj.real
-        d_im = adj.imag if complex_mode else None
-        t_re = np.stack([_tv_gradient_array(s, eps) for s in w_re])
-        t_im = np.stack([_tv_gradient_array(s, eps) for s in w_im]) if complex_mode else None
+        adj = stack_adjoint(resid, px, py, lam, zs, pad=pad)
+        grads = [adj.real, adj.imag][: len(parts)]
+        tv_grads = [np.stack([_tv_gradient_array(s, eps) for s in p]) for p in parts]
 
         for attempt in range(5):
             scale = 0.5**attempt
-            mle = w_re - np.abs(w_re) * (scale * d_re)
-            new_re = mle - np.abs(mle) * (scale * tau * t_re)
-            if ub is not None:
-                new_re = np.where(new_re > ub, ub + params.beta * (new_re - ub), new_re)
-            if complex_mode:
-                mle_im = w_im - np.abs(w_im) * (scale * d_im)
-                new_im = mle_im - np.abs(mle_im) * (scale * tau * t_im)
-            ok = np.isfinite(new_re).all() and (not complex_mode or np.isfinite(new_im).all())
-            if ok:
+            new = [update(p, d, t, scale) for p, d, t in zip(parts, grads, tv_grads)]
+            if all(np.isfinite(n).all() for n in new):
                 if attempt:
                     logger.warning("iteration %d: gradient halved %d time(s) to stay finite",
                                    k, attempt)
@@ -418,48 +394,70 @@ def _iterate(
                 f"iteration {k}: update non-finite after 4 gradient halvings"
             )
 
-        if complex_mode:
-            delta = np.sqrt(np.sum((new_re - w_re) ** 2) + np.sum((new_im - w_im) ** 2))
-            norm_prev = np.sqrt(np.sum(w_re**2) + np.sum(w_im**2))
-            w_re, w_im = new_re, new_im
-            current = w_re + 1j * w_im
-        else:
-            delta = float(np.linalg.norm(new_re - w_re))
-            norm_prev = float(np.linalg.norm(w_re))
-            w_re = new_re
-            current = w_re
+        converged = stop_delta is not None and _relative_change(new, parts) < stop_delta
+        parts = new
 
-        ghat = stack_forward(current, px, py, lam, zs, pad=pad)
-        j_val = float(np.sum(ghat - xlogy(g, np.maximum(ghat, floor))))
-        tv_now = sum(tv_value(s) for s in w_re)
-        if complex_mode:
-            tv_now += sum(tv_value(s) for s in w_im)
-        ssim_now = None
-        if truth_parts is not None:
-            est_parts = list(w_re) + (list(w_im) if complex_mode else [])
-            ssim_now = _trace_ssim(est_parts, truth_parts)
-        trace.append(k, j_val, tv_now, ssim_now, (time.perf_counter() - t0) * 1e3)
+        value, resid = data_term(stack_forward(_joined(parts), px, py, lam, zs, pad=pad))
+        tv_now = sum(sum(tv_value(s) for s in p) for p in parts)
+        ssim_now = _trace_ssim(parts, truth_parts)
+        trace.append(k, value, tv_now, ssim_now, (time.perf_counter() - t0) * 1e3)
 
-        if j_val > prev_nll + 1e-6 * abs(prev_nll):
+        if value > prev + 1e-6 * abs(prev):
             consecutive_up += 1
             if consecutive_up >= 5:
                 trace.diverged = True
                 logger.warning(
                     "objective increased for 5 consecutive iterations "
-                    "(iteration %d, nll %.6g); halting", k, j_val,
+                    "(iteration %d, objective %.6g); halting", k, value,
                 )
                 break
         else:
             consecutive_up = 0
-        prev_nll = j_val
+        prev = value
 
-        if params.stop_rule == "relative_change":
-            rel = delta / max(norm_prev, np.finfo(np.float64).tiny)
-            if rel < params.stop_delta:
-                trace.stopped_early = True
-                break
+        if converged:
+            trace.stopped_early = True
+            break
 
-    return current, trace
+    return parts, trace
+
+
+def _em_start(g: np.ndarray, config: OpticalConfig, params: ReconParams,
+              complex_mode: bool) -> list[np.ndarray]:
+    """Initial estimate parts for the multiplicative solver."""
+    lam, zs = config.wavelength, config.slice_distances
+    if params.init_mode == "backpropagation":
+        bp = stack_adjoint(g, config.pitch_x, config.pitch_y, lam, zs, pad=params.pad)
+        parts = [bp.real, bp.imag] if complex_mode else [bp.real]
+        return [_sign_floor(p, 1e-6 * float(np.abs(p).mean())) for p in parts]
+    # DC-matched flat start: levels d_z with sum_z cos(k0 z) d_z = mean(g),
+    # minimum-norm, so the initial prediction already carries the right DC
+    n_slices = len(zs)
+    k0 = 2.0 * np.pi / lam
+    cosz = np.cos(k0 * np.asarray(zs))
+    denom = float(np.sum(cosz**2))
+    if denom > np.finfo(np.float64).tiny:
+        levels = cosz * float(g.mean()) / denom
+    else:
+        levels = np.full(n_slices, float(g.mean()) / n_slices)
+    w_re = np.broadcast_to(levels[:, None, None], (n_slices,) + config.grid_shape).copy()
+    w_re = _sign_floor(w_re, 1e-6 * max(float(np.abs(levels).mean()), np.finfo(np.float64).tiny))
+    if not complex_mode:
+        return [w_re]
+    # small nonzero tilt: a zero imaginary part is a multiplicative fixed point
+    return [w_re, np.full_like(w_re, 0.01 * float(np.abs(levels).mean()))]
+
+
+def _upper_bound(params: ReconParams, config: OpticalConfig, complex_mode: bool):
+    if params.upper_bound is None:
+        return None
+    if complex_mode:
+        raise ValueError("the upper-bound constraint applies to real mode only")
+    if isinstance(params.upper_bound, RealGrid2D):
+        _check_geometry(params.upper_bound.shape, params.upper_bound.pitch_x,
+                        params.upper_bound.pitch_y, config)
+        return params.upper_bound.data
+    return float(params.upper_bound)
 
 
 def _truth_parts(ground_truth: ObjectStack | None, complex_mode: bool) -> list[np.ndarray] | None:
@@ -486,6 +484,36 @@ def _recon_config(hologram: Hologram, config: OpticalConfig | None) -> OpticalCo
     return config
 
 
+def _real_stack(w: np.ndarray, config: OpticalConfig) -> ObjectStack:
+    return ObjectStack(
+        tuple(ComplexGrid2D(s, config.pitch_x, config.pitch_y) for s in w.astype(np.complex128)),
+        real_only=True,
+    )
+
+
+def _em_solve(hologram: Hologram, params: ReconParams | None, config: OpticalConfig | None,
+              ground_truth: ObjectStack | None, complex_mode: bool):
+    cfg = _recon_config(hologram, config)
+    params = params or ReconParams()
+    g = hologram.intensity.data
+    ub = _upper_bound(params, cfg, complex_mode)
+    tau = _resolve_tau(g, params)
+    floor = _resolve_floor(g, params.ratio_floor)
+
+    def data_term(ghat):
+        return nll(g, ghat, floor), _ratio_residual(g, ghat, floor)
+
+    def update(w, grad, tv_grad, scale):
+        new = alternating_update(w, scale * grad, tv_grad, scale * tau)
+        return new if ub is None else apply_upper_bound(new, ub, params.beta)
+
+    stop_delta = params.stop_delta if params.stop_rule == "relative_change" else None
+    parts, trace = _iterate(g, cfg, params, _em_start(g, cfg, params, complex_mode),
+                            data_term, update, _truth_parts(ground_truth, complex_mode),
+                            stop_delta)
+    return cfg, parts, trace
+
+
 def reconstruct_real(
     hologram: Hologram,
     params: ReconParams | None = None,
@@ -500,16 +528,8 @@ def reconstruct_real(
     slices, computed on display-normalized images. Divergence does not
     raise: the run halts and the trace is flagged.
     """
-    cfg = _recon_config(hologram, config)
-    params = params or ReconParams()
-    truth = _truth_parts(ground_truth, complex_mode=False)
-    w, trace = _iterate(hologram.intensity.data, cfg, params, complex_mode=False,
-                        truth_parts=truth)
-    stack = ObjectStack(
-        tuple(ComplexGrid2D(s, cfg.pitch_x, cfg.pitch_y) for s in w.astype(np.complex128)),
-        real_only=True,
-    )
-    return stack, trace
+    cfg, (w,), trace = _em_solve(hologram, params, config, ground_truth, complex_mode=False)
+    return _real_stack(w, cfg), trace
 
 
 def reconstruct_complex(
@@ -524,10 +544,6 @@ def reconstruct_complex(
     The upper-bound constraint is not available in this mode; params
     carrying one raise ValueError.
     """
-    cfg = _recon_config(hologram, config)
-    params = params or ReconParams()
-    truth = _truth_parts(ground_truth, complex_mode=True)
-    w, trace = _iterate(hologram.intensity.data, cfg, params, complex_mode=True,
-                        truth_parts=truth)
-    stack = ObjectStack(tuple(ComplexGrid2D(s, cfg.pitch_x, cfg.pitch_y) for s in w))
+    cfg, parts, trace = _em_solve(hologram, params, config, ground_truth, complex_mode=True)
+    stack = ObjectStack(tuple(ComplexGrid2D(s, cfg.pitch_x, cfg.pitch_y) for s in _joined(parts)))
     return stack, trace

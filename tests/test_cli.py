@@ -286,3 +286,33 @@ def test_manifest_reruns_bit_identically(tmp_path):
     assert code == 0
     assert (second / "hologram.pfm").read_bytes() == (first / "hologram.pfm").read_bytes()
     assert (second / "truth_00_re.pfm").read_bytes() == (first / "truth_00_re.pfm").read_bytes()
+
+
+def test_baseline_manifest_reruns_identically(tmp_path):
+    sim = tmp_path / "sim"
+    assert main(simulate_args(sim, ["--noise-seed", "3"])) == 0
+    first = tmp_path / "a"
+    code = main(["baseline", "--out", str(first), "--input", str(sim / "hologram.pfm"),
+                 "--slice-distances", "1mm", "--tv-epsilon", "0.5", "--tau", "1",
+                 "--iters", "5"])
+    assert float(load_key_values(first / "manifest.txt")["tv_epsilon"]) == 0.5
+    second = tmp_path / "b"
+    assert main(["baseline", "--config", str(first / "manifest.txt"),
+                 "--out", str(second)]) == code
+    assert (second / "slice_00.pfm").read_bytes() == (first / "slice_00.pfm").read_bytes()
+
+    def rows(out):  # every trace column but the trailing wall-clock millis
+        lines = (out / "trace.csv").read_text().splitlines()
+        return [line.rsplit(",", 1)[0] for line in lines]
+
+    assert rows(second) == rows(first)
+
+
+def test_autofocus_manifest_records_pitch_y(tmp_path):
+    sim = tmp_path / "sim"
+    assert main(simulate_args(sim, ["--pitch-y", "1.5um"])) == 0
+    out = tmp_path / "af"
+    assert main(["autofocus", "--out", str(out), "--input", str(sim / "hologram.pfm"),
+                 "--pitch-y", "1.4um",
+                 "--z-min", "0.9mm", "--z-max", "1.1mm", "--z-step", "0.1mm"]) == 0
+    assert float(load_key_values(out / "manifest.txt")["pitch_y"]) == pytest.approx(1.4e-6)

@@ -10,6 +10,8 @@ descend monotonically with the regularizer off.
 import numpy as np
 import pytest
 
+from holoem import em
+from holoem.baseline import BaselineParams, baseline_reconstruct
 from holoem.em import (
     NumericError,
     ReconParams,
@@ -357,3 +359,25 @@ def test_explicit_config_must_match_hologram(demo128):
     other = OpticalConfig(WAVELENGTH, PITCH, 64, 64, cfg.slice_distances)
     with pytest.raises(ValueError):
         reconstruct_real(holo, ReconParams(max_iters=1), config=other)
+    with pytest.raises(ValueError):
+        baseline_reconstruct(holo, BaselineParams(max_iters=1), config=other)
+    coarse = OpticalConfig(WAVELENGTH, 2e-6, 32, 32, cfg.slice_distances)
+    with pytest.raises(ValueError):
+        baseline_reconstruct(holo, BaselineParams(max_iters=1), config=coarse)
+
+
+def test_solver_runs_the_public_update_helpers(bound64, monkeypatch):
+    """The loop applies the tested alternating_update and apply_upper_bound."""
+    _, _, holo = bound64
+    calls = {"alternating_update": 0, "apply_upper_bound": 0}
+    for name in calls:
+        original = getattr(em, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(em, name, spy)
+    _, trace = reconstruct_real(holo, ReconParams(max_iters=3, upper_bound=1.0, beta=0.5))
+    assert len(trace) == 3
+    assert calls == {"alternating_update": 3, "apply_upper_bound": 3}

@@ -65,7 +65,7 @@ def estimate_step_size(config: OpticalConfig, pad: bool = True,
     lam_max = 0.0
     for _ in range(n_iters):
         u = stack_adjoint(stack_forward(v, px, py, lam, zs, pad=pad),
-                          px, py, lam, zs, pad=pad).real
+                          px, py, lam, zs, pad=pad, real=True)
         lam_max = float(np.linalg.norm(u))
         if lam_max == 0.0:
             raise ValueError("power iteration collapsed to zero; operator is degenerate")
@@ -104,7 +104,7 @@ def baseline_reconstruct(
         return (w - s * grad) - (s * tau) * tv_grad
 
     start = stack_adjoint(g, cfg.pitch_x, cfg.pitch_y, cfg.wavelength, cfg.slice_distances,
-                          pad=params.pad).real
+                          pad=params.pad, real=True)
     (w,), trace = _iterate(g, cfg, params, [start], data_term, update,
                            _truth_parts(ground_truth, complex_mode=False))
     return _real_stack(w, cfg), trace

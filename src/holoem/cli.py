@@ -135,56 +135,86 @@ _FLAG_PARSERS = dict(
 )
 
 
-def _key(kind: str, help_text: str, default=None):
-    """A run-config key: kind drives both config and flag parsing, help is the flag help."""
-    return field(default=default, metadata={"kind": kind, "help": help_text})
+def _key(kind: str, help_text: str, default=None, modes=()):
+    """A run-config key: kind drives both config and flag parsing, help is the flag
+    help, and modes are the modes that read it, which are the ones taking its flag."""
+    return field(default=default, metadata={"kind": kind, "help": help_text, "modes": modes})
+
+
+_SOLVE = ("reconstruct-real", "reconstruct-complex", "baseline")
+_EM = _SOLVE[:2]
+_LOAD = _SOLVE + ("autofocus",)  # modes that load a hologram
+_OPTICS = ("simulate",) + _LOAD  # modes that build an optical configuration
+_SIM = ("simulate",)
+_BASELINE = ("baseline",)
+_FOCUS = ("autofocus",)
+
+# manifest entries that record a run's outcome; legal, and ignored, as config input
+_RESULT_KEYS = ("holoem_version", "stop_reason", "step_halvings")
 
 
 @dataclass
 class RunConfig:
     """Resolved flat run configuration (SI units throughout).
 
-    Each field is one config key and one command-line flag.
+    Each field is one config key and, for the modes that read it, one
+    command-line flag.
     """
 
     mode: str = _key("str", "run mode", "")
-    wavelength: float | None = _key("length", "illumination wavelength")
-    pitch: float | None = _key("length", "pixel pitch (square pixels)")
-    pitch_y: float | None = _key("length", "vertical pixel pitch when pixels are not square")
-    width: int | None = _key("int", "grid width in pixels")
-    height: int | None = _key("int", "grid height in pixels")
+    wavelength: float | None = _key(
+        "length", "illumination wavelength", modes=_OPTICS + ("resolution",))
+    pitch: float | None = _key("length", "pixel pitch (square pixels)", modes=_OPTICS)
+    pitch_y: float | None = _key(
+        "length", "vertical pixel pitch when pixels are not square", modes=_OPTICS)
+    width: int | None = _key("int", "grid width in pixels", modes=_OPTICS)
+    height: int | None = _key("int", "grid height in pixels", modes=_OPTICS)
     slice_distances: tuple[float, ...] | None = _key(
-        "lengths", "comma-separated object-to-sensor distances")
-    illumination_amplitude: float = _key("float", "plane-wave amplitude A", 1.0)
-    model: str = _key("str", "forward model: linear or full", "linear")
+        "lengths", "comma-separated object-to-sensor distances", modes=_OPTICS)
+    illumination_amplitude: float = _key("float", "plane-wave amplitude A", 1.0, modes=_OPTICS)
+    model: str = _key("str", "forward model: linear or full", "linear", modes=_SIM)
     photon_scale: float | None = _key(
-        "optfloat", "photons per intensity unit ('auto' scales mean to 1e4)")
-    noise_seed: int | None = _key("optint", "Poisson seed; omit for a noise-free hologram")
-    pad: bool = _key("bool", "zero-pad propagations to twice the grid", True)
-    phantom: str | None = _key("str", "built-in object: multi-depth, single or complex")
-    contrast: float = _key("float", "phantom absorption contrast", 0.04)
-    phase_contrast: float = _key("float", "phantom phase contrast (complex phantom)", 0.05)
-    objects: tuple[str, ...] | None = _key("paths", "comma-separated per-slice object images")
-    input: str | None = _key("path", "input hologram image")
-    reference: str | None = _key("path", "reference illumination image (upper-bound source)")
-    truth: tuple[str, ...] | None = _key("paths", "ground-truth image(s)")
-    iters: int = _key("int", "iteration count", 100)
-    tau: float | None = _key("optfloat", "TV weight ('auto' = 0.002 * mean intensity)")
-    beta: float = _key("float", "upper-bound relaxation factor", 0.5)
-    tv_epsilon: float | None = _key("optfloat", "TV smoothing epsilon ('auto')")
-    ratio_floor: float | None = _key("optfloat", "intensity ratio floor ('auto')")
-    init: str = _key("str", "initialization: backpropagation or constant", "backpropagation")
-    stop: str = _key("str", "stop rule: fixed_iters or relative_change", "fixed_iters")
-    stop_delta: float = _key("float", "relative-change stop threshold", 1e-6)
-    step_size: float | None = _key("optfloat", "baseline step size ('auto' = 1/L)")
-    power_iters: int = _key("int", "power iterations for the step-size estimate", 20)
-    power_seed: int = _key("int", "seed for the step-size power iteration", 0)
-    z_min: float | None = _key("length", "autofocus scan start")
-    z_max: float | None = _key("length", "autofocus scan end")
-    z_step: float | None = _key("length", "autofocus scan step")
-    numerical_aperture: float | None = _key("float", "effective numerical aperture")
-    peak: float | None = _key("optfloat", "dynamic range for PSNR/SSIM ('auto' = reference max)")
-    median_size: int = _key("int", "median filter size for the quality report", 3)
+        "optfloat", "photons per intensity unit ('auto' scales mean to 1e4)", modes=_SIM)
+    noise_seed: int | None = _key(
+        "optint", "Poisson seed; omit for a noise-free hologram", modes=_SIM)
+    pad: bool = _key("bool", "zero-pad propagations to twice the grid", True, modes=_OPTICS)
+    phantom: str | None = _key(
+        "str", "built-in object: multi-depth, single or complex", modes=_SIM)
+    contrast: float = _key("float", "phantom absorption contrast", 0.04, modes=_SIM)
+    phase_contrast: float = _key(
+        "float", "phantom phase contrast (complex phantom)", 0.05, modes=_SIM)
+    objects: tuple[str, ...] | None = _key(
+        "paths", "comma-separated per-slice object images", modes=_SIM)
+    input: str | None = _key("path", "input hologram image", modes=_LOAD + ("metrics",))
+    reference: str | None = _key(
+        "path", "reference illumination image (upper-bound source)",
+        modes=("reconstruct-real",))
+    truth: tuple[str, ...] | None = _key(
+        "paths", "ground-truth image(s)", modes=_SOLVE + ("metrics",))
+    iters: int = _key("int", "iteration count", 100, modes=_SOLVE)
+    tau: float | None = _key(
+        "optfloat", "TV weight ('auto' = 0.002 * mean intensity)", modes=_SOLVE)
+    beta: float = _key("float", "upper-bound relaxation factor", 0.5, modes=_EM)
+    tv_epsilon: float | None = _key("optfloat", "TV smoothing epsilon ('auto')", modes=_SOLVE)
+    ratio_floor: float | None = _key("optfloat", "intensity ratio floor ('auto')", modes=_EM)
+    init: str = _key(
+        "str", "initialization: backpropagation or constant", "backpropagation", modes=_EM)
+    stop: str = _key("str", "stop rule: fixed_iters or relative_change", "fixed_iters", modes=_EM)
+    stop_delta: float = _key("float", "relative-change stop threshold", 1e-6, modes=_EM)
+    step_size: float | None = _key(
+        "optfloat", "baseline step size ('auto' = 1/L)", modes=_BASELINE)
+    power_iters: int = _key(
+        "int", "power iterations for the step-size estimate", 20, modes=_BASELINE)
+    power_seed: int = _key("int", "seed for the step-size power iteration", 0, modes=_BASELINE)
+    z_min: float | None = _key("length", "autofocus scan start", modes=_FOCUS)
+    z_max: float | None = _key("length", "autofocus scan end", modes=_FOCUS)
+    z_step: float | None = _key("length", "autofocus scan step", modes=_FOCUS)
+    numerical_aperture: float | None = _key(
+        "float", "effective numerical aperture", modes=("resolution",))
+    peak: float | None = _key(
+        "optfloat", "dynamic range for PSNR/SSIM ('auto' = reference max)", modes=("metrics",))
+    median_size: int = _key(
+        "int", "median filter size for the quality report", 3, modes=("metrics",))
     output_dir: str = _key("path", "output directory", "out")
 
     @classmethod
@@ -199,7 +229,7 @@ class RunConfig:
         parsers = parsers or _CONFIG_PARSERS
         kinds = {f.name: f.metadata["kind"] for f in fields(self)}
         for key, raw in mapping.items():
-            if key == "holoem_version" or key.startswith("output."):
+            if key in _RESULT_KEYS or key.startswith("output."):
                 continue  # manifest bookkeeping keys are legal config input
             if key not in kinds:
                 raise ConfigError(f"{where}: unknown key {key!r}")
@@ -481,6 +511,8 @@ def _run_reconstruct(cfg: RunConfig, out: Path) -> int:
     manifest.record_optics(optics)
     manifest.record_params(cfg, given)
     manifest.record_params(cfg, auto, auto=True)
+    manifest.record("stop_reason", trace.stop_reason)
+    manifest.record("step_halvings", trace.step_halvings)
 
     grids = []
     for i, s in enumerate(stack.slices):
@@ -618,7 +650,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", help="output directory (default: out)")
         p.add_argument("-v", "--verbose", action="store_true", help="debug logging")
         for f in fields(RunConfig):
-            if f.name in ("mode", "output_dir"):
+            if mode not in f.metadata["modes"]:
                 continue
             kind = f.metadata["kind"]
             suffix = " (accepts units: nm, um, mm)" if kind in ("length", "lengths") else ""
@@ -628,11 +660,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args, unread = _build_parser().parse_known_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
+    if unread:
+        # a flag the mode does not read would otherwise be dropped without a word
+        named = [a.split("=", 1)[0] for a in unread if a.startswith("--")] or unread
+        logger.error("configuration error: mode %r does not read %s",
+                     args.mode, ", ".join(named))
+        return 2
     try:
         cfg = RunConfig()
         if args.config:

@@ -118,7 +118,8 @@ class ReconTrace:
 
     Row k describes the state after k updates. ssim entries are None when
     no ground truth was supplied. millis is wall time and is the one field
-    exempt from run-to-run reproducibility.
+    exempt from run-to-run reproducibility. step_halvings counts the
+    gradient halvings that kept updates finite, over the whole run.
     """
 
     iterations: list[int] = field(default_factory=list)
@@ -128,6 +129,7 @@ class ReconTrace:
     millis: list[float] = field(default_factory=list)
     diverged: bool = False
     stopped_early: bool = False
+    step_halvings: int = 0
 
     COLUMNS = ("iteration", "nll", "tv", "ssim", "millis")
 
@@ -140,6 +142,13 @@ class ReconTrace:
 
     def __len__(self) -> int:
         return len(self.iterations)
+
+    @property
+    def stop_reason(self) -> str:
+        """Why the run stopped: diverged, relative_change or iteration_cap."""
+        if self.diverged:
+            return "diverged"
+        return "relative_change" if self.stopped_early else "iteration_cap"
 
 
 def _unwrap(value) -> np.ndarray:
@@ -208,8 +217,9 @@ def nll_gradient_slices(
     adj = stack_adjoint(
         _ratio_residual(g, ghat, floor),
         config.pitch_x, config.pitch_y, config.wavelength, config.slice_distances, pad=pad,
+        real=True,
     )
-    return [RealGrid2D(a.real, config.pitch_x, config.pitch_y) for a in adj]
+    return [RealGrid2D(a, config.pitch_x, config.pitch_y) for a in adj]
 
 
 def nll_gradient_slices_complex(
@@ -377,8 +387,8 @@ def _iterate(
 
     for k in range(1, params.max_iters + 1):
         t0 = time.perf_counter()
-        adj = stack_adjoint(resid, px, py, lam, zs, pad=pad)
-        grads = [adj.real, adj.imag][: len(parts)]
+        adj = stack_adjoint(resid, px, py, lam, zs, pad=pad, real=len(parts) == 1)
+        grads = [adj] if len(parts) == 1 else [adj.real, adj.imag]
         tv_grads = [np.stack([_tv_gradient_array(s, eps) for s in p]) for p in parts]
 
         for attempt in range(5):
@@ -386,6 +396,7 @@ def _iterate(
             new = [update(p, d, t, scale) for p, d, t in zip(parts, grads, tv_grads)]
             if all(np.isfinite(n).all() for n in new):
                 if attempt:
+                    trace.step_halvings += attempt
                     logger.warning("iteration %d: gradient halved %d time(s) to stay finite",
                                    k, attempt)
                 break
@@ -427,8 +438,9 @@ def _em_start(g: np.ndarray, config: OpticalConfig, params: ReconParams,
     """Initial estimate parts for the multiplicative solver."""
     lam, zs = config.wavelength, config.slice_distances
     if params.init_mode == "backpropagation":
-        bp = stack_adjoint(g, config.pitch_x, config.pitch_y, lam, zs, pad=params.pad)
-        parts = [bp.real, bp.imag] if complex_mode else [bp.real]
+        bp = stack_adjoint(g, config.pitch_x, config.pitch_y, lam, zs, pad=params.pad,
+                           real=not complex_mode)
+        parts = [bp.real, bp.imag] if complex_mode else [bp]
         return [_sign_floor(p, 1e-6 * float(np.abs(p).mean())) for p in parts]
     # DC-matched flat start: levels d_z with sum_z cos(k0 z) d_z = mean(g),
     # minimum-norm, so the initial prediction already carries the right DC

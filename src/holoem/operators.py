@@ -1,6 +1,6 @@
 """Multi-slice hologram operator on raw arrays.
 
-Forward map for a stack of S object slices w_z at distances z:
+Forward map for a stack of S object slices w_z = a_z + j b_z at distances z:
 
     (H w)(x) = sum_z Re[ P_z w_z ](x)
 
@@ -9,22 +9,33 @@ and its adjoint applied to a real residual r:
     (H* r)_z = P_{-z} r        (complex; .real is the gradient w.r.t. the
                                 real slice part, .imag w.r.t. the imaginary)
 
-Both directions share one aggregate transform: the forward sums slice
-spectra before a single inverse FFT, the adjoint reuses one forward FFT of
-the residual. This is exact linearity, not an approximation.
+Every transform is real-to-real on rfft2 half spectra. The transfer
+function is even in frequency, so for real a and b (see ``propagation.py``)
+
+    Re[P_z w_z] = irfft2(rfft2(a_z) Re H_z - rfft2(b_z) Im H_z)
+    Re[P_{-z} r] = irfft2(rfft2(r) Re H_z)
+    Im[P_{-z} r] = -irfft2(rfft2(r) Im H_z)
+
+The forward sums slice spectra before a single inverse FFT (one rfft2 per
+nonzero slice part); the adjoint reuses one rfft2 of the residual and
+pays one irfft2 per slice for the real part and one more for the
+imaginary part, which ``real=True`` skips. This is exact linearity, not an
+approximation.
 
 With ``pad=True`` each slice is split into its window mean and the
 zero-mean remainder. The mean models the unscattered plane-wave
 component, which physically extends far beyond the recorded window; it
 propagates analytically (a plane wave just picks up the phase
 exp(j k0 z)). Only the remainder, which is compact for sparse objects, is
-embedded centered in a doubled zero frame, transformed and cropped back.
-Naively zero-padding the whole slice instead would make a constant
-background unrepresentable: its padded propagation rings at the frame
-edge, and an iterative solver then fights a structural residual over the
-entire field. The adjoint implements the exact transpose of this split
-(analytic mean response plus mean-removed padded back-propagation), so
-gradient checks hold to rounding error with padding on.
+embedded at the corner of a doubled zero frame, transformed and cropped
+back from the same corner (circular convolution is shift-invariant, so
+the corner is as good as the centre). Naively zero-padding the whole
+slice instead would make a constant background unrepresentable: its
+padded propagation rings at the frame edge, and an iterative solver then
+fights a structural residual over the entire field. The adjoint
+implements the exact transpose of this split (analytic mean response plus
+mean-removed padded back-propagation), so gradient checks hold to
+rounding error with padding on.
 
 These functions are the performance core; the public modules wrap them
 with grid types and validation.
@@ -36,17 +47,9 @@ import numpy as np
 import scipy.fft as _fft
 
 from .grid import fft_workers
-from .propagation import _pad_slices, _transfer_array
+from .propagation import _frame, _half_transfer
 
 __all__ = ["stack_forward", "stack_adjoint"]
-
-
-def _embed(field: np.ndarray) -> np.ndarray:
-    height, width = field.shape
-    frame = np.zeros((2 * height, 2 * width), dtype=np.complex128)
-    sy, sx = _pad_slices(height, width)
-    frame[sy, sx] = field
-    return frame
 
 
 def stack_forward(
@@ -64,23 +67,26 @@ def stack_forward(
             f"stack shape {stack.shape} does not match {len(distances)} slice distances"
         )
     height, width = stack.shape[1:]
+    frame = _frame(height, width, pad)
     workers = fft_workers()
+
+    def transform(part):
+        return _fft.rfft2(part - part.mean() if pad else part, s=frame, workers=workers)
+
+    has_imag = np.iscomplexobj(stack) and bool(stack.imag.any())
+    spectrum = np.zeros((frame[0], frame[1] // 2 + 1), dtype=np.complex128)
+    for i, z in enumerate(distances):
+        re_h, im_h = _half_transfer(*frame, pitch_x, pitch_y, wavelength, z)
+        spectrum += transform(stack.real[i]) * re_h
+        if has_imag:
+            spectrum -= transform(stack.imag[i]) * im_h
+    out = _fft.irfft2(spectrum, s=frame, workers=workers)[:height, :width]
+    if not pad:
+        return out
+    # the window means advance analytically as plane waves: Re[m exp(j k0 z)]
     k0 = 2.0 * np.pi / wavelength
-    if pad:
-        sy, sx = _pad_slices(height, width)
-        spectrum = np.zeros((2 * height, 2 * width), dtype=np.complex128)
-        dc = 0.0
-        for w, z in zip(stack, distances):
-            mean = w.mean()
-            dc += (mean * np.exp(1j * k0 * z)).real
-            h = _transfer_array(2 * height, 2 * width, pitch_x, pitch_y, wavelength, z)
-            spectrum += _fft.fft2(_embed(w - mean), workers=workers) * h
-        return dc + _fft.ifft2(spectrum, workers=workers).real[sy, sx]
-    spectrum = np.zeros((height, width), dtype=np.complex128)
-    for w, z in zip(stack, distances):
-        h = _transfer_array(height, width, pitch_x, pitch_y, wavelength, z)
-        spectrum += _fft.fft2(w.astype(np.complex128), workers=workers) * h
-    return _fft.ifft2(spectrum, workers=workers).real
+    phases = np.exp(1j * k0 * np.asarray(distances, dtype=np.float64))
+    return out + float(np.sum((stack.mean(axis=(1, 2)) * phases).real))
 
 
 def stack_adjoint(
@@ -90,24 +96,37 @@ def stack_adjoint(
     wavelength: float,
     distances,
     pad: bool = True,
+    real: bool = False,
 ) -> np.ndarray:
-    """Apply the adjoint map to a real (H, W) residual; returns (S, H, W) complex."""
+    """Apply the adjoint map to a real (H, W) residual.
+
+    Returns the (S, H, W) complex adjoint, or with ``real=True`` only its
+    real part as float64, which is all a real-slice gradient needs and
+    costs half the inverse transforms.
+    """
     residual = np.asarray(residual, dtype=np.float64)
     height, width = residual.shape
+    frame = _frame(height, width, pad)
     workers = fft_workers()
     k0 = 2.0 * np.pi / wavelength
-    out = np.empty((len(distances), height, width), dtype=np.complex128)
-    if pad:
-        sy, sx = _pad_slices(height, width)
-        r_mean = residual.mean()
-        spectrum = _fft.fft2(_embed(residual), workers=workers)
-        for i, z in enumerate(distances):
-            h = _transfer_array(2 * height, 2 * width, pitch_x, pitch_y, wavelength, -z)
-            back = _fft.ifft2(spectrum * h, workers=workers)[sy, sx]
-            out[i] = (back - back.mean()) + r_mean * np.exp(-1j * k0 * z)
-        return out
-    spectrum = _fft.fft2(residual.astype(np.complex128), workers=workers)
+    r_mean = residual.mean()
+    spectrum = _fft.rfft2(residual, s=frame, workers=workers)
+
+    def back(h, mean_response):
+        part = _fft.irfft2(spectrum * h, s=frame, workers=workers)[:height, :width]
+        if not pad:
+            return part
+        part = part - part.mean()
+        part += mean_response
+        return part
+
+    out = np.empty((len(distances), height, width),
+                   dtype=np.float64 if real else np.complex128)
     for i, z in enumerate(distances):
-        h = _transfer_array(height, width, pitch_x, pitch_y, wavelength, -z)
-        out[i] = _fft.ifft2(spectrum * h, workers=workers)
+        re_h, im_h = _half_transfer(*frame, pitch_x, pitch_y, wavelength, z)
+        if real:
+            out[i] = back(re_h, r_mean * np.cos(k0 * z))
+        else:
+            out.real[i] = back(re_h, r_mean * np.cos(k0 * z))
+            out.imag[i] = -back(im_h, r_mean * np.sin(k0 * z))
     return out

@@ -11,11 +11,25 @@ Distances may be negative (back-propagation); H(-z) = conj(H(z)), so the
 propagation operator is unitary on the propagating band and P_{-z} is the
 adjoint of P_z.
 
-``propagate`` optionally embeds the field in a 2W x 2H zero frame before
-the transform and crops afterwards, which suppresses the wrap-around of
-the circular convolution. Padding breaks exact unitarity at the frame
-edge, so the analytics-grade identities (round trip, energy conservation,
-composition) hold for the unpadded operator.
+H depends on v only through |v|^2, so it is even: H(-v) = H(v). For a real
+field w that makes Re[P_z w] and Im[P_z w] real-to-real filters,
+
+    Re[P_z w] = irfft2(rfft2(w) Re H),   Im[P_z w] = irfft2(rfft2(w) Im H),
+
+because the Hermitian part of W(v) H(v) is W(v) Re H(v) and its
+anti-Hermitian part is j W(v) Im H(v). ``_half_transfer`` caches Re H and
+Im H on the rfft2 half spectrum (the non-negative v_x columns) once per
+|z|; the sign of z only flips Im H. The multi-slice operators in
+``operators.py`` and the autofocus sweep are built on these half spectra.
+
+Padding embeds the field at the corner of a 2H x 2W zero frame (the ``s``
+argument of the FFT) and crops the same corner afterwards. Circular
+convolution is shift-invariant, so this equals embedding at the centre and
+cropping the centre, without the explicit frame copy. ``propagate`` takes
+genuinely complex fields and keeps the full complex transform. Padding
+suppresses the wrap-around of the circular convolution but breaks exact
+unitarity at the frame edge, so the analytics-grade identities (round
+trip, energy conservation, composition) hold for the unpadded operator.
 """
 
 from __future__ import annotations
@@ -104,32 +118,70 @@ def transfer_function(shape: tuple[int, int], pitch, wavelength: float, z: float
     return TransferFunction(values, float(z), float(wavelength), pitch_x, pitch_y)
 
 
-def _pad_slices(height: int, width: int) -> tuple[slice, slice]:
-    top, left = height // 2, width // 2
-    return slice(top, top + height), slice(left, left + width)
+def _frame(height: int, width: int, pad: bool) -> tuple[int, int]:
+    """Transform size: the grid itself, or the doubled zero frame with padding."""
+    return (2 * height, 2 * width) if pad else (height, width)
 
 
 def _propagate_array(
     field: np.ndarray, pitch_x: float, pitch_y: float, wavelength: float, z: float, pad: bool
 ) -> np.ndarray:
     height, width = field.shape
-    if pad:
-        frame = np.zeros((2 * height, 2 * width), dtype=np.complex128)
-        sy, sx = _pad_slices(height, width)
-        frame[sy, sx] = field
-        h = _transfer_array(2 * height, 2 * width, pitch_x, pitch_y, wavelength, z)
-        out = _fft.ifft2(_fft.fft2(frame, workers=fft_workers()) * h, workers=fft_workers())
-        return out[sy, sx]
-    h = _transfer_array(height, width, pitch_x, pitch_y, wavelength, z)
-    return _fft.ifft2(_fft.fft2(field, workers=fft_workers()) * h, workers=fft_workers())
+    frame = _frame(height, width, pad)
+    h = _transfer_array(*frame, pitch_x, pitch_y, wavelength, z)
+    spectrum = _fft.fft2(field, s=frame, workers=fft_workers())
+    return _fft.ifft2(spectrum * h, workers=fft_workers())[:height, :width]
+
+
+def _half_band(
+    height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """sqrt(1 - (lambda v)^2) on the rfft2 half spectrum of a height x width
+    frame (0 outside the propagating band), and the band mask."""
+    vx = np.fft.rfftfreq(width, d=pitch_x)
+    vy = np.fft.fftfreq(height, d=pitch_y)
+    s = 1.0 - (wavelength * vx[None, :]) ** 2 - (wavelength * vy[:, None]) ** 2
+    inside = s > 0.0
+    return np.sqrt(np.where(inside, s, 0.0)), inside
+
+
+def _half_phases(
+    root: np.ndarray, inside: np.ndarray, wavelength: float, z: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Re H and Im H over z from the geometry arrays of :func:`_half_band`."""
+    # the phase is rounded as in _transfer_array, so both agree sample by sample
+    phase = 2.0 * np.pi / wavelength * z * root
+    re_h = np.cos(phase, out=np.zeros_like(phase), where=inside)
+    im_h = np.sin(phase, out=np.zeros_like(phase), where=inside)
+    return re_h, im_h
+
+
+@lru_cache(maxsize=16)
+def _half_transfer_cached(
+    height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float, depth: float
+) -> tuple[np.ndarray, np.ndarray]:
+    re_h, im_h = _half_phases(*_half_band(height, width, pitch_x, pitch_y, wavelength),
+                              wavelength, depth)
+    re_h.setflags(write=False)
+    im_h.setflags(write=False)
+    return re_h, im_h
+
+
+def _half_transfer(
+    height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float, z: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Re H and Im H over z on the rfft2 half spectrum of a
+    height x width frame; +z and -z share one cache entry."""
+    re_h, im_h = _half_transfer_cached(height, width, pitch_x, pitch_y, wavelength, abs(z))
+    return re_h, (im_h if z >= 0 else -im_h)
 
 
 def propagate(field: ComplexGrid2D, z: float, wavelength: float, pad: bool = False) -> ComplexGrid2D:
     """Propagate a sampled field over distance z (negative = backward).
 
-    With ``pad=True`` the field is embedded centered in a doubled zero
-    frame for the transform and cropped back, suppressing circular
-    wrap-around at the cost of exact unitarity.
+    With ``pad=True`` the field is embedded in a doubled zero frame for the
+    transform and cropped back, suppressing circular wrap-around at the
+    cost of exact unitarity.
     """
     if not wavelength > 0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")

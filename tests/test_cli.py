@@ -1,6 +1,7 @@
 """Command-line flows: units, config precedence, end-to-end runs, exit codes."""
 
 import json
+import logging
 
 import numpy as np
 import pytest
@@ -50,6 +51,8 @@ class TestRunConfig:
         cfg = RunConfig.from_mapping({
             "holoem_version": "0.1.0",
             "output.hologram_pfm": "hologram.pfm",
+            "stop_reason": "iteration_cap",
+            "step_halvings": "0",
             "iters": "7",
         })
         assert cfg.iters == 7
@@ -262,6 +265,19 @@ class TestExitCodes:
         assert (rec / "slice_00.pfm").exists()  # partial outputs still written
         record = json.loads((rec / "error.json").read_text())
         assert record["exit_code"] == 3 and record["error"] == "Divergence"
+        assert load_key_values(rec / "manifest.txt")["stop_reason"] == "diverged"
+
+    def test_flag_the_mode_does_not_read(self, tmp_path, caplog):
+        sim = tmp_path / "sim"
+        assert main(simulate_args(sim)) == 0
+        out = tmp_path / "base"
+        with caplog.at_level(logging.ERROR, logger="holoem.cli"):
+            code = main(["baseline", "--out", str(out), "--input", str(sim / "hologram.pfm"),
+                         "--slice-distances", "1mm", "--reference", "/nonexistent.pfm",
+                         "--stop", "relative_change", "--beta", "7"])
+        assert code == 2
+        assert "--reference, --stop, --beta" in caplog.text
+        assert not out.exists()
 
 
 def test_flags_override_config_document(tmp_path):
@@ -306,6 +322,25 @@ def test_baseline_manifest_reruns_identically(tmp_path):
         return [line.rsplit(",", 1)[0] for line in lines]
 
     assert rows(second) == rows(first)
+
+
+def test_manifest_records_why_the_run_stopped(tmp_path):
+    sim = tmp_path / "sim"
+    assert main(simulate_args(sim)) == 0
+    common = ["--input", str(sim / "hologram.pfm"), "--slice-distances", "1mm"]
+    runs = {
+        "iteration_cap": ["reconstruct-real", *common, "--iters", "3"],
+        "relative_change": ["reconstruct-real", *common, "--iters", "50",
+                            "--stop", "relative_change", "--stop-delta", "0.5"],
+        "baseline": ["baseline", *common, "--iters", "3"],
+    }
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 0
+        manifest = load_key_values(out / "manifest.txt")
+        assert manifest["stop_reason"] == ("iteration_cap" if name == "baseline" else name)
+        assert manifest["step_halvings"] == "0"
+    assert len((tmp_path / "relative_change" / "trace.csv").read_text().splitlines()) < 51
 
 
 def test_autofocus_manifest_records_pitch_y(tmp_path):

@@ -7,6 +7,8 @@ well-conditioned instance (128 px, single slice at 1 mm) where both inits
 descend monotonically with the regularizer off.
 """
 
+import logging
+
 import numpy as np
 import pytest
 
@@ -265,7 +267,7 @@ def test_oversized_tv_weight_flags_divergence(demo128):
     _, _, holo = demo128
     _, trace = reconstruct_real(
         holo, ReconParams(max_iters=30, tau=0.05, init_mode="constant"))
-    assert trace.diverged
+    assert trace.diverged and trace.stop_reason == "diverged"
     assert len(trace) < 30  # halted, not exhausted
 
 
@@ -317,11 +319,11 @@ def test_relative_change_stop(bound64):
     _, _, holo = bound64
     _, trace = reconstruct_real(holo, ReconParams(
         max_iters=50, stop_rule="relative_change", stop_delta=0.5))
-    assert trace.stopped_early
+    assert trace.stopped_early and trace.stop_reason == "relative_change"
     assert len(trace) == 1
     _, trace = reconstruct_real(holo, ReconParams(
         max_iters=8, stop_rule="relative_change", stop_delta=1e-30))
-    assert not trace.stopped_early
+    assert not trace.stopped_early and trace.stop_reason == "iteration_cap"
     assert len(trace) == 8
 
 
@@ -381,3 +383,21 @@ def test_solver_runs_the_public_update_helpers(bound64, monkeypatch):
     _, trace = reconstruct_real(holo, ReconParams(max_iters=3, upper_bound=1.0, beta=0.5))
     assert len(trace) == 3
     assert calls == {"alternating_update": 3, "apply_upper_bound": 3}
+
+
+def test_step_halvings_are_counted(bound64, monkeypatch, caplog):
+    _, _, holo = bound64
+    original = em.alternating_update
+    calls = []
+
+    def first_call_overflows(*args, **kwargs):
+        calls.append(1)
+        out = original(*args, **kwargs)
+        return np.full_like(out, np.inf) if len(calls) == 1 else out
+
+    monkeypatch.setattr(em, "alternating_update", first_call_overflows)
+    with caplog.at_level(logging.WARNING, logger="holoem.em"):
+        _, trace = reconstruct_real(holo, ReconParams(max_iters=2))
+    assert trace.step_halvings == 1
+    assert "iteration 1: gradient halved 1 time(s)" in caplog.text
+    assert trace.stop_reason == "iteration_cap"

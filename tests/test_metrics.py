@@ -8,9 +8,10 @@ import pytest
 import scipy.ndimage as ndi
 
 from holoem.forward import OpticalConfig, simulate
-from holoem.grid import RealGrid2D
+from holoem.grid import ComplexGrid2D, RealGrid2D
 from holoem.metrics import (
     QualityReport,
+    _focus_scores,
     autofocus,
     display_normalize,
     focus_metric,
@@ -24,6 +25,7 @@ from holoem.metrics import (
     ssim,
 )
 from holoem.phantoms import disk_mask, single_slice_stack
+from holoem.propagation import _half_transfer_cached, _transfer_array, propagate
 
 from conftest import PITCH, WAVELENGTH
 
@@ -184,6 +186,27 @@ class TestAutofocus:
     def test_scan_grid_is_inclusive(self, holo):
         # single-point scan degenerates to returning that point
         assert autofocus(holo, 0.9e-3, 0.9e-3, 10e-6) == pytest.approx(0.9e-3)
+
+    @pytest.mark.parametrize("noise_seed", [None, 1])
+    def test_sweep_matches_per_plane_propagation(self, noise_seed):
+        cfg = OpticalConfig(WAVELENGTH, PITCH, 96, 80, (1.0e-3,), pitch_y=1.3e-6)
+        noisy = simulate(single_slice_stack(cfg, contrast=0.04), cfg, seed=noise_seed)
+        zs = 0.8e-3 + 25e-6 * np.arange(17)
+        raw = noisy.intensity.data
+        field = ComplexGrid2D(raw - raw.mean(), cfg.pitch_x, cfg.pitch_y)
+        expected = [focus_metric(np.abs(propagate(field, -z, WAVELENGTH, pad=True).data))
+                    for z in zs]
+        scores = _focus_scores(noisy, zs, pad=True)
+        np.testing.assert_allclose(scores, expected, rtol=1e-12)
+        assert autofocus(noisy, zs[0], zs[-1], 25e-6) == zs[int(np.argmax(expected))]
+
+    def test_sweep_caches_nothing_per_plane(self, holo):
+        before = (_transfer_array.cache_info().currsize,
+                  _half_transfer_cached.cache_info().currsize)
+        autofocus(holo, 0.5e-3, 1.5e-3, 10e-6)  # 101 planes
+        after = (_transfer_array.cache_info().currsize,
+                 _half_transfer_cached.cache_info().currsize)
+        assert after == before
 
     def test_validation(self, holo):
         with pytest.raises(ValueError):

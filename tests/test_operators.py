@@ -9,10 +9,14 @@ variants.
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from holoem.operators import stack_adjoint, stack_forward
-from holoem.propagation import _pad_slices, _transfer_array, propagate
+from holoem.propagation import _transfer_array, propagate
 from holoem.grid import ComplexGrid2D
 
+from complex_core import oracle_adjoint, oracle_forward, pad_slices
 from conftest import PITCH, WAVELENGTH
 
 DISTANCES_3 = (0.9e-3, 1.1e-3, 1.3e-3)
@@ -87,7 +91,7 @@ def test_padded_forward_matches_mean_split_oracle(rng):
     out = stack_forward(w, PITCH, PITCH, WAVELENGTH, distances, pad=True)
 
     k0 = 2.0 * np.pi / WAVELENGTH
-    sy, sx = _pad_slices(6, 10)
+    sy, sx = pad_slices(6, 10)
     expected = np.zeros((6, 10))
     for wz, z in zip(w, distances):
         mean = wz.mean()
@@ -123,3 +127,51 @@ def test_adjoint_output_dtype(rng):
     adj = stack_adjoint(r, PITCH, PITCH, WAVELENGTH, DISTANCES_3, pad=True)
     assert adj.shape == (3, 8, 6)
     assert adj.dtype == np.complex128
+
+
+def _rel(got, expected, scale=None):
+    """||got - expected|| relative to ||scale|| (default: ||expected||)."""
+    scale = expected if scale is None else scale
+    return np.linalg.norm(got - expected) / max(np.linalg.norm(scale), 1e-300)
+
+
+@st.composite
+def operator_cases(draw):
+    """Random geometry and data: odd and even sizes, anisotropic pitch, 1-5 slices."""
+    height = draw(st.integers(2, 17))
+    width = draw(st.integers(2, 17))
+    n_slices = draw(st.integers(1, 5))
+    pitch_x = draw(st.floats(0.4e-6, 3e-6))
+    pitch_y = draw(st.floats(0.4e-6, 3e-6))
+    distances = tuple(draw(st.lists(st.floats(-2e-3, 2e-3), min_size=n_slices,
+                                    max_size=n_slices)))
+    pad = draw(st.booleans())
+    complex_stack = draw(st.booleans())
+    rng = np.random.Generator(np.random.Philox(draw(st.integers(0, 2**32 - 1))))
+    stack = 0.5 + rng.standard_normal((n_slices, height, width))
+    if complex_stack:
+        stack = stack + 1j * rng.standard_normal((n_slices, height, width))
+    residual = 0.3 + rng.standard_normal((height, width))
+    return stack, residual, (pitch_x, pitch_y, WAVELENGTH, distances), pad
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(operator_cases())
+def test_half_spectrum_core_matches_complex_oracle(case):
+    stack, residual, geometry, pad = case
+    forward = stack_forward(stack, *geometry, pad=pad)
+    assert _rel(forward, oracle_forward(stack, *geometry, pad=pad)) <= 1e-12
+
+    expected = oracle_adjoint(residual, *geometry, pad=pad)
+    adjoint = stack_adjoint(residual, *geometry, pad=pad)
+    real_only = stack_adjoint(residual, *geometry, pad=pad, real=True)
+    assert adjoint.dtype == np.complex128 and real_only.dtype == np.float64
+    # each part relative to the whole adjoint: at z = 0 the imaginary part is 0
+    assert _rel(adjoint.real, expected.real, expected) <= 1e-12
+    assert _rel(adjoint.imag, expected.imag, expected) <= 1e-12
+    assert _rel(real_only, expected.real, expected) <= 1e-12
+
+    # <H w, r> == sum_z Re<w_z, (H* r)_z>
+    lhs = float(np.sum(forward * residual))
+    rhs = float(np.sum((np.conj(stack) * adjoint).real))
+    assert abs(lhs - rhs) <= 1e-12 * np.linalg.norm(stack) * np.linalg.norm(residual)

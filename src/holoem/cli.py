@@ -660,17 +660,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args, unread = _build_parser().parse_known_args(argv)
+    args = _build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    if unread:
-        # a flag the mode does not read would otherwise be dropped without a word
-        named = [a.split("=", 1)[0] for a in unread if a.startswith("--")] or unread
-        logger.error("configuration error: mode %r does not read %s",
-                     args.mode, ", ".join(named))
-        return 2
     try:
         cfg = RunConfig()
         if args.config:

@@ -14,15 +14,12 @@ import logging
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.fft as _fft
 import scipy.ndimage as _ndi
 import scipy.signal as _sig
 
 from .forward import Hologram
-from .grid import RealGrid2D, fft_workers
-from .propagation import _frame, _half_band, _half_phases
-# no longer called here; kept as a module name that perfbench/tracing.py wraps
-from .propagation import _propagate_array  # noqa: F401
+from .grid import RealGrid2D
+from .propagation import _propagate_array
 
 logger = logging.getLogger(__name__)
 
@@ -190,27 +187,18 @@ def focus_metric(amplitude) -> float:
 def _focus_scores(hologram: Hologram, distances, pad: bool = True) -> np.ndarray:
     """:func:`focus_metric` of |P_{-z} (g - mean g)| at each distance z.
 
-    The sweep takes one rfft2 of the mean-removed hologram and two irfft2
-    per plane (the real and imaginary parts of the back-propagated field),
-    with the transfer phases formed per plane from geometry arrays shared
-    by the whole sweep, so nothing per plane is cached. With the mean
-    removed, the operators' mean-split padding and whole-field zero
-    padding coincide.
+    The mean-removed hologram is real, so each plane costs one rfft2 and
+    two irfft2 on half spectra. With the mean removed, the operators'
+    mean-split padding and whole-field zero padding coincide.
     """
     raw = hologram.intensity.data
+    g = raw - raw.mean()
     cfg = hologram.config
-    height, width = raw.shape
-    frame = _frame(height, width, pad)
-    workers = fft_workers()
-    spectrum = _fft.rfft2(raw - raw.mean(), s=frame, workers=workers)
-    band = _half_band(*frame, cfg.pitch_x, cfg.pitch_y, cfg.wavelength)
-    scores = np.empty(len(distances))
-    for i, z in enumerate(distances):
-        re_h, im_h = _half_phases(*band, cfg.wavelength, -z)
-        re = _fft.irfft2(spectrum * re_h, s=frame, workers=workers)[:height, :width]
-        im = _fft.irfft2(spectrum * im_h, s=frame, workers=workers)[:height, :width]
-        scores[i] = focus_metric(np.hypot(re, im))
-    return scores
+    return np.array([
+        focus_metric(np.abs(_propagate_array(g, cfg.pitch_x, cfg.pitch_y, cfg.wavelength,
+                                             -z, pad=pad)))
+        for z in distances
+    ])
 
 
 def autofocus(

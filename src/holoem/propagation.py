@@ -17,16 +17,17 @@ field w that makes Re[P_z w] and Im[P_z w] real-to-real filters,
     Re[P_z w] = irfft2(rfft2(w) Re H),   Im[P_z w] = irfft2(rfft2(w) Im H),
 
 because the Hermitian part of W(v) H(v) is W(v) Re H(v) and its
-anti-Hermitian part is j W(v) Im H(v). ``_half_transfer`` caches Re H and
+anti-Hermitian part is j W(v) Im H(v). ``_transfer_array`` caches Re H and
 Im H on the rfft2 half spectrum (the non-negative v_x columns) once per
 |z|; the sign of z only flips Im H. The multi-slice operators in
-``operators.py`` and the autofocus sweep are built on these half spectra.
+``operators.py`` and the propagation of real fields (the autofocus sweep)
+run on these half spectra; complex fields use the full spectrum, mirrored
+from the half because H is even in v_x.
 
 Padding embeds the field at the corner of a 2H x 2W zero frame (the ``s``
 argument of the FFT) and crops the same corner afterwards. Circular
 convolution is shift-invariant, so this equals embedding at the centre and
-cropping the centre, without the explicit frame copy. ``propagate`` takes
-genuinely complex fields and keeps the full complex transform. Padding
+cropping the centre, without the explicit frame copy. Padding
 suppresses the wrap-around of the circular convolution but breaks exact
 unitarity at the frame edge, so the analytics-grade identities (round
 trip, energy conservation, composition) hold for the unpadded operator.
@@ -81,19 +82,43 @@ def _pitch_pair(pitch) -> tuple[float, float]:
     return float(px), float(py)
 
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=32)
 def _transfer_array(
-    height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float, z: float
-) -> np.ndarray:
-    vx = np.fft.fftfreq(width, d=pitch_x)
+    height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float, depth: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Re H and Im H over the distance ``depth`` >= 0 on the rfft2
+    half spectrum (the non-negative v_x columns) of a height x width frame."""
+    vx = np.fft.rfftfreq(width, d=pitch_x)
     vy = np.fft.fftfreq(height, d=pitch_y)
     s = 1.0 - (wavelength * vx[None, :]) ** 2 - (wavelength * vy[:, None]) ** 2
     inside = s > 0.0
-    k0 = 2.0 * np.pi / wavelength
-    h = np.zeros((height, width), dtype=np.complex128)
-    h[inside] = np.exp(1j * k0 * z * np.sqrt(s[inside]))
-    h.setflags(write=False)
-    return h
+    phase = 2.0 * np.pi / wavelength * depth * np.sqrt(np.where(inside, s, 0.0))
+    re_h = np.cos(phase, out=np.zeros_like(phase), where=inside)
+    im_h = np.sin(phase, out=np.zeros_like(phase), where=inside)
+    re_h.setflags(write=False)
+    im_h.setflags(write=False)
+    return re_h, im_h
+
+
+def _half_transfer(
+    height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float, z: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Re H and Im H over z on the rfft2 half spectrum; +z and -z share one
+    cache entry, since H(-z) = conj H(z)."""
+    re_h, im_h = _transfer_array(height, width, pitch_x, pitch_y, wavelength, abs(z))
+    return re_h, (im_h if z >= 0 else -im_h)
+
+
+def _full_transfer(
+    height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float, z: float
+) -> np.ndarray:
+    """Complex H over z on the full FFT grid, mirrored from the half spectrum:
+    the column of v_x < 0 equals the column of -v_x, because H is even."""
+    re_h, im_h = _half_transfer(height, width, pitch_x, pitch_y, wavelength, z)
+    half = re_h + 1j * im_h
+    full = np.concatenate([half, half[:, (width - 1) // 2:0:-1]], axis=1)
+    full.setflags(write=False)
+    return full
 
 
 def transfer_function(shape: tuple[int, int], pitch, wavelength: float, z: float) -> TransferFunction:
@@ -114,7 +139,7 @@ def transfer_function(shape: tuple[int, int], pitch, wavelength: float, z: float
     pitch_x, pitch_y = _pitch_pair(pitch)
     if not (pitch_x > 0 and pitch_y > 0):
         raise ValueError("pitch must be positive")
-    values = _transfer_array(height, width, pitch_x, pitch_y, float(wavelength), float(z))
+    values = _full_transfer(height, width, pitch_x, pitch_y, float(wavelength), float(z))
     return TransferFunction(values, float(z), float(wavelength), pitch_x, pitch_y)
 
 
@@ -128,52 +153,18 @@ def _propagate_array(
 ) -> np.ndarray:
     height, width = field.shape
     frame = _frame(height, width, pad)
-    h = _transfer_array(*frame, pitch_x, pitch_y, wavelength, z)
-    spectrum = _fft.fft2(field, s=frame, workers=fft_workers())
-    return _fft.ifft2(spectrum * h, workers=fft_workers())[:height, :width]
-
-
-def _half_band(
-    height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """sqrt(1 - (lambda v)^2) on the rfft2 half spectrum of a height x width
-    frame (0 outside the propagating band), and the band mask."""
-    vx = np.fft.rfftfreq(width, d=pitch_x)
-    vy = np.fft.fftfreq(height, d=pitch_y)
-    s = 1.0 - (wavelength * vx[None, :]) ** 2 - (wavelength * vy[:, None]) ** 2
-    inside = s > 0.0
-    return np.sqrt(np.where(inside, s, 0.0)), inside
-
-
-def _half_phases(
-    root: np.ndarray, inside: np.ndarray, wavelength: float, z: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Re H and Im H over z from the geometry arrays of :func:`_half_band`."""
-    # the phase is rounded as in _transfer_array, so both agree sample by sample
-    phase = 2.0 * np.pi / wavelength * z * root
-    re_h = np.cos(phase, out=np.zeros_like(phase), where=inside)
-    im_h = np.sin(phase, out=np.zeros_like(phase), where=inside)
-    return re_h, im_h
-
-
-@lru_cache(maxsize=16)
-def _half_transfer_cached(
-    height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float, depth: float
-) -> tuple[np.ndarray, np.ndarray]:
-    re_h, im_h = _half_phases(*_half_band(height, width, pitch_x, pitch_y, wavelength),
-                              wavelength, depth)
-    re_h.setflags(write=False)
-    im_h.setflags(write=False)
-    return re_h, im_h
-
-
-def _half_transfer(
-    height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float, z: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Re H and Im H over z on the rfft2 half spectrum of a
-    height x width frame; +z and -z share one cache entry."""
-    re_h, im_h = _half_transfer_cached(height, width, pitch_x, pitch_y, wavelength, abs(z))
-    return re_h, (im_h if z >= 0 else -im_h)
+    workers = fft_workers()
+    if np.iscomplexobj(field):
+        h = _full_transfer(*frame, pitch_x, pitch_y, wavelength, z)
+        spectrum = _fft.fft2(field, s=frame, workers=workers)
+        return _fft.ifft2(spectrum * h, workers=workers)[:height, :width]
+    # a real field: one rfft2, then one irfft2 each for Re and Im of P_z field
+    re_h, im_h = _half_transfer(*frame, pitch_x, pitch_y, wavelength, z)
+    spectrum = _fft.rfft2(field, s=frame, workers=workers)
+    out = np.empty((height, width), dtype=np.complex128)
+    out.real = _fft.irfft2(spectrum * re_h, s=frame, workers=workers)[:height, :width]
+    out.imag = _fft.irfft2(spectrum * im_h, s=frame, workers=workers)[:height, :width]
+    return out
 
 
 def propagate(field: ComplexGrid2D, z: float, wavelength: float, pad: bool = False) -> ComplexGrid2D:

@@ -1,15 +1,24 @@
 """Complex-FFT reference for the multi-slice operators.
 
 A straight transcription of the operator core before it moved to rfft2
-half spectra: full complex transforms, the full complex transfer samples
-from ``holoem.propagation._transfer_array``, and padding that embeds the
+half spectra: full complex transforms, transfer samples built on the full
+FFT grid as the code built them then, and padding that embeds the
 zero-mean remainder at the centre of a doubled frame. Tests compare the
 production operators against it.
 """
 
 import numpy as np
 
-from holoem.propagation import _transfer_array
+
+def full_transfer(height, width, pitch_x, pitch_y, wavelength, z):
+    """exp(j k0 z sqrt(1 - (lambda v)^2)) on the full FFT grid, 0 outside the band."""
+    vx = np.fft.fftfreq(width, d=pitch_x)
+    vy = np.fft.fftfreq(height, d=pitch_y)
+    s = 1.0 - (wavelength * vx[None, :]) ** 2 - (wavelength * vy[:, None]) ** 2
+    inside = s > 0.0
+    h = np.zeros((height, width), dtype=np.complex128)
+    h[inside] = np.exp(1j * (2.0 * np.pi / wavelength) * z * np.sqrt(s[inside]))
+    return h
 
 
 def pad_slices(height, width):
@@ -38,12 +47,12 @@ def oracle_forward(stack, pitch_x, pitch_y, wavelength, distances, pad=True):
         for w, z in zip(stack, distances):
             mean = w.mean()
             dc += (mean * np.exp(1j * k0 * z)).real
-            h = _transfer_array(2 * height, 2 * width, pitch_x, pitch_y, wavelength, z)
+            h = full_transfer(2 * height, 2 * width, pitch_x, pitch_y, wavelength, z)
             spectrum += np.fft.fft2(_embed(w - mean)) * h
         return dc + np.fft.ifft2(spectrum).real[sy, sx]
     spectrum = np.zeros((height, width), dtype=np.complex128)
     for w, z in zip(stack, distances):
-        h = _transfer_array(height, width, pitch_x, pitch_y, wavelength, z)
+        h = full_transfer(height, width, pitch_x, pitch_y, wavelength, z)
         spectrum += np.fft.fft2(w.astype(np.complex128)) * h
     return np.fft.ifft2(spectrum).real
 
@@ -59,12 +68,12 @@ def oracle_adjoint(residual, pitch_x, pitch_y, wavelength, distances, pad=True):
         r_mean = residual.mean()
         spectrum = np.fft.fft2(_embed(residual))
         for i, z in enumerate(distances):
-            h = _transfer_array(2 * height, 2 * width, pitch_x, pitch_y, wavelength, -z)
+            h = full_transfer(2 * height, 2 * width, pitch_x, pitch_y, wavelength, -z)
             back = np.fft.ifft2(spectrum * h)[sy, sx]
             out[i] = (back - back.mean()) + r_mean * np.exp(-1j * k0 * z)
         return out
     spectrum = np.fft.fft2(residual.astype(np.complex128))
     for i, z in enumerate(distances):
-        h = _transfer_array(height, width, pitch_x, pitch_y, wavelength, -z)
+        h = full_transfer(height, width, pitch_x, pitch_y, wavelength, -z)
         out[i] = np.fft.ifft2(spectrum * h)
     return out

@@ -1,7 +1,6 @@
 """Command-line flows: units, config precedence, end-to-end runs, exit codes."""
 
 import json
-import logging
 
 import numpy as np
 import pytest
@@ -267,16 +266,17 @@ class TestExitCodes:
         assert record["exit_code"] == 3 and record["error"] == "Divergence"
         assert load_key_values(rec / "manifest.txt")["stop_reason"] == "diverged"
 
-    def test_flag_the_mode_does_not_read(self, tmp_path, caplog):
+    def test_flag_the_mode_does_not_read(self, tmp_path, capsys):
         sim = tmp_path / "sim"
         assert main(simulate_args(sim)) == 0
         out = tmp_path / "base"
-        with caplog.at_level(logging.ERROR, logger="holoem.cli"):
-            code = main(["baseline", "--out", str(out), "--input", str(sim / "hologram.pfm"),
-                         "--slice-distances", "1mm", "--reference", "/nonexistent.pfm",
-                         "--stop", "relative_change", "--beta", "7"])
-        assert code == 2
-        assert "--reference, --stop, --beta" in caplog.text
+        with pytest.raises(SystemExit) as exc:
+            main(["baseline", "--out", str(out), "--input", str(sim / "hologram.pfm"),
+                  "--slice-distances", "1mm", "--reference", "/nonexistent.pfm",
+                  "--stop", "relative_change", "--beta", "7"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in ("--reference", "--stop", "--beta"))
         assert not out.exists()
 
 

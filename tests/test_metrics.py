@@ -25,7 +25,7 @@ from holoem.metrics import (
     ssim,
 )
 from holoem.phantoms import disk_mask, single_slice_stack
-from holoem.propagation import _half_transfer_cached, _transfer_array, propagate
+from holoem.propagation import _transfer_array, propagate
 
 from conftest import PITCH, WAVELENGTH
 
@@ -200,13 +200,12 @@ class TestAutofocus:
         np.testing.assert_allclose(scores, expected, rtol=1e-12)
         assert autofocus(noisy, zs[0], zs[-1], 25e-6) == zs[int(np.argmax(expected))]
 
-    def test_sweep_caches_nothing_per_plane(self, holo):
-        before = (_transfer_array.cache_info().currsize,
-                  _half_transfer_cached.cache_info().currsize)
+    def test_sweep_builds_one_transfer_per_plane_in_a_bounded_cache(self, holo):
+        _transfer_array.cache_clear()
         autofocus(holo, 0.5e-3, 1.5e-3, 10e-6)  # 101 planes
-        after = (_transfer_array.cache_info().currsize,
-                 _half_transfer_cached.cache_info().currsize)
-        assert after == before
+        info = _transfer_array.cache_info()
+        assert (info.misses, info.hits) == (101, 0)
+        assert info.currsize == info.maxsize < 101
 
     def test_validation(self, holo):
         with pytest.raises(ValueError):

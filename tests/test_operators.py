@@ -13,10 +13,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holoem.operators import stack_adjoint, stack_forward
-from holoem.propagation import _transfer_array, propagate
+from holoem.propagation import propagate
 from holoem.grid import ComplexGrid2D
 
-from complex_core import oracle_adjoint, oracle_forward, pad_slices
+from complex_core import full_transfer, oracle_adjoint, oracle_forward, pad_slices
 from conftest import PITCH, WAVELENGTH
 
 DISTANCES_3 = (0.9e-3, 1.1e-3, 1.3e-3)
@@ -98,7 +98,7 @@ def test_padded_forward_matches_mean_split_oracle(rng):
         expected += (mean * np.exp(1j * k0 * z)).real
         frame = np.zeros((12, 20), dtype=np.complex128)
         frame[sy, sx] = wz - mean
-        h = _transfer_array(12, 20, PITCH, PITCH, WAVELENGTH, z)
+        h = full_transfer(12, 20, PITCH, PITCH, WAVELENGTH, z)
         expected += np.fft.ifft2(np.fft.fft2(frame) * h).real[sy, sx]
     np.testing.assert_allclose(out, expected, atol=1e-12)
 

@@ -11,7 +11,13 @@ import numpy as np
 import pytest
 
 from holoem.grid import ComplexGrid2D
-from holoem.propagation import TransferFunction, kernel_sums, propagate, transfer_function
+from holoem.propagation import (
+    TransferFunction,
+    _propagate_array,
+    kernel_sums,
+    propagate,
+    transfer_function,
+)
 
 from conftest import PITCH, WAVELENGTH
 
@@ -41,6 +47,27 @@ def test_transfer_matches_formula_with_evanescent_cut():
     assert tf.values[4, 4] == 0.0  # diagonal Nyquist is evanescent
     assert tf.values[0, 4] != 0.0  # axis Nyquist propagates
     assert np.abs(tf.values).max() <= 1.0 + 1e-12
+
+
+@pytest.mark.parametrize("shape", [(7, 5), (6, 9), (5, 4)])
+@pytest.mark.parametrize("z", [40e-6, -40e-6])
+def test_transfer_mirrored_from_half_spectrum_at_odd_and_even_sizes(shape, z):
+    px, py, lam = 0.6e-6, 0.8e-6, 1.0e-6
+    tf = transfer_function(shape, (px, py), lam, z)
+    np.testing.assert_allclose(tf.values, transfer_oracle(shape, px, py, lam, z), atol=1e-14)
+
+
+@pytest.mark.parametrize("shape", [(9, 6), (8, 11)])
+@pytest.mark.parametrize("pad", [False, True])
+@pytest.mark.parametrize("z", [0.7e-3, -0.7e-3])
+def test_real_field_takes_the_half_spectrum_path_exactly(rng, shape, pad, z):
+    # _propagate_array runs real fields on rfft2 half spectra and complex
+    # fields on the full transform; both must give P_z of the same field
+    real = rng.standard_normal(shape)
+    px, py = PITCH, 1.3 * PITCH
+    out = _propagate_array(real, px, py, WAVELENGTH, z, pad)
+    expected = _propagate_array(real.astype(np.complex128), px, py, WAVELENGTH, z, pad)
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
 def test_transfer_anisotropic_pitch():

@@ -21,12 +21,13 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import __version__
 from .baseline import BaselineParams, baseline_reconstruct
 from .em import NumericError, ReconParams, reconstruct_complex, reconstruct_real
 from .forward import Hologram, ObjectStack, OpticalConfig, simulate
-from .grid import ComplexGrid2D, RealGrid2D
+from .grid import ComplexGrid2D, RealGrid2D, fft_workers
 from .io import (
     DEFAULT_PITCH,
     DEFAULT_WAVELENGTH,
@@ -41,7 +42,7 @@ from .io import (
     write_key_values,
     write_trace,
 )
-from .metrics import autofocus, display_normalize, quality_report, resolution_limits, ssim
+from .metrics import autofocus, display_normalize, psnr, quality_report, resolution_limits, ssim
 from .phantoms import complex_stack, multi_depth_stack, single_slice_stack
 
 logger = logging.getLogger(__name__)
@@ -150,7 +151,8 @@ _BASELINE = ("baseline",)
 _FOCUS = ("autofocus",)
 
 # manifest entries that record a run's outcome; legal, and ignored, as config input
-_RESULT_KEYS = ("holoem_version", "stop_reason", "step_halvings")
+_RESULT_KEYS = ("holoem_version", "numpy_version", "scipy_version", "fft_workers",
+                "stop_reason", "step_halvings")
 
 
 @dataclass
@@ -276,12 +278,34 @@ def _resolved_wavelength(cfg: RunConfig, meta: dict[str, str]) -> float:
     return DEFAULT_WAVELENGTH
 
 
-class _Manifest:
-    """Ordered manifest accumulator; doubles as a rerunnable config."""
+def _optics_values(optics: OpticalConfig) -> dict:
+    """The optical keys a run resolved, for :class:`_Manifest`."""
+    return {"wavelength": optics.wavelength, "pitch": optics.pitch_x, "pitch_y": optics.pitch_y,
+            "slice_distances": optics.slice_distances,
+            "illumination_amplitude": optics.illumination_amplitude}
 
-    def __init__(self, cfg: RunConfig):
-        self.entries: dict[str, object] = {"holoem_version": __version__}
+
+class _Manifest:
+    """Ordered manifest accumulator; doubles as a rerunnable config.
+
+    Records every RunConfig key the mode reads: the value the run resolved
+    when it resolved one (skipped when that is None), else the configured
+    value, with an unset 'optfloat' key written as 'auto'.
+    """
+
+    def __init__(self, cfg: RunConfig, **resolved):
+        self.entries: dict[str, object] = {
+            "holoem_version": __version__, "numpy_version": np.__version__,
+            "scipy_version": scipy.__version__, "fft_workers": fft_workers(),
+        }
         self.record("mode", cfg.mode)
+        for f in fields(cfg):
+            if cfg.mode not in f.metadata["modes"]:
+                continue
+            value = resolved.get(f.name, getattr(cfg, f.name))
+            if value is None and f.name not in resolved and f.metadata["kind"] == "optfloat":
+                value = "auto"
+            self.record(f.name, value)
 
     def record(self, key: str, value):
         if value is None:
@@ -291,19 +315,6 @@ class _Manifest:
         elif isinstance(value, (tuple, list)):
             value = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
         self.entries[key] = value
-
-    def record_params(self, cfg: RunConfig, keys, auto: bool = False):
-        """Record config keys as set; with auto, an unset key is recorded as 'auto'."""
-        for key in keys:
-            value = getattr(cfg, key)
-            self.record(key, "auto" if auto and value is None else value)
-
-    def record_optics(self, optics: OpticalConfig):
-        self.record("wavelength", optics.wavelength)
-        self.record("pitch", optics.pitch_x)
-        self.record("pitch_y", optics.pitch_y)
-        self.record("slice_distances", list(optics.slice_distances))
-        self.record("illumination_amplitude", optics.illumination_amplitude)
 
     def outputs(self, paths):
         for p in paths:
@@ -375,12 +386,8 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
     holo = simulate(stack, optics, model=cfg.model, photon_scale=cfg.photon_scale,
                     seed=cfg.noise_seed, pad=cfg.pad)
 
-    manifest = _Manifest(cfg)
-    manifest.record_optics(optics)
-    manifest.record_params(cfg, ("width", "height", "model", "pad",
-                                 "phantom", "contrast", "phase_contrast", "objects"))
-    manifest.record("photon_scale", holo.photon_scale)
-    manifest.record("noise_seed", holo.noise_seed)
+    manifest = _Manifest(cfg, **_optics_values(optics), photon_scale=holo.photon_scale,
+                         noise_seed=holo.noise_seed)
 
     grids = [("hologram.pfm", holo.intensity), ("hologram.pgm", holo.intensity)]
     for i, s in enumerate(stack.slices):
@@ -439,12 +446,7 @@ def _quality_json(stack: ObjectStack, truth: ObjectStack, complex_mode: bool) ->
 
     def _norm_report(a, b):
         an, bn = display_normalize(a), display_normalize(b)
-        return {
-            "ssim": ssim(an, bn, peak=1.0),
-            "psnr_db": float("inf") if np.array_equal(an, bn) else float(
-                10 * np.log10(1.0 / max(np.mean((an - bn) ** 2), 1e-300))
-            ),
-        }
+        return {"ssim": ssim(an, bn, peak=1.0), "psnr_db": psnr(an, bn, peak=1.0)}
 
     out = {"normalized": True, "slices": []}
     for est, tru in zip(stack.slices, truth.slices):
@@ -479,8 +481,6 @@ def _run_reconstruct(cfg: RunConfig, out: Path) -> int:
     holo = _load_hologram(cfg)
     optics = holo.config
     complex_mode = cfg.mode == "reconstruct-complex"
-    manifest = _Manifest(cfg)
-    manifest.record("input", cfg.input)
     if cfg.mode == "baseline":
         params = _params(
             BaselineParams, max_iters=cfg.iters, tau=cfg.tau, step_size=cfg.step_size,
@@ -488,9 +488,6 @@ def _run_reconstruct(cfg: RunConfig, out: Path) -> int:
             power_iters=cfg.power_iters, power_seed=cfg.power_seed,
         )
         solve = baseline_reconstruct
-        # solver keys for the manifest: recorded as given, then 'auto' when unset
-        given = ("iters", "pad", "power_iters", "power_seed")
-        auto = ("tau", "tv_epsilon", "step_size")
     else:
         if complex_mode and cfg.reference is not None:
             raise ConfigError("the upper bound (reference) applies to real mode only")
@@ -501,16 +498,10 @@ def _run_reconstruct(cfg: RunConfig, out: Path) -> int:
             upper_bound=_upper_bound(cfg, optics), pad=cfg.pad,
         )
         solve = reconstruct_complex if complex_mode else reconstruct_real
-        given = ("iters", "beta", "init", "stop", "stop_delta", "pad")
-        auto = ("tau", "tv_epsilon", "ratio_floor")
-        manifest.record("reference", cfg.reference)
     truth = _load_truth(cfg, optics, complex_mode)
     stack, trace = solve(holo, params, ground_truth=truth)
 
-    manifest.record("truth", cfg.truth)
-    manifest.record_optics(optics)
-    manifest.record_params(cfg, given)
-    manifest.record_params(cfg, auto, auto=True)
+    manifest = _Manifest(cfg, **_optics_values(optics))
     manifest.record("stop_reason", trace.stop_reason)
     manifest.record("step_halvings", trace.step_halvings)
 
@@ -548,10 +539,7 @@ def _run_autofocus(cfg: RunConfig, out: Path) -> int:
         cfg.slice_distances = (cfg.z_min + (cfg.z_max - cfg.z_min) / 2,)  # placeholder geometry
     holo = _load_hologram(cfg)
     best = autofocus(holo, cfg.z_min, cfg.z_max, cfg.z_step, pad=cfg.pad)
-    manifest = _Manifest(cfg)
-    manifest.record("input", cfg.input)
-    manifest.record_optics(holo.config)
-    manifest.record_params(cfg, ("z_min", "z_max", "z_step", "pad"))
+    manifest = _Manifest(cfg, **_optics_values(holo.config))
     result = write_key_values(out / "autofocus.txt", {"best_z": best})
     manifest.outputs([result])
     manifest.write(out)
@@ -570,9 +558,6 @@ def _run_metrics(cfg: RunConfig, out: Path) -> int:
     report = quality_report(test.data, reference.data, peak=cfg.peak,
                             median_size=cfg.median_size)
     manifest = _Manifest(cfg)
-    manifest.record_params(cfg, ("input", "truth"))
-    manifest.record_params(cfg, ("peak",), auto=True)
-    manifest.record("median_size", cfg.median_size)
     qpath = out / "quality.json"
     qpath.write_text(report.to_json() + "\n", encoding="utf-8")
     manifest.outputs([qpath])
@@ -589,9 +574,7 @@ def _run_resolution(cfg: RunConfig, out: Path) -> int:
         lateral, axial = resolution_limits(wavelength, cfg.numerical_aperture)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    manifest = _Manifest(cfg)
-    manifest.record("wavelength", wavelength)
-    manifest.record("numerical_aperture", cfg.numerical_aperture)
+    manifest = _Manifest(cfg, wavelength=wavelength)
     result = write_key_values(out / "resolution.txt", {"lateral": lateral, "axial": axial})
     manifest.outputs([result])
     manifest.write(out)

@@ -41,7 +41,7 @@ from scipy.special import xlogy
 
 from .forward import Hologram, ObjectStack, OpticalConfig, _check_geometry, _stack_args
 from .grid import ComplexGrid2D, RealGrid2D
-from .metrics import display_normalize
+from .metrics import _forward_diffs, display_normalize
 from .metrics import ssim as _ssim
 from .operators import stack_adjoint, stack_forward
 
@@ -54,7 +54,6 @@ __all__ = [
     "predicted_intensity",
     "nll",
     "nll_gradient_slices",
-    "nll_gradient_slices_complex",
     "tv_value",
     "tv_gradient",
     "em_step",
@@ -204,32 +203,14 @@ def _ratio_residual(g: np.ndarray, ghat: np.ndarray, floor: float) -> np.ndarray
 
 def nll_gradient_slices(
     observed, predicted, config: OpticalConfig, pad: bool = True, ratio_floor: float | None = None
-) -> list[RealGrid2D]:
-    """Per-slice likelihood gradients for real slices.
-
-    grad_z = Re[ P_{-z} (1 - g / g_hat) ], the exact adjoint application of
-    the (optionally padded) forward map to the ratio residual. The ratio
-    denominator is clamped to the floor.
-    """
-    g = _unwrap(observed)
-    ghat = _unwrap(predicted)
-    floor = _resolve_floor(g, ratio_floor)
-    adj = stack_adjoint(
-        _ratio_residual(g, ghat, floor),
-        config.pitch_x, config.pitch_y, config.wavelength, config.slice_distances, pad=pad,
-        real=True,
-    )
-    return [RealGrid2D(a, config.pitch_x, config.pitch_y) for a in adj]
-
-
-def nll_gradient_slices_complex(
-    observed, predicted, config: OpticalConfig, pad: bool = True, ratio_floor: float | None = None
 ) -> list[ComplexGrid2D]:
-    """Per-slice gradients for complex slices, packed as complex grids.
+    """Per-slice likelihood gradients grad_z = P_{-z}(1 - g / g_hat).
 
-    The real part of each returned grid is the gradient with respect to
-    the slice's real part, the imaginary part the gradient with respect
-    to its imaginary part: grad_z = P_{-z}(1 - g / g_hat).
+    This is the exact adjoint application of the (optionally padded)
+    forward map to the ratio residual, whose denominator is clamped to the
+    floor. The real part of each grid is the gradient with respect to the
+    slice's real part (for a real slice, the whole gradient), the
+    imaginary part the gradient with respect to its imaginary part.
     """
     g = _unwrap(observed)
     ghat = _unwrap(predicted)
@@ -239,14 +220,6 @@ def nll_gradient_slices_complex(
         config.pitch_x, config.pitch_y, config.wavelength, config.slice_distances, pad=pad,
     )
     return [ComplexGrid2D(a, config.pitch_x, config.pitch_y) for a in adj]
-
-
-def _forward_diffs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    dx = np.zeros_like(w)
-    dy = np.zeros_like(w)
-    dx[:, :-1] = w[:, 1:] - w[:, :-1]
-    dy[:-1, :] = w[1:, :] - w[:-1, :]
-    return dx, dy
 
 
 def tv_value(w) -> float:

@@ -22,6 +22,7 @@ import numpy as np
 
 from .grid import ComplexGrid2D, RealGrid2D
 from .operators import stack_forward
+from .propagation import _propagate_array
 
 logger = logging.getLogger(__name__)
 
@@ -209,8 +210,6 @@ def synthesize_full(stack: ObjectStack, config: OpticalConfig, pad: bool = True)
     arrs, px, py, lam, zs = _stack_args(stack, config)
     a = config.illumination_amplitude
     total = np.full(config.grid_shape, a, dtype=np.complex128)
-    from .propagation import _propagate_array
-
     for o, z in zip(arrs, zs):
         total += _propagate_array(a * o, px, py, lam, z, pad=pad)
     return RealGrid2D(np.abs(total) ** 2, config.pitch_x, config.pitch_y)

@@ -1,8 +1,9 @@
-"""Sampled 2-D fields and the spectral conventions used throughout.
+"""Sampled 2-D fields on a uniform lattice, and the FFT worker count.
 
-All spectra follow the unnormalized-forward convention: ``dft2`` applies no
-scale factor and ``idft2`` carries ``1/(width*height)``, i.e. numpy/scipy
-``norm="backward"``. Frequency coordinates are FFT-ordered cycles per meter.
+The transforms themselves are direct ``scipy.fft`` calls in
+``propagation`` and ``operators``, in the default (``norm="backward"``)
+convention: the forward transform is unnormalized and the inverse carries
+``1/(width*height)``.
 """
 
 from __future__ import annotations
@@ -11,17 +12,8 @@ import os
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft as _fft
 
-__all__ = [
-    "ComplexGrid2D",
-    "RealGrid2D",
-    "FrequencyGrid",
-    "dft2",
-    "idft2",
-    "frequency_coordinates",
-    "fft_workers",
-]
+__all__ = ["ComplexGrid2D", "RealGrid2D", "fft_workers"]
 
 
 def fft_workers() -> int:
@@ -122,49 +114,3 @@ class RealGrid2D:
 
     def as_complex(self) -> ComplexGrid2D:
         return ComplexGrid2D(self.data.astype(np.complex128), self.pitch_x, self.pitch_y)
-
-
-def frequency_coordinates(n: int, pitch: float) -> np.ndarray:
-    """FFT-ordered spatial frequencies for an n-point axis, cycles/meter.
-
-    Equivalent to numpy.fft.fftfreq(n, d=pitch): starts at 0, ascends to the
-    positive band edge, wraps to the negative frequencies. For even n the
-    Nyquist frequency -1/(2 pitch) is included once, on the negative side.
-    """
-    if n < 1:
-        raise ValueError(f"axis length must be >= 1, got {n}")
-    if not pitch > 0:
-        raise ValueError(f"pitch must be positive, got {pitch}")
-    return np.fft.fftfreq(n, d=pitch)
-
-
-@dataclass(frozen=True)
-class FrequencyGrid:
-    """FFT-ordered frequency coordinates of a grid, cycles per meter."""
-
-    v_x: np.ndarray
-    v_y: np.ndarray
-
-    @classmethod
-    def for_shape(cls, shape: tuple[int, int], pitch_x: float, pitch_y: float) -> "FrequencyGrid":
-        height, width = shape
-        return cls(
-            v_x=frequency_coordinates(width, pitch_x),
-            v_y=frequency_coordinates(height, pitch_y),
-        )
-
-    def radial_squared(self) -> np.ndarray:
-        """|v|^2 on the full 2-D lattice, shape (height, width)."""
-        return self.v_y[:, None] ** 2 + self.v_x[None, :] ** 2
-
-
-def dft2(grid: ComplexGrid2D) -> ComplexGrid2D:
-    """Unnormalized forward 2-D DFT (numpy convention, norm='backward')."""
-    out = _fft.fft2(grid.data, workers=fft_workers())
-    return ComplexGrid2D(out, grid.pitch_x, grid.pitch_y)
-
-
-def idft2(grid: ComplexGrid2D) -> ComplexGrid2D:
-    """Inverse 2-D DFT carrying the 1/(width*height) factor."""
-    out = _fft.ifft2(grid.data, workers=fft_workers())
-    return ComplexGrid2D(out, grid.pitch_x, grid.pitch_y)

@@ -294,10 +294,13 @@ def write_key_values(path, mapping) -> Path:
     return path
 
 
+_TRACE_HEADER = ",".join(ReconTrace.COLUMNS)
+
+
 def write_trace(path, trace: ReconTrace) -> Path:
-    """Write a trace as CSV with header iteration,nll,tv,ssim,millis."""
+    """Write a trace as CSV with the header ``ReconTrace.COLUMNS``."""
     path = Path(path)
-    rows = ["iteration,nll,tv,ssim,millis"]
+    rows = [_TRACE_HEADER]
     for i in range(len(trace)):
         s = "" if trace.ssim[i] is None else repr(trace.ssim[i])
         rows.append(
@@ -310,15 +313,16 @@ def write_trace(path, trace: ReconTrace) -> Path:
 def read_trace(path) -> ReconTrace:
     path = Path(path)
     lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != "iteration,nll,tv,ssim,millis":
+    if not lines or lines[0] != _TRACE_HEADER:
         raise HoloIOError(f"{path}: bad trace header")
     trace = ReconTrace()
     for lineno, line in enumerate(lines[1:], start=2):
         if not line.strip():
             continue
         parts = line.split(",")
-        if len(parts) != 5:
-            raise HoloIOError(f"{path}:{lineno}: expected 5 columns, got {len(parts)}")
+        if len(parts) != len(ReconTrace.COLUMNS):
+            raise HoloIOError(f"{path}:{lineno}: expected {len(ReconTrace.COLUMNS)} columns, "
+                              f"got {len(parts)}")
         it, nll_s, tv_s, ssim_s, ms_s = parts
         try:
             trace.append(int(it), float(nll_s), float(tv_s),

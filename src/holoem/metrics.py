@@ -15,7 +15,6 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.ndimage as _ndi
-import scipy.signal as _sig
 
 from .forward import Hologram
 from .grid import RealGrid2D
@@ -29,7 +28,6 @@ __all__ = [
     "psnr",
     "ssim",
     "median_filter",
-    "normalize01",
     "display_normalize",
     "ncc",
     "focus_metric",
@@ -84,15 +82,13 @@ def psnr(test, reference, peak: float | None = None) -> float:
     return float(10.0 * np.log10(peak**2 / err))
 
 
-def _gaussian_window() -> np.ndarray:
-    half = (SSIM_WINDOW - 1) / 2.0
-    g = np.exp(-((np.arange(SSIM_WINDOW) - half) ** 2) / (2.0 * SSIM_SIGMA**2))
-    k = np.outer(g, g)
-    return k / k.sum()
+def _windowed(img: np.ndarray) -> np.ndarray:
+    """Means under the normalized 11x11 Gaussian window, over fully valid windows.
 
-
-def _windowed(img: np.ndarray, kernel: np.ndarray) -> np.ndarray:
-    return _sig.fftconvolve(img, kernel, mode="valid")
+    The separable filter with the window's radius, cropped by that radius.
+    """
+    r = SSIM_WINDOW // 2
+    return _ndi.gaussian_filter(img, SSIM_SIGMA, radius=r)[r:-r, r:-r]
 
 
 def ssim(test, reference, peak: float | None = None) -> float:
@@ -106,23 +102,13 @@ def ssim(test, reference, peak: float | None = None) -> float:
         raise ValueError(f"peak (dynamic range) must be positive, got {peak}")
     c1 = (SSIM_K1 * peak) ** 2
     c2 = (SSIM_K2 * peak) ** 2
-    k = _gaussian_window()
-    mu_a = _windowed(a, k)
-    mu_b = _windowed(b, k)
-    var_a = _windowed(a * a, k) - mu_a**2
-    var_b = _windowed(b * b, k) - mu_b**2
-    cov = _windowed(a * b, k) - mu_a * mu_b
+    mu_a = _windowed(a)
+    mu_b = _windowed(b)
+    var_a = _windowed(a * a) - mu_a**2
+    var_b = _windowed(b * b) - mu_b**2
+    cov = _windowed(a * b) - mu_a * mu_b
     s = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / ((mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2))
     return float(s.mean())
-
-
-def normalize01(image) -> np.ndarray:
-    """Min-max normalize to [0, 1]; a constant image maps to zeros."""
-    a = _as_array(image)
-    lo, hi = float(a.min()), float(a.max())
-    if hi == lo:
-        return np.zeros_like(a)
-    return (a - lo) / (hi - lo)
 
 
 def display_normalize(image, p_low: float = 1.0, p_high: float = 99.0) -> np.ndarray:
@@ -169,6 +155,15 @@ def median_filter(image, size: int = 3):
     return _ndi.median_filter(_as_array(image), size=size, mode="nearest")
 
 
+def _forward_diffs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Forward differences along x and y, zero in the last column and row."""
+    dx = np.zeros_like(w)
+    dy = np.zeros_like(w)
+    dx[:, :-1] = w[:, 1:] - w[:, :-1]
+    dy[:-1, :] = w[1:, :] - w[:-1, :]
+    return dx, dy
+
+
 def focus_metric(amplitude) -> float:
     """Variance of the forward-difference gradient magnitude.
 
@@ -176,11 +171,7 @@ def focus_metric(amplitude) -> float:
     edges, giving a heavy-tailed gradient distribution and a large
     variance; defocused fields spread energy into gentle ripples.
     """
-    a = _as_array(amplitude)
-    gx = np.zeros_like(a)
-    gy = np.zeros_like(a)
-    gx[:, :-1] = a[:, 1:] - a[:, :-1]
-    gy[:-1, :] = a[1:, :] - a[:-1, :]
+    gx, gy = _forward_diffs(_as_array(amplitude))
     return float(np.var(np.hypot(gx, gy)))
 
 

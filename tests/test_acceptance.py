@@ -18,7 +18,6 @@ from holoem.em import (
     ReconParams,
     nll,
     nll_gradient_slices,
-    nll_gradient_slices_complex,
     predicted_intensity,
     reconstruct_complex,
     reconstruct_real,
@@ -78,14 +77,14 @@ def test_c1_adjoint_identity_and_gradient_accuracy(rng):
         d = rng.standard_normal((2, 8, 8))
         pred = predicted_intensity(ObjectStack.from_arrays(list(w), PITCH), cfg, pad=pad)
         grads = nll_gradient_slices(g, pred, cfg, pad=pad)
-        analytic = sum(float(np.sum(gr.data * d[i])) for i, gr in enumerate(grads))
+        analytic = sum(float(np.sum(gr.data.real * d[i])) for i, gr in enumerate(grads))
         numeric = (_nll_of(w + t * d, g, cfg, pad) - _nll_of(w - t * d, g, cfg, pad)) / (2 * t)
         worst_fd = max(worst_fd, abs(numeric - analytic) / abs(analytic))
 
         wc = w + 1j * 0.05 * rng.standard_normal((2, 8, 8))
         dc = d + 1j * rng.standard_normal((2, 8, 8))
         pred = predicted_intensity(ObjectStack.from_arrays(list(wc), PITCH), cfg, pad=pad)
-        grads = nll_gradient_slices_complex(g, pred, cfg, pad=pad)
+        grads = nll_gradient_slices(g, pred, cfg, pad=pad)
         analytic = sum(float(np.sum((np.conj(gr.data) * dc[i]).real))
                        for i, gr in enumerate(grads))
         numeric = (_nll_of(wc + t * dc, g, cfg, pad) - _nll_of(wc - t * dc, g, cfg, pad)) / (2 * t)

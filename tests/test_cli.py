@@ -1,9 +1,11 @@
 """Command-line flows: units, config precedence, end-to-end runs, exit codes."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
+import scipy
 
 from holoem.cli import RunConfig, format_length, main, parse_length
 from holoem.grid import RealGrid2D
@@ -50,6 +52,9 @@ class TestRunConfig:
         cfg = RunConfig.from_mapping({
             "holoem_version": "0.1.0",
             "output.hologram_pfm": "hologram.pfm",
+            "numpy_version": "2.0.0",
+            "scipy_version": "1.13.0",
+            "fft_workers": "4",
             "stop_reason": "iteration_cap",
             "step_halvings": "0",
             "iters": "7",
@@ -351,3 +356,46 @@ def test_autofocus_manifest_records_pitch_y(tmp_path):
                  "--pitch-y", "1.4um",
                  "--z-min", "0.9mm", "--z-max", "1.1mm", "--z-step", "0.1mm"]) == 0
     assert float(load_key_values(out / "manifest.txt")["pitch_y"]) == pytest.approx(1.4e-6)
+
+
+def test_manifest_records_every_key_the_mode_reads(tmp_path, monkeypatch):
+    monkeypatch.setenv("HOLOEM_THREADS", "bogus")  # falls back to one FFT worker
+    sim = tmp_path / "simulate"
+    holo, truth = str(sim / "hologram.pfm"), str(sim / "truth_00_re.pfm")
+    solve = {"input": holo, "slice_distances": "1mm", "pad": "false", "iters": "2"}
+    runs = {  # mode -> the keys set by flag
+        "simulate": {"width": "32", "height": "32", "wavelength": "675nm", "pitch": "1.12um",
+                     "slice_distances": "1mm", "phantom": "single", "noise_seed": "4"},
+        "reconstruct-real": {**solve, "truth": truth, "reference": holo, "tau": "0.01"},
+        "reconstruct-complex": {**solve, "init": "constant", "stop": "relative_change"},
+        "baseline": {**solve, "power_iters": "3", "step_size": "0.5"},
+        "autofocus": {"input": holo, "z_min": "0.9mm", "z_max": "1.1mm", "z_step": "0.1mm"},
+        "metrics": {"input": holo, "truth": holo, "median_size": "5"},
+        "resolution": {"numerical_aperture": "0.5"},
+    }
+    for mode, flags in runs.items():
+        out = tmp_path / mode
+        argv = [mode, "--out", str(out)]
+        for key, value in flags.items():
+            argv += ["--" + key.replace("_", "-"), value]
+        assert main(argv) == 0, mode
+        manifest = load_key_values(out / "manifest.txt")
+        assert manifest["numpy_version"] == np.__version__
+        assert manifest["scipy_version"] == scipy.__version__
+        assert manifest["fft_workers"] == "1"
+        given = RunConfig.from_mapping(flags, from_flags=True)
+        again = RunConfig.from_mapping(manifest)
+        for f in fields(RunConfig):
+            if f.name == "mode":
+                continue
+            if mode not in f.metadata["modes"]:
+                assert f.name not in manifest, (mode, f.name)
+            elif f.name in flags:
+                assert getattr(again, f.name) == getattr(given, f.name), (mode, f.name)
+            elif f.metadata["kind"] == "optfloat" and f.name != "photon_scale":
+                assert manifest[f.name] == "auto", (mode, f.name)
+    # simulate resolves the photon scale: the default for a noisy run, none without noise
+    assert float(load_key_values(sim / "manifest.txt")["photon_scale"]) > 0
+    assert main(simulate_args(tmp_path / "clean")) == 0
+    clean = load_key_values(tmp_path / "clean" / "manifest.txt")
+    assert "photon_scale" not in clean and "noise_seed" not in clean

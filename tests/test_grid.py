@@ -1,87 +1,9 @@
-"""Grid containers and the DFT convention.
-
-The transform convention is the backbone everything else states results
-against, so it is checked against a literal O(N^2) double-sum DFT rather
-than another FFT call.
-"""
+"""Grid containers and the FFT worker setting."""
 
 import numpy as np
 import pytest
 
-from holoem.grid import (
-    ComplexGrid2D,
-    FrequencyGrid,
-    RealGrid2D,
-    dft2,
-    fft_workers,
-    frequency_coordinates,
-    idft2,
-)
-
-
-def brute_dft2(x: np.ndarray) -> np.ndarray:
-    """Direct double-sum DFT, no FFT: X[k,l] = sum x[m,n] e^{-2pi j(km/H + ln/W)}."""
-    height, width = x.shape
-    out = np.zeros((height, width), dtype=np.complex128)
-    for k in range(height):
-        for l in range(width):
-            acc = 0.0 + 0.0j
-            for m in range(height):
-                for n in range(width):
-                    acc += x[m, n] * np.exp(-2j * np.pi * (k * m / height + l * n / width))
-            out[k, l] = acc
-    return out
-
-
-def test_dft2_matches_double_sum(rng):
-    x = rng.standard_normal((5, 4)) + 1j * rng.standard_normal((5, 4))
-    grid = ComplexGrid2D(x, 1e-6, 1e-6)
-    expected = brute_dft2(x)
-    np.testing.assert_allclose(dft2(grid).data, expected, atol=1e-12)
-
-
-def test_forward_transform_is_unnormalized():
-    ones = ComplexGrid2D(np.ones((6, 8)), 1e-6, 1e-6)
-    spec = dft2(ones).data
-    assert spec[0, 0] == pytest.approx(48.0, abs=1e-12)
-    assert np.abs(spec[1:, :]).max() < 1e-12
-
-
-def test_inverse_carries_the_scale_factor(rng):
-    x = rng.standard_normal((7, 5)) + 1j * rng.standard_normal((7, 5))
-    grid = ComplexGrid2D(x, 2e-6, 1e-6)
-    back = idft2(dft2(grid))
-    np.testing.assert_allclose(back.data, x, atol=1e-13)
-    assert back.pitch_x == grid.pitch_x and back.pitch_y == grid.pitch_y
-
-
-def test_frequency_coordinates_even_and_odd():
-    # even n: Nyquist appears once, on the negative side
-    np.testing.assert_allclose(
-        frequency_coordinates(4, 0.5), [0.0, 0.5, -1.0, -0.5], atol=0.0
-    )
-    # odd n: symmetric positive/negative bands, no Nyquist sample
-    np.testing.assert_allclose(
-        frequency_coordinates(5, 1.0), [0.0, 0.2, 0.4, -0.4, -0.2], atol=1e-15
-    )
-
-
-def test_frequency_coordinates_validation():
-    with pytest.raises(ValueError):
-        frequency_coordinates(0, 1.0)
-    with pytest.raises(ValueError):
-        frequency_coordinates(8, 0.0)
-
-
-def test_radial_squared_brute_force():
-    fg = FrequencyGrid.for_shape((3, 4), pitch_x=2.0, pitch_y=1.0)
-    vx = np.fft.fftfreq(4, d=2.0)
-    vy = np.fft.fftfreq(3, d=1.0)
-    expected = np.empty((3, 4))
-    for i in range(3):
-        for j in range(4):
-            expected[i, j] = vy[i] ** 2 + vx[j] ** 2
-    np.testing.assert_allclose(fg.radial_squared(), expected, atol=0.0)
+from holoem.grid import ComplexGrid2D, RealGrid2D, fft_workers
 
 
 def test_grid_validation():

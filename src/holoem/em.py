@@ -117,8 +117,9 @@ class ReconTrace:
 
     Row k describes the state after k updates. ssim entries are None when
     no ground truth was supplied. millis is wall time and is the one field
-    exempt from run-to-run reproducibility. step_halvings counts the
-    gradient halvings that kept updates finite, over the whole run.
+    exempt from run-to-run reproducibility; it is solver time only, read
+    before the trace SSIM against the truth is taken. step_halvings counts
+    the gradient halvings that kept updates finite, over the whole run.
     """
 
     iterations: list[int] = field(default_factory=list)
@@ -383,8 +384,8 @@ def _iterate(
 
         value, resid = data_term(stack_forward(_joined(parts), px, py, lam, zs, pad=pad))
         tv_now = sum(sum(tv_value(s) for s in p) for p in parts)
-        ssim_now = _trace_ssim(parts, truth_parts)
-        trace.append(k, value, tv_now, ssim_now, (time.perf_counter() - t0) * 1e3)
+        millis = (time.perf_counter() - t0) * 1e3
+        trace.append(k, value, tv_now, _trace_ssim(parts, truth_parts), millis)
 
         if value > prev + 1e-6 * abs(prev):
             consecutive_up += 1

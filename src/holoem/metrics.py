@@ -3,8 +3,10 @@
 SSIM follows the standard structural-similarity definition: an 11x11
 Gaussian window with sigma = 1.5, stability constants K1 = 0.01 and
 K2 = 0.03 relative to the dynamic range, moments taken as plain weighted
-averages, and the mean taken over fully valid windows only. PSNR uses the
-peak of the reference image unless an explicit peak is given.
+averages, and the mean taken over fully valid windows only. PSNR and SSIM
+use the peak of the reference image unless an explicit peak is given; a
+reference whose maximum is not positive (an absorber's real part) uses
+its dynamic range instead.
 """
 
 from __future__ import annotations
@@ -14,11 +16,12 @@ import logging
 from dataclasses import asdict, dataclass
 
 import numpy as np
+import scipy.fft as _fft
 import scipy.ndimage as _ndi
 
 from .forward import Hologram
-from .grid import RealGrid2D
-from .propagation import _propagate_array
+from .grid import RealGrid2D, fft_workers
+from .propagation import _frame, _propagate_array
 
 logger = logging.getLogger(__name__)
 
@@ -60,6 +63,15 @@ def _pair(test, reference) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
+def _default_peak(reference: np.ndarray, peak: float | None) -> float:
+    """The given peak, else max(reference), else, when that is not positive,
+    the reference's dynamic range max - min (0 for a constant reference)."""
+    if peak is not None:
+        return peak
+    top = float(reference.max())
+    return top if top > 0 else top - float(reference.min())
+
+
 def mse(test, reference) -> float:
     """Mean squared error between two same-shape images."""
     a, b = _pair(test, reference)
@@ -67,13 +79,14 @@ def mse(test, reference) -> float:
 
 
 def psnr(test, reference, peak: float | None = None) -> float:
-    """Peak signal-to-noise ratio in dB; peak defaults to max(reference).
+    """Peak signal-to-noise ratio in dB.
 
-    Identical images give +inf.
+    peak defaults to max(reference), or to max - min of the reference when
+    its maximum is not positive; a peak that is still not positive (a
+    constant non-positive reference) raises. Identical images give +inf.
     """
     a, b = _pair(test, reference)
-    if peak is None:
-        peak = float(b.max())
+    peak = _default_peak(b, peak)
     if not peak > 0:
         raise ValueError(f"peak must be positive, got {peak}")
     err = float(np.mean((a - b) ** 2))
@@ -92,12 +105,15 @@ def _windowed(img: np.ndarray) -> np.ndarray:
 
 
 def ssim(test, reference, peak: float | None = None) -> float:
-    """Mean structural similarity over valid 11x11 Gaussian windows."""
+    """Mean structural similarity over valid 11x11 Gaussian windows.
+
+    peak (the dynamic range in the stability constants) defaults as in
+    :func:`psnr`.
+    """
     a, b = _pair(test, reference)
     if min(a.shape) < SSIM_WINDOW:
         raise ValueError(f"images must be at least {SSIM_WINDOW} pixels on a side")
-    if peak is None:
-        peak = float(b.max())
+    peak = _default_peak(b, peak)
     if not peak > 0:
         raise ValueError(f"peak (dynamic range) must be positive, got {peak}")
     c1 = (SSIM_K1 * peak) ** 2
@@ -178,16 +194,18 @@ def focus_metric(amplitude) -> float:
 def _focus_scores(hologram: Hologram, distances, pad: bool = True) -> np.ndarray:
     """:func:`focus_metric` of |P_{-z} (g - mean g)| at each distance z.
 
-    The mean-removed hologram is real, so each plane costs one rfft2 and
-    two irfft2 on half spectra. With the mean removed, the operators'
+    The mean-removed hologram is real, so the sweep takes its rfft2 once;
+    each plane then costs one transfer build and two cropped inverse
+    transforms on half spectra. With the mean removed, the operators'
     mean-split padding and whole-field zero padding coincide.
     """
     raw = hologram.intensity.data
     g = raw - raw.mean()
     cfg = hologram.config
+    spectrum = _fft.rfft2(g, s=_frame(*g.shape, pad), workers=fft_workers())
     return np.array([
         focus_metric(np.abs(_propagate_array(g, cfg.pitch_x, cfg.pitch_y, cfg.wavelength,
-                                             -z, pad=pad)))
+                                             -z, pad=pad, spectrum=spectrum)))
         for z in distances
     ])
 
@@ -247,10 +265,13 @@ class QualityReport:
 
 
 def quality_report(test, reference, peak: float | None = None, median_size: int = 3) -> QualityReport:
-    """MSE / PSNR / SSIM of test vs reference, plus SSIM after median filtering test."""
+    """MSE / PSNR / SSIM of test vs reference, plus SSIM after median filtering test.
+
+    peak defaults as in :func:`psnr`: max(reference), or its dynamic range
+    when that maximum is not positive.
+    """
     a, b = _pair(test, reference)
-    if peak is None:
-        peak = float(b.max())
+    peak = _default_peak(b, peak)
     return QualityReport(
         mse=mse(a, b),
         psnr_db=psnr(a, b, peak=peak),

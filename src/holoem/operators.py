@@ -18,9 +18,11 @@ function is even in frequency, so for real a and b (see ``propagation.py``)
 
 The forward sums slice spectra before a single inverse FFT (one rfft2 per
 nonzero slice part); the adjoint reuses one rfft2 of the residual and
-pays one irfft2 per slice for the real part and one more for the
+pays one inverse per slice for the real part and one more for the
 imaginary part, which ``real=True`` skips. This is exact linearity, not an
-approximation.
+approximation. With padding, each inverse is cropped as it runs
+(``propagation._irfft2_crop``): its row transforms cover only the rows
+the crop keeps, half of the doubled frame.
 
 With ``pad=True`` each slice is split into its window mean and the
 zero-mean remainder. The mean models the unscattered plane-wave
@@ -47,7 +49,7 @@ import numpy as np
 import scipy.fft as _fft
 
 from .grid import fft_workers
-from .propagation import _frame, _half_transfer
+from .propagation import _frame, _half_transfer, _irfft2_crop
 
 __all__ = ["stack_forward", "stack_adjoint"]
 
@@ -80,7 +82,7 @@ def stack_forward(
         spectrum += transform(stack.real[i]) * re_h
         if has_imag:
             spectrum -= transform(stack.imag[i]) * im_h
-    out = _fft.irfft2(spectrum, s=frame, workers=workers)[:height, :width]
+    out = _irfft2_crop(spectrum, frame, height, width, workers)
     if not pad:
         return out
     # the window means advance analytically as plane waves: Re[m exp(j k0 z)]
@@ -113,7 +115,7 @@ def stack_adjoint(
     spectrum = _fft.rfft2(residual, s=frame, workers=workers)
 
     def back(h, mean_response):
-        part = _fft.irfft2(spectrum * h, s=frame, workers=workers)[:height, :width]
+        part = _irfft2_crop(spectrum * h, frame, height, width, workers)
         if not pad:
             return part
         part = part - part.mean()

@@ -22,15 +22,19 @@ Im H on the rfft2 half spectrum (the non-negative v_x columns) once per
 |z|; the sign of z only flips Im H. The multi-slice operators in
 ``operators.py`` and the propagation of real fields (the autofocus sweep)
 run on these half spectra; complex fields use the full spectrum, mirrored
-from the half because H is even in v_x.
+from the half because H is even in v_x. H is even in v_y as well, so a
+build evaluates the phase, cos and sin on the rows of v_y >= 0 only and
+mirrors the rest.
 
 Padding embeds the field at the corner of a 2H x 2W zero frame (the ``s``
 argument of the FFT) and crops the same corner afterwards. Circular
 convolution is shift-invariant, so this equals embedding at the centre and
-cropping the centre, without the explicit frame copy. Padding
-suppresses the wrap-around of the circular convolution but breaks exact
-unitarity at the frame edge, so the analytics-grade identities (round
-trip, energy conservation, composition) hold for the unpadded operator.
+cropping the centre, without the explicit frame copy. The inverse
+transforms run their row transforms only on the rows the crop keeps
+(``_irfft2_crop``, ``_ifft2_crop``). Padding suppresses the wrap-around
+of the circular convolution but breaks exact unitarity at the frame edge,
+so the analytics-grade identities (round trip, energy conservation,
+composition) hold for the unpadded operator.
 """
 
 from __future__ import annotations
@@ -87,17 +91,25 @@ def _transfer_array(
     height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float, depth: float
 ) -> tuple[np.ndarray, np.ndarray]:
     """Read-only Re H and Im H over the distance ``depth`` >= 0 on the rfft2
-    half spectrum (the non-negative v_x columns) of a height x width frame."""
+    half spectrum (the non-negative v_x columns) of a height x width frame.
+
+    Only the rows of v_y >= 0 are evaluated; the row of -v_y equals the row
+    of v_y, because fftfreq gives -v exactly and H depends on v_y only
+    through v_y^2.
+    """
     vx = np.fft.rfftfreq(width, d=pitch_x)
-    vy = np.fft.fftfreq(height, d=pitch_y)
+    vy = np.fft.fftfreq(height, d=pitch_y)[:height // 2 + 1]
     s = 1.0 - (wavelength * vx[None, :]) ** 2 - (wavelength * vy[:, None]) ** 2
     inside = s > 0.0
     phase = 2.0 * np.pi / wavelength * depth * np.sqrt(np.where(inside, s, 0.0))
-    re_h = np.cos(phase, out=np.zeros_like(phase), where=inside)
-    im_h = np.sin(phase, out=np.zeros_like(phase), where=inside)
-    re_h.setflags(write=False)
-    im_h.setflags(write=False)
-    return re_h, im_h
+
+    def mirrored(q):
+        full = np.concatenate([q, q[(height - 1) // 2:0:-1]], axis=0)
+        full.setflags(write=False)
+        return full
+
+    return (mirrored(np.cos(phase, out=np.zeros_like(phase), where=inside)),
+            mirrored(np.sin(phase, out=np.zeros_like(phase), where=inside)))
 
 
 def _half_transfer(
@@ -148,22 +160,58 @@ def _frame(height: int, width: int, pad: bool) -> tuple[int, int]:
     return (2 * height, 2 * width) if pad else (height, width)
 
 
+def _irfft2_crop(spectrum: np.ndarray, frame: tuple[int, int], height: int, width: int,
+                 workers: int) -> np.ndarray:
+    """``irfft2(spectrum, s=frame)[:height, :width]`` without transforming
+    the rows the crop drops: the column transforms run first, on every
+    column, and the row transforms only on the first ``height`` rows.
+
+    Like irfft2, it scales once by 1 / (frame size), after the last
+    transform, so it rounds as irfft2 does.
+    """
+    if frame == (height, width):
+        return _fft.irfft2(spectrum, s=frame, workers=workers)
+    rows = _fft.ifft(spectrum, axis=0, norm="forward", workers=workers)[:height]
+    out = _fft.irfft(rows, n=frame[1], axis=1, norm="forward", workers=workers)[:, :width]
+    out *= 1.0 / (frame[0] * frame[1])
+    return out
+
+
+def _ifft2_crop(spectrum: np.ndarray, height: int, width: int, workers: int) -> np.ndarray:
+    """``ifft2(spectrum)[:height, :width]``, the complex twin of
+    :func:`_irfft2_crop`; like ifft2, it scales after the first transform."""
+    if spectrum.shape == (height, width):
+        return _fft.ifft2(spectrum, workers=workers)
+    rows = _fft.ifft(spectrum, axis=0, norm="forward", workers=workers)[:height]
+    rows *= 1.0 / spectrum.size
+    return _fft.ifft(rows, axis=1, norm="forward", workers=workers)[:, :width]
+
+
 def _propagate_array(
-    field: np.ndarray, pitch_x: float, pitch_y: float, wavelength: float, z: float, pad: bool
+    field: np.ndarray, pitch_x: float, pitch_y: float, wavelength: float, z: float, pad: bool,
+    *, spectrum: np.ndarray | None = None,
 ) -> np.ndarray:
+    """P_z field, cropped to the field's grid.
+
+    ``spectrum``, when given, is the field's transform on the frame, which a
+    caller propagating one field to many planes computes once: ``rfft2`` of
+    a real field, ``fft2`` of a complex one.
+    """
     height, width = field.shape
     frame = _frame(height, width, pad)
     workers = fft_workers()
     if np.iscomplexobj(field):
         h = _full_transfer(*frame, pitch_x, pitch_y, wavelength, z)
-        spectrum = _fft.fft2(field, s=frame, workers=workers)
-        return _fft.ifft2(spectrum * h, workers=workers)[:height, :width]
-    # a real field: one rfft2, then one irfft2 each for Re and Im of P_z field
+        if spectrum is None:
+            spectrum = _fft.fft2(field, s=frame, workers=workers)
+        return _ifft2_crop(spectrum * h, height, width, workers)
+    # a real field: one rfft2, then one inverse each for Re and Im of P_z field
     re_h, im_h = _half_transfer(*frame, pitch_x, pitch_y, wavelength, z)
-    spectrum = _fft.rfft2(field, s=frame, workers=workers)
+    if spectrum is None:
+        spectrum = _fft.rfft2(field, s=frame, workers=workers)
     out = np.empty((height, width), dtype=np.complex128)
-    out.real = _fft.irfft2(spectrum * re_h, s=frame, workers=workers)[:height, :width]
-    out.imag = _fft.irfft2(spectrum * im_h, s=frame, workers=workers)[:height, :width]
+    out.real = _irfft2_crop(spectrum * re_h, frame, height, width, workers)
+    out.imag = _irfft2_crop(spectrum * im_h, frame, height, width, workers)
     return out
 
 

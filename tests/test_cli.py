@@ -193,6 +193,26 @@ def test_metrics_end_to_end(tmp_path, rng):
     assert set(report) == {"mse", "psnr_db", "ssim", "ssim_after_median"}
 
 
+def test_metrics_default_peak_against_simulated_absorber_truth(tmp_path):
+    # an absorbing phantom's truth is <= 0 everywhere (max -0.0)
+    sim = tmp_path / "sim"
+    assert main(["simulate", "--out", str(sim), "--width", "64", "--height", "64",
+                 "--wavelength", "675nm", "--pitch", "1.12um",
+                 "--slice-distances", "0.5mm,1mm,1.25mm", "--phantom", "multi-depth",
+                 "--noise-seed", "1"]) == 0
+    rec = tmp_path / "rec"
+    assert main(["reconstruct-real", "--out", str(rec),
+                 "--input", str(sim / "hologram.pfm"),
+                 "--slice-distances", "0.5mm,1mm,1.25mm", "--iters", "3"]) == 0
+    out = tmp_path / "m"
+    code = main(["metrics", "--out", str(out),
+                 "--input", str(rec / "slice_00.pfm"),
+                 "--truth", str(sim / "truth_00_re.pfm")])
+    assert code == 0
+    report = json.loads((out / "quality.json").read_text())
+    assert all(np.isfinite(v) for v in report.values())
+
+
 def test_resolution_end_to_end(tmp_path):
     out = tmp_path / "res"
     code = main(["resolution", "--out", str(out),

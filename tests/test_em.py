@@ -8,6 +8,7 @@ descend monotonically with the regularizer off.
 """
 
 import logging
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -354,6 +355,22 @@ def test_trace_integrity(bound64):
 
     _, traced = reconstruct_real(holo, ReconParams(max_iters=2), ground_truth=truth)
     assert all(isinstance(s, float) for s in traced.ssim)
+
+
+def test_millis_excludes_trace_ssim(bound64, monkeypatch):
+    # a clock that only the trace SSIM advances: solver time reads 0
+    _, truth, holo = bound64
+    clock = [0.0]
+
+    def slow_ssim(*args, **kwargs):
+        clock[0] += 10.0
+        return 0.5
+
+    monkeypatch.setattr(em, "time", SimpleNamespace(perf_counter=lambda: clock[0]))
+    monkeypatch.setattr(em, "_ssim", slow_ssim)
+    _, trace = reconstruct_real(holo, ReconParams(max_iters=3), ground_truth=truth)
+    assert trace.ssim == [0.5, 0.5, 0.5]
+    assert trace.millis == [0.0, 0.0, 0.0]
 
 
 def test_explicit_config_must_match_hologram(demo128):

@@ -2,12 +2,15 @@
 
 import json
 import logging
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.fft
 import scipy.ndimage as ndi
 import scipy.signal
 
+from holoem import metrics
 from holoem.forward import OpticalConfig, simulate
 from holoem.grid import ComplexGrid2D, RealGrid2D
 from holoem.metrics import (
@@ -62,6 +65,18 @@ class TestMseAndPsnr:
             mse(np.ones((2, 2)), np.ones((3, 2)))
         with pytest.raises(ValueError):
             psnr(np.ones((2, 2)), np.zeros((2, 2)))  # peak would be 0
+
+    def test_default_peak(self, rng):
+        ref = rng.random((16, 16)) - 0.5
+        test = ref + 0.01 * rng.standard_normal((16, 16))
+        # a positive maximum is the peak
+        assert psnr(test, ref) == psnr(test, ref, peak=float(ref.max()))
+        # an absorber's real part is <= 0 everywhere: its dynamic range is the peak
+        absorber = np.where(ref > 0, -0.04, -0.0)
+        spread = float(absorber.max() - absorber.min())
+        assert psnr(test, absorber) == psnr(test, absorber, peak=spread)
+        with pytest.raises(ValueError, match="peak"):
+            psnr(test, np.full((16, 16), -1.0))  # a constant non-positive reference
 
 
 class TestSsim:
@@ -232,6 +247,25 @@ class TestAutofocus:
         assert (info.misses, info.hits) == (101, 0)
         assert info.currsize == info.maxsize < 101
 
+    def test_sweep_transforms_the_hologram_once(self, holo, monkeypatch):
+        # the benchmark reads one propagate span, one focus span and one
+        # transfer build per plane; only the hologram's transform is shared
+        counts = Counter()
+        for module, name in ((metrics, "_propagate_array"), (metrics, "focus_metric"),
+                             (scipy.fft, "rfft2"), (scipy.fft, "fft2")):
+            original = getattr(module, name)
+
+            def counting(*args, _name=name, _original=original, **kwargs):
+                counts[_name] += 1
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counting)
+        _transfer_array.cache_clear()
+        autofocus(holo, 0.8e-3, 1.2e-3, 25e-6)  # 17 planes
+        assert counts == {"_propagate_array": 17, "focus_metric": 17, "rfft2": 1}
+        info = _transfer_array.cache_info()
+        assert (info.misses, info.hits) == (17, 0)
+
     @pytest.mark.xfail(strict=True, raises=AssertionError,
                        reason="the gradient-variance metric peaks at the scan edge "
                               "on shot-noise-limited holograms")
@@ -275,6 +309,14 @@ class TestQualityReport:
         assert rep.ssim == pytest.approx(ssim(test, ref, peak=1.0))
         assert rep.ssim_after_median == pytest.approx(
             ssim(median_filter(test, 3), ref, peak=1.0))
+
+    def test_default_peak_on_a_non_positive_reference(self, rng):
+        ref = -0.04 * (rng.random((24, 24)) > 0.7)
+        test = ref + 0.005 * rng.standard_normal((24, 24))
+        rep = quality_report(test, ref)
+        assert rep == quality_report(test, ref, peak=0.04)
+        assert rep.ssim == ssim(test, ref, peak=0.04) == ssim(test, ref)
+        assert np.isfinite(rep.psnr_db)
 
     def test_json_round_trip(self):
         rep = QualityReport(mse=0.1, psnr_db=10.0, ssim=0.9, ssim_after_median=0.95)

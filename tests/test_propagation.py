@@ -9,11 +9,19 @@ frequency propagates.
 
 import numpy as np
 import pytest
+import scipy.fft
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from holoem.grid import ComplexGrid2D
 from holoem.propagation import (
     TransferFunction,
+    _frame,
+    _ifft2_crop,
+    _irfft2_crop,
     _propagate_array,
+    _transfer_array,
     kernel_sums,
     propagate,
     transfer_function,
@@ -177,3 +185,46 @@ def test_propagate_validation(rng):
     f = _random_field(rng, shape=(4, 4))
     with pytest.raises(ValueError):
         propagate(f, 1e-3, -WAVELENGTH)
+
+
+def _rel(got, expected):
+    return np.linalg.norm(got - expected) / max(np.linalg.norm(expected), 1e-300)
+
+
+sizes = st.integers(2, 17)
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@given(sizes, sizes, st.booleans(), st.integers(0, 2**32 - 1))
+def test_cropped_inverses_equal_full_frame_inverse_then_crop(height, width, pad, seed):
+    rng = np.random.Generator(np.random.Philox(seed))
+    frame = _frame(height, width, pad)
+    half = (rng.standard_normal((frame[0], frame[1] // 2 + 1))
+            + 1j * rng.standard_normal((frame[0], frame[1] // 2 + 1)))
+    expected = scipy.fft.irfft2(half, s=frame)[:height, :width]
+    got = _irfft2_crop(half, frame, height, width, 1)
+    assert got.shape == (height, width) and got.dtype == np.float64
+    assert _rel(got, expected) <= 1e-12
+
+    full = rng.standard_normal(frame) + 1j * rng.standard_normal(frame)
+    expected = scipy.fft.ifft2(full)[:height, :width]
+    got = _ifft2_crop(full, height, width, 1)
+    assert got.shape == (height, width) and got.dtype == np.complex128
+    assert _rel(got, expected) <= 1e-12
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(sizes, sizes, st.floats(0.4e-6, 3e-6), st.floats(0.4e-6, 3e-6), st.floats(0.0, 2e-3))
+def test_half_row_transfer_build_equals_evaluation_on_every_row(height, width, pitch_x,
+                                                                pitch_y, depth):
+    # the rows of v_y < 0 are mirrored, not evaluated; they must match the
+    # same formula evaluated on every row bit for bit
+    re_h, im_h = _transfer_array(height, width, pitch_x, pitch_y, WAVELENGTH, depth)
+    vx = np.fft.rfftfreq(width, d=pitch_x)
+    vy = np.fft.fftfreq(height, d=pitch_y)
+    s = 1.0 - (WAVELENGTH * vx[None, :]) ** 2 - (WAVELENGTH * vy[:, None]) ** 2
+    inside = s > 0.0
+    phase = 2.0 * np.pi / WAVELENGTH * depth * np.sqrt(np.where(inside, s, 0.0))
+    assert re_h.tobytes() == np.where(inside, np.cos(phase), 0.0).tobytes()
+    assert im_h.tobytes() == np.where(inside, np.sin(phase), 0.0).tobytes()
+    assert not (re_h.flags.writeable or im_h.flags.writeable)

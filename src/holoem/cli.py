@@ -214,7 +214,8 @@ class RunConfig:
     numerical_aperture: float | None = _key(
         "float", "effective numerical aperture", modes=("resolution",))
     peak: float | None = _key(
-        "optfloat", "dynamic range for PSNR/SSIM ('auto' = reference max)", modes=("metrics",))
+        "optfloat", "dynamic range for PSNR/SSIM ('auto' = reference max, or max - min "
+        "when the max is not positive)", modes=("metrics",))
     median_size: int = _key(
         "int", "median filter size for the quality report", 3, modes=("metrics",))
     output_dir: str = _key("path", "output directory", "out")

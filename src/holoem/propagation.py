@@ -167,10 +167,9 @@ def _irfft2_crop(spectrum: np.ndarray, frame: tuple[int, int], height: int, widt
     column, and the row transforms only on the first ``height`` rows.
 
     Like irfft2, it scales once by 1 / (frame size), after the last
-    transform, so it rounds as irfft2 does.
+    transform, so it rounds as irfft2 does. An unpadded frame crops
+    nothing and gives irfft2's result.
     """
-    if frame == (height, width):
-        return _fft.irfft2(spectrum, s=frame, workers=workers)
     rows = _fft.ifft(spectrum, axis=0, norm="forward", workers=workers)[:height]
     out = _fft.irfft(rows, n=frame[1], axis=1, norm="forward", workers=workers)[:, :width]
     out *= 1.0 / (frame[0] * frame[1])
@@ -180,8 +179,6 @@ def _irfft2_crop(spectrum: np.ndarray, frame: tuple[int, int], height: int, widt
 def _ifft2_crop(spectrum: np.ndarray, height: int, width: int, workers: int) -> np.ndarray:
     """``ifft2(spectrum)[:height, :width]``, the complex twin of
     :func:`_irfft2_crop`; like ifft2, it scales after the first transform."""
-    if spectrum.shape == (height, width):
-        return _fft.ifft2(spectrum, workers=workers)
     rows = _fft.ifft(spectrum, axis=0, norm="forward", workers=workers)[:height]
     rows *= 1.0 / spectrum.size
     return _fft.ifft(rows, axis=1, norm="forward", workers=workers)[:, :width]

@@ -8,8 +8,9 @@ the recorded in-line intensity is
 
 (``synthesize_linear``); the exact squared-magnitude interference pattern
 |A + sum_z P_z(A o_z)|^2 is available as ``synthesize_full`` for checking
-where the linearization holds. Shot noise is modeled as Poisson counts at
-a chosen photons-per-intensity-unit scale.
+where the linearization holds. Both run on ``operators.stack_forward`` and
+its padding, so they differ by exactly |A|^2 |sum_z P_z o_z|^2. Shot noise
+is modeled as Poisson counts at a chosen photons-per-intensity-unit scale.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ import numpy as np
 
 from .grid import ComplexGrid2D, RealGrid2D
 from .operators import stack_forward
-from .propagation import _propagate_array
 
 logger = logging.getLogger(__name__)
 
@@ -206,13 +206,14 @@ def synthesize_linear(stack: ObjectStack, config: OpticalConfig, pad: bool = Tru
 
 
 def synthesize_full(stack: ObjectStack, config: OpticalConfig, pad: bool = True) -> RealGrid2D:
-    """Exact interference intensity |A + sum_z P_z(A o_z)|^2."""
+    """Exact interference intensity |A + sum_z P_z(A o_z)|^2 as
+    A^2 ((1 + F(o))^2 + F(-j o)^2), with F = ``stack_forward``: F(o) is
+    Re[sum_z P_z o_z] and F(-j o) its imaginary part."""
     arrs, px, py, lam, zs = _stack_args(stack, config)
-    a = config.illumination_amplitude
-    total = np.full(config.grid_shape, a, dtype=np.complex128)
-    for o, z in zip(arrs, zs):
-        total += _propagate_array(a * o, px, py, lam, z, pad=pad)
-    return RealGrid2D(np.abs(total) ** 2, config.pitch_x, config.pitch_y)
+    re = stack_forward(arrs, px, py, lam, zs, pad=pad)
+    im = stack_forward(-1j * arrs, px, py, lam, zs, pad=pad)
+    g = config.illumination_amplitude**2 * ((1.0 + re) ** 2 + im**2)
+    return RealGrid2D(g, config.pitch_x, config.pitch_y)
 
 
 def scaled_object_stack(stack: ObjectStack, config: OpticalConfig) -> ObjectStack:

@@ -97,9 +97,14 @@ def _header_int(token: bytes, where: str) -> int:
 
 def _write_pfm(path: Path, data: np.ndarray):
     height, width = data.shape
+    with np.errstate(over="ignore"):
+        samples = np.flipud(data).astype("<f4")
+    if not np.isfinite(samples).all():
+        raise HoloIOError(f"{path}: values up to {float(np.abs(data).max())!r} exceed "
+                          "the float32 range of PFM")
     with open(path, "wb") as f:
         f.write(f"Pf\n{width} {height}\n-1.0\n".encode("ascii"))
-        f.write(np.flipud(data).astype("<f4").tobytes())
+        f.write(samples.tobytes())
 
 
 def _read_pfm(path: Path) -> np.ndarray:
@@ -139,6 +144,8 @@ def _write_pgm(path: Path, data: np.ndarray, bit_depth: int) -> tuple[float, flo
         raise ValueError(f"PGM bit depth must be 8 or 16, got {bit_depth}")
     maxval = (1 << bit_depth) - 1
     lo, hi = float(data.min()), float(data.max())
+    if not np.isfinite(hi - lo):
+        raise HoloIOError(f"{path}: value range [{lo!r}, {hi!r}] is too wide to quantize")
     if hi > lo:
         q = np.rint((data - lo) / (hi - lo) * maxval)
     else:
@@ -238,6 +245,8 @@ def load_image(path) -> RealGrid2D:
         data = counts / maxval
         if "pgm_min" in meta and "pgm_max" in meta:
             lo, hi = float(meta["pgm_min"]), float(meta["pgm_max"])
+            if not np.isfinite(hi - lo):
+                raise HoloIOError(f"{sidecar_path(path)}: range [{lo!r}, {hi!r}] is not finite")
             data = lo + data * (hi - lo)
     else:
         raise HoloIOError(f"{path}: unsupported image suffix {suffix!r} (use .pfm or .pgm)")

@@ -188,16 +188,18 @@ def focus_metric(amplitude) -> float:
     variance; defocused fields spread energy into gentle ripples.
     """
     gx, gy = _forward_diffs(_as_array(amplitude))
-    return float(np.var(np.hypot(gx, gy)))
+    gx *= gx
+    gx += gy * gy
+    return float(np.var(np.sqrt(gx, out=gx)))
 
 
 def _focus_scores(hologram: Hologram, distances, pad: bool = True) -> np.ndarray:
     """:func:`focus_metric` of |P_{-z} (g - mean g)| at each distance z.
 
-    The mean-removed hologram is real, so the sweep takes its rfft2 once;
-    each plane then costs one transfer build and two cropped inverse
-    transforms on half spectra. With the mean removed, the operators'
-    mean-split padding and whole-field zero padding coincide.
+    The mean-removed hologram is real and is its own zero-mean remainder,
+    the part that padded propagation transforms, so the sweep takes its
+    rfft2 once; each plane then costs one transfer build and two cropped
+    inverse transforms on half spectra.
     """
     raw = hologram.intensity.data
     g = raw - raw.mean()

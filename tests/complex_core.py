@@ -1,10 +1,10 @@
-"""Complex-FFT reference for the multi-slice operators.
+"""Complex-FFT reference for the multi-slice operators and propagation.
 
 A straight transcription of the operator core before it moved to rfft2
 half spectra: full complex transforms, transfer samples built on the full
 FFT grid as the code built them then, and padding that embeds the
 zero-mean remainder at the centre of a doubled frame. Tests compare the
-production operators against it.
+production operators and ``propagation._propagate_array`` against it.
 """
 
 import numpy as np
@@ -33,6 +33,21 @@ def _embed(field):
     sy, sx = pad_slices(height, width)
     frame[sy, sx] = field
     return frame
+
+
+def oracle_propagate(field, pitch_x, pitch_y, wavelength, z, pad=True):
+    """P_z field for a real or complex field on the full complex transform;
+    with padding the mean advances as a plane wave and the zero-mean
+    remainder is embedded, propagated and cropped."""
+    height, width = field.shape
+    if not pad:
+        h = full_transfer(height, width, pitch_x, pitch_y, wavelength, z)
+        return np.fft.ifft2(np.fft.fft2(field.astype(np.complex128)) * h)
+    mean = field.mean()
+    sy, sx = pad_slices(height, width)
+    h = full_transfer(2 * height, 2 * width, pitch_x, pitch_y, wavelength, z)
+    back = np.fft.ifft2(np.fft.fft2(_embed(field - mean)) * h)[sy, sx]
+    return back + mean * np.exp(1j * (2.0 * np.pi / wavelength) * z)
 
 
 def oracle_forward(stack, pitch_x, pitch_y, wavelength, distances, pad=True):

@@ -13,6 +13,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from holoem import em
 from holoem.baseline import BaselineParams, baseline_reconstruct
 from holoem.em import (
@@ -32,6 +35,7 @@ from holoem.em import (
 )
 from holoem.forward import Hologram, ObjectStack, OpticalConfig, simulate
 from holoem.grid import RealGrid2D
+from holoem.operators import stack_adjoint, stack_forward
 from holoem.phantoms import single_slice_stack
 
 from conftest import PITCH, SHORT_DISTANCES, WAVELENGTH
@@ -128,6 +132,81 @@ def test_complex_gradient_matches_finite_differences(rng, pad):
     t = 1e-6
     numeric = (_nll_of(w + t * d, g, cfg, pad) - _nll_of(w - t * d, g, cfg, pad)) / (2 * t)
     assert abs(numeric - analytic) / abs(analytic) < 1e-7
+
+
+def _directional_check(objective, parts, grads, rng):
+    """Central difference of objective along the gradient plus noise (so the
+    directional derivative cannot vanish) against the analytic value."""
+    rms = np.sqrt(np.mean([np.mean(gr * gr) for gr in grads]))
+    dirs = [gr + 0.5 * rms * rng.standard_normal(gr.shape) for gr in grads]
+    norm = np.sqrt(np.mean([np.mean(d * d) for d in dirs]))
+    dirs = [d / norm for d in dirs]
+    analytic = sum(float(np.sum(gr * d)) for gr, d in zip(grads, dirs))
+    t = 1e-6
+    numeric = (objective([p + t * d for p, d in zip(parts, dirs)])
+               - objective([p - t * d for p, d in zip(parts, dirs)])) / (2 * t)
+    assert abs(numeric - analytic) / abs(analytic) < 1e-7
+
+
+_sizes = st.integers(2, 17)
+_seeds = st.integers(0, 2**32 - 1)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_sizes, _sizes, st.floats(0.5e-6, 3e-6), st.floats(0.5e-6, 3e-6),
+       st.lists(st.integers(1, 3000), min_size=1, max_size=5, unique=True),
+       st.booleans(), st.booleans(), _seeds)
+def test_nll_gradient_of_the_loop_matches_finite_differences(height, width, pitch_x, pitch_y,
+                                                             waves, pad, complex_slices, seed):
+    # the gradient _iterate takes: stack_adjoint of the ratio residual, the
+    # real part only for real slices, both parts for complex slices
+    rng = np.random.Generator(np.random.Philox(seed))
+    # a whole number of wavelengths gives cos(k0 z) = 1, so a 0.5 level per
+    # slice keeps the predicted intensity positive, where the NLL is smooth
+    zs = tuple(n * WAVELENGTH for n in sorted(waves))
+    shape = (len(zs), height, width)
+    parts = [0.5 + 0.05 * rng.standard_normal(shape)]
+    if complex_slices:
+        parts.append(0.05 * rng.standard_normal(shape))
+    g = 0.5 * len(zs) * rng.uniform(0.5, 1.5, (height, width))
+    g[0, 0] = 0.0  # zero-count pixel contributes g_hat alone
+    floor = em._resolve_floor(g, None)
+    args = (pitch_x, pitch_y, WAVELENGTH, zs)
+
+    def objective(ps):
+        return em.nll(g, stack_forward(em._joined(ps), *args, pad=pad), floor)
+
+    ghat = stack_forward(em._joined(parts), *args, pad=pad)
+    assert ghat.min() > 0.1  # the floor clamp stays inactive
+    adj = stack_adjoint(em._ratio_residual(g, ghat, floor), *args, pad=pad,
+                        real=len(parts) == 1)
+    grads = [adj] if len(parts) == 1 else [adj.real, adj.imag]
+    _directional_check(objective, parts, grads, rng)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(_sizes, _sizes, st.integers(1, 5), st.booleans(), _seeds)
+def test_tv_gradient_of_the_loop_matches_finite_differences(height, width, n_slices,
+                                                            complex_slices, seed):
+    # the TV gradient _iterate takes: _tv_gradient_array per slice of each
+    # part; TV acts on the samples, so pitch and padding do not enter
+    rng = np.random.Generator(np.random.Philox(seed))
+    eps = 0.05
+    shape = (n_slices, height, width)
+    parts = [rng.standard_normal(shape) for _ in range(2 if complex_slices else 1)]
+
+    def smoothed(w):
+        dx = np.zeros_like(w)
+        dy = np.zeros_like(w)
+        dx[:, :-1] = w[:, 1:] - w[:, :-1]
+        dy[:-1, :] = w[1:, :] - w[:-1, :]
+        return float(np.sum(np.sqrt(dx**2 + dy**2 + eps**2)))
+
+    def objective(ps):
+        return sum(smoothed(s) for p in ps for s in p)
+
+    grads = [np.stack([em._tv_gradient_array(s, eps) for s in p]) for p in parts]
+    _directional_check(objective, parts, grads, rng)
 
 
 def test_predicted_intensity_does_not_clamp():

@@ -144,21 +144,36 @@ def test_linear_model_clamps_and_warns(caplog):
     assert any("negative" in r.message for r in caplog.records)
 
 
-def test_full_model_deviation_is_second_order():
-    # halving the contrast must quarter the full-vs-linear gap; the padded
-    # variants treat the slice mean differently, so this identity is a
-    # property of the unpadded operator
+@pytest.mark.parametrize("pad", [False, True])
+def test_full_model_deviation_is_second_order(pad):
+    # halving the contrast must quarter the full-vs-linear gap; both models
+    # run on the same operator and padding, so this holds padded too
     cfg = OpticalConfig(WAVELENGTH, PITCH, 64, 64, (1.0e-3,))
     blob = gaussian_blob()
 
     def gap(eps):
         stack = ObjectStack.from_arrays([-eps * blob], PITCH)
-        full = synthesize_full(stack, cfg, pad=False).data
-        lin = synthesize_linear(stack, cfg, pad=False).data
+        full = synthesize_full(stack, cfg, pad=pad).data
+        lin = synthesize_linear(stack, cfg, pad=pad).data
         return np.max(np.abs(full - lin))
 
     ratio = gap(0.04) / gap(0.02)
     assert 3.8 < ratio < 4.2
+
+
+@pytest.mark.parametrize("pad", [False, True])
+def test_full_model_matches_the_propagated_field(rng, pad):
+    # |A + sum_z P_z(A o_z)|^2 through the public single-field propagator,
+    # which pads with the same mean split as the multi-slice operator
+    cfg = make_config(slice_distances=(0.9e-3, 1.2e-3), illumination_amplitude=1.3)
+    arrs = [0.3 + 0.05 * (rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
+            for _ in range(2)]
+    got = synthesize_full(ObjectStack.from_arrays(arrs, PITCH), cfg, pad=pad).data
+
+    total = np.full((16, 16), 1.3, dtype=np.complex128)
+    for o, z in zip(arrs, cfg.slice_distances):
+        total += propagate(ComplexGrid2D(1.3 * o, PITCH, PITCH), z, WAVELENGTH, pad=pad).data
+    np.testing.assert_allclose(got, np.abs(total) ** 2, rtol=1e-12)
 
 
 def test_scaled_stack_reproduces_linear_model(rng):

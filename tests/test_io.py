@@ -1,7 +1,14 @@
 """Image files, sidecars, key-value documents, trace CSV."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from holoem.em import ReconTrace
 from holoem.grid import RealGrid2D
@@ -133,6 +140,77 @@ class TestPgm:
     def test_bad_bit_depth(self, rng, tmp_path):
         with pytest.raises(ValueError):
             save_image(tmp_path / "img.pgm", grid_from(rng), bit_depth=12)
+
+
+F32 = np.finfo(np.float32)
+_shapes = st.tuples(st.integers(2, 17), st.integers(2, 17))
+_pitches = st.floats(0.5e-6, 20e-6)
+_wavelengths = st.floats(300e-9, 2e-6)
+
+
+def _round_trip(grid, name, wavelength, **kwargs):
+    """Save and reload through a fresh directory; returns the grid and sidecar."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        save_image(path, grid, wavelength=wavelength, **kwargs)
+        return load_image(path), load_metadata(path)
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data(), _shapes, _pitches, _pitches, _wavelengths)
+def test_pfm_round_trip_is_bit_exact_over_the_float32_range(data, shape, pitch_x, pitch_y,
+                                                            wavelength):
+    values = data.draw(hnp.arrays(np.float32, shape, elements=st.floats(
+        width=32, allow_nan=False, allow_infinity=False, allow_subnormal=True)))
+    # the extremes of the range in every example: both maxima, a subnormal
+    values.flat[:3] = (F32.max, -F32.max, F32.smallest_subnormal)
+    back, meta = _round_trip(RealGrid2D(values, pitch_x, pitch_y), "img.pfm", wavelength)
+    assert back.data.astype(np.float32).tobytes() == values.tobytes()
+    assert (back.pitch_x, back.pitch_y) == (pitch_x, pitch_y)
+    assert float(meta["wavelength"]) == wavelength
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(st.data(), _shapes, _pitches, _pitches, _wavelengths, st.sampled_from([8, 16]))
+def test_pgm_round_trip_is_within_half_a_quantization_step(data, shape, pitch_x, pitch_y,
+                                                           wavelength, bit_depth):
+    values = data.draw(hnp.arrays(np.float64, shape, elements=st.floats(
+        -1e300, 1e300, allow_nan=False, allow_subnormal=True)))
+    back, meta = _round_trip(RealGrid2D(values, pitch_x, pitch_y), "img.pgm", wavelength,
+                             bit_depth=bit_depth)
+    lo, hi = float(values.min()), float(values.max())
+    assert (float(meta["pgm_min"]), float(meta["pgm_max"])) == (lo, hi)
+    # half a step, plus the float64 rounding of the two affine maps
+    step = (hi - lo) / ((1 << bit_depth) - 1)
+    slack = 4 * np.finfo(np.float64).eps * (hi - lo + max(abs(lo), abs(hi)))
+    assert np.max(np.abs(back.data - values)) <= 0.5 * step + slack
+    assert (back.pitch_x, back.pitch_y) == (pitch_x, pitch_y)
+    assert float(meta["wavelength"]) == wavelength
+
+
+def test_pfm_refuses_values_beyond_float32(tmp_path):
+    # 1e39 is finite in float64 but would be stored as inf, which
+    # load_image rejects; nothing is written
+    g = RealGrid2D(np.array([[0.0, 1e39], [-1.0, 2.0]]), PITCH, PITCH)
+    with pytest.raises(HoloIOError, match="float32"):
+        save_image(tmp_path / "big.pfm", g)
+    assert not (tmp_path / "big.pfm").exists()
+
+
+def test_pgm_refuses_a_range_too_wide_to_quantize(tmp_path):
+    # max - min overflows float64, so the scaling would write NaN casts
+    g = RealGrid2D(np.array([[-1e308, 1e308], [0.0, 1.0]]), PITCH, PITCH)
+    with pytest.raises(HoloIOError, match="too wide"):
+        save_image(tmp_path / "wide.pgm", g)
+    assert not (tmp_path / "wide.pgm").exists()
+
+
+def test_pgm_sidecar_range_that_overflows_is_an_io_error(tmp_path):
+    p = tmp_path / "hand.pgm"
+    p.write_bytes(b"P5\n2 2\n255\n" + np.array([[0, 127], [255, 0]], dtype="u1").tobytes())
+    write_key_values(sidecar_path(p), {"pitch_x": PITCH, "pgm_min": -1e308, "pgm_max": 1e308})
+    with pytest.raises(HoloIOError, match="finite"):
+        load_image(p)
 
 
 def test_apply_reference_illumination_is_windowed_mean():

@@ -1,7 +1,9 @@
 """Angular-spectrum propagation identities.
 
-Transfer samples are checked against the literal formula with explicit
-loops, including a geometry coarse enough to expose the evanescent cut.
+Transfer samples on the rfft2 half spectrum are checked against the
+literal formula with explicit loops, including a geometry coarse enough to
+expose the evanescent cut; propagation is checked against the full complex
+transform of ``complex_core``.
 The operator identities (round trip, energy, composition) hold exactly for
 the unpadded transform at the reference geometry, where every representable
 frequency propagates.
@@ -16,17 +18,15 @@ from hypothesis import strategies as st
 
 from holoem.grid import ComplexGrid2D
 from holoem.propagation import (
-    TransferFunction,
     _frame,
-    _ifft2_crop,
+    _half_transfer,
     _irfft2_crop,
     _propagate_array,
     _transfer_array,
-    kernel_sums,
     propagate,
-    transfer_function,
 )
 
+from complex_core import oracle_propagate
 from conftest import PITCH, WAVELENGTH
 
 
@@ -45,72 +45,87 @@ def transfer_oracle(shape, pitch_x, pitch_y, wavelength, z):
     return out
 
 
+def half_transfer(shape, pitch_x, pitch_y, wavelength, z):
+    """Re H + j Im H from ``_half_transfer``, on the rfft2 half spectrum."""
+    re_h, im_h = _half_transfer(*shape, pitch_x, pitch_y, wavelength, z)
+    return re_h + 1j * im_h
+
+
 def test_transfer_matches_formula_with_evanescent_cut():
     # pitch 0.6 um at wavelength 1.0 um: corner frequencies fall outside the
     # propagating band, axis frequencies stay inside
     shape, px, lam, z = (8, 8), 0.6e-6, 1.0e-6, 5e-6
-    tf = transfer_function(shape, px, lam, z)
-    expected = transfer_oracle(shape, px, px, lam, z)
-    np.testing.assert_allclose(tf.values, expected, atol=1e-14)
-    assert tf.values[4, 4] == 0.0  # diagonal Nyquist is evanescent
-    assert tf.values[0, 4] != 0.0  # axis Nyquist propagates
-    assert np.abs(tf.values).max() <= 1.0 + 1e-12
+    h = half_transfer(shape, px, px, lam, z)
+    expected = transfer_oracle(shape, px, px, lam, z)[:, :5]
+    np.testing.assert_allclose(h, expected, atol=1e-14)
+    assert h[4, 4] == 0.0  # diagonal Nyquist is evanescent
+    assert h[0, 4] != 0.0  # axis Nyquist propagates
+    assert np.abs(h).max() <= 1.0 + 1e-12
 
 
 @pytest.mark.parametrize("shape", [(7, 5), (6, 9), (5, 4)])
 @pytest.mark.parametrize("z", [40e-6, -40e-6])
 def test_transfer_mirrored_from_half_spectrum_at_odd_and_even_sizes(shape, z):
+    # the rows of v_y < 0 are mirrored from the rows of v_y > 0
     px, py, lam = 0.6e-6, 0.8e-6, 1.0e-6
-    tf = transfer_function(shape, (px, py), lam, z)
-    np.testing.assert_allclose(tf.values, transfer_oracle(shape, px, py, lam, z), atol=1e-14)
+    expected = transfer_oracle(shape, px, py, lam, z)[:, :shape[1] // 2 + 1]
+    np.testing.assert_allclose(half_transfer(shape, px, py, lam, z), expected, atol=1e-14)
 
 
 @pytest.mark.parametrize("shape", [(9, 6), (8, 11)])
 @pytest.mark.parametrize("pad", [False, True])
 @pytest.mark.parametrize("z", [0.7e-3, -0.7e-3])
 def test_real_field_takes_the_half_spectrum_path_exactly(rng, shape, pad, z):
-    # _propagate_array runs real fields on rfft2 half spectra and complex
-    # fields on the full transform; both must give P_z of the same field
-    real = rng.standard_normal(shape)
+    # _propagate_array runs a real field on rfft2 half spectra, with the
+    # mean split when padded; the oracle runs it on the full complex
+    # transform and embeds the zero-mean remainder at the frame centre
+    real = rng.standard_normal(shape) + 0.7
     px, py = PITCH, 1.3 * PITCH
     out = _propagate_array(real, px, py, WAVELENGTH, z, pad)
-    expected = _propagate_array(real.astype(np.complex128), px, py, WAVELENGTH, z, pad)
+    expected = oracle_propagate(real, px, py, WAVELENGTH, z, pad)
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
 def test_transfer_anisotropic_pitch():
-    tf = transfer_function((6, 4), (1.0e-6, 2.0e-6), WAVELENGTH, -3e-6)
-    expected = transfer_oracle((6, 4), 1.0e-6, 2.0e-6, WAVELENGTH, -3e-6)
-    np.testing.assert_allclose(tf.values, expected, atol=1e-14)
-    assert tf.pitch_x == 1.0e-6 and tf.pitch_y == 2.0e-6
+    h = half_transfer((6, 4), 1.0e-6, 2.0e-6, WAVELENGTH, -3e-6)
+    expected = transfer_oracle((6, 4), 1.0e-6, 2.0e-6, WAVELENGTH, -3e-6)[:, :3]
+    np.testing.assert_allclose(h, expected, atol=1e-14)
 
 
 def test_backward_transfer_is_conjugate():
+    # +z and -z share one cache entry; the sign only flips Im H
     z = 0.7e-3
-    fwd = transfer_function((16, 12), PITCH, WAVELENGTH, z)
-    bwd = transfer_function((16, 12), PITCH, WAVELENGTH, -z)
-    np.testing.assert_allclose(bwd.values, np.conj(fwd.values), atol=1e-14)
+    re_f, im_f = _half_transfer(16, 12, PITCH, PITCH, WAVELENGTH, z)
+    re_b, im_b = _half_transfer(16, 12, PITCH, PITCH, WAVELENGTH, -z)
+    assert re_b is re_f
+    np.testing.assert_array_equal(im_b, -im_f)
 
 
 def test_transfer_values_are_read_only():
-    tf = transfer_function((8, 8), PITCH, WAVELENGTH, 1e-3)
-    with pytest.raises(ValueError):
-        tf.values[0, 0] = 0.0
+    re_h, im_h = _half_transfer(8, 8, PITCH, PITCH, WAVELENGTH, 1e-3)
+    for part in (re_h, im_h):
+        with pytest.raises(ValueError):
+            part[0, 0] = 0.0
 
 
-def test_transfer_magnitude_guard():
-    bad = np.full((4, 4), 1.5 + 0.0j)
-    with pytest.raises(ValueError):
-        TransferFunction(bad, 1e-3, WAVELENGTH, PITCH, PITCH)
+@pytest.mark.parametrize("pitch", [0.6e-6, PITCH])
+@pytest.mark.parametrize("z", [5e-6, -1e-3])
+def test_transfer_magnitude_guard(pitch, z):
+    # |H| = 1 on the propagating band and 0 outside it: never above 1
+    re_h, im_h = _half_transfer(9, 8, pitch, 1.3 * pitch, WAVELENGTH, z)
+    assert np.max(re_h * re_h + im_h * im_h) <= 1.0 + 1e-12
 
 
 def test_transfer_validation():
+    # _half_transfer takes its inputs unchecked; bad ones are rejected on the way in
     with pytest.raises(ValueError):
-        transfer_function((8, 8), PITCH, 0.0, 1e-3)
+        propagate(ComplexGrid2D(np.ones((8, 8)), PITCH, PITCH), 1e-3, 0.0)
     with pytest.raises(ValueError):
-        transfer_function((1, 8), PITCH, WAVELENGTH, 1e-3)
+        propagate(ComplexGrid2D(np.ones((8, 8)), PITCH, PITCH), 1e-3, float("nan"))
     with pytest.raises(ValueError):
-        transfer_function((8, 8), -PITCH, WAVELENGTH, 1e-3)
+        ComplexGrid2D(np.ones((1, 8)), PITCH, PITCH)
+    with pytest.raises(ValueError):
+        ComplexGrid2D(np.ones((8, 8)), -PITCH, PITCH)
 
 
 def _random_field(rng, shape=(16, 16)):
@@ -150,35 +165,32 @@ def test_plane_wave_phase():
 
 
 def test_kernel_sums_match_spatial_sum():
-    # the lattice sum of the point-spread kernel is the zero-frequency
-    # transfer sample, so it must equal cos(k0 z) + j sin(k0 z)
-    z = 1.0e-3
-    tf = transfer_function((16, 16), PITCH, WAVELENGTH, z)
-    kernel = np.fft.ifft2(tf.values)
-    total = complex(kernel.sum())
-    ks = kernel_sums(WAVELENGTH, z)
-    assert abs(total.real - ks.l_re) < 1e-10
-    assert abs(total.imag - ks.l_im) < 1e-10
-    k0z = 2.0 * np.pi / WAVELENGTH * z
-    assert ks.l_re == pytest.approx(np.cos(k0z), abs=1e-15)
-    assert ks.l_im == pytest.approx(np.sin(k0z), abs=1e-15)
-
-
-def test_kernel_sums_validation():
-    with pytest.raises(ValueError):
-        kernel_sums(0.0, 1e-3)
+    # the lattice sums of the real and imaginary point-spread kernels are
+    # the zero-frequency transfer sample, cos(k0 z) + j sin(k0 z): the
+    # analytic response to the mean that padded propagation uses
+    for shape in ((16, 16), (15, 12)):
+        for z in (1.0e-3, -0.6e-3):
+            re_h, im_h = _half_transfer(*shape, PITCH, PITCH, WAVELENGTH, z)
+            k0z = 2.0 * np.pi / WAVELENGTH * z
+            assert abs(scipy.fft.irfft2(re_h, s=shape).sum() - np.cos(k0z)) < 1e-10
+            assert abs(scipy.fft.irfft2(im_h, s=shape).sum() - np.sin(k0z)) < 1e-10
 
 
 def test_padded_matches_manual_embed(rng):
+    # mean split: the mean advances as a plane wave, the zero-mean remainder
+    # is embedded at the centre of a doubled zero frame and cropped back
     f = _random_field(rng, shape=(10, 14))
+    f = f.with_data(f.data + (0.8 - 0.3j))
     z = 0.5e-3
     got = propagate(f, z, WAVELENGTH, pad=True)
 
+    mean = f.data.mean()
     frame = np.zeros((20, 28), dtype=np.complex128)
-    frame[5:15, 7:21] = f.data
+    frame[5:15, 7:21] = f.data - mean
     h = transfer_oracle((20, 28), PITCH, PITCH, WAVELENGTH, z)
     full = np.fft.ifft2(np.fft.fft2(frame) * h)
-    np.testing.assert_allclose(got.data, full[5:15, 7:21], atol=1e-12)
+    expected = full[5:15, 7:21] + mean * np.exp(1j * 2.0 * np.pi / WAVELENGTH * z)
+    np.testing.assert_allclose(got.data, expected, atol=1e-12)
 
 
 def test_propagate_validation(rng):
@@ -204,12 +216,6 @@ def test_cropped_inverses_equal_full_frame_inverse_then_crop(height, width, pad,
     expected = scipy.fft.irfft2(half, s=frame)[:height, :width]
     got = _irfft2_crop(half, frame, height, width, 1)
     assert got.shape == (height, width) and got.dtype == np.float64
-    assert _rel(got, expected) <= 1e-12
-
-    full = rng.standard_normal(frame) + 1j * rng.standard_normal(frame)
-    expected = scipy.fft.ifft2(full)[:height, :width]
-    got = _ifft2_crop(full, height, width, 1)
-    assert got.shape == (height, width) and got.dtype == np.complex128
     assert _rel(got, expected) <= 1e-12
 
 

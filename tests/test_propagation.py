@@ -108,12 +108,12 @@ def test_transfer_values_are_read_only():
             part[0, 0] = 0.0
 
 
-@pytest.mark.parametrize("pitch", [0.6e-6, PITCH])
-@pytest.mark.parametrize("z", [5e-6, -1e-3])
-def test_transfer_magnitude_guard(pitch, z):
+def test_transfer_magnitude_guard():
     # |H| = 1 on the propagating band and 0 outside it: never above 1
-    re_h, im_h = _half_transfer(9, 8, pitch, 1.3 * pitch, WAVELENGTH, z)
-    assert np.max(re_h * re_h + im_h * im_h) <= 1.0 + 1e-12
+    for pitch in (0.6e-6, PITCH):
+        for z in (5e-6, -1e-3):
+            re_h, im_h = _half_transfer(9, 8, pitch, 1.3 * pitch, WAVELENGTH, z)
+            assert np.max(re_h * re_h + im_h * im_h) <= 1.0 + 1e-12, (pitch, z)
 
 
 def test_transfer_validation():

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import ReconTrace, _iterate, _real_stack, _recon_config, _resolve_tau, _truth_parts
+from .em import ReconTrace, _iterate, _real_stack, _resolve_tau, _truth_parts
 # no longer called here; kept as module names that perfbench/tracing.py wraps
 from .em import _tv_gradient_array, tv_value  # noqa: F401
 from .forward import Hologram, ObjectStack, OpticalConfig
@@ -77,7 +77,6 @@ def baseline_reconstruct(
     hologram: Hologram,
     params: BaselineParams | None = None,
     *,
-    config: OpticalConfig | None = None,
     ground_truth: ObjectStack | None = None,
 ) -> tuple[ObjectStack, ReconTrace]:
     """Reconstruct real slices by additive least-squares descent with TV.
@@ -85,7 +84,7 @@ def baseline_reconstruct(
     Returns (estimate stack, trace). The trace's nll column records the
     least-squares objective 0.5 ||g - H w||^2 for this solver.
     """
-    cfg = _recon_config(hologram, config)
+    cfg = hologram.config
     params = params or BaselineParams()
     g = hologram.intensity.data
 

@@ -2,14 +2,16 @@
 
 Modes: simulate, reconstruct-real, reconstruct-complex, baseline,
 autofocus, metrics, resolution. Parameters come from an optional flat
-``key = value`` config document (SI units) overridden by command-line
-flags (which accept human length units: 675nm, 1.12um, 0.5mm). Every run
-writes a manifest capturing the resolved parameters, seeds and output
-files; feeding the manifest back as --config reproduces the run
-bit-identically (wall-clock trace times aside).
+``key = value`` config document overridden by command-line flags; both
+parse every value the same way, so lengths accept units (675nm, 1.12um,
+0.5mm) and bare numbers are SI. Every run writes a manifest capturing the
+resolved parameters, seeds and output files; feeding the manifest back as
+--config reproduces the run bit-identically (wall-clock trace times aside).
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure
-(divergence or non-finite iterates), 4 I/O failure.
+(divergence or non-finite iterates), 4 I/O failure. Every failure after
+the command line parses, an unreadable or invalid config document
+included, also leaves an ``error.json`` in the output directory.
 """
 
 from __future__ import annotations
@@ -46,16 +48,6 @@ from .metrics import autofocus, display_normalize, psnr, quality_report, resolut
 from .phantoms import complex_stack, multi_depth_stack, single_slice_stack
 
 logger = logging.getLogger(__name__)
-
-MODES = (
-    "simulate",
-    "reconstruct-real",
-    "reconstruct-complex",
-    "baseline",
-    "autofocus",
-    "metrics",
-    "resolution",
-)
 
 _UNITS = {"nm": 1e-9, "um": 1e-6, "µm": 1e-6, "μm": 1e-6, "mm": 1e-3, "cm": 1e-2, "m": 1.0}
 
@@ -125,15 +117,9 @@ _CONFIG_PARSERS = {
     "float": _parse_float,
     "optfloat": _parse_opt_float,
     "bool": _parse_bool,
-    "length": _parse_float,  # config documents are SI
-    "lengths": lambda s: tuple(_parse_float(p) for p in s.split(",") if p.strip()),
+    "length": parse_length,
+    "lengths": lambda s: tuple(parse_length(p) for p in s.split(",") if p.strip()),
 }
-
-_FLAG_PARSERS = dict(
-    _CONFIG_PARSERS,
-    length=parse_length,
-    lengths=lambda s: tuple(parse_length(p) for p in s.split(",") if p.strip()),
-)
 
 
 def _key(kind: str, help_text: str, default=None, modes=()):
@@ -221,15 +207,12 @@ class RunConfig:
     output_dir: str = _key("path", "output directory", "out")
 
     @classmethod
-    def from_mapping(cls, mapping: dict[str, str], where: str = "<config>",
-                     from_flags: bool = False) -> "RunConfig":
-        parsers = _FLAG_PARSERS if from_flags else _CONFIG_PARSERS
+    def from_mapping(cls, mapping: dict[str, str], where: str = "<config>") -> "RunConfig":
         cfg = cls()
-        cfg.update(mapping, where=where, parsers=parsers)
+        cfg.update(mapping, where=where)
         return cfg
 
-    def update(self, mapping: dict[str, str], where: str = "<config>", parsers=None):
-        parsers = parsers or _CONFIG_PARSERS
+    def update(self, mapping: dict[str, str], where: str = "<config>"):
         kinds = {f.name: f.metadata["kind"] for f in fields(self)}
         for key, raw in mapping.items():
             if key in _RESULT_KEYS or key.startswith("output."):
@@ -238,7 +221,7 @@ class RunConfig:
                 raise ConfigError(f"{where}: unknown key {key!r}")
             kind = kinds[key]
             try:
-                value = parsers[kind](raw) if isinstance(raw, str) else raw
+                value = _CONFIG_PARSERS[kind](raw) if isinstance(raw, str) else raw
             except ConfigError as exc:
                 raise ConfigError(f"{where}: key {key!r}: {exc}") from None
             setattr(self, key, value)
@@ -461,13 +444,6 @@ def _quality_json(stack: ObjectStack, truth: ObjectStack, complex_mode: bool) ->
     return json.dumps(out, indent=2)
 
 
-def _params(cls, **kwargs):
-    try:
-        return cls(**kwargs)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-
-
 def _upper_bound(cfg: RunConfig, optics: OpticalConfig) -> RealGrid2D | None:
     if cfg.reference is None:
         return None
@@ -483,8 +459,8 @@ def _run_reconstruct(cfg: RunConfig, out: Path) -> int:
     optics = holo.config
     complex_mode = cfg.mode == "reconstruct-complex"
     if cfg.mode == "baseline":
-        params = _params(
-            BaselineParams, max_iters=cfg.iters, tau=cfg.tau, step_size=cfg.step_size,
+        params = BaselineParams(
+            max_iters=cfg.iters, tau=cfg.tau, step_size=cfg.step_size,
             tv_epsilon=cfg.tv_epsilon, pad=cfg.pad,
             power_iters=cfg.power_iters, power_seed=cfg.power_seed,
         )
@@ -492,8 +468,8 @@ def _run_reconstruct(cfg: RunConfig, out: Path) -> int:
     else:
         if complex_mode and cfg.reference is not None:
             raise ConfigError("the upper bound (reference) applies to real mode only")
-        params = _params(
-            ReconParams, max_iters=cfg.iters, tau=cfg.tau, beta=cfg.beta,
+        params = ReconParams(
+            max_iters=cfg.iters, tau=cfg.tau, beta=cfg.beta,
             tv_epsilon=cfg.tv_epsilon, ratio_floor=cfg.ratio_floor, init_mode=cfg.init,
             stop_rule=cfg.stop, stop_delta=cfg.stop_delta,
             upper_bound=_upper_bound(cfg, optics), pad=cfg.pad,
@@ -571,10 +547,7 @@ def _run_metrics(cfg: RunConfig, out: Path) -> int:
 def _run_resolution(cfg: RunConfig, out: Path) -> int:
     cfg.require("numerical_aperture")
     wavelength = _resolved_wavelength(cfg, {})
-    try:
-        lateral, axial = resolution_limits(wavelength, cfg.numerical_aperture)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    lateral, axial = resolution_limits(wavelength, cfg.numerical_aperture)
     manifest = _Manifest(cfg, wavelength=wavelength)
     result = write_key_values(out / "resolution.txt", {"lateral": lateral, "axial": axial})
     manifest.outputs([result])
@@ -592,14 +565,23 @@ _RUNNERS = {
     "metrics": _run_metrics,
     "resolution": _run_resolution,
 }
+MODES = tuple(_RUNNERS)
 
 
-def run(cfg: RunConfig) -> int:
-    """Execute a resolved configuration; returns the process exit code."""
-    out = Path(cfg.output_dir)
+def run(args: argparse.Namespace) -> int:
+    """Resolve a parsed command line's config document and flags, then execute the
+    run; returns the process exit code. Every failure leaves error.json in the
+    output directory: --out, else the config's output_dir, else 'out' when the
+    config document itself cannot be read."""
+    cfg = RunConfig()
+    out = Path(args.out or cfg.output_dir)
     try:
-        if cfg.mode not in _RUNNERS:
-            raise ConfigError(f"unknown mode {cfg.mode!r}, expected one of {', '.join(MODES)}")
+        if args.config:
+            cfg = RunConfig.from_mapping(load_key_values(args.config), where=args.config)
+            out = Path(args.out or cfg.output_dir)
+        cfg.mode = args.mode
+        cfg.update({key[len("key_"):]: value for key, value in vars(args).items()
+                    if key.startswith("key_") and value is not None}, where="<flags>")
         out.mkdir(parents=True, exist_ok=True)
         return _RUNNERS[cfg.mode](cfg, out)
     except (ConfigError, ValueError) as exc:
@@ -630,7 +612,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="mode", required=True)
     for mode in MODES:
         p = sub.add_parser(mode, help=f"{mode} run")
-        p.add_argument("--config", help="flat key = value config document (SI units)")
+        p.add_argument("--config", help="flat key = value config document (bare numbers are SI)")
         p.add_argument("--out", help="output directory (default: out)")
         p.add_argument("-v", "--verbose", action="store_true", help="debug logging")
         for f in fields(RunConfig):
@@ -649,26 +631,7 @@ def main(argv=None) -> int:
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    try:
-        cfg = RunConfig()
-        if args.config:
-            cfg.update(load_key_values(args.config), where=args.config)
-        flag_values = {
-            key[len("key_"):]: value
-            for key, value in vars(args).items()
-            if key.startswith("key_") and value is not None
-        }
-        cfg.update(flag_values, where="<flags>", parsers=_FLAG_PARSERS)
-        cfg.mode = args.mode
-        if args.out:
-            cfg.output_dir = args.out
-    except ConfigError as exc:
-        logger.error("configuration error: %s", exc)
-        return 2
-    except HoloIOError as exc:
-        logger.error("I/O failure: %s", exc)
-        return 4
-    return run(cfg)
+    return run(args)
 
 
 if __name__ == "__main__":

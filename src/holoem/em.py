@@ -27,6 +27,10 @@ TV is the isotropic sum sum sqrt((d_x w)^2 + (d_y w)^2) with forward
 differences and replicated edges; its gradient uses the smoothed
 magnitude sqrt(|grad w|^2 + eps^2) and is the exact gradient of the
 smoothed functional (forward-difference operator and its exact adjoint).
+
+grad J = stack_adjoint(1 - g / max(g_hat, floor)) is taken in one place,
+the loop `_iterate` shared with the baseline. The public helpers take
+arrays; the solvers take their optics from the hologram.
 """
 
 from __future__ import annotations
@@ -39,7 +43,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import xlogy
 
-from .forward import Hologram, ObjectStack, OpticalConfig, _check_geometry, _stack_args
+from .forward import Hologram, ObjectStack, OpticalConfig, _check_geometry
 from .grid import ComplexGrid2D, RealGrid2D
 from .metrics import _forward_diffs, display_normalize
 from .metrics import ssim as _ssim
@@ -51,12 +55,8 @@ __all__ = [
     "NumericError",
     "ReconParams",
     "ReconTrace",
-    "predicted_intensity",
     "nll",
-    "nll_gradient_slices",
     "tv_value",
-    "tv_gradient",
-    "em_step",
     "alternating_update",
     "apply_upper_bound",
     "reconstruct_real",
@@ -151,19 +151,6 @@ class ReconTrace:
         return "relative_change" if self.stopped_early else "iteration_cap"
 
 
-def _unwrap(value) -> np.ndarray:
-    """Float array behind a hologram, a real grid or an array-like."""
-    if isinstance(value, Hologram):
-        return value.intensity.data
-    if isinstance(value, RealGrid2D):
-        return value.data
-    return np.asarray(value, dtype=np.float64)
-
-
-def _rewrap(template, arr: np.ndarray):
-    return template.with_data(arr) if isinstance(template, RealGrid2D) else arr
-
-
 def _resolve_floor(g: np.ndarray, ratio_floor: float | None) -> float:
     """The ratio floor: ratio_floor, or 1e-12 * mean(g) when None."""
     if ratio_floor is not None:
@@ -172,24 +159,12 @@ def _resolve_floor(g: np.ndarray, ratio_floor: float | None) -> float:
     return 1e-12 * mean if mean > 0 else np.finfo(np.float64).tiny
 
 
-def predicted_intensity(stack: ObjectStack, config: OpticalConfig, pad: bool = True) -> RealGrid2D:
-    """Forward intensity sum_z Re[P_z w_z] of the current estimate.
-
-    No clamping: values below the ratio floor (or below zero) are returned
-    as-is; clamping belongs to the likelihood and gradient evaluation.
-    """
-    arrs, px, py, lam, zs = _stack_args(stack, config)
-    return RealGrid2D(stack_forward(arrs, px, py, lam, zs, pad=pad), px, py)
-
-
-def nll(observed, predicted, ratio_floor: float | None = None) -> float:
+def nll(g: np.ndarray, ghat: np.ndarray, ratio_floor: float | None = None) -> float:
     """Poisson negative log-likelihood sum[g_hat - g log g_hat].
 
     The predicted intensity is clamped to the ratio floor inside the log
     only. Zero observed counts contribute g_hat alone.
     """
-    g = _unwrap(observed)
-    ghat = _unwrap(predicted)
     if g.shape != ghat.shape:
         raise ValueError(f"shapes differ: {g.shape} vs {ghat.shape}")
     if g.min() < 0:
@@ -202,34 +177,15 @@ def _ratio_residual(g: np.ndarray, ghat: np.ndarray, floor: float) -> np.ndarray
     return 1.0 - g / np.maximum(ghat, floor)
 
 
-def nll_gradient_slices(
-    observed, predicted, config: OpticalConfig, pad: bool = True, ratio_floor: float | None = None
-) -> list[ComplexGrid2D]:
-    """Per-slice likelihood gradients grad_z = P_{-z}(1 - g / g_hat).
-
-    This is the exact adjoint application of the (optionally padded)
-    forward map to the ratio residual, whose denominator is clamped to the
-    floor. The real part of each grid is the gradient with respect to the
-    slice's real part (for a real slice, the whole gradient), the
-    imaginary part the gradient with respect to its imaginary part.
-    """
-    g = _unwrap(observed)
-    ghat = _unwrap(predicted)
-    floor = _resolve_floor(g, ratio_floor)
-    adj = stack_adjoint(
-        _ratio_residual(g, ghat, floor),
-        config.pitch_x, config.pitch_y, config.wavelength, config.slice_distances, pad=pad,
-    )
-    return [ComplexGrid2D(a, config.pitch_x, config.pitch_y) for a in adj]
-
-
-def tv_value(w) -> float:
+def tv_value(w: np.ndarray) -> float:
     """Isotropic total variation with forward differences, replicated edges."""
-    dx, dy = _forward_diffs(_unwrap(w))
+    dx, dy = _forward_diffs(w)
     return float(np.sum(np.hypot(dx, dy)))
 
 
 def _tv_gradient_array(w: np.ndarray, epsilon: float) -> np.ndarray:
+    """Exact gradient of the smoothed TV: minus the divergence of the normalized
+    gradient field, with the forward-difference operator's adjoint boundary."""
     dx, dy = _forward_diffs(w)
     phi = np.sqrt(dx * dx + dy * dy + epsilon * epsilon)
     px = dx / phi
@@ -242,41 +198,19 @@ def _tv_gradient_array(w: np.ndarray, epsilon: float) -> np.ndarray:
     return out
 
 
-def tv_gradient(w, epsilon: float):
-    """Exact gradient of the smoothed TV sum sqrt(|grad w|^2 + eps^2).
-
-    This is the negative divergence of the normalized gradient field with
-    the adjoint boundary handling of the forward-difference operator, so a
-    finite-difference check against the smoothed TV value passes to
-    rounding error.
-    """
-    if not epsilon > 0:
-        raise ValueError(f"epsilon must be > 0, got {epsilon}")
-    return _rewrap(w, _tv_gradient_array(_unwrap(w), float(epsilon)))
-
-
-def em_step(w, gradient):
-    """One multiplicative update w - |w| * gradient."""
-    wa, ga = _unwrap(w), _unwrap(gradient)
-    if wa.shape != ga.shape:
-        raise ValueError(f"shapes differ: {wa.shape} vs {ga.shape}")
-    return _rewrap(w, wa - np.abs(wa) * ga)
-
-
-def alternating_update(w, nll_gradient, tv_gradient, tau: float):
+def alternating_update(w, nll_gradient, tv_gradient, tau: float) -> np.ndarray:
     """Data step then TV step, both gradients evaluated at the input iterate."""
     if not tau >= 0:
         raise ValueError(f"tau must be >= 0, got {tau}")
-    w_mle = em_step(w, nll_gradient)
-    return em_step(w_mle, tau * _unwrap(tv_gradient))
+    w_mle = w - np.abs(w) * nll_gradient
+    return w_mle - np.abs(w_mle) * (tau * tv_gradient)
 
 
-def apply_upper_bound(w, upper_bound, beta: float):
-    """Relaxed clip toward a per-pixel upper bound: w > UB -> UB + beta (w - UB)."""
+def apply_upper_bound(w, upper_bound, beta: float) -> np.ndarray:
+    """Relaxed clip toward a scalar or per-pixel upper bound: w > UB -> UB + beta (w - UB)."""
     if not 0.0 <= beta <= 1.0:
         raise ValueError(f"beta must be in [0, 1], got {beta}")
-    wa, ub = _unwrap(w), _unwrap(upper_bound)
-    return _rewrap(w, np.where(wa > ub, ub + beta * (wa - ub), wa))
+    return np.where(w > upper_bound, upper_bound + beta * (w - upper_bound), w)
 
 
 def _sign_floor(arr: np.ndarray, floor: float) -> np.ndarray:
@@ -462,14 +396,6 @@ def _truth_parts(ground_truth: ObjectStack | None, complex_mode: bool) -> list[n
     return [display_normalize(p) for p in parts]
 
 
-def _recon_config(hologram: Hologram, config: OpticalConfig | None) -> OpticalConfig:
-    if config is None:
-        return hologram.config
-    _check_geometry(hologram.intensity.shape, hologram.intensity.pitch_x,
-                    hologram.intensity.pitch_y, config)
-    return config
-
-
 def _real_stack(w: np.ndarray, config: OpticalConfig) -> ObjectStack:
     return ObjectStack(
         tuple(ComplexGrid2D(s, config.pitch_x, config.pitch_y) for s in w.astype(np.complex128)),
@@ -477,9 +403,9 @@ def _real_stack(w: np.ndarray, config: OpticalConfig) -> ObjectStack:
     )
 
 
-def _em_solve(hologram: Hologram, params: ReconParams | None, config: OpticalConfig | None,
+def _em_solve(hologram: Hologram, params: ReconParams | None,
               ground_truth: ObjectStack | None, complex_mode: bool):
-    cfg = _recon_config(hologram, config)
+    cfg = hologram.config
     params = params or ReconParams()
     g = hologram.intensity.data
     ub = _upper_bound(params, cfg, complex_mode)
@@ -497,14 +423,13 @@ def _em_solve(hologram: Hologram, params: ReconParams | None, config: OpticalCon
     parts, trace = _iterate(g, cfg, params, _em_start(g, cfg, params, complex_mode),
                             data_term, update, _truth_parts(ground_truth, complex_mode),
                             stop_delta)
-    return cfg, parts, trace
+    return parts, trace
 
 
 def reconstruct_real(
     hologram: Hologram,
     params: ReconParams | None = None,
     *,
-    config: OpticalConfig | None = None,
     ground_truth: ObjectStack | None = None,
 ) -> tuple[ObjectStack, ReconTrace]:
     """Reconstruct real object slices from a recorded hologram.
@@ -514,15 +439,14 @@ def reconstruct_real(
     slices, computed on display-normalized images. Divergence does not
     raise: the run halts and the trace is flagged.
     """
-    cfg, (w,), trace = _em_solve(hologram, params, config, ground_truth, complex_mode=False)
-    return _real_stack(w, cfg), trace
+    (w,), trace = _em_solve(hologram, params, ground_truth, complex_mode=False)
+    return _real_stack(w, hologram.config), trace
 
 
 def reconstruct_complex(
     hologram: Hologram,
     params: ReconParams | None = None,
     *,
-    config: OpticalConfig | None = None,
     ground_truth: ObjectStack | None = None,
 ) -> tuple[ObjectStack, ReconTrace]:
     """Reconstruct complex object slices (joint real/imaginary estimate).
@@ -530,6 +454,7 @@ def reconstruct_complex(
     The upper-bound constraint is not available in this mode; params
     carrying one raise ValueError.
     """
-    cfg, parts, trace = _em_solve(hologram, params, config, ground_truth, complex_mode=True)
+    parts, trace = _em_solve(hologram, params, ground_truth, complex_mode=True)
+    cfg = hologram.config
     stack = ObjectStack(tuple(ComplexGrid2D(s, cfg.pitch_x, cfg.pitch_y) for s in _joined(parts)))
     return stack, trace

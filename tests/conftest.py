@@ -4,10 +4,19 @@ The reference geometry (675 nm, 1.12 um pitch) matches the package's
 built-in defaults; short distances (a few microns) give well-conditioned
 instances where predicted intensities stay strictly positive, which the
 finite-difference likelihood checks need.
+
+Property tests run under one hypothesis profile: derandomized, with no
+example database and no deadline, so every run draws the same examples
+and a slow example never fails on time. Each test sets its own
+``max_examples``.
 """
 
 import numpy as np
 import pytest
+from hypothesis import settings
+
+settings.register_profile("holoem", derandomize=True, database=None, deadline=None)
+settings.load_profile("holoem")
 
 WAVELENGTH = 675e-9
 PITCH = 1.12e-6

@@ -1,13 +1,17 @@
 """Command-line flows: units, config precedence, end-to-end runs, exit codes."""
 
 import json
+import tempfile
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 import scipy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from holoem.cli import RunConfig, format_length, main, parse_length
+from holoem.cli import MODES, RunConfig, _Manifest, format_length, main, parse_length
 from holoem.grid import RealGrid2D
 from holoem.io import ConfigError, load_image, load_key_values, save_image
 
@@ -68,9 +72,9 @@ class TestRunConfig:
         assert cfg.slice_distances == (0.001, 0.002)
 
     def test_flag_values_take_units(self):
+        # flags and config documents share one parser: units everywhere
         cfg = RunConfig.from_mapping({"wavelength": "675nm",
-                                      "slice_distances": "1mm,2mm"},
-                                     from_flags=True)
+                                      "slice_distances": "1mm,2mm"})
         assert cfg.wavelength == pytest.approx(675e-9)
         assert cfg.slice_distances == (pytest.approx(1e-3), pytest.approx(2e-3))
 
@@ -291,6 +295,23 @@ class TestExitCodes:
         assert record["exit_code"] == 3 and record["error"] == "Divergence"
         assert load_key_values(rec / "manifest.txt")["stop_reason"] == "diverged"
 
+    def test_config_failures_leave_an_error_record(self, tmp_path, monkeypatch):
+        # the record goes to --out, else the config's output_dir, else 'out'
+        monkeypatch.chdir(tmp_path)
+        Path("bad_key.txt").write_text("nonsense = 1\n")
+        Path("own_out.txt").write_text("output_dir = from_config\n")
+        cases = [
+            (["simulate", "--out", "pad", "--pad", "maybe"], "pad", 2),
+            (["baseline", "--out", "iters", "--iters", "abc"], "iters", 2),
+            (["simulate", "--config", "bad_key.txt", "--out", "key"], "key", 2),
+            (["simulate", "--config", "own_out.txt", "--pad", "maybe"], "from_config", 2),
+            (["simulate", "--config", "absent.txt"], "out", 4),
+        ]
+        for argv, out, code in cases:
+            assert main(argv) == code, argv
+            record = json.loads((tmp_path / out / "error.json").read_text())
+            assert record["exit_code"] == code, argv
+
     def test_flag_the_mode_does_not_read(self, tmp_path, capsys):
         sim = tmp_path / "sim"
         assert main(simulate_args(sim)) == 0
@@ -403,7 +424,7 @@ def test_manifest_records_every_key_the_mode_reads(tmp_path, monkeypatch):
         assert manifest["numpy_version"] == np.__version__
         assert manifest["scipy_version"] == scipy.__version__
         assert manifest["fft_workers"] == "1"
-        given = RunConfig.from_mapping(flags, from_flags=True)
+        given = RunConfig.from_mapping(flags)
         again = RunConfig.from_mapping(manifest)
         for f in fields(RunConfig):
             if f.name == "mode":
@@ -419,3 +440,41 @@ def test_manifest_records_every_key_the_mode_reads(tmp_path, monkeypatch):
     assert main(simulate_args(tmp_path / "clean")) == 0
     clean = load_key_values(tmp_path / "clean" / "manifest.txt")
     assert "photon_scale" not in clean and "noise_seed" not in clean
+
+
+# raw values of each RunConfig kind, written as a config document or a flag would
+_text = st.text("abcdefghijklmnopqrstuvwxyz0123456789_-./", min_size=1, max_size=12)
+_number = st.floats(-1e3, 1e3, allow_nan=False).map(repr)
+_length = st.builds(lambda x, unit: x + unit, _number,
+                    st.sampled_from(["", "nm", "um", "µm", "μm", " mm", "cm", "m"]))
+_RAW = {
+    "str": _text,
+    "path": _text,
+    "paths": st.lists(_text, min_size=1, max_size=4).map(",".join),
+    "int": st.integers(-10**6, 10**6).map(str),
+    "optint": st.one_of(st.sampled_from(["none", "None", ""]),
+                        st.integers(-10**6, 10**6).map(str)),
+    "float": _number,
+    "optfloat": st.one_of(st.sampled_from(["auto", "AUTO", "none", ""]), _number),
+    "bool": st.sampled_from(["1", "true", "Yes", "on", "0", "false", "no", "OFF"]),
+    "length": _length,
+    "lengths": st.lists(_length, min_size=1, max_size=5).map(",".join),
+}
+
+
+def _mode_and_values(mode):
+    raw = {f.name: _RAW[f.metadata["kind"]] for f in fields(RunConfig)
+           if mode in f.metadata["modes"]}
+    return st.tuples(st.just(mode), st.fixed_dictionaries({}, optional=raw))
+
+
+@settings(max_examples=150)
+@given(st.sampled_from(MODES).flatmap(_mode_and_values))
+def test_config_manifest_config_round_trip(mode_and_values):
+    # any subset of the keys a mode reads, defaults for the rest
+    mode, values = mode_and_values
+    cfg = RunConfig.from_mapping(values)
+    cfg.mode = mode
+    with tempfile.TemporaryDirectory() as tmp:
+        again = RunConfig.from_mapping(load_key_values(_Manifest(cfg).write(Path(tmp))))
+    assert again == cfg

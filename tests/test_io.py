@@ -156,7 +156,7 @@ def _round_trip(grid, name, wavelength, **kwargs):
         return load_image(path), load_metadata(path)
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(st.data(), _shapes, _pitches, _pitches, _wavelengths)
 def test_pfm_round_trip_is_bit_exact_over_the_float32_range(data, shape, pitch_x, pitch_y,
                                                             wavelength):
@@ -170,7 +170,7 @@ def test_pfm_round_trip_is_bit_exact_over_the_float32_range(data, shape, pitch_x
     assert float(meta["wavelength"]) == wavelength
 
 
-@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@settings(max_examples=80)
 @given(st.data(), _shapes, _pitches, _pitches, _wavelengths, st.sampled_from([8, 16]))
 def test_pgm_round_trip_is_within_half_a_quantization_step(data, shape, pitch_x, pitch_y,
                                                            wavelength, bit_depth):

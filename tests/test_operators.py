@@ -155,7 +155,7 @@ def operator_cases(draw):
     return stack, residual, (pitch_x, pitch_y, WAVELENGTH, distances), pad
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(operator_cases())
 def test_half_spectrum_core_matches_complex_oracle(case):
     stack, residual, geometry, pad = case

@@ -206,7 +206,7 @@ def _rel(got, expected):
 sizes = st.integers(2, 17)
 
 
-@settings(max_examples=150, deadline=None, derandomize=True, database=None)
+@settings(max_examples=150)
 @given(sizes, sizes, st.booleans(), st.integers(0, 2**32 - 1))
 def test_cropped_inverses_equal_full_frame_inverse_then_crop(height, width, pad, seed):
     rng = np.random.Generator(np.random.Philox(seed))
@@ -219,7 +219,7 @@ def test_cropped_inverses_equal_full_frame_inverse_then_crop(height, width, pad,
     assert _rel(got, expected) <= 1e-12
 
 
-@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@settings(max_examples=60)
 @given(sizes, sizes, st.floats(0.4e-6, 3e-6), st.floats(0.4e-6, 3e-6), st.floats(0.0, 2e-3))
 def test_half_row_transfer_build_equals_evaluation_on_every_row(height, width, pitch_x,
                                                                 pitch_y, depth):

@@ -27,6 +27,9 @@ TV is the isotropic sum sum sqrt((d_x w)^2 + (d_y w)^2) with forward
 differences and replicated edges; its gradient uses the smoothed
 magnitude sqrt(|grad w|^2 + eps^2) and is the exact gradient of the
 smoothed functional (forward-difference operator and its exact adjoint).
+The loop takes both from one pass over each new iterate's differences:
+the value, sum sqrt(dx^2 + dy^2) of the squares the gradient smooths,
+goes into the trace row, and the gradient into the next step.
 
 grad J = stack_adjoint(1 - g / max(g_hat, floor)) is taken in one place,
 the loop `_iterate` shared with the baseline. The public helpers take
@@ -45,8 +48,8 @@ from scipy.special import xlogy
 
 from .forward import Hologram, ObjectStack, OpticalConfig, _check_geometry
 from .grid import ComplexGrid2D, RealGrid2D
-from .metrics import _forward_diffs, display_normalize
-from .metrics import ssim as _ssim
+from .metrics import _forward_diffs, _ssim_reference, display_normalize
+from .metrics import _ssim_test as _ssim
 from .operators import stack_adjoint, stack_forward
 
 logger = logging.getLogger(__name__)
@@ -162,40 +165,58 @@ def _resolve_floor(g: np.ndarray, ratio_floor: float | None) -> float:
 def nll(g: np.ndarray, ghat: np.ndarray, ratio_floor: float | None = None) -> float:
     """Poisson negative log-likelihood sum[g_hat - g log g_hat].
 
-    The predicted intensity is clamped to the ratio floor inside the log
-    only. Zero observed counts contribute g_hat alone.
+    Below the ratio floor the log continues as its tangent there,
+    log floor + (g_hat - floor) / floor, so the objective stays bounded
+    below and 1 - g / max(g_hat, floor) is its exact gradient. Zero
+    observed counts contribute g_hat alone.
     """
     if g.shape != ghat.shape:
         raise ValueError(f"shapes differ: {g.shape} vs {ghat.shape}")
     if g.min() < 0:
         raise ValueError("observed intensity must be non-negative")
     floor = _resolve_floor(g, ratio_floor)
-    return float(np.sum(ghat - xlogy(g, np.maximum(ghat, floor))))
+    value = float(np.sum(ghat - xlogy(g, np.maximum(ghat, floor))))
+    below = ghat < floor
+    if below.any():
+        value -= float(np.sum(g[below] * (ghat[below] - floor))) / floor
+    return value
 
 
 def _ratio_residual(g: np.ndarray, ghat: np.ndarray, floor: float) -> np.ndarray:
     return 1.0 - g / np.maximum(ghat, floor)
 
 
+def _tv_sum(sq: np.ndarray) -> float:
+    """TV from the squared forward-difference magnitudes dx^2 + dy^2."""
+    return float(np.sum(np.sqrt(sq)))
+
+
 def tv_value(w: np.ndarray) -> float:
     """Isotropic total variation with forward differences, replicated edges."""
     dx, dy = _forward_diffs(w)
-    return float(np.sum(np.hypot(dx, dy)))
+    return _tv_sum(dx * dx + dy * dy)
 
 
-def _tv_gradient_array(w: np.ndarray, epsilon: float) -> np.ndarray:
-    """Exact gradient of the smoothed TV: minus the divergence of the normalized
-    gradient field, with the forward-difference operator's adjoint boundary."""
+def _tv_gradient_array(w: np.ndarray, epsilon: float) -> tuple[float, np.ndarray]:
+    """TV value and the exact gradient of the smoothed TV, from one set of
+    forward differences.
+
+    The gradient is minus the divergence of the normalized gradient field,
+    with the forward-difference operator's adjoint boundary.
+    """
     dx, dy = _forward_diffs(w)
-    phi = np.sqrt(dx * dx + dy * dy + epsilon * epsilon)
-    px = dx / phi
-    py = dy / phi
+    sq = dx * dx + dy * dy
+    value = _tv_sum(sq)
+    sq += epsilon * epsilon
+    phi = np.sqrt(sq, out=sq)
+    dx /= phi
+    dy /= phi
     out = np.zeros_like(w)
-    out[:, 1:] += px[:, :-1]
-    out[:, :-1] -= px[:, :-1]
-    out[1:, :] += py[:-1, :]
-    out[:-1, :] -= py[:-1, :]
-    return out
+    out[:, 1:] += dx[:, :-1]
+    out[:, :-1] -= dx[:, :-1]
+    out[1:, :] += dy[:-1, :]
+    out[:-1, :] -= dy[:-1, :]
+    return value, out
 
 
 def alternating_update(w, nll_gradient, tv_gradient, tau: float) -> np.ndarray:
@@ -227,13 +248,19 @@ def _sign_floor(arr: np.ndarray, floor: float) -> np.ndarray:
     return np.where(small, np.where(arr < 0, -floor, floor), arr)
 
 
-def _trace_ssim(parts: list[np.ndarray], truth_parts: list[np.ndarray] | None) -> float | None:
+def _trace_ssim(parts: list[np.ndarray], truth_parts: list | None) -> float | None:
     """Mean SSIM of every slice of every part against the truth; None without truth."""
     if truth_parts is None:
         return None
     slices = [s for p in parts for s in p]
-    return float(np.mean([_ssim(display_normalize(s), t, peak=1.0)
-                          for s, t in zip(slices, truth_parts)]))
+    return float(np.mean([_ssim(display_normalize(s), t) for s, t in zip(slices, truth_parts)]))
+
+
+def _tv_pass(parts: list[np.ndarray], eps: float) -> tuple[float, list[np.ndarray]]:
+    """TV summed over every slice of every part, and each part's stacked TV gradient."""
+    passes = [[_tv_gradient_array(s, eps) for s in p] for p in parts]
+    value = sum(sum(v for v, _ in pp) for pp in passes)
+    return value, [np.stack([grad for _, grad in pp]) for pp in passes]
 
 
 def _resolve_tau(g: np.ndarray, params) -> float:
@@ -267,7 +294,7 @@ def _iterate(
     parts: list[np.ndarray],
     data_term,
     update,
-    truth_parts: list[np.ndarray] | None,
+    truth_parts: list | None,
     stop_delta: float | None = None,
 ) -> tuple[list[np.ndarray], ReconTrace]:
     """The iteration loop shared by every solver.
@@ -291,13 +318,13 @@ def _iterate(
     eps = _resolve_epsilon(params, parts)
     trace = ReconTrace()
     prev, resid = data_term(stack_forward(_joined(parts), px, py, lam, zs, pad=pad))
+    _, tv_grads = _tv_pass(parts, eps)
     consecutive_up = 0
 
     for k in range(1, params.max_iters + 1):
         t0 = time.perf_counter()
         adj = stack_adjoint(resid, px, py, lam, zs, pad=pad, real=len(parts) == 1)
         grads = [adj] if len(parts) == 1 else [adj.real, adj.imag]
-        tv_grads = [np.stack([_tv_gradient_array(s, eps) for s in p]) for p in parts]
 
         for attempt in range(5):
             scale = 0.5**attempt
@@ -315,9 +342,10 @@ def _iterate(
 
         converged = stop_delta is not None and _relative_change(new, parts) < stop_delta
         parts = new
+        del adj, grads, new  # not alive through the forward map and the trace
 
         value, resid = data_term(stack_forward(_joined(parts), px, py, lam, zs, pad=pad))
-        tv_now = sum(sum(tv_value(s) for s in p) for p in parts)
+        tv_now, tv_grads = _tv_pass(parts, eps)
         millis = (time.perf_counter() - t0) * 1e3
         trace.append(k, value, tv_now, _trace_ssim(parts, truth_parts), millis)
 
@@ -380,8 +408,8 @@ def _upper_bound(params: ReconParams, config: OpticalConfig, complex_mode: bool)
     return float(params.upper_bound)
 
 
-def _truth_parts(ground_truth: ObjectStack | None, complex_mode: bool) -> list[np.ndarray] | None:
-    """Normalized per-slice truth images for trace SSIM.
+def _truth_parts(ground_truth: ObjectStack | None, complex_mode: bool) -> list | None:
+    """The reference side of trace SSIM for each normalized truth slice, taken once per run.
 
     Both sides of the comparison go through the display stretch, so the
     ground truth may be given either in object units or with the
@@ -393,7 +421,7 @@ def _truth_parts(ground_truth: ObjectStack | None, complex_mode: bool) -> list[n
     parts = [s.data.real for s in ground_truth.slices]
     if complex_mode:
         parts += [s.data.imag for s in ground_truth.slices]
-    return [display_normalize(p) for p in parts]
+    return [_ssim_reference(display_normalize(p), peak=1.0) for p in parts]
 
 
 def _real_stack(w: np.ndarray, config: OpticalConfig) -> ObjectStack:

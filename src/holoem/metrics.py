@@ -104,27 +104,51 @@ def _windowed(img: np.ndarray) -> np.ndarray:
     return _ndi.gaussian_filter(img, SSIM_SIGMA, radius=r)[r:-r, r:-r]
 
 
+@dataclass(frozen=True)
+class _SsimReference:
+    """The reference side of SSIM: the image, its window mean and variance,
+    and the stability constants. It depends on the reference alone, so a
+    caller comparing many test images with one reference builds it once."""
+
+    image: np.ndarray
+    mu: np.ndarray
+    var: np.ndarray
+    c1: float
+    c2: float
+
+
+def _ssim_reference(reference: np.ndarray, peak: float | None) -> _SsimReference:
+    """Check the reference and take its side of SSIM; peak defaults as in :func:`psnr`."""
+    if min(reference.shape) < SSIM_WINDOW:
+        raise ValueError(f"images must be at least {SSIM_WINDOW} pixels on a side")
+    peak = _default_peak(reference, peak)
+    if not peak > 0:
+        raise ValueError(f"peak (dynamic range) must be positive, got {peak}")
+    mu = _windowed(reference)
+    var = _windowed(reference * reference) - mu**2
+    return _SsimReference(reference, mu, var, (SSIM_K1 * peak) ** 2, (SSIM_K2 * peak) ** 2)
+
+
+def _ssim_test(test: np.ndarray, ref: _SsimReference) -> float:
+    """Mean SSIM of a test image against a prepared reference: three windows."""
+    if test.shape != ref.image.shape:
+        raise ValueError(f"image shapes differ: {test.shape} vs {ref.image.shape}")
+    mu_a = _windowed(test)
+    var_a = _windowed(test * test) - mu_a**2
+    cov = _windowed(test * ref.image) - mu_a * ref.mu
+    c1, c2 = ref.c1, ref.c2
+    s = (((2 * mu_a * ref.mu + c1) * (2 * cov + c2))
+         / ((mu_a**2 + ref.mu**2 + c1) * (var_a + ref.var + c2)))
+    return float(s.mean())
+
+
 def ssim(test, reference, peak: float | None = None) -> float:
     """Mean structural similarity over valid 11x11 Gaussian windows.
 
     peak (the dynamic range in the stability constants) defaults as in
     :func:`psnr`.
     """
-    a, b = _pair(test, reference)
-    if min(a.shape) < SSIM_WINDOW:
-        raise ValueError(f"images must be at least {SSIM_WINDOW} pixels on a side")
-    peak = _default_peak(b, peak)
-    if not peak > 0:
-        raise ValueError(f"peak (dynamic range) must be positive, got {peak}")
-    c1 = (SSIM_K1 * peak) ** 2
-    c2 = (SSIM_K2 * peak) ** 2
-    mu_a = _windowed(a)
-    mu_b = _windowed(b)
-    var_a = _windowed(a * a) - mu_a**2
-    var_b = _windowed(b * b) - mu_b**2
-    cov = _windowed(a * b) - mu_a * mu_b
-    s = ((2 * mu_a * mu_b + c1) * (2 * cov + c2)) / ((mu_a**2 + mu_b**2 + c1) * (var_a + var_b + c2))
-    return float(s.mean())
+    return _ssim_test(_as_array(test), _ssim_reference(_as_array(reference), peak))
 
 
 def display_normalize(image, p_low: float = 1.0, p_high: float = 99.0) -> np.ndarray:
@@ -145,7 +169,9 @@ def display_normalize(image, p_low: float = 1.0, p_high: float = 99.0) -> np.nda
         lo, hi = float(a.min()), float(a.max())
     if hi <= lo:
         return np.zeros_like(a)
-    return np.clip((a - lo) / (hi - lo), 0.0, 1.0)
+    out = a - lo
+    out /= hi - lo
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def ncc(test, reference) -> float:

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holoem import em
+from holoem import em, metrics
 from holoem.em import (
     NumericError,
     ReconParams,
@@ -30,6 +30,7 @@ from holoem.em import (
 )
 from holoem.forward import OpticalConfig, simulate
 from holoem.grid import RealGrid2D
+from holoem.metrics import display_normalize, ssim
 from holoem.operators import stack_adjoint, stack_forward
 from holoem.phantoms import single_slice_stack
 
@@ -63,7 +64,10 @@ class TestNll:
             for j in range(2):
                 expected += ghat[i, j]
                 if g[i, j] > 0:
-                    expected -= g[i, j] * np.log(max(ghat[i, j], floor))
+                    # below the floor the log continues as its tangent there
+                    log = (np.log(ghat[i, j]) if ghat[i, j] >= floor
+                           else np.log(floor) + (ghat[i, j] - floor) / floor)
+                    expected -= g[i, j] * log
         assert nll(g, ghat, ratio_floor=floor) == pytest.approx(expected, rel=1e-12)
 
     def test_validation(self):
@@ -94,17 +98,19 @@ _seeds = st.integers(0, 2**32 - 1)
 @settings(max_examples=60)
 @given(_sizes, _sizes, st.floats(0.5e-6, 3e-6), st.floats(0.5e-6, 3e-6),
        st.lists(st.integers(1, 3000), min_size=1, max_size=5, unique=True),
-       st.booleans(), st.booleans(), _seeds)
+       st.booleans(), st.booleans(), st.sampled_from([0.5, -0.5]), _seeds)
 def test_nll_gradient_of_the_loop_matches_finite_differences(height, width, pitch_x, pitch_y,
-                                                             waves, pad, complex_slices, seed):
+                                                             waves, pad, complex_slices, level,
+                                                             seed):
     # the gradient _iterate takes: stack_adjoint of the ratio residual, the
     # real part only for real slices, both parts for complex slices
     rng = np.random.Generator(np.random.Philox(seed))
-    # a whole number of wavelengths gives cos(k0 z) = 1, so a 0.5 level per
-    # slice keeps the predicted intensity positive, where the NLL is smooth
+    # a whole number of wavelengths gives cos(k0 z) = 1, so a +-0.5 level per
+    # slice keeps the predicted intensity well above or well below the ratio
+    # floor, away from the kink where the log meets its tangent
     zs = tuple(n * WAVELENGTH for n in sorted(waves))
     shape = (len(zs), height, width)
-    parts = [0.5 + 0.05 * rng.standard_normal(shape)]
+    parts = [level + 0.05 * rng.standard_normal(shape)]
     if complex_slices:
         parts.append(0.05 * rng.standard_normal(shape))
     g = 0.5 * len(zs) * rng.uniform(0.5, 1.5, (height, width))
@@ -116,11 +122,30 @@ def test_nll_gradient_of_the_loop_matches_finite_differences(height, width, pitc
         return em.nll(g, stack_forward(em._joined(ps), *args, pad=pad), floor)
 
     ghat = stack_forward(em._joined(parts), *args, pad=pad)
-    assert ghat.min() > 0.1  # the floor clamp stays inactive
+    assert ghat.min() > 0.1 if level > 0 else ghat.max() < -0.1
     adj = stack_adjoint(em._ratio_residual(g, ghat, floor), *args, pad=pad,
                         real=len(parts) == 1)
     grads = [adj] if len(parts) == 1 else [adj.real, adj.imag]
     _directional_check(objective, parts, grads, rng)
+
+
+def test_nll_gradient_where_some_predictions_fall_below_the_floor(rng):
+    # a -3 block at z = 2 um drives part of the prediction below the ratio
+    # floor and leaves the rest above it; the ratio residual is the exact
+    # gradient on both sides
+    args = (PITCH, PITCH, WAVELENGTH, (2.0e-6,))
+    w = np.ones((1, 8, 8))
+    w[0, 2:6, 2:6] = -3.0
+    g = np.ones((8, 8))
+    floor = em._resolve_floor(g, None)
+    ghat = stack_forward(w, *args, pad=False)
+    assert 0 < np.count_nonzero(ghat < floor) < ghat.size
+
+    def objective(ps):
+        return em.nll(g, stack_forward(ps[0], *args, pad=False), floor)
+
+    grad = stack_adjoint(em._ratio_residual(g, ghat, floor), *args, pad=False, real=True)
+    _directional_check(objective, [w], [grad], rng)
 
 
 @settings(max_examples=60)
@@ -144,7 +169,7 @@ def test_tv_gradient_of_the_loop_matches_finite_differences(height, width, n_sli
     def objective(ps):
         return sum(smoothed(s) for p in ps for s in p)
 
-    grads = [np.stack([em._tv_gradient_array(s, eps) for s in p]) for p in parts]
+    grads = [np.stack([em._tv_gradient_array(s, eps)[1] for s in p]) for p in parts]
     _directional_check(objective, parts, grads, rng)
 
 
@@ -166,6 +191,8 @@ class TestTotalVariation:
                 dy = w[i + 1, j] - w[i, j] if i + 1 < 6 else 0.0
                 expected += np.hypot(dx, dy)
         assert tv_value(w) == pytest.approx(expected, rel=1e-12)
+        # the value the loop's fused pass takes with the gradient
+        assert em._tv_gradient_array(w, 0.05)[0] == tv_value(w)
 
     def test_gradient_matches_finite_differences(self, rng):
         eps = 0.05
@@ -179,7 +206,7 @@ class TestTotalVariation:
 
         w = rng.standard_normal((9, 8))
         d = rng.standard_normal((9, 8))
-        grad = em._tv_gradient_array(w, eps)
+        _, grad = em._tv_gradient_array(w, eps)
         analytic = float(np.sum(grad * d))
         t = 1e-6
         numeric = (smoothed(w + t * d) - smoothed(w - t * d)) / (2 * t)
@@ -273,10 +300,16 @@ def test_oversized_tv_weight_flags_divergence(demo128):
 
 
 def test_huge_tv_weight_raises_numeric_error(demo128):
+    # the objective is bounded below, so a weight that blows the estimate up
+    # trips the divergence rule within 5 iterations; one that overflows the
+    # update before then raises
     _, _, holo = demo128
     with np.errstate(all="ignore"):
+        _, trace = reconstruct_real(holo, ReconParams(max_iters=30, tau=2.0,
+                                                      init_mode="constant"))
+        assert trace.stop_reason == "diverged"
         with pytest.raises(NumericError):
-            reconstruct_real(holo, ReconParams(max_iters=30, tau=2.0,
+            reconstruct_real(holo, ReconParams(max_iters=30, tau=1e300,
                                                init_mode="constant"))
 
 
@@ -406,3 +439,45 @@ def test_step_halvings_are_counted(bound64, monkeypatch, caplog):
     assert trace.step_halvings == 1
     assert "iteration 1: gradient halved 1 time(s)" in caplog.text
     assert trace.stop_reason == "iteration_cap"
+
+
+def _counting(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("solve,n_parts", [(reconstruct_real, 1), (reconstruct_complex, 2)])
+def test_one_tv_pass_per_iterate_and_truth_side_ssim_once(bound64, monkeypatch, solve, n_parts):
+    # forward differences once per slice of each iterate, the start included;
+    # SSIM windows: two per truth slice per run, three per slice per traced row
+    _, truth, holo = bound64
+    counts = {"_forward_diffs": 0, "_windowed": 0}
+    _counting(monkeypatch, em, "_forward_diffs", counts)
+    _counting(monkeypatch, metrics, "_windowed", counts)
+    iters = 3
+    _, trace = solve(holo, ReconParams(max_iters=iters, init_mode="constant"),
+                     ground_truth=truth)
+    assert len(trace) == iters
+    assert counts == {"_forward_diffs": n_parts * (iters + 1),
+                      "_windowed": 2 * n_parts + 3 * n_parts * iters}
+
+
+@pytest.mark.parametrize("solve", [reconstruct_real, reconstruct_complex])
+def test_trace_columns_equal_the_public_metrics(bound64, solve):
+    # the trace's tv and ssim of the last iterate are tv_value and ssim exactly
+    _, truth, holo = bound64
+    stack, trace = solve(holo, ReconParams(max_iters=2, init_mode="constant"),
+                         ground_truth=truth)
+    est = [s.data.real for s in stack.slices]
+    ref = [s.data.real for s in truth.slices]
+    if solve is reconstruct_complex:
+        est += [s.data.imag for s in stack.slices]
+        ref += [s.data.imag for s in truth.slices]
+    assert trace.tv[-1] == sum(tv_value(s) for s in est)
+    assert trace.ssim[-1] == float(np.mean([
+        ssim(display_normalize(s), display_normalize(t), peak=1.0) for s, t in zip(est, ref)]))

@@ -86,6 +86,18 @@ def test_real_field_takes_the_half_spectrum_path_exactly(rng, shape, pad, z):
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
+@pytest.mark.parametrize("shape", [(9, 6), (8, 11)])
+@pytest.mark.parametrize("pad", [False, True])
+@pytest.mark.parametrize("z", [0.7e-3, -0.7e-3])
+def test_complex_field_on_the_spectra_of_its_parts(rng, shape, pad, z):
+    # propagate takes a + j b on rfft2(a) and rfft2(b), two inverses in all
+    data = rng.standard_normal(shape) + 0.7 + 1j * (rng.standard_normal(shape) - 0.4)
+    px, py = PITCH, 1.3 * PITCH
+    out = propagate(ComplexGrid2D(data, px, py), z, WAVELENGTH, pad=pad).data
+    expected = oracle_propagate(data, px, py, WAVELENGTH, z, pad)
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+
 def test_transfer_anisotropic_pitch():
     h = half_transfer((6, 4), 1.0e-6, 2.0e-6, WAVELENGTH, -3e-6)
     expected = transfer_oracle((6, 4), 1.0e-6, 2.0e-6, WAVELENGTH, -3e-6)[:, :3]

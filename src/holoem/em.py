@@ -48,7 +48,7 @@ from scipy.special import xlogy
 
 from .forward import Hologram, ObjectStack, OpticalConfig, _check_geometry
 from .grid import ComplexGrid2D, RealGrid2D
-from .metrics import _forward_diffs, _ssim_reference, display_normalize
+from .metrics import _forward_diffs, _ssim_reference, _SsimReference, display_normalize
 from .metrics import _ssim_test as _ssim
 from .operators import stack_adjoint, stack_forward
 
@@ -248,7 +248,8 @@ def _sign_floor(arr: np.ndarray, floor: float) -> np.ndarray:
     return np.where(small, np.where(arr < 0, -floor, floor), arr)
 
 
-def _trace_ssim(parts: list[np.ndarray], truth_parts: list | None) -> float | None:
+def _trace_ssim(parts: list[np.ndarray],
+                truth_parts: list[_SsimReference] | None) -> float | None:
     """Mean SSIM of every slice of every part against the truth; None without truth."""
     if truth_parts is None:
         return None
@@ -294,7 +295,7 @@ def _iterate(
     parts: list[np.ndarray],
     data_term,
     update,
-    truth_parts: list | None,
+    truth_parts: list[_SsimReference] | None,
     stop_delta: float | None = None,
 ) -> tuple[list[np.ndarray], ReconTrace]:
     """The iteration loop shared by every solver.
@@ -408,7 +409,8 @@ def _upper_bound(params: ReconParams, config: OpticalConfig, complex_mode: bool)
     return float(params.upper_bound)
 
 
-def _truth_parts(ground_truth: ObjectStack | None, complex_mode: bool) -> list | None:
+def _truth_parts(ground_truth: ObjectStack | None,
+                 complex_mode: bool) -> list[_SsimReference] | None:
     """The reference side of trace SSIM for each normalized truth slice, taken once per run.
 
     Both sides of the comparison go through the display stretch, so the

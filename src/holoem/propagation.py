@@ -21,11 +21,8 @@ anti-Hermitian part is j W(v) Im H(v). ``_transfer_array`` caches Re H and
 Im H on the rfft2 half spectrum once per |z| (the sign of z only flips
 Im H), evaluating only the rows of v_y >= 0 and mirroring the rest. Every
 propagation runs on these half spectra: the operators in ``operators.py``,
-the autofocus sweep, and ``propagate``, which takes a complex field
-a + j b on the half spectra A and B of its parts, two inverses in all:
-
-    Re[P_z(a + j b)] = irfft2(A Re H - B Im H),
-    Im[P_z(a + j b)] = irfft2(A Im H + B Re H).
+the autofocus sweep, and ``propagate``, which takes a complex field as
+P_z(a + j b) = P_z a + j P_z b.
 
 Padding is the operators' mean split: the field's mean advances as a plane
 wave, picking up exp(j k0 z), and only the zero-mean remainder is embedded
@@ -110,30 +107,23 @@ def _propagate_array(
     field: np.ndarray, pitch_x: float, pitch_y: float, wavelength: float, z: float, pad: bool,
     *, spectrum: np.ndarray | None = None,
 ) -> np.ndarray:
-    """P_z of a real or complex field, cropped to its grid. With padding the
-    mean advances as a plane wave and the zero-mean remainder is padded.
+    """P_z of a real field, cropped to its grid. With padding the mean
+    advances as a plane wave and the zero-mean remainder is padded.
 
-    ``spectrum``, when given, is the rfft2 on the frame of a real field (of
-    its zero-mean remainder when padded), computed once by a caller
-    propagating one field to many planes.
+    ``spectrum``, when given, is the rfft2 on the frame of the field (of its
+    zero-mean remainder when padded), computed once by a caller propagating
+    one field to many planes.
     """
     height, width = field.shape
     frame = _frame(height, width, pad)
     workers = fft_workers()
     mean = field.mean() if pad else 0.0
     re_h, im_h = _half_transfer(*frame, pitch_x, pitch_y, wavelength, z)
+    if spectrum is None:
+        spectrum = _fft.rfft2(field - mean if pad else field, s=frame, workers=workers)
     out = np.empty((height, width), dtype=np.complex128)
-    if np.iscomplexobj(field):
-        rest = field - mean if pad else field
-        a = _fft.rfft2(rest.real, s=frame, workers=workers)
-        b = _fft.rfft2(rest.imag, s=frame, workers=workers)
-        out.real = _irfft2_crop(a * re_h - b * im_h, frame, height, width, workers)
-        out.imag = _irfft2_crop(a * im_h + b * re_h, frame, height, width, workers)
-    else:
-        if spectrum is None:
-            spectrum = _fft.rfft2(field - mean if pad else field, s=frame, workers=workers)
-        out.real = _irfft2_crop(spectrum * re_h, frame, height, width, workers)
-        out.imag = _irfft2_crop(spectrum * im_h, frame, height, width, workers)
+    out.real = _irfft2_crop(spectrum * re_h, frame, height, width, workers)
+    out.imag = _irfft2_crop(spectrum * im_h, frame, height, width, workers)
     if pad:
         out += mean * np.exp(1j * 2.0 * np.pi / wavelength * z)
     return out
@@ -141,10 +131,10 @@ def _propagate_array(
 
 def propagate(field: ComplexGrid2D, z: float, wavelength: float, pad: bool = False) -> ComplexGrid2D:
     """Propagate a sampled field over distance z (negative = backward),
-    padded (``pad=True``) with the mean split of ``_propagate_array``.
+    padded (``pad=True``) as ``_propagate_array`` pads each part.
     """
     if not wavelength > 0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
-    out = _propagate_array(field.data, field.pitch_x, field.pitch_y, float(wavelength), float(z),
-                           pad)
+    args = (field.pitch_x, field.pitch_y, float(wavelength), float(z), pad)
+    out = _propagate_array(field.data.real, *args) + 1j * _propagate_array(field.data.imag, *args)
     return ComplexGrid2D(out, field.pitch_x, field.pitch_y)

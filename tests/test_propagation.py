@@ -90,7 +90,7 @@ def test_real_field_takes_the_half_spectrum_path_exactly(rng, shape, pad, z):
 @pytest.mark.parametrize("pad", [False, True])
 @pytest.mark.parametrize("z", [0.7e-3, -0.7e-3])
 def test_complex_field_on_the_spectra_of_its_parts(rng, shape, pad, z):
-    # propagate takes a + j b on rfft2(a) and rfft2(b), two inverses in all
+    # propagate takes a + j b as P_z a + j P_z b, each part on its own half spectrum
     data = rng.standard_normal(shape) + 0.7 + 1j * (rng.standard_normal(shape) - 0.4)
     px, py = PITCH, 1.3 * PITCH
     out = propagate(ComplexGrid2D(data, px, py), z, WAVELENGTH, pad=pad).data

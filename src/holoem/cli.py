@@ -6,7 +6,7 @@ autofocus, metrics, resolution. Parameters come from an optional flat
 parse every value the same way, so lengths accept units (675nm, 1.12um,
 0.5mm) and bare numbers are SI. Every run writes a manifest capturing the
 resolved parameters, seeds and output files; feeding the manifest back as
---config reproduces the run bit-identically (wall-clock trace times aside).
+--config reproduces the run bit-identically (measured times and memory aside).
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure
 (divergence or non-finite iterates), 4 I/O failure. Every failure after
@@ -18,7 +18,9 @@ from __future__ import annotations
 
 import argparse
 import logging
+import resource
 import sys
+import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
@@ -138,7 +140,7 @@ _FOCUS = ("autofocus",)
 
 # manifest entries that record a run's outcome; legal, and ignored, as config input
 _RESULT_KEYS = ("holoem_version", "numpy_version", "scipy_version", "fft_workers",
-                "stop_reason", "step_halvings")
+                "stop_reason", "step_halvings", "wall_s", "peak_rss_mib")
 
 
 @dataclass
@@ -274,8 +276,12 @@ class _Manifest:
 
     Records every RunConfig key the mode reads: the value the run resolved
     when it resolved one (skipped when that is None), else the configured
-    value, with an unset 'optfloat' key written as 'auto'.
+    value, with an unset 'optfloat' key written as 'auto'. Writing it adds
+    ``wall_s``, the seconds since ``main`` started, and ``peak_rss_mib``,
+    this process's peak resident set size (``ru_maxrss`` is in KiB on Linux).
     """
+
+    started = time.perf_counter()  # reset by main()
 
     def __init__(self, cfg: RunConfig, **resolved):
         self.entries: dict[str, object] = {
@@ -308,6 +314,8 @@ class _Manifest:
     def write(self, out_dir: Path) -> Path:
         path = out_dir / "manifest.txt"
         self.entries["output.manifest_txt"] = path.name
+        self.entries["wall_s"] = round(time.perf_counter() - _Manifest.started, 3)
+        self.entries["peak_rss_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         return write_key_values(path, self.entries)
 
 
@@ -352,13 +360,15 @@ def _object_stack(cfg: RunConfig, optics: OpticalConfig) -> ObjectStack:
         raise ConfigError(
             f"{len(cfg.objects)} object image(s) for {optics.n_slices} slice distance(s)"
         )
-    slices = []
-    for p in cfg.objects:
-        img = load_image(p)
-        if img.shape != optics.grid_shape:
-            raise ConfigError(f"{p}: shape {img.shape} does not match grid {optics.grid_shape}")
-        slices.append(img.as_complex())
-    return ObjectStack(tuple(slices))
+    return ObjectStack(tuple(_load_on_grid(p, optics).as_complex() for p in cfg.objects))
+
+
+def _load_on_grid(path, optics: OpticalConfig) -> RealGrid2D:
+    """An input image that must share the optical grid; a mismatch names the file."""
+    img = load_image(path)
+    if img.shape != optics.grid_shape:
+        raise ConfigError(f"{path}: shape {img.shape} does not match grid {optics.grid_shape}")
+    return img
 
 
 def _run_simulate(cfg: RunConfig, out: Path) -> int:
@@ -414,15 +424,10 @@ def _load_truth(cfg: RunConfig, optics: OpticalConfig, complex_mode: bool) -> Ob
             f"expected {expected} truth image(s) for {n} slice(s)"
             + (" (real,imag per slice)" if complex_mode else "")
         )
-    slices = []
-    for i in range(n):
-        if complex_mode:
-            re = load_image(paths[2 * i]).data
-            im = load_image(paths[2 * i + 1]).data
-            slices.append(ComplexGrid2D(re + 1j * im, optics.pitch_x, optics.pitch_y))
-        else:
-            slices.append(load_image(paths[i]).as_complex())
-    return ObjectStack(tuple(slices))
+    parts = [_load_on_grid(p, optics).data for p in paths]
+    if complex_mode:
+        parts = [re + 1j * im for re, im in zip(parts[::2], parts[1::2])]
+    return ObjectStack(tuple(ComplexGrid2D(d, optics.pitch_x, optics.pitch_y) for d in parts))
 
 
 def _quality_json(stack: ObjectStack, truth: ObjectStack, complex_mode: bool) -> str:
@@ -447,9 +452,7 @@ def _quality_json(stack: ObjectStack, truth: ObjectStack, complex_mode: bool) ->
 def _upper_bound(cfg: RunConfig, optics: OpticalConfig) -> RealGrid2D | None:
     if cfg.reference is None:
         return None
-    ref = load_image(cfg.reference)
-    if ref.shape != optics.grid_shape:
-        raise ConfigError(f"reference shape {ref.shape} does not match {optics.grid_shape}")
+    ref = _load_on_grid(cfg.reference, optics)
     return apply_reference_illumination(RealGrid2D(ref.data, optics.pitch_x, optics.pitch_y))
 
 
@@ -626,6 +629,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    _Manifest.started = time.perf_counter()
     args = _build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,

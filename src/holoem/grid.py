@@ -1,9 +1,9 @@
 """Sampled 2-D fields on a uniform lattice, and the FFT worker count.
 
-The transforms themselves are direct ``scipy.fft`` calls in
-``propagation`` and ``operators``, in the default (``norm="backward"``)
-convention: the forward transform is unnormalized and the inverse carries
-``1/(width*height)``.
+Fields are (height, width) arrays, row index y. The transforms are one
+pair in ``propagation``, ``_half_spectrum`` and ``_irfft2_crop``, on half
+spectra stored kx-major, (width//2 + 1, height); the forward transform is
+unnormalized and the inverse carries ``1/(width*height)``.
 """
 
 from __future__ import annotations

@@ -16,12 +16,11 @@ import logging
 from dataclasses import asdict, dataclass
 
 import numpy as np
-import scipy.fft as _fft
 import scipy.ndimage as _ndi
 
 from .forward import Hologram
 from .grid import RealGrid2D, fft_workers
-from .propagation import _frame, _propagate_array
+from .propagation import _frame, _half_spectrum, _propagate_array
 
 logger = logging.getLogger(__name__)
 
@@ -224,13 +223,14 @@ def _focus_scores(hologram: Hologram, distances, pad: bool = True) -> np.ndarray
 
     The mean-removed hologram is real and is its own zero-mean remainder,
     the part that padded propagation transforms, so the sweep takes its
-    rfft2 once; each plane then costs one transfer build and two cropped
-    inverse transforms on half spectra.
+    kx-major half spectrum once. Each plane then costs one transfer build,
+    outside the transfer cache since no plane is visited twice, and two
+    cropped inverse transforms, whose x transforms skip the cropped rows.
     """
     raw = hologram.intensity.data
     g = raw - raw.mean()
     cfg = hologram.config
-    spectrum = _fft.rfft2(g, s=_frame(*g.shape, pad), workers=fft_workers())
+    spectrum = _half_spectrum(g, _frame(*g.shape, pad), fft_workers())
     return np.array([
         focus_metric(np.abs(_propagate_array(g, cfg.pitch_x, cfg.pitch_y, cfg.wavelength,
                                              -z, pad=pad, spectrum=spectrum)))

@@ -9,8 +9,9 @@ and its adjoint applied to a real residual r:
     (H* r)_z = P_{-z} r        (complex; .real is the gradient w.r.t. the
                                 real slice part, .imag w.r.t. the imaginary)
 
-Every transform is real-to-real on rfft2 half spectra. The transfer
-function is even in frequency, so for real a and b (see ``propagation.py``)
+Every transform is real-to-real on the kx-major rfft2 half spectra of
+``propagation.py``. The transfer function is even in frequency, so for
+real a and b
 
     Re[P_z w_z] = irfft2(rfft2(a_z) Re H_z - rfft2(b_z) Im H_z)
     Re[P_{-z} r] = irfft2(rfft2(r) Re H_z)
@@ -20,9 +21,9 @@ The forward sums slice spectra before a single inverse FFT (one rfft2 per
 nonzero slice part); the adjoint reuses one rfft2 of the residual and
 pays one inverse per slice for the real part and one more for the
 imaginary part, which ``real=True`` skips. This is exact linearity, not an
-approximation. With padding, each inverse is cropped as it runs
-(``propagation._irfft2_crop``): its row transforms cover only the rows
-the crop keeps, half of the doubled frame.
+approximation. With padding, the x transforms skip half of the doubled
+frame: forward ones run on the slice's rows only (``_half_spectrum``),
+inverse ones only on the rows the crop keeps (``_irfft2_crop``).
 
 With ``pad=True`` each slice is split into its window mean and the
 zero-mean remainder. The mean models the unscattered plane-wave
@@ -46,10 +47,9 @@ with grid types and validation.
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft as _fft
 
 from .grid import fft_workers
-from .propagation import _frame, _half_transfer, _irfft2_crop
+from .propagation import _frame, _half_spectrum, _half_transfer, _irfft2_crop
 
 __all__ = ["stack_forward", "stack_adjoint"]
 
@@ -73,10 +73,10 @@ def stack_forward(
     workers = fft_workers()
 
     def transform(part):
-        return _fft.rfft2(part - part.mean() if pad else part, s=frame, workers=workers)
+        return _half_spectrum(part - part.mean() if pad else part, frame, workers)
 
     has_imag = np.iscomplexobj(stack) and bool(stack.imag.any())
-    spectrum = np.zeros((frame[0], frame[1] // 2 + 1), dtype=np.complex128)
+    spectrum = np.zeros((frame[1] // 2 + 1, frame[0]), dtype=np.complex128)
     for i, z in enumerate(distances):
         re_h, im_h = _half_transfer(*frame, pitch_x, pitch_y, wavelength, z)
         spectrum += transform(stack.real[i]) * re_h
@@ -112,7 +112,7 @@ def stack_adjoint(
     workers = fft_workers()
     k0 = 2.0 * np.pi / wavelength
     r_mean = residual.mean()
-    spectrum = _fft.rfft2(residual, s=frame, workers=workers)
+    spectrum = _half_spectrum(residual, frame, workers)
 
     def back(h, mean_response):
         part = _irfft2_crop(spectrum * h, frame, height, width, workers)

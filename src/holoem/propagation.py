@@ -17,22 +17,24 @@ field w that makes Re[P_z w] and Im[P_z w] real-to-real filters,
     Re[P_z w] = irfft2(rfft2(w) Re H),   Im[P_z w] = irfft2(rfft2(w) Im H),
 
 because the Hermitian part of W(v) H(v) is W(v) Re H(v) and its
-anti-Hermitian part is j W(v) Im H(v). ``_transfer_array`` caches Re H and
-Im H on the rfft2 half spectrum once per |z| (the sign of z only flips
-Im H), evaluating only the rows of v_y >= 0 and mirroring the rest. Every
-propagation runs on these half spectra: the operators in ``operators.py``,
-the autofocus sweep, and ``propagate``, which takes a complex field as
-P_z(a + j b) = P_z a + j P_z b.
+anti-Hermitian part is j W(v) Im H(v). Half spectra are stored kx-major,
+``rfft2(w).T`` of shape (W//2 + 1, H), so the y transforms run along the
+contiguous axis; ``_half_spectrum`` and ``_irfft2_crop`` are the one
+transform pair. ``_transfer_array`` caches Re H and Im H in that layout
+once per |z| (the sign of z only flips Im H); a build takes the square
+root once per grid, then evaluates the columns of v_y >= 0 and mirrors
+the rest. The operators in ``operators.py``, the autofocus sweep (which
+builds each plane's transfer uncached) and ``propagate`` (a complex field
+as P_z(a + j b) = P_z a + j P_z b) all run on these half spectra.
 
 Padding is the operators' mean split: the field's mean advances as a plane
 wave, picking up exp(j k0 z), and only the zero-mean remainder is embedded
-at the corner of a 2H x 2W zero frame (the ``s`` argument of the FFT) and
-cropped from the same corner; circular convolution is shift-invariant, so
-the corner is as good as the centre. The inverse transforms run their row
-transforms only on the rows the crop keeps (``_irfft2_crop``). Padding
-suppresses wrap-around but breaks exact unitarity at the frame edge, so the
-round trip, energy conservation and composition hold for the unpadded
-operator.
+at the corner of a 2H x 2W zero frame and cropped from the same corner;
+circular convolution is shift-invariant, so the corner is as good as the
+centre. The x transforms skip the frame's zero rows going forward and the
+cropped rows coming back. Padding suppresses wrap-around but breaks exact
+unitarity at the frame edge, so the round trip, energy conservation and
+composition hold for the unpadded operator.
 """
 
 from __future__ import annotations
@@ -47,25 +49,32 @@ from .grid import ComplexGrid2D, fft_workers
 __all__ = ["propagate"]
 
 
-@lru_cache(maxsize=32)
-def _transfer_array(
-    height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float, depth: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Re H and Im H over the distance ``depth`` >= 0 on the rfft2
-    half spectrum (the non-negative v_x columns) of a height x width frame.
-
-    Only the rows of v_y >= 0 are evaluated; the row of -v_y equals the row
-    of v_y, because fftfreq gives -v exactly and H depends on v_y only
-    through v_y^2.
-    """
+@lru_cache(maxsize=4)
+def _transfer_grid(height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float):
+    """sqrt(1 - (lambda v)^2), 0 outside the band, and the band mask on the
+    kx-major columns of v_y >= 0: the depth-free part of a transfer build."""
     vx = np.fft.rfftfreq(width, d=pitch_x)
     vy = np.fft.fftfreq(height, d=pitch_y)[:height // 2 + 1]
-    s = 1.0 - (wavelength * vx[None, :]) ** 2 - (wavelength * vy[:, None]) ** 2
+    s = 1.0 - (wavelength * vx[:, None]) ** 2 - (wavelength * vy[None, :]) ** 2
     inside = s > 0.0
-    phase = 2.0 * np.pi / wavelength * depth * np.sqrt(np.where(inside, s, 0.0))
+    return np.sqrt(np.where(inside, s, 0.0)), inside
+
+
+def _build_transfer(
+    height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float, depth: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Re H and Im H over the distance ``depth`` >= 0 on the
+    kx-major half spectrum of a height x width frame.
+
+    Only the columns of v_y >= 0 are evaluated; the column of -v_y equals
+    the column of v_y, because fftfreq gives -v exactly and H depends on
+    v_y only through v_y^2.
+    """
+    root, inside = _transfer_grid(height, width, pitch_x, pitch_y, wavelength)
+    phase = 2.0 * np.pi / wavelength * depth * root
 
     def mirrored(q):
-        full = np.concatenate([q, q[(height - 1) // 2:0:-1]], axis=0)
+        full = np.concatenate([q, q[:, (height - 1) // 2:0:-1]], axis=1)
         full.setflags(write=False)
         return full
 
@@ -73,12 +82,15 @@ def _transfer_array(
             mirrored(np.sin(phase, out=np.zeros_like(phase), where=inside)))
 
 
-def _half_transfer(
-    height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float, z: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Re H and Im H over z on the rfft2 half spectrum; +z and -z share one
+# the solvers reuse each depth every iteration
+_transfer_array = lru_cache(maxsize=32)(_build_transfer)
+
+
+def _half_transfer(height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float,
+                   z: float, build=_transfer_array) -> tuple[np.ndarray, np.ndarray]:
+    """Re H and Im H over z from ``build`` at |z|; +z and -z share one
     cache entry, since H(-z) = conj H(z)."""
-    re_h, im_h = _transfer_array(height, width, pitch_x, pitch_y, wavelength, abs(z))
+    re_h, im_h = build(height, width, pitch_x, pitch_y, wavelength, abs(z))
     return re_h, (im_h if z >= 0 else -im_h)
 
 
@@ -87,18 +99,21 @@ def _frame(height: int, width: int, pad: bool) -> tuple[int, int]:
     return (2 * height, 2 * width) if pad else (height, width)
 
 
+def _half_spectrum(field: np.ndarray, frame: tuple[int, int], workers: int) -> np.ndarray:
+    """``rfft2(field, s=frame).T``: the x transforms skip the zero rows the
+    frame adds, and the y transforms run on the transposed result."""
+    rows = _fft.rfft(field, n=frame[1], axis=1, workers=workers)
+    return _fft.fft(rows.T, n=frame[0], axis=1, workers=workers)
+
+
 def _irfft2_crop(spectrum: np.ndarray, frame: tuple[int, int], height: int, width: int,
                  workers: int) -> np.ndarray:
-    """``irfft2(spectrum, s=frame)[:height, :width]`` without transforming
-    the rows the crop drops: the column transforms run first, on every
-    column, and the row transforms only on the first ``height`` rows.
-
-    Like irfft2, it scales once by 1 / (frame size), after the last
-    transform, so it rounds as irfft2 does. An unpadded frame crops
-    nothing and gives irfft2's result.
-    """
-    rows = _fft.ifft(spectrum, axis=0, norm="forward", workers=workers)[:height]
-    out = _fft.irfft(rows, n=frame[1], axis=1, norm="forward", workers=workers)[:, :width]
+    """``irfft2(spectrum.T, s=frame)[:height, :width]``, bit for bit: the y
+    transforms run along the contiguous axis, the x transforms only on the
+    rows the crop keeps, and one 1 / (frame size) scale comes last, as in
+    irfft2."""
+    cols = _fft.ifft(spectrum, axis=1, norm="forward", workers=workers)[:, :height]
+    out = _fft.irfft(cols.T, n=frame[1], axis=1, norm="forward", workers=workers)[:, :width]
     out *= 1.0 / (frame[0] * frame[1])
     return out
 
@@ -110,17 +125,18 @@ def _propagate_array(
     """P_z of a real field, cropped to its grid. With padding the mean
     advances as a plane wave and the zero-mean remainder is padded.
 
-    ``spectrum``, when given, is the rfft2 on the frame of the field (of its
-    zero-mean remainder when padded), computed once by a caller propagating
-    one field to many planes.
+    ``spectrum``, when given, is ``_half_spectrum`` of the field (of its
+    zero-mean remainder when padded), taken once by a caller propagating one
+    field to many planes; each plane's transfer is then built uncached.
     """
     height, width = field.shape
     frame = _frame(height, width, pad)
     workers = fft_workers()
     mean = field.mean() if pad else 0.0
-    re_h, im_h = _half_transfer(*frame, pitch_x, pitch_y, wavelength, z)
+    build = _transfer_array if spectrum is None else _build_transfer
+    re_h, im_h = _half_transfer(*frame, pitch_x, pitch_y, wavelength, z, build)
     if spectrum is None:
-        spectrum = _fft.rfft2(field - mean if pad else field, s=frame, workers=workers)
+        spectrum = _half_spectrum(field - mean if pad else field, frame, workers)
     out = np.empty((height, width), dtype=np.complex128)
     out.real = _irfft2_crop(spectrum * re_h, frame, height, width, workers)
     out.imag = _irfft2_crop(spectrum * im_h, frame, height, width, workers)

@@ -19,6 +19,7 @@ from holoem import em
 from holoem.em import ReconParams, reconstruct_complex, reconstruct_real
 from holoem.forward import OpticalConfig, simulate
 from holoem.grid import ComplexGrid2D
+from holoem.io import load_key_values
 from holoem.metrics import autofocus, display_normalize, ncc, psnr, resolution_limits, ssim
 from holoem.operators import stack_adjoint, stack_forward
 from holoem.phantoms import (
@@ -108,8 +109,8 @@ def test_c2_round_trip_energy_and_kernel_sums(rng):
     worst_kernel = 0.0
     for zk in (0.5e-3, 1.0e-3, 1.25e-3):
         re_h, im_h = _half_transfer(16, 16, PITCH, PITCH, WAVELENGTH, zk)
-        spatial = complex(scipy.fft.irfft2(re_h, s=(16, 16)).sum(),
-                          scipy.fft.irfft2(im_h, s=(16, 16)).sum())
+        spatial = complex(scipy.fft.irfft2(re_h.T, s=(16, 16)).sum(),
+                          scipy.fft.irfft2(im_h.T, s=(16, 16)).sum())
         k0z = 2.0 * np.pi / WAVELENGTH * zk
         worst_kernel = max(worst_kernel, abs(spatial - complex(np.cos(k0z), np.sin(k0z))))
 
@@ -289,6 +290,12 @@ def _pfm_bytes(directory):
     return {p.name: p.read_bytes() for p in sorted(directory.glob("*.pfm"))}
 
 
+def _manifest_without_measurements(directory):
+    # wall time and peak memory are measured, like the trace's millis
+    entries = load_key_values(directory / "manifest.txt")
+    return {k: v for k, v in entries.items() if k not in ("wall_s", "peak_rss_mib")}
+
+
 def _trace_rows_without_millis(path):
     # drop the wall-clock column, the one field that legitimately varies
     return [line.split(",")[:4] for line in path.read_text().splitlines()]
@@ -316,8 +323,11 @@ def test_c9_manifest_rerun_is_bit_identical(tmp_path):
     slices_same = _pfm_bytes(rec_a) == _pfm_bytes(rec_b)
     traces_same = (_trace_rows_without_millis(rec_a / "trace.csv")
                    == _trace_rows_without_millis(rec_b / "trace.csv"))
+    manifests_same = all(_manifest_without_measurements(a) == _manifest_without_measurements(b)
+                         for a, b in ((sim_a, sim_b), (rec_a, rec_b)))
 
-    ok = holograms_same and slices_same and traces_same
+    ok = holograms_same and slices_same and traces_same and manifests_same
     _verdict(9, ok, f"hologram bytes identical: {holograms_same}; reconstruction bytes "
                     f"identical: {slices_same}; traces identical up to wall-clock "
-                    f"times: {traces_same}")
+                    f"times: {traces_same}; manifests identical up to wall_s and "
+                    f"peak_rss_mib: {manifests_same}")

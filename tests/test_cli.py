@@ -11,6 +11,7 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holoem import operators
 from holoem.cli import MODES, RunConfig, _Manifest, format_length, main, parse_length
 from holoem.grid import RealGrid2D
 from holoem.io import ConfigError, load_image, load_key_values, save_image
@@ -61,6 +62,8 @@ class TestRunConfig:
             "fft_workers": "4",
             "stop_reason": "iteration_cap",
             "step_halvings": "0",
+            "wall_s": "1.25",
+            "peak_rss_mib": "118.5",
             "iters": "7",
         })
         assert cfg.iters == 7
@@ -281,6 +284,28 @@ class TestExitCodes:
                      "--slice-distances", "1mm", "--beta", "1.5"])
         assert code == 2
 
+    @pytest.mark.parametrize("mode", ["reconstruct-real", "reconstruct-complex"])
+    def test_truth_off_the_hologram_grid_is_config_error(self, tmp_path, monkeypatch, mode):
+        # the mismatch is caught as the image loads, before any transform runs
+        sim = tmp_path / "sim"
+        assert main(simulate_args(sim)) == 0  # 64 x 64
+        small = tmp_path / "small.pfm"
+        save_image(small, RealGrid2D(np.zeros((48, 48)), PITCH, PITCH))
+        truth = [small] if mode == "reconstruct-real" else [sim / "truth_00_re.pfm", small]
+
+        def no_transform(*args, **kwargs):
+            raise AssertionError("a transform ran before the truth was checked")
+
+        monkeypatch.setattr(operators, "_half_spectrum", no_transform)
+        out = tmp_path / "rec"
+        code = main([mode, "--out", str(out), "--input", str(sim / "hologram.pfm"),
+                     "--slice-distances", "1mm", "--iters", "2",
+                     "--truth", ",".join(map(str, truth))])
+        assert code == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["exit_code"] == 2 and str(small) in record["message"]
+        assert "(48, 48)" in record["message"]
+
     def test_divergence_exits_3_with_outputs(self, tmp_path):
         sim = tmp_path / "sim"
         assert main(simulate_args(sim, ["--width", "128", "--height", "128"])) == 0
@@ -476,5 +501,8 @@ def test_config_manifest_config_round_trip(mode_and_values):
     cfg = RunConfig.from_mapping(values)
     cfg.mode = mode
     with tempfile.TemporaryDirectory() as tmp:
-        again = RunConfig.from_mapping(load_key_values(_Manifest(cfg).write(Path(tmp))))
+        manifest = load_key_values(_Manifest(cfg).write(Path(tmp)))
+    # the run's wall time and peak memory are recorded, and ignored on the way back
+    assert float(manifest["wall_s"]) >= 0 and float(manifest["peak_rss_mib"]) > 0
+    again = RunConfig.from_mapping(manifest)
     assert again == cfg

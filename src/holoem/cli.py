@@ -277,13 +277,12 @@ class _Manifest:
     Records every RunConfig key the mode reads: the value the run resolved
     when it resolved one (skipped when that is None), else the configured
     value, with an unset 'optfloat' key written as 'auto'. Writing it adds
-    ``wall_s``, the seconds since ``main`` started, and ``peak_rss_mib``,
-    this process's peak resident set size (``ru_maxrss`` is in KiB on Linux).
+    ``wall_s``, the seconds since ``started`` (a ``time.perf_counter()``
+    reading), and ``peak_rss_mib``, this process's peak resident set size.
     """
 
-    started = time.perf_counter()  # reset by main()
-
-    def __init__(self, cfg: RunConfig, **resolved):
+    def __init__(self, cfg: RunConfig, started: float, **resolved):
+        self.started = started
         self.entries: dict[str, object] = {
             "holoem_version": __version__, "numpy_version": np.__version__,
             "scipy_version": scipy.__version__, "fft_workers": fft_workers(),
@@ -314,8 +313,9 @@ class _Manifest:
     def write(self, out_dir: Path) -> Path:
         path = out_dir / "manifest.txt"
         self.entries["output.manifest_txt"] = path.name
-        self.entries["wall_s"] = round(time.perf_counter() - _Manifest.started, 3)
-        self.entries["peak_rss_mib"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+        self.entries["wall_s"] = round(time.perf_counter() - self.started, 3)
+        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, else KiB
+        self.entries["peak_rss_mib"] = peak / (2**20 if sys.platform == "darwin" else 2**10)
         return write_key_values(path, self.entries)
 
 
@@ -371,7 +371,7 @@ def _load_on_grid(path, optics: OpticalConfig) -> RealGrid2D:
     return img
 
 
-def _run_simulate(cfg: RunConfig, out: Path) -> int:
+def _run_simulate(cfg: RunConfig, out: Path, started: float) -> int:
     cfg.require("width", "height", "slice_distances")
     wavelength = _resolved_wavelength(cfg, {})
     pitch = _resolved_pitch(cfg, {})
@@ -380,7 +380,7 @@ def _run_simulate(cfg: RunConfig, out: Path) -> int:
     holo = simulate(stack, optics, model=cfg.model, photon_scale=cfg.photon_scale,
                     seed=cfg.noise_seed, pad=cfg.pad)
 
-    manifest = _Manifest(cfg, **_optics_values(optics), photon_scale=holo.photon_scale,
+    manifest = _Manifest(cfg, started, **_optics_values(optics), photon_scale=holo.photon_scale,
                          noise_seed=holo.noise_seed)
 
     grids = [("hologram.pfm", holo.intensity), ("hologram.pgm", holo.intensity)]
@@ -456,7 +456,7 @@ def _upper_bound(cfg: RunConfig, optics: OpticalConfig) -> RealGrid2D | None:
     return apply_reference_illumination(RealGrid2D(ref.data, optics.pitch_x, optics.pitch_y))
 
 
-def _run_reconstruct(cfg: RunConfig, out: Path) -> int:
+def _run_reconstruct(cfg: RunConfig, out: Path, started: float) -> int:
     """reconstruct-real, reconstruct-complex and baseline: solve, then one output tail."""
     holo = _load_hologram(cfg)
     optics = holo.config
@@ -481,7 +481,7 @@ def _run_reconstruct(cfg: RunConfig, out: Path) -> int:
     truth = _load_truth(cfg, optics, complex_mode)
     stack, trace = solve(holo, params, ground_truth=truth)
 
-    manifest = _Manifest(cfg, **_optics_values(optics))
+    manifest = _Manifest(cfg, started, **_optics_values(optics))
     manifest.record("stop_reason", trace.stop_reason)
     manifest.record("step_halvings", trace.step_halvings)
 
@@ -513,13 +513,13 @@ def _run_reconstruct(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _run_autofocus(cfg: RunConfig, out: Path) -> int:
+def _run_autofocus(cfg: RunConfig, out: Path, started: float) -> int:
     cfg.require("input", "z_min", "z_max", "z_step")
     if cfg.slice_distances is None:
         cfg.slice_distances = (cfg.z_min + (cfg.z_max - cfg.z_min) / 2,)  # placeholder geometry
     holo = _load_hologram(cfg)
     best = autofocus(holo, cfg.z_min, cfg.z_max, cfg.z_step, pad=cfg.pad)
-    manifest = _Manifest(cfg, **_optics_values(holo.config))
+    manifest = _Manifest(cfg, started, **_optics_values(holo.config))
     result = write_key_values(out / "autofocus.txt", {"best_z": best})
     manifest.outputs([result])
     manifest.write(out)
@@ -527,7 +527,7 @@ def _run_autofocus(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _run_metrics(cfg: RunConfig, out: Path) -> int:
+def _run_metrics(cfg: RunConfig, out: Path, started: float) -> int:
     cfg.require("input", "truth")
     if len(cfg.truth) != 1:
         raise ConfigError("metrics mode takes exactly one truth image")
@@ -537,7 +537,7 @@ def _run_metrics(cfg: RunConfig, out: Path) -> int:
         raise ConfigError(f"image shapes differ: {test.shape} vs {reference.shape}")
     report = quality_report(test.data, reference.data, peak=cfg.peak,
                             median_size=cfg.median_size)
-    manifest = _Manifest(cfg)
+    manifest = _Manifest(cfg, started)
     qpath = out / "quality.json"
     qpath.write_text(report.to_json() + "\n", encoding="utf-8")
     manifest.outputs([qpath])
@@ -547,11 +547,11 @@ def _run_metrics(cfg: RunConfig, out: Path) -> int:
     return 0
 
 
-def _run_resolution(cfg: RunConfig, out: Path) -> int:
+def _run_resolution(cfg: RunConfig, out: Path, started: float) -> int:
     cfg.require("numerical_aperture")
     wavelength = _resolved_wavelength(cfg, {})
     lateral, axial = resolution_limits(wavelength, cfg.numerical_aperture)
-    manifest = _Manifest(cfg, wavelength=wavelength)
+    manifest = _Manifest(cfg, started, wavelength=wavelength)
     result = write_key_values(out / "resolution.txt", {"lateral": lateral, "axial": axial})
     manifest.outputs([result])
     manifest.write(out)
@@ -571,11 +571,12 @@ _RUNNERS = {
 MODES = tuple(_RUNNERS)
 
 
-def run(args: argparse.Namespace) -> int:
+def run(args: argparse.Namespace, started: float) -> int:
     """Resolve a parsed command line's config document and flags, then execute the
     run; returns the process exit code. Every failure leaves error.json in the
     output directory: --out, else the config's output_dir, else 'out' when the
-    config document itself cannot be read."""
+    config document itself cannot be read. The manifest's ``wall_s`` counts from
+    ``started``, a ``time.perf_counter()`` reading."""
     cfg = RunConfig()
     out = Path(args.out or cfg.output_dir)
     try:
@@ -586,7 +587,7 @@ def run(args: argparse.Namespace) -> int:
         cfg.update({key[len("key_"):]: value for key, value in vars(args).items()
                     if key.startswith("key_") and value is not None}, where="<flags>")
         out.mkdir(parents=True, exist_ok=True)
-        return _RUNNERS[cfg.mode](cfg, out)
+        return _RUNNERS[cfg.mode](cfg, out, started)
     except (ConfigError, ValueError) as exc:
         # invalid parameter combinations surface as configuration errors
         logger.error("configuration error: %s", exc)
@@ -629,13 +630,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    _Manifest.started = time.perf_counter()
+    started = time.perf_counter()
     args = _build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    return run(args)
+    return run(args, started)
 
 
 if __name__ == "__main__":

@@ -20,12 +20,13 @@ because the Hermitian part of W(v) H(v) is W(v) Re H(v) and its
 anti-Hermitian part is j W(v) Im H(v). Half spectra are stored kx-major,
 ``rfft2(w).T`` of shape (W//2 + 1, H), so the y transforms run along the
 contiguous axis; ``_half_spectrum`` and ``_irfft2_crop`` are the one
-transform pair. ``_transfer_array`` caches Re H and Im H in that layout
-once per |z| (the sign of z only flips Im H); a build takes the square
-root once per grid, then evaluates the columns of v_y >= 0 and mirrors
-the rest. The operators in ``operators.py``, the autofocus sweep (which
-builds each plane's transfer uncached) and ``propagate`` (a complex field
-as P_z(a + j b) = P_z a + j P_z b) all run on these half spectra.
+transform pair. ``_transfer_array`` builds Re H and Im H in that layout
+once per |z| (the sign of z only flips Im H), keeping the solvers' builds
+and counting every build; a build takes the square root once per grid,
+then evaluates the columns of v_y >= 0 and mirrors the rest. The operators
+in ``operators.py``, the autofocus sweep (whose builds are not kept) and
+``propagate`` (a complex field as P_z(a + j b) = P_z a + j P_z b) all run
+on these half spectra.
 
 Padding is the operators' mean split: the field's mean advances as a plane
 wave, picking up exp(j k0 z), and only the zero-mean remainder is embedded
@@ -57,7 +58,10 @@ def _transfer_grid(height: int, width: int, pitch_x: float, pitch_y: float, wave
     vy = np.fft.fftfreq(height, d=pitch_y)[:height // 2 + 1]
     s = 1.0 - (wavelength * vx[:, None]) ** 2 - (wavelength * vy[None, :]) ** 2
     inside = s > 0.0
-    return np.sqrt(np.where(inside, s, 0.0)), inside
+    root = np.sqrt(np.where(inside, s, 0.0))
+    for shared in (root, inside):
+        shared.setflags(write=False)
+    return root, inside
 
 
 def _build_transfer(
@@ -82,14 +86,27 @@ def _build_transfer(
             mirrored(np.sin(phase, out=np.zeros_like(phase), where=inside)))
 
 
-# the solvers reuse each depth every iteration
-_transfer_array = lru_cache(maxsize=32)(_build_transfer)
+class _TransferCache:
+    """``get`` keeps the last 32 builds, as the solvers reuse each depth every
+    iteration; ``build`` keeps none, as a sweep visits each plane once.
+    ``cache_info`` counts the builds of both as misses."""
+
+    def __init__(self):
+        self.get = lru_cache(maxsize=32)(_build_transfer)
+        self.build = lru_cache(maxsize=0)(_build_transfer)
+
+    def cache_info(self):
+        kept, unkept = self.get.cache_info(), self.build.cache_info()
+        return kept._replace(misses=kept.misses + unkept.misses)
+
+
+_transfer_array = _TransferCache()
 
 
 def _half_transfer(height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float,
-                   z: float, build=_transfer_array) -> tuple[np.ndarray, np.ndarray]:
+                   z: float, build=_transfer_array.get) -> tuple[np.ndarray, np.ndarray]:
     """Re H and Im H over z from ``build`` at |z|; +z and -z share one
-    cache entry, since H(-z) = conj H(z)."""
+    build, since H(-z) = conj H(z)."""
     re_h, im_h = build(height, width, pitch_x, pitch_y, wavelength, abs(z))
     return re_h, (im_h if z >= 0 else -im_h)
 
@@ -127,13 +144,14 @@ def _propagate_array(
 
     ``spectrum``, when given, is ``_half_spectrum`` of the field (of its
     zero-mean remainder when padded), taken once by a caller propagating one
-    field to many planes; each plane's transfer is then built uncached.
+    field to many planes; each plane's transfer is then built and not kept.
     """
     height, width = field.shape
     frame = _frame(height, width, pad)
     workers = fft_workers()
     mean = field.mean() if pad else 0.0
-    build = _transfer_array if spectrum is None else _build_transfer
+    # a shared spectrum means a sweep, which visits each plane once
+    build = _transfer_array.get if spectrum is None else _transfer_array.build
     re_h, im_h = _half_transfer(*frame, pitch_x, pitch_y, wavelength, z, build)
     if spectrum is None:
         spectrum = _half_spectrum(field - mean if pad else field, frame, workers)

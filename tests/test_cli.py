@@ -2,6 +2,7 @@
 
 import json
 import tempfile
+import time
 from dataclasses import fields
 from pathlib import Path
 
@@ -501,8 +502,9 @@ def test_config_manifest_config_round_trip(mode_and_values):
     cfg = RunConfig.from_mapping(values)
     cfg.mode = mode
     with tempfile.TemporaryDirectory() as tmp:
-        manifest = load_key_values(_Manifest(cfg).write(Path(tmp)))
-    # the run's wall time and peak memory are recorded, and ignored on the way back
-    assert float(manifest["wall_s"]) >= 0 and float(manifest["peak_rss_mib"]) > 0
+        manifest = load_key_values(_Manifest(cfg, time.perf_counter() - 1.0).write(Path(tmp)))
+    # the time since the given start and the peak memory are recorded, and
+    # ignored on the way back
+    assert float(manifest["wall_s"]) >= 1.0 and float(manifest["peak_rss_mib"]) > 0
     again = RunConfig.from_mapping(manifest)
     assert again == cfg

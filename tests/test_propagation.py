@@ -26,6 +26,7 @@ from holoem.propagation import (
     _irfft2_crop,
     _propagate_array,
     _transfer_array,
+    _transfer_grid,
     propagate,
 )
 
@@ -117,8 +118,10 @@ def test_backward_transfer_is_conjugate():
 
 
 def test_transfer_values_are_read_only():
+    # cached builds, and the grid part every later build on the grid shares
     re_h, im_h = _half_transfer(8, 8, PITCH, PITCH, WAVELENGTH, 1e-3)
-    for part in (re_h, im_h):
+    root, inside = _transfer_grid(8, 8, PITCH, PITCH, WAVELENGTH)
+    for part in (re_h, im_h, root, inside):
         with pytest.raises(ValueError):
             part[0, 0] = 0.0
 
@@ -246,7 +249,7 @@ def test_half_row_transfer_build_equals_evaluation_on_every_row(height, width, p
                                                                 pitch_y, depth):
     # the columns of v_y < 0 are mirrored, not evaluated; they must match
     # the same formula evaluated on every row-major row bit for bit
-    re_h, im_h = _transfer_array(height, width, pitch_x, pitch_y, WAVELENGTH, depth)
+    re_h, im_h = _transfer_array.get(height, width, pitch_x, pitch_y, WAVELENGTH, depth)
     vx = np.fft.rfftfreq(width, d=pitch_x)
     vy = np.fft.fftfreq(height, d=pitch_y)
     s = 1.0 - (WAVELENGTH * vx[None, :]) ** 2 - (WAVELENGTH * vy[:, None]) ** 2

@@ -224,9 +224,8 @@ def _focus_scores(hologram: Hologram, distances, pad: bool = True) -> np.ndarray
     The mean-removed hologram is real and is its own zero-mean remainder,
     the part that padded propagation transforms, so the sweep takes its
     kx-major half spectrum once. Each plane then costs one transfer build,
-    counted but not kept by the transfer cache since no plane is visited
-    twice, and two cropped inverse transforms, whose x transforms skip the
-    cropped rows.
+    counted but not kept since no plane is visited twice, and two cropped
+    inverse transforms, whose x transforms skip the cropped rows.
     """
     raw = hologram.intensity.data
     g = raw - raw.mean()

@@ -21,12 +21,11 @@ anti-Hermitian part is j W(v) Im H(v). Half spectra are stored kx-major,
 ``rfft2(w).T`` of shape (W//2 + 1, H), so the y transforms run along the
 contiguous axis; ``_half_spectrum`` and ``_irfft2_crop`` are the one
 transform pair. ``_transfer_array`` builds Re H and Im H in that layout
-once per |z| (the sign of z only flips Im H), keeping the solvers' builds
-and counting every build; a build takes the square root once per grid,
-then evaluates the columns of v_y >= 0 and mirrors the rest. The operators
-in ``operators.py``, the autofocus sweep (whose builds are not kept) and
-``propagate`` (a complex field as P_z(a + j b) = P_z a + j P_z b) all run
-on these half spectra.
+once per |z| (the sign of z only flips Im H) and counts every build; a
+build takes the square root once per grid, then evaluates the columns of
+v_y >= 0 and mirrors the rest. The operators in ``operators.py`` (builds
+kept), the autofocus sweep (builds not kept) and ``propagate`` (a complex
+field as P_z(a + j b) = P_z a + j P_z b) all run on these half spectra.
 
 Padding is the operators' mean split: the field's mean advances as a plane
 wave, picking up exp(j k0 z), and only the zero-mean remainder is embedded

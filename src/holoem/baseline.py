@@ -104,6 +104,6 @@ def baseline_reconstruct(
 
     start = stack_adjoint(g, cfg.pitch_x, cfg.pitch_y, cfg.wavelength, cfg.slice_distances,
                           pad=params.pad, real=True)
-    (w,), trace = _iterate(g, cfg, params, [start], data_term, update,
+    (w,), trace = _iterate(cfg, params, [start], data_term, update,
                            _truth_parts(ground_truth, complex_mode=False))
     return _real_stack(w, cfg), trace

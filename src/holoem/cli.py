@@ -90,34 +90,27 @@ def _parse_bool(text: str) -> bool:
     raise ConfigError(f"bad boolean {text!r}")
 
 
-def _parse_float(text: str) -> float:
-    try:
-        return float(text)
-    except ValueError:
-        raise ConfigError(f"bad number {text!r}") from None
-
-
-def _parse_int(text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise ConfigError(f"bad integer {text!r}") from None
-
-
-def _parse_opt_float(text: str) -> float | None:
-    if text.strip().lower() in ("", "auto", "none"):
-        return None
-    return _parse_float(text)
+def _number_parser(cast, noun: str, unset=()):
+    """A parser for one numeric kind: the words in unset (matched without case or
+    surrounding space) mean None, anything else must pass cast."""
+    def parse(text: str):
+        if text.strip().lower() in unset:
+            return None
+        try:
+            return cast(text)
+        except ValueError:
+            raise ConfigError(f"bad {noun} {text!r}") from None
+    return parse
 
 
 _CONFIG_PARSERS = {
     "str": str,
     "path": str,
     "paths": lambda s: tuple(p.strip() for p in s.split(",") if p.strip()),
-    "int": _parse_int,
-    "optint": lambda s: None if s.strip().lower() in ("", "none") else _parse_int(s),
-    "float": _parse_float,
-    "optfloat": _parse_opt_float,
+    "int": _number_parser(int, "integer"),
+    "optint": _number_parser(int, "integer", ("", "none")),
+    "float": _number_parser(float, "number"),
+    "optfloat": _number_parser(float, "number", ("", "auto", "none")),
     "bool": _parse_bool,
     "length": parse_length,
     "lengths": lambda s: tuple(parse_length(p) for p in s.split(",") if p.strip()),
@@ -133,8 +126,9 @@ def _key(kind: str, help_text: str, default=None, modes=()):
 _SOLVE = ("reconstruct-real", "reconstruct-complex", "baseline")
 _EM = _SOLVE[:2]
 _LOAD = _SOLVE + ("autofocus",)  # modes that load a hologram
-_OPTICS = ("simulate",) + _LOAD  # modes that build an optical configuration
 _SIM = ("simulate",)
+_OPTICS = _SIM + _LOAD  # modes that build an optical configuration
+_GEOMETRY = _SIM + _SOLVE  # modes that read the object geometry (autofocus scans for it)
 _BASELINE = ("baseline",)
 _FOCUS = ("autofocus",)
 
@@ -160,8 +154,8 @@ class RunConfig:
     width: int | None = _key("int", "grid width in pixels", modes=_OPTICS)
     height: int | None = _key("int", "grid height in pixels", modes=_OPTICS)
     slice_distances: tuple[float, ...] | None = _key(
-        "lengths", "comma-separated object-to-sensor distances", modes=_OPTICS)
-    illumination_amplitude: float = _key("float", "plane-wave amplitude A", 1.0, modes=_OPTICS)
+        "lengths", "comma-separated object-to-sensor distances", modes=_GEOMETRY)
+    illumination_amplitude: float = _key("float", "plane-wave amplitude A", 1.0, modes=_GEOMETRY)
     model: str = _key("str", "forward model: linear or full", "linear", modes=_SIM)
     photon_scale: float | None = _key(
         "optfloat", "photons per intensity unit ('auto' scales mean to 1e4)", modes=_SIM)
@@ -237,31 +231,18 @@ class RunConfig:
             )
 
 
-def _resolved_pitch(cfg: RunConfig, meta: dict[str, str]) -> tuple[float, float]:
-    if cfg.pitch is not None:
-        px = cfg.pitch
-    elif "pitch_x" in meta:
-        px = float(meta["pitch_x"])
-    else:
-        logger.warning("no pitch configured or recorded; assuming %s", format_length(DEFAULT_PITCH))
-        px = DEFAULT_PITCH
-    if cfg.pitch_y is not None:
-        py = cfg.pitch_y
-    elif "pitch_y" in meta:
-        py = float(meta["pitch_y"])
-    else:
-        py = px
-    return px, py
-
-
-def _resolved_wavelength(cfg: RunConfig, meta: dict[str, str]) -> float:
-    if cfg.wavelength is not None:
-        return cfg.wavelength
-    if "wavelength" in meta:
-        return float(meta["wavelength"])
-    logger.warning("no wavelength configured or recorded; assuming %s",
-                   format_length(DEFAULT_WAVELENGTH))
-    return DEFAULT_WAVELENGTH
+def _optic(cfg: RunConfig, meta: dict[str, str], key: str, default: float) -> float:
+    """One optical key: the config's value, else the image sidecar's (which
+    records the pitch as pitch_x), else default. pitch_y defaults to the
+    resolved pitch; any other default is logged as a warning."""
+    if getattr(cfg, key) is not None:
+        return getattr(cfg, key)
+    recorded = "pitch_x" if key == "pitch" else key
+    if recorded in meta:
+        return float(meta[recorded])
+    if key != "pitch_y":
+        logger.warning("no %s configured or recorded; assuming %s", key, format_length(default))
+    return default
 
 
 def _optics_values(optics: OpticalConfig) -> dict:
@@ -325,17 +306,24 @@ def _save_all(out: Path, named_grids, wavelength: float, manifest: _Manifest):
         manifest.outputs(written)
 
 
-def _optical_config(cfg: RunConfig, width: int, height: int,
-                    pitch: tuple[float, float], wavelength: float) -> OpticalConfig:
-    cfg.require("slice_distances")
+def _optical_config(cfg: RunConfig, meta: dict[str, str], width: int,
+                    height: int) -> OpticalConfig:
+    """The run's optics, each key resolved by :func:`_optic`. Autofocus reads
+    no geometry: its hologram carries one fixed depth and unit amplitude."""
+    if cfg.mode == "autofocus":
+        distances, amplitude = (1.0,), 1.0
+    else:
+        cfg.require("slice_distances")
+        distances, amplitude = cfg.slice_distances, cfg.illumination_amplitude
+    pitch = _optic(cfg, meta, "pitch", DEFAULT_PITCH)
     return OpticalConfig(
-        wavelength=wavelength,
-        pitch_x=pitch[0],
-        pitch_y=pitch[1],
+        wavelength=_optic(cfg, meta, "wavelength", DEFAULT_WAVELENGTH),
+        pitch_x=pitch,
+        pitch_y=_optic(cfg, meta, "pitch_y", pitch),
         width=width,
         height=height,
-        slice_distances=cfg.slice_distances,
-        illumination_amplitude=cfg.illumination_amplitude,
+        slice_distances=distances,
+        illumination_amplitude=amplitude,
     )
 
 
@@ -373,9 +361,7 @@ def _load_on_grid(path, optics: OpticalConfig) -> RealGrid2D:
 
 def _run_simulate(cfg: RunConfig, out: Path, started: float) -> int:
     cfg.require("width", "height", "slice_distances")
-    wavelength = _resolved_wavelength(cfg, {})
-    pitch = _resolved_pitch(cfg, {})
-    optics = _optical_config(cfg, cfg.width, cfg.height, pitch, wavelength)
+    optics = _optical_config(cfg, {}, cfg.width, cfg.height)
     stack = _object_stack(cfg, optics)
     holo = simulate(stack, optics, model=cfg.model, photon_scale=cfg.photon_scale,
                     seed=cfg.noise_seed, pad=cfg.pad)
@@ -388,19 +374,16 @@ def _run_simulate(cfg: RunConfig, out: Path, started: float) -> int:
         grids.append((f"truth_{i:02d}_re.pfm", s.real_part()))
         if np.any(s.data.imag != 0.0):
             grids.append((f"truth_{i:02d}_im.pfm", s.imag_part()))
-    _save_all(out, grids, wavelength, manifest)
+    _save_all(out, grids, optics.wavelength, manifest)
     manifest.write(out)
     print(f"simulated {optics.width}x{optics.height} hologram, "
-          f"{optics.n_slices} slice(s), wavelength {format_length(wavelength)}")
+          f"{optics.n_slices} slice(s), wavelength {format_length(optics.wavelength)}")
     return 0
 
 
 def _load_hologram(cfg: RunConfig) -> Hologram:
     cfg.require("input")
     img = load_image(cfg.input)
-    meta = load_metadata(cfg.input)
-    wavelength = _resolved_wavelength(cfg, meta)
-    pitch = _resolved_pitch(cfg, meta)
     if (cfg.width is not None and cfg.width != img.width) or (
         cfg.height is not None and cfg.height != img.height
     ):
@@ -408,9 +391,8 @@ def _load_hologram(cfg: RunConfig) -> Hologram:
             f"configured grid {cfg.width}x{cfg.height} does not match "
             f"{cfg.input} ({img.width}x{img.height})"
         )
-    optics = _optical_config(cfg, img.width, img.height, pitch, wavelength)
-    img = RealGrid2D(img.data, pitch[0], pitch[1])
-    return Hologram(img, optics)
+    optics = _optical_config(cfg, load_metadata(cfg.input), img.width, img.height)
+    return Hologram(RealGrid2D(img.data, optics.pitch_x, optics.pitch_y), optics)
 
 
 def _load_truth(cfg: RunConfig, optics: OpticalConfig, complex_mode: bool) -> ObjectStack | None:
@@ -515,8 +497,6 @@ def _run_reconstruct(cfg: RunConfig, out: Path, started: float) -> int:
 
 def _run_autofocus(cfg: RunConfig, out: Path, started: float) -> int:
     cfg.require("input", "z_min", "z_max", "z_step")
-    if cfg.slice_distances is None:
-        cfg.slice_distances = (cfg.z_min + (cfg.z_max - cfg.z_min) / 2,)  # placeholder geometry
     holo = _load_hologram(cfg)
     best = autofocus(holo, cfg.z_min, cfg.z_max, cfg.z_step, pad=cfg.pad)
     manifest = _Manifest(cfg, started, **_optics_values(holo.config))
@@ -549,7 +529,7 @@ def _run_metrics(cfg: RunConfig, out: Path, started: float) -> int:
 
 def _run_resolution(cfg: RunConfig, out: Path, started: float) -> int:
     cfg.require("numerical_aperture")
-    wavelength = _resolved_wavelength(cfg, {})
+    wavelength = _optic(cfg, {}, "wavelength", DEFAULT_WAVELENGTH)
     lateral, axial = resolution_limits(wavelength, cfg.numerical_aperture)
     manifest = _Manifest(cfg, started, wavelength=wavelength)
     result = write_key_values(out / "resolution.txt", {"lateral": lateral, "axial": axial})

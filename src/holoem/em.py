@@ -289,7 +289,6 @@ def _relative_change(new: list[np.ndarray], old: list[np.ndarray]) -> float:
 
 
 def _iterate(
-    g: np.ndarray,
     config: OpticalConfig,
     params,
     parts: list[np.ndarray],
@@ -450,7 +449,7 @@ def _em_solve(hologram: Hologram, params: ReconParams | None,
         return new if ub is None else apply_upper_bound(new, ub, params.beta)
 
     stop_delta = params.stop_delta if params.stop_rule == "relative_change" else None
-    parts, trace = _iterate(g, cfg, params, _em_start(g, cfg, params, complex_mode),
+    parts, trace = _iterate(cfg, params, _em_start(g, cfg, params, complex_mode),
                             data_term, update, _truth_parts(ground_truth, complex_mode),
                             stop_delta)
     return parts, trace

@@ -32,7 +32,6 @@ __all__ = [
     "Hologram",
     "synthesize_linear",
     "synthesize_full",
-    "scaled_object_stack",
     "add_poisson_noise",
     "default_photon_scale",
     "simulate",
@@ -216,26 +215,6 @@ def synthesize_full(stack: ObjectStack, config: OpticalConfig, pad: bool = True)
     return RealGrid2D(g, config.pitch_x, config.pitch_y)
 
 
-def scaled_object_stack(stack: ObjectStack, config: OpticalConfig) -> ObjectStack:
-    """Fold illumination and the DC term into the object slices.
-
-    Returns the stack f with f_z = |A|^2 [ 1/(S c_z) + 2 o_z ], where
-    c_z = exp(j k0 z). Applying the plain multi-slice superposition
-    sum_z Re[P_z f_z] to this stack reproduces ``synthesize_linear``
-    exactly (without padding), because the constant DC share propagates to
-    |A|^2/S per slice. This is the domain the reconstruction works in.
-    """
-    _check_geometry(stack.shape, stack.pitch_x, stack.pitch_y, config)
-    a2 = config.illumination_amplitude**2
-    s = config.n_slices
-    k0 = 2.0 * np.pi / config.wavelength
-    out = []
-    for o, z in zip(stack.slices, config.slice_distances):
-        c = np.exp(1j * k0 * z)
-        out.append(o.with_data(a2 * (1.0 / (s * c) + 2.0 * o.data)))
-    return ObjectStack(tuple(out))
-
-
 def add_poisson_noise(intensity: RealGrid2D, photon_scale: float, seed: int) -> RealGrid2D:
     """Replace each pixel with a Poisson draw at mean photon_scale * value.
 
@@ -256,12 +235,12 @@ def add_poisson_noise(intensity: RealGrid2D, photon_scale: float, seed: int) -> 
     return intensity.with_data(counts / photon_scale)
 
 
-def default_photon_scale(intensity: RealGrid2D, target_mean_counts: float = 1e4) -> float:
-    """Photon scale that maps the mean intensity to target_mean_counts."""
+def default_photon_scale(intensity: RealGrid2D) -> float:
+    """Photon scale that maps the mean intensity to 1e4 counts."""
     mean = float(intensity.data.mean())
     if not mean > 0:
         raise ValueError("mean intensity must be positive to pick a photon scale")
-    return target_mean_counts / mean
+    return 1e4 / mean
 
 
 def simulate(

@@ -2,7 +2,8 @@
 
 Images travel as PFM (grayscale 'Pf', float32, |scale| row order
 bottom-to-top, sign of scale giving endianness) for lossless float data,
-or binary PGM ('P5', maxval 255 or 65535, 16-bit big-endian) for display.
+or binary PGM ('P5') for display: previews are written 16-bit (maxval
+65535, big-endian), and 8-bit files (maxval up to 255) are read too.
 Every image carries a sidecar ``<image>.meta`` in the same ``key = value``
 format as config files, holding pixel pitch, wavelength when known, and
 for PGM the quantization range so loading can undo the scaling.
@@ -40,7 +41,6 @@ __all__ = [
     "load_key_values",
     "write_key_values",
     "write_trace",
-    "read_trace",
     "write_error_record",
 ]
 
@@ -139,10 +139,8 @@ def _read_pfm(path: Path) -> np.ndarray:
     return data
 
 
-def _write_pgm(path: Path, data: np.ndarray, bit_depth: int) -> tuple[float, float]:
-    if bit_depth not in (8, 16):
-        raise ValueError(f"PGM bit depth must be 8 or 16, got {bit_depth}")
-    maxval = (1 << bit_depth) - 1
+def _write_pgm(path: Path, data: np.ndarray) -> tuple[float, float]:
+    maxval = 65535
     lo, hi = float(data.min()), float(data.max())
     if not np.isfinite(hi - lo):
         raise HoloIOError(f"{path}: value range [{lo!r}, {hi!r}] is too wide to quantize")
@@ -153,7 +151,7 @@ def _write_pgm(path: Path, data: np.ndarray, bit_depth: int) -> tuple[float, flo
     height, width = data.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{width} {height}\n{maxval}\n".encode("ascii"))
-        f.write(q.astype(">u2" if bit_depth == 16 else "u1").tobytes())
+        f.write(q.astype(">u2").tobytes())
     return lo, hi
 
 
@@ -181,12 +179,11 @@ def _read_pgm(path: Path) -> tuple[np.ndarray, int]:
     return counts.astype(np.float64), maxval
 
 
-def save_image(path, grid: RealGrid2D, wavelength: float | None = None,
-               bit_depth: int = 16) -> list[Path]:
-    """Write a grid as .pfm (float) or .pgm (quantized) plus its sidecar.
+def save_image(path, grid: RealGrid2D, wavelength: float | None = None) -> list[Path]:
+    """Write a grid as .pfm (float) or 16-bit .pgm (quantized) plus its sidecar.
 
     Returns the written paths ([image, sidecar]). PGM data is min-max
-    scaled to the integer range; the range goes into the sidecar so
+    scaled to 0..65535; the range goes into the sidecar so
     :func:`load_image` can restore the original values to quantization
     accuracy.
     """
@@ -198,7 +195,7 @@ def save_image(path, grid: RealGrid2D, wavelength: float | None = None,
     if suffix == ".pfm":
         _write_pfm(path, grid.data)
     elif suffix == ".pgm":
-        lo, hi = _write_pgm(path, grid.data, bit_depth)
+        lo, hi = _write_pgm(path, grid.data)
         meta["pgm_min"] = lo
         meta["pgm_max"] = hi
     else:
@@ -219,9 +216,10 @@ def load_metadata(path) -> dict[str, str]:
 def load_image(path) -> RealGrid2D:
     """Read a .pfm or .pgm image with its sidecar metadata.
 
-    Missing sidecars fall back to the default pitch (1.12 um) with a
-    warning. PGM values are mapped back to the recorded range when the
-    sidecar has one, otherwise to [0, 1].
+    A missing sidecar is logged as a warning and the grid takes the
+    default pitch (1.12 um); the CLI resolves its optics itself and warns
+    for each value it defaults. PGM values are mapped back to the recorded
+    range when the sidecar has one, otherwise to [0, 1].
     """
     path = Path(path)
     if not path.exists():
@@ -229,10 +227,7 @@ def load_image(path) -> RealGrid2D:
     suffix = path.suffix.lower()
     meta = load_metadata(path)
     if not meta:
-        logger.warning(
-            "%s: no sidecar metadata; assuming pitch %.3g m (and wavelength %.3g m if needed)",
-            path, DEFAULT_PITCH, DEFAULT_WAVELENGTH,
-        )
+        logger.warning("%s: no sidecar metadata", path)
     try:
         pitch_x = float(meta.get("pitch_x", DEFAULT_PITCH))
         pitch_y = float(meta.get("pitch_y", meta.get("pitch_x", DEFAULT_PITCH)))
@@ -253,15 +248,13 @@ def load_image(path) -> RealGrid2D:
     return RealGrid2D(data, pitch_x, pitch_y)
 
 
-def apply_reference_illumination(raw: RealGrid2D, size: int = 5) -> RealGrid2D:
+def apply_reference_illumination(raw: RealGrid2D) -> RealGrid2D:
     """Smooth a recorded reference image into a per-pixel upper bound.
 
-    A k x k mean filter with replicated edges knocks shot noise out of the
+    A 5 x 5 mean filter with replicated edges knocks shot noise out of the
     reference while keeping its low-frequency illumination profile.
     """
-    if size < 1 or size % 2 == 0:
-        raise ValueError(f"mean filter size must be odd and >= 1, got {size}")
-    return raw.with_data(_ndi.uniform_filter(raw.data, size=size, mode="nearest"))
+    return raw.with_data(_ndi.uniform_filter(raw.data, size=5, mode="nearest"))
 
 
 def parse_key_values(text: str, where: str = "<config>") -> dict[str, str]:
@@ -303,13 +296,10 @@ def write_key_values(path, mapping) -> Path:
     return path
 
 
-_TRACE_HEADER = ",".join(ReconTrace.COLUMNS)
-
-
 def write_trace(path, trace: ReconTrace) -> Path:
     """Write a trace as CSV with the header ``ReconTrace.COLUMNS``."""
     path = Path(path)
-    rows = [_TRACE_HEADER]
+    rows = [",".join(ReconTrace.COLUMNS)]
     for i in range(len(trace)):
         s = "" if trace.ssim[i] is None else repr(trace.ssim[i])
         rows.append(
@@ -317,28 +307,6 @@ def write_trace(path, trace: ReconTrace) -> Path:
         )
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     return path
-
-
-def read_trace(path) -> ReconTrace:
-    path = Path(path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    if not lines or lines[0] != _TRACE_HEADER:
-        raise HoloIOError(f"{path}: bad trace header")
-    trace = ReconTrace()
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != len(ReconTrace.COLUMNS):
-            raise HoloIOError(f"{path}:{lineno}: expected {len(ReconTrace.COLUMNS)} columns, "
-                              f"got {len(parts)}")
-        it, nll_s, tv_s, ssim_s, ms_s = parts
-        try:
-            trace.append(int(it), float(nll_s), float(tv_s),
-                         None if ssim_s == "" else float(ssim_s), float(ms_s))
-        except ValueError as exc:
-            raise HoloIOError(f"{path}:{lineno}: {exc}") from None
-    return trace
 
 
 def write_error_record(out_dir, exit_code: int, kind: str, message: str) -> Path | None:

@@ -19,7 +19,7 @@ import numpy as np
 import scipy.ndimage as _ndi
 
 from .forward import Hologram
-from .grid import RealGrid2D, fft_workers
+from .grid import fft_workers
 from .propagation import _frame, _half_spectrum, _propagate_array
 
 logger = logging.getLogger(__name__)
@@ -45,8 +45,6 @@ SSIM_K2 = 0.03
 
 
 def _as_array(image) -> np.ndarray:
-    if isinstance(image, RealGrid2D):
-        return image.data
     arr = np.asarray(image, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D image, got shape {arr.shape}")
@@ -187,12 +185,10 @@ def ncc(test, reference) -> float:
     return float(np.sum(a * b) / den)
 
 
-def median_filter(image, size: int = 3):
+def median_filter(image, size: int = 3) -> np.ndarray:
     """k x k median filter with replicated edges; k must be odd and >= 1."""
     if size < 1 or size % 2 == 0:
         raise ValueError(f"median filter size must be odd and >= 1, got {size}")
-    if isinstance(image, RealGrid2D):
-        return image.with_data(_ndi.median_filter(image.data, size=size, mode="nearest"))
     return _ndi.median_filter(_as_array(image), size=size, mode="nearest")
 
 

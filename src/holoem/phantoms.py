@@ -6,10 +6,11 @@ real perturbation on an empty background); the complex phantom carries
 laterally separated absorption and phase structures so the two parts are
 individually identifiable.
 
-Mask helpers take fractional centers and sizes. The stack builders anchor
-feature sizes to a fixed physical extent (fractions of a 143.36 um
-reference field) so that growing the grid enlarges the field of view
-around the same physical object instead of magnifying the features.
+Mask helpers take fractional centers, and sizes as fractions of a scale
+in pixels. The stack builders pass the pixel count of a fixed physical
+extent (a 143.36 um reference field) as that scale, so that growing the
+grid enlarges the field of view around the same physical object instead
+of magnifying the features.
 """
 
 from __future__ import annotations
@@ -46,54 +47,47 @@ def _feature_pixels(config: OpticalConfig) -> float:
 
 
 def disk_mask(height: int, width: int, cy: float, cx: float, r: float,
-              scale: float | None = None) -> np.ndarray:
-    """Filled disk; fractional center, radius as a fraction of scale.
-
-    scale defaults to min(height, width) so the plain call keeps shapes
-    proportional to the grid.
-    """
+              scale: float) -> np.ndarray:
+    """Filled disk; fractional center, radius as a fraction of scale."""
     y, x = _coords(height, width)
-    rr = r * (min(height, width) if scale is None else scale)
+    rr = r * scale
     return ((y - cy * height) ** 2 + (x - cx * width) ** 2 <= rr**2).astype(np.float64)
 
 
 def rect_mask(height: int, width: int, cy: float, cx: float, hy: float, hx: float,
-              scale: float | None = None) -> np.ndarray:
+              scale: float) -> np.ndarray:
     """Filled rectangle from a fractional center and half-sizes of scale."""
     y, x = _coords(height, width)
-    s = min(height, width) if scale is None else scale
     return (
-        (np.abs(y - cy * height) <= hy * s) & (np.abs(x - cx * width) <= hx * s)
+        (np.abs(y - cy * height) <= hy * scale) & (np.abs(x - cx * width) <= hx * scale)
     ).astype(np.float64)
 
 
 def ring_mask(height: int, width: int, cy: float, cx: float, r_in: float, r_out: float,
-              scale: float | None = None) -> np.ndarray:
+              scale: float) -> np.ndarray:
     """Annulus between two radii given as fractions of scale."""
     y, x = _coords(height, width)
     d2 = (y - cy * height) ** 2 + (x - cx * width) ** 2
-    s = min(height, width) if scale is None else scale
-    return (((r_in * s) ** 2 <= d2) & (d2 <= (r_out * s) ** 2)).astype(np.float64)
+    return (((r_in * scale) ** 2 <= d2) & (d2 <= (r_out * scale) ** 2)).astype(np.float64)
 
 
 def cross_mask(height: int, width: int, cy: float, cx: float, arm: float, thick: float,
-               scale: float | None = None) -> np.ndarray:
+               scale: float) -> np.ndarray:
     """Plus-shaped cross; arm half-length and half-thickness as fractions of scale."""
     y, x = _coords(height, width)
-    s = min(height, width) if scale is None else scale
     dy = np.abs(y - cy * height)
     dx = np.abs(x - cx * width)
-    a, t = arm * s, thick * s
+    a, t = arm * scale, thick * scale
     return (((dx <= a) & (dy <= t)) | ((dy <= a) & (dx <= t))).astype(np.float64)
 
 
-def multi_depth_masks(height: int, width: int, scale: float | None = None) -> list[np.ndarray]:
+def multi_depth_masks(height: int, width: int, scale: float) -> list[np.ndarray]:
     """Three binary feature masks with laterally disjoint supports.
 
     Slice 0 occupies the left third of the field, slice 1 the middle,
     slice 2 the right, so depth crosstalk can be measured directly from
     energy outside a slice's own support region. scale fixes the feature
-    size in pixels (see module docstring); None keeps them grid-relative.
+    size in pixels (see module docstring).
     """
     m0 = (
         disk_mask(height, width, 0.30, 0.16, 0.055, scale)

@@ -1,11 +1,16 @@
-"""Every name a holoem module exports through ``__all__`` exists.
+"""Every name a holoem module exports through ``__all__`` exists, and the
+source keeps no dead inputs: no parameter a function never reads, no import
+a module never uses.
 
 A deletion that forgets the export list would otherwise surface only when
-a caller runs ``from holoem.<module> import *``.
+a caller runs ``from holoem.<module> import *``. No linter is required: the
+last two checks walk the source with ``ast``.
 """
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -21,3 +26,46 @@ def test_every_exported_name_resolves(name):
     assert len(set(exported)) == len(exported), f"holoem.{name}.__all__ repeats a name"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"holoem.{name}.__all__ names what the module lacks: {missing}"
+
+
+SOURCES = sorted(Path(holoem.__file__).parent.glob("*.py"))
+
+
+def _loaded_names(node) -> set[str]:
+    return {n.id for n in ast.walk(node) if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)}
+
+
+def test_every_parameter_is_read():
+    unread = []
+    for path in SOURCES:
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            a = fn.args
+            params = a.posonlyargs + a.args + a.kwonlyargs + [p for p in (a.vararg, a.kwarg) if p]
+            read = set().union(*map(_loaded_names, fn.body if isinstance(fn.body, list)
+                                     else [fn.body]))
+            unread += [f"{path.name}:{fn.lineno} {p.arg}" for p in params if p.arg not in read]
+    assert not unread, f"parameters their function never reads: {unread}"
+
+
+def test_every_import_is_used():
+    unused = []
+    for path in SOURCES:
+        text = path.read_text(encoding="utf-8")
+        tree = ast.parse(text)
+        lines = text.splitlines()
+        used = _loaded_names(tree)
+        used |= {n.value.id for n in ast.walk(tree)
+                 if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)}
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.Import, ast.ImportFrom)) or (
+                    isinstance(node, ast.ImportFrom) and node.module == "__future__"):
+                continue
+            if "# noqa: F401" in lines[node.end_lineno - 1]:
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                if name not in used:
+                    unused.append(f"{path.name}:{node.lineno} {name}")
+    assert not unused, f"imported names the module never uses: {unused}"

@@ -1,6 +1,7 @@
 """Command-line flows: units, config precedence, end-to-end runs, exit codes."""
 
 import json
+import logging
 import tempfile
 import time
 from dataclasses import fields
@@ -350,6 +351,15 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert all(flag in err for flag in ("--reference", "--stop", "--beta"))
         assert not out.exists()
+        # the sweep reads no object geometry
+        with pytest.raises(SystemExit) as exc:
+            main(["autofocus", "--out", str(out), "--input", str(sim / "hologram.pfm"),
+                  "--z-min", "0.9mm", "--z-max", "1.1mm", "--z-step", "0.1mm",
+                  "--slice-distances", "1mm", "--illumination-amplitude", "3"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert all(flag in err for flag in ("--slice-distances", "--illumination-amplitude"))
+        assert not out.exists()
 
 
 def test_flags_override_config_document(tmp_path):
@@ -413,6 +423,59 @@ def test_manifest_records_why_the_run_stopped(tmp_path):
         assert manifest["stop_reason"] == ("iteration_cap" if name == "baseline" else name)
         assert manifest["step_halvings"] == "0"
     assert len((tmp_path / "relative_change" / "trace.csv").read_text().splitlines()) < 51
+
+
+def test_autofocus_scan_may_start_at_zero(tmp_path):
+    sim = tmp_path / "sim"
+    assert main(simulate_args(sim)) == 0
+    out = tmp_path / "af"
+    assert main(["autofocus", "--out", str(out), "--input", str(sim / "hologram.pfm"),
+                 "--z-min", "0", "--z-max", "0", "--z-step", "1um"]) == 0
+    assert load_key_values(out / "autofocus.txt")["best_z"] == "0.0"
+
+
+def test_autofocus_manifest_with_geometry_keys_still_reruns(tmp_path):
+    # autofocus manifests once recorded a placeholder slice distance and the
+    # illumination amplitude; as config input both are legal and unread
+    sim = tmp_path / "sim"
+    assert main(simulate_args(sim)) == 0
+    first = tmp_path / "a"
+    assert main(["autofocus", "--out", str(first), "--input", str(sim / "hologram.pfm"),
+                 "--z-min", "0.8mm", "--z-max", "1.2mm", "--z-step", "0.1mm"]) == 0
+    manifest = load_key_values(first / "manifest.txt")
+    assert "slice_distances" not in manifest and "illumination_amplitude" not in manifest
+    old = tmp_path / "old_manifest.txt"
+    old.write_text((first / "manifest.txt").read_text()
+                   + "slice_distances = 0.001\nillumination_amplitude = 1.0\n")
+    second = tmp_path / "b"
+    assert main(["autofocus", "--config", str(old), "--out", str(second)]) == 0
+    assert ((second / "autofocus.txt").read_text()
+            == (first / "autofocus.txt").read_text() == "best_z = 0.001\n")
+
+
+def test_missing_sidecar_warns_only_for_defaulted_optics(tmp_path, caplog):
+    sim = tmp_path / "sim"
+    assert main(simulate_args(sim)) == 0
+    (sim / "hologram.pfm.meta").unlink()
+    scan = ["--input", str(sim / "hologram.pfm"),
+            "--z-min", "0.9mm", "--z-max", "1.1mm", "--z-step", "0.1mm"]
+
+    def warnings(*flags):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING):
+            assert main(["autofocus", "--out", str(tmp_path / "af"), *scan, *flags]) == 0
+        return [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING
+                and "scan boundary" not in r.getMessage()]
+
+    # the optics come from the flags: the one warning is true and names no value
+    given = warnings("--pitch", "2um", "--wavelength", "500nm")
+    assert len(given) == 1 and given[0].endswith("no sidecar metadata")
+    manifest = load_key_values(tmp_path / "af" / "manifest.txt")
+    assert float(manifest["pitch"]) == pytest.approx(2e-6)
+    assert float(manifest["wavelength"]) == pytest.approx(500e-9)
+    # nothing configured: one more warning for each value the run defaults
+    assert sorted(warnings()[1:]) == ["no pitch configured or recorded; assuming 1.12 um",
+                                      "no wavelength configured or recorded; assuming 675 nm"]
 
 
 def test_autofocus_manifest_records_pitch_y(tmp_path):

@@ -29,7 +29,7 @@ def config1(side=128):
 class TestMaskGeometry:
     def test_disk_boundary_inclusive(self):
         # scale 32, radius fraction 0.25 -> radius exactly 8 px around (16, 16)
-        m = disk_mask(32, 32, 0.5, 0.5, 0.25)
+        m = disk_mask(32, 32, 0.5, 0.5, 0.25, scale=32)
         assert m[16, 16] == 1.0
         assert m[16, 24] == 1.0   # distance exactly 8
         assert m[16, 25] == 0.0
@@ -43,13 +43,13 @@ class TestMaskGeometry:
         assert m[16, 21] == 0.0
 
     def test_rect_half_sizes(self):
-        m = rect_mask(20, 20, 0.5, 0.5, 0.1, 0.2)
+        m = rect_mask(20, 20, 0.5, 0.5, 0.1, 0.2, scale=20)
         # half-height 2 px, half-width 4 px around (10, 10), inclusive
         assert m[12, 10] == 1.0 and m[13, 10] == 0.0
         assert m[10, 14] == 1.0 and m[10, 15] == 0.0
 
     def test_ring_excludes_interior(self):
-        m = ring_mask(40, 40, 0.5, 0.5, 0.2, 0.3)
+        m = ring_mask(40, 40, 0.5, 0.5, 0.2, 0.3, scale=40)
         assert m[20, 20] == 0.0           # center hole
         assert m[20, 20 + 7] == 0.0       # inside inner radius 8
         assert m[20, 20 + 10] == 1.0      # in the band [8, 12]
@@ -57,7 +57,7 @@ class TestMaskGeometry:
 
     def test_cross_is_union_of_bars(self):
         # arm half-length 10 px, half-thickness 2 px, both bounds inclusive
-        m = cross_mask(40, 40, 0.5, 0.5, 0.25, 0.05)
+        m = cross_mask(40, 40, 0.5, 0.5, 0.25, 0.05, scale=40)
         assert m[20, 20] == 1.0
         assert m[20, 30] == 1.0 and m[20, 31] == 0.0   # horizontal arm extent
         assert m[22, 29] == 1.0 and m[23, 29] == 0.0   # arm thickness
@@ -65,7 +65,7 @@ class TestMaskGeometry:
         assert m[29, 29] == 0.0                        # diagonal corner stays empty
 
     def test_masks_are_binary(self):
-        for m in multi_depth_masks(64, 64):
+        for m in multi_depth_masks(64, 64, scale=64):
             assert set(np.unique(m)) <= {0.0, 1.0}
 
 
@@ -79,7 +79,7 @@ def test_generators_are_deterministic():
 
 
 def test_multi_depth_supports_are_disjoint():
-    masks = multi_depth_masks(128, 128)
+    masks = multi_depth_masks(128, 128, scale=128)
     assert np.all(masks[0] * masks[1] == 0.0)
     assert np.all(masks[0] * masks[2] == 0.0)
     assert np.all(masks[1] * masks[2] == 0.0)

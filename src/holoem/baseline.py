@@ -29,18 +29,16 @@ __all__ = ["BaselineParams", "estimate_step_size", "baseline_reconstruct"]
 class BaselineParams:
     """Controls for the additive comparator.
 
-    step_size=None picks 1/L with L estimated by power iteration;
+    step_size=None picks 1/L with L from :func:`estimate_step_size`;
     tau=None mirrors the statistical solver's default 0.002 * mean(g) so
-    comparisons are sparsity-matched.
+    comparisons are sparsity-matched. The TV smoothing epsilon is fixed
+    as in the statistical solver, from the initial estimate's range.
     """
 
     max_iters: int = 100
     tau: float | None = None
     step_size: float | None = None
-    tv_epsilon: float | None = None
     pad: bool = True
-    power_iters: int = 20
-    power_seed: int = 0
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -49,21 +47,17 @@ class BaselineParams:
             raise ValueError(f"step_size must be > 0, got {self.step_size}")
         if self.tau is not None and not self.tau >= 0:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
-        if self.tv_epsilon is not None and not self.tv_epsilon > 0:
-            raise ValueError(f"tv_epsilon must be > 0, got {self.tv_epsilon}")
-        if self.power_iters < 1:
-            raise ValueError(f"power_iters must be >= 1, got {self.power_iters}")
 
 
-def estimate_step_size(config: OpticalConfig, pad: bool = True,
-                       n_iters: int = 20, seed: int = 0) -> float:
-    """1/L with L the largest eigenvalue of H*H, by seeded power iteration."""
+def estimate_step_size(config: OpticalConfig, pad: bool = True) -> float:
+    """1/L with L the largest eigenvalue of H*H, by 20 power iterations from
+    a fixed start (standard normal, Philox seed 0), so it is reproducible."""
     px, py, lam, zs = config.pitch_x, config.pitch_y, config.wavelength, config.slice_distances
-    rng = np.random.Generator(np.random.Philox(seed))
+    rng = np.random.Generator(np.random.Philox(0))
     v = rng.standard_normal((len(zs),) + config.grid_shape)
     v /= np.linalg.norm(v)
     lam_max = 0.0
-    for _ in range(n_iters):
+    for _ in range(20):
         u = stack_adjoint(stack_forward(v, px, py, lam, zs, pad=pad),
                           px, py, lam, zs, pad=pad, real=True)
         lam_max = float(np.linalg.norm(u))
@@ -90,8 +84,7 @@ def baseline_reconstruct(
 
     step = params.step_size
     if step is None:
-        step = estimate_step_size(cfg, pad=params.pad, n_iters=params.power_iters,
-                                  seed=params.power_seed)
+        step = estimate_step_size(cfg, pad=params.pad)
     tau = _resolve_tau(g, params)
 
     def data_term(ghat):

@@ -37,6 +37,7 @@ from .io import (
     DEFAULT_WAVELENGTH,
     ConfigError,
     HoloIOError,
+    _read_pixels,
     apply_reference_illumination,
     load_image,
     load_key_values,
@@ -123,7 +124,8 @@ def _key(kind: str, help_text: str, default=None, modes=()):
     return field(default=default, metadata={"kind": kind, "help": help_text, "modes": modes})
 
 
-_SOLVE = ("reconstruct-real", "reconstruct-complex", "baseline")
+_REAL = ("reconstruct-real",)
+_SOLVE = _REAL + ("reconstruct-complex", "baseline")
 _EM = _SOLVE[:2]
 _LOAD = _SOLVE + ("autofocus",)  # modes that load a hologram
 _SIM = ("simulate",)
@@ -135,6 +137,10 @@ _FOCUS = ("autofocus",)
 # manifest entries that record a run's outcome; legal, and ignored, as config input
 _RESULT_KEYS = ("holoem_version", "numpy_version", "scipy_version", "fft_workers",
                 "stop_reason", "step_halvings", "wall_s", "peak_rss_mib")
+# keys retired from the solvers, each now fixed at one value: older manifests record
+# them, so each stays legal config input at that value only (key -> kind, value)
+_RETIRED = {"tv_epsilon": ("optfloat", "auto"), "ratio_floor": ("optfloat", "auto"),
+            "power_iters": ("int", "20"), "power_seed": ("int", "0")}
 
 
 @dataclass
@@ -155,7 +161,7 @@ class RunConfig:
     height: int | None = _key("int", "grid height in pixels", modes=_OPTICS)
     slice_distances: tuple[float, ...] | None = _key(
         "lengths", "comma-separated object-to-sensor distances", modes=_GEOMETRY)
-    illumination_amplitude: float = _key("float", "plane-wave amplitude A", 1.0, modes=_GEOMETRY)
+    illumination_amplitude: float = _key("float", "plane-wave amplitude A", 1.0, modes=_SIM)
     model: str = _key("str", "forward model: linear or full", "linear", modes=_SIM)
     photon_scale: float | None = _key(
         "optfloat", "photons per intensity unit ('auto' scales mean to 1e4)", modes=_SIM)
@@ -171,25 +177,19 @@ class RunConfig:
         "paths", "comma-separated per-slice object images", modes=_SIM)
     input: str | None = _key("path", "input hologram image", modes=_LOAD + ("metrics",))
     reference: str | None = _key(
-        "path", "reference illumination image (upper-bound source)",
-        modes=("reconstruct-real",))
+        "path", "reference illumination image (upper-bound source)", modes=_REAL)
     truth: tuple[str, ...] | None = _key(
         "paths", "ground-truth image(s)", modes=_SOLVE + ("metrics",))
     iters: int = _key("int", "iteration count", 100, modes=_SOLVE)
     tau: float | None = _key(
         "optfloat", "TV weight ('auto' = 0.002 * mean intensity)", modes=_SOLVE)
-    beta: float = _key("float", "upper-bound relaxation factor", 0.5, modes=_EM)
-    tv_epsilon: float | None = _key("optfloat", "TV smoothing epsilon ('auto')", modes=_SOLVE)
-    ratio_floor: float | None = _key("optfloat", "intensity ratio floor ('auto')", modes=_EM)
+    beta: float = _key("float", "upper-bound relaxation factor", 0.5, modes=_REAL)
     init: str = _key(
         "str", "initialization: backpropagation or constant", "backpropagation", modes=_EM)
     stop: str = _key("str", "stop rule: fixed_iters or relative_change", "fixed_iters", modes=_EM)
     stop_delta: float = _key("float", "relative-change stop threshold", 1e-6, modes=_EM)
     step_size: float | None = _key(
         "optfloat", "baseline step size ('auto' = 1/L)", modes=_BASELINE)
-    power_iters: int = _key(
-        "int", "power iterations for the step-size estimate", 20, modes=_BASELINE)
-    power_seed: int = _key("int", "seed for the step-size power iteration", 0, modes=_BASELINE)
     z_min: float | None = _key("length", "autofocus scan start", modes=_FOCUS)
     z_max: float | None = _key("length", "autofocus scan end", modes=_FOCUS)
     z_step: float | None = _key("length", "autofocus scan step", modes=_FOCUS)
@@ -210,17 +210,22 @@ class RunConfig:
 
     def update(self, mapping: dict[str, str], where: str = "<config>"):
         kinds = {f.name: f.metadata["kind"] for f in fields(self)}
+        kinds.update((key, kind) for key, (kind, _) in _RETIRED.items())
         for key, raw in mapping.items():
             if key in _RESULT_KEYS or key.startswith("output."):
                 continue  # manifest bookkeeping keys are legal config input
             if key not in kinds:
                 raise ConfigError(f"{where}: unknown key {key!r}")
-            kind = kinds[key]
+            parse = _CONFIG_PARSERS[kinds[key]]
             try:
-                value = _CONFIG_PARSERS[kind](raw) if isinstance(raw, str) else raw
+                value = parse(raw) if isinstance(raw, str) else raw
             except ConfigError as exc:
                 raise ConfigError(f"{where}: key {key!r}: {exc}") from None
-            setattr(self, key, value)
+            if key not in _RETIRED:
+                setattr(self, key, value)
+            elif value != parse(_RETIRED[key][1]):
+                raise ConfigError(f"{where}: key {key!r} is retired and accepts only "
+                                  f"{_RETIRED[key][1]}, got {raw!r}")
 
     def require(self, *keys: str):
         missing = [k for k in keys if getattr(self, k) is None]
@@ -248,8 +253,7 @@ def _optic(cfg: RunConfig, meta: dict[str, str], key: str, default: float) -> fl
 def _optics_values(optics: OpticalConfig) -> dict:
     """The optical keys a run resolved, for :class:`_Manifest`."""
     return {"wavelength": optics.wavelength, "pitch": optics.pitch_x, "pitch_y": optics.pitch_y,
-            "slice_distances": optics.slice_distances,
-            "illumination_amplitude": optics.illumination_amplitude}
+            "slice_distances": optics.slice_distances}
 
 
 class _Manifest:
@@ -309,12 +313,10 @@ def _save_all(out: Path, named_grids, wavelength: float, manifest: _Manifest):
 def _optical_config(cfg: RunConfig, meta: dict[str, str], width: int,
                     height: int) -> OpticalConfig:
     """The run's optics, each key resolved by :func:`_optic`. Autofocus reads
-    no geometry: its hologram carries one fixed depth and unit amplitude."""
-    if cfg.mode == "autofocus":
-        distances, amplitude = (1.0,), 1.0
-    else:
+    no geometry: its hologram carries one fixed depth. Only simulate reads the
+    illumination amplitude; a solver folds A^2 into its estimate."""
+    if cfg.mode != "autofocus":
         cfg.require("slice_distances")
-        distances, amplitude = cfg.slice_distances, cfg.illumination_amplitude
     pitch = _optic(cfg, meta, "pitch", DEFAULT_PITCH)
     return OpticalConfig(
         wavelength=_optic(cfg, meta, "wavelength", DEFAULT_WAVELENGTH),
@@ -322,8 +324,8 @@ def _optical_config(cfg: RunConfig, meta: dict[str, str], width: int,
         pitch_y=_optic(cfg, meta, "pitch_y", pitch),
         width=width,
         height=height,
-        slice_distances=distances,
-        illumination_amplitude=amplitude,
+        slice_distances=(1.0,) if cfg.mode == "autofocus" else cfg.slice_distances,
+        illumination_amplitude=cfg.illumination_amplitude if cfg.mode == "simulate" else 1.0,
     )
 
 
@@ -382,17 +384,16 @@ def _run_simulate(cfg: RunConfig, out: Path, started: float) -> int:
 
 
 def _load_hologram(cfg: RunConfig) -> Hologram:
+    """The input hologram on the run's optics: one sidecar read, one grid."""
     cfg.require("input")
-    img = load_image(cfg.input)
-    if (cfg.width is not None and cfg.width != img.width) or (
-        cfg.height is not None and cfg.height != img.height
-    ):
-        raise ConfigError(
-            f"configured grid {cfg.width}x{cfg.height} does not match "
-            f"{cfg.input} ({img.width}x{img.height})"
-        )
-    optics = _optical_config(cfg, load_metadata(cfg.input), img.width, img.height)
-    return Hologram(RealGrid2D(img.data, optics.pitch_x, optics.pitch_y), optics)
+    meta = load_metadata(cfg.input)
+    data = _read_pixels(Path(cfg.input), meta)
+    height, width = data.shape
+    if any(c not in (None, n) for c, n in zip((cfg.width, cfg.height), (width, height))):
+        raise ConfigError(f"configured grid {cfg.width}x{cfg.height} does not match "
+                          f"{cfg.input} ({width}x{height})")
+    optics = _optical_config(cfg, meta, width, height)
+    return Hologram(RealGrid2D(data, optics.pitch_x, optics.pitch_y), optics)
 
 
 def _load_truth(cfg: RunConfig, optics: OpticalConfig, complex_mode: bool) -> ObjectStack | None:
@@ -444,18 +445,14 @@ def _run_reconstruct(cfg: RunConfig, out: Path, started: float) -> int:
     optics = holo.config
     complex_mode = cfg.mode == "reconstruct-complex"
     if cfg.mode == "baseline":
-        params = BaselineParams(
-            max_iters=cfg.iters, tau=cfg.tau, step_size=cfg.step_size,
-            tv_epsilon=cfg.tv_epsilon, pad=cfg.pad,
-            power_iters=cfg.power_iters, power_seed=cfg.power_seed,
-        )
+        params = BaselineParams(max_iters=cfg.iters, tau=cfg.tau, step_size=cfg.step_size,
+                                pad=cfg.pad)
         solve = baseline_reconstruct
     else:
         if complex_mode and cfg.reference is not None:
             raise ConfigError("the upper bound (reference) applies to real mode only")
         params = ReconParams(
-            max_iters=cfg.iters, tau=cfg.tau, beta=cfg.beta,
-            tv_epsilon=cfg.tv_epsilon, ratio_floor=cfg.ratio_floor, init_mode=cfg.init,
+            max_iters=cfg.iters, tau=cfg.tau, beta=cfg.beta, init_mode=cfg.init,
             stop_rule=cfg.stop, stop_delta=cfg.stop_delta,
             upper_bound=_upper_bound(cfg, optics), pad=cfg.pad,
         )
@@ -583,10 +580,6 @@ def run(args: argparse.Namespace, started: float) -> int:
         return 4
 
 
-def _flag_name(key: str) -> str:
-    return "--" + key.replace("_", "-")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="holoem",
@@ -604,7 +597,7 @@ def _build_parser() -> argparse.ArgumentParser:
                 continue
             kind = f.metadata["kind"]
             suffix = " (accepts units: nm, um, mm)" if kind in ("length", "lengths") else ""
-            p.add_argument(_flag_name(f.name), dest=f"key_{f.name}", metavar="V",
+            p.add_argument("--" + f.name.replace("_", "-"), dest=f"key_{f.name}", metavar="V",
                            help=f.metadata["help"] + suffix)
     return parser
 

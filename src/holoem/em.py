@@ -78,17 +78,15 @@ class NumericError(RuntimeError):
 class ReconParams:
     """Reconstruction controls.
 
-    tau, tv_epsilon and ratio_floor default to data-dependent values when
-    None: tau = 0.002 * mean(g), tv_epsilon = 1e-4 * dynamic range of the
-    initial estimate, ratio_floor = 1e-12 * mean(g). upper_bound is a
-    scalar or per-pixel bound applied to every slice (real mode only).
+    tau = None means 0.002 * mean(g). upper_bound, a scalar or per-pixel
+    bound on every slice (real mode only), is relaxed by beta. The numeric
+    safeguards are fixed by the data: the TV smoothing epsilon is 1e-4 times
+    the initial estimate's dynamic range, the ratio floor 1e-12 * mean(g).
     """
 
     max_iters: int = 100
     tau: float | None = None
     beta: float = 0.5
-    tv_epsilon: float | None = None
-    ratio_floor: float | None = None
     init_mode: str = "backpropagation"
     stop_rule: str = "fixed_iters"
     stop_delta: float = 1e-6
@@ -102,10 +100,6 @@ class ReconParams:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
         if self.tau is not None and not self.tau >= 0:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
-        if self.tv_epsilon is not None and not self.tv_epsilon > 0:
-            raise ValueError(f"tv_epsilon must be > 0, got {self.tv_epsilon}")
-        if self.ratio_floor is not None and not self.ratio_floor > 0:
-            raise ValueError(f"ratio_floor must be > 0, got {self.ratio_floor}")
         if self.init_mode not in _INIT_MODES:
             raise ValueError(f"init_mode must be one of {_INIT_MODES}, got {self.init_mode!r}")
         if self.stop_rule not in _STOP_RULES:
@@ -269,9 +263,8 @@ def _resolve_tau(g: np.ndarray, params) -> float:
     return 0.002 * float(g.mean()) if params.tau is None else float(params.tau)
 
 
-def _resolve_epsilon(params, init_parts: list[np.ndarray]) -> float:
-    if params.tv_epsilon is not None:
-        return float(params.tv_epsilon)
+def _resolve_epsilon(init_parts: list[np.ndarray]) -> float:
+    """TV smoothing epsilon: 1e-4 times the initial estimate's dynamic range."""
     lo = min(float(p.min()) for p in init_parts)
     hi = max(float(p.max()) for p in init_parts)
     span = hi - lo
@@ -300,8 +293,9 @@ def _iterate(
     """The iteration loop shared by every solver.
 
     The estimate is a list of real parts: [w] in real mode, [Re w, Im w]
-    in complex mode, each stacked over slices. params supplies max_iters,
-    pad and tv_epsilon. The solver supplies the rest:
+    in complex mode, each stacked over slices. params supplies max_iters
+    and pad; the TV smoothing epsilon is fixed from the initial parts by
+    :func:`_resolve_epsilon`. The solver supplies the rest:
 
     - data_term(ghat) -> (value, residual): the data objective at the
       predicted intensity and the residual whose adjoint is its gradient;
@@ -315,7 +309,7 @@ def _iterate(
     """
     px, py, lam, zs = config.pitch_x, config.pitch_y, config.wavelength, config.slice_distances
     pad = params.pad
-    eps = _resolve_epsilon(params, parts)
+    eps = _resolve_epsilon(parts)
     trace = ReconTrace()
     prev, resid = data_term(stack_forward(_joined(parts), px, py, lam, zs, pad=pad))
     _, tv_grads = _tv_pass(parts, eps)
@@ -439,7 +433,7 @@ def _em_solve(hologram: Hologram, params: ReconParams | None,
     g = hologram.intensity.data
     ub = _upper_bound(params, cfg, complex_mode)
     tau = _resolve_tau(g, params)
-    floor = _resolve_floor(g, params.ratio_floor)
+    floor = _resolve_floor(g, None)
 
     def data_term(ghat):
         return nll(g, ghat, floor), _ratio_residual(g, ghat, floor)

@@ -213,6 +213,28 @@ def load_metadata(path) -> dict[str, str]:
     return load_key_values(side)
 
 
+def _read_pixels(path: Path, meta: dict[str, str]) -> np.ndarray:
+    """The pixels of a .pfm or .pgm image, given its sidecar's key-value pairs
+    (see :func:`load_image`); an empty sidecar is logged as a warning."""
+    if not path.exists():
+        raise HoloIOError(f"{path}: no such file")
+    if not meta:
+        logger.warning("%s: no sidecar metadata", path)
+    suffix = path.suffix.lower()
+    if suffix == ".pfm":
+        return _read_pfm(path)
+    if suffix != ".pgm":
+        raise HoloIOError(f"{path}: unsupported image suffix {suffix!r} (use .pfm or .pgm)")
+    counts, maxval = _read_pgm(path)
+    data = counts / maxval
+    if "pgm_min" in meta and "pgm_max" in meta:
+        lo, hi = float(meta["pgm_min"]), float(meta["pgm_max"])
+        if not np.isfinite(hi - lo):
+            raise HoloIOError(f"{sidecar_path(path)}: range [{lo!r}, {hi!r}] is not finite")
+        data = lo + data * (hi - lo)
+    return data
+
+
 def load_image(path) -> RealGrid2D:
     """Read a .pfm or .pgm image with its sidecar metadata.
 
@@ -222,29 +244,13 @@ def load_image(path) -> RealGrid2D:
     range when the sidecar has one, otherwise to [0, 1].
     """
     path = Path(path)
-    if not path.exists():
-        raise HoloIOError(f"{path}: no such file")
-    suffix = path.suffix.lower()
     meta = load_metadata(path)
-    if not meta:
-        logger.warning("%s: no sidecar metadata", path)
+    data = _read_pixels(path, meta)
     try:
         pitch_x = float(meta.get("pitch_x", DEFAULT_PITCH))
         pitch_y = float(meta.get("pitch_y", meta.get("pitch_x", DEFAULT_PITCH)))
     except ValueError as exc:
         raise HoloIOError(f"{sidecar_path(path)}: bad pitch value ({exc})") from None
-    if suffix == ".pfm":
-        data = _read_pfm(path)
-    elif suffix == ".pgm":
-        counts, maxval = _read_pgm(path)
-        data = counts / maxval
-        if "pgm_min" in meta and "pgm_max" in meta:
-            lo, hi = float(meta["pgm_min"]), float(meta["pgm_max"])
-            if not np.isfinite(hi - lo):
-                raise HoloIOError(f"{sidecar_path(path)}: range [{lo!r}, {hi!r}] is not finite")
-            data = lo + data * (hi - lo)
-    else:
-        raise HoloIOError(f"{path}: unsupported image suffix {suffix!r} (use .pfm or .pgm)")
     return RealGrid2D(data, pitch_x, pitch_y)
 
 

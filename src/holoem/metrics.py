@@ -245,8 +245,8 @@ def autofocus(
     removed before propagation: the unscattered pedestal carries no depth
     information but its interference with defocused fringes otherwise
     dominates the sharpness landscape. Ties take the smallest distance. A
-    maximum on the scan boundary is returned as-is with a low-confidence
-    warning, since the true optimum may lie outside the scanned range.
+    maximum on the boundary of a scan of several planes is returned as-is
+    with a low-confidence warning: the optimum may lie outside the range.
     """
     if not (z_step > 0 and z_max >= z_min):
         raise ValueError("need z_max >= z_min and z_step > 0")
@@ -254,7 +254,7 @@ def autofocus(
     zs = z_min + z_step * np.arange(n)
     scores = _focus_scores(hologram, zs, pad=pad)
     best = int(np.argmax(scores))
-    if best == 0 or best == n - 1:
+    if n > 1 and best in (0, n - 1):
         logger.warning(
             "autofocus maximum at scan boundary z=%.6g m; result is low confidence", zs[best]
         )

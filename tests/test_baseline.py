@@ -41,9 +41,9 @@ def test_step_size_against_dense_eigenvalue(distances, pad):
 
 
 def test_step_size_is_seed_deterministic():
+    # the power iteration starts from a fixed seed, so repeated estimates agree bitwise
     cfg = OpticalConfig(WAVELENGTH, PITCH, 8, 8, (1.0e-3,))
-    assert estimate_step_size(cfg, seed=0) == estimate_step_size(cfg, seed=0)
-    assert estimate_step_size(cfg, seed=0) != estimate_step_size(cfg, seed=1)
+    assert estimate_step_size(cfg) == estimate_step_size(cfg)
 
 
 @pytest.fixture(scope="module")
@@ -82,8 +82,6 @@ def test_trace_without_truth(demo64):
     dict(max_iters=0),
     dict(step_size=0.0),
     dict(tau=-0.5),
-    dict(tv_epsilon=0.0),
-    dict(power_iters=0),
 ])
 def test_params_validation(kw):
     with pytest.raises(ValueError):

@@ -1,5 +1,6 @@
 """Command-line flows: units, config precedence, end-to-end runs, exit codes."""
 
+import argparse
 import json
 import logging
 import tempfile
@@ -13,8 +14,9 @@ import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holoem import operators
-from holoem.cli import MODES, RunConfig, _Manifest, format_length, main, parse_length
+from holoem import cli, io, operators
+from holoem.cli import (MODES, RunConfig, _build_parser, _Manifest, format_length, main,
+                        parse_length)
 from holoem.grid import RealGrid2D
 from holoem.io import ConfigError, load_image, load_key_values, save_image
 
@@ -360,6 +362,40 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert all(flag in err for flag in ("--slice-distances", "--illumination-amplitude"))
         assert not out.exists()
+        # only simulate reads the amplitude (a solver folds A^2 into its estimate), and
+        # only real mode the upper bound that beta relaxes
+        solve = ["--input", str(sim / "hologram.pfm"), "--slice-distances", "1mm"]
+        for mode, flag, value in [("reconstruct-real", "--illumination-amplitude", "3"),
+                                  ("reconstruct-complex", "--illumination-amplitude", "3"),
+                                  ("baseline", "--illumination-amplitude", "3"),
+                                  ("reconstruct-complex", "--beta", "0.1")]:
+            with pytest.raises(SystemExit) as exc:
+                main([mode, "--out", str(out), *solve, flag, value])
+            assert exc.value.code == 2, (mode, flag)
+            assert flag in capsys.readouterr().err
+            assert not out.exists()
+
+
+def test_flag_surface():
+    # every (mode, flag) pair the command line takes; a new knob means a reviewed edit here
+    optics = "wavelength pitch pitch-y width height pad"
+    solve = f"{optics} slice-distances input truth iters tau"
+    expected = {
+        "simulate": f"{optics} slice-distances illumination-amplitude model photon-scale "
+                    "noise-seed phantom contrast phase-contrast objects",
+        "reconstruct-real": f"{solve} reference beta init stop stop-delta",
+        "reconstruct-complex": f"{solve} init stop stop-delta",
+        "baseline": f"{solve} step-size",
+        "autofocus": f"{optics} input z-min z-max z-step",
+        "metrics": "input truth peak median-size",
+        "resolution": "wavelength numerical-aperture",
+    }
+    expected = {(mode, "--" + flag) for mode, flags in expected.items() for flag in flags.split()}
+    (modes,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    pairs = {(mode, a.option_strings[0]) for mode, p in modes.choices.items()
+             for a in p._actions if a.dest.startswith("key_")}
+    assert len(expected) == 73
+    assert pairs == expected
 
 
 def test_flags_override_config_document(tmp_path):
@@ -391,9 +427,9 @@ def test_baseline_manifest_reruns_identically(tmp_path):
     assert main(simulate_args(sim, ["--noise-seed", "3"])) == 0
     first = tmp_path / "a"
     code = main(["baseline", "--out", str(first), "--input", str(sim / "hologram.pfm"),
-                 "--slice-distances", "1mm", "--tv-epsilon", "0.5", "--tau", "1",
+                 "--slice-distances", "1mm", "--step-size", "0.25", "--tau", "1",
                  "--iters", "5"])
-    assert float(load_key_values(first / "manifest.txt")["tv_epsilon"]) == 0.5
+    assert float(load_key_values(first / "manifest.txt")["step_size"]) == 0.25
     second = tmp_path / "b"
     assert main(["baseline", "--config", str(first / "manifest.txt"),
                  "--out", str(second)]) == code
@@ -404,6 +440,59 @@ def test_baseline_manifest_reruns_identically(tmp_path):
         return [line.rsplit(",", 1)[0] for line in lines]
 
     assert rows(second) == rows(first)
+
+
+# what manifests of each solve mode recorded before the solver knobs were retired and
+# the illumination amplitude (and, in complex mode, beta) became keys no solver reads
+_OLDER_MANIFEST_KEYS = {
+    "reconstruct-real": "illumination_amplitude = 1.0\ntv_epsilon = auto\nratio_floor = auto\n",
+    "reconstruct-complex": "illumination_amplitude = 1.0\nbeta = 0.5\ntv_epsilon = auto\n"
+                           "ratio_floor = auto\n",
+    "baseline": "illumination_amplitude = 1.0\ntv_epsilon = auto\npower_iters = 20\n"
+                "power_seed = 0\n",
+}
+
+
+@pytest.mark.parametrize("mode", sorted(_OLDER_MANIFEST_KEYS))
+def test_older_manifest_reruns_identically(tmp_path, mode):
+    sim = tmp_path / "sim"
+    assert main(simulate_args(sim, ["--noise-seed", "3"])) == 0
+    first = tmp_path / "a"
+    assert main([mode, "--out", str(first), "--input", str(sim / "hologram.pfm"),
+                 "--slice-distances", "1mm", "--iters", "3"]) == 0
+    manifest = (first / "manifest.txt").read_text()
+    assert not any(key in manifest for key in ("illumination_amplitude", "tv_epsilon"))
+    old = tmp_path / "old.txt"
+    old.write_text(manifest + _OLDER_MANIFEST_KEYS[mode])
+    second = tmp_path / "b"
+    assert main([mode, "--config", str(old), "--out", str(second)]) == 0
+    for path in sorted(first.glob("slice_*.pfm")):
+        assert (second / path.name).read_bytes() == path.read_bytes(), path.name
+    # a retired key set to anything but its fixed value is refused, by name
+    old.write_text(manifest + "tv_epsilon = 0.5\n")
+    third = tmp_path / "c"
+    assert main([mode, "--config", str(old), "--out", str(third)]) == 2
+    assert "'tv_epsilon'" in json.loads((third / "error.json").read_text())["message"]
+    assert not list(third.glob("*.pfm"))
+
+
+def test_hologram_load_reads_the_sidecar_once_and_builds_one_grid(tmp_path, monkeypatch):
+    sim = tmp_path / "sim"
+    assert main(simulate_args(sim)) == 0
+    calls = {"load_metadata": 0, "RealGrid2D": 0}
+
+    def counting(name, inner):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        return wrapper
+
+    for module in (cli, io):
+        for name in calls:
+            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    assert main(["autofocus", "--out", str(tmp_path / "af"), "--input", str(sim / "hologram.pfm"),
+                 "--z-min", "0.9mm", "--z-max", "1.1mm", "--z-step", "0.1mm"]) == 0
+    assert calls == {"load_metadata": 1, "RealGrid2D": 1}
 
 
 def test_manifest_records_why_the_run_stopped(tmp_path):
@@ -498,7 +587,7 @@ def test_manifest_records_every_key_the_mode_reads(tmp_path, monkeypatch):
                      "slice_distances": "1mm", "phantom": "single", "noise_seed": "4"},
         "reconstruct-real": {**solve, "truth": truth, "reference": holo, "tau": "0.01"},
         "reconstruct-complex": {**solve, "init": "constant", "stop": "relative_change"},
-        "baseline": {**solve, "power_iters": "3", "step_size": "0.5"},
+        "baseline": {**solve, "step_size": "0.5"},
         "autofocus": {"input": holo, "z_min": "0.9mm", "z_max": "1.1mm", "z_step": "0.1mm"},
         "metrics": {"input": holo, "truth": holo, "median_size": "5"},
         "resolution": {"numerical_aperture": "0.5"},

@@ -258,8 +258,6 @@ class TestReconParams:
         dict(beta=-0.1),
         dict(beta=1.5),
         dict(tau=-1.0),
-        dict(tv_epsilon=0.0),
-        dict(ratio_floor=0.0),
         dict(init_mode="random"),
         dict(stop_rule="never"),
         dict(stop_delta=0.0),

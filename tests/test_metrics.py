@@ -222,6 +222,13 @@ class TestAutofocus:
         # single-point scan degenerates to returning that point
         assert autofocus(holo, 0.9e-3, 0.9e-3, 10e-6) == pytest.approx(0.9e-3)
 
+    def test_one_plane_scan_has_no_boundary(self, holo, caplog):
+        # a lone candidate is both edges of its scan; that says nothing about focus
+        with caplog.at_level(logging.WARNING, logger="holoem.metrics"):
+            assert autofocus(holo, 0.5e-3, 0.5e-3, 50e-6) == pytest.approx(0.5e-3)
+            assert autofocus(holo, 0.5e-3, 0.54e-3, 50e-6) == pytest.approx(0.5e-3)
+        assert not any("scan boundary" in r.message for r in caplog.records)
+
     @pytest.mark.parametrize("noise_seed", [None, 1])
     def test_sweep_matches_per_plane_propagation(self, noise_seed):
         cfg = OpticalConfig(WAVELENGTH, PITCH, 96, 80, (1.0e-3,), pitch_y=1.3e-6)

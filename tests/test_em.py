@@ -258,6 +258,8 @@ class TestReconParams:
         dict(beta=-0.1),
         dict(beta=1.5),
         dict(tau=-1.0),
+        dict(tau=float("nan")),
+        dict(stop_delta=float("nan")),
         dict(init_mode="random"),
         dict(stop_rule="never"),
         dict(stop_delta=0.0),

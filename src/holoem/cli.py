@@ -17,7 +17,9 @@ included, also leaves an ``error.json`` in the output directory.
 from __future__ import annotations
 
 import argparse
+import ctypes
 import logging
+import os
 import resource
 import sys
 import time
@@ -451,10 +453,12 @@ def _run_reconstruct(cfg: RunConfig, out: Path, started: float) -> int:
     else:
         if complex_mode and cfg.reference is not None:
             raise ConfigError("the upper bound (reference) applies to real mode only")
+        # only real mode reads the upper bound and the beta that relaxes it
+        bound = {} if complex_mode else {"beta": cfg.beta,
+                                         "upper_bound": _upper_bound(cfg, optics)}
         params = ReconParams(
-            max_iters=cfg.iters, tau=cfg.tau, beta=cfg.beta, init_mode=cfg.init,
-            stop_rule=cfg.stop, stop_delta=cfg.stop_delta,
-            upper_bound=_upper_bound(cfg, optics), pad=cfg.pad,
+            max_iters=cfg.iters, tau=cfg.tau, init_mode=cfg.init, stop_rule=cfg.stop,
+            stop_delta=cfg.stop_delta, pad=cfg.pad, **bound,
         )
         solve = reconstruct_complex if complex_mode else reconstruct_real
     truth = _load_truth(cfg, optics, complex_mode)
@@ -602,8 +606,32 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _keep_freed_pages() -> None:
+    """Keep freed heap blocks in this process instead of handing them back to the kernel.
+
+    Every sweep plane and operator call allocates 2-8 MiB spectra and frames.
+    glibc maps such blocks on their own and unmaps them when freed, so the next
+    call page-faults and zero-fills the same memory again. A 32 MiB mmap
+    threshold (the most glibc's own adaptive threshold reaches on 64-bit)
+    serves them from the heap, and a 1 GiB trim threshold keeps the heap's
+    freed top; larger blocks are still mapped. Only the CLI process calls
+    this; off glibc it does nothing.
+    """
+    try:
+        if not os.confstr("CS_GNU_LIBC_VERSION"):
+            return
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, ValueError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)  # M_MMAP_THRESHOLD
+    mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD
+
+
 def main(argv=None) -> int:
     started = time.perf_counter()
+    _keep_freed_pages()
     args = _build_parser().parse_args(argv)
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,

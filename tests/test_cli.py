@@ -3,6 +3,9 @@
 import argparse
 import json
 import logging
+import os
+import subprocess
+import sys
 import tempfile
 import time
 from dataclasses import fields
@@ -474,6 +477,56 @@ def test_older_manifest_reruns_identically(tmp_path, mode):
     assert main([mode, "--config", str(old), "--out", str(third)]) == 2
     assert "'tv_epsilon'" in json.loads((third / "error.json").read_text())["message"]
     assert not list(third.glob("*.pfm"))
+
+
+def test_complex_manifest_rerun_ignores_beta(tmp_path):
+    # beta relaxes the real-mode upper bound; a complex run neither reads nor checks it
+    sim = tmp_path / "sim"
+    assert main(simulate_args(sim, ["--noise-seed", "3"])) == 0
+    solve = ["--input", str(sim / "hologram.pfm"), "--slice-distances", "1mm", "--iters", "3"]
+    for mode, code in (("reconstruct-complex", 0), ("reconstruct-real", 2)):
+        first = tmp_path / mode
+        assert main([mode, "--out", str(first), *solve]) == 0
+        lines = (first / "manifest.txt").read_text().splitlines()
+        edited = tmp_path / f"{mode}.txt"
+        edited.write_text("\n".join(x for x in lines if not x.startswith("beta ")) + "\nbeta = 7\n")
+        second = tmp_path / f"{mode}-again"
+        assert main([mode, "--config", str(edited), "--out", str(second)]) == code, mode
+        if code:
+            assert "beta" in json.loads((second / "error.json").read_text())["message"]
+            continue
+        for path in sorted(first.glob("slice_*.pfm")):
+            assert (second / path.name).read_bytes() == path.read_bytes(), path.name
+
+
+def _glibc() -> bool:
+    try:
+        return bool(os.confstr("CS_GNU_LIBC_VERSION"))
+    except (AttributeError, OSError, ValueError):
+        return False
+
+
+# an 8 MiB block, freed, then a second one allocated and filled; prints the second's faults
+_REFILL_FAULTS = """
+import resource
+import numpy as np
+from holoem.cli import _keep_freed_pages
+_keep_freed_pages()
+np.ones(1 << 20).sum()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+np.empty(1 << 20).fill(1.0)
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not _glibc(), reason="the CLI tunes glibc's allocator only")
+def test_cli_process_keeps_freed_pages():
+    # without the tuning glibc unmaps the freed block and the refill faults in
+    # hundreds of pages; with it the heap keeps them
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _REFILL_FAULTS], capture_output=True,
+                          text=True, env=env, check=True, timeout=60)
+    assert int(proc.stdout) < 100
 
 
 def test_hologram_load_reads_the_sidecar_once_and_builds_one_grid(tmp_path, monkeypatch):

@@ -20,7 +20,7 @@ import scipy.ndimage as _ndi
 
 from .forward import Hologram
 from .grid import fft_workers
-from .propagation import _frame, _half_spectrum, _propagate_array
+from .propagation import _frame, _half_spectrum, _propagate_array, _sweep_transfers
 
 logger = logging.getLogger(__name__)
 
@@ -214,23 +214,24 @@ def focus_metric(amplitude) -> float:
     return float(np.var(np.sqrt(gx, out=gx)))
 
 
-def _focus_scores(hologram: Hologram, distances, pad: bool = True) -> np.ndarray:
-    """:func:`focus_metric` of |P_{-z} (g - mean g)| at each distance z.
+def _focus_scores(hologram: Hologram, start: float, step: float, count: int,
+                  pad: bool = True) -> np.ndarray:
+    """:func:`focus_metric` of |P_{-z} (g - mean g)| at z = start + i step, i < count.
 
     The mean-removed hologram is real and is its own zero-mean remainder,
     the part that padded propagation transforms, so the sweep takes its
-    kx-major half spectrum once. Each plane then costs one transfer build,
-    counted but not kept since no plane is visited twice, and two cropped
-    inverse transforms, whose x transforms skip the cropped rows.
+    kx-major half spectrum once. Each plane then costs one recurrence step
+    of its transfer, kept in no cache, and two cropped inverse transforms.
     """
     raw = hologram.intensity.data
     g = raw - raw.mean()
-    cfg = hologram.config
-    spectrum = _half_spectrum(g, _frame(*g.shape, pad), fft_workers())
+    optics = (hologram.config.pitch_x, hologram.config.pitch_y, hologram.config.wavelength)
+    frame = _frame(*g.shape, pad)
+    spectrum = _half_spectrum(g, frame, fft_workers())
     return np.array([
-        focus_metric(np.abs(_propagate_array(g, cfg.pitch_x, cfg.pitch_y, cfg.wavelength,
-                                             -z, pad=pad, spectrum=spectrum)))
-        for z in distances
+        focus_metric(np.abs(_propagate_array(g, *optics, -(start + step * i), pad,
+                                             spectrum=spectrum, transfer=transfer)))
+        for i, transfer in enumerate(_sweep_transfers(*frame, *optics, -start, -step, count))
     ])
 
 
@@ -251,14 +252,11 @@ def autofocus(
     if not (z_step > 0 and z_max >= z_min):
         raise ValueError("need z_max >= z_min and z_step > 0")
     n = int(np.floor((z_max - z_min) / z_step + 1e-9)) + 1
-    zs = z_min + z_step * np.arange(n)
-    scores = _focus_scores(hologram, zs, pad=pad)
-    best = int(np.argmax(scores))
+    best = int(np.argmax(_focus_scores(hologram, z_min, z_step, n, pad=pad)))
+    z = float(z_min + z_step * best)
     if n > 1 and best in (0, n - 1):
-        logger.warning(
-            "autofocus maximum at scan boundary z=%.6g m; result is low confidence", zs[best]
-        )
-    return float(zs[best])
+        logger.warning("autofocus maximum at scan boundary z=%.6g m; result is low confidence", z)
+    return z
 
 
 def resolution_limits(wavelength: float, numerical_aperture: float) -> tuple[float, float]:

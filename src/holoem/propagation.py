@@ -20,12 +20,12 @@ because the Hermitian part of W(v) H(v) is W(v) Re H(v) and its
 anti-Hermitian part is j W(v) Im H(v). Half spectra are stored kx-major,
 ``rfft2(w).T`` of shape (W//2 + 1, H), so the y transforms run along the
 contiguous axis; ``_half_spectrum`` and ``_irfft2_crop`` are the one
-transform pair. ``_transfer_array`` builds Re H and Im H in that layout
-once per |z| (the sign of z only flips Im H) and counts every build; a
-build takes the square root once per grid, then evaluates the columns of
-v_y >= 0 and mirrors the rest. The operators in ``operators.py`` (builds
-kept), the autofocus sweep (builds not kept) and ``propagate`` (a complex
-field as P_z(a + j b) = P_z a + j P_z b) all run on these half spectra.
+transform pair. ``_sweep_transfers`` gives Re H and Im H in that layout
+on a scan of depths, with cos and sin taken twice per scan and the square
+root once per grid. The operators in ``operators.py`` and ``propagate`` (a
+complex field as P_z(a + j b) = P_z a + j P_z b) take one-plane builds
+from ``_transfer_array``, which keeps the last 32 |z| (the sign of z only
+flips Im H) and counts its builds; the autofocus sweep keeps none.
 
 Padding is the operators' mean split: the field's mean advances as a plane
 wave, picking up exp(j k0 z), and only the zero-mean remainder is embedded
@@ -63,50 +63,54 @@ def _transfer_grid(height: int, width: int, pitch_x: float, pitch_y: float, wave
     return root, inside
 
 
-def _build_transfer(
-    height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float, depth: float
-) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Re H and Im H over the distance ``depth`` >= 0 on the
-    kx-major half spectrum of a height x width frame.
-
-    Only the columns of v_y >= 0 are evaluated; the column of -v_y equals
-    the column of v_y, because fftfreq gives -v exactly and H depends on
-    v_y only through v_y^2.
-    """
+def _sweep_transfers(height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float,
+                     start: float, step: float, count: int):
+    """Re H and Im H at the signed depths start + i step, i < count, on the
+    kx-major half spectrum of a height x width frame, each plane in the same
+    two arrays. cos and sin are taken at ``start`` and ``step`` only: on the
+    columns of v_y >= 0, each later plane adds the step's phase by angle
+    addition in place, c' = c cos - s sin and s' = s cos + c sin, and
+    entries outside the band stay 0. The columns of v_y < 0 are mirrored,
+    as fftfreq gives -v exactly and H depends on v_y only through v_y^2."""
     root, inside = _transfer_grid(height, width, pitch_x, pitch_y, wavelength)
-    phase = 2.0 * np.pi / wavelength * depth * root
+    k0 = 2.0 * np.pi / wavelength
+    c = np.cos(k0 * start * root, out=np.zeros_like(root), where=inside)
+    s = np.sin(k0 * start * root, out=np.zeros_like(root), where=inside)
+    re_h, im_h = np.empty((2, root.shape[0], height))
 
-    def mirrored(q):
-        full = np.concatenate([q, q[:, (height - 1) // 2:0:-1]], axis=1)
-        full.setflags(write=False)
-        return full
+    def mirrored():
+        for full, q in ((re_h, c), (im_h, s)):
+            np.concatenate([q, q[:, (height - 1) // 2:0:-1]], axis=1, out=full)
+        return re_h, im_h
 
-    return (mirrored(np.cos(phase, out=np.zeros_like(phase), where=inside)),
-            mirrored(np.sin(phase, out=np.zeros_like(phase), where=inside)))
-
-
-class _TransferCache:
-    """``get`` keeps the last 32 builds, as the solvers reuse each depth every
-    iteration; ``build`` keeps none, as a sweep visits each plane once.
-    ``cache_info`` counts the builds of both as misses."""
-
-    def __init__(self):
-        self.get = lru_cache(maxsize=32)(_build_transfer)
-        self.build = lru_cache(maxsize=0)(_build_transfer)
-
-    def cache_info(self):
-        kept, unkept = self.get.cache_info(), self.build.cache_info()
-        return kept._replace(misses=kept.misses + unkept.misses)
+    yield mirrored()
+    cos_step, sin_step = np.cos(k0 * step * root), np.sin(k0 * step * root)
+    for _ in range(count - 1):
+        c_sin = c * sin_step
+        c *= cos_step
+        c -= s * sin_step
+        s *= cos_step
+        s += c_sin
+        yield mirrored()
 
 
-_transfer_array = _TransferCache()
+def _build_transfer(height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float,
+                    depth: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only Re H and Im H over the distance ``depth``: a one-plane sweep."""
+    transfer = next(_sweep_transfers(height, width, pitch_x, pitch_y, wavelength, depth, 0.0, 1))
+    for part in transfer:
+        part.setflags(write=False)
+    return transfer
+
+
+_transfer_array = lru_cache(maxsize=32)(_build_transfer)
 
 
 def _half_transfer(height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float,
-                   z: float, build=_transfer_array.get) -> tuple[np.ndarray, np.ndarray]:
-    """Re H and Im H over z from ``build`` at |z|; +z and -z share one
-    build, since H(-z) = conj H(z)."""
-    re_h, im_h = build(height, width, pitch_x, pitch_y, wavelength, abs(z))
+                   z: float) -> tuple[np.ndarray, np.ndarray]:
+    """Re H and Im H over z, built at |z|; +z and -z share one build, since
+    H(-z) = conj H(z)."""
+    re_h, im_h = _transfer_array(height, width, pitch_x, pitch_y, wavelength, abs(z))
     return re_h, (im_h if z >= 0 else -im_h)
 
 
@@ -136,22 +140,19 @@ def _irfft2_crop(spectrum: np.ndarray, frame: tuple[int, int], height: int, widt
 
 def _propagate_array(
     field: np.ndarray, pitch_x: float, pitch_y: float, wavelength: float, z: float, pad: bool,
-    *, spectrum: np.ndarray | None = None,
+    *, spectrum: np.ndarray | None = None, transfer: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> np.ndarray:
     """P_z of a real field, cropped to its grid. With padding the mean
-    advances as a plane wave and the zero-mean remainder is padded.
-
-    ``spectrum``, when given, is ``_half_spectrum`` of the field (of its
-    zero-mean remainder when padded), taken once by a caller propagating one
-    field to many planes; each plane's transfer is then built and not kept.
+    advances as a plane wave and the zero-mean remainder is padded. A caller
+    propagating one field to many planes passes its ``_half_spectrum`` (of
+    the zero-mean remainder when padded) as ``spectrum`` and each plane's
+    Re H and Im H from ``_sweep_transfers`` as ``transfer``.
     """
     height, width = field.shape
     frame = _frame(height, width, pad)
     workers = fft_workers()
     mean = field.mean() if pad else 0.0
-    # a shared spectrum means a sweep, which visits each plane once
-    build = _transfer_array.get if spectrum is None else _transfer_array.build
-    re_h, im_h = _half_transfer(*frame, pitch_x, pitch_y, wavelength, z, build)
+    re_h, im_h = transfer or _half_transfer(*frame, pitch_x, pitch_y, wavelength, z)
     if spectrum is None:
         spectrum = _half_spectrum(field - mean if pad else field, frame, workers)
     out = np.empty((height, width), dtype=np.complex128)

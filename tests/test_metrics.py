@@ -205,6 +205,20 @@ def holo():
     return simulate(single_slice_stack(cfg, contrast=0.04), cfg)
 
 
+@pytest.fixture(scope="module")
+def anisotropic_holo():
+    cfg = OpticalConfig(WAVELENGTH, PITCH, 96, 80, (1.0e-3,), pitch_y=1.3e-6)
+    return simulate(single_slice_stack(cfg, contrast=0.04), cfg)
+
+
+def _per_plane_scores(hologram, zs):
+    """Focus scores from one ``propagate`` per plane, each with its own transfer."""
+    raw = hologram.intensity.data
+    field = ComplexGrid2D(raw - raw.mean(), hologram.config.pitch_x, hologram.config.pitch_y)
+    return np.array([focus_metric(np.abs(propagate(field, -z, WAVELENGTH, pad=True).data))
+                     for z in zs])
+
+
 class TestAutofocus:
     def test_finds_recording_distance(self, holo):
         z = autofocus(holo, 0.6e-3, 1.4e-3, 10e-6)
@@ -238,20 +252,42 @@ class TestAutofocus:
         field = ComplexGrid2D(raw - raw.mean(), cfg.pitch_x, cfg.pitch_y)
         expected = [focus_metric(np.abs(propagate(field, -z, WAVELENGTH, pad=True).data))
                     for z in zs]
-        scores = _focus_scores(noisy, zs, pad=True)
+        scores = _focus_scores(noisy, 0.8e-3, 25e-6, 17, pad=True)
         np.testing.assert_allclose(scores, expected, rtol=1e-12)
         assert autofocus(noisy, zs[0], zs[-1], 25e-6) == zs[int(np.argmax(expected))]
 
-    def test_sweep_builds_one_transfer_per_plane_in_a_bounded_cache(self, holo):
-        # each plane's transfer serves once, so the sweep builds its depth
-        # part without keeping it, counted as a miss, and takes the grid
-        # part once
-        for cache in (_transfer_array.get, _transfer_array.build, propagation._transfer_grid):
-            cache.cache_clear()
+    @pytest.mark.parametrize("start, step, count", [
+        (-0.1e-3, 12.5e-6, 17),  # crosses z = 0
+        (0.0, 25e-6, 9),
+        (0.9e-3, 10e-6, 1),
+    ])
+    def test_sweep_runs_on_the_signed_depth(self, anisotropic_holo, start, step, count):
+        # the transfers' recurrence runs on -z itself, not on |z| with a
+        # sign flip, so a scan through z = 0 matches per-plane propagation
+        zs = start + step * np.arange(count)
+        expected = _per_plane_scores(anisotropic_holo, zs)
+        scores = _focus_scores(anisotropic_holo, start, step, count, pad=True)
+        np.testing.assert_allclose(scores, expected, rtol=1e-12)
+        assert autofocus(anisotropic_holo, start, zs[-1], step) == zs[int(np.argmax(expected))]
+
+    def test_long_sweep_keeps_the_recurrence_accurate(self, anisotropic_holo):
+        # rounding in the recurrence grows with the plane count; 1001 planes
+        # bound it against one transfer build per plane
+        zs = 0.5e-3 + 1e-6 * np.arange(1001)
+        expected = _per_plane_scores(anisotropic_holo, zs)
+        scores = _focus_scores(anisotropic_holo, 0.5e-3, 1e-6, 1001, pad=True)
+        np.testing.assert_allclose(scores, expected, rtol=1e-12)
+        assert np.argmax(scores) == np.argmax(expected)
+
+    def test_sweep_keeps_no_transfer_and_takes_the_grid_once(self, holo):
+        # the sweep's transfers come from its own recurrence, not from the
+        # cache the solvers keep, and the grid part is taken once
+        _transfer_array.cache_clear()
+        propagation._transfer_grid.cache_clear()
         autofocus(holo, 0.5e-3, 1.5e-3, 10e-6)  # 101 planes
         assert propagation._transfer_grid.cache_info().misses == 1
         info = _transfer_array.cache_info()
-        assert (info.misses, info.hits, info.currsize) == (101, 0, 0)
+        assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
 
     def test_sweep_transforms_the_hologram_once(self, holo, monkeypatch):
         # the benchmark reads one propagate span and one focus span per

@@ -249,7 +249,7 @@ def test_half_row_transfer_build_equals_evaluation_on_every_row(height, width, p
                                                                 pitch_y, depth):
     # the columns of v_y < 0 are mirrored, not evaluated; they must match
     # the same formula evaluated on every row-major row bit for bit
-    re_h, im_h = _transfer_array.get(height, width, pitch_x, pitch_y, WAVELENGTH, depth)
+    re_h, im_h = _transfer_array(height, width, pitch_x, pitch_y, WAVELENGTH, depth)
     vx = np.fft.rfftfreq(width, d=pitch_x)
     vy = np.fft.fftfreq(height, d=pitch_y)
     s = 1.0 - (WAVELENGTH * vx[None, :]) ** 2 - (WAVELENGTH * vy[:, None]) ** 2

@@ -27,13 +27,12 @@ from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
-import scipy
 
 from . import __version__
 from .baseline import BaselineParams, baseline_reconstruct
 from .em import NumericError, ReconParams, reconstruct_complex, reconstruct_real
 from .forward import Hologram, ObjectStack, OpticalConfig, simulate
-from .grid import ComplexGrid2D, RealGrid2D, fft_workers
+from .grid import ComplexGrid2D, RealGrid2D
 from .io import (
     DEFAULT_PITCH,
     DEFAULT_WAVELENGTH,
@@ -137,8 +136,9 @@ _BASELINE = ("baseline",)
 _FOCUS = ("autofocus",)
 
 # manifest entries that record a run's outcome; legal, and ignored, as config input
-_RESULT_KEYS = ("holoem_version", "numpy_version", "scipy_version", "fft_workers",
-                "stop_reason", "step_halvings", "wall_s", "peak_rss_mib")
+# (the last two are no longer written, but earlier manifests carry them)
+_RESULT_KEYS = ("holoem_version", "numpy_version", "stop_reason", "step_halvings", "wall_s",
+                "peak_rss_mib", "scipy_version", "fft_workers")
 # keys retired from the solvers, each now fixed at one value: older manifests record
 # them, so each stays legal config input at that value only (key -> kind, value)
 _RETIRED = {"tv_epsilon": ("optfloat", "auto"), "ratio_floor": ("optfloat", "auto"),
@@ -271,9 +271,7 @@ class _Manifest:
     def __init__(self, cfg: RunConfig, started: float, **resolved):
         self.started = started
         self.entries: dict[str, object] = {
-            "holoem_version": __version__, "numpy_version": np.__version__,
-            "scipy_version": scipy.__version__, "fft_workers": fft_workers(),
-        }
+            "holoem_version": __version__, "numpy_version": np.__version__}
         self.record("mode", cfg.mode)
         for f in fields(cfg):
             if cfg.mode not in f.metadata["modes"]:

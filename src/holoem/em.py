@@ -44,7 +44,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import xlogy
 
 from .forward import Hologram, ObjectStack, OpticalConfig, _check_geometry
 from .grid import ComplexGrid2D, RealGrid2D
@@ -154,6 +153,14 @@ def _resolve_floor(g: np.ndarray, ratio_floor: float | None) -> float:
         return float(ratio_floor)
     mean = float(g.mean())
     return 1e-12 * mean if mean > 0 else np.finfo(np.float64).tiny
+
+
+def xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """x log y for positive y, as the floored g_hat of :func:`nll` always is:
+    zero counts then contribute 0 without a special case."""
+    out = np.log(y)
+    out *= x
+    return out
 
 
 def nll(g: np.ndarray, ghat: np.ndarray, ratio_floor: float | None = None) -> float:

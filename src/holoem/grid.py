@@ -1,4 +1,4 @@
-"""Sampled 2-D fields on a uniform lattice, and the FFT worker count.
+"""Sampled 2-D fields on a uniform lattice.
 
 Fields are (height, width) arrays, row index y. The transforms are one
 pair in ``propagation``, ``_half_spectrum`` and ``_irfft2_crop``, on half
@@ -8,20 +8,11 @@ unnormalized and the inverse carries ``1/(width*height)``.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["ComplexGrid2D", "RealGrid2D", "fft_workers"]
-
-
-def fft_workers() -> int:
-    """Worker count for FFT calls, read from the HOLOEM_THREADS env var."""
-    try:
-        return max(1, int(os.environ.get("HOLOEM_THREADS", "1")))
-    except ValueError:
-        return 1
+__all__ = ["ComplexGrid2D", "RealGrid2D"]
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ import logging
 from pathlib import Path
 
 import numpy as np
-import scipy.ndimage as _ndi
 
 from .em import ReconTrace
 from .grid import RealGrid2D
@@ -258,9 +257,19 @@ def apply_reference_illumination(raw: RealGrid2D) -> RealGrid2D:
     """Smooth a recorded reference image into a per-pixel upper bound.
 
     A 5 x 5 mean filter with replicated edges knocks shot noise out of the
-    reference while keeping its low-frequency illumination profile.
+    reference while keeping its low-frequency illumination profile. Each
+    axis in turn takes running window sums, the first window summed and
+    each later one stepped by the sample entering minus the sample
+    leaving, and divides every sum by 5.
     """
-    return raw.with_data(_ndi.uniform_filter(raw.data, size=5, mode="nearest"))
+    data = raw.data
+    for axis in (0, 1):
+        lines = np.pad(np.moveaxis(data, axis, 0), ((2, 2), (0, 0)), mode="edge")
+        sums = np.concatenate([lines[:5].sum(axis=0, keepdims=True), lines[5:] - lines[:-5]])
+        np.cumsum(sums, axis=0, out=sums)
+        sums /= 5.0
+        data = np.moveaxis(sums, 0, axis)
+    return raw.with_data(data)
 
 
 def parse_key_values(text: str, where: str = "<config>") -> dict[str, str]:

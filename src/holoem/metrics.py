@@ -14,12 +14,11 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import asdict, dataclass
+from functools import lru_cache
 
 import numpy as np
-import scipy.ndimage as _ndi
 
 from .forward import Hologram
-from .grid import fft_workers
 from .propagation import _frame, _half_spectrum, _propagate_array, _sweep_transfers
 
 logger = logging.getLogger(__name__)
@@ -92,13 +91,30 @@ def psnr(test, reference, peak: float | None = None) -> float:
     return float(10.0 * np.log10(peak**2 / err))
 
 
+@lru_cache(maxsize=4)
+def _window_spectrum(height: int, width: int) -> np.ndarray:
+    """rfft2 of the normalized 11x11 Gaussian window at the corner of a
+    height x width frame, read-only."""
+    x = np.arange(SSIM_WINDOW) - SSIM_WINDOW // 2
+    g = np.exp(-0.5 / SSIM_SIGMA**2 * x**2)
+    g /= g.sum()
+    frame = np.zeros((height, width))
+    frame[:SSIM_WINDOW, :SSIM_WINDOW] = np.outer(g, g)
+    spectrum = np.fft.rfft2(frame)
+    spectrum.setflags(write=False)
+    return spectrum
+
+
 def _windowed(img: np.ndarray) -> np.ndarray:
     """Means under the normalized 11x11 Gaussian window, over fully valid windows.
 
-    The separable filter with the window's radius, cropped by that radius.
+    A circular convolution with the window at the frame's corner: from row
+    and column 10 on, each output is the mean of the window ending there,
+    which wraps nowhere; the rows and columns before are cropped.
     """
-    r = SSIM_WINDOW // 2
-    return _ndi.gaussian_filter(img, SSIM_SIGMA, radius=r)[r:-r, r:-r]
+    spectrum = np.fft.rfft2(img)
+    spectrum *= _window_spectrum(*img.shape)
+    return np.fft.irfft2(spectrum, s=img.shape)[SSIM_WINDOW - 1:, SSIM_WINDOW - 1:]
 
 
 @dataclass(frozen=True)
@@ -185,11 +201,28 @@ def ncc(test, reference) -> float:
     return float(np.sum(a * b) / den)
 
 
+_MEDIAN_BLOCK = 1 << 18  # window samples sorted at once, bounding the filter's memory
+
+
 def median_filter(image, size: int = 3) -> np.ndarray:
-    """k x k median filter with replicated edges; k must be odd and >= 1."""
+    """k x k median filter with replicated edges; k must be odd and >= 1.
+
+    Each pixel takes the middle of its k * k window samples, selected a
+    block of rows at a time.
+    """
     if size < 1 or size % 2 == 0:
         raise ValueError(f"median filter size must be odd and >= 1, got {size}")
-    return _ndi.median_filter(_as_array(image), size=size, mode="nearest")
+    a = _as_array(image)
+    height, width = a.shape
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(a, size // 2, mode="edge"),
+                                                       (size, size))
+    middle = size * size // 2
+    rows = max(1, _MEDIAN_BLOCK // (width * size * size))
+    out = np.empty_like(a)
+    for top in range(0, height, rows):
+        block = windows[top:top + rows].reshape(-1, width, size * size)
+        out[top:top + rows] = np.partition(block, middle, axis=-1)[..., middle]
+    return out
 
 
 def _forward_diffs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -227,7 +260,7 @@ def _focus_scores(hologram: Hologram, start: float, step: float, count: int,
     g = raw - raw.mean()
     optics = (hologram.config.pitch_x, hologram.config.pitch_y, hologram.config.wavelength)
     frame = _frame(*g.shape, pad)
-    spectrum = _half_spectrum(g, frame, fft_workers())
+    spectrum = _half_spectrum(g, frame)
     return np.array([
         focus_metric(np.abs(_propagate_array(g, *optics, -(start + step * i), pad,
                                              spectrum=spectrum, transfer=transfer)))

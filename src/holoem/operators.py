@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import fft_workers
 from .propagation import _frame, _half_spectrum, _half_transfer, _irfft2_crop
 
 __all__ = ["stack_forward", "stack_adjoint"]
@@ -70,10 +69,9 @@ def stack_forward(
         )
     height, width = stack.shape[1:]
     frame = _frame(height, width, pad)
-    workers = fft_workers()
 
     def transform(part):
-        return _half_spectrum(part - part.mean() if pad else part, frame, workers)
+        return _half_spectrum(part - part.mean() if pad else part, frame)
 
     has_imag = np.iscomplexobj(stack) and bool(stack.imag.any())
     spectrum = np.zeros((frame[1] // 2 + 1, frame[0]), dtype=np.complex128)
@@ -82,7 +80,7 @@ def stack_forward(
         spectrum += transform(stack.real[i]) * re_h
         if has_imag:
             spectrum -= transform(stack.imag[i]) * im_h
-    out = _irfft2_crop(spectrum, frame, height, width, workers)
+    out = _irfft2_crop(spectrum, frame, height, width)
     if not pad:
         return out
     # the window means advance analytically as plane waves: Re[m exp(j k0 z)]
@@ -109,13 +107,12 @@ def stack_adjoint(
     residual = np.asarray(residual, dtype=np.float64)
     height, width = residual.shape
     frame = _frame(height, width, pad)
-    workers = fft_workers()
     k0 = 2.0 * np.pi / wavelength
     r_mean = residual.mean()
-    spectrum = _half_spectrum(residual, frame, workers)
+    spectrum = _half_spectrum(residual, frame)
 
     def back(h, mean_response):
-        part = _irfft2_crop(spectrum * h, frame, height, width, workers)
+        part = _irfft2_crop(spectrum * h, frame, height, width)
         if not pad:
             return part
         part = part - part.mean()

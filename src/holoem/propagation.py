@@ -42,9 +42,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 import numpy as np
-import scipy.fft as _fft
 
-from .grid import ComplexGrid2D, fft_workers
+from .grid import ComplexGrid2D
 
 __all__ = ["propagate"]
 
@@ -119,21 +118,28 @@ def _frame(height: int, width: int, pad: bool) -> tuple[int, int]:
     return (2 * height, 2 * width) if pad else (height, width)
 
 
-def _half_spectrum(field: np.ndarray, frame: tuple[int, int], workers: int) -> np.ndarray:
-    """``rfft2(field, s=frame).T``: the x transforms skip the zero rows the
-    frame adds, and the y transforms run on the transposed result."""
-    rows = _fft.rfft(field, n=frame[1], axis=1, workers=workers)
-    return _fft.fft(rows.T, n=frame[0], axis=1, workers=workers)
+def _half_spectrum(field: np.ndarray, frame: tuple[int, int]) -> np.ndarray:
+    """``rfft2(field, s=frame).T``, bit for bit: the x transforms skip the
+    zero rows the frame adds, and the y transforms run in place on the
+    transposed result, zero-padded to the frame height."""
+    rows = np.fft.rfft(field, n=frame[1], axis=1)
+    out = np.zeros((rows.shape[1], frame[0]), dtype=np.complex128)
+    out[:, :field.shape[0]] = rows.T
+    return np.fft.fft(out, axis=1, out=out)
 
 
-def _irfft2_crop(spectrum: np.ndarray, frame: tuple[int, int], height: int, width: int,
-                 workers: int) -> np.ndarray:
+def _irfft2_crop(spectrum: np.ndarray, frame: tuple[int, int], height: int,
+                 width: int) -> np.ndarray:
     """``irfft2(spectrum.T, s=frame)[:height, :width]``, bit for bit: the y
     transforms run along the contiguous axis, the x transforms only on the
     rows the crop keeps, and one 1 / (frame size) scale comes last, as in
-    irfft2."""
-    cols = _fft.ifft(spectrum, axis=1, norm="forward", workers=workers)[:, :height]
-    out = _fft.irfft(cols.T, n=frame[1], axis=1, norm="forward", workers=workers)[:, :width]
+    irfft2. The kept rows are copied out contiguous 32 columns at a time,
+    so that both sides of the transposing copy stay in cache."""
+    cols = np.fft.ifft(spectrum, axis=1, norm="forward")
+    rows = np.empty((height, cols.shape[0]), dtype=np.complex128)
+    for k in range(0, cols.shape[0], 32):
+        rows[:, k:k + 32] = cols[k:k + 32, :height].T
+    out = np.fft.irfft(rows, n=frame[1], axis=1, norm="forward")[:, :width]
     out *= 1.0 / (frame[0] * frame[1])
     return out
 
@@ -150,14 +156,13 @@ def _propagate_array(
     """
     height, width = field.shape
     frame = _frame(height, width, pad)
-    workers = fft_workers()
     mean = field.mean() if pad else 0.0
     re_h, im_h = transfer or _half_transfer(*frame, pitch_x, pitch_y, wavelength, z)
     if spectrum is None:
-        spectrum = _half_spectrum(field - mean if pad else field, frame, workers)
+        spectrum = _half_spectrum(field - mean if pad else field, frame)
     out = np.empty((height, width), dtype=np.complex128)
-    out.real = _irfft2_crop(spectrum * re_h, frame, height, width, workers)
-    out.imag = _irfft2_crop(spectrum * im_h, frame, height, width, workers)
+    out.real = _irfft2_crop(spectrum * re_h, frame, height, width)
+    out.imag = _irfft2_crop(spectrum * im_h, frame, height, width)
     if pad:
         out += mean * np.exp(1j * 2.0 * np.pi / wavelength * z)
     return out

@@ -13,7 +13,6 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-import scipy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -529,6 +528,37 @@ def test_cli_process_keeps_freed_pages():
     assert int(proc.stdout) < 100
 
 
+# each mode on a 48 px hologram in one process; prints the scipy modules it loaded
+_MODES_ON_NUMPY_ALONE = """
+import sys
+from pathlib import Path
+from holoem.cli import main
+out = Path(sys.argv[1])
+holo, truth = str(out / "simulate" / "hologram.pfm"), str(out / "simulate" / "truth_00_re.pfm")
+solve = ["--input", holo, "--slice-distances", "1mm", "--iters", "2", "--truth", truth]
+runs = {
+    "simulate": ["--width", "48", "--height", "48", "--slice-distances", "1mm",
+                 "--phantom", "single", "--noise-seed", "1"],
+    "reconstruct-real": solve + ["--reference", holo],
+    "baseline": solve,
+    "autofocus": ["--input", holo, "--z-min", "0.9mm", "--z-max", "1.1mm", "--z-step", "0.1mm"],
+    "metrics": ["--input", holo, "--truth", truth, "--median-size", "5"],
+}
+for mode, flags in runs.items():
+    assert main([mode, "--out", str(out / mode)] + flags) == 0, mode
+print("scipy modules:", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+"""
+
+
+def test_cli_runs_without_importing_scipy(tmp_path):
+    # checked after the runs, so that a lazy import cannot move the cost of
+    # scipy from start-up into the solve
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", _MODES_ON_NUMPY_ALONE, str(tmp_path)],
+                          capture_output=True, text=True, env=env, check=True, timeout=120)
+    assert proc.stdout.splitlines()[-1] == "scipy modules:"
+
+
 def test_hologram_load_reads_the_sidecar_once_and_builds_one_grid(tmp_path, monkeypatch):
     sim = tmp_path / "sim"
     assert main(simulate_args(sim)) == 0
@@ -630,8 +660,7 @@ def test_autofocus_manifest_records_pitch_y(tmp_path):
     assert float(load_key_values(out / "manifest.txt")["pitch_y"]) == pytest.approx(1.4e-6)
 
 
-def test_manifest_records_every_key_the_mode_reads(tmp_path, monkeypatch):
-    monkeypatch.setenv("HOLOEM_THREADS", "bogus")  # falls back to one FFT worker
+def test_manifest_records_every_key_the_mode_reads(tmp_path):
     sim = tmp_path / "simulate"
     holo, truth = str(sim / "hologram.pfm"), str(sim / "truth_00_re.pfm")
     solve = {"input": holo, "slice_distances": "1mm", "pad": "false", "iters": "2"}
@@ -653,8 +682,6 @@ def test_manifest_records_every_key_the_mode_reads(tmp_path, monkeypatch):
         assert main(argv) == 0, mode
         manifest = load_key_values(out / "manifest.txt")
         assert manifest["numpy_version"] == np.__version__
-        assert manifest["scipy_version"] == scipy.__version__
-        assert manifest["fft_workers"] == "1"
         given = RunConfig.from_mapping(flags)
         again = RunConfig.from_mapping(manifest)
         for f in fields(RunConfig):

@@ -1,9 +1,9 @@
-"""Grid containers and the FFT worker setting."""
+"""Grid containers."""
 
 import numpy as np
 import pytest
 
-from holoem.grid import ComplexGrid2D, RealGrid2D, fft_workers
+from holoem.grid import ComplexGrid2D, RealGrid2D
 
 
 def test_grid_validation():
@@ -35,13 +35,3 @@ def test_part_accessors_round_trip(rng):
     assert g.with_data(2 * x).data[1, 1] == 2 * x[1, 1]
     assert g.shape == (4, 4) and g.height == 4 and g.width == 4
 
-
-def test_fft_workers_env(monkeypatch):
-    monkeypatch.setenv("HOLOEM_THREADS", "4")
-    assert fft_workers() == 4
-    monkeypatch.setenv("HOLOEM_THREADS", "0")
-    assert fft_workers() == 1
-    monkeypatch.setenv("HOLOEM_THREADS", "bogus")
-    assert fft_workers() == 1
-    monkeypatch.delenv("HOLOEM_THREADS")
-    assert fft_workers() == 1

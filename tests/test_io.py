@@ -6,6 +6,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import scipy.ndimage as ndi
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -216,6 +217,14 @@ def test_apply_reference_illumination_is_windowed_mean():
     assert out.data[2, 2] == pytest.approx(1.0) and out.data[1, 4] == 0.0
     assert out.data[0, 0] == 0.0
     assert out.data.sum() == pytest.approx(25.0)
+
+
+@pytest.mark.parametrize("shape", [(2, 3), (9, 9), (37, 64)])
+def test_apply_reference_illumination_matches_ndimage_bit_for_bit(rng, shape):
+    # the running window sums round as ndimage's uniform filter does
+    raw = 1e4 * rng.random(shape)
+    out = apply_reference_illumination(RealGrid2D(raw, PITCH, PITCH))
+    assert np.array_equal(out.data, ndi.uniform_filter(raw, size=5, mode="nearest"))
 
 
 class TestKeyValues:

@@ -6,7 +6,6 @@ from collections import Counter
 
 import numpy as np
 import pytest
-import scipy.fft
 import scipy.ndimage as ndi
 import scipy.signal
 
@@ -139,6 +138,14 @@ class TestMedianFilter:
             for j in range(5):
                 expected[i, j] = np.median(padded[i:i + 3, j:j + 3])
         np.testing.assert_allclose(median_filter(a, 3), expected, atol=0.0)
+
+    @pytest.mark.parametrize("size", [1, 3, 5])
+    def test_matches_ndimage_across_row_blocks(self, rng, monkeypatch, size):
+        # blocks of 7 rows: 40 rows end in a partial block
+        monkeypatch.setattr(metrics, "_MEDIAN_BLOCK", 7 * 13 * size * size)
+        a = rng.random((40, 13))
+        expected = ndi.median_filter(a, size=size, mode="nearest")
+        assert np.array_equal(median_filter(a, size), expected)
 
     def test_size_guard(self):
         with pytest.raises(ValueError):
@@ -292,11 +299,11 @@ class TestAutofocus:
     def test_sweep_transforms_the_hologram_once(self, holo, monkeypatch):
         # the benchmark reads one propagate span and one focus span per
         # plane; only the hologram's transform is shared, and only the
-        # forward helper calls scipy's forward rfft and fft
+        # forward helper calls numpy's forward rfft and fft
         counts = Counter()
         for module, name in ((metrics, "_propagate_array"), (metrics, "focus_metric"),
-                             (metrics, "_half_spectrum"), (scipy.fft, "rfft"),
-                             (scipy.fft, "fft"), (scipy.fft, "rfft2"), (scipy.fft, "fft2")):
+                             (metrics, "_half_spectrum"), (np.fft, "rfft"),
+                             (np.fft, "fft"), (np.fft, "rfft2"), (np.fft, "fft2")):
             original = getattr(module, name)
 
             def counting(*args, _name=name, _original=original, **kwargs):

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import ReconTrace, _iterate, _real_stack, _resolve_tau, _truth_parts
+from .em import ReconTrace, _iterate, _resolve_tau, _stack, _truth_parts
 # no longer called here; kept as module names that perfbench/tracing.py wraps
 from .em import _tv_gradient_array, tv_value  # noqa: F401
 from .forward import Hologram, ObjectStack, OpticalConfig
@@ -97,6 +97,6 @@ def baseline_reconstruct(
 
     start = stack_adjoint(g, cfg.pitch_x, cfg.pitch_y, cfg.wavelength, cfg.slice_distances,
                           pad=params.pad, real=True)
-    (w,), trace = _iterate(cfg, params, [start], data_term, update,
-                           _truth_parts(ground_truth, complex_mode=False))
-    return _real_stack(w, cfg), trace
+    w, trace = _iterate(cfg, params, start[None], data_term, update,
+                        _truth_parts(ground_truth, complex_mode=False))
+    return _stack(w, cfg), trace

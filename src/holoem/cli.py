@@ -32,18 +32,20 @@ from . import __version__
 from .baseline import BaselineParams, baseline_reconstruct
 from .em import NumericError, ReconParams, reconstruct_complex, reconstruct_real
 from .forward import Hologram, ObjectStack, OpticalConfig, simulate
-from .grid import ComplexGrid2D, RealGrid2D
+from .grid import RealGrid2D
 from .io import (
     DEFAULT_PITCH,
     DEFAULT_WAVELENGTH,
     ConfigError,
     HoloIOError,
+    _check_dims,
     _read_pixels,
     apply_reference_illumination,
     load_image,
     load_key_values,
     load_metadata,
     save_image,
+    sidecar_path,
     write_error_record,
     write_key_values,
     write_trace,
@@ -239,47 +241,44 @@ class RunConfig:
 
 
 def _optic(cfg: RunConfig, meta: dict[str, str], key: str, default: float) -> float:
-    """One optical key: the config's value, else the image sidecar's (which
-    records the pitch as pitch_x), else default. pitch_y defaults to the
+    """One optical key: the config's value, else the input image sidecar's
+    (which records the pitch as pitch_x), else default. The resolved value is
+    written into cfg, so the manifest records it. pitch_y defaults to the
     resolved pitch; any other default is logged as a warning."""
-    if getattr(cfg, key) is not None:
-        return getattr(cfg, key)
+    value = getattr(cfg, key)
     recorded = "pitch_x" if key == "pitch" else key
-    if recorded in meta:
-        return float(meta[recorded])
-    if key != "pitch_y":
-        logger.warning("no %s configured or recorded; assuming %s", key, format_length(default))
-    return default
-
-
-def _optics_values(optics: OpticalConfig) -> dict:
-    """The optical keys a run resolved, for :class:`_Manifest`."""
-    return {"wavelength": optics.wavelength, "pitch": optics.pitch_x, "pitch_y": optics.pitch_y,
-            "slice_distances": optics.slice_distances}
+    if value is None and recorded in meta:
+        try:
+            value = float(meta[recorded])
+        except ValueError as exc:
+            raise HoloIOError(f"{sidecar_path(cfg.input)}: bad {recorded} value ({exc})") from None
+    if value is None:
+        if key != "pitch_y":
+            logger.warning("no %s configured or recorded; assuming %s", key, format_length(default))
+        value = default
+    setattr(cfg, key, value)
+    return value
 
 
 class _Manifest:
     """Ordered manifest accumulator; doubles as a rerunnable config.
 
-    Records every RunConfig key the mode reads: the value the run resolved
-    when it resolved one (skipped when that is None), else the configured
-    value, with an unset 'optfloat' key written as 'auto'. Writing it adds
+    Records every RunConfig key the mode reads, with an unset 'optfloat'
+    key written as 'auto' and any other unset key skipped. Writing it adds
     ``wall_s``, the seconds since ``started`` (a ``time.perf_counter()``
     reading), and ``peak_rss_mib``, this process's peak resident set size.
     """
 
-    def __init__(self, cfg: RunConfig, started: float, **resolved):
+    def __init__(self, cfg: RunConfig, started: float):
         self.started = started
         self.entries: dict[str, object] = {
             "holoem_version": __version__, "numpy_version": np.__version__}
         self.record("mode", cfg.mode)
         for f in fields(cfg):
-            if cfg.mode not in f.metadata["modes"]:
-                continue
-            value = resolved.get(f.name, getattr(cfg, f.name))
-            if value is None and f.name not in resolved and f.metadata["kind"] == "optfloat":
-                value = "auto"
-            self.record(f.name, value)
+            if cfg.mode in f.metadata["modes"]:
+                value = getattr(cfg, f.name)
+                optfloat = f.metadata["kind"] == "optfloat"
+                self.record(f.name, "auto" if value is None and optfloat else value)
 
     def record(self, key: str, value):
         if value is None:
@@ -354,22 +353,24 @@ def _object_stack(cfg: RunConfig, optics: OpticalConfig) -> ObjectStack:
 
 
 def _load_on_grid(path, optics: OpticalConfig) -> RealGrid2D:
-    """An input image that must share the optical grid; a mismatch names the file."""
+    """An input image's pixels on the run's grid and pitch (whatever pitch its
+    sidecar records, if it has one); a shape mismatch names the file."""
     img = load_image(path)
     if img.shape != optics.grid_shape:
         raise ConfigError(f"{path}: shape {img.shape} does not match grid {optics.grid_shape}")
-    return img
+    return RealGrid2D(img.data, optics.pitch_x, optics.pitch_y)
 
 
 def _run_simulate(cfg: RunConfig, out: Path, started: float) -> int:
     cfg.require("width", "height", "slice_distances")
+    _check_dims(cfg.width, cfg.height, "configured grid", ConfigError)  # as the reader limits it
     optics = _optical_config(cfg, {}, cfg.width, cfg.height)
     stack = _object_stack(cfg, optics)
     holo = simulate(stack, optics, model=cfg.model, photon_scale=cfg.photon_scale,
                     seed=cfg.noise_seed, pad=cfg.pad)
+    cfg.photon_scale = holo.photon_scale
 
-    manifest = _Manifest(cfg, started, **_optics_values(optics), photon_scale=holo.photon_scale,
-                         noise_seed=holo.noise_seed)
+    manifest = _Manifest(cfg, started)
 
     grids = [("hologram.pfm", holo.intensity), ("hologram.pgm", holo.intensity)]
     for i, s in enumerate(stack.slices):
@@ -407,10 +408,10 @@ def _load_truth(cfg: RunConfig, optics: OpticalConfig, complex_mode: bool) -> Ob
             f"expected {expected} truth image(s) for {n} slice(s)"
             + (" (real,imag per slice)" if complex_mode else "")
         )
-    parts = [_load_on_grid(p, optics).data for p in paths]
+    grids = [_load_on_grid(p, optics).as_complex() for p in paths]
     if complex_mode:
-        parts = [re + 1j * im for re, im in zip(parts[::2], parts[1::2])]
-    return ObjectStack(tuple(ComplexGrid2D(d, optics.pitch_x, optics.pitch_y) for d in parts))
+        grids = [re.with_data(re.data + 1j * im.data) for re, im in zip(grids[::2], grids[1::2])]
+    return ObjectStack(tuple(grids))
 
 
 def _quality_json(stack: ObjectStack, truth: ObjectStack, complex_mode: bool) -> str:
@@ -435,8 +436,7 @@ def _quality_json(stack: ObjectStack, truth: ObjectStack, complex_mode: bool) ->
 def _upper_bound(cfg: RunConfig, optics: OpticalConfig) -> RealGrid2D | None:
     if cfg.reference is None:
         return None
-    ref = _load_on_grid(cfg.reference, optics)
-    return apply_reference_illumination(RealGrid2D(ref.data, optics.pitch_x, optics.pitch_y))
+    return apply_reference_illumination(_load_on_grid(cfg.reference, optics))
 
 
 def _run_reconstruct(cfg: RunConfig, out: Path, started: float) -> int:
@@ -462,7 +462,7 @@ def _run_reconstruct(cfg: RunConfig, out: Path, started: float) -> int:
     truth = _load_truth(cfg, optics, complex_mode)
     stack, trace = solve(holo, params, ground_truth=truth)
 
-    manifest = _Manifest(cfg, started, **_optics_values(optics))
+    manifest = _Manifest(cfg, started)
     manifest.record("stop_reason", trace.stop_reason)
     manifest.record("step_halvings", trace.step_halvings)
 
@@ -484,7 +484,7 @@ def _run_reconstruct(cfg: RunConfig, out: Path, started: float) -> int:
         manifest.outputs([qpath])
     manifest.write(out)
 
-    if trace.diverged:
+    if trace.stop_reason == "diverged":
         write_error_record(out, 3, "Divergence",
                            "objective increased for 5 consecutive iterations")
         print(f"{cfg.mode} halted: diverging objective (outputs written)", file=sys.stderr)
@@ -498,7 +498,7 @@ def _run_autofocus(cfg: RunConfig, out: Path, started: float) -> int:
     cfg.require("input", "z_min", "z_max", "z_step")
     holo = _load_hologram(cfg)
     best = autofocus(holo, cfg.z_min, cfg.z_max, cfg.z_step, pad=cfg.pad)
-    manifest = _Manifest(cfg, started, **_optics_values(holo.config))
+    manifest = _Manifest(cfg, started)
     result = write_key_values(out / "autofocus.txt", {"best_z": best})
     manifest.outputs([result])
     manifest.write(out)
@@ -530,7 +530,7 @@ def _run_resolution(cfg: RunConfig, out: Path, started: float) -> int:
     cfg.require("numerical_aperture")
     wavelength = _optic(cfg, {}, "wavelength", DEFAULT_WAVELENGTH)
     lateral, axial = resolution_limits(wavelength, cfg.numerical_aperture)
-    manifest = _Manifest(cfg, started, wavelength=wavelength)
+    manifest = _Manifest(cfg, started)
     result = write_key_values(out / "resolution.txt", {"lateral": lateral, "axial": axial})
     manifest.outputs([result])
     manifest.write(out)

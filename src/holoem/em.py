@@ -39,7 +39,6 @@ arrays; the solvers take their optics from the hologram.
 from __future__ import annotations
 
 import logging
-import math
 import time
 from dataclasses import dataclass, field
 
@@ -114,8 +113,10 @@ class ReconTrace:
     Row k describes the state after k updates. ssim entries are None when
     no ground truth was supplied. millis is wall time and is the one field
     exempt from run-to-run reproducibility; it is solver time only, read
-    before the trace SSIM against the truth is taken. step_halvings counts
-    the gradient halvings that kept updates finite, over the whole run.
+    before the trace SSIM against the truth is taken. stop_reason says why
+    the run stopped: iteration_cap, relative_change or diverged.
+    step_halvings counts the gradient halvings that kept updates finite,
+    over the whole run.
     """
 
     iterations: list[int] = field(default_factory=list)
@@ -123,8 +124,7 @@ class ReconTrace:
     tv: list[float] = field(default_factory=list)
     ssim: list[float | None] = field(default_factory=list)
     millis: list[float] = field(default_factory=list)
-    diverged: bool = False
-    stopped_early: bool = False
+    stop_reason: str = "iteration_cap"
     step_halvings: int = 0
 
     COLUMNS = ("iteration", "nll", "tv", "ssim", "millis")
@@ -140,11 +140,9 @@ class ReconTrace:
         return len(self.iterations)
 
     @property
-    def stop_reason(self) -> str:
-        """Why the run stopped: diverged, relative_change or iteration_cap."""
-        if self.diverged:
-            return "diverged"
-        return "relative_change" if self.stopped_early else "iteration_cap"
+    def diverged(self) -> bool:
+        """Whether the run halted on a rising objective."""
+        return self.stop_reason == "diverged"
 
 
 def _resolve_floor(g: np.ndarray, ratio_floor: float | None) -> float:
@@ -243,26 +241,22 @@ def _sign_floor(arr: np.ndarray, floor: float) -> np.ndarray:
     backgrounds are negative wherever cos(k0 z) < 0). Exact zeros go to
     +floor.
     """
-    if floor <= 0:
-        return arr
     small = np.abs(arr) < floor
     return np.where(small, np.where(arr < 0, -floor, floor), arr)
 
 
-def _trace_ssim(parts: list[np.ndarray],
-                truth_parts: list[_SsimReference] | None) -> float | None:
+def _trace_ssim(w: np.ndarray, truth_parts: list[_SsimReference] | None) -> float | None:
     """Mean SSIM of every slice of every part against the truth; None without truth."""
     if truth_parts is None:
         return None
-    slices = [s for p in parts for s in p]
+    slices = w.reshape(-1, *w.shape[-2:])
     return float(np.mean([_ssim(display_normalize(s), t) for s, t in zip(slices, truth_parts)]))
 
 
-def _tv_pass(parts: list[np.ndarray], eps: float) -> tuple[float, list[np.ndarray]]:
-    """TV summed over every slice of every part, and each part's stacked TV gradient."""
-    passes = [[_tv_gradient_array(s, eps) for s in p] for p in parts]
-    value = sum(sum(v for v, _ in pp) for pp in passes)
-    return value, [np.stack([grad for _, grad in pp]) for pp in passes]
+def _tv_pass(w: np.ndarray, eps: float) -> tuple[float, np.ndarray]:
+    """TV summed over every slice of every part, and its gradient, shaped like w."""
+    passes = [_tv_gradient_array(s, eps) for s in w.reshape(-1, *w.shape[-2:])]
+    return sum(v for v, _ in passes), np.stack([grad for _, grad in passes]).reshape(w.shape)
 
 
 def _resolve_tau(g: np.ndarray, params) -> float:
@@ -270,43 +264,36 @@ def _resolve_tau(g: np.ndarray, params) -> float:
     return 0.002 * float(g.mean()) if params.tau is None else float(params.tau)
 
 
-def _resolve_epsilon(init_parts: list[np.ndarray]) -> float:
+def _resolve_epsilon(w: np.ndarray) -> float:
     """TV smoothing epsilon: 1e-4 times the initial estimate's dynamic range."""
-    lo = min(float(p.min()) for p in init_parts)
-    hi = max(float(p.max()) for p in init_parts)
-    span = hi - lo
+    span = float(w.max()) - float(w.min())
     return 1e-4 * span if span > 0 else 1e-4
 
 
-def _joined(parts: list[np.ndarray]) -> np.ndarray:
-    return parts[0] if len(parts) == 1 else parts[0] + 1j * parts[1]
-
-
-def _relative_change(new: list[np.ndarray], old: list[np.ndarray]) -> float:
-    """||new - old|| / ||old||, taken over all parts."""
-    delta = math.hypot(*(np.linalg.norm(n - o) for n, o in zip(new, old)))
-    return delta / max(math.hypot(*(np.linalg.norm(o) for o in old)), np.finfo(np.float64).tiny)
+def _joined(w: np.ndarray) -> np.ndarray:
+    """The (slices, H, W) object an estimate's parts describe: real, or Re + j Im."""
+    return w[0] if len(w) == 1 else w[0] + 1j * w[1]
 
 
 def _iterate(
     config: OpticalConfig,
     params,
-    parts: list[np.ndarray],
+    w: np.ndarray,
     data_term,
     update,
     truth_parts: list[_SsimReference] | None,
     stop_delta: float | None = None,
-) -> tuple[list[np.ndarray], ReconTrace]:
+) -> tuple[np.ndarray, ReconTrace]:
     """The iteration loop shared by every solver.
 
-    The estimate is a list of real parts: [w] in real mode, [Re w, Im w]
-    in complex mode, each stacked over slices. params supplies max_iters
-    and pad; the TV smoothing epsilon is fixed from the initial parts by
+    The estimate w is one real (parts, slices, H, W) array: one part in
+    real mode, Re and Im in complex mode. params supplies max_iters and
+    pad; the TV smoothing epsilon is fixed from the initial estimate by
     :func:`_resolve_epsilon`. The solver supplies the rest:
 
     - data_term(ghat) -> (value, residual): the data objective at the
       predicted intensity and the residual whose adjoint is its gradient;
-    - update(w, grad, tv_grad, scale) -> new part: one step with the
+    - update(w, grad, tv_grad, scale) -> new estimate: one step with the
       gradient scaled by scale, which halves while the result is
       non-finite.
 
@@ -316,21 +303,22 @@ def _iterate(
     """
     px, py, lam, zs = config.pitch_x, config.pitch_y, config.wavelength, config.slice_distances
     pad = params.pad
-    eps = _resolve_epsilon(parts)
+    real = len(w) == 1
+    eps = _resolve_epsilon(w)
     trace = ReconTrace()
-    prev, resid = data_term(stack_forward(_joined(parts), px, py, lam, zs, pad=pad))
-    _, tv_grads = _tv_pass(parts, eps)
+    prev, resid = data_term(stack_forward(_joined(w), px, py, lam, zs, pad=pad))
+    _, tv_grad = _tv_pass(w, eps)
     consecutive_up = 0
 
     for k in range(1, params.max_iters + 1):
         t0 = time.perf_counter()
-        adj = stack_adjoint(resid, px, py, lam, zs, pad=pad, real=len(parts) == 1)
-        grads = [adj] if len(parts) == 1 else [adj.real, adj.imag]
+        adj = stack_adjoint(resid, px, py, lam, zs, pad=pad, real=real)
+        grad = adj[None] if real else np.stack([adj.real, adj.imag])
 
         for attempt in range(5):
             scale = 0.5**attempt
-            new = [update(p, d, t, scale) for p, d, t in zip(parts, grads, tv_grads)]
-            if all(np.isfinite(n).all() for n in new):
+            new = update(w, grad, tv_grad, scale)
+            if np.isfinite(new).all():
                 if attempt:
                     trace.step_halvings += attempt
                     logger.warning("iteration %d: gradient halved %d time(s) to stay finite",
@@ -341,19 +329,21 @@ def _iterate(
                 f"iteration {k}: update non-finite after 4 gradient halvings"
             )
 
-        converged = stop_delta is not None and _relative_change(new, parts) < stop_delta
-        parts = new
-        del adj, grads, new  # not alive through the forward map and the trace
+        converged = stop_delta is not None and (
+            np.linalg.norm(new - w) / max(np.linalg.norm(w), np.finfo(np.float64).tiny)
+            < stop_delta)
+        w = new
+        del adj, grad, new  # not alive through the forward map and the trace
 
-        value, resid = data_term(stack_forward(_joined(parts), px, py, lam, zs, pad=pad))
-        tv_now, tv_grads = _tv_pass(parts, eps)
+        value, resid = data_term(stack_forward(_joined(w), px, py, lam, zs, pad=pad))
+        tv_now, tv_grad = _tv_pass(w, eps)
         millis = (time.perf_counter() - t0) * 1e3
-        trace.append(k, value, tv_now, _trace_ssim(parts, truth_parts), millis)
+        trace.append(k, value, tv_now, _trace_ssim(w, truth_parts), millis)
 
         if value > prev + 1e-6 * abs(prev):
             consecutive_up += 1
             if consecutive_up >= 5:
-                trace.diverged = True
+                trace.stop_reason = "diverged"
                 logger.warning(
                     "objective increased for 5 consecutive iterations "
                     "(iteration %d, objective %.6g); halting", k, value,
@@ -364,37 +354,32 @@ def _iterate(
         prev = value
 
         if converged:
-            trace.stopped_early = True
+            trace.stop_reason = "relative_change"
             break
 
-    return parts, trace
+    return w, trace
 
 
 def _em_start(g: np.ndarray, config: OpticalConfig, params: ReconParams,
-              complex_mode: bool) -> list[np.ndarray]:
-    """Initial estimate parts for the multiplicative solver."""
+              complex_mode: bool) -> np.ndarray:
+    """Initial (parts, slices, H, W) estimate for the multiplicative solver."""
     lam, zs = config.wavelength, config.slice_distances
     if params.init_mode == "backpropagation":
         bp = stack_adjoint(g, config.pitch_x, config.pitch_y, lam, zs, pad=params.pad,
                            real=not complex_mode)
         parts = [bp.real, bp.imag] if complex_mode else [bp]
-        return [_sign_floor(p, 1e-6 * float(np.abs(p).mean())) for p in parts]
+        return np.stack([_sign_floor(p, 1e-6 * float(np.abs(p).mean())) for p in parts])
     # DC-matched flat start: levels d_z with sum_z cos(k0 z) d_z = mean(g),
-    # minimum-norm, so the initial prediction already carries the right DC
-    n_slices = len(zs)
-    k0 = 2.0 * np.pi / lam
-    cosz = np.cos(k0 * np.asarray(zs))
-    denom = float(np.sum(cosz**2))
-    if denom > np.finfo(np.float64).tiny:
-        levels = cosz * float(g.mean()) / denom
-    else:
-        levels = np.full(n_slices, float(g.mean()) / n_slices)
-    w_re = np.broadcast_to(levels[:, None, None], (n_slices,) + config.grid_shape).copy()
+    # minimum-norm, so the initial prediction already carries the right DC;
+    # |cos x| > 1e-19 for every finite double x, so the sum is never zero
+    cosz = np.cos(2.0 * np.pi / lam * np.asarray(zs))
+    levels = cosz * float(g.mean()) / float(np.sum(cosz**2))
+    w_re = np.broadcast_to(levels[:, None, None], (len(zs),) + config.grid_shape).copy()
     w_re = _sign_floor(w_re, 1e-6 * max(float(np.abs(levels).mean()), np.finfo(np.float64).tiny))
     if not complex_mode:
-        return [w_re]
+        return w_re[None]
     # small nonzero tilt: a zero imaginary part is a multiplicative fixed point
-    return [w_re, np.full_like(w_re, 0.01 * float(np.abs(levels).mean()))]
+    return np.stack([w_re, np.full_like(w_re, 0.01 * float(np.abs(levels).mean()))])
 
 
 def _upper_bound(params: ReconParams, config: OpticalConfig, complex_mode: bool):
@@ -426,11 +411,9 @@ def _truth_parts(ground_truth: ObjectStack | None,
     return [_ssim_reference(display_normalize(p), peak=1.0) for p in parts]
 
 
-def _real_stack(w: np.ndarray, config: OpticalConfig) -> ObjectStack:
-    return ObjectStack(
-        tuple(ComplexGrid2D(s, config.pitch_x, config.pitch_y) for s in w.astype(np.complex128)),
-        real_only=True,
-    )
+def _stack(w: np.ndarray, config: OpticalConfig) -> ObjectStack:
+    """The object stack an estimate describes (see :func:`_joined`)."""
+    return ObjectStack(tuple(ComplexGrid2D(s, config.pitch_x, config.pitch_y) for s in _joined(w)))
 
 
 def _em_solve(hologram: Hologram, params: ReconParams | None,
@@ -450,10 +433,9 @@ def _em_solve(hologram: Hologram, params: ReconParams | None,
         return new if ub is None else apply_upper_bound(new, ub, params.beta)
 
     stop_delta = params.stop_delta if params.stop_rule == "relative_change" else None
-    parts, trace = _iterate(cfg, params, _em_start(g, cfg, params, complex_mode),
-                            data_term, update, _truth_parts(ground_truth, complex_mode),
-                            stop_delta)
-    return parts, trace
+    w, trace = _iterate(cfg, params, _em_start(g, cfg, params, complex_mode), data_term, update,
+                        _truth_parts(ground_truth, complex_mode), stop_delta)
+    return _stack(w, cfg), trace
 
 
 def reconstruct_real(
@@ -464,13 +446,12 @@ def reconstruct_real(
 ) -> tuple[ObjectStack, ReconTrace]:
     """Reconstruct real object slices from a recorded hologram.
 
-    Returns the estimate stack (real_only) and the per-iteration trace.
+    Returns the estimate stack (zero imaginary parts) and the per-iteration trace.
     When ground_truth is given, the trace records the mean SSIM over
     slices, computed on display-normalized images. Divergence does not
-    raise: the run halts and the trace is flagged.
+    raise: the run halts with the trace's stop_reason "diverged".
     """
-    (w,), trace = _em_solve(hologram, params, ground_truth, complex_mode=False)
-    return _real_stack(w, hologram.config), trace
+    return _em_solve(hologram, params, ground_truth, complex_mode=False)
 
 
 def reconstruct_complex(
@@ -484,7 +465,4 @@ def reconstruct_complex(
     The upper-bound constraint is not available in this mode; params
     carrying one raise ValueError.
     """
-    parts, trace = _em_solve(hologram, params, ground_truth, complex_mode=True)
-    cfg = hologram.config
-    stack = ObjectStack(tuple(ComplexGrid2D(s, cfg.pitch_x, cfg.pitch_y) for s in _joined(parts)))
-    return stack, trace
+    return _em_solve(hologram, params, ground_truth, complex_mode=True)

@@ -102,12 +102,11 @@ def _check_geometry(shape: tuple[int, int], pitch_x: float, pitch_y: float, conf
 class ObjectStack:
     """Ordered object slices, nearest-to-sensor last (matching config order).
 
-    ``real_only=True`` asserts every slice has exactly zero imaginary part
-    (the real-object reconstruction mode produces such stacks).
+    A real object is a stack whose slices have zero imaginary parts, as
+    the real-mode solvers return.
     """
 
     slices: tuple[ComplexGrid2D, ...]
-    real_only: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "slices", tuple(self.slices))
@@ -119,14 +118,11 @@ class ObjectStack:
                 _pitch_close(s.pitch_x, first.pitch_x) and _pitch_close(s.pitch_y, first.pitch_y)
             ):
                 raise ValueError("object slices must share shape and pitch")
-        if self.real_only and any(np.any(s.data.imag != 0.0) for s in self.slices):
-            raise ValueError("real_only stack has a slice with nonzero imaginary part")
 
     @classmethod
-    def from_arrays(cls, arrays, pitch_x: float, pitch_y: float | None = None,
-                    real_only: bool = False) -> "ObjectStack":
+    def from_arrays(cls, arrays, pitch_x: float, pitch_y: float | None = None) -> "ObjectStack":
         py = pitch_x if pitch_y is None else pitch_y
-        return cls(tuple(ComplexGrid2D(a, pitch_x, py) for a in arrays), real_only=real_only)
+        return cls(tuple(ComplexGrid2D(a, pitch_x, py) for a in arrays))
 
     @property
     def n_slices(self) -> int:

@@ -62,11 +62,11 @@ def sidecar_path(path) -> Path:
     return Path(str(path) + ".meta")
 
 
-def _check_dims(width: int, height: int, where: str):
+def _check_dims(width: int, height: int, where: str, error=HoloIOError):
     if width < 1 or height < 1:
-        raise HoloIOError(f"{where}: non-positive dimensions {width}x{height}")
+        raise error(f"{where}: non-positive dimensions {width}x{height}")
     if width > _MAX_SIDE or height > _MAX_SIDE or width * height > _MAX_PIXELS:
-        raise HoloIOError(f"{where}: dimensions {width}x{height} overflow the supported range")
+        raise error(f"{where}: dimensions {width}x{height} overflow the supported range")
 
 
 def _read_token(buf: bytes, pos: int, where: str, allow_comments: bool) -> tuple[bytes, int]:

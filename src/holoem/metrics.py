@@ -282,8 +282,8 @@ def autofocus(
     maximum on the boundary of a scan of several planes is returned as-is
     with a low-confidence warning: the optimum may lie outside the range.
     """
-    if not (z_step > 0 and z_max >= z_min):
-        raise ValueError("need z_max >= z_min and z_step > 0")
+    if not (np.isfinite([z_min, z_max, z_step]).all() and z_step > 0 and z_max >= z_min):
+        raise ValueError("need finite z_min <= z_max and a finite z_step > 0")
     n = int(np.floor((z_max - z_min) / z_step + 1e-9)) + 1
     best = int(np.argmax(_focus_scores(hologram, z_min, z_step, n, pad=pad)))
     z = float(z_min + z_step * best)

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holoem import cli, io, operators
+from holoem.em import NumericError
 from holoem.cli import (MODES, RunConfig, _build_parser, _Manifest, format_length, main,
                         parse_length)
 from holoem.grid import RealGrid2D
@@ -249,6 +250,21 @@ def test_simulate_from_object_images(tmp_path, rng):
     assert (out / "hologram.pfm").exists()
 
 
+def test_object_images_take_the_run_pitch(tmp_path, rng):
+    # an object image without a sidecar is taken at the run's pitch, as one with it is
+    save_image(tmp_path / "obj.pfm", RealGrid2D(-0.04 * (rng.random((32, 32)) > 0.9), 2e-6, 2e-6))
+    bare = tmp_path / "bare"
+    bare.mkdir()
+    (bare / "obj.pfm").write_bytes((tmp_path / "obj.pfm").read_bytes())
+    holograms = []
+    for obj in (tmp_path / "obj.pfm", bare / "obj.pfm"):
+        out = obj.parent / "sim"
+        assert main(["simulate", "--out", str(out), "--width", "32", "--height", "32",
+                     "--pitch", "2um", "--slice-distances", "1mm", "--objects", str(obj)]) == 0
+        holograms.append((out / "hologram.pfm").read_bytes())
+    assert holograms[0] == holograms[1]
+
+
 class TestExitCodes:
     def test_unknown_phantom_is_config_error(self, tmp_path):
         out = tmp_path / "sim"
@@ -325,6 +341,81 @@ class TestExitCodes:
         record = json.loads((rec / "error.json").read_text())
         assert record["exit_code"] == 3 and record["error"] == "Divergence"
         assert load_key_values(rec / "manifest.txt")["stop_reason"] == "diverged"
+
+    def test_numeric_failure_exits_3_with_an_error_record(self, tmp_path, monkeypatch):
+        sim = tmp_path / "sim"
+        assert main(simulate_args(sim)) == 0
+
+        def failing_solver(*args, **kwargs):
+            raise NumericError("iteration 1: update non-finite after 4 gradient halvings")
+
+        monkeypatch.setattr(cli, "reconstruct_real", failing_solver)
+        out = tmp_path / "rec"
+        code = main(["reconstruct-real", "--out", str(out), "--input", str(sim / "hologram.pfm"),
+                     "--slice-distances", "1mm"])
+        assert code == 3
+        record = json.loads((out / "error.json").read_text())
+        assert record["exit_code"] == 3 and record["error"] == "NumericError"
+
+    @pytest.mark.parametrize("content", [
+        b"P2\n4 4\n255\n" + b"\x80" * 16,  # bad magic: an ASCII graymap
+        b"P5\n4 4\n255\n" + b"\x80" * 10,  # 10 of 16 data bytes
+    ], ids=["bad-magic", "truncated"])
+    def test_malformed_pgm_is_io_error(self, tmp_path, content):
+        holo = tmp_path / "hologram.pgm"
+        holo.write_bytes(content)
+        out = tmp_path / "af"
+        code = main(["autofocus", "--out", str(out), "--input", str(holo),
+                     "--z-min", "0.9mm", "--z-max", "1.1mm", "--z-step", "0.1mm"])
+        assert code == 4
+        record = json.loads((out / "error.json").read_text())
+        assert record["exit_code"] == 4 and str(holo) in record["message"]
+
+    @pytest.mark.parametrize("flag, value, message", [
+        ("--width", "48", "configured grid 48x"),  # the hologram is 64 x 64
+        ("--truth", "{truth},{truth}", "expected 1 truth image"),
+    ], ids=["width", "truth-count"])
+    def test_input_that_disagrees_with_the_hologram(self, tmp_path, flag, value, message):
+        sim = tmp_path / "sim"
+        assert main(simulate_args(sim)) == 0
+        out = tmp_path / "rec"
+        code = main(["reconstruct-real", "--out", str(out), "--input", str(sim / "hologram.pfm"),
+                     "--slice-distances", "1mm", "--iters", "2",
+                     flag, value.format(truth=sim / "truth_00_re.pfm")])
+        assert code == 2
+        assert message in json.loads((out / "error.json").read_text())["message"]
+
+    @pytest.mark.parametrize("bound, value", [("--z-max", "inf"), ("--z-step", "nan")])
+    def test_non_finite_scan_bound_is_config_error(self, tmp_path, bound, value):
+        sim = tmp_path / "sim"
+        assert main(simulate_args(sim)) == 0
+        scan = {"--z-min": "0.5mm", "--z-max": "1.5mm", "--z-step": "1um", bound: value}
+        out = tmp_path / "af"
+        code = main(["autofocus", "--out", str(out), "--input", str(sim / "hologram.pfm"),
+                     *(item for pair in scan.items() for item in pair)])
+        assert code == 2
+        assert "finite" in json.loads((out / "error.json").read_text())["message"]
+
+    def test_grid_the_reader_refuses_is_config_error(self, tmp_path):
+        out = tmp_path / "sim"
+        code = main(simulate_args(out, ["--width", "40000", "--height", "2"]))
+        assert code == 2
+        assert "40000x2" in json.loads((out / "error.json").read_text())["message"]
+        assert not (out / "hologram.pfm").exists()
+
+    @pytest.mark.parametrize("mode", ["autofocus", "metrics"])
+    def test_malformed_sidecar_value_is_io_error(self, tmp_path, mode):
+        sim = tmp_path / "sim"
+        assert main(simulate_args(sim)) == 0
+        holo = sim / "hologram.pfm"
+        side = sim / "hologram.pfm.meta"
+        side.write_text(side.read_text().replace("pitch_x = ", "pitch_x = abc # "))
+        flags = {"autofocus": ["--z-min", "0.9mm", "--z-max", "1.1mm", "--z-step", "0.1mm"],
+                 "metrics": ["--truth", str(holo)]}[mode]
+        out = tmp_path / mode
+        assert main([mode, "--out", str(out), "--input", str(holo), *flags]) == 4
+        record = json.loads((out / "error.json").read_text())
+        assert record["exit_code"] == 4 and "hologram.pfm.meta" in record["message"]
 
     def test_config_failures_leave_an_error_record(self, tmp_path, monkeypatch):
         # the record goes to --out, else the config's output_dir, else 'out'
@@ -693,11 +784,11 @@ def test_manifest_records_every_key_the_mode_reads(tmp_path):
                 assert getattr(again, f.name) == getattr(given, f.name), (mode, f.name)
             elif f.metadata["kind"] == "optfloat" and f.name != "photon_scale":
                 assert manifest[f.name] == "auto", (mode, f.name)
-    # simulate resolves the photon scale: the default for a noisy run, none without noise
+    # simulate resolves the photon scale: the default for a noisy run, auto without noise
     assert float(load_key_values(sim / "manifest.txt")["photon_scale"]) > 0
     assert main(simulate_args(tmp_path / "clean")) == 0
     clean = load_key_values(tmp_path / "clean" / "manifest.txt")
-    assert "photon_scale" not in clean and "noise_seed" not in clean
+    assert clean["photon_scale"] == "auto" and "noise_seed" not in clean
 
 
 # raw values of each RunConfig kind, written as a config document or a flag would

@@ -84,13 +84,6 @@ class TestObjectStack:
         with pytest.raises(ValueError):
             ObjectStack(())
 
-    def test_real_only_guard(self):
-        re = ComplexGrid2D(np.ones((4, 4)), PITCH, PITCH)
-        assert ObjectStack((re,), real_only=True).real_only
-        cx = ComplexGrid2D(np.ones((4, 4)) * (1 + 1e-12j), PITCH, PITCH)
-        with pytest.raises(ValueError):
-            ObjectStack((cx,), real_only=True)
-
 
 class TestHologram:
     def test_negative_intensity_rejected(self):

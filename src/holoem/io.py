@@ -227,7 +227,10 @@ def _read_pixels(path: Path, meta: dict[str, str]) -> np.ndarray:
     counts, maxval = _read_pgm(path)
     data = counts / maxval
     if "pgm_min" in meta and "pgm_max" in meta:
-        lo, hi = float(meta["pgm_min"]), float(meta["pgm_max"])
+        try:
+            lo, hi = float(meta["pgm_min"]), float(meta["pgm_max"])
+        except ValueError as exc:
+            raise HoloIOError(f"{sidecar_path(path)}: bad PGM range value ({exc})") from None
         if not np.isfinite(hi - lo):
             raise HoloIOError(f"{sidecar_path(path)}: range [{lo!r}, {hi!r}] is not finite")
         data = lo + data * (hi - lo)

@@ -417,6 +417,30 @@ class TestExitCodes:
         record = json.loads((out / "error.json").read_text())
         assert record["exit_code"] == 4 and "hologram.pfm.meta" in record["message"]
 
+    @pytest.mark.parametrize("mode", ["autofocus", "metrics"])
+    def test_malformed_pgm_range_is_io_error(self, tmp_path, mode):
+        sim = tmp_path / "sim"
+        assert main(simulate_args(sim)) == 0
+        holo = sim / "hologram.pgm"
+        side = sim / "hologram.pgm.meta"
+        side.write_text(side.read_text().replace("pgm_min = ", "pgm_min = abc # "))
+        flags = {"autofocus": ["--z-min", "0.9mm", "--z-max", "1.1mm", "--z-step", "0.1mm"],
+                 "metrics": ["--truth", str(sim / "hologram.pfm")]}[mode]
+        out = tmp_path / mode
+        assert main([mode, "--out", str(out), "--input", str(holo), *flags]) == 4
+        record = json.loads((out / "error.json").read_text())
+        assert record["exit_code"] == 4 and "hologram.pgm.meta" in record["message"]
+
+    @pytest.mark.parametrize("z_step", ["1e-320", "0.05um"])  # inf and 20001 planes
+    def test_scan_with_too_many_planes_is_config_error(self, tmp_path, z_step):
+        sim = tmp_path / "sim"
+        assert main(simulate_args(sim)) == 0
+        out = tmp_path / "af"
+        code = main(["autofocus", "--out", str(out), "--input", str(sim / "hologram.pfm"),
+                     "--z-min", "0.5mm", "--z-max", "1.5mm", "--z-step", z_step])
+        assert code == 2
+        assert "at most 10000" in json.loads((out / "error.json").read_text())["message"]
+
     def test_config_failures_leave_an_error_record(self, tmp_path, monkeypatch):
         # the record goes to --out, else the config's output_dir, else 'out'
         monkeypatch.chdir(tmp_path)

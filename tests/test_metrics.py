@@ -227,9 +227,11 @@ def _per_plane_scores(hologram, zs):
 
 
 class TestAutofocus:
-    def test_finds_recording_distance(self, holo):
-        z = autofocus(holo, 0.6e-3, 1.4e-3, 10e-6)
+    def test_finds_recording_distance(self, holo, caplog):
+        with caplog.at_level(logging.WARNING, logger="holoem.metrics"):
+            z = autofocus(holo, 0.6e-3, 1.4e-3, 10e-6)
         assert abs(z - 1.0e-3) <= 10e-6
+        assert not any("scan boundary" in r.message for r in caplog.records)
 
     def test_boundary_warning(self, holo, caplog):
         # the true plane lies above the scanned range, so the maximum sits
@@ -240,8 +242,9 @@ class TestAutofocus:
         assert any("boundary" in r.message for r in caplog.records)
 
     def test_scan_grid_is_inclusive(self, holo):
-        # single-point scan degenerates to returning that point
+        # single-point scan degenerates to returning that point, whatever the step
         assert autofocus(holo, 0.9e-3, 0.9e-3, 10e-6) == pytest.approx(0.9e-3)
+        assert autofocus(holo, 0.9e-3, 0.9e-3, 5e-324) == pytest.approx(0.9e-3)
 
     def test_one_plane_scan_has_no_boundary(self, holo, caplog):
         # a lone candidate is both edges of its scan; that says nothing about focus
@@ -259,7 +262,7 @@ class TestAutofocus:
         field = ComplexGrid2D(raw - raw.mean(), cfg.pitch_x, cfg.pitch_y)
         expected = [focus_metric(np.abs(propagate(field, -z, WAVELENGTH, pad=True).data))
                     for z in zs]
-        scores = _focus_scores(noisy, 0.8e-3, 25e-6, 17, pad=True)
+        scores = _focus_scores(noisy, pad=True)(0.8e-3, 25e-6, 17, 0.0)
         np.testing.assert_allclose(scores, expected, rtol=1e-12)
         assert autofocus(noisy, zs[0], zs[-1], 25e-6) == zs[int(np.argmax(expected))]
 
@@ -273,7 +276,7 @@ class TestAutofocus:
         # sign flip, so a scan through z = 0 matches per-plane propagation
         zs = start + step * np.arange(count)
         expected = _per_plane_scores(anisotropic_holo, zs)
-        scores = _focus_scores(anisotropic_holo, start, step, count, pad=True)
+        scores = _focus_scores(anisotropic_holo, pad=True)(start, step, count, 0.0)
         np.testing.assert_allclose(scores, expected, rtol=1e-12)
         assert autofocus(anisotropic_holo, start, zs[-1], step) == zs[int(np.argmax(expected))]
 
@@ -282,7 +285,7 @@ class TestAutofocus:
         # bound it against one transfer build per plane
         zs = 0.5e-3 + 1e-6 * np.arange(1001)
         expected = _per_plane_scores(anisotropic_holo, zs)
-        scores = _focus_scores(anisotropic_holo, 0.5e-3, 1e-6, 1001, pad=True)
+        scores = _focus_scores(anisotropic_holo, pad=True)(0.5e-3, 1e-6, 1001, 0.0)
         np.testing.assert_allclose(scores, expected, rtol=1e-12)
         assert np.argmax(scores) == np.argmax(expected)
 
@@ -296,10 +299,8 @@ class TestAutofocus:
         info = _transfer_array.cache_info()
         assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
 
-    def test_sweep_transforms_the_hologram_once(self, holo, monkeypatch):
-        # the benchmark reads one propagate span and one focus span per
-        # plane; only the hologram's transform is shared, and only the
-        # forward helper calls numpy's forward rfft and fft
+    @staticmethod
+    def _count_calls(monkeypatch):
         counts = Counter()
         for module, name in ((metrics, "_propagate_array"), (metrics, "focus_metric"),
                              (metrics, "_half_spectrum"), (np.fft, "rfft"),
@@ -311,14 +312,45 @@ class TestAutofocus:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counting)
-        autofocus(holo, 0.8e-3, 1.2e-3, 25e-6)  # 17 planes
-        assert counts == {"_propagate_array": 17, "focus_metric": 17, "_half_spectrum": 1,
+        return counts
+
+    def test_sweep_transforms_the_hologram_once(self, holo, monkeypatch):
+        # the benchmark reads one propagate span and one focus span per
+        # plane visited; both stages share the hologram's transform, and
+        # only the forward helper calls numpy's forward rfft and fft
+        counts = self._count_calls(monkeypatch)
+        autofocus(holo, 0.8e-3, 1.2e-3, 25e-6)  # 17 planes: 9 coarse (m = 2), 5 fine
+        assert counts == {"_propagate_array": 14, "focus_metric": 14, "_half_spectrum": 1,
                           "rfft": 1, "fft": 1}
 
-    @pytest.mark.xfail(strict=True, raises=AssertionError,
-                       reason="the gradient-variance metric peaks at the scan edge "
-                              "on shot-noise-limited holograms")
-    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("z_max, z_step", [
+        (0.8e-3, 50e-6),  # m = 1
+        (1.2e-3, 25e-6),  # m = 2
+        (1.3e-3, 15.625e-6),  # m = 3
+        (1.5e-3, 10e-6),  # m = 5
+        (1.5e-3, 5e-6),  # m = 10
+    ])
+    def test_sweep_visits_a_coarse_stride_and_one_window(self, holo, monkeypatch, z_max, z_step):
+        n = int(np.floor((z_max - 0.5e-3) / z_step + 1e-9)) + 1
+        m = max(1, round(50e-6 / z_step))
+        counts = self._count_calls(monkeypatch)
+        autofocus(holo, 0.5e-3, z_max, z_step)
+        assert counts["_propagate_array"] <= -(-n // m) + 2 * m + 1
+        assert counts["_half_spectrum"] == 1
+
+    @pytest.mark.parametrize("z_min, z_max, edge", [
+        (0.5e-3, 0.75e-3, 0.75e-3),  # focus above the scan
+        (1.2e-3, 1.6e-3, 1.2e-3),  # focus below the scan
+    ])
+    def test_boundary_warning_on_either_edge_of_a_two_stage_scan(self, holo, caplog,
+                                                                  z_min, z_max, edge):
+        # 10 um steps, so the coarse stride is 5 planes and the fine window
+        # is clipped at the scan's edge
+        with caplog.at_level(logging.WARNING, logger="holoem.metrics"):
+            assert autofocus(holo, z_min, z_max, 10e-6) == pytest.approx(edge)
+        assert any("scan boundary" in r.message for r in caplog.records)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4, 5])
     def test_finds_recording_distance_under_shot_noise(self, seed):
         # default photon scale: about 1e4 mean counts, as `holoem simulate --noise-seed`
         cfg = OpticalConfig(WAVELENGTH, PITCH, 256, 256, (1.0e-3,))
@@ -331,6 +363,14 @@ class TestAutofocus:
             autofocus(holo, 1.0e-3, 0.5e-3, 10e-6)
         with pytest.raises(ValueError):
             autofocus(holo, 0.5e-3, 1.0e-3, 0.0)
+
+    @pytest.mark.parametrize("z_step", [1e-320, 1e-3 / metrics.FOCUS_MAX_PLANES])
+    def test_plane_count_is_capped_before_any_transform(self, holo, monkeypatch, z_step):
+        # 0.5-1.5 mm: an infinite count, then one plane over the cap
+        counts = self._count_calls(monkeypatch)
+        with pytest.raises(ValueError, match=f"at most {metrics.FOCUS_MAX_PLANES}"):
+            autofocus(holo, 0.5e-3, 1.5e-3, z_step)
+        assert not counts
 
 
 class TestResolutionLimits:

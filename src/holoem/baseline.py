@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import ReconTrace, _iterate, _resolve_tau, _stack, _truth_parts
+from .em import ReconTrace, _iterate, _joined, _resolve_tau, _truth_parts
 # no longer called here; kept as module names that perfbench/tracing.py wraps
 from .em import _tv_gradient_array, tv_value  # noqa: F401
-from .forward import Hologram, ObjectStack, OpticalConfig
+from .forward import Hologram, OpticalConfig
 from .operators import stack_adjoint, stack_forward
 
 __all__ = ["BaselineParams", "estimate_step_size", "baseline_reconstruct"]
@@ -71,16 +71,17 @@ def baseline_reconstruct(
     hologram: Hologram,
     params: BaselineParams | None = None,
     *,
-    ground_truth: ObjectStack | None = None,
-) -> tuple[ObjectStack, ReconTrace]:
+    ground_truth: np.ndarray | None = None,
+) -> tuple[np.ndarray, ReconTrace]:
     """Reconstruct real slices by additive least-squares descent with TV.
 
-    Returns (estimate stack, trace). The trace's nll column records the
-    least-squares objective 0.5 ||g - H w||^2 for this solver.
+    Returns the (S, H, W) float64 estimate and the trace. The trace's nll
+    column records the least-squares objective 0.5 ||g - H w||^2 for this
+    solver.
     """
     cfg = hologram.config
     params = params or BaselineParams()
-    g = hologram.intensity.data
+    g = hologram.intensity
 
     step = params.step_size
     if step is None:
@@ -98,5 +99,5 @@ def baseline_reconstruct(
     start = stack_adjoint(g, cfg.pitch_x, cfg.pitch_y, cfg.wavelength, cfg.slice_distances,
                           pad=params.pad, real=True)
     w, trace = _iterate(cfg, params, start[None], data_term, update,
-                        _truth_parts(ground_truth, complex_mode=False))
-    return _stack(w, cfg), trace
+                        _truth_parts(ground_truth, cfg, complex_mode=False))
+    return _joined(w), trace

@@ -31,7 +31,7 @@ import numpy as np
 from . import __version__
 from .baseline import BaselineParams, baseline_reconstruct
 from .em import NumericError, ReconParams, reconstruct_complex, reconstruct_real
-from .forward import Hologram, ObjectStack, OpticalConfig, simulate
+from .forward import Hologram, OpticalConfig, simulate
 from .grid import RealGrid2D
 from .io import (
     DEFAULT_PITCH,
@@ -303,10 +303,11 @@ class _Manifest:
         return write_key_values(path, self.entries)
 
 
-def _save_all(out: Path, named_grids, wavelength: float, manifest: _Manifest):
-    for name, grid in named_grids:
-        written = save_image(out / name, grid, wavelength=wavelength)
-        manifest.outputs(written)
+def _save_all(out: Path, named_arrays, optics: OpticalConfig, manifest: _Manifest):
+    """Save (H, W) arrays as images at the run's pitch and wavelength."""
+    for name, data in named_arrays:
+        grid = RealGrid2D(data, optics.pitch_x, optics.pitch_y)
+        manifest.outputs(save_image(out / name, grid, wavelength=optics.wavelength))
 
 
 def _optical_config(cfg: RunConfig, meta: dict[str, str], width: int,
@@ -328,7 +329,7 @@ def _optical_config(cfg: RunConfig, meta: dict[str, str], width: int,
     )
 
 
-def _phantom_stack(cfg: RunConfig, optics: OpticalConfig) -> ObjectStack:
+def _phantom_stack(cfg: RunConfig, optics: OpticalConfig) -> np.ndarray:
     kind = cfg.phantom
     if kind == "multi-depth":
         return multi_depth_stack(optics, contrast=cfg.contrast)
@@ -340,7 +341,7 @@ def _phantom_stack(cfg: RunConfig, optics: OpticalConfig) -> ObjectStack:
     raise ConfigError(f"unknown phantom {kind!r} (multi-depth, single or complex)")
 
 
-def _object_stack(cfg: RunConfig, optics: OpticalConfig) -> ObjectStack:
+def _object_stack(cfg: RunConfig, optics: OpticalConfig) -> np.ndarray:
     if (cfg.phantom is None) == (cfg.objects is None):
         raise ConfigError("simulate needs exactly one object source: 'phantom' or 'objects'")
     if cfg.phantom is not None:
@@ -349,35 +350,35 @@ def _object_stack(cfg: RunConfig, optics: OpticalConfig) -> ObjectStack:
         raise ConfigError(
             f"{len(cfg.objects)} object image(s) for {optics.n_slices} slice distance(s)"
         )
-    return ObjectStack(tuple(_load_on_grid(p, optics).as_complex() for p in cfg.objects))
+    return np.stack([_load_on_grid(p, optics) for p in cfg.objects])
 
 
-def _load_on_grid(path, optics: OpticalConfig) -> RealGrid2D:
-    """An input image's pixels on the run's grid and pitch (whatever pitch its
-    sidecar records, if it has one); a shape mismatch names the file."""
-    img = load_image(path)
-    if img.shape != optics.grid_shape:
-        raise ConfigError(f"{path}: shape {img.shape} does not match grid {optics.grid_shape}")
-    return RealGrid2D(img.data, optics.pitch_x, optics.pitch_y)
+def _load_on_grid(path, optics: OpticalConfig) -> np.ndarray:
+    """An input image's pixels, taken on the run's grid and pitch (whatever
+    pitch its sidecar records, if it has one); a shape mismatch names the file."""
+    data = load_image(path).data
+    if data.shape != optics.grid_shape:
+        raise ConfigError(f"{path}: shape {data.shape} does not match grid {optics.grid_shape}")
+    return data
 
 
 def _run_simulate(cfg: RunConfig, out: Path, started: float) -> int:
     cfg.require("width", "height", "slice_distances")
     _check_dims(cfg.width, cfg.height, "configured grid", ConfigError)  # as the reader limits it
     optics = _optical_config(cfg, {}, cfg.width, cfg.height)
-    stack = _object_stack(cfg, optics)
-    holo = simulate(stack, optics, model=cfg.model, photon_scale=cfg.photon_scale,
+    obj = _object_stack(cfg, optics)
+    holo = simulate(obj, optics, model=cfg.model, photon_scale=cfg.photon_scale,
                     seed=cfg.noise_seed, pad=cfg.pad)
     cfg.photon_scale = holo.photon_scale
 
     manifest = _Manifest(cfg, started)
 
-    grids = [("hologram.pfm", holo.intensity), ("hologram.pgm", holo.intensity)]
-    for i, s in enumerate(stack.slices):
-        grids.append((f"truth_{i:02d}_re.pfm", s.real_part()))
-        if np.any(s.data.imag != 0.0):
-            grids.append((f"truth_{i:02d}_im.pfm", s.imag_part()))
-    _save_all(out, grids, optics.wavelength, manifest)
+    images = [("hologram.pfm", holo.intensity), ("hologram.pgm", holo.intensity)]
+    for i, s in enumerate(obj):
+        images.append((f"truth_{i:02d}_re.pfm", s.real))
+        if np.any(s.imag != 0.0):
+            images.append((f"truth_{i:02d}_im.pfm", s.imag))
+    _save_all(out, images, optics, manifest)
     manifest.write(out)
     print(f"simulated {optics.width}x{optics.height} hologram, "
           f"{optics.n_slices} slice(s), wavelength {format_length(optics.wavelength)}")
@@ -394,10 +395,10 @@ def _load_hologram(cfg: RunConfig) -> Hologram:
         raise ConfigError(f"configured grid {cfg.width}x{cfg.height} does not match "
                           f"{cfg.input} ({width}x{height})")
     optics = _optical_config(cfg, meta, width, height)
-    return Hologram(RealGrid2D(data, optics.pitch_x, optics.pitch_y), optics)
+    return Hologram(data, optics)
 
 
-def _load_truth(cfg: RunConfig, optics: OpticalConfig, complex_mode: bool) -> ObjectStack | None:
+def _load_truth(cfg: RunConfig, optics: OpticalConfig, complex_mode: bool) -> np.ndarray | None:
     if cfg.truth is None:
         return None
     paths = cfg.truth
@@ -408,13 +409,11 @@ def _load_truth(cfg: RunConfig, optics: OpticalConfig, complex_mode: bool) -> Ob
             f"expected {expected} truth image(s) for {n} slice(s)"
             + (" (real,imag per slice)" if complex_mode else "")
         )
-    grids = [_load_on_grid(p, optics).as_complex() for p in paths]
-    if complex_mode:
-        grids = [re.with_data(re.data + 1j * im.data) for re, im in zip(grids[::2], grids[1::2])]
-    return ObjectStack(tuple(grids))
+    parts = np.stack([_load_on_grid(p, optics) for p in paths])
+    return parts[::2] + 1j * parts[1::2] if complex_mode else parts
 
 
-def _quality_json(stack: ObjectStack, truth: ObjectStack, complex_mode: bool) -> str:
+def _quality_json(estimate: np.ndarray, truth: np.ndarray, complex_mode: bool) -> str:
     import json
 
     def _norm_report(a, b):
@@ -422,18 +421,18 @@ def _quality_json(stack: ObjectStack, truth: ObjectStack, complex_mode: bool) ->
         return {"ssim": ssim(an, bn, peak=1.0), "psnr_db": psnr(an, bn, peak=1.0)}
 
     out = {"normalized": True, "slices": []}
-    for est, tru in zip(stack.slices, truth.slices):
+    for est, tru in zip(estimate, truth):
         if complex_mode:
             out["slices"].append({
-                "real": _norm_report(est.data.real, tru.data.real),
-                "imag": _norm_report(est.data.imag, tru.data.imag),
+                "real": _norm_report(est.real, tru.real),
+                "imag": _norm_report(est.imag, tru.imag),
             })
         else:
-            out["slices"].append(_norm_report(est.data.real, tru.data.real))
+            out["slices"].append(_norm_report(est, tru))
     return json.dumps(out, indent=2)
 
 
-def _upper_bound(cfg: RunConfig, optics: OpticalConfig) -> RealGrid2D | None:
+def _upper_bound(cfg: RunConfig, optics: OpticalConfig) -> np.ndarray | None:
     if cfg.reference is None:
         return None
     return apply_reference_illumination(_load_on_grid(cfg.reference, optics))
@@ -460,27 +459,25 @@ def _run_reconstruct(cfg: RunConfig, out: Path, started: float) -> int:
         )
         solve = reconstruct_complex if complex_mode else reconstruct_real
     truth = _load_truth(cfg, optics, complex_mode)
-    stack, trace = solve(holo, params, ground_truth=truth)
+    estimate, trace = solve(holo, params, ground_truth=truth)
 
     manifest = _Manifest(cfg, started)
     manifest.record("stop_reason", trace.stop_reason)
     manifest.record("step_halvings", trace.step_halvings)
 
-    grids = []
-    for i, s in enumerate(stack.slices):
+    images = []
+    for i, s in enumerate(estimate):
         if complex_mode:
-            grids.append((f"slice_{i:02d}_amplitude.pfm",
-                          RealGrid2D(np.abs(s.data), s.pitch_x, s.pitch_y)))
-            grids.append((f"slice_{i:02d}_phase.pfm",
-                          RealGrid2D(np.angle(s.data), s.pitch_x, s.pitch_y)))
+            images.append((f"slice_{i:02d}_amplitude.pfm", np.abs(s)))
+            images.append((f"slice_{i:02d}_phase.pfm", np.angle(s)))
         else:
-            grids.append((f"slice_{i:02d}.pfm", s.real_part()))
-    _save_all(out, grids, optics.wavelength, manifest)
+            images.append((f"slice_{i:02d}.pfm", s))
+    _save_all(out, images, optics, manifest)
     trace_path = write_trace(out / "trace.csv", trace)
     manifest.outputs([trace_path])
     if truth is not None:
         qpath = out / "quality.json"
-        qpath.write_text(_quality_json(stack, truth, complex_mode), encoding="utf-8")
+        qpath.write_text(_quality_json(estimate, truth, complex_mode), encoding="utf-8")
         manifest.outputs([qpath])
     manifest.write(out)
 
@@ -512,8 +509,8 @@ def _run_metrics(cfg: RunConfig, out: Path, started: float) -> int:
         raise ConfigError("metrics mode takes exactly one truth image")
     test = load_image(cfg.input)
     reference = load_image(cfg.truth[0])
-    if test.shape != reference.shape:
-        raise ConfigError(f"image shapes differ: {test.shape} vs {reference.shape}")
+    if test.data.shape != reference.data.shape:
+        raise ConfigError(f"image shapes differ: {test.data.shape} vs {reference.data.shape}")
     report = quality_report(test.data, reference.data, peak=cfg.peak,
                             median_size=cfg.median_size)
     manifest = _Manifest(cfg, started)

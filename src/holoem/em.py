@@ -33,7 +33,8 @@ goes into the trace row, and the gradient into the next step.
 
 grad J = stack_adjoint(1 - g / max(g_hat, floor)) is taken in one place,
 the loop `_iterate` shared with the baseline. The public helpers take
-arrays; the solvers take their optics from the hologram.
+arrays; the solvers take their optics from the hologram, and an optional
+ground truth and the returned estimate are (S, H, W) object arrays.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import Hologram, ObjectStack, OpticalConfig, _check_geometry
-from .grid import ComplexGrid2D, RealGrid2D
+from .forward import Hologram, OpticalConfig
 from .metrics import _forward_diffs, _ssim_reference, _SsimReference, display_normalize
 from .metrics import _ssim_test as _ssim
 from .operators import stack_adjoint, stack_forward
@@ -76,10 +76,11 @@ class NumericError(RuntimeError):
 class ReconParams:
     """Reconstruction controls.
 
-    tau = None means 0.002 * mean(g). upper_bound, a scalar or per-pixel
-    bound on every slice (real mode only), is relaxed by beta. The numeric
-    safeguards are fixed by the data: the TV smoothing epsilon is 1e-4 times
-    the initial estimate's dynamic range, the ratio floor 1e-12 * mean(g).
+    tau = None means 0.002 * mean(g). upper_bound, a scalar or a per-pixel
+    bound of the config's grid shape on every slice (real mode only), is
+    relaxed by beta. The numeric safeguards are fixed by the data: the TV
+    smoothing epsilon is 1e-4 times the initial estimate's dynamic range,
+    the ratio floor 1e-12 * mean(g).
     """
 
     max_iters: int = 100
@@ -88,7 +89,7 @@ class ReconParams:
     init_mode: str = "backpropagation"
     stop_rule: str = "fixed_iters"
     stop_delta: float = 1e-6
-    upper_bound: float | RealGrid2D | None = None
+    upper_bound: float | np.ndarray | None = None
     pad: bool = True
 
     def __post_init__(self):
@@ -387,40 +388,38 @@ def _upper_bound(params: ReconParams, config: OpticalConfig, complex_mode: bool)
         return None
     if complex_mode:
         raise ValueError("the upper-bound constraint applies to real mode only")
-    if isinstance(params.upper_bound, RealGrid2D):
-        _check_geometry(params.upper_bound.shape, params.upper_bound.pitch_x,
-                        params.upper_bound.pitch_y, config)
-        return params.upper_bound.data
-    return float(params.upper_bound)
+    bound = np.asarray(params.upper_bound, dtype=np.float64)
+    if bound.ndim and bound.shape != config.grid_shape:
+        raise ValueError(f"upper bound shape {bound.shape} does not match grid "
+                         f"{config.grid_shape}")
+    return bound
 
 
-def _truth_parts(ground_truth: ObjectStack | None,
+def _truth_parts(ground_truth, config: OpticalConfig,
                  complex_mode: bool) -> list[_SsimReference] | None:
     """The reference side of trace SSIM for each normalized truth slice, taken once per run.
 
     Both sides of the comparison go through the display stretch, so the
     ground truth may be given either in object units or with the
     illumination DC folded in; any positive-scale affine difference
-    drops out.
+    drops out. The truth must be an (n_slices, H, W) array on the config.
     """
     if ground_truth is None:
         return None
-    parts = [s.data.real for s in ground_truth.slices]
-    if complex_mode:
-        parts += [s.data.imag for s in ground_truth.slices]
+    truth = np.asarray(ground_truth)
+    expected = (config.n_slices,) + config.grid_shape
+    if truth.shape != expected:
+        raise ValueError(f"ground truth shape {truth.shape} does not match the config's "
+                         f"(slices, height, width) {expected}")
+    parts = list(truth.real) + (list(truth.imag) if complex_mode else [])
     return [_ssim_reference(display_normalize(p), peak=1.0) for p in parts]
 
 
-def _stack(w: np.ndarray, config: OpticalConfig) -> ObjectStack:
-    """The object stack an estimate describes (see :func:`_joined`)."""
-    return ObjectStack(tuple(ComplexGrid2D(s, config.pitch_x, config.pitch_y) for s in _joined(w)))
-
-
-def _em_solve(hologram: Hologram, params: ReconParams | None,
-              ground_truth: ObjectStack | None, complex_mode: bool):
+def _em_solve(hologram: Hologram, params: ReconParams | None, ground_truth,
+              complex_mode: bool):
     cfg = hologram.config
     params = params or ReconParams()
-    g = hologram.intensity.data
+    g = hologram.intensity
     ub = _upper_bound(params, cfg, complex_mode)
     tau = _resolve_tau(g, params)
     floor = _resolve_floor(g, None)
@@ -434,19 +433,19 @@ def _em_solve(hologram: Hologram, params: ReconParams | None,
 
     stop_delta = params.stop_delta if params.stop_rule == "relative_change" else None
     w, trace = _iterate(cfg, params, _em_start(g, cfg, params, complex_mode), data_term, update,
-                        _truth_parts(ground_truth, complex_mode), stop_delta)
-    return _stack(w, cfg), trace
+                        _truth_parts(ground_truth, cfg, complex_mode), stop_delta)
+    return _joined(w), trace
 
 
 def reconstruct_real(
     hologram: Hologram,
     params: ReconParams | None = None,
     *,
-    ground_truth: ObjectStack | None = None,
-) -> tuple[ObjectStack, ReconTrace]:
+    ground_truth: np.ndarray | None = None,
+) -> tuple[np.ndarray, ReconTrace]:
     """Reconstruct real object slices from a recorded hologram.
 
-    Returns the estimate stack (zero imaginary parts) and the per-iteration trace.
+    Returns the (S, H, W) float64 estimate and the per-iteration trace.
     When ground_truth is given, the trace records the mean SSIM over
     slices, computed on display-normalized images. Divergence does not
     raise: the run halts with the trace's stop_reason "diverged".
@@ -458,10 +457,11 @@ def reconstruct_complex(
     hologram: Hologram,
     params: ReconParams | None = None,
     *,
-    ground_truth: ObjectStack | None = None,
-) -> tuple[ObjectStack, ReconTrace]:
+    ground_truth: np.ndarray | None = None,
+) -> tuple[np.ndarray, ReconTrace]:
     """Reconstruct complex object slices (joint real/imaginary estimate).
 
+    Returns the (S, H, W) complex128 estimate and the per-iteration trace.
     The upper-bound constraint is not available in this mode; params
     carrying one raise ValueError.
     """

@@ -256,7 +256,7 @@ def load_image(path) -> RealGrid2D:
     return RealGrid2D(data, pitch_x, pitch_y)
 
 
-def apply_reference_illumination(raw: RealGrid2D) -> RealGrid2D:
+def apply_reference_illumination(raw: np.ndarray) -> np.ndarray:
     """Smooth a recorded reference image into a per-pixel upper bound.
 
     A 5 x 5 mean filter with replicated edges knocks shot noise out of the
@@ -265,14 +265,14 @@ def apply_reference_illumination(raw: RealGrid2D) -> RealGrid2D:
     each later one stepped by the sample entering minus the sample
     leaving, and divides every sum by 5.
     """
-    data = raw.data
+    data = raw
     for axis in (0, 1):
         lines = np.pad(np.moveaxis(data, axis, 0), ((2, 2), (0, 0)), mode="edge")
         sums = np.concatenate([lines[:5].sum(axis=0, keepdims=True), lines[5:] - lines[:-5]])
         np.cumsum(sums, axis=0, out=sums)
         sums /= 5.0
         data = np.moveaxis(sums, 0, axis)
-    return raw.with_data(data)
+    return data
 
 
 def parse_key_values(text: str, where: str = "<config>") -> dict[str, str]:

@@ -265,8 +265,7 @@ def _focus_scores(hologram: Hologram, pad: bool = True):
     each call blurs a copy. Each plane then costs one recurrence step of its
     transfer, kept in no cache, and two cropped inverse transforms.
     """
-    raw = hologram.intensity.data
-    g = raw - raw.mean()
+    g = hologram.intensity - hologram.intensity.mean()
     optics = (hologram.config.pitch_x, hologram.config.pitch_y, hologram.config.wavelength)
     frame = _frame(*g.shape, pad)
     spectrum = _half_spectrum(g, frame)

@@ -40,8 +40,8 @@ implements the exact transpose of this split (analytic mean response plus
 mean-removed padded back-propagation), so gradient checks hold to
 rounding error with padding on.
 
-These functions are the performance core; the public modules wrap them
-with grid types and validation.
+These functions are the performance core; the public modules check
+their arrays against an ``OpticalConfig`` and call them.
 """
 
 from __future__ import annotations

@@ -1,8 +1,10 @@
 """Deterministic synthetic objects for experiments and tests.
 
 All shapes are generated from closed-form masks, so the same call always
-yields bit-identical arrays. Real phantoms are weak absorbers (negative
-real perturbation on an empty background); the complex phantom carries
+yields bit-identical arrays. A stack builder returns an (S, H, W) object
+array on the config's grid: float64 for the real phantoms, complex128 for
+the complex one. Real phantoms are weak absorbers (negative real
+perturbation on an empty background); the complex phantom carries
 laterally separated absorption and phase structures so the two parts are
 individually identifiable.
 
@@ -17,8 +19,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .forward import ObjectStack, OpticalConfig
-from .grid import ComplexGrid2D
+from .forward import OpticalConfig
 
 __all__ = [
     "disk_mask",
@@ -104,7 +105,7 @@ def multi_depth_masks(height: int, width: int, scale: float) -> list[np.ndarray]
     return [np.clip(m, 0.0, 1.0) for m in (m0, m1, m2)]
 
 
-def multi_depth_stack(config: OpticalConfig, contrast: float = 0.04) -> ObjectStack:
+def multi_depth_stack(config: OpticalConfig, contrast: float = 0.04) -> np.ndarray:
     """Weak absorbing three-depth object matching the config geometry.
 
     Each slice is -contrast on its feature mask, zero elsewhere. Requires
@@ -113,12 +114,10 @@ def multi_depth_stack(config: OpticalConfig, contrast: float = 0.04) -> ObjectSt
     if config.n_slices != 3:
         raise ValueError(f"multi-depth phantom needs 3 slice distances, got {config.n_slices}")
     masks = multi_depth_masks(config.height, config.width, _feature_pixels(config))
-    return ObjectStack.from_arrays(
-        [-contrast * m for m in masks], config.pitch_x, config.pitch_y
-    )
+    return np.stack([-contrast * m for m in masks])
 
 
-def single_slice_stack(config: OpticalConfig, contrast: float = 0.04) -> ObjectStack:
+def single_slice_stack(config: OpticalConfig, contrast: float = 0.04) -> np.ndarray:
     """Weak absorbing single-slice object: disk + bar + ring in one plane."""
     if config.n_slices != 1:
         raise ValueError(f"single-slice phantom needs 1 slice distance, got {config.n_slices}")
@@ -130,12 +129,12 @@ def single_slice_stack(config: OpticalConfig, contrast: float = 0.04) -> ObjectS
         + ring_mask(h, w, 0.36, 0.68, 0.055, 0.085, s)
     )
     m = np.clip(m, 0.0, 1.0)
-    return ObjectStack.from_arrays([-contrast * m], config.pitch_x, config.pitch_y)
+    return -contrast * m[None]
 
 
 def complex_stack(
     config: OpticalConfig, absorb_contrast: float = 0.06, phase_contrast: float = 0.06
-) -> ObjectStack:
+) -> np.ndarray:
     """Single-slice complex object with distinct real and imaginary patterns.
 
     The real part carries absorbing disks on the left half, the imaginary
@@ -156,6 +155,4 @@ def complex_stack(
         0.0,
         1.0,
     )
-    return ObjectStack(
-        (ComplexGrid2D(re + 1j * im, config.pitch_x, config.pitch_y),)
-    )
+    return (re + 1j * im)[None]

@@ -43,7 +43,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import ComplexGrid2D
+from .grid import _checked_samples
 
 __all__ = ["propagate"]
 
@@ -168,12 +168,14 @@ def _propagate_array(
     return out
 
 
-def propagate(field: ComplexGrid2D, z: float, wavelength: float, pad: bool = False) -> ComplexGrid2D:
-    """Propagate a sampled field over distance z (negative = backward),
-    padded (``pad=True``) as ``_propagate_array`` pads each part.
+def propagate(field, pitch_x: float, pitch_y: float, wavelength: float, z: float,
+              pad: bool = False) -> np.ndarray:
+    """Propagate a sampled (H, W) field over distance z (negative = backward),
+    padded (``pad=True``) as ``_propagate_array`` pads each part; returns the
+    complex (H, W) field.
     """
     if not wavelength > 0:
         raise ValueError(f"wavelength must be positive, got {wavelength}")
-    args = (field.pitch_x, field.pitch_y, float(wavelength), float(z), pad)
-    out = _propagate_array(field.data.real, *args) + 1j * _propagate_array(field.data.imag, *args)
-    return ComplexGrid2D(out, field.pitch_x, field.pitch_y)
+    field = _checked_samples(field, pitch_x, pitch_y, np.complex128)
+    args = (pitch_x, pitch_y, float(wavelength), float(z), pad)
+    return _propagate_array(field.real, *args) + 1j * _propagate_array(field.imag, *args)

@@ -18,7 +18,6 @@ from holoem.cli import main
 from holoem import em
 from holoem.em import ReconParams, reconstruct_complex, reconstruct_real
 from holoem.forward import OpticalConfig, simulate
-from holoem.grid import ComplexGrid2D
 from holoem.io import load_key_values
 from holoem.metrics import autofocus, display_normalize, ncc, psnr, resolution_limits, ssim
 from holoem.operators import stack_adjoint, stack_forward
@@ -94,14 +93,13 @@ def test_c1_adjoint_identity_and_gradient_accuracy(rng):
 # --- criterion 2: propagation is unitary and kernel sums match the lattice ---
 
 def test_c2_round_trip_energy_and_kernel_sums(rng):
-    field = ComplexGrid2D(rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)),
-                          PITCH, PITCH)
-    ref_energy = float(np.sum(np.abs(field.data) ** 2))
+    field = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+    ref_energy = float(np.sum(np.abs(field) ** 2))
     z = 1.0e-3
-    fwd = propagate(field, z, WAVELENGTH)
-    back = propagate(fwd, -z, WAVELENGTH)
-    round_trip = float(np.max(np.abs(back.data - field.data)) / np.max(np.abs(field.data)))
-    energy_gap = abs(float(np.sum(np.abs(fwd.data) ** 2)) - ref_energy) / ref_energy
+    fwd = propagate(field, PITCH, PITCH, WAVELENGTH, z)
+    back = propagate(fwd, PITCH, PITCH, WAVELENGTH, -z)
+    round_trip = float(np.max(np.abs(back - field)) / np.max(np.abs(field)))
+    energy_gap = abs(float(np.sum(np.abs(fwd) ** 2)) - ref_energy) / ref_energy
 
     # spatial-sum oracle: summing the real and imaginary kernels over the
     # whole lattice picks out the zero-frequency transfer sample, the
@@ -136,7 +134,7 @@ def _anchored_scores(rec_parts, truth, masks):
         all_feat |= m
     ssims, leaks = [], []
     for i, r in enumerate(rec_parts):
-        t = truth.data()[i].real
+        t = truth[i]
         span = t.max() - t.min()
         rn = ((r - np.median(r)) / 2.0 - t.min()) / span
         tn = (t - t.min()) / span
@@ -163,8 +161,8 @@ def test_c3_multi_depth_em_beats_backpropagation():
         start = time.perf_counter()
         rec, trace = reconstruct_real(holo, ReconParams(max_iters=iters, init_mode="constant"))
         elapsed = time.perf_counter() - start
-        em_ssim, leaks = _anchored_scores([s.real for s in rec.data()], truth, masks)
-        bp = stack_adjoint(holo.intensity.data, PITCH, PITCH, WAVELENGTH,
+        em_ssim, leaks = _anchored_scores(list(rec), truth, masks)
+        bp = stack_adjoint(holo.intensity, PITCH, PITCH, WAVELENGTH,
                            distances, pad=True).real
         bp_ssim, _ = _anchored_scores(list(bp), truth, masks)
         ok = (not trace.diverged
@@ -219,9 +217,9 @@ def test_c5_poisson_psnr_beats_baseline_and_db_identities():
     holo = simulate(truth, cfg, model="linear", seed=2024)
     rec_em, _ = reconstruct_real(holo, ReconParams(max_iters=100, init_mode="constant"))
     rec_base, _ = baseline_reconstruct(holo, BaselineParams(max_iters=100))
-    tn = display_normalize(truth.data()[0].real)
-    em_db = psnr(display_normalize(rec_em.data()[0].real), tn, peak=1.0)
-    base_db = psnr(display_normalize(rec_base.data()[0].real), tn, peak=1.0)
+    tn = display_normalize(truth[0])
+    em_db = psnr(display_normalize(rec_em[0]), tn, peak=1.0)
+    base_db = psnr(display_normalize(rec_base[0]), tn, peak=1.0)
 
     # quoted mse <-> dB pairs for 8-bit scale must agree within 0.01 dB
     worst_gap = 0.0
@@ -242,14 +240,13 @@ def test_c6_complex_object_recovery():
 
     truth = complex_stack(cfg)
     stack, _ = reconstruct_complex(simulate(truth, cfg, model="linear"), params)
-    rec = stack.data()[0]
-    ncc_re = ncc(rec.real, truth.data()[0].real)
-    ncc_im = ncc(rec.imag, truth.data()[0].imag)
+    rec = stack[0]
+    ncc_re = ncc(rec.real, truth[0].real)
+    ncc_im = ncc(rec.imag, truth[0].imag)
 
     real_truth = single_slice_stack(cfg)
     stack_r, _ = reconstruct_complex(simulate(real_truth, cfg, model="linear"), params)
-    leak = float(np.linalg.norm(stack_r.data()[0].imag)
-                 / np.linalg.norm(stack_r.data()[0].real))
+    leak = float(np.linalg.norm(stack_r[0].imag) / np.linalg.norm(stack_r[0].real))
 
     ok = ncc_re > 0.8 and ncc_im > 0.8 and leak < 0.05
     _verdict(6, ok, f"ncc real {ncc_re:.3f} / imag {ncc_im:.3f} (>0.8); "

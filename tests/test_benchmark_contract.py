@@ -2,18 +2,28 @@
 
 ``perfbench/tracing.py`` replaces functions by the name their callers look
 up (``TARGETS``), and ``perfbench/child.py`` reads the transfer cache's
-counters. A rename or deletion in holoem would otherwise surface only when
-the benchmark runs. This module reads ``perfbench/`` and changes nothing
-there.
+counters and checks each job's outputs through holoem's own readers and
+operators. A rename, deletion or change of return type in holoem would
+otherwise surface only when the benchmark runs. This module reads
+``perfbench/`` and changes nothing there.
 """
 
+import ast
 import importlib
 import importlib.util
 from pathlib import Path
 
-from holoem import propagation
+import numpy as np
 
-TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
+from holoem import propagation
+from holoem.grid import RealGrid2D
+from holoem.io import load_image, load_metadata, save_image
+from holoem.metrics import ncc, ssim
+from holoem.operators import stack_adjoint
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACING = PERFBENCH / "tracing.py"
+CHILD = PERFBENCH / "child.py"
 
 
 def _traced_targets():
@@ -32,3 +42,41 @@ def test_every_traced_name_resolves():
 def test_transfer_cache_reports_its_counters():
     info = propagation._transfer_array.cache_info()
     assert info.maxsize is not None and info.misses >= 0 and info.hits >= 0
+
+
+def _holoem_imports(path: Path) -> list[tuple[str, str]]:
+    """Every (module, name) that ``from holoem... import name`` reads in a file."""
+    return [(node.module, alias.name)
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("holoem")
+            for alias in node.names]
+
+
+def test_every_name_the_output_check_imports_resolves():
+    imports = _holoem_imports(CHILD)
+    assert {"load_image", "load_key_values", "load_metadata", "HoloIOError", "ncc", "ssim",
+            "stack_adjoint"} <= {name for _, name in imports}
+    missing = [f"{module}.{name}" for module, name in imports
+               if not hasattr(importlib.import_module(module), name)
+               and importlib.util.find_spec(f"{module}.{name}") is None]
+    assert not missing, f"names the benchmark's output check imports are gone: {missing}"
+
+
+def test_output_check_reads_a_saved_image_and_back_propagates_it(tmp_path):
+    # as child.check_outputs reads a simulated hologram: load_image's .data,
+    # .pitch_x and .pitch_y after a save_image round trip, then stack_adjoint
+    # with those, the sidecar wavelength and the distances, by position
+    path = tmp_path / "hologram.pfm"
+    save_image(path, RealGrid2D(np.linspace(0.5, 1.5, 48).reshape(8, 6), 1.1e-6, 1.3e-6),
+               wavelength=675e-9)
+    holo = load_image(path)
+    assert holo.data.shape == (8, 6) and (holo.pitch_x, holo.pitch_y) == (1.1e-6, 1.3e-6)
+    wavelength = float(load_metadata(path)["wavelength"])
+    distances = (1e-3, 2e-3)
+    bp = stack_adjoint(holo.data, holo.pitch_x, holo.pitch_y, wavelength, distances)
+    expected = stack_adjoint(residual=holo.data, pitch_x=holo.pitch_x, pitch_y=holo.pitch_y,
+                             wavelength=wavelength, distances=distances)
+    assert bp.shape == (2, 8, 6) and np.iscomplexobj(bp)
+    np.testing.assert_array_equal(bp, expected)
+    image = np.outer(np.arange(16.0), np.ones(16))
+    assert ncc(image, image) == 1.0 and ssim(image, image, peak=1.0) == 1.0

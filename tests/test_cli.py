@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holoem import cli, io, operators
+from holoem import cli, forward, grid, io, operators
 from holoem.em import NumericError
 from holoem.cli import (MODES, RunConfig, _build_parser, _Manifest, format_length, main,
                         parse_length)
@@ -122,7 +122,7 @@ def test_simulate_writes_expected_files(tmp_path):
     assert manifest["mode"] == "simulate"
     assert float(manifest["wavelength"]) == pytest.approx(675e-9)
     holo = load_image(out / "hologram.pfm")
-    assert holo.shape == (64, 64)
+    assert holo.data.shape == (64, 64)
     assert holo.pitch_x == pytest.approx(1.12e-6)
 
 
@@ -675,9 +675,10 @@ def test_cli_runs_without_importing_scipy(tmp_path):
 
 
 def test_hologram_load_reads_the_sidecar_once_and_builds_one_grid(tmp_path, monkeypatch):
+    # one checked copy of the pixels, made where the hologram enters
     sim = tmp_path / "sim"
     assert main(simulate_args(sim)) == 0
-    calls = {"load_metadata": 0, "RealGrid2D": 0}
+    calls = {"load_metadata": 0, "_checked_samples": 0}
 
     def counting(name, inner):
         def wrapper(*args, **kwargs):
@@ -685,12 +686,12 @@ def test_hologram_load_reads_the_sidecar_once_and_builds_one_grid(tmp_path, monk
             return inner(*args, **kwargs)
         return wrapper
 
-    for module in (cli, io):
-        for name in calls:
-            monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for module, name in ((cli, "load_metadata"), (io, "load_metadata"),
+                         (forward, "_checked_samples"), (grid, "_checked_samples")):
+        monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
     assert main(["autofocus", "--out", str(tmp_path / "af"), "--input", str(sim / "hologram.pfm"),
                  "--z-min", "0.9mm", "--z-max", "1.1mm", "--z-step", "0.1mm"]) == 0
-    assert calls == {"load_metadata": 1, "RealGrid2D": 1}
+    assert calls == {"load_metadata": 1, "_checked_samples": 1}
 
 
 def test_manifest_records_why_the_run_stopped(tmp_path):

@@ -28,11 +28,11 @@ from holoem.em import (
     reconstruct_real,
     tv_value,
 )
+from holoem.baseline import baseline_reconstruct
 from holoem.forward import OpticalConfig, simulate
-from holoem.grid import RealGrid2D
 from holoem.metrics import display_normalize, ssim
 from holoem.operators import stack_adjoint, stack_forward
-from holoem.phantoms import single_slice_stack
+from holoem.phantoms import multi_depth_stack, single_slice_stack
 
 from conftest import PITCH, WAVELENGTH
 
@@ -322,29 +322,29 @@ class TestUpperBound:
         free, _ = reconstruct_real(holo, ReconParams(max_iters=10))
         capped, trace = reconstruct_real(
             holo, ReconParams(max_iters=10, upper_bound=1.0, beta=0.0))
-        assert free.slices[0].data.real.max() > 1.0
-        assert capped.slices[0].data.real.max() <= 1.0 + 1e-12
+        assert free[0].max() > 1.0
+        assert capped[0].max() <= 1.0 + 1e-12
         assert not trace.diverged
 
     def test_scalar_and_grid_bounds_agree(self, bound64):
         cfg, _, holo = bound64
         a, _ = reconstruct_real(holo, ReconParams(max_iters=10, upper_bound=1.0, beta=0.5))
-        ub = RealGrid2D(np.ones(cfg.grid_shape), PITCH, PITCH)
+        ub = np.ones(cfg.grid_shape)
         b, _ = reconstruct_real(holo, ReconParams(max_iters=10, upper_bound=ub, beta=0.5))
-        np.testing.assert_array_equal(a.slices[0].data, b.slices[0].data)
+        np.testing.assert_array_equal(a, b)
 
     def test_relaxed_clip_binds_but_overshoots(self, bound64):
         _, _, holo = bound64
         free, _ = reconstruct_real(holo, ReconParams(max_iters=10))
         soft, _ = reconstruct_real(holo, ReconParams(max_iters=10, upper_bound=1.0, beta=0.5))
-        assert not np.array_equal(soft.slices[0].data, free.slices[0].data)
-        assert 1.0 < soft.slices[0].data.real.max() < free.slices[0].data.real.max()
+        assert not np.array_equal(soft, free)
+        assert 1.0 < soft[0].max() < free[0].max()
 
     def test_mismatched_bound_grid_rejected(self, bound64):
         _, _, holo = bound64
-        bad = RealGrid2D(np.ones((64, 32)), PITCH, PITCH)
-        with pytest.raises(ValueError):
-            reconstruct_real(holo, ReconParams(max_iters=2, upper_bound=bad))
+        for shape in ((64, 32), (1, 64, 64), (64,)):
+            with pytest.raises(ValueError, match="upper bound shape"):
+                reconstruct_real(holo, ReconParams(max_iters=2, upper_bound=np.ones(shape)))
 
     def test_complex_mode_rejects_bound(self, bound64):
         _, _, holo = bound64
@@ -367,15 +367,39 @@ def test_relative_change_stop(bound64):
 def test_real_mode_output_is_real_only(bound64):
     _, _, holo = bound64
     stack, _ = reconstruct_real(holo, ReconParams(max_iters=3))
-    assert all(np.all(s.data.imag == 0.0) for s in stack.slices)
+    assert stack.shape == (1, 64, 64) and stack.dtype == np.float64
 
 
 def test_complex_mode_output(bound64):
     _, _, holo = bound64
     stack, trace = reconstruct_complex(holo, ReconParams(max_iters=3,
                                                          init_mode="constant"))
-    assert np.any(stack.slices[0].data.imag != 0.0)
+    assert stack.shape == (1, 64, 64) and stack.dtype == np.complex128
+    assert np.any(stack.imag != 0.0)
     assert len(trace) == 3
+
+
+@pytest.fixture(scope="module")
+def three_plane64():
+    cfg = OpticalConfig(WAVELENGTH, PITCH, 64, 64, (0.5e-3, 1.0e-3, 1.25e-3))
+    truth = multi_depth_stack(cfg)
+    return truth, simulate(truth, cfg)
+
+
+@pytest.mark.parametrize("solve", [reconstruct_real, baseline_reconstruct])
+def test_real_solvers_take_a_truth_of_every_slice(three_plane64, solve):
+    # a 2-slice truth on a 3-slice problem would average trace SSIM over 2 slices
+    truth, holo = three_plane64
+    with pytest.raises(ValueError, match="ground truth shape"):
+        solve(holo, ground_truth=truth[:2])
+
+
+def test_complex_solver_takes_a_truth_of_every_slice(bound64):
+    # 3 slices on a 1-slice problem would score the imaginary estimate
+    # against slice 1's real part
+    _, truth, holo = bound64
+    with pytest.raises(ValueError, match="ground truth shape"):
+        reconstruct_complex(holo, ground_truth=np.concatenate([truth] * 3))
 
 
 def test_trace_integrity(bound64):
@@ -474,11 +498,10 @@ def test_trace_columns_equal_the_public_metrics(bound64, solve):
     _, truth, holo = bound64
     stack, trace = solve(holo, ReconParams(max_iters=2, init_mode="constant"),
                          ground_truth=truth)
-    est = [s.data.real for s in stack.slices]
-    ref = [s.data.real for s in truth.slices]
+    est, ref = list(stack.real), list(truth.real)
     if solve is reconstruct_complex:
-        est += [s.data.imag for s in stack.slices]
-        ref += [s.data.imag for s in truth.slices]
+        est += list(stack.imag)
+        ref += list(truth.imag)
     assert trace.tv[-1] == sum(tv_value(s) for s in est)
     assert trace.ssim[-1] == float(np.mean([
         ssim(display_normalize(s), display_normalize(t), peak=1.0) for s, t in zip(est, ref)]))

@@ -130,7 +130,7 @@ class TestPgm:
         payload = np.zeros((2, 2), dtype="u1").tobytes()
         p = tmp_path / "comment.pgm"
         p.write_bytes(b"P5\n# made by hand\n2 2\n255\n" + payload)
-        assert load_image(p).shape == (2, 2)
+        assert load_image(p).data.shape == (2, 2)
 
     def test_bad_maxval_rejected(self, tmp_path):
         p = tmp_path / "bad.pgm"
@@ -212,19 +212,20 @@ def test_pgm_sidecar_range_that_overflows_is_an_io_error(tmp_path):
 def test_apply_reference_illumination_is_windowed_mean():
     raw = np.zeros((9, 9))
     raw[4, 4] = 25.0
-    out = apply_reference_illumination(RealGrid2D(raw, PITCH, PITCH))
-    assert out.data[4, 4] == pytest.approx(1.0)  # 25 spread over a 5x5 window
-    assert out.data[2, 2] == pytest.approx(1.0) and out.data[1, 4] == 0.0
-    assert out.data[0, 0] == 0.0
-    assert out.data.sum() == pytest.approx(25.0)
+    out = apply_reference_illumination(raw)
+    assert out[4, 4] == pytest.approx(1.0)  # 25 spread over a 5x5 window
+    assert out[2, 2] == pytest.approx(1.0) and out[1, 4] == 0.0
+    assert out[0, 0] == 0.0
+    assert out.sum() == pytest.approx(25.0)
+    assert raw[4, 4] == 25.0  # the input is left as it was
 
 
 @pytest.mark.parametrize("shape", [(2, 3), (9, 9), (37, 64)])
 def test_apply_reference_illumination_matches_ndimage_bit_for_bit(rng, shape):
     # the running window sums round as ndimage's uniform filter does
     raw = 1e4 * rng.random(shape)
-    out = apply_reference_illumination(RealGrid2D(raw, PITCH, PITCH))
-    assert np.array_equal(out.data, ndi.uniform_filter(raw, size=5, mode="nearest"))
+    out = apply_reference_illumination(raw)
+    assert np.array_equal(out, ndi.uniform_filter(raw, size=5, mode="nearest"))
 
 
 class TestKeyValues:

@@ -11,7 +11,6 @@ import scipy.signal
 
 from holoem import metrics, propagation
 from holoem.forward import OpticalConfig, simulate
-from holoem.grid import ComplexGrid2D
 from holoem.metrics import (
     QualityReport,
     _focus_scores,
@@ -220,10 +219,9 @@ def anisotropic_holo():
 
 def _per_plane_scores(hologram, zs):
     """Focus scores from one ``propagate`` per plane, each with its own transfer."""
-    raw = hologram.intensity.data
-    field = ComplexGrid2D(raw - raw.mean(), hologram.config.pitch_x, hologram.config.pitch_y)
-    return np.array([focus_metric(np.abs(propagate(field, -z, WAVELENGTH, pad=True).data))
-                     for z in zs])
+    field = hologram.intensity - hologram.intensity.mean()
+    optics = (hologram.config.pitch_x, hologram.config.pitch_y, WAVELENGTH)
+    return np.array([focus_metric(np.abs(propagate(field, *optics, -z, pad=True))) for z in zs])
 
 
 class TestAutofocus:
@@ -258,10 +256,7 @@ class TestAutofocus:
         cfg = OpticalConfig(WAVELENGTH, PITCH, 96, 80, (1.0e-3,), pitch_y=1.3e-6)
         noisy = simulate(single_slice_stack(cfg, contrast=0.04), cfg, seed=noise_seed)
         zs = 0.8e-3 + 25e-6 * np.arange(17)
-        raw = noisy.intensity.data
-        field = ComplexGrid2D(raw - raw.mean(), cfg.pitch_x, cfg.pitch_y)
-        expected = [focus_metric(np.abs(propagate(field, -z, WAVELENGTH, pad=True).data))
-                    for z in zs]
+        expected = _per_plane_scores(noisy, zs)
         scores = _focus_scores(noisy, pad=True)(0.8e-3, 25e-6, 17, 0.0)
         np.testing.assert_allclose(scores, expected, rtol=1e-12)
         assert autofocus(noisy, zs[0], zs[-1], 25e-6) == zs[int(np.argmax(expected))]

@@ -18,7 +18,6 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holoem.grid import ComplexGrid2D
 from holoem.propagation import (
     _frame,
     _half_spectrum,
@@ -97,7 +96,7 @@ def test_complex_field_on_the_spectra_of_its_parts(rng, shape, pad, z):
     # propagate takes a + j b as P_z a + j P_z b, each part on its own half spectrum
     data = rng.standard_normal(shape) + 0.7 + 1j * (rng.standard_normal(shape) - 0.4)
     px, py = PITCH, 1.3 * PITCH
-    out = propagate(ComplexGrid2D(data, px, py), z, WAVELENGTH, pad=pad).data
+    out = propagate(data, px, py, WAVELENGTH, z, pad=pad)
     expected = oracle_propagate(data, px, py, WAVELENGTH, z, pad)
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
@@ -137,49 +136,49 @@ def test_transfer_magnitude_guard():
 def test_transfer_validation():
     # _half_transfer takes its inputs unchecked; bad ones are rejected on the way in
     with pytest.raises(ValueError):
-        propagate(ComplexGrid2D(np.ones((8, 8)), PITCH, PITCH), 1e-3, 0.0)
+        propagate(np.ones((8, 8)), PITCH, PITCH, 0.0, 1e-3)
     with pytest.raises(ValueError):
-        propagate(ComplexGrid2D(np.ones((8, 8)), PITCH, PITCH), 1e-3, float("nan"))
+        propagate(np.ones((8, 8)), PITCH, PITCH, float("nan"), 1e-3)
     with pytest.raises(ValueError):
-        ComplexGrid2D(np.ones((1, 8)), PITCH, PITCH)
-    with pytest.raises(ValueError):
-        ComplexGrid2D(np.ones((8, 8)), -PITCH, PITCH)
+        propagate(np.ones((8, 8)), -PITCH, PITCH, WAVELENGTH, 1e-3)
 
 
 def _random_field(rng, shape=(16, 16)):
-    data = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return ComplexGrid2D(data, PITCH, PITCH)
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _propagate(field, z, pad=False):
+    return propagate(field, PITCH, PITCH, WAVELENGTH, z, pad=pad)
 
 
 def test_round_trip_unpadded(rng):
     f = _random_field(rng)
     z = 1.0e-3
-    back = propagate(propagate(f, z, WAVELENGTH), -z, WAVELENGTH)
-    assert np.max(np.abs(back.data - f.data)) < 1e-12
+    back = _propagate(_propagate(f, z), -z)
+    assert np.max(np.abs(back - f)) < 1e-12
 
 
 def test_energy_conservation_unpadded(rng):
     f = _random_field(rng)
-    g = propagate(f, 0.8e-3, WAVELENGTH)
-    e_in = np.sum(np.abs(f.data) ** 2)
-    e_out = np.sum(np.abs(g.data) ** 2)
+    g = _propagate(f, 0.8e-3)
+    e_in = np.sum(np.abs(f) ** 2)
+    e_out = np.sum(np.abs(g) ** 2)
     assert abs(e_out - e_in) / e_in < 1e-12
 
 
 def test_composition_unpadded(rng):
     f = _random_field(rng)
     z1, z2 = 0.4e-3, 0.9e-3
-    two_hops = propagate(propagate(f, z1, WAVELENGTH), z2, WAVELENGTH)
-    one_hop = propagate(f, z1 + z2, WAVELENGTH)
-    assert np.max(np.abs(two_hops.data - one_hop.data)) < 1e-11
+    two_hops = _propagate(_propagate(f, z1), z2)
+    one_hop = _propagate(f, z1 + z2)
+    assert np.max(np.abs(two_hops - one_hop)) < 1e-11
 
 
 def test_plane_wave_phase():
-    ones = ComplexGrid2D(np.ones((12, 12)), PITCH, PITCH)
     z = 1.3e-3
-    out = propagate(ones, z, WAVELENGTH)
+    out = _propagate(np.ones((12, 12)), z)
     expected = np.exp(1j * 2.0 * np.pi / WAVELENGTH * z)
-    np.testing.assert_allclose(out.data, np.full((12, 12), expected), atol=1e-12)
+    np.testing.assert_allclose(out, np.full((12, 12), expected), atol=1e-12)
 
 
 def test_kernel_sums_match_spatial_sum():
@@ -197,24 +196,34 @@ def test_kernel_sums_match_spatial_sum():
 def test_padded_matches_manual_embed(rng):
     # mean split: the mean advances as a plane wave, the zero-mean remainder
     # is embedded at the centre of a doubled zero frame and cropped back
-    f = _random_field(rng, shape=(10, 14))
-    f = f.with_data(f.data + (0.8 - 0.3j))
+    f = _random_field(rng, shape=(10, 14)) + (0.8 - 0.3j)
     z = 0.5e-3
-    got = propagate(f, z, WAVELENGTH, pad=True)
+    got = _propagate(f, z, pad=True)
 
-    mean = f.data.mean()
+    mean = f.mean()
     frame = np.zeros((20, 28), dtype=np.complex128)
-    frame[5:15, 7:21] = f.data - mean
+    frame[5:15, 7:21] = f - mean
     h = transfer_oracle((20, 28), PITCH, PITCH, WAVELENGTH, z)
     full = np.fft.ifft2(np.fft.fft2(frame) * h)
     expected = full[5:15, 7:21] + mean * np.exp(1j * 2.0 * np.pi / WAVELENGTH * z)
-    np.testing.assert_allclose(got.data, expected, atol=1e-12)
+    np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
 def test_propagate_validation(rng):
+    # checked where the field enters: a 2-D field of at least 2x2 finite
+    # samples, a positive finite pitch and a positive wavelength
     f = _random_field(rng, shape=(4, 4))
-    with pytest.raises(ValueError):
-        propagate(f, 1e-3, -WAVELENGTH)
+    with pytest.raises(ValueError, match="wavelength"):
+        propagate(f, PITCH, PITCH, -WAVELENGTH, 1e-3)
+    with pytest.raises(ValueError, match="2-D"):
+        _propagate(f[:1], 1e-3)
+    with pytest.raises(ValueError, match="2-D"):
+        _propagate(f[0], 1e-3)
+    f[2, 1] = np.nan
+    with pytest.raises(ValueError, match="non-finite"):
+        _propagate(f, 1e-3)
+    with pytest.raises(ValueError, match="pitch"):
+        propagate(np.ones((4, 4)), PITCH, float("inf"), WAVELENGTH, 1e-3)
 
 
 sizes = st.integers(2, 40)

@@ -19,7 +19,7 @@ import numpy as np
 from .em import ReconTrace, _iterate, _joined, _resolve_tau, _truth_parts
 # no longer called here; kept as module names that perfbench/tracing.py wraps
 from .em import _tv_gradient_array, tv_value  # noqa: F401
-from .forward import Hologram, OpticalConfig
+from .forward import Hologram, OpticalConfig, _stack_optics
 from .operators import stack_adjoint, stack_forward
 
 __all__ = ["BaselineParams", "estimate_step_size", "baseline_reconstruct"]
@@ -32,13 +32,13 @@ class BaselineParams:
     step_size=None picks 1/L with L from :func:`estimate_step_size`;
     tau=None mirrors the statistical solver's default 0.002 * mean(g) so
     comparisons are sparsity-matched. The TV smoothing epsilon is fixed
-    as in the statistical solver, from the initial estimate's range.
+    as in the statistical solver, from the initial estimate's range, and
+    the padding is the hologram config's.
     """
 
     max_iters: int = 100
     tau: float | None = None
     step_size: float | None = None
-    pad: bool = True
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -49,17 +49,17 @@ class BaselineParams:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
 
 
-def estimate_step_size(config: OpticalConfig, pad: bool = True) -> float:
-    """1/L with L the largest eigenvalue of H*H, by 20 power iterations from
-    a fixed start (standard normal, Philox seed 0), so it is reproducible."""
-    px, py, lam, zs = config.pitch_x, config.pitch_y, config.wavelength, config.slice_distances
+def estimate_step_size(config: OpticalConfig) -> float:
+    """1/L with L the largest eigenvalue of H*H on the config's optics and
+    padding, by 20 power iterations from a fixed start (standard normal,
+    Philox seed 0), so it is reproducible."""
+    optics = _stack_optics(config)
     rng = np.random.Generator(np.random.Philox(0))
-    v = rng.standard_normal((len(zs),) + config.grid_shape)
+    v = rng.standard_normal((config.n_slices,) + config.grid_shape)
     v /= np.linalg.norm(v)
     lam_max = 0.0
     for _ in range(20):
-        u = stack_adjoint(stack_forward(v, px, py, lam, zs, pad=pad),
-                          px, py, lam, zs, pad=pad, real=True)
+        u = stack_adjoint(stack_forward(v, *optics), *optics, real=True)
         lam_max = float(np.linalg.norm(u))
         if lam_max == 0.0:
             raise ValueError("power iteration collapsed to zero; operator is degenerate")
@@ -85,7 +85,7 @@ def baseline_reconstruct(
 
     step = params.step_size
     if step is None:
-        step = estimate_step_size(cfg, pad=params.pad)
+        step = estimate_step_size(cfg)
     tau = _resolve_tau(g, params)
 
     def data_term(ghat):
@@ -96,8 +96,7 @@ def baseline_reconstruct(
         s = scale * step
         return (w - s * grad) - (s * tau) * tv_grad
 
-    start = stack_adjoint(g, cfg.pitch_x, cfg.pitch_y, cfg.wavelength, cfg.slice_distances,
-                          pad=params.pad, real=True)
+    start = stack_adjoint(g, *_stack_optics(cfg), real=True)
     w, trace = _iterate(cfg, params, start[None], data_term, update,
                         _truth_parts(ground_truth, cfg, complex_mode=False))
     return _joined(w), trace

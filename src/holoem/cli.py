@@ -161,8 +161,8 @@ class RunConfig:
     pitch: float | None = _key("length", "pixel pitch (square pixels)", modes=_OPTICS)
     pitch_y: float | None = _key(
         "length", "vertical pixel pitch when pixels are not square", modes=_OPTICS)
-    width: int | None = _key("int", "grid width in pixels", modes=_OPTICS)
-    height: int | None = _key("int", "grid height in pixels", modes=_OPTICS)
+    width: int | None = _key("int", "grid width in pixels", modes=_SIM)
+    height: int | None = _key("int", "grid height in pixels", modes=_SIM)
     slice_distances: tuple[float, ...] | None = _key(
         "lengths", "comma-separated object-to-sensor distances", modes=_GEOMETRY)
     illumination_amplitude: float = _key("float", "plane-wave amplitude A", 1.0, modes=_SIM)
@@ -263,22 +263,18 @@ def _optic(cfg: RunConfig, meta: dict[str, str], key: str, default: float) -> fl
 class _Manifest:
     """Ordered manifest accumulator; doubles as a rerunnable config.
 
-    Records every RunConfig key the mode reads, with an unset 'optfloat'
-    key written as 'auto' and any other unset key skipped. Writing it adds
-    ``wall_s``, the seconds since ``started`` (a ``time.perf_counter()``
-    reading), and ``peak_rss_mib``, this process's peak resident set size.
+    A run records its outcome and outputs as it goes. Writing puts before
+    them every RunConfig key the mode reads, as ``cfg`` holds it by then,
+    with an unset 'optfloat' key written as 'auto' and any other unset key
+    skipped. Writing also adds ``wall_s``, the seconds since ``started`` (a
+    ``time.perf_counter()`` reading), and ``peak_rss_mib``, this process's
+    peak resident set size.
     """
 
     def __init__(self, cfg: RunConfig, started: float):
+        self.cfg = cfg
         self.started = started
-        self.entries: dict[str, object] = {
-            "holoem_version": __version__, "numpy_version": np.__version__}
-        self.record("mode", cfg.mode)
-        for f in fields(cfg):
-            if cfg.mode in f.metadata["modes"]:
-                value = getattr(cfg, f.name)
-                optfloat = f.metadata["kind"] == "optfloat"
-                self.record(f.name, "auto" if value is None and optfloat else value)
+        self.entries: dict[str, object] = {}
 
     def record(self, key: str, value):
         if value is None:
@@ -295,6 +291,15 @@ class _Manifest:
             self.entries[f"output.{Path(p).stem.replace('.', '_')}_{Path(p).suffix.lstrip('.')}"] = name
 
     def write(self, out_dir: Path) -> Path:
+        cfg, outcome = self.cfg, self.entries
+        self.entries = {"holoem_version": __version__, "numpy_version": np.__version__}
+        self.record("mode", cfg.mode)
+        for f in fields(cfg):
+            if cfg.mode in f.metadata["modes"]:
+                value = getattr(cfg, f.name)
+                optfloat = f.metadata["kind"] == "optfloat"
+                self.record(f.name, "auto" if value is None and optfloat else value)
+        self.entries.update(outcome)
         path = out_dir / "manifest.txt"
         self.entries["output.manifest_txt"] = path.name
         self.entries["wall_s"] = round(time.perf_counter() - self.started, 3)
@@ -326,6 +331,7 @@ def _optical_config(cfg: RunConfig, meta: dict[str, str], width: int,
         height=height,
         slice_distances=(1.0,) if cfg.mode == "autofocus" else cfg.slice_distances,
         illumination_amplitude=cfg.illumination_amplitude if cfg.mode == "simulate" else 1.0,
+        pad=cfg.pad,
     )
 
 
@@ -346,10 +352,6 @@ def _object_stack(cfg: RunConfig, optics: OpticalConfig) -> np.ndarray:
         raise ConfigError("simulate needs exactly one object source: 'phantom' or 'objects'")
     if cfg.phantom is not None:
         return _phantom_stack(cfg, optics)
-    if len(cfg.objects) != optics.n_slices:
-        raise ConfigError(
-            f"{len(cfg.objects)} object image(s) for {optics.n_slices} slice distance(s)"
-        )
     return np.stack([_load_on_grid(p, optics) for p in cfg.objects])
 
 
@@ -362,40 +364,31 @@ def _load_on_grid(path, optics: OpticalConfig) -> np.ndarray:
     return data
 
 
-def _run_simulate(cfg: RunConfig, out: Path, started: float) -> int:
+def _run_simulate(cfg: RunConfig, out: Path, manifest: _Manifest) -> int:
     cfg.require("width", "height", "slice_distances")
     _check_dims(cfg.width, cfg.height, "configured grid", ConfigError)  # as the reader limits it
     optics = _optical_config(cfg, {}, cfg.width, cfg.height)
     obj = _object_stack(cfg, optics)
     holo = simulate(obj, optics, model=cfg.model, photon_scale=cfg.photon_scale,
-                    seed=cfg.noise_seed, pad=cfg.pad)
+                    seed=cfg.noise_seed)
     cfg.photon_scale = holo.photon_scale
-
-    manifest = _Manifest(cfg, started)
-
     images = [("hologram.pfm", holo.intensity), ("hologram.pgm", holo.intensity)]
     for i, s in enumerate(obj):
         images.append((f"truth_{i:02d}_re.pfm", s.real))
         if np.any(s.imag != 0.0):
             images.append((f"truth_{i:02d}_im.pfm", s.imag))
     _save_all(out, images, optics, manifest)
-    manifest.write(out)
     print(f"simulated {optics.width}x{optics.height} hologram, "
           f"{optics.n_slices} slice(s), wavelength {format_length(optics.wavelength)}")
     return 0
 
 
 def _load_hologram(cfg: RunConfig) -> Hologram:
-    """The input hologram on the run's optics: one sidecar read, one grid."""
+    """The input hologram on its image's grid and the run's optics: one sidecar read, one grid."""
     cfg.require("input")
     meta = load_metadata(cfg.input)
     data = _read_pixels(Path(cfg.input), meta)
-    height, width = data.shape
-    if any(c not in (None, n) for c, n in zip((cfg.width, cfg.height), (width, height))):
-        raise ConfigError(f"configured grid {cfg.width}x{cfg.height} does not match "
-                          f"{cfg.input} ({width}x{height})")
-    optics = _optical_config(cfg, meta, width, height)
-    return Hologram(data, optics)
+    return Hologram(data, _optical_config(cfg, meta, data.shape[1], data.shape[0]))
 
 
 def _load_truth(cfg: RunConfig, optics: OpticalConfig, complex_mode: bool) -> np.ndarray | None:
@@ -438,14 +431,13 @@ def _upper_bound(cfg: RunConfig, optics: OpticalConfig) -> np.ndarray | None:
     return apply_reference_illumination(_load_on_grid(cfg.reference, optics))
 
 
-def _run_reconstruct(cfg: RunConfig, out: Path, started: float) -> int:
+def _run_reconstruct(cfg: RunConfig, out: Path, manifest: _Manifest) -> int:
     """reconstruct-real, reconstruct-complex and baseline: solve, then one output tail."""
     holo = _load_hologram(cfg)
     optics = holo.config
     complex_mode = cfg.mode == "reconstruct-complex"
     if cfg.mode == "baseline":
-        params = BaselineParams(max_iters=cfg.iters, tau=cfg.tau, step_size=cfg.step_size,
-                                pad=cfg.pad)
+        params = BaselineParams(max_iters=cfg.iters, tau=cfg.tau, step_size=cfg.step_size)
         solve = baseline_reconstruct
     else:
         if complex_mode and cfg.reference is not None:
@@ -455,13 +447,11 @@ def _run_reconstruct(cfg: RunConfig, out: Path, started: float) -> int:
                                          "upper_bound": _upper_bound(cfg, optics)}
         params = ReconParams(
             max_iters=cfg.iters, tau=cfg.tau, init_mode=cfg.init, stop_rule=cfg.stop,
-            stop_delta=cfg.stop_delta, pad=cfg.pad, **bound,
+            stop_delta=cfg.stop_delta, **bound,
         )
         solve = reconstruct_complex if complex_mode else reconstruct_real
     truth = _load_truth(cfg, optics, complex_mode)
     estimate, trace = solve(holo, params, ground_truth=truth)
-
-    manifest = _Manifest(cfg, started)
     manifest.record("stop_reason", trace.stop_reason)
     manifest.record("step_halvings", trace.step_halvings)
 
@@ -479,7 +469,6 @@ def _run_reconstruct(cfg: RunConfig, out: Path, started: float) -> int:
         qpath = out / "quality.json"
         qpath.write_text(_quality_json(estimate, truth, complex_mode), encoding="utf-8")
         manifest.outputs([qpath])
-    manifest.write(out)
 
     if trace.stop_reason == "diverged":
         write_error_record(out, 3, "Divergence",
@@ -491,46 +480,34 @@ def _run_reconstruct(cfg: RunConfig, out: Path, started: float) -> int:
     return 0
 
 
-def _run_autofocus(cfg: RunConfig, out: Path, started: float) -> int:
+def _run_autofocus(cfg: RunConfig, out: Path, manifest: _Manifest) -> int:
     cfg.require("input", "z_min", "z_max", "z_step")
-    holo = _load_hologram(cfg)
-    best = autofocus(holo, cfg.z_min, cfg.z_max, cfg.z_step, pad=cfg.pad)
-    manifest = _Manifest(cfg, started)
-    result = write_key_values(out / "autofocus.txt", {"best_z": best})
-    manifest.outputs([result])
-    manifest.write(out)
+    best = autofocus(_load_hologram(cfg), cfg.z_min, cfg.z_max, cfg.z_step)
+    manifest.outputs([write_key_values(out / "autofocus.txt", {"best_z": best})])
     print(f"best focus at {format_length(best)}")
     return 0
 
 
-def _run_metrics(cfg: RunConfig, out: Path, started: float) -> int:
+def _run_metrics(cfg: RunConfig, out: Path, manifest: _Manifest) -> int:
     cfg.require("input", "truth")
     if len(cfg.truth) != 1:
         raise ConfigError("metrics mode takes exactly one truth image")
-    test = load_image(cfg.input)
-    reference = load_image(cfg.truth[0])
-    if test.data.shape != reference.data.shape:
-        raise ConfigError(f"image shapes differ: {test.data.shape} vs {reference.data.shape}")
-    report = quality_report(test.data, reference.data, peak=cfg.peak,
-                            median_size=cfg.median_size)
-    manifest = _Manifest(cfg, started)
+    report = quality_report(load_image(cfg.input).data, load_image(cfg.truth[0]).data,
+                            peak=cfg.peak, median_size=cfg.median_size)
     qpath = out / "quality.json"
     qpath.write_text(report.to_json() + "\n", encoding="utf-8")
     manifest.outputs([qpath])
-    manifest.write(out)
     print(f"mse {report.mse:.6g}  psnr {report.psnr_db:.2f} dB  "
           f"ssim {report.ssim:.4f}  ssim(median) {report.ssim_after_median:.4f}")
     return 0
 
 
-def _run_resolution(cfg: RunConfig, out: Path, started: float) -> int:
+def _run_resolution(cfg: RunConfig, out: Path, manifest: _Manifest) -> int:
     cfg.require("numerical_aperture")
     wavelength = _optic(cfg, {}, "wavelength", DEFAULT_WAVELENGTH)
     lateral, axial = resolution_limits(wavelength, cfg.numerical_aperture)
-    manifest = _Manifest(cfg, started)
     result = write_key_values(out / "resolution.txt", {"lateral": lateral, "axial": axial})
     manifest.outputs([result])
-    manifest.write(out)
     print(f"lateral resolution {format_length(lateral)}, axial {format_length(axial)}")
     return 0
 
@@ -549,7 +526,8 @@ MODES = tuple(_RUNNERS)
 
 def run(args: argparse.Namespace, started: float) -> int:
     """Resolve a parsed command line's config document and flags, then execute the
-    run; returns the process exit code. Every failure leaves error.json in the
+    run; returns the process exit code. A mode that returns writes the manifest
+    of the config as the mode resolved it; every failure leaves error.json in the
     output directory: --out, else the config's output_dir, else 'out' when the
     config document itself cannot be read. The manifest's ``wall_s`` counts from
     ``started``, a ``time.perf_counter()`` reading."""
@@ -563,7 +541,10 @@ def run(args: argparse.Namespace, started: float) -> int:
         cfg.update({key[len("key_"):]: value for key, value in vars(args).items()
                     if key.startswith("key_") and value is not None}, where="<flags>")
         out.mkdir(parents=True, exist_ok=True)
-        return _RUNNERS[cfg.mode](cfg, out, started)
+        manifest = _Manifest(cfg, started)
+        code = _RUNNERS[cfg.mode](cfg, out, manifest)
+        manifest.write(out)
+        return code
     except (ConfigError, ValueError) as exc:
         # invalid parameter combinations surface as configuration errors
         logger.error("configuration error: %s", exc)

@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import Hologram, OpticalConfig
+from .forward import Hologram, OpticalConfig, _stack_optics
 from .metrics import _forward_diffs, _ssim_reference, _SsimReference, display_normalize
 from .metrics import _ssim_test as _ssim
 from .operators import stack_adjoint, stack_forward
@@ -72,7 +72,7 @@ class NumericError(RuntimeError):
     """Iteration produced non-finite values that the safeguard could not fix."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReconParams:
     """Reconstruction controls.
 
@@ -80,7 +80,7 @@ class ReconParams:
     bound of the config's grid shape on every slice (real mode only), is
     relaxed by beta. The numeric safeguards are fixed by the data: the TV
     smoothing epsilon is 1e-4 times the initial estimate's dynamic range,
-    the ratio floor 1e-12 * mean(g).
+    the ratio floor 1e-12 * mean(g). The padding is the hologram config's.
     """
 
     max_iters: int = 100
@@ -90,7 +90,6 @@ class ReconParams:
     stop_rule: str = "fixed_iters"
     stop_delta: float = 1e-6
     upper_bound: float | np.ndarray | None = None
-    pad: bool = True
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -146,10 +145,8 @@ class ReconTrace:
         return self.stop_reason == "diverged"
 
 
-def _resolve_floor(g: np.ndarray, ratio_floor: float | None) -> float:
-    """The ratio floor: ratio_floor, or 1e-12 * mean(g) when None."""
-    if ratio_floor is not None:
-        return float(ratio_floor)
+def _resolve_floor(g: np.ndarray) -> float:
+    """The ratio floor: 1e-12 * mean(g), or the smallest normal double when g is all zero."""
     mean = float(g.mean())
     return 1e-12 * mean if mean > 0 else np.finfo(np.float64).tiny
 
@@ -162,19 +159,18 @@ def xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return out
 
 
-def nll(g: np.ndarray, ghat: np.ndarray, ratio_floor: float | None = None) -> float:
+def nll(g: np.ndarray, ghat: np.ndarray, floor: float) -> float:
     """Poisson negative log-likelihood sum[g_hat - g log g_hat].
 
-    Below the ratio floor the log continues as its tangent there,
-    log floor + (g_hat - floor) / floor, so the objective stays bounded
-    below and 1 - g / max(g_hat, floor) is its exact gradient. Zero
-    observed counts contribute g_hat alone.
+    Below the ratio floor (a solver's is :func:`_resolve_floor` of g) the
+    log continues as its tangent there, log floor + (g_hat - floor) / floor,
+    so the objective stays bounded below and 1 - g / max(g_hat, floor) is
+    its exact gradient. Zero observed counts contribute g_hat alone.
     """
     if g.shape != ghat.shape:
         raise ValueError(f"shapes differ: {g.shape} vs {ghat.shape}")
     if g.min() < 0:
         raise ValueError("observed intensity must be non-negative")
-    floor = _resolve_floor(g, ratio_floor)
     value = float(np.sum(ghat - xlogy(g, np.maximum(ghat, floor))))
     below = ghat < floor
     if below.any():
@@ -288,9 +284,9 @@ def _iterate(
     """The iteration loop shared by every solver.
 
     The estimate w is one real (parts, slices, H, W) array: one part in
-    real mode, Re and Im in complex mode. params supplies max_iters and
-    pad; the TV smoothing epsilon is fixed from the initial estimate by
-    :func:`_resolve_epsilon`. The solver supplies the rest:
+    real mode, Re and Im in complex mode. config supplies the optics and
+    padding, params max_iters; the TV smoothing epsilon is fixed from the
+    initial estimate by :func:`_resolve_epsilon`. The solver supplies the rest:
 
     - data_term(ghat) -> (value, residual): the data objective at the
       predicted intensity and the residual whose adjoint is its gradient;
@@ -302,18 +298,17 @@ def _iterate(
     rise above 1e-6 relative) and, when stop_delta is given, once the
     relative change of the estimate falls below it.
     """
-    px, py, lam, zs = config.pitch_x, config.pitch_y, config.wavelength, config.slice_distances
-    pad = params.pad
+    optics = _stack_optics(config)
     real = len(w) == 1
     eps = _resolve_epsilon(w)
     trace = ReconTrace()
-    prev, resid = data_term(stack_forward(_joined(w), px, py, lam, zs, pad=pad))
+    prev, resid = data_term(stack_forward(_joined(w), *optics))
     _, tv_grad = _tv_pass(w, eps)
     consecutive_up = 0
 
     for k in range(1, params.max_iters + 1):
         t0 = time.perf_counter()
-        adj = stack_adjoint(resid, px, py, lam, zs, pad=pad, real=real)
+        adj = stack_adjoint(resid, *optics, real=real)
         grad = adj[None] if real else np.stack([adj.real, adj.imag])
 
         for attempt in range(5):
@@ -336,7 +331,7 @@ def _iterate(
         w = new
         del adj, grad, new  # not alive through the forward map and the trace
 
-        value, resid = data_term(stack_forward(_joined(w), px, py, lam, zs, pad=pad))
+        value, resid = data_term(stack_forward(_joined(w), *optics))
         tv_now, tv_grad = _tv_pass(w, eps)
         millis = (time.perf_counter() - t0) * 1e3
         trace.append(k, value, tv_now, _trace_ssim(w, truth_parts), millis)
@@ -366,8 +361,7 @@ def _em_start(g: np.ndarray, config: OpticalConfig, params: ReconParams,
     """Initial (parts, slices, H, W) estimate for the multiplicative solver."""
     lam, zs = config.wavelength, config.slice_distances
     if params.init_mode == "backpropagation":
-        bp = stack_adjoint(g, config.pitch_x, config.pitch_y, lam, zs, pad=params.pad,
-                           real=not complex_mode)
+        bp = stack_adjoint(g, *_stack_optics(config), real=not complex_mode)
         parts = [bp.real, bp.imag] if complex_mode else [bp]
         return np.stack([_sign_floor(p, 1e-6 * float(np.abs(p).mean())) for p in parts])
     # DC-matched flat start: levels d_z with sum_z cos(k0 z) d_z = mean(g),
@@ -422,7 +416,7 @@ def _em_solve(hologram: Hologram, params: ReconParams | None, ground_truth,
     g = hologram.intensity
     ub = _upper_bound(params, cfg, complex_mode)
     tau = _resolve_tau(g, params)
-    floor = _resolve_floor(g, None)
+    floor = _resolve_floor(g)
 
     def data_term(ghat):
         return nll(g, ghat, floor), _ratio_residual(g, ghat, floor)

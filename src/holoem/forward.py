@@ -49,7 +49,9 @@ class OpticalConfig:
 
     All lengths in meters. ``slice_distances`` are the object-to-sensor
     distances, strictly increasing and positive. ``illumination_amplitude``
-    is the real positive plane-wave amplitude A.
+    is the real positive plane-wave amplitude A. ``pad`` picks the doubled
+    zero frame for every propagation on the config (synthesis, the solvers
+    and autofocus), so a solve inverts the model that made its hologram.
     """
 
     wavelength: float
@@ -59,6 +61,7 @@ class OpticalConfig:
     slice_distances: tuple[float, ...]
     pitch_y: float | None = None
     illumination_amplitude: float = 1.0
+    pad: bool = True
 
     def __post_init__(self):
         if self.pitch_y is None:
@@ -90,7 +93,7 @@ class OpticalConfig:
         return (self.height, self.width)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Hologram:
     """A recorded (or simulated) intensity image plus its recording geometry.
 
@@ -119,9 +122,15 @@ class Hologram:
         object.__setattr__(self, "intensity", data)
 
 
+def _stack_optics(config: OpticalConfig) -> tuple:
+    """The arguments of stack_forward and stack_adjoint after the data:
+    the config's pitches, wavelength, distances and padding."""
+    return config.pitch_x, config.pitch_y, config.wavelength, config.slice_distances, config.pad
+
+
 def _object_args(obj, config: OpticalConfig):
     """The stack_forward arguments for an object on the config: a finite
-    (n_slices, H, W) array, then the config's optics."""
+    (n_slices, H, W) array, then :func:`_stack_optics`."""
     obj = np.asarray(obj)
     expected = (config.n_slices,) + config.grid_shape
     if obj.shape != expected:
@@ -129,17 +138,17 @@ def _object_args(obj, config: OpticalConfig):
                          f"(slices, height, width) {expected}")
     if not np.isfinite(obj).all():
         raise ValueError("object contains non-finite values")
-    return obj, config.pitch_x, config.pitch_y, config.wavelength, config.slice_distances
+    return obj, *_stack_optics(config)
 
 
-def synthesize_linear(obj, config: OpticalConfig, pad: bool = True) -> np.ndarray:
+def synthesize_linear(obj, config: OpticalConfig) -> np.ndarray:
     """First-order interference intensity |A|^2 (1 + 2 sum_z Re[P_z o_z]).
 
     Negative output pixels (possible when the perturbations are not weak)
     are clamped to zero; the clamp count is logged as a warning.
     """
     a2 = config.illumination_amplitude**2
-    g = a2 * (1.0 + 2.0 * stack_forward(*_object_args(obj, config), pad=pad))
+    g = a2 * (1.0 + 2.0 * stack_forward(*_object_args(obj, config)))
     n_neg = int(np.count_nonzero(g < 0.0))
     if n_neg:
         logger.warning(
@@ -150,13 +159,13 @@ def synthesize_linear(obj, config: OpticalConfig, pad: bool = True) -> np.ndarra
     return g
 
 
-def synthesize_full(obj, config: OpticalConfig, pad: bool = True) -> np.ndarray:
+def synthesize_full(obj, config: OpticalConfig) -> np.ndarray:
     """Exact interference intensity |A + sum_z P_z(A o_z)|^2 as
     A^2 ((1 + F(o))^2 + F(-j o)^2), with F = ``stack_forward``: F(o) is
     Re[sum_z P_z o_z] and F(-j o) its imaginary part."""
     obj, *optics = _object_args(obj, config)
-    re = stack_forward(obj, *optics, pad=pad)
-    im = stack_forward(-1j * obj, *optics, pad=pad)
+    re = stack_forward(obj, *optics)
+    im = stack_forward(-1j * obj, *optics)
     return config.illumination_amplitude**2 * ((1.0 + re) ** 2 + im**2)
 
 
@@ -192,18 +201,19 @@ def simulate(
     model: str = "linear",
     photon_scale: float | None = None,
     seed: int | None = None,
-    pad: bool = True,
 ) -> Hologram:
     """Synthesize a hologram of an (S, H, W) object, optionally with shot noise.
 
     model is "linear" or "full". photon_scale=None with a seed picks the
     default scale (mean intensity -> 1e4 counts); without a seed the
-    hologram is noise-free.
+    hologram is noise-free, and a photon_scale given without one raises.
     """
+    if photon_scale is not None and seed is None:
+        raise ValueError("photon_scale sets the shot noise, which needs a seed")
     if model == "linear":
-        g = synthesize_linear(obj, config, pad=pad)
+        g = synthesize_linear(obj, config)
     elif model == "full":
-        g = synthesize_full(obj, config, pad=pad)
+        g = synthesize_full(obj, config)
     else:
         raise ValueError(f"unknown forward model {model!r}, expected 'linear' or 'full'")
     if seed is None:

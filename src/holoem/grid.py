@@ -32,7 +32,7 @@ def _checked_samples(data, pitch_x: float, pitch_y: float, dtype=np.float64) -> 
     return arr
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RealGrid2D:
     """Real-valued samples on a uniform lattice.
 

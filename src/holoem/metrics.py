@@ -255,7 +255,7 @@ def _low_pass(frame: tuple[int, int], sigma: float) -> np.ndarray:
                     np.exp(a * np.fft.fftfreq(frame[0]) ** 2))
 
 
-def _focus_scores(hologram: Hologram, pad: bool = True):
+def _focus_scores(hologram: Hologram):
     """``scores(start, step, count, sigma)``: :func:`focus_metric` of
     |P_{-z} (G_sigma * g)| at z = start + i step, i < count, for the
     mean-removed hologram g and a Gaussian blur G_sigma of sigma pixels.
@@ -266,7 +266,8 @@ def _focus_scores(hologram: Hologram, pad: bool = True):
     transfer, kept in no cache, and two cropped inverse transforms.
     """
     g = hologram.intensity - hologram.intensity.mean()
-    optics = (hologram.config.pitch_x, hologram.config.pitch_y, hologram.config.wavelength)
+    config = hologram.config
+    optics, pad = (config.pitch_x, config.pitch_y, config.wavelength), config.pad
     frame = _frame(*g.shape, pad)
     spectrum = _half_spectrum(g, frame)
 
@@ -287,14 +288,13 @@ _COARSE_SIGMA = 1.0  # px
 _FINE_SIGMA = 0.5  # px
 
 
-def autofocus(
-    hologram: Hologram, z_min: float, z_max: float, z_step: float, pad: bool = True
-) -> float:
+def autofocus(hologram: Hologram, z_min: float, z_max: float, z_step: float) -> float:
     """Distance of best focus by scanning back-propagated amplitude sharpness.
 
     Returns the plane of the grid z_min + k z_step, z_min to z_max
     inclusive, whose back-propagated amplitude maximizes
-    :func:`focus_metric`. The hologram mean is removed before propagation:
+    :func:`focus_metric`, propagated with the padding of the hologram's
+    config. The hologram mean is removed before propagation:
     the unscattered pedestal carries no depth information but its
     interference with defocused fringes otherwise dominates the sharpness
     landscape. A grid of more than ``FOCUS_MAX_PLANES`` (10 000) planes is
@@ -317,7 +317,7 @@ def autofocus(
     n = int(planes)
     # clamped to n, as a stride past the scan changes nothing and round(inf) raises
     m = max(1, round(min(_COARSE_STEP / z_step, n)))
-    scores = _focus_scores(hologram, pad=pad)
+    scores = _focus_scores(hologram)
     coarse = m * int(np.argmax(scores(z_min, z_step * m, (n - 1) // m + 1, _COARSE_SIGMA)))
     low, high = max(0, coarse - m), min(n - 1, coarse + m)
     best = low + int(np.argmax(scores(z_min + z_step * low, z_step, high - low + 1, _FINE_SIGMA)))

@@ -50,7 +50,7 @@ def _loop_gradient_error(w, d, g, pad):
     ratio residual; the real part for real slices, both parts for complex
     ones) and a central difference of em.nll along d."""
     args = (PITCH, PITCH, WAVELENGTH, SHORT_DISTANCES)
-    floor = em._resolve_floor(g, None)
+    floor = em._resolve_floor(g)
     ghat = stack_forward(w, *args, pad=pad)
     adj = stack_adjoint(em._ratio_residual(g, ghat, floor), *args, pad=pad,
                         real=not np.iscomplexobj(w))

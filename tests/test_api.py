@@ -1,4 +1,5 @@
-"""Every name a holoem module exports through ``__all__`` exists, and the
+"""Every name a holoem module exports through ``__all__`` exists, the
+exported callables keep a pinned number of defaulted parameters, and the
 source keeps no dead inputs: no parameter a function never reads, no import
 a module never uses.
 
@@ -9,12 +10,17 @@ last two checks walk the source with ``ast``.
 
 import ast
 import importlib
+import inspect
 import pkgutil
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import holoem
+from holoem.em import ReconParams
+from holoem.forward import Hologram, OpticalConfig
+from holoem.grid import RealGrid2D
 
 MODULES = sorted(m.name for m in pkgutil.iter_modules(holoem.__path__))
 
@@ -26,6 +32,32 @@ def test_every_exported_name_resolves(name):
     assert len(set(exported)) == len(exported), f"holoem.{name}.__all__ repeats a name"
     missing = [attr for attr in exported if not hasattr(module, attr)]
     assert not missing, f"holoem.{name}.__all__ names what the module lacks: {missing}"
+
+
+def test_defaulted_parameter_count():
+    # every settable library value with a default, over the callables in each
+    # __all__ but the exception classes (a dataclass counts its fields); a new
+    # knob means a reviewed edit here
+    defaulted = []
+    for name in MODULES:
+        module = importlib.import_module(f"holoem.{name}")
+        for attr in getattr(module, "__all__", ()):
+            obj = getattr(module, attr)
+            if callable(obj) and not (isinstance(obj, type) and issubclass(obj, Exception)):
+                defaulted += [f"{name}.{attr}.{p.name}"
+                              for p in inspect.signature(obj).parameters.values()
+                              if p.default is not inspect.Parameter.empty]
+    assert len(defaulted) == 48, defaulted
+
+
+def test_records_holding_arrays_compare_by_identity():
+    # field-wise == on array fields would raise on the truth value of an array
+    cfg = OpticalConfig(675e-9, 1.12e-6, 4, 4, (1e-3,))
+    for make in (lambda: Hologram(np.ones((4, 4)), cfg),
+                 lambda: RealGrid2D(np.ones((4, 4)), 1e-6, 1e-6),
+                 lambda: ReconParams(upper_bound=np.ones((4, 4)))):
+        a, b = make(), make()
+        assert (a == b) is False and (a == a) is True and a != b
 
 
 SOURCES = sorted(Path(holoem.__file__).parent.glob("*.py"))

@@ -372,9 +372,8 @@ class TestExitCodes:
         assert record["exit_code"] == 4 and str(holo) in record["message"]
 
     @pytest.mark.parametrize("flag, value, message", [
-        ("--width", "48", "configured grid 48x"),  # the hologram is 64 x 64
         ("--truth", "{truth},{truth}", "expected 1 truth image"),
-    ], ids=["width", "truth-count"])
+    ], ids=["truth-count"])
     def test_input_that_disagrees_with_the_hologram(self, tmp_path, flag, value, message):
         sim = tmp_path / "sim"
         assert main(simulate_args(sim)) == 0
@@ -384,6 +383,58 @@ class TestExitCodes:
                      flag, value.format(truth=sim / "truth_00_re.pfm")])
         assert code == 2
         assert message in json.loads((out / "error.json").read_text())["message"]
+
+    def test_photon_scale_without_a_seed_is_config_error(self, tmp_path):
+        # the scale sets shot noise; a noise-free run would drop it and record 'auto'
+        out = tmp_path / "sim"
+        assert main(simulate_args(out, ["--photon-scale", "100"])) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["exit_code"] == 2 and "seed" in record["message"]
+        assert not (out / "hologram.pfm").exists()
+        # a noise-free manifest records photon_scale = auto, and reruns
+        clean, again = tmp_path / "clean", tmp_path / "again"
+        assert main(simulate_args(clean)) == 0
+        assert load_key_values(clean / "manifest.txt")["photon_scale"] == "auto"
+        assert main(["simulate", "--config", str(clean / "manifest.txt"),
+                     "--out", str(again)]) == 0
+        assert (again / "hologram.pfm").read_bytes() == (clean / "hologram.pfm").read_bytes()
+
+    def test_config_reference_for_complex_mode_is_config_error(self, tmp_path):
+        # no flag takes it there, but a config document may set it
+        sim = tmp_path / "sim"
+        assert main(simulate_args(sim)) == 0
+        conf = tmp_path / "c.txt"
+        conf.write_text(f"reference = {sim / 'hologram.pfm'}\n")
+        out = tmp_path / "rec"
+        assert main(["reconstruct-complex", "--config", str(conf), "--out", str(out),
+                     "--input", str(sim / "hologram.pfm"), "--slice-distances", "1mm"]) == 2
+        assert "real mode only" in json.loads((out / "error.json").read_text())["message"]
+
+    def test_object_count_off_the_distances_is_config_error(self, tmp_path, rng):
+        # two object images for three slice distances: the library refuses the stack
+        obj = tmp_path / "obj.pfm"
+        save_image(obj, RealGrid2D(-0.04 * (rng.random((32, 32)) > 0.9), PITCH, PITCH))
+        out = tmp_path / "sim"
+        assert main(["simulate", "--out", str(out), "--width", "32", "--height", "32",
+                     "--slice-distances", "1mm,2mm,3mm", "--objects", f"{obj},{obj}"]) == 2
+        assert json.loads((out / "error.json").read_text())["exit_code"] == 2
+        assert not (out / "hologram.pfm").exists()
+
+    @pytest.mark.parametrize("truth_shape, message", [
+        ((16, 16), "exactly one truth image"),  # given twice
+        ((16, 17), "shapes differ"),
+    ])
+    def test_metrics_truth_that_does_not_fit_is_config_error(self, tmp_path, truth_shape,
+                                                              message):
+        test, truth = tmp_path / "test.pfm", tmp_path / "truth.pfm"
+        save_image(test, RealGrid2D(np.ones((16, 16)), PITCH, PITCH))
+        save_image(truth, RealGrid2D(np.ones(truth_shape), PITCH, PITCH))
+        truths = f"{truth},{truth}" if truth_shape == (16, 16) else str(truth)
+        out = tmp_path / "m"
+        assert main(["metrics", "--out", str(out), "--input", str(test), "--truth", truths]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["exit_code"] == 2 and message in record["message"]
+        assert not (out / "quality.json").exists()
 
     @pytest.mark.parametrize("bound, value", [("--z-max", "inf"), ("--z-step", "nan")])
     def test_non_finite_scan_bound_is_config_error(self, tmp_path, bound, value):
@@ -495,11 +546,11 @@ class TestExitCodes:
 
 def test_flag_surface():
     # every (mode, flag) pair the command line takes; a new knob means a reviewed edit here
-    optics = "wavelength pitch pitch-y width height pad"
+    optics = "wavelength pitch pitch-y pad"
     solve = f"{optics} slice-distances input truth iters tau"
     expected = {
-        "simulate": f"{optics} slice-distances illumination-amplitude model photon-scale "
-                    "noise-seed phantom contrast phase-contrast objects",
+        "simulate": f"{optics} width height slice-distances illumination-amplitude model "
+                    "photon-scale noise-seed phantom contrast phase-contrast objects",
         "reconstruct-real": f"{solve} reference beta init stop stop-delta",
         "reconstruct-complex": f"{solve} init stop stop-delta",
         "baseline": f"{solve} step-size",
@@ -511,7 +562,7 @@ def test_flag_surface():
     (modes,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     pairs = {(mode, a.option_strings[0]) for mode, p in modes.choices.items()
              for a in p._actions if a.dest.startswith("key_")}
-    assert len(expected) == 73
+    assert len(expected) == 65
     assert pairs == expected
 
 

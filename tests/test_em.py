@@ -68,13 +68,13 @@ class TestNll:
                     log = (np.log(ghat[i, j]) if ghat[i, j] >= floor
                            else np.log(floor) + (ghat[i, j] - floor) / floor)
                     expected -= g[i, j] * log
-        assert nll(g, ghat, ratio_floor=floor) == pytest.approx(expected, rel=1e-12)
+        assert nll(g, ghat, floor) == pytest.approx(expected, rel=1e-12)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            nll(np.ones((2, 2)), np.ones((2, 3)))
+            nll(np.ones((2, 2)), np.ones((2, 3)), 1e-12)
         with pytest.raises(ValueError):
-            nll(-np.ones((2, 2)), np.ones((2, 2)))
+            nll(-np.ones((2, 2)), np.ones((2, 2)), 1e-12)
 
 
 def _directional_check(objective, parts, grads, rng):
@@ -115,7 +115,7 @@ def test_nll_gradient_of_the_loop_matches_finite_differences(height, width, pitc
         parts.append(0.05 * rng.standard_normal(shape))
     g = 0.5 * len(zs) * rng.uniform(0.5, 1.5, (height, width))
     g[0, 0] = 0.0  # zero-count pixel contributes g_hat alone
-    floor = em._resolve_floor(g, None)
+    floor = em._resolve_floor(g)
     args = (pitch_x, pitch_y, WAVELENGTH, zs)
 
     def objective(ps):
@@ -137,7 +137,7 @@ def test_nll_gradient_where_some_predictions_fall_below_the_floor(rng):
     w = np.ones((1, 8, 8))
     w[0, 2:6, 2:6] = -3.0
     g = np.ones((8, 8))
-    floor = em._resolve_floor(g, None)
+    floor = em._resolve_floor(g)
     ghat = stack_forward(w, *args, pad=False)
     assert 0 < np.count_nonzero(ghat < floor) < ghat.size
 

@@ -97,10 +97,10 @@ class TestHologram:
 def test_linear_model_matches_formula(rng):
     # independent evaluation of |A|^2 (1 + 2 sum_z Re[P_z o_z]) through the
     # public single-field propagator
-    cfg = make_config(slice_distances=(0.9e-3, 1.2e-3), illumination_amplitude=1.3)
+    cfg = make_config(slice_distances=(0.9e-3, 1.2e-3), illumination_amplitude=1.3, pad=False)
     arrs = [0.01 * (rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
             for _ in range(2)]
-    got = synthesize_linear(np.stack(arrs), cfg, pad=False)
+    got = synthesize_linear(np.stack(arrs), cfg)
 
     scattered = np.zeros((16, 16))
     for o, z in zip(arrs, cfg.slice_distances):
@@ -124,13 +124,13 @@ def test_linear_model_clamps_and_warns(caplog):
 def test_full_model_deviation_is_second_order(pad):
     # halving the contrast must quarter the full-vs-linear gap; both models
     # run on the same operator and padding, so this holds padded too
-    cfg = OpticalConfig(WAVELENGTH, PITCH, 64, 64, (1.0e-3,))
+    cfg = OpticalConfig(WAVELENGTH, PITCH, 64, 64, (1.0e-3,), pad=pad)
     blob = gaussian_blob()
 
     def gap(eps):
         obj = -eps * blob[None]
-        full = synthesize_full(obj, cfg, pad=pad)
-        lin = synthesize_linear(obj, cfg, pad=pad)
+        full = synthesize_full(obj, cfg)
+        lin = synthesize_linear(obj, cfg)
         return np.max(np.abs(full - lin))
 
     ratio = gap(0.04) / gap(0.02)
@@ -141,10 +141,10 @@ def test_full_model_deviation_is_second_order(pad):
 def test_full_model_matches_the_propagated_field(rng, pad):
     # |A + sum_z P_z(A o_z)|^2 through the public single-field propagator,
     # which pads with the same mean split as the multi-slice operator
-    cfg = make_config(slice_distances=(0.9e-3, 1.2e-3), illumination_amplitude=1.3)
+    cfg = make_config(slice_distances=(0.9e-3, 1.2e-3), illumination_amplitude=1.3, pad=pad)
     arrs = [0.3 + 0.05 * (rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
             for _ in range(2)]
-    got = synthesize_full(np.stack(arrs), cfg, pad=pad)
+    got = synthesize_full(np.stack(arrs), cfg)
 
     total = np.full((16, 16), 1.3, dtype=np.complex128)
     for o, z in zip(arrs, cfg.slice_distances):
@@ -173,6 +173,8 @@ class TestPoissonNoise:
     def test_validation(self):
         with pytest.raises(ValueError):
             add_poisson_noise(np.ones((4, 4)), 0.0, 1)
+        with pytest.raises(ValueError, match="non-negative"):
+            add_poisson_noise(np.full((4, 4), -0.5), 100.0, 1)
 
 
 def test_default_photon_scale():
@@ -202,6 +204,11 @@ class TestSimulate:
     def test_explicit_scale_respected(self):
         holo = simulate(self.obj, self.cfg, photon_scale=250.0, seed=3)
         assert holo.photon_scale == 250.0
+
+    def test_scale_without_a_seed_is_refused(self):
+        # the scale sets shot noise; without a seed it would be dropped unseen
+        with pytest.raises(ValueError, match="seed"):
+            simulate(self.obj, self.cfg, photon_scale=100.0)
 
     def test_full_model_dispatch(self):
         holo = simulate(self.obj, self.cfg, model="full")

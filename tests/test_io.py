@@ -97,6 +97,10 @@ class TestPfm:
     def test_unknown_suffix(self, rng, tmp_path):
         with pytest.raises(HoloIOError, match="suffix"):
             save_image(tmp_path / "img.tiff", grid_from(rng))
+        png = tmp_path / "img.png"
+        png.write_bytes(b"\x89PNG\r\n\x1a\n")
+        with pytest.raises(HoloIOError, match="suffix"):
+            load_image(png)
 
 
 class TestPgm:
@@ -291,3 +295,11 @@ def test_write_error_record(tmp_path):
     assert path is not None and path.name == "error.json"
     record = json.loads(path.read_text())
     assert record == {"exit_code": 3, "error": "NumericError", "message": "diverged"}
+
+
+def test_write_error_record_into_a_file_returns_none(tmp_path, caplog):
+    # best effort: an output path that is a file leaves no record and raises nothing
+    blocker = tmp_path / "out"
+    blocker.write_text("not a directory")
+    assert write_error_record(blocker, 2, "ConfigError", "bad key") is None
+    assert "could not write error record" in caplog.text

@@ -63,6 +63,10 @@ class TestMseAndPsnr:
             mse(np.ones((2, 2)), np.ones((3, 2)))
         with pytest.raises(ValueError):
             psnr(np.ones((2, 2)), np.zeros((2, 2)))  # peak would be 0
+        with pytest.raises(ValueError, match="2-D"):
+            psnr(np.ones((2, 2, 2)), np.ones((2, 2, 2)))
+        with pytest.raises(ValueError, match="non-finite"):
+            psnr(np.array([[1.0, np.nan]]), np.ones((1, 2)))
 
     def test_default_peak(self, rng):
         ref = rng.random((16, 16)) - 0.5
@@ -126,6 +130,8 @@ class TestSsim:
             ssim(np.ones((10, 12)), np.ones((10, 12)), peak=1.0)
         with pytest.raises(ValueError):
             ssim(np.ones((16, 16)), np.zeros((16, 16)))  # default peak 0
+        with pytest.raises(ValueError, match="shapes differ"):
+            ssim(np.ones((16, 16)), np.ones((16, 17)), peak=1.0)
 
 
 class TestMedianFilter:
@@ -257,7 +263,7 @@ class TestAutofocus:
         noisy = simulate(single_slice_stack(cfg, contrast=0.04), cfg, seed=noise_seed)
         zs = 0.8e-3 + 25e-6 * np.arange(17)
         expected = _per_plane_scores(noisy, zs)
-        scores = _focus_scores(noisy, pad=True)(0.8e-3, 25e-6, 17, 0.0)
+        scores = _focus_scores(noisy)(0.8e-3, 25e-6, 17, 0.0)
         np.testing.assert_allclose(scores, expected, rtol=1e-12)
         assert autofocus(noisy, zs[0], zs[-1], 25e-6) == zs[int(np.argmax(expected))]
 
@@ -271,7 +277,7 @@ class TestAutofocus:
         # sign flip, so a scan through z = 0 matches per-plane propagation
         zs = start + step * np.arange(count)
         expected = _per_plane_scores(anisotropic_holo, zs)
-        scores = _focus_scores(anisotropic_holo, pad=True)(start, step, count, 0.0)
+        scores = _focus_scores(anisotropic_holo)(start, step, count, 0.0)
         np.testing.assert_allclose(scores, expected, rtol=1e-12)
         assert autofocus(anisotropic_holo, start, zs[-1], step) == zs[int(np.argmax(expected))]
 
@@ -280,7 +286,7 @@ class TestAutofocus:
         # bound it against one transfer build per plane
         zs = 0.5e-3 + 1e-6 * np.arange(1001)
         expected = _per_plane_scores(anisotropic_holo, zs)
-        scores = _focus_scores(anisotropic_holo, pad=True)(0.5e-3, 1e-6, 1001, 0.0)
+        scores = _focus_scores(anisotropic_holo)(0.5e-3, 1e-6, 1001, 0.0)
         np.testing.assert_allclose(scores, expected, rtol=1e-12)
         assert np.argmax(scores) == np.argmax(expected)
 

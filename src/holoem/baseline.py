@@ -29,7 +29,7 @@ __all__ = ["BaselineParams", "estimate_step_size", "baseline_reconstruct"]
 class BaselineParams:
     """Controls for the additive comparator.
 
-    step_size=None picks 1/L with L from :func:`estimate_step_size`;
+    The step is always 1/L, the step FISTA takes, L from :func:`estimate_step_size`;
     tau=None mirrors the statistical solver's default 0.002 * mean(g) so
     comparisons are sparsity-matched. The TV smoothing epsilon is fixed
     as in the statistical solver, from the initial estimate's range, and
@@ -38,13 +38,10 @@ class BaselineParams:
 
     max_iters: int = 100
     tau: float | None = None
-    step_size: float | None = None
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.step_size is not None and not self.step_size > 0:
-            raise ValueError(f"step_size must be > 0, got {self.step_size}")
         if self.tau is not None and not self.tau >= 0:
             raise ValueError(f"tau must be >= 0, got {self.tau}")
 
@@ -83,9 +80,7 @@ def baseline_reconstruct(
     params = params or BaselineParams()
     g = hologram.intensity
 
-    step = params.step_size
-    if step is None:
-        step = estimate_step_size(cfg)
+    step = estimate_step_size(cfg)
     tau = _resolve_tau(g, params)
 
     def data_term(ghat):
@@ -97,6 +92,6 @@ def baseline_reconstruct(
         return (w - s * grad) - (s * tau) * tv_grad
 
     start = stack_adjoint(g, *_stack_optics(cfg), real=True)
-    w, trace = _iterate(cfg, params, start[None], data_term, update,
+    w, trace = _iterate(cfg, params.max_iters, start[None], data_term, update,
                         _truth_parts(ground_truth, cfg, complex_mode=False))
     return _joined(w), trace

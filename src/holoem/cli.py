@@ -44,6 +44,7 @@ from .io import (
     load_image,
     load_key_values,
     load_metadata,
+    parse_key_values,
     save_image,
     sidecar_path,
     write_error_record,
@@ -134,7 +135,6 @@ _LOAD = _SOLVE + ("autofocus",)  # modes that load a hologram
 _SIM = ("simulate",)
 _OPTICS = _SIM + _LOAD  # modes that build an optical configuration
 _GEOMETRY = _SIM + _SOLVE  # modes that read the object geometry (autofocus scans for it)
-_BASELINE = ("baseline",)
 _FOCUS = ("autofocus",)
 
 # manifest entries that record a run's outcome; legal, and ignored, as config input
@@ -144,7 +144,8 @@ _RESULT_KEYS = ("holoem_version", "numpy_version", "stop_reason", "step_halvings
 # keys retired from the solvers, each now fixed at one value: older manifests record
 # them, so each stays legal config input at that value only (key -> kind, value)
 _RETIRED = {"tv_epsilon": ("optfloat", "auto"), "ratio_floor": ("optfloat", "auto"),
-            "power_iters": ("int", "20"), "power_seed": ("int", "0")}
+            "power_iters": ("int", "20"), "power_seed": ("int", "0"),
+            "step_size": ("optfloat", "auto"), "median_size": ("int", "3")}
 
 
 @dataclass
@@ -192,8 +193,6 @@ class RunConfig:
         "str", "initialization: backpropagation or constant", "backpropagation", modes=_EM)
     stop: str = _key("str", "stop rule: fixed_iters or relative_change", "fixed_iters", modes=_EM)
     stop_delta: float = _key("float", "relative-change stop threshold", 1e-6, modes=_EM)
-    step_size: float | None = _key(
-        "optfloat", "baseline step size ('auto' = 1/L)", modes=_BASELINE)
     z_min: float | None = _key("length", "autofocus scan start", modes=_FOCUS)
     z_max: float | None = _key("length", "autofocus scan end", modes=_FOCUS)
     z_step: float | None = _key("length", "autofocus scan step", modes=_FOCUS)
@@ -202,8 +201,6 @@ class RunConfig:
     peak: float | None = _key(
         "optfloat", "dynamic range for PSNR/SSIM ('auto' = reference max, or max - min "
         "when the max is not positive)", modes=("metrics",))
-    median_size: int = _key(
-        "int", "median filter size for the quality report", 3, modes=("metrics",))
     output_dir: str = _key("path", "output directory", "out")
 
     @classmethod
@@ -220,6 +217,10 @@ class RunConfig:
                 continue  # manifest bookkeeping keys are legal config input
             if key not in kinds:
                 raise ConfigError(f"{where}: unknown key {key!r}")
+            # the value's manifest line must parse back to it: see parse_key_values
+            line, at = f"{key} = {raw}", f"{where}: key {key!r}"
+            if isinstance(raw, str) and parse_key_values(line, at) != {key: raw}:
+                raise ConfigError(f"{where}: key {key!r}: {raw!r} cannot be kept in a manifest")
             parse = _CONFIG_PARSERS[kinds[key]]
             try:
                 value = parse(raw) if isinstance(raw, str) else raw
@@ -244,7 +245,8 @@ def _optic(cfg: RunConfig, meta: dict[str, str], key: str, default: float) -> fl
     """One optical key: the config's value, else the input image sidecar's
     (which records the pitch as pitch_x), else default. The resolved value is
     written into cfg, so the manifest records it. pitch_y defaults to the
-    resolved pitch; any other default is logged as a warning."""
+    resolved pitch, and :func:`_optical_config` passes it the sidecar only when
+    the pitch came from there; any other default is logged as a warning."""
     value = getattr(cfg, key)
     recorded = "pitch_x" if key == "pitch" else key
     if value is None and recorded in meta:
@@ -322,11 +324,12 @@ def _optical_config(cfg: RunConfig, meta: dict[str, str], width: int,
     illumination amplitude; a solver folds A^2 into its estimate."""
     if cfg.mode != "autofocus":
         cfg.require("slice_distances")
+    pitch_meta = meta if cfg.pitch is None and "pitch_x" in meta else {}
     pitch = _optic(cfg, meta, "pitch", DEFAULT_PITCH)
     return OpticalConfig(
         wavelength=_optic(cfg, meta, "wavelength", DEFAULT_WAVELENGTH),
         pitch_x=pitch,
-        pitch_y=_optic(cfg, meta, "pitch_y", pitch),
+        pitch_y=_optic(cfg, pitch_meta, "pitch_y", pitch),
         width=width,
         height=height,
         slice_distances=(1.0,) if cfg.mode == "autofocus" else cfg.slice_distances,
@@ -437,7 +440,7 @@ def _run_reconstruct(cfg: RunConfig, out: Path, manifest: _Manifest) -> int:
     optics = holo.config
     complex_mode = cfg.mode == "reconstruct-complex"
     if cfg.mode == "baseline":
-        params = BaselineParams(max_iters=cfg.iters, tau=cfg.tau, step_size=cfg.step_size)
+        params = BaselineParams(max_iters=cfg.iters, tau=cfg.tau)
         solve = baseline_reconstruct
     else:
         if complex_mode and cfg.reference is not None:
@@ -492,8 +495,7 @@ def _run_metrics(cfg: RunConfig, out: Path, manifest: _Manifest) -> int:
     cfg.require("input", "truth")
     if len(cfg.truth) != 1:
         raise ConfigError("metrics mode takes exactly one truth image")
-    report = quality_report(load_image(cfg.input).data, load_image(cfg.truth[0]).data,
-                            peak=cfg.peak, median_size=cfg.median_size)
+    report = quality_report(load_image(cfg.input).data, load_image(cfg.truth[0]).data, cfg.peak)
     qpath = out / "quality.json"
     qpath.write_text(report.to_json() + "\n", encoding="utf-8")
     manifest.outputs([qpath])

@@ -32,9 +32,10 @@ the value, sum sqrt(dx^2 + dy^2) of the squares the gradient smooths,
 goes into the trace row, and the gradient into the next step.
 
 grad J = stack_adjoint(1 - g / max(g_hat, floor)) is taken in one place,
-the loop `_iterate` shared with the baseline. The public helpers take
-arrays; the solvers take their optics from the hologram, and an optional
-ground truth and the returned estimate are (S, H, W) object arrays.
+the loop `_iterate` shared with the baseline, and the step and clip above
+in one, `_em_update`. The public helpers take arrays; the solvers take
+their optics from the hologram, and an optional ground truth and the
+returned estimate are (S, H, W) object arrays.
 """
 
 from __future__ import annotations
@@ -58,8 +59,6 @@ __all__ = [
     "ReconTrace",
     "nll",
     "tv_value",
-    "alternating_update",
-    "apply_upper_bound",
     "reconstruct_real",
     "reconstruct_complex",
 ]
@@ -215,19 +214,12 @@ def _tv_gradient_array(w: np.ndarray, epsilon: float) -> tuple[float, np.ndarray
     return value, out
 
 
-def alternating_update(w, nll_gradient, tv_gradient, tau: float) -> np.ndarray:
-    """Data step then TV step, both gradients evaluated at the input iterate."""
-    if not tau >= 0:
-        raise ValueError(f"tau must be >= 0, got {tau}")
-    w_mle = w - np.abs(w) * nll_gradient
-    return w_mle - np.abs(w_mle) * (tau * tv_gradient)
-
-
-def apply_upper_bound(w, upper_bound, beta: float) -> np.ndarray:
-    """Relaxed clip toward a scalar or per-pixel upper bound: w > UB -> UB + beta (w - UB)."""
-    if not 0.0 <= beta <= 1.0:
-        raise ValueError(f"beta must be in [0, 1], got {beta}")
-    return np.where(w > upper_bound, upper_bound + beta * (w - upper_bound), w)
+def _em_update(w, grad, tv_grad, tau: float, bound, beta: float) -> np.ndarray:
+    """Data step then TV step, both gradients evaluated at the input iterate,
+    then the relaxed clip w > UB -> UB + beta (w - UB) when a bound is given."""
+    w_mle = w - np.abs(w) * grad
+    new = w_mle - np.abs(w_mle) * (tau * tv_grad)
+    return new if bound is None else np.where(new > bound, bound + beta * (new - bound), new)
 
 
 def _sign_floor(arr: np.ndarray, floor: float) -> np.ndarray:
@@ -274,7 +266,7 @@ def _joined(w: np.ndarray) -> np.ndarray:
 
 def _iterate(
     config: OpticalConfig,
-    params,
+    max_iters: int,
     w: np.ndarray,
     data_term,
     update,
@@ -285,8 +277,8 @@ def _iterate(
 
     The estimate w is one real (parts, slices, H, W) array: one part in
     real mode, Re and Im in complex mode. config supplies the optics and
-    padding, params max_iters; the TV smoothing epsilon is fixed from the
-    initial estimate by :func:`_resolve_epsilon`. The solver supplies the rest:
+    padding, max_iters caps the updates; the TV smoothing epsilon is fixed
+    from the initial estimate by :func:`_resolve_epsilon`. The solver supplies the rest:
 
     - data_term(ghat) -> (value, residual): the data objective at the
       predicted intensity and the residual whose adjoint is its gradient;
@@ -306,7 +298,7 @@ def _iterate(
     _, tv_grad = _tv_pass(w, eps)
     consecutive_up = 0
 
-    for k in range(1, params.max_iters + 1):
+    for k in range(1, max_iters + 1):
         t0 = time.perf_counter()
         adj = stack_adjoint(resid, *optics, real=real)
         grad = adj[None] if real else np.stack([adj.real, adj.imag])
@@ -422,12 +414,11 @@ def _em_solve(hologram: Hologram, params: ReconParams | None, ground_truth,
         return nll(g, ghat, floor), _ratio_residual(g, ghat, floor)
 
     def update(w, grad, tv_grad, scale):
-        new = alternating_update(w, scale * grad, tv_grad, scale * tau)
-        return new if ub is None else apply_upper_bound(new, ub, params.beta)
+        return _em_update(w, scale * grad, tv_grad, scale * tau, ub, params.beta)
 
     stop_delta = params.stop_delta if params.stop_rule == "relative_change" else None
-    w, trace = _iterate(cfg, params, _em_start(g, cfg, params, complex_mode), data_term, update,
-                        _truth_parts(ground_truth, cfg, complex_mode), stop_delta)
+    w, trace = _iterate(cfg, params.max_iters, _em_start(g, cfg, params, complex_mode), data_term,
+                        update, _truth_parts(ground_truth, cfg, complex_mode), stop_delta)
     return _joined(w), trace
 
 

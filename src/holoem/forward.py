@@ -98,14 +98,12 @@ class Hologram:
     """A recorded (or simulated) intensity image plus its recording geometry.
 
     ``photon_scale`` is the photons-per-intensity-unit factor used when
-    noise was added, ``noise_seed`` the generator seed; both None for
-    noise-free data.
+    noise was added, None for noise-free data; the noise seed stays with the caller.
     """
 
     intensity: np.ndarray
     config: OpticalConfig
     photon_scale: float | None = None
-    noise_seed: int | None = None
 
     def __post_init__(self):
         data = _checked_samples(self.intensity, self.config.pitch_x, self.config.pitch_y)
@@ -220,4 +218,4 @@ def simulate(
         return Hologram(g, config)
     scale = default_photon_scale(g) if photon_scale is None else float(photon_scale)
     noisy = add_poisson_noise(g, scale, seed)
-    return Hologram(noisy, config, photon_scale=scale, noise_seed=int(seed))
+    return Hologram(noisy, config, photon_scale=scale)

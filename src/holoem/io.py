@@ -8,15 +8,16 @@ Every image carries a sidecar ``<image>.meta`` in the same ``key = value``
 format as config files, holding pixel pitch, wavelength when known, and
 for PGM the quantization range so loading can undo the scaling.
 
-Config documents are flat ``key = value`` lines with ``#`` comments; all
-physical quantities in files are SI. Traces are CSV with the fixed header
-``iteration,nll,tv,ssim,millis``.
+Config documents are flat ``key = value`` lines; ``#`` at a line's start
+or after whitespace starts a comment. All physical quantities in files are
+SI. Traces are CSV with the fixed header ``iteration,nll,tv,ssim,millis``.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import re
 from pathlib import Path
 
 import numpy as np
@@ -46,6 +47,7 @@ __all__ = [
 DEFAULT_WAVELENGTH = 675e-9
 DEFAULT_PITCH = 1.12e-6
 
+_COMMENT = re.compile(r"(^|\s)#.*")
 _MAX_SIDE = 32768
 _MAX_PIXELS = 1 << 26
 
@@ -276,10 +278,11 @@ def apply_reference_illumination(raw: np.ndarray) -> np.ndarray:
 
 
 def parse_key_values(text: str, where: str = "<config>") -> dict[str, str]:
-    """Parse flat ``key = value`` lines; '#' starts a comment."""
+    """Parse flat ``key = value`` lines; '#' at a line's start or after
+    whitespace starts a comment, so a value may hold 'a#b'."""
     out: dict[str, str] = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
-        body = line.split("#", 1)[0].strip()
+        body = _COMMENT.sub("", line, count=1).strip()
         if not body:
             continue
         if "=" not in body:

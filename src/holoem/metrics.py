@@ -164,10 +164,10 @@ def ssim(test, reference, peak: float | None = None) -> float:
     return _ssim_test(_as_array(test), _ssim_reference(_as_array(reference), peak))
 
 
-def display_normalize(image, p_low: float = 1.0, p_high: float = 99.0) -> np.ndarray:
+def display_normalize(image) -> np.ndarray:
     """Percentile contrast stretch to [0, 1] with clipping.
 
-    Maps the p_low..p_high percentile range to 0..1 and clips outliers,
+    Maps the 1st..99th percentile range to 0..1 and clips outliers,
     the way reconstructions are windowed for display. Robust image
     comparisons (SSIM between a reconstruction and ground truth) should
     run on display-normalized images: plain min-max lets a single hot
@@ -177,7 +177,7 @@ def display_normalize(image, p_low: float = 1.0, p_high: float = 99.0) -> np.nda
     to min-max. A constant image maps to zeros.
     """
     a = _as_array(image)
-    lo, hi = (float(v) for v in np.percentile(a, (p_low, p_high)))
+    lo, hi = (float(v) for v in np.percentile(a, (1.0, 99.0)))
     if hi <= lo:
         lo, hi = float(a.min()), float(a.max())
     if hi <= lo:
@@ -354,8 +354,8 @@ class QualityReport:
         return json.dumps(asdict(self), indent=2)
 
 
-def quality_report(test, reference, peak: float | None = None, median_size: int = 3) -> QualityReport:
-    """MSE / PSNR / SSIM of test vs reference, plus SSIM after median filtering test.
+def quality_report(test, reference, peak: float | None = None) -> QualityReport:
+    """MSE / PSNR / SSIM of test vs reference, plus SSIM after a 3x3 median filter of test.
 
     peak defaults as in :func:`psnr`: max(reference), or its dynamic range
     when that maximum is not positive.
@@ -366,5 +366,5 @@ def quality_report(test, reference, peak: float | None = None, median_size: int 
         mse=mse(a, b),
         psnr_db=psnr(a, b, peak=peak),
         ssim=ssim(a, b, peak=peak),
-        ssim_after_median=ssim(median_filter(a, median_size), b, peak=peak),
+        ssim_after_median=ssim(median_filter(a, 3), b, peak=peak),
     )

@@ -48,7 +48,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .propagation import _frame, _half_spectrum, _half_transfer, _irfft2_crop
+from .propagation import _frame, _half_spectrum, _irfft2_crop, _transfer_array
 
 __all__ = ["stack_forward", "stack_adjoint"]
 
@@ -76,7 +76,7 @@ def stack_forward(
     has_imag = np.iscomplexobj(stack) and bool(stack.imag.any())
     spectrum = np.zeros((frame[1] // 2 + 1, frame[0]), dtype=np.complex128)
     for i, z in enumerate(distances):
-        re_h, im_h = _half_transfer(*frame, pitch_x, pitch_y, wavelength, z)
+        re_h, im_h = _transfer_array(*frame, pitch_x, pitch_y, wavelength, z)
         spectrum += transform(stack.real[i]) * re_h
         if has_imag:
             spectrum -= transform(stack.imag[i]) * im_h
@@ -122,7 +122,7 @@ def stack_adjoint(
     out = np.empty((len(distances), height, width),
                    dtype=np.float64 if real else np.complex128)
     for i, z in enumerate(distances):
-        re_h, im_h = _half_transfer(*frame, pitch_x, pitch_y, wavelength, z)
+        re_h, im_h = _transfer_array(*frame, pitch_x, pitch_y, wavelength, z)
         if real:
             out[i] = back(re_h, r_mean * np.cos(k0 * z))
         else:

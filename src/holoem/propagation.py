@@ -24,8 +24,9 @@ transform pair. ``_sweep_transfers`` gives Re H and Im H in that layout
 on a scan of depths, with cos and sin taken twice per scan and the square
 root once per grid. The operators in ``operators.py`` and ``propagate`` (a
 complex field as P_z(a + j b) = P_z a + j P_z b) take one-plane builds
-from ``_transfer_array``, which keeps the last 32 |z| (the sign of z only
-flips Im H) and counts its builds; the autofocus sweep keeps none.
+from ``_transfer_array``, which keeps the last 32 signed depths (numpy's
+cos is even and its sin odd, so -z builds conj H(z) bit for bit) and
+counts its builds; the autofocus sweep keeps none.
 
 Padding is the operators' mean split: the field's mean advances as a plane
 wave, picking up exp(j k0 z), and only the zero-mean remainder is embedded
@@ -93,24 +94,14 @@ def _sweep_transfers(height: int, width: int, pitch_x: float, pitch_y: float, wa
         yield mirrored()
 
 
-def _build_transfer(height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float,
+@lru_cache(maxsize=32)
+def _transfer_array(height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float,
                     depth: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read-only Re H and Im H over the distance ``depth``: a one-plane sweep."""
+    """Read-only Re H and Im H over the signed distance ``depth``: a one-plane sweep."""
     transfer = next(_sweep_transfers(height, width, pitch_x, pitch_y, wavelength, depth, 0.0, 1))
     for part in transfer:
         part.setflags(write=False)
     return transfer
-
-
-_transfer_array = lru_cache(maxsize=32)(_build_transfer)
-
-
-def _half_transfer(height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float,
-                   z: float) -> tuple[np.ndarray, np.ndarray]:
-    """Re H and Im H over z, built at |z|; +z and -z share one build, since
-    H(-z) = conj H(z)."""
-    re_h, im_h = _transfer_array(height, width, pitch_x, pitch_y, wavelength, abs(z))
-    return re_h, (im_h if z >= 0 else -im_h)
 
 
 def _frame(height: int, width: int, pad: bool) -> tuple[int, int]:
@@ -157,7 +148,7 @@ def _propagate_array(
     height, width = field.shape
     frame = _frame(height, width, pad)
     mean = field.mean() if pad else 0.0
-    re_h, im_h = transfer or _half_transfer(*frame, pitch_x, pitch_y, wavelength, z)
+    re_h, im_h = transfer or _transfer_array(*frame, pitch_x, pitch_y, wavelength, z)
     if spectrum is None:
         spectrum = _half_spectrum(field - mean if pad else field, frame)
     out = np.empty((height, width), dtype=np.complex128)

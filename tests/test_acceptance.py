@@ -28,7 +28,7 @@ from holoem.phantoms import (
     multi_depth_stack,
     single_slice_stack,
 )
-from holoem.propagation import _half_transfer, propagate
+from holoem.propagation import _transfer_array, propagate
 
 from conftest import PITCH, SHORT_DISTANCES, WAVELENGTH
 
@@ -106,7 +106,7 @@ def test_c2_round_trip_energy_and_kernel_sums(rng):
     # analytic mean response (cos k0 z, sin k0 z) that padding relies on
     worst_kernel = 0.0
     for zk in (0.5e-3, 1.0e-3, 1.25e-3):
-        re_h, im_h = _half_transfer(16, 16, PITCH, PITCH, WAVELENGTH, zk)
+        re_h, im_h = _transfer_array(16, 16, PITCH, PITCH, WAVELENGTH, zk)
         spatial = complex(scipy.fft.irfft2(re_h.T, s=(16, 16)).sum(),
                           scipy.fft.irfft2(im_h.T, s=(16, 16)).sum())
         k0z = 2.0 * np.pi / WAVELENGTH * zk

@@ -66,9 +66,10 @@ def test_objective_decreases_at_default_step(demo64):
 
 def test_oversized_step_flags_divergence(demo64):
     _, _, holo = demo64
-    _, trace = baseline_reconstruct(holo, BaselineParams(max_iters=30, step_size=100.0))
+    # the step is always 1/L; a TV weight far past the data term's scale oversteps it
+    _, trace = baseline_reconstruct(holo, BaselineParams(max_iters=30, tau=100.0))
     assert trace.diverged
-    assert len(trace) == 5  # halted after five straight increases
+    assert len(trace) == 9  # halted after five straight increases
 
 
 def test_trace_without_truth(demo64):
@@ -80,7 +81,7 @@ def test_trace_without_truth(demo64):
 
 @pytest.mark.parametrize("kw", [
     dict(max_iters=0),
-    dict(step_size=0.0),
+    dict(tau=float("nan")),
     dict(tau=-0.5),
 ])
 def test_params_validation(kw):

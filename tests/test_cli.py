@@ -553,16 +553,16 @@ def test_flag_surface():
                     "photon-scale noise-seed phantom contrast phase-contrast objects",
         "reconstruct-real": f"{solve} reference beta init stop stop-delta",
         "reconstruct-complex": f"{solve} init stop stop-delta",
-        "baseline": f"{solve} step-size",
+        "baseline": solve,
         "autofocus": f"{optics} input z-min z-max z-step",
-        "metrics": "input truth peak median-size",
+        "metrics": "input truth peak",
         "resolution": "wavelength numerical-aperture",
     }
     expected = {(mode, "--" + flag) for mode, flags in expected.items() for flag in flags.split()}
     (modes,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     pairs = {(mode, a.option_strings[0]) for mode, p in modes.choices.items()
              for a in p._actions if a.dest.startswith("key_")}
-    assert len(expected) == 65
+    assert len(expected) == 63
     assert pairs == expected
 
 
@@ -595,9 +595,8 @@ def test_baseline_manifest_reruns_identically(tmp_path):
     assert main(simulate_args(sim, ["--noise-seed", "3"])) == 0
     first = tmp_path / "a"
     code = main(["baseline", "--out", str(first), "--input", str(sim / "hologram.pfm"),
-                 "--slice-distances", "1mm", "--step-size", "0.25", "--tau", "1",
-                 "--iters", "5"])
-    assert float(load_key_values(first / "manifest.txt")["step_size"]) == 0.25
+                 "--slice-distances", "1mm", "--tau", "1", "--iters", "5"])
+    assert float(load_key_values(first / "manifest.txt")["tau"]) == 1.0
     second = tmp_path / "b"
     assert main(["baseline", "--config", str(first / "manifest.txt"),
                  "--out", str(second)]) == code
@@ -617,7 +616,7 @@ _OLDER_MANIFEST_KEYS = {
     "reconstruct-complex": "illumination_amplitude = 1.0\nbeta = 0.5\ntv_epsilon = auto\n"
                            "ratio_floor = auto\n",
     "baseline": "illumination_amplitude = 1.0\ntv_epsilon = auto\npower_iters = 20\n"
-                "power_seed = 0\n",
+                "power_seed = 0\nstep_size = auto\n",
 }
 
 
@@ -642,6 +641,28 @@ def test_older_manifest_reruns_identically(tmp_path, mode):
     assert main([mode, "--config", str(old), "--out", str(third)]) == 2
     assert "'tv_epsilon'" in json.loads((third / "error.json").read_text())["message"]
     assert not list(third.glob("*.pfm"))
+
+
+def test_older_metrics_manifest_reruns_identically(tmp_path):
+    # metrics manifests recorded median_size before the quality report fixed it at 3
+    sim = tmp_path / "sim"
+    assert main(simulate_args(sim, ["--noise-seed", "3"])) == 0
+    first = tmp_path / "a"
+    assert main(["metrics", "--out", str(first), "--input", str(sim / "hologram.pfm"),
+                 "--truth", str(sim / "truth_00_re.pfm")]) == 0
+    manifest = (first / "manifest.txt").read_text()
+    assert "median_size" not in manifest
+    old = tmp_path / "old.txt"
+    for value, code in (("3", 0), ("5", 2)):
+        old.write_text(manifest + f"median_size = {value}\n")
+        again = tmp_path / value
+        assert main(["metrics", "--config", str(old), "--out", str(again)]) == code
+        if code:
+            assert "'median_size'" in json.loads((again / "error.json").read_text())["message"]
+            assert not (again / "quality.json").exists()
+        else:
+            assert ((again / "quality.json").read_bytes()
+                    == (first / "quality.json").read_bytes())
 
 
 def test_complex_manifest_rerun_ignores_beta(tmp_path):
@@ -708,7 +729,7 @@ runs = {
     "reconstruct-real": solve + ["--reference", holo],
     "baseline": solve,
     "autofocus": ["--input", holo, "--z-min", "0.9mm", "--z-max", "1.1mm", "--z-step", "0.1mm"],
-    "metrics": ["--input", holo, "--truth", truth, "--median-size", "5"],
+    "metrics": ["--input", holo, "--truth", truth],
 }
 for mode, flags in runs.items():
     assert main([mode, "--out", str(out / mode)] + flags) == 0, mode
@@ -827,6 +848,50 @@ def test_autofocus_manifest_records_pitch_y(tmp_path):
     assert float(load_key_values(out / "manifest.txt")["pitch_y"]) == pytest.approx(1.4e-6)
 
 
+@pytest.mark.parametrize("mode", ["reconstruct-real", "autofocus"])
+def test_configured_pitch_is_square_over_the_sidecar(tmp_path, mode):
+    # --pitch sets both pitches; the sidecar's pitch_y goes with its pitch_x
+    sim = tmp_path / "sim"
+    assert main(simulate_args(sim, ["--pitch-y", "1.5um"])) == 0
+    flags = (["--slice-distances", "1mm", "--iters", "1"] if mode == "reconstruct-real" else
+             ["--z-min", "0.9mm", "--z-max", "1.1mm", "--z-step", "0.1mm"])
+    out = tmp_path / mode
+    assert main([mode, "--out", str(out), "--input", str(sim / "hologram.pfm"),
+                 "--pitch", "2um", *flags]) == 0
+    manifest = load_key_values(out / "manifest.txt")
+    assert float(manifest["pitch"]) == float(manifest["pitch_y"]) == 2e-6
+    for meta in out.glob("*.meta"):
+        assert float(load_key_values(meta)["pitch_y"]) == 2e-6, meta.name
+    # without --pitch both come from the sidecar
+    again = tmp_path / f"{mode}-sidecar"
+    assert main([mode, "--out", str(again), "--input", str(sim / "hologram.pfm"), *flags]) == 0
+    manifest = load_key_values(again / "manifest.txt")
+    assert (float(manifest["pitch"]), float(manifest["pitch_y"])) == (1.12e-6, 1.5e-6)
+
+
+def test_manifest_with_hash_in_a_path_reruns(tmp_path):
+    # '#' inside a value is kept: the manifest of a run on 'd#1/...' reruns
+    sim = tmp_path / "d#1"
+    assert main(simulate_args(sim)) == 0
+    scan = ["--z-min", "0.9mm", "--z-max", "1.1mm", "--z-step", "0.1mm"]
+    first = tmp_path / "a"
+    assert main(["autofocus", "--out", str(first), "--input", str(sim / "hologram.pfm"),
+                 *scan]) == 0
+    assert load_key_values(first / "manifest.txt")["input"] == str(sim / "hologram.pfm")
+    second = tmp_path / "b"
+    assert main(["autofocus", "--config", str(first / "manifest.txt"), "--out", str(second)]) == 0
+    assert (second / "autofocus.txt").read_text() == (first / "autofocus.txt").read_text()
+
+
+@pytest.mark.parametrize("value", ["#x.pfm", "a #b.pfm", "a\nb.pfm", " a.pfm"])
+def test_value_that_would_not_read_back_is_refused(tmp_path, value):
+    out = tmp_path / "out"
+    assert main(["autofocus", "--out", str(out), "--input", value,
+                 "--z-min", "0.9mm", "--z-max", "1.1mm", "--z-step", "0.1mm"]) == 2
+    assert "'input'" in json.loads((out / "error.json").read_text())["message"]
+    assert not (out / "manifest.txt").exists()
+
+
 def test_manifest_records_every_key_the_mode_reads(tmp_path):
     sim = tmp_path / "simulate"
     holo, truth = str(sim / "hologram.pfm"), str(sim / "truth_00_re.pfm")
@@ -836,9 +901,9 @@ def test_manifest_records_every_key_the_mode_reads(tmp_path):
                      "slice_distances": "1mm", "phantom": "single", "noise_seed": "4"},
         "reconstruct-real": {**solve, "truth": truth, "reference": holo, "tau": "0.01"},
         "reconstruct-complex": {**solve, "init": "constant", "stop": "relative_change"},
-        "baseline": {**solve, "step_size": "0.5"},
+        "baseline": {**solve, "tau": "0.5"},
         "autofocus": {"input": holo, "z_min": "0.9mm", "z_max": "1.1mm", "z_step": "0.1mm"},
-        "metrics": {"input": holo, "truth": holo, "median_size": "5"},
+        "metrics": {"input": holo, "truth": holo, "peak": "2"},
         "resolution": {"numerical_aperture": "0.5"},
     }
     for mode, flags in runs.items():
@@ -868,7 +933,7 @@ def test_manifest_records_every_key_the_mode_reads(tmp_path):
 
 
 # raw values of each RunConfig kind, written as a config document or a flag would
-_text = st.text("abcdefghijklmnopqrstuvwxyz0123456789_-./", min_size=1, max_size=12)
+_text = st.text("abcdefghijklmnopqrstuvwxyz0123456789_-./#", min_size=1, max_size=12)
 _number = st.floats(-1e3, 1e3, allow_nan=False).map(repr)
 _length = st.builds(lambda x, unit: x + unit, _number,
                     st.sampled_from(["", "nm", "um", "µm", "μm", " mm", "cm", "m"]))
@@ -898,6 +963,11 @@ def _mode_and_values(mode):
 def test_config_manifest_config_round_trip(mode_and_values):
     # any subset of the keys a mode reads, defaults for the rest
     mode, values = mode_and_values
+    if any(v.startswith("#") for v in values.values()):
+        # a manifest would read such a value as a comment, so it is refused
+        with pytest.raises(ConfigError):
+            RunConfig.from_mapping(values)
+        return
     cfg = RunConfig.from_mapping(values)
     cfg.mode = mode
     with tempfile.TemporaryDirectory() as tmp:

@@ -21,8 +21,6 @@ from holoem.em import (
     NumericError,
     ReconParams,
     ReconTrace,
-    alternating_update,
-    apply_upper_bound,
     nll,
     reconstruct_complex,
     reconstruct_real,
@@ -216,40 +214,39 @@ class TestTotalVariation:
         assert tv_value(np.full((5, 5), 3.2)) == 0.0
 
 
+def _clip(w, bound, beta):
+    """The relaxed clip alone: _em_update with zero gradients and tau = 0."""
+    zero = np.zeros_like(w)
+    return em._em_update(w, zero, zero, 0.0, bound, beta)
+
+
 class TestUpdateAlgebra:
     def test_em_step_values(self):
         # tau = 0 leaves the data step w - |w| grad alone
         w = np.array([1.0, -1.0, 0.0])
         grad = np.array([0.2, 0.2, 0.5])
-        np.testing.assert_allclose(alternating_update(w, grad, np.ones(3), tau=0.0),
+        np.testing.assert_allclose(em._em_update(w, grad, np.ones(3), 0.0, None, 0.5),
                                    [0.8, -1.2, 0.0], atol=1e-15)
 
     def test_alternating_update_values(self):
         # data step first, TV step applied to its result
-        out = alternating_update(np.array([2.0]), np.array([0.25]),
-                                 np.array([1.0]), tau=0.1)
+        out = em._em_update(np.array([2.0]), np.array([0.25]), np.array([1.0]), 0.1, None, 0.5)
         np.testing.assert_allclose(out, [1.35], atol=1e-15)
-        out = alternating_update(np.array([-2.0]), np.array([-0.5]),
-                                 np.array([-1.0]), tau=0.1)
+        out = em._em_update(np.array([-2.0]), np.array([-0.5]), np.array([-1.0]), 0.1, None,
+                            0.5)
         np.testing.assert_allclose(out, [-0.9], atol=1e-15)
-
-    def test_alternating_update_guard(self):
-        with pytest.raises(ValueError):
-            alternating_update(np.ones(2), np.ones(2), np.ones(2), tau=-0.1)
 
     def test_apply_upper_bound_values(self):
         w = np.array([0.0, 2.0, -3.0])
-        np.testing.assert_allclose(apply_upper_bound(w, 1.0, 0.5), [0.0, 1.5, -3.0])
-        np.testing.assert_allclose(apply_upper_bound(w, 1.0, 0.0), [0.0, 1.0, -3.0])
-        np.testing.assert_allclose(apply_upper_bound(w, 1.0, 1.0), w)
+        np.testing.assert_allclose(_clip(w, 1.0, 0.5), [0.0, 1.5, -3.0])
+        np.testing.assert_allclose(_clip(w, 1.0, 0.0), [0.0, 1.0, -3.0])
+        np.testing.assert_allclose(_clip(w, 1.0, 1.0), w)
         per_pixel = np.array([0.5, 3.0, 1.0])
-        np.testing.assert_allclose(apply_upper_bound(np.array([1.0, 1.0, 1.0]),
-                                                     per_pixel, 0.5),
+        np.testing.assert_allclose(_clip(np.array([1.0, 1.0, 1.0]), per_pixel, 0.5),
                                    [0.75, 1.0, 1.0])
-
-    def test_apply_upper_bound_guard(self):
-        with pytest.raises(ValueError):
-            apply_upper_bound(np.ones(2), 1.0, 1.5)
+        # the clip acts on the stepped iterate: 2 - 2 * 0.25 = 1.5 > 1 -> 1.25
+        out = em._em_update(np.array([2.0]), np.array([0.25]), np.zeros(1), 0.0, 1.0, 0.5)
+        np.testing.assert_allclose(out, [1.25], atol=1e-15)
 
 
 class TestReconParams:
@@ -432,25 +429,24 @@ def test_millis_excludes_trace_ssim(bound64, monkeypatch):
 
 
 def test_solver_runs_the_public_update_helpers(bound64, monkeypatch):
-    """The loop applies the tested alternating_update and apply_upper_bound."""
+    """The loop applies the tested _em_update, with the bound and beta it was given."""
     _, _, holo = bound64
-    calls = {"alternating_update": 0, "apply_upper_bound": 0}
-    for name in calls:
-        original = getattr(em, name)
+    bounds = []
+    original = em._em_update
 
-        def spy(*args, _name=name, _original=original, **kwargs):
-            calls[_name] += 1
-            return _original(*args, **kwargs)
+    def spy(w, grad, tv_grad, tau, bound, beta):
+        bounds.append((bound, beta))
+        return original(w, grad, tv_grad, tau, bound, beta)
 
-        monkeypatch.setattr(em, name, spy)
+    monkeypatch.setattr(em, "_em_update", spy)
     _, trace = reconstruct_real(holo, ReconParams(max_iters=3, upper_bound=1.0, beta=0.5))
     assert len(trace) == 3
-    assert calls == {"alternating_update": 3, "apply_upper_bound": 3}
+    assert bounds == [(1.0, 0.5)] * 3
 
 
 def test_step_halvings_are_counted(bound64, monkeypatch, caplog):
     _, _, holo = bound64
-    original = em.alternating_update
+    original = em._em_update
     calls = []
 
     def first_call_overflows(*args, **kwargs):
@@ -458,7 +454,7 @@ def test_step_halvings_are_counted(bound64, monkeypatch, caplog):
         out = original(*args, **kwargs)
         return np.full_like(out, np.inf) if len(calls) == 1 else out
 
-    monkeypatch.setattr(em, "alternating_update", first_call_overflows)
+    monkeypatch.setattr(em, "_em_update", first_call_overflows)
     with caplog.at_level(logging.WARNING, logger="holoem.em"):
         _, trace = reconstruct_real(holo, ReconParams(max_iters=2))
     assert trace.step_halvings == 1

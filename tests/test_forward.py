@@ -190,14 +190,13 @@ class TestSimulate:
 
     def test_noise_free_by_default(self):
         holo = simulate(self.obj, self.cfg)
-        assert holo.photon_scale is None and holo.noise_seed is None
+        assert holo.photon_scale is None
         clean = synthesize_linear(self.obj, self.cfg)
         np.testing.assert_array_equal(holo.intensity, clean)
 
     def test_seed_applies_default_scale(self):
         holo = simulate(self.obj, self.cfg, seed=7)
         clean = synthesize_linear(self.obj, self.cfg)
-        assert holo.noise_seed == 7
         assert holo.photon_scale == pytest.approx(1e4 / clean.mean())
         assert np.any(holo.intensity != clean)
 

@@ -234,9 +234,12 @@ def test_apply_reference_illumination_matches_ndimage_bit_for_bit(rng, shape):
 
 class TestKeyValues:
     def test_parse_comments_and_spacing(self):
-        text = "# leading comment\n a = 1 \nb=two words # trailing\n\nc = 3=4\n"
+        # '#' starts a comment only first on a line or after whitespace
+        text = ("# leading comment\n a = 1 \nb=two words # trailing\n\nc = 3=4\n"
+                "d = d#1/hologram.pfm\ne = x\t# tab comment\nf = #\n")
         out = parse_key_values(text)
-        assert out == {"a": "1", "b": "two words", "c": "3=4"}
+        assert out == {"a": "1", "b": "two words", "c": "3=4", "d": "d#1/hologram.pfm",
+                       "e": "x", "f": ""}
 
     def test_duplicate_key_warns_and_overrides(self, caplog):
         import logging

@@ -165,10 +165,11 @@ def _minmax(a):
 
 class TestNormalization:
     def test_minmax_mapping(self):
-        # the full percentile range is the plain min-max stretch
+        # the 1st..99th percentile window maps to 0..1: on the samples 2, 2, 4, 6
+        # it is 2..5.94 by linear interpolation, and 6 clips to 1
         a = np.array([[2.0, 4.0], [6.0, 2.0]])
-        np.testing.assert_allclose(display_normalize(a, 0.0, 100.0), [[0.0, 0.5], [1.0, 0.0]])
-        assert np.all(display_normalize(np.full((3, 3), 7.0), 0.0, 100.0) == 0.0)
+        np.testing.assert_allclose(display_normalize(a), [[0.0, 2.0 / 3.94], [1.0, 0.0]])
+        assert np.all(display_normalize(np.full((3, 3), 7.0)) == 0.0)
 
     def test_display_stretch_resists_hot_pixels(self, rng):
         img = rng.random((64, 64))

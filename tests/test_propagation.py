@@ -21,7 +21,6 @@ from hypothesis import strategies as st
 from holoem.propagation import (
     _frame,
     _half_spectrum,
-    _half_transfer,
     _irfft2_crop,
     _propagate_array,
     _transfer_array,
@@ -49,8 +48,8 @@ def transfer_oracle(shape, pitch_x, pitch_y, wavelength, z):
 
 
 def half_transfer(shape, pitch_x, pitch_y, wavelength, z):
-    """Re H + j Im H from ``_half_transfer``, on the kx-major half spectrum."""
-    re_h, im_h = _half_transfer(*shape, pitch_x, pitch_y, wavelength, z)
+    """Re H + j Im H from ``_transfer_array``, on the kx-major half spectrum."""
+    re_h, im_h = _transfer_array(*shape, pitch_x, pitch_y, wavelength, z)
     return re_h + 1j * im_h
 
 
@@ -108,17 +107,17 @@ def test_transfer_anisotropic_pitch():
 
 
 def test_backward_transfer_is_conjugate():
-    # +z and -z share one cache entry; the sign only flips Im H
+    # -z is its own build, bit for bit conj H(z): cos is even and sin odd
     z = 0.7e-3
-    re_f, im_f = _half_transfer(16, 12, PITCH, PITCH, WAVELENGTH, z)
-    re_b, im_b = _half_transfer(16, 12, PITCH, PITCH, WAVELENGTH, -z)
-    assert re_b is re_f
+    re_f, im_f = _transfer_array(16, 12, PITCH, PITCH, WAVELENGTH, z)
+    re_b, im_b = _transfer_array(16, 12, PITCH, PITCH, WAVELENGTH, -z)
+    np.testing.assert_array_equal(re_b, re_f)
     np.testing.assert_array_equal(im_b, -im_f)
 
 
 def test_transfer_values_are_read_only():
     # cached builds, and the grid part every later build on the grid shares
-    re_h, im_h = _half_transfer(8, 8, PITCH, PITCH, WAVELENGTH, 1e-3)
+    re_h, im_h = _transfer_array(8, 8, PITCH, PITCH, WAVELENGTH, 1e-3)
     root, inside = _transfer_grid(8, 8, PITCH, PITCH, WAVELENGTH)
     for part in (re_h, im_h, root, inside):
         with pytest.raises(ValueError):
@@ -129,12 +128,12 @@ def test_transfer_magnitude_guard():
     # |H| = 1 on the propagating band and 0 outside it: never above 1
     for pitch in (0.6e-6, PITCH):
         for z in (5e-6, -1e-3):
-            re_h, im_h = _half_transfer(9, 8, pitch, 1.3 * pitch, WAVELENGTH, z)
+            re_h, im_h = _transfer_array(9, 8, pitch, 1.3 * pitch, WAVELENGTH, z)
             assert np.max(re_h * re_h + im_h * im_h) <= 1.0 + 1e-12, (pitch, z)
 
 
 def test_transfer_validation():
-    # _half_transfer takes its inputs unchecked; bad ones are rejected on the way in
+    # _transfer_array takes its inputs unchecked; bad ones are rejected on the way in
     with pytest.raises(ValueError):
         propagate(np.ones((8, 8)), PITCH, PITCH, 0.0, 1e-3)
     with pytest.raises(ValueError):
@@ -187,7 +186,7 @@ def test_kernel_sums_match_spatial_sum():
     # analytic response to the mean that padded propagation uses
     for shape in ((16, 16), (15, 12)):
         for z in (1.0e-3, -0.6e-3):
-            re_h, im_h = _half_transfer(*shape, PITCH, PITCH, WAVELENGTH, z)
+            re_h, im_h = _transfer_array(*shape, PITCH, PITCH, WAVELENGTH, z)
             k0z = 2.0 * np.pi / WAVELENGTH * z
             assert abs(scipy.fft.irfft2(re_h.T, s=shape).sum() - np.cos(k0z)) < 1e-10
             assert abs(scipy.fft.irfft2(im_h.T, s=shape).sum() - np.sin(k0z)) < 1e-10

@@ -108,10 +108,18 @@ def _number_parser(cast, noun: str, unset=()):
     return parse
 
 
+def _parse_paths(text: str) -> tuple[str, ...]:
+    """One path when text names an existing file as a whole, else the paths
+    between its commas: only a single path may hold a comma."""
+    if os.path.isfile(text):
+        return (text,)
+    return tuple(p.strip() for p in text.split(",") if p.strip())
+
+
 _CONFIG_PARSERS = {
     "str": str,
     "path": str,
-    "paths": lambda s: tuple(p.strip() for p in s.split(",") if p.strip()),
+    "paths": _parse_paths,
     "int": _number_parser(int, "integer"),
     "optint": _number_parser(int, "integer", ("", "none")),
     "float": _number_parser(float, "number"),

@@ -665,6 +665,22 @@ def test_older_metrics_manifest_reruns_identically(tmp_path):
                     == (first / "quality.json").read_bytes())
 
 
+def test_truth_path_with_a_comma_runs_and_reruns(tmp_path):
+    # a paths value naming an existing file as a whole is that one file
+    sim = tmp_path / "sim"
+    assert main(simulate_args(sim, ["--noise-seed", "3"])) == 0
+    truth = tmp_path / "t,1.pfm"
+    (sim / "truth_00_re.pfm").replace(truth)
+    (sim / "truth_00_re.pfm.meta").replace(tmp_path / "t,1.pfm.meta")
+    first = tmp_path / "a"
+    assert main(["metrics", "--out", str(first), "--input", str(sim / "hologram.pfm"),
+                 "--truth", str(truth)]) == 0
+    assert load_key_values(first / "manifest.txt")["truth"] == str(truth)
+    again = tmp_path / "b"
+    assert main(["metrics", "--config", str(first / "manifest.txt"), "--out", str(again)]) == 0
+    assert (again / "quality.json").read_bytes() == (first / "quality.json").read_bytes()
+
+
 def test_complex_manifest_rerun_ignores_beta(tmp_path):
     # beta relaxes the real-mode upper bound; a complex run neither reads nor checks it
     sim = tmp_path / "sim"

@@ -8,6 +8,8 @@ import numpy as np
 import pytest
 import scipy.ndimage as ndi
 import scipy.signal
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from holoem import metrics, propagation
 from holoem.forward import OpticalConfig, simulate
@@ -188,6 +190,33 @@ class TestNormalization:
     def test_display_stretch_constant_image(self):
         assert np.all(display_normalize(np.full((8, 8), 3.0)) == 0.0)
 
+    @settings(max_examples=80)
+    @given(shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
+           seed=st.integers(0, 2**32 - 1), scale=st.integers(-5, 5),
+           kind=st.sampled_from(["spread", "ties", "sorted", "constant"]))
+    # at 11 x 11, seed 8, only the upper branch of numpy's interpolation,
+    # next - diff (1 - g), gives its 99th percentile bit for bit
+    @example(shape=(11, 11), seed=8, scale=0, kind="spread")
+    def test_stretch_bounds_are_numpys_percentiles(self, shape, seed, scale, kind):
+        # the stretch takes its 1st and 99th percentiles from one sort; they
+        # and the stretched image match np.percentile's bit for bit
+        rng = np.random.default_rng(seed)
+        image = rng.standard_normal(shape) * 10.0**scale
+        if kind == "ties":
+            image = rng.integers(0, 4, shape) * 10.0**scale
+        elif kind == "sorted":
+            image = np.sort(image, axis=None).reshape(shape)
+        elif kind == "constant":
+            image = np.full(shape, image[0, 0])
+        samples = np.sort(image, axis=None)
+        for q in (1.0, 99.0):
+            assert metrics._sorted_percentile(samples, q) == np.percentile(image, q)
+        lo, hi = np.percentile(image, (1.0, 99.0))
+        if hi <= lo:
+            lo, hi = image.min(), image.max()
+        expected = np.zeros_like(image) if hi <= lo else np.clip((image - lo) / (hi - lo), 0, 1)
+        np.testing.assert_array_equal(display_normalize(image), expected)
+
 
 class TestNcc:
     def test_affine_invariance(self, rng):
@@ -293,11 +322,12 @@ class TestAutofocus:
 
     def test_sweep_keeps_no_transfer_and_takes_the_grid_once(self, holo):
         # the sweep's transfers come from its own recurrence, not from the
-        # cache the solvers keep, and the grid part is taken once
+        # cache the solvers keep, and the grid part is taken once per frame:
+        # the decimated coarse frame and the full fine frame
         _transfer_array.cache_clear()
         propagation._transfer_grid.cache_clear()
         autofocus(holo, 0.5e-3, 1.5e-3, 10e-6)  # 101 planes
-        assert propagation._transfer_grid.cache_info().misses == 1
+        assert propagation._transfer_grid.cache_info().misses == 2
         info = _transfer_array.cache_info()
         assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
 
@@ -317,13 +347,100 @@ class TestAutofocus:
         return counts
 
     def test_sweep_transforms_the_hologram_once(self, holo, monkeypatch):
-        # the benchmark reads one propagate span and one focus span per
-        # plane visited; both stages share the hologram's transform, and
-        # only the forward helper calls numpy's forward rfft and fft
+        # the benchmark reads one focus span per plane visited and one
+        # propagate span per fine plane; both stages share the hologram's
+        # transform, and only the forward helper calls numpy's forward rfft and fft
         counts = self._count_calls(monkeypatch)
         autofocus(holo, 0.8e-3, 1.2e-3, 25e-6)  # 17 planes: 9 coarse (m = 2), 5 fine
-        assert counts == {"_propagate_array": 14, "focus_metric": 14, "_half_spectrum": 1,
+        assert counts == {"_propagate_array": 5, "focus_metric": 14, "_half_spectrum": 1,
                           "rfft": 1, "fft": 1}
+
+    @pytest.mark.parametrize("seed", [None, 1, 2, 3])
+    @pytest.mark.parametrize("height, width, pitch_y", [
+        (128, 128, None),
+        (129, 160, 1.3e-6),
+        (256, 256, None),
+    ])
+    def test_decimated_coarse_stage_lands_where_the_full_frame_does(self, monkeypatch, height,
+                                                                     width, pitch_y, seed):
+        # the coarse stage scores the 1 px low-passed spectrum cut to the
+        # frame's central quarter. It picks the full frame's coarse plane or a
+        # neighbour, whose fine window still holds that plane, and autofocus
+        # returns the same plane as with no decimation
+        cfg = OpticalConfig(WAVELENGTH, PITCH, width, height, (1.0e-3,), pitch_y=pitch_y)
+        noisy = simulate(single_slice_stack(cfg), cfg, seed=seed)
+        stages = []
+        scorer = metrics._focus_scores
+
+        def recording(hologram):
+            scores = scorer(hologram)
+
+            def record(*args):
+                stages.append(scores(*args))
+                return stages[-1]
+
+            return record
+
+        monkeypatch.setattr(metrics, "_focus_scores", recording)
+        for z_step in (5e-6, 15.625e-6, 50e-6):
+            stages.clear()
+            z = autofocus(noisy, 0.5e-3, 1.5e-3, z_step)
+            with monkeypatch.context() as exact:
+                exact.setattr(metrics, "_DECIMATED_MIN_SIDE", np.inf)
+                assert autofocus(noisy, 0.5e-3, 1.5e-3, z_step) == z, z_step
+            decimated, full = (int(np.argmax(stages[i])) for i in (0, 2))
+            assert abs(decimated - full) <= 1, z_step
+
+    @pytest.mark.parametrize("height, width", [(64, 64), (80, 96)])
+    def test_small_images_score_the_coarse_stage_on_the_full_frame(self, monkeypatch, height,
+                                                                    width):
+        cfg = OpticalConfig(WAVELENGTH, PITCH, width, height, (1.0e-3,))
+        small = simulate(single_slice_stack(cfg, contrast=0.04), cfg)
+        frames = set()
+        original = propagation._transfer_grid
+
+        def recording(rows, cols, *optics):
+            frames.add((rows, cols))
+            return original(rows, cols, *optics)
+
+        monkeypatch.setattr(propagation, "_transfer_grid", recording)
+        autofocus(small, 0.5e-3, 1.5e-3, 10e-6)
+        assert frames == {(2 * height, 2 * width)}
+
+    @pytest.mark.parametrize("frame, d", [((64, 48), 2), ((58, 40), 2), ((60, 42), 3)])
+    def test_decimated_spectrum_samples_a_band_limited_field(self, rng, frame, d):
+        # a field with no frequency at or above 1 / (2 d) cycles per pixel is,
+        # from its cut spectrum, the field sampled every d pixels (times d^2,
+        # as the cut frame's inverse scales by its own size)
+        field = rng.standard_normal(frame)
+        spectrum = np.fft.rfft2(field)
+        ky = np.abs(np.fft.fftfreq(frame[0]))[:, None]
+        kx = np.fft.rfftfreq(frame[1])[None, :]
+        spectrum[(ky >= 0.5 / d) | (kx >= 0.5 / d)] = 0.0
+        band_limited = np.fft.irfft2(spectrum, s=frame)
+        kept, cut = metrics._decimated(propagation._half_spectrum(band_limited, frame), frame, d)
+        assert cut == (frame[0] // d, frame[1] // d)
+        sampled = propagation._irfft2_crop(kept, cut, *cut)
+        np.testing.assert_allclose(sampled, d * d * band_limited[::d, ::d], rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("height, width, pitch_y", [
+        (512, 512, PITCH),
+        (129, 160, 1.3e-6),
+        (200, 131, PITCH),
+    ])
+    def test_decimated_transfers_are_the_full_frames_sub_block(self, height, width, pitch_y):
+        # the cut keeps kx <= f1 / 2 and the ky columns of fftfreq(f0) within
+        # the full frame; at twice the pitch its transfers are those entries
+        frame = (2 * height, 2 * width)
+        cut = (height, width)
+        rows = slice(0, cut[1] // 2 + 1)
+        cols = np.r_[:(cut[0] + 1) // 2, frame[0] - cut[0] // 2:frame[0]]
+        sweep = (WAVELENGTH, 0.2e-3, -0.15e-3, 4)  # crosses z = 0
+        full = propagation._sweep_transfers(*frame, PITCH, pitch_y, *sweep)
+        decimated = propagation._sweep_transfers(*cut, 2 * PITCH, 2 * pitch_y, *sweep)
+        for (re_f, im_f), (re_d, im_d) in zip(full, decimated):
+            np.testing.assert_array_equal(re_d, re_f[rows][:, cols])
+            np.testing.assert_array_equal(im_d, im_f[rows][:, cols])
 
     @pytest.mark.parametrize("z_max, z_step", [
         (0.8e-3, 50e-6),  # m = 1
@@ -337,7 +454,7 @@ class TestAutofocus:
         m = max(1, round(50e-6 / z_step))
         counts = self._count_calls(monkeypatch)
         autofocus(holo, 0.5e-3, z_max, z_step)
-        assert counts["_propagate_array"] <= -(-n // m) + 2 * m + 1
+        assert counts["focus_metric"] <= -(-n // m) + 2 * m + 1
         assert counts["_half_spectrum"] == 1
 
     @pytest.mark.parametrize("z_min, z_max, edge", [

@@ -7,9 +7,10 @@ averages, and the mean taken over fully valid windows only. PSNR and SSIM
 use the peak of the reference image unless an explicit peak is given; a
 reference whose maximum is not positive (an absorber's real part) uses
 its dynamic range instead. Autofocus scores back-propagated planes in two
-stages on one transform of the hologram: a coarse stride under a 1 px
-low-pass, on a 2x-decimated spectrum when both image sides have at least
-128 pixels, then a full-resolution window around its best.
+stages on one transform of the hologram and one scoring loop, one
+``_propagate_array`` per plane: a coarse stride under a 1 px low-pass, on
+a 2x-decimated spectrum when both image sides have at least 128 pixels,
+then a full-resolution window around its best.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from functools import lru_cache
 import numpy as np
 
 from .forward import Hologram
-from .propagation import (_frame, _half_spectrum, _irfft2_crop, _propagate_array,
-                          _sweep_transfers)
+from .propagation import _frame, _half_spectrum, _propagate_array, _sweep_transfers
 
 logger = logging.getLogger(__name__)
 
@@ -281,46 +281,37 @@ def _decimated(spectrum: np.ndarray, frame: tuple[int, int], d: int):
 
 
 def _focus_scores(hologram: Hologram):
-    """``scores(start, step, count, sigma, decimation=1)``: :func:`focus_metric`
+    """``scores(start, step, count, sigma, decimation)``: :func:`focus_metric`
     of |P_{-z} (G_sigma * g)| at z = start + i step, i < count, for the
     mean-removed hologram g and a Gaussian blur G_sigma of sigma pixels.
 
     g is real and is its own zero-mean remainder, the part that padded
     propagation transforms, so its kx-major half spectrum is taken once and
     each call blurs a copy. Each plane then costs one recurrence step of its
-    transfer, kept in no cache, and two cropped inverse transforms.
+    transfer, kept in no cache, and one ``_propagate_array``.
 
-    With a decimation d > 1 the blurred spectrum is cut to the frequencies
-    below 1 / (2 d) cycles per pixel, the central 1/d of the frame on each
-    axis, and each plane is scored on that frame at d times the pitch: g
-    sampled every d pixels, band-limited, on a 1/d^2 transform. The cut
-    frame's transfers are the full frame's at the frequencies it keeps, bit
-    for bit where d divides the frame. The scores' scale then differs from
-    d = 1, so only their argmax is comparable.
+    The blurred spectrum is cut to the frequencies below 1 / (2 d) cycles
+    per pixel for a decimation d, the central 1/d of the frame on each axis,
+    and each plane is scored on that frame at d times the pitch: g sampled
+    every d pixels, band-limited, on a 1/d^2 transform. At d = 1 that is the
+    whole frame. The cut frame's transfers are the full frame's at the
+    frequencies it keeps, bit for bit where d divides the frame. The scores'
+    scale differs with d, so only their argmax is comparable across d.
     """
     g = hologram.intensity - hologram.intensity.mean()
     config = hologram.config
-    optics, pad = (config.pitch_x, config.pitch_y, config.wavelength), config.pad
-    frame = _frame(*g.shape, pad)
+    frame = _frame(*g.shape, config.pad)
     spectrum = _half_spectrum(g, frame)
 
     def scores(start: float, step: float, count: int, sigma: float,
-               decimation: int = 1) -> np.ndarray:
-        blurred = spectrum * _low_pass(frame, sigma)
-        if decimation == 1:
-            return np.array([
-                focus_metric(np.abs(_propagate_array(g, *optics, -(start + step * i), pad,
-                                                     spectrum=blurred, transfer=transfer)))
-                for i, transfer in enumerate(_sweep_transfers(*frame, *optics, -start, -step,
-                                                              count))
-            ])
-        kept, cut = _decimated(blurred, frame, decimation)
-        pitches = (optics[0] * (frame[1] / cut[1]), optics[1] * (frame[0] / cut[0]))
+               decimation: int) -> np.ndarray:
+        kept, cut = _decimated(spectrum * _low_pass(frame, sigma), frame, decimation)
+        pitches = (config.pitch_x * (frame[1] / cut[1]), config.pitch_y * (frame[0] / cut[0]))
         height, width = g.shape[0] // decimation, g.shape[1] // decimation
         return np.array([
-            focus_metric(np.hypot(_irfft2_crop(kept * re_h, cut, height, width),
-                                  _irfft2_crop(kept * im_h, cut, height, width)))
-            for re_h, im_h in _sweep_transfers(*cut, *pitches, optics[2], -start, -step, count)
+            focus_metric(np.abs(_propagate_array(kept, transfer, cut, height, width)))
+            for transfer in _sweep_transfers(*cut, *pitches, config.wavelength, -start, -step,
+                                             count)
         ])
 
     return scores
@@ -371,7 +362,8 @@ def autofocus(hologram: Hologram, z_min: float, z_max: float, z_step: float) -> 
     coarse = m * int(np.argmax(scores(z_min, z_step * m, (n - 1) // m + 1, _COARSE_SIGMA,
                                       decimation)))
     low, high = max(0, coarse - m), min(n - 1, coarse + m)
-    best = low + int(np.argmax(scores(z_min + z_step * low, z_step, high - low + 1, _FINE_SIGMA)))
+    fine = scores(z_min + z_step * low, z_step, high - low + 1, _FINE_SIGMA, 1)
+    best = low + int(np.argmax(fine))
     z = float(z_min + z_step * best)
     if n > 1 and best in (0, n - 1):
         logger.warning("autofocus maximum at scan boundary z=%.6g m; result is low confidence", z)
@@ -383,8 +375,8 @@ def resolution_limits(wavelength: float, numerical_aperture: float) -> tuple[flo
 
     lateral = wavelength / (2 NA), axial = 2 wavelength / NA^2.
     """
-    if not wavelength > 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
+    if not (np.isfinite(wavelength) and wavelength > 0):
+        raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
     if not 0 < numerical_aperture <= 1:
         raise ValueError(f"numerical aperture must be in (0, 1], got {numerical_aperture}")
     lateral = wavelength / (2.0 * numerical_aperture)

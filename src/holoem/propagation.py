@@ -22,8 +22,11 @@ anti-Hermitian part is j W(v) Im H(v). Half spectra are stored kx-major,
 contiguous axis; ``_half_spectrum`` and ``_irfft2_crop`` are the one
 transform pair. ``_sweep_transfers`` gives Re H and Im H in that layout
 on a scan of depths, with cos and sin taken twice per scan and the square
-root once per grid. The operators in ``operators.py`` and ``propagate`` (a
-complex field as P_z(a + j b) = P_z a + j P_z b) take one-plane builds
+root once per grid. ``_propagate_array`` is the one per-plane step: a
+half spectrum times Re H and Im H, through two cropped inverses, to the
+complex plane. ``propagate`` takes it once per part of a complex field,
+P_z(a + j b) = P_z a + j P_z b, and the autofocus sweep once per plane.
+The operators in ``operators.py`` and ``propagate`` take one-plane builds
 from ``_transfer_array``, which keeps the last 32 signed depths (numpy's
 cos is even and its sin odd, so -z builds conj H(z) bit for bit) and
 counts its builds; the autofocus sweep keeps none.
@@ -135,38 +138,40 @@ def _irfft2_crop(spectrum: np.ndarray, frame: tuple[int, int], height: int,
     return out
 
 
-def _propagate_array(
-    field: np.ndarray, pitch_x: float, pitch_y: float, wavelength: float, z: float, pad: bool,
-    *, spectrum: np.ndarray | None = None, transfer: tuple[np.ndarray, np.ndarray] | None = None,
-) -> np.ndarray:
-    """P_z of a real field, cropped to its grid. With padding the mean
-    advances as a plane wave and the zero-mean remainder is padded. A caller
-    propagating one field to many planes passes its ``_half_spectrum`` (of
-    the zero-mean remainder when padded) as ``spectrum`` and each plane's
-    Re H and Im H from ``_sweep_transfers`` as ``transfer``.
-    """
-    height, width = field.shape
-    frame = _frame(height, width, pad)
-    mean = field.mean() if pad else 0.0
-    re_h, im_h = transfer or _transfer_array(*frame, pitch_x, pitch_y, wavelength, z)
-    if spectrum is None:
-        spectrum = _half_spectrum(field - mean if pad else field, frame)
+def _propagate_array(spectrum: np.ndarray, transfer: tuple[np.ndarray, np.ndarray],
+                     frame: tuple[int, int], height: int, width: int) -> np.ndarray:
+    """P_z of a real field, cropped to height x width, from its kx-major half
+    spectrum on the frame and the plane's Re H and Im H: two cropped inverses."""
+    re_h, im_h = transfer
     out = np.empty((height, width), dtype=np.complex128)
     out.real = _irfft2_crop(spectrum * re_h, frame, height, width)
     out.imag = _irfft2_crop(spectrum * im_h, frame, height, width)
-    if pad:
-        out += mean * np.exp(1j * 2.0 * np.pi / wavelength * z)
     return out
 
 
 def propagate(field, pitch_x: float, pitch_y: float, wavelength: float, z: float,
               pad: bool = False) -> np.ndarray:
-    """Propagate a sampled (H, W) field over distance z (negative = backward),
-    padded (``pad=True``) as ``_propagate_array`` pads each part; returns the
-    complex (H, W) field.
+    """Propagate a sampled (H, W) field over distance z (negative = backward);
+    returns the complex (H, W) field. Each part goes through
+    ``_propagate_array``; with padding (``pad=True``) its mean advances as a
+    plane wave and only its zero-mean remainder is padded.
     """
-    if not wavelength > 0:
-        raise ValueError(f"wavelength must be positive, got {wavelength}")
+    if not (np.isfinite(wavelength) and wavelength > 0):
+        raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
+    if not np.isfinite(z):
+        raise ValueError(f"distance must be finite, got {z}")
     field = _checked_samples(field, pitch_x, pitch_y, np.complex128)
-    args = (pitch_x, pitch_y, float(wavelength), float(z), pad)
-    return _propagate_array(field.real, *args) + 1j * _propagate_array(field.imag, *args)
+    height, width = field.shape
+    frame = _frame(height, width, pad)
+    wavelength, z = float(wavelength), float(z)
+    transfer = _transfer_array(*frame, pitch_x, pitch_y, wavelength, z)
+
+    def part(real: np.ndarray) -> np.ndarray:
+        mean = real.mean() if pad else 0.0
+        spectrum = _half_spectrum(real - mean if pad else real, frame)
+        out = _propagate_array(spectrum, transfer, frame, height, width)
+        if pad:
+            out += mean * np.exp(1j * 2.0 * np.pi / wavelength * z)
+        return out
+
+    return part(field.real) + 1j * part(field.imag)

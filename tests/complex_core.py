@@ -4,7 +4,8 @@ A straight transcription of the operator core before it moved to rfft2
 half spectra: full complex transforms, transfer samples built on the full
 FFT grid as the code built them then, and padding that embeds the
 zero-mean remainder at the centre of a doubled frame. Tests compare the
-production operators and ``propagation._propagate_array`` against it.
+production operators and ``propagate``, real and complex fields alike,
+against it.
 """
 
 import numpy as np

@@ -15,28 +15,46 @@ from pathlib import Path
 
 import numpy as np
 
-from holoem import propagation
+from holoem import metrics, propagation
+from holoem.forward import OpticalConfig, simulate
 from holoem.grid import RealGrid2D
 from holoem.io import load_image, load_metadata, save_image
 from holoem.metrics import ncc, ssim
 from holoem.operators import stack_adjoint
+from holoem.phantoms import single_slice_stack
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 TRACING = PERFBENCH / "tracing.py"
 CHILD = PERFBENCH / "child.py"
 
 
-def _traced_targets():
+def _tracing():
     spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    return module.TARGETS
+    return module
 
 
 def test_every_traced_name_resolves():
-    missing = [f"{module}.{attr}" for module, attr, _ in _traced_targets()
+    missing = [f"{module}.{attr}" for module, attr, _ in _tracing().TARGETS
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert not missing, f"names the benchmark traces are gone: {missing}"
+
+
+def test_every_scored_autofocus_plane_is_a_traced_propagation():
+    # both stages of the sweep propagate through the name the tracer wraps,
+    # so its propagate span counts every plane the focus span scores
+    cfg = OpticalConfig(675e-9, 1e-6, 128, 128, (1.0e-3,))
+    hologram = simulate(single_slice_stack(cfg, contrast=0.04), cfg)
+    tracer = _tracing().Tracer("contract")
+    tracer.install()
+    try:
+        metrics.autofocus(hologram, 0.5e-3, 1.5e-3, 15.625e-6)
+    finally:
+        tracer.restore()
+    summary = tracer.summary()
+    assert summary["metrics.focus"]["calls"] > 0
+    assert summary["propagation.propagate"]["calls"] == summary["metrics.focus"]["calls"]
 
 
 def test_transfer_cache_reports_its_counters():

@@ -237,6 +237,16 @@ def test_resolution_end_to_end(tmp_path):
     assert float(vals["axial"]) == pytest.approx(5.4e-6)
 
 
+def test_resolution_with_a_non_finite_wavelength_is_config_error(tmp_path):
+    out = tmp_path / "res"
+    code = main(["resolution", "--out", str(out),
+                 "--wavelength", "inf", "--numerical-aperture", "0.5"])
+    assert code == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["exit_code"] == 2 and "wavelength" in record["message"]
+    assert not (out / "resolution.txt").exists()
+
+
 def test_simulate_from_object_images(tmp_path, rng):
     obj = RealGrid2D(-0.04 * (rng.random((32, 32)) > 0.9), PITCH, PITCH)
     save_image(tmp_path / "obj.pfm", obj)

@@ -293,7 +293,7 @@ class TestAutofocus:
         noisy = simulate(single_slice_stack(cfg, contrast=0.04), cfg, seed=noise_seed)
         zs = 0.8e-3 + 25e-6 * np.arange(17)
         expected = _per_plane_scores(noisy, zs)
-        scores = _focus_scores(noisy)(0.8e-3, 25e-6, 17, 0.0)
+        scores = _focus_scores(noisy)(0.8e-3, 25e-6, 17, 0.0, 1)
         np.testing.assert_allclose(scores, expected, rtol=1e-12)
         assert autofocus(noisy, zs[0], zs[-1], 25e-6) == zs[int(np.argmax(expected))]
 
@@ -307,7 +307,7 @@ class TestAutofocus:
         # sign flip, so a scan through z = 0 matches per-plane propagation
         zs = start + step * np.arange(count)
         expected = _per_plane_scores(anisotropic_holo, zs)
-        scores = _focus_scores(anisotropic_holo)(start, step, count, 0.0)
+        scores = _focus_scores(anisotropic_holo)(start, step, count, 0.0, 1)
         np.testing.assert_allclose(scores, expected, rtol=1e-12)
         assert autofocus(anisotropic_holo, start, zs[-1], step) == zs[int(np.argmax(expected))]
 
@@ -316,7 +316,7 @@ class TestAutofocus:
         # bound it against one transfer build per plane
         zs = 0.5e-3 + 1e-6 * np.arange(1001)
         expected = _per_plane_scores(anisotropic_holo, zs)
-        scores = _focus_scores(anisotropic_holo)(0.5e-3, 1e-6, 1001, 0.0)
+        scores = _focus_scores(anisotropic_holo)(0.5e-3, 1e-6, 1001, 0.0, 1)
         np.testing.assert_allclose(scores, expected, rtol=1e-12)
         assert np.argmax(scores) == np.argmax(expected)
 
@@ -347,12 +347,12 @@ class TestAutofocus:
         return counts
 
     def test_sweep_transforms_the_hologram_once(self, holo, monkeypatch):
-        # the benchmark reads one focus span per plane visited and one
-        # propagate span per fine plane; both stages share the hologram's
-        # transform, and only the forward helper calls numpy's forward rfft and fft
+        # the benchmark reads one focus span and one propagate span per plane
+        # visited, in either stage; both stages share the hologram's transform,
+        # and only the forward helper calls numpy's forward rfft and fft
         counts = self._count_calls(monkeypatch)
         autofocus(holo, 0.8e-3, 1.2e-3, 25e-6)  # 17 planes: 9 coarse (m = 2), 5 fine
-        assert counts == {"_propagate_array": 5, "focus_metric": 14, "_half_spectrum": 1,
+        assert counts == {"_propagate_array": 14, "focus_metric": 14, "_half_spectrum": 1,
                           "rfft": 1, "fft": 1}
 
     @pytest.mark.parametrize("seed", [None, 1, 2, 3])
@@ -505,6 +505,9 @@ class TestResolutionLimits:
             resolution_limits(675e-9, 0.0)
         with pytest.raises(ValueError):
             resolution_limits(675e-9, 1.2)
+        for wavelength in (float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="wavelength"):
+                resolution_limits(wavelength, 0.5)
 
 
 class TestQualityReport:

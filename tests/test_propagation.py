@@ -22,7 +22,6 @@ from holoem.propagation import (
     _frame,
     _half_spectrum,
     _irfft2_crop,
-    _propagate_array,
     _transfer_array,
     _transfer_grid,
     propagate,
@@ -77,23 +76,15 @@ def test_transfer_mirrored_from_half_spectrum_at_odd_and_even_sizes(shape, z):
 @pytest.mark.parametrize("shape", [(9, 6), (8, 11)])
 @pytest.mark.parametrize("pad", [False, True])
 @pytest.mark.parametrize("z", [0.7e-3, -0.7e-3])
-def test_real_field_takes_the_half_spectrum_path_exactly(rng, shape, pad, z):
-    # _propagate_array runs a real field on rfft2 half spectra, with the
-    # mean split when padded; the oracle runs it on the full complex
-    # transform and embeds the zero-mean remainder at the frame centre
-    real = rng.standard_normal(shape) + 0.7
-    px, py = PITCH, 1.3 * PITCH
-    out = _propagate_array(real, px, py, WAVELENGTH, z, pad)
-    expected = oracle_propagate(real, px, py, WAVELENGTH, z, pad)
-    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
-
-
-@pytest.mark.parametrize("shape", [(9, 6), (8, 11)])
-@pytest.mark.parametrize("pad", [False, True])
-@pytest.mark.parametrize("z", [0.7e-3, -0.7e-3])
-def test_complex_field_on_the_spectra_of_its_parts(rng, shape, pad, z):
-    # propagate takes a + j b as P_z a + j P_z b, each part on its own half spectrum
-    data = rng.standard_normal(shape) + 0.7 + 1j * (rng.standard_normal(shape) - 0.4)
+@pytest.mark.parametrize("imaginary", [True, False], ids=["complex", "real"])
+def test_complex_field_on_the_spectra_of_its_parts(rng, shape, pad, z, imaginary):
+    # propagate takes a + j b as P_z a + j P_z b, each part on its own rfft2
+    # half spectrum with the mean split when padded; the oracle runs the
+    # field on the full complex transform and embeds the zero-mean remainder
+    # at the frame centre
+    data = rng.standard_normal(shape) + 0.7
+    if imaginary:
+        data = data + 1j * (rng.standard_normal(shape) - 0.4)
     px, py = PITCH, 1.3 * PITCH
     out = propagate(data, px, py, WAVELENGTH, z, pad=pad)
     expected = oracle_propagate(data, px, py, WAVELENGTH, z, pad)
@@ -210,7 +201,8 @@ def test_padded_matches_manual_embed(rng):
 
 def test_propagate_validation(rng):
     # checked where the field enters: a 2-D field of at least 2x2 finite
-    # samples, a positive finite pitch and a positive wavelength
+    # samples, a positive finite pitch and wavelength, and a finite distance,
+    # as OpticalConfig checks its own optics
     f = _random_field(rng, shape=(4, 4))
     with pytest.raises(ValueError, match="wavelength"):
         propagate(f, PITCH, PITCH, -WAVELENGTH, 1e-3)
@@ -223,6 +215,12 @@ def test_propagate_validation(rng):
         _propagate(f, 1e-3)
     with pytest.raises(ValueError, match="pitch"):
         propagate(np.ones((4, 4)), PITCH, float("inf"), WAVELENGTH, 1e-3)
+    for wavelength in (float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="wavelength"):
+            propagate(np.ones((4, 4)), PITCH, PITCH, wavelength, 1e-3)
+    for z in (float("nan"), float("inf"), -float("inf")):
+        with pytest.raises(ValueError, match="distance"):
+            propagate(np.ones((4, 4)), PITCH, PITCH, WAVELENGTH, z)
 
 
 sizes = st.integers(2, 40)

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import ReconTrace, _iterate, _joined, _resolve_tau, _truth_parts
+from .em import ReconTrace, _iterate, _joined, _norm, _resolve_tau, _truth_parts
 # no longer called here; kept as module names that perfbench/tracing.py wraps
 from .em import _tv_gradient_array, tv_value  # noqa: F401
 from .forward import Hologram, OpticalConfig, _stack_optics
@@ -53,11 +53,11 @@ def estimate_step_size(config: OpticalConfig) -> float:
     optics = _stack_optics(config)
     rng = np.random.Generator(np.random.Philox(0))
     v = rng.standard_normal((config.n_slices,) + config.grid_shape)
-    v /= np.linalg.norm(v)
+    v /= _norm(v)
     lam_max = 0.0
     for _ in range(20):
         u = stack_adjoint(stack_forward(v, *optics), *optics, real=True)
-        lam_max = float(np.linalg.norm(u))
+        lam_max = _norm(u)
         if lam_max == 0.0:
             raise ValueError("power iteration collapsed to zero; operator is degenerate")
         v = u / lam_max

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import ctypes
+import inspect
+import json
 import logging
 import os
 import resource
@@ -183,9 +185,10 @@ class RunConfig:
     pad: bool = _key("bool", "zero-pad propagations to twice the grid", True, modes=_OPTICS)
     phantom: str | None = _key(
         "str", "built-in object: multi-depth, single or complex", modes=_SIM)
-    contrast: float = _key("float", "phantom absorption contrast", 0.04, modes=_SIM)
-    phase_contrast: float = _key(
-        "float", "phantom phase contrast (complex phantom)", 0.05, modes=_SIM)
+    contrast: float | None = _key(
+        "float", "phantom absorption contrast (default: the phantom's own)", modes=_SIM)
+    phase_contrast: float | None = _key(
+        "float", "phantom phase contrast, complex phantom (default: its own)", modes=_SIM)
     objects: tuple[str, ...] | None = _key(
         "paths", "comma-separated per-slice object images", modes=_SIM)
     input: str | None = _key("path", "input hologram image", modes=_LOAD + ("metrics",))
@@ -347,15 +350,20 @@ def _optical_config(cfg: RunConfig, meta: dict[str, str], width: int,
 
 
 def _phantom_stack(cfg: RunConfig, optics: OpticalConfig) -> np.ndarray:
-    kind = cfg.phantom
-    if kind == "multi-depth":
-        return multi_depth_stack(optics, contrast=cfg.contrast)
-    if kind == "single":
-        return single_slice_stack(optics, contrast=cfg.contrast)
-    if kind == "complex":
-        return complex_stack(optics, absorb_contrast=cfg.contrast,
-                             phase_contrast=cfg.phase_contrast)
-    raise ConfigError(f"unknown phantom {kind!r} (multi-depth, single or complex)")
+    """The built-in object. A contrast key left unset takes the phantom's own
+    default, which goes into cfg so that the manifest records it."""
+    builders = {"multi-depth": (multi_depth_stack, {"contrast": "contrast"}),
+                "single": (single_slice_stack, {"contrast": "contrast"}),
+                "complex": (complex_stack, {"contrast": "absorb_contrast",
+                                            "phase_contrast": "phase_contrast"})}
+    if cfg.phantom not in builders:
+        raise ConfigError(f"unknown phantom {cfg.phantom!r} (multi-depth, single or complex)")
+    build, names = builders[cfg.phantom]
+    own = inspect.signature(build).parameters
+    for key, name in names.items():
+        if getattr(cfg, key) is None:
+            setattr(cfg, key, own[name].default)
+    return build(optics, **{name: getattr(cfg, key) for key, name in names.items()})
 
 
 def _object_stack(cfg: RunConfig, optics: OpticalConfig) -> np.ndarray:
@@ -418,22 +426,13 @@ def _load_truth(cfg: RunConfig, optics: OpticalConfig, complex_mode: bool) -> np
 
 
 def _quality_json(estimate: np.ndarray, truth: np.ndarray, complex_mode: bool) -> str:
-    import json
-
     def _norm_report(a, b):
         an, bn = display_normalize(a), display_normalize(b)
         return {"ssim": ssim(an, bn, peak=1.0), "psnr_db": psnr(an, bn, peak=1.0)}
 
-    out = {"normalized": True, "slices": []}
-    for est, tru in zip(estimate, truth):
-        if complex_mode:
-            out["slices"].append({
-                "real": _norm_report(est.real, tru.real),
-                "imag": _norm_report(est.imag, tru.imag),
-            })
-        else:
-            out["slices"].append(_norm_report(est, tru))
-    return json.dumps(out, indent=2)
+    slices = [{"real": _norm_report(est.real, tru.real), "imag": _norm_report(est.imag, tru.imag)}
+              if complex_mode else _norm_report(est, tru) for est, tru in zip(estimate, truth)]
+    return json.dumps({"normalized": True, "slices": slices}, indent=2)
 
 
 def _upper_bound(cfg: RunConfig, optics: OpticalConfig) -> np.ndarray | None:
@@ -466,13 +465,11 @@ def _run_reconstruct(cfg: RunConfig, out: Path, manifest: _Manifest) -> int:
     manifest.record("stop_reason", trace.stop_reason)
     manifest.record("step_halvings", trace.step_halvings)
 
-    images = []
-    for i, s in enumerate(estimate):
-        if complex_mode:
-            images.append((f"slice_{i:02d}_amplitude.pfm", np.abs(s)))
-            images.append((f"slice_{i:02d}_phase.pfm", np.angle(s)))
-        else:
-            images.append((f"slice_{i:02d}.pfm", s))
+    if complex_mode:
+        images = [(f"slice_{i:02d}_{name}.pfm", part(s)) for i, s in enumerate(estimate)
+                  for name, part in (("amplitude", np.abs), ("phase", np.angle))]
+    else:
+        images = [(f"slice_{i:02d}.pfm", s) for i, s in enumerate(estimate)]
     _save_all(out, images, optics, manifest)
     trace_path = write_trace(out / "trace.csv", trace)
     manifest.outputs([trace_path])

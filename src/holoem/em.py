@@ -27,7 +27,7 @@ TV is the isotropic sum sum sqrt((d_x w)^2 + (d_y w)^2) with forward
 differences and replicated edges; its gradient uses the smoothed
 magnitude sqrt(|grad w|^2 + eps^2) and is the exact gradient of the
 smoothed functional (forward-difference operator and its exact adjoint).
-The loop takes both from one pass over each new iterate's differences:
+The loop takes both from one pass over the whole estimate's differences:
 the value, sum sqrt(dx^2 + dy^2) of the squares the gradient smooths,
 goes into the trace row, and the gradient into the next step.
 
@@ -47,8 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forward import Hologram, OpticalConfig, _stack_optics
-from .metrics import _forward_diffs, _ssim_reference, _SsimReference, display_normalize
-from .metrics import _ssim_test as _ssim
+from .metrics import _forward_diffs, _forward_diffs_adjoint, _ssim_reference, _SsimReference
+from .metrics import _ssim_test as _ssim, display_normalize
 from .operators import stack_adjoint, stack_forward
 
 logger = logging.getLogger(__name__)
@@ -181,37 +181,34 @@ def _ratio_residual(g: np.ndarray, ghat: np.ndarray, floor: float) -> np.ndarray
     return 1.0 - g / np.maximum(ghat, floor)
 
 
+def _norm(x: np.ndarray) -> float:
+    """Euclidean norm in one thread (BLAS's threaded dot can stall a small shared host)."""
+    return float(np.sqrt(np.einsum("i,i->", x.ravel(), x.ravel())))
+
+
 def _tv_sum(sq: np.ndarray) -> float:
-    """TV from the squared forward-difference magnitudes dx^2 + dy^2."""
-    return float(np.sum(np.sqrt(sq)))
+    """TV from squared forward-difference magnitudes: each image's sum, in index order."""
+    return sum(np.sum(np.sqrt(sq), axis=(-2, -1)).ravel().tolist())
 
 
 def tv_value(w: np.ndarray) -> float:
-    """Isotropic total variation with forward differences, replicated edges."""
+    """Isotropic TV with forward differences and replicated edges, summed over (..., H, W)."""
     dx, dy = _forward_diffs(w)
     return _tv_sum(dx * dx + dy * dy)
 
 
 def _tv_gradient_array(w: np.ndarray, epsilon: float) -> tuple[float, np.ndarray]:
-    """TV value and the exact gradient of the smoothed TV, from one set of
-    forward differences.
-
-    The gradient is minus the divergence of the normalized gradient field,
-    with the forward-difference operator's adjoint boundary.
-    """
+    """TV value and the exact gradient of the smoothed TV of (..., H, W) images from
+    one set of forward differences: grad^T (grad w / sqrt(|grad w|^2 + epsilon^2))."""
     dx, dy = _forward_diffs(w)
-    sq = dx * dx + dy * dy
+    sq = dx * dx
+    sq += dy * dy
     value = _tv_sum(sq)
     sq += epsilon * epsilon
     phi = np.sqrt(sq, out=sq)
     dx /= phi
     dy /= phi
-    out = np.zeros_like(w)
-    out[:, 1:] += dx[:, :-1]
-    out[:, :-1] -= dx[:, :-1]
-    out[1:, :] += dy[:-1, :]
-    out[:-1, :] -= dy[:-1, :]
-    return value, out
+    return value, _forward_diffs_adjoint(dx, dy)
 
 
 def _em_update(w, grad, tv_grad, tau: float, bound, beta: float) -> np.ndarray:
@@ -240,12 +237,6 @@ def _trace_ssim(w: np.ndarray, truth_parts: list[_SsimReference] | None) -> floa
         return None
     slices = w.reshape(-1, *w.shape[-2:])
     return float(np.mean([_ssim(display_normalize(s), t) for s, t in zip(slices, truth_parts)]))
-
-
-def _tv_pass(w: np.ndarray, eps: float) -> tuple[float, np.ndarray]:
-    """TV summed over every slice of every part, and its gradient, shaped like w."""
-    passes = [_tv_gradient_array(s, eps) for s in w.reshape(-1, *w.shape[-2:])]
-    return sum(v for v, _ in passes), np.stack([grad for _, grad in passes]).reshape(w.shape)
 
 
 def _resolve_tau(g: np.ndarray, params) -> float:
@@ -295,7 +286,7 @@ def _iterate(
     eps = _resolve_epsilon(w)
     trace = ReconTrace()
     prev, resid = data_term(stack_forward(_joined(w), *optics))
-    _, tv_grad = _tv_pass(w, eps)
+    _, tv_grad = _tv_gradient_array(w, eps)
     consecutive_up = 0
 
     for k in range(1, max_iters + 1):
@@ -318,13 +309,12 @@ def _iterate(
             )
 
         converged = stop_delta is not None and (
-            np.linalg.norm(new - w) / max(np.linalg.norm(w), np.finfo(np.float64).tiny)
-            < stop_delta)
+            _norm(new - w) / max(_norm(w), np.finfo(np.float64).tiny) < stop_delta)
         w = new
         del adj, grad, new  # not alive through the forward map and the trace
 
         value, resid = data_term(stack_forward(_joined(w), *optics))
-        tv_now, tv_grad = _tv_pass(w, eps)
+        tv_now, tv_grad = _tv_gradient_array(w, eps)
         millis = (time.perf_counter() - t0) * 1e3
         trace.append(k, value, tv_now, _trace_ssim(w, truth_parts), millis)
 

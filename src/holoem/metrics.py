@@ -242,12 +242,22 @@ def median_filter(image, size: int = 3) -> np.ndarray:
 
 
 def _forward_diffs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Forward differences along x and y, zero in the last column and row."""
+    """Forward differences along x and y of (..., H, W) images, zero in the last column and row."""
     dx = np.zeros_like(w)
     dy = np.zeros_like(w)
-    dx[:, :-1] = w[:, 1:] - w[:, :-1]
-    dy[:-1, :] = w[1:, :] - w[:-1, :]
+    np.subtract(w[..., 1:], w[..., :-1], out=dx[..., :-1])
+    np.subtract(w[..., 1:, :], w[..., :-1, :], out=dy[..., :-1, :])
     return dx, dy
+
+
+def _forward_diffs_adjoint(px: np.ndarray, py: np.ndarray) -> np.ndarray:
+    """The exact adjoint of :func:`_forward_diffs`, taking (px, py) back to (..., H, W)."""
+    out = np.zeros_like(px)
+    out[..., 1:] += px[..., :-1]
+    out[..., :-1] -= px[..., :-1]
+    out[..., 1:, :] += py[..., :-1, :]
+    out[..., :-1, :] -= py[..., :-1, :]
+    return out
 
 
 def focus_metric(amplitude) -> float:

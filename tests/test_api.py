@@ -109,3 +109,17 @@ def test_every_import_is_used():
                 if name not in used:
                     unused.append(f"{path.name}:{node.lineno} {name}")
     assert not unused, f"imported names the module never uses: {unused}"
+
+
+def test_no_blas_reductions():
+    # np.linalg, dot, vdot, matmul and @ go through BLAS, whose threaded
+    # reductions stall for milliseconds a call on a small shared host; the
+    # source reduces with single-threaded numpy instead
+    calls = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("linalg", "dot", "vdot", "matmul")
+                    or isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "")
+                    or isinstance(getattr(node, "op", None), ast.MatMult)):
+                calls.append(f"{path.name}:{node.lineno}")
+    assert not calls, f"BLAS calls in the source: {calls}"

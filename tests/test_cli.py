@@ -22,6 +22,7 @@ from holoem.cli import (MODES, RunConfig, _build_parser, _Manifest, format_lengt
                         parse_length)
 from holoem.grid import RealGrid2D
 from holoem.io import ConfigError, load_image, load_key_values, save_image
+from holoem.phantoms import complex_stack
 
 from conftest import PITCH
 
@@ -126,10 +127,25 @@ def test_simulate_writes_expected_files(tmp_path):
     assert holo.pitch_x == pytest.approx(1.12e-6)
 
 
-def test_complex_phantom_writes_imaginary_truth(tmp_path):
+@pytest.mark.parametrize("flags,contrasts", [
+    ((), {}),
+    (("--contrast", "0.03", "--phase-contrast", "0.02"),
+     {"absorb_contrast": 0.03, "phase_contrast": 0.02})])
+def test_complex_phantom_is_the_library_object(tmp_path, flags, contrasts):
+    # the truth carries an imaginary part; with no contrast flag the CLI builds
+    # complex_stack(cfg)'s own object (the one the acceptance criteria test),
+    # and explicit flags override it
     out = tmp_path / "sim"
-    assert main(simulate_args(out, ["--phantom", "complex"])) == 0
-    assert (out / "truth_00_im.pfm").exists()
+    assert main(simulate_args(out, ["--phantom", "complex", *flags])) == 0
+    cfg = forward.OpticalConfig(675e-9, 1.12e-6, 64, 64, (1e-3,))
+    obj = complex_stack(cfg, **contrasts)[0]
+    for part, name in ((obj.real, "re"), (obj.imag, "im")):
+        saved = load_image(out / f"truth_00_{name}.pfm").data
+        assert saved.tobytes() == part.astype(np.float32).astype(saved.dtype).tobytes(), name
+    again = tmp_path / "again"
+    assert main(["simulate", "--config", str(out / "manifest.txt"), "--out", str(again)]) == 0
+    for name in ("hologram.pfm", "truth_00_re.pfm", "truth_00_im.pfm"):
+        assert (again / name).read_bytes() == (out / name).read_bytes(), name
 
 
 def test_reconstruct_real_end_to_end(tmp_path):

@@ -150,8 +150,9 @@ def test_nll_gradient_where_some_predictions_fall_below_the_floor(rng):
 @given(_sizes, _sizes, st.integers(1, 5), st.booleans(), _seeds)
 def test_tv_gradient_of_the_loop_matches_finite_differences(height, width, n_slices,
                                                             complex_slices, seed):
-    # the TV gradient _iterate takes: _tv_gradient_array per slice of each
-    # part; TV acts on the samples, so pitch and padding do not enter
+    # the TV gradient _iterate takes: _tv_gradient_array on the whole
+    # (parts, slices, H, W) estimate; TV acts on the samples, so pitch and
+    # padding do not enter
     rng = np.random.Generator(np.random.Philox(seed))
     eps = 0.05
     shape = (n_slices, height, width)
@@ -167,8 +168,40 @@ def test_tv_gradient_of_the_loop_matches_finite_differences(height, width, n_sli
     def objective(ps):
         return sum(smoothed(s) for p in ps for s in p)
 
-    grads = [np.stack([em._tv_gradient_array(s, eps)[1] for s in p]) for p in parts]
+    grads = list(em._tv_gradient_array(np.stack(parts), eps)[1])
     _directional_check(objective, parts, grads, rng)
+
+
+_estimate_shapes = st.tuples(st.integers(1, 2), st.integers(1, 5), _sizes, _sizes)
+
+
+@settings(max_examples=60)
+@given(_estimate_shapes, _seeds)
+def test_forward_diffs_adjoint_identity(shape, seed):
+    # <grad w, p> = <w, grad^T p> over whole (parts, slices, H, W) estimates
+    rng = np.random.Generator(np.random.Philox(seed))
+    w, px, py = (rng.standard_normal(shape) for _ in range(3))
+    dx, dy = metrics._forward_diffs(w)
+    terms = np.concatenate([(dx * px).ravel(), (dy * py).ravel()])
+    rhs = float(np.sum(w * metrics._forward_diffs_adjoint(px, py)))
+    assert abs(float(np.sum(terms)) - rhs) <= 1e-12 * float(np.sum(np.abs(terms)))
+
+
+@settings(max_examples=60)
+@given(_estimate_shapes, _seeds)
+def test_whole_estimate_tv_equals_per_image_calls(shape, seed):
+    # one call on the whole estimate is the per-image calls stacked, bit for
+    # bit: values summed left to right in index order, gradients in place
+    rng = np.random.Generator(np.random.Philox(seed))
+    w = rng.standard_normal(shape)
+    value, grad = em._tv_gradient_array(w, 0.05)
+    per_image = [em._tv_gradient_array(image, 0.05) for image in w.reshape(-1, *shape[-2:])]
+    expected = 0.0
+    for v, _ in per_image:
+        expected += v
+    assert value == expected
+    assert tv_value(w) == expected
+    assert grad.tobytes() == np.stack([g for _, g in per_image]).tobytes()
 
 
 def test_predicted_intensity_does_not_clamp():
@@ -474,8 +507,9 @@ def _counting(monkeypatch, module, name, counts):
 
 @pytest.mark.parametrize("solve,n_parts", [(reconstruct_real, 1), (reconstruct_complex, 2)])
 def test_one_tv_pass_per_iterate_and_truth_side_ssim_once(bound64, monkeypatch, solve, n_parts):
-    # forward differences once per slice of each iterate, the start included;
-    # SSIM windows: two per truth slice per run, three per slice per traced row
+    # forward differences once per iterate on the whole estimate, the start
+    # included; SSIM windows: two per truth slice per run, three per slice per
+    # traced row
     _, truth, holo = bound64
     counts = {"_forward_diffs": 0, "_windowed": 0}
     _counting(monkeypatch, em, "_forward_diffs", counts)
@@ -484,7 +518,7 @@ def test_one_tv_pass_per_iterate_and_truth_side_ssim_once(bound64, monkeypatch, 
     _, trace = solve(holo, ReconParams(max_iters=iters, init_mode="constant"),
                      ground_truth=truth)
     assert len(trace) == iters
-    assert counts == {"_forward_diffs": n_parts * (iters + 1),
+    assert counts == {"_forward_diffs": iters + 1,
                       "_windowed": 2 * n_parts + 3 * n_parts * iters}
 
 

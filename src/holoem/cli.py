@@ -9,9 +9,10 @@ resolved parameters, seeds and output files; feeding the manifest back as
 --config reproduces the run bit-identically (measured times and memory aside).
 
 Exit codes: 0 success, 2 configuration error, 3 numeric failure
-(divergence or non-finite iterates), 4 I/O failure. Every failure after
-the command line parses, an unreadable or invalid config document
-included, also leaves an ``error.json`` in the output directory.
+(divergence, non-finite iterates, or an estimate beyond float32 range),
+4 I/O failure. Every failure after the command line parses, an
+unreadable or invalid config document included, also leaves an
+``error.json`` in the output directory.
 """
 
 from __future__ import annotations
@@ -464,6 +465,10 @@ def _run_reconstruct(cfg: RunConfig, out: Path, manifest: _Manifest) -> int:
     estimate, trace = solve(holo, params, ground_truth=truth)
     manifest.record("stop_reason", trace.stop_reason)
     manifest.record("step_halvings", trace.step_halvings)
+    largest = float(np.abs(estimate).max())
+    if largest > float(np.finfo(np.float32).max):
+        raise NumericError(f"estimate magnitude {largest:.6g} exceeds the float32 range "
+                           "of its images; no slice written")
 
     if complex_mode:
         images = [(f"slice_{i:02d}_{name}.pfm", part(s)) for i, s in enumerate(estimate)

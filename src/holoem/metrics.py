@@ -1,7 +1,8 @@
 """Image-quality and focus metrics.
 
 SSIM follows the standard structural-similarity definition: an 11x11
-Gaussian window with sigma = 1.5, stability constants K1 = 0.01 and
+Gaussian window with sigma = 1.5, applied in real space as its 11
+separable taps along each axis, stability constants K1 = 0.01 and
 K2 = 0.03 relative to the dynamic range, moments taken as plain weighted
 averages, and the mean taken over fully valid windows only. PSNR and SSIM
 use the peak of the reference image unless an explicit peak is given; a
@@ -18,7 +19,6 @@ from __future__ import annotations
 import json
 import logging
 from dataclasses import asdict, dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -45,6 +45,9 @@ SSIM_WINDOW = 11
 SSIM_SIGMA = 1.5
 SSIM_K1 = 0.01
 SSIM_K2 = 0.03
+_SSIM_TAPS = np.exp(-0.5 / SSIM_SIGMA**2 * (np.arange(SSIM_WINDOW) - SSIM_WINDOW // 2) ** 2)
+_SSIM_TAPS /= _SSIM_TAPS.sum()
+_SSIM_TAPS.setflags(write=False)
 
 
 def _as_array(image) -> np.ndarray:
@@ -95,30 +98,12 @@ def psnr(test, reference, peak: float | None = None) -> float:
     return float(10.0 * np.log10(peak**2 / err))
 
 
-@lru_cache(maxsize=4)
-def _window_spectrum(height: int, width: int) -> np.ndarray:
-    """rfft2 of the normalized 11x11 Gaussian window at the corner of a
-    height x width frame, read-only."""
-    x = np.arange(SSIM_WINDOW) - SSIM_WINDOW // 2
-    g = np.exp(-0.5 / SSIM_SIGMA**2 * x**2)
-    g /= g.sum()
-    frame = np.zeros((height, width))
-    frame[:SSIM_WINDOW, :SSIM_WINDOW] = np.outer(g, g)
-    spectrum = np.fft.rfft2(frame)
-    spectrum.setflags(write=False)
-    return spectrum
-
-
 def _windowed(img: np.ndarray) -> np.ndarray:
-    """Means under the normalized 11x11 Gaussian window, over fully valid windows.
-
-    A circular convolution with the window at the frame's corner: from row
-    and column 10 on, each output is the mean of the window ending there,
-    which wraps nowhere; the rows and columns before are cropped.
-    """
-    spectrum = np.fft.rfft2(img)
-    spectrum *= _window_spectrum(*img.shape)
-    return np.fft.irfft2(spectrum, s=img.shape)[SSIM_WINDOW - 1:, SSIM_WINDOW - 1:]
+    """Means under the normalized 11x11 Gaussian window, over fully valid windows:
+    the window's 11 separable taps along the rows, then along the columns."""
+    view = np.lib.stride_tricks.sliding_window_view
+    rows = np.einsum("ijk,k->ij", view(img, SSIM_WINDOW, axis=1), _SSIM_TAPS)
+    return np.einsum("ijk,k->ij", view(rows, SSIM_WINDOW, axis=0), _SSIM_TAPS)
 
 
 @dataclass(frozen=True)

@@ -111,15 +111,26 @@ def test_every_import_is_used():
     assert not unused, f"imported names the module never uses: {unused}"
 
 
+def _optimized_einsum(call: ast.Call) -> bool:
+    """An einsum call that passes ``optimize`` (or keywords it cannot see)."""
+    name = getattr(call.func, "attr", getattr(call.func, "id", None))
+    return name == "einsum" and any(k.arg in ("optimize", None) for k in call.keywords)
+
+
 def test_no_blas_reductions():
-    # np.linalg, dot, vdot, matmul and @ go through BLAS, whose threaded
-    # reductions stall for milliseconds a call on a small shared host; the
-    # source reduces with single-threaded numpy instead
+    # np.linalg, dot, vdot, inner, tensordot, matmul and @ go through BLAS,
+    # whose threaded reductions stall for milliseconds a call on a small
+    # shared host, and an optimized einsum may hand its contraction to
+    # tensordot; the source reduces with single-threaded numpy instead
+    blas = ("linalg", "dot", "vdot", "inner", "tensordot", "matmul")
     calls = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
-            if (isinstance(node, ast.Attribute) and node.attr in ("linalg", "dot", "vdot", "matmul")
-                    or isinstance(node, ast.ImportFrom) and "linalg" in (node.module or "")
-                    or isinstance(getattr(node, "op", None), ast.MatMult)):
+            if (isinstance(node, ast.Attribute) and node.attr in blas
+                    or isinstance(node, ast.ImportFrom) and (
+                        "linalg" in (node.module or "")
+                        or any(alias.name in blas for alias in node.names))
+                    or isinstance(getattr(node, "op", None), ast.MatMult)
+                    or isinstance(node, ast.Call) and _optimized_einsum(node)):
                 calls.append(f"{path.name}:{node.lineno}")
     assert not calls, f"BLAS calls in the source: {calls}"

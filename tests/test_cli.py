@@ -383,6 +383,25 @@ class TestExitCodes:
         record = json.loads((out / "error.json").read_text())
         assert record["exit_code"] == 3 and record["error"] == "NumericError"
 
+    def test_estimate_beyond_float32_range_is_numeric_failure(self, tmp_path):
+        # 5000 times the default tau blows the explicit TV step up to finite
+        # values beyond 1e53, which no PFM can hold: a numeric failure, not an
+        # I/O failure, and no slice is written
+        sim = tmp_path / "sim"
+        assert main(simulate_args(sim, ["--width", "96", "--height", "96",
+                                        "--slice-distances", "0.5mm,1mm,1.25mm",
+                                        "--phantom", "multi-depth", "--model", "full",
+                                        "--noise-seed", "7"])) == 0
+        out = tmp_path / "rec"
+        code = main(["reconstruct-real", "--out", str(out), "--input", str(sim / "hologram.pfm"),
+                     "--slice-distances", "0.5mm,1mm,1.25mm", "--tau", "10", "--iters", "8"])
+        assert code == 3
+        record = json.loads((out / "error.json").read_text())
+        assert record["exit_code"] == 3 and record["error"] == "NumericError"
+        magnitude = float(record["message"].split("magnitude ")[1].split()[0])
+        assert magnitude > float(np.finfo(np.float32).max)
+        assert not list(out.glob("slice_*"))
+
     @pytest.mark.parametrize("content", [
         b"P2\n4 4\n255\n" + b"\x80" * 16,  # bad magic: an ASCII graymap
         b"P5\n4 4\n255\n" + b"\x80" * 10,  # 10 of 16 data bytes

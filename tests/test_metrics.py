@@ -93,8 +93,15 @@ class TestSsim:
         b = rng.random((20, 20))
         assert ssim(a, b, peak=1.0) == pytest.approx(ssim(b, a, peak=1.0), abs=1e-12)
 
-    @pytest.mark.parametrize("shape", [(11, 11), (12, 11), (11, 30), (40, 33), (64, 64)])
-    def test_matches_two_dimensional_window(self, rng, shape):
+    @settings(max_examples=60)
+    @given(shape=st.tuples(st.integers(11, 48), st.integers(11, 48)),
+           seed=st.integers(0, 2**32 - 1))
+    @example(shape=(11, 11), seed=0)
+    @example(shape=(12, 11), seed=0)
+    @example(shape=(11, 30), seed=0)
+    @example(shape=(40, 33), seed=0)
+    @example(shape=(64, 64), seed=0)
+    def test_matches_two_dimensional_window(self, shape, seed):
         """The separable window against the 2-D kernel convolved in 'valid' mode."""
         g = np.exp(-((np.arange(11) - 5.0) ** 2) / (2.0 * 1.5**2))
         kernel = np.outer(g, g) / np.outer(g, g).sum()
@@ -102,10 +109,15 @@ class TestSsim:
         def windowed(x):
             return scipy.signal.fftconvolve(x, kernel, mode="valid")
 
+        rng = np.random.default_rng(seed)
         a = rng.random(shape)
         b = np.clip(a + 0.2 * rng.standard_normal(shape), 0.0, 1.0)
-        c1, c2 = 0.01**2, 0.03**2
+        # the window means themselves, elementwise, for images in [0, 1]
         mu_a, mu_b = windowed(a), windowed(b)
+        for x, mu in ((a, mu_a), (b, mu_b)):
+            got = metrics._windowed(x)
+            assert got.shape == mu.shape and np.abs(got - mu).max() <= 1e-14
+        c1, c2 = 0.01**2, 0.03**2
         var_a = windowed(a * a) - mu_a**2
         var_b = windowed(b * b) - mu_b**2
         cov = windowed(a * b) - mu_a * mu_b

@@ -93,6 +93,11 @@ class TestSsim:
         b = rng.random((20, 20))
         assert ssim(a, b, peak=1.0) == pytest.approx(ssim(b, a, peak=1.0), abs=1e-12)
 
+    @pytest.mark.parametrize("shape", [(11, 11), (12, 11), (11, 30), (40, 33), (64, 64)])
+    def test_matches_two_dimensional_window(self, rng, shape):
+        """The separable window against the 2-D kernel convolved in 'valid' mode."""
+        self._check_two_dimensional_window(rng, shape)
+
     @settings(max_examples=60)
     @given(shape=st.tuples(st.integers(11, 48), st.integers(11, 48)),
            seed=st.integers(0, 2**32 - 1))
@@ -101,15 +106,18 @@ class TestSsim:
     @example(shape=(11, 30), seed=0)
     @example(shape=(40, 33), seed=0)
     @example(shape=(64, 64), seed=0)
-    def test_matches_two_dimensional_window(self, shape, seed):
-        """The separable window against the 2-D kernel convolved in 'valid' mode."""
+    def test_matches_two_dimensional_window_any_shape(self, shape, seed):
+        """The same check over odd and even, square and non-square sides."""
+        self._check_two_dimensional_window(np.random.default_rng(seed), shape)
+
+    @staticmethod
+    def _check_two_dimensional_window(rng, shape):
         g = np.exp(-((np.arange(11) - 5.0) ** 2) / (2.0 * 1.5**2))
         kernel = np.outer(g, g) / np.outer(g, g).sum()
 
         def windowed(x):
             return scipy.signal.fftconvolve(x, kernel, mode="valid")
 
-        rng = np.random.default_rng(seed)
         a = rng.random(shape)
         b = np.clip(a + 0.2 * rng.standard_normal(shape), 0.0, 1.0)
         # the window means themselves, elementwise, for images in [0, 1]

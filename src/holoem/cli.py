@@ -13,6 +13,10 @@ Exit codes: 0 success, 2 configuration error, 3 numeric failure
 4 I/O failure. Every failure after the command line parses, an
 unreadable or invalid config document included, also leaves an
 ``error.json`` in the output directory.
+
+Start-up: importing this module before numpy sets ``OPENBLAS_NUM_THREADS=1``
+unless the environment already sets it, so a CLI process starts no BLAS
+thread pool; set the variable to choose another count.
 """
 
 from __future__ import annotations
@@ -28,6 +32,11 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
+
+# holoem calls no BLAS, and numpy reads this only once, when it loads: one
+# thread spares a CLI process the start of OpenBLAS's thread pool
+if "numpy" not in sys.modules:
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -269,7 +269,11 @@ def _low_pass(frame: tuple[int, int], sigma: float) -> np.ndarray:
 def _decimated(spectrum: np.ndarray, frame: tuple[int, int], d: int):
     """A frame's kx-major half spectrum cut to the frequencies of the frame
     (f0, f1) 1/d its size: the rows kx <= f1 / 2 and the columns of the
-    frame's fftfreq that fftfreq(f0) also holds. Returns it and (f0, f1)."""
+    frame's fftfreq that fftfreq(f0) also holds. Returns it and (f0, f1);
+    at d = 1 the cut keeps every row and column, in order, so the spectrum
+    itself."""
+    if d == 1:
+        return spectrum, frame
     cut = (frame[0] // d, frame[1] // d)
     columns = np.r_[:(cut[0] + 1) // 2, frame[0] - cut[0] // 2:frame[0]]
     return spectrum[:cut[1] // 2 + 1, columns], cut

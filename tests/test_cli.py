@@ -776,8 +776,10 @@ def test_cli_process_keeps_freed_pages():
     assert int(proc.stdout) < 100
 
 
-# each mode on a 48 px hologram in one process; prints the scipy modules it loaded
+# each mode on a 48 px hologram in one process; prints the scipy modules it
+# loaded and then its OS thread count, where /proc lists the threads
 _MODES_ON_NUMPY_ALONE = """
+import os
 import sys
 from pathlib import Path
 from holoem.cli import main
@@ -788,23 +790,51 @@ runs = {
     "simulate": ["--width", "48", "--height", "48", "--slice-distances", "1mm",
                  "--phantom", "single", "--noise-seed", "1"],
     "reconstruct-real": solve + ["--reference", holo],
+    "reconstruct-complex": ["--input", holo, "--slice-distances", "1mm", "--iters", "2"],
     "baseline": solve,
     "autofocus": ["--input", holo, "--z-min", "0.9mm", "--z-max", "1.1mm", "--z-step", "0.1mm"],
     "metrics": ["--input", holo, "--truth", truth],
+    "resolution": ["--wavelength", "675nm", "--numerical-aperture", "0.5"],
 }
 for mode, flags in runs.items():
     assert main([mode, "--out", str(out / mode)] + flags) == 0, mode
 print("scipy modules:", *sorted(m for m in sys.modules if m.split(".")[0] == "scipy"))
+tasks = "/proc/self/task"
+print("threads:", len(os.listdir(tasks)) if os.path.isdir(tasks) else None)
 """
+
+
+def _fresh_env(**overrides) -> dict:
+    # the source tree on the path; OPENBLAS_NUM_THREADS only as the overrides set it
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    return {**env, "PYTHONPATH": str(Path(cli.__file__).parents[1]), **overrides}
 
 
 def test_cli_runs_without_importing_scipy(tmp_path):
     # checked after the runs, so that a lazy import cannot move the cost of
-    # scipy from start-up into the solve
-    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).parents[1])}
+    # scipy from start-up into the solve; one thread, so that no pool (OpenBLAS's
+    # or a later one) starts in a CLI process
     proc = subprocess.run([sys.executable, "-c", _MODES_ON_NUMPY_ALONE, str(tmp_path)],
-                          capture_output=True, text=True, env=env, check=True, timeout=120)
-    assert proc.stdout.splitlines()[-1] == "scipy modules:"
+                          capture_output=True, text=True, env=_fresh_env(), check=True,
+                          timeout=120)
+    scipy_modules, threads = proc.stdout.splitlines()[-2:]
+    assert scipy_modules == "scipy modules:"
+    if threads != "threads: None":
+        assert threads == "threads: 1"
+
+
+@pytest.mark.parametrize("preset, before, expected", [
+    (None, "", "1"),
+    ("3", "", "3"),
+    (None, "import numpy; ", "None"),
+])
+def test_cli_import_asks_for_one_blas_thread(preset, before, expected):
+    # only where numpy is not yet loaded, and never over the caller's own value
+    env = _fresh_env() if preset is None else _fresh_env(OPENBLAS_NUM_THREADS=preset)
+    script = before + "import os, holoem.cli; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True, timeout=60)
+    assert proc.stdout.strip() == expected
 
 
 def test_hologram_load_reads_the_sidecar_once_and_builds_one_grid(tmp_path, monkeypatch):

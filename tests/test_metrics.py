@@ -427,7 +427,8 @@ class TestAutofocus:
         autofocus(small, 0.5e-3, 1.5e-3, 10e-6)
         assert frames == {(2 * height, 2 * width)}
 
-    @pytest.mark.parametrize("frame, d", [((64, 48), 2), ((58, 40), 2), ((60, 42), 3)])
+    @pytest.mark.parametrize("frame, d", [((64, 48), 2), ((58, 40), 2), ((60, 42), 3),
+                                          ((64, 48), 1)])
     def test_decimated_spectrum_samples_a_band_limited_field(self, rng, frame, d):
         # a field with no frequency at or above 1 / (2 d) cycles per pixel is,
         # from its cut spectrum, the field sampled every d pixels (times d^2,
@@ -438,8 +439,10 @@ class TestAutofocus:
         kx = np.fft.rfftfreq(frame[1])[None, :]
         spectrum[(ky >= 0.5 / d) | (kx >= 0.5 / d)] = 0.0
         band_limited = np.fft.irfft2(spectrum, s=frame)
-        kept, cut = metrics._decimated(propagation._half_spectrum(band_limited, frame), frame, d)
+        half = propagation._half_spectrum(band_limited, frame)
+        kept, cut = metrics._decimated(half, frame, d)
         assert cut == (frame[0] // d, frame[1] // d)
+        assert (kept is half) == (d == 1)
         sampled = propagation._irfft2_crop(kept, cut, *cut)
         np.testing.assert_allclose(sampled, d * d * band_limited[::d, ::d], rtol=0, atol=1e-12)
 

@@ -173,7 +173,7 @@ class RunConfig:
     """Resolved flat run configuration (SI units throughout).
 
     Each field is one config key and, for the modes that read it, one
-    command-line flag.
+    command-line flag. Solver and optics defaults are the library records'.
     """
 
     mode: str = _key("str", "run mode", "")
@@ -186,13 +186,15 @@ class RunConfig:
     height: int | None = _key("int", "grid height in pixels", modes=_SIM)
     slice_distances: tuple[float, ...] | None = _key(
         "lengths", "comma-separated object-to-sensor distances", modes=_GEOMETRY)
-    illumination_amplitude: float = _key("float", "plane-wave amplitude A", 1.0, modes=_SIM)
+    illumination_amplitude: float = _key(
+        "float", "plane-wave amplitude A", OpticalConfig.illumination_amplitude, modes=_SIM)
     model: str = _key("str", "forward model: linear or full", "linear", modes=_SIM)
     photon_scale: float | None = _key(
         "optfloat", "photons per intensity unit ('auto' scales mean to 1e4)", modes=_SIM)
     noise_seed: int | None = _key(
         "optint", "Poisson seed; omit for a noise-free hologram", modes=_SIM)
-    pad: bool = _key("bool", "zero-pad propagations to twice the grid", True, modes=_OPTICS)
+    pad: bool = _key(
+        "bool", "zero-pad propagations to twice the grid", OpticalConfig.pad, modes=_OPTICS)
     phantom: str | None = _key(
         "str", "built-in object: multi-depth, single or complex", modes=_SIM)
     contrast: float | None = _key(
@@ -206,14 +208,16 @@ class RunConfig:
         "path", "reference illumination image (upper-bound source)", modes=_REAL)
     truth: tuple[str, ...] | None = _key(
         "paths", "ground-truth image(s)", modes=_SOLVE + ("metrics",))
-    iters: int = _key("int", "iteration count", 100, modes=_SOLVE)
+    iters: int = _key("int", "iteration count", ReconParams.max_iters, modes=_SOLVE)
     tau: float | None = _key(
         "optfloat", "TV weight ('auto' = 0.002 * mean intensity)", modes=_SOLVE)
-    beta: float = _key("float", "upper-bound relaxation factor", 0.5, modes=_REAL)
+    beta: float = _key("float", "upper-bound relaxation factor", ReconParams.beta, modes=_REAL)
     init: str = _key(
-        "str", "initialization: backpropagation or constant", "backpropagation", modes=_EM)
-    stop: str = _key("str", "stop rule: fixed_iters or relative_change", "fixed_iters", modes=_EM)
-    stop_delta: float = _key("float", "relative-change stop threshold", 1e-6, modes=_EM)
+        "str", "initialization: backpropagation or constant", ReconParams.init_mode, modes=_EM)
+    stop: str = _key(
+        "str", "stop rule: fixed_iters or relative_change", ReconParams.stop_rule, modes=_EM)
+    stop_delta: float = _key(
+        "float", "relative-change stop threshold", ReconParams.stop_delta, modes=_EM)
     z_min: float | None = _key("length", "autofocus scan start", modes=_FOCUS)
     z_max: float | None = _key("length", "autofocus scan end", modes=_FOCUS)
     z_step: float | None = _key("length", "autofocus scan step", modes=_FOCUS)
@@ -283,59 +287,40 @@ def _optic(cfg: RunConfig, meta: dict[str, str], key: str, default: float) -> fl
     return value
 
 
-class _Manifest:
-    """Ordered manifest accumulator; doubles as a rerunnable config.
-
-    A run records its outcome and outputs as it goes. Writing puts before
-    them every RunConfig key the mode reads, as ``cfg`` holds it by then,
-    with an unset 'optfloat' key written as 'auto' and any other unset key
-    skipped. Writing also adds ``wall_s``, the seconds since ``started`` (a
-    ``time.perf_counter()`` reading), and ``peak_rss_mib``, this process's
-    peak resident set size.
-    """
-
-    def __init__(self, cfg: RunConfig, started: float):
-        self.cfg = cfg
-        self.started = started
-        self.entries: dict[str, object] = {}
-
-    def record(self, key: str, value):
-        if value is None:
-            return
-        if isinstance(value, bool):
-            value = "true" if value else "false"
-        elif isinstance(value, (tuple, list)):
-            value = ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-        self.entries[key] = value
-
-    def outputs(self, paths):
-        for p in paths:
-            name = Path(p).name
-            self.entries[f"output.{Path(p).stem.replace('.', '_')}_{Path(p).suffix.lstrip('.')}"] = name
-
-    def write(self, out_dir: Path) -> Path:
-        cfg, outcome = self.cfg, self.entries
-        self.entries = {"holoem_version": __version__, "numpy_version": np.__version__}
-        self.record("mode", cfg.mode)
-        for f in fields(cfg):
-            if cfg.mode in f.metadata["modes"]:
-                value = getattr(cfg, f.name)
-                optfloat = f.metadata["kind"] == "optfloat"
-                self.record(f.name, "auto" if value is None and optfloat else value)
-        self.entries.update(outcome)
-        path = out_dir / "manifest.txt"
-        self.entries["output.manifest_txt"] = path.name
-        self.entries["wall_s"] = round(time.perf_counter() - self.started, 3)
-        peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, else KiB
-        self.entries["peak_rss_mib"] = peak / (2**20 if sys.platform == "darwin" else 2**10)
-        return write_key_values(path, self.entries)
+def _outputs(*paths) -> dict[str, str]:
+    """Manifest entries naming written files: ``output.<stem>_<suffix> = <name>``."""
+    return {f"output.{Path(p).stem.replace('.', '_')}_{Path(p).suffix.lstrip('.')}": Path(p).name
+            for p in paths}
 
 
-def _save_all(out: Path, named_arrays, optics: OpticalConfig, manifest: _Manifest):
+def _write_manifest(out: Path, cfg: RunConfig, outcome: dict, started: float) -> Path:
+    """Write the manifest, which doubles as a rerunnable config: every RunConfig
+    key the mode reads, as ``cfg`` holds it by then (an unset 'optfloat' key as
+    'auto', any other unset key skipped), then the ``outcome`` entries the run
+    recorded, then ``wall_s``, the seconds since ``started`` (a
+    ``time.perf_counter()`` reading), and ``peak_rss_mib``, this process's peak
+    resident set size."""
+    entries = {"holoem_version": __version__, "numpy_version": np.__version__, "mode": cfg.mode}
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if value is None and f.metadata["kind"] == "optfloat":
+            value = "auto"
+        if cfg.mode in f.metadata["modes"] and value is not None:
+            entries[f.name] = value
+    path = out / "manifest.txt"
+    entries.update(outcome)
+    entries.update(_outputs(path))
+    entries["wall_s"] = round(time.perf_counter() - started, 3)
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss  # bytes on macOS, else KiB
+    entries["peak_rss_mib"] = peak / (2**20 if sys.platform == "darwin" else 2**10)
+    return write_key_values(path, entries)
+
+
+def _save_all(out: Path, named_arrays, optics: OpticalConfig, outcome: dict):
     """Save (H, W) arrays as images at the run's pitch and wavelength."""
     for name, data in named_arrays:
         grid = RealGrid2D(data, optics.pitch_x, optics.pitch_y)
-        manifest.outputs(save_image(out / name, grid, wavelength=optics.wavelength))
+        outcome.update(_outputs(*save_image(out / name, grid, wavelength=optics.wavelength)))
 
 
 def _optical_config(cfg: RunConfig, meta: dict[str, str], width: int,
@@ -354,7 +339,8 @@ def _optical_config(cfg: RunConfig, meta: dict[str, str], width: int,
         width=width,
         height=height,
         slice_distances=(1.0,) if cfg.mode == "autofocus" else cfg.slice_distances,
-        illumination_amplitude=cfg.illumination_amplitude if cfg.mode == "simulate" else 1.0,
+        illumination_amplitude=(cfg.illumination_amplitude if cfg.mode == "simulate"
+                                else OpticalConfig.illumination_amplitude),
         pad=cfg.pad,
     )
 
@@ -393,7 +379,7 @@ def _load_on_grid(path, optics: OpticalConfig) -> np.ndarray:
     return data
 
 
-def _run_simulate(cfg: RunConfig, out: Path, manifest: _Manifest) -> int:
+def _run_simulate(cfg: RunConfig, out: Path, outcome: dict) -> int:
     cfg.require("width", "height", "slice_distances")
     _check_dims(cfg.width, cfg.height, "configured grid", ConfigError)  # as the reader limits it
     optics = _optical_config(cfg, {}, cfg.width, cfg.height)
@@ -406,7 +392,7 @@ def _run_simulate(cfg: RunConfig, out: Path, manifest: _Manifest) -> int:
         images.append((f"truth_{i:02d}_re.pfm", s.real))
         if np.any(s.imag != 0.0):
             images.append((f"truth_{i:02d}_im.pfm", s.imag))
-    _save_all(out, images, optics, manifest)
+    _save_all(out, images, optics, outcome)
     print(f"simulated {optics.width}x{optics.height} hologram, "
           f"{optics.n_slices} slice(s), wavelength {format_length(optics.wavelength)}")
     return 0
@@ -451,7 +437,7 @@ def _upper_bound(cfg: RunConfig, optics: OpticalConfig) -> np.ndarray | None:
     return apply_reference_illumination(_load_on_grid(cfg.reference, optics))
 
 
-def _run_reconstruct(cfg: RunConfig, out: Path, manifest: _Manifest) -> int:
+def _run_reconstruct(cfg: RunConfig, out: Path, outcome: dict) -> int:
     """reconstruct-real, reconstruct-complex and baseline: solve, then one output tail."""
     holo = _load_hologram(cfg)
     optics = holo.config
@@ -460,20 +446,16 @@ def _run_reconstruct(cfg: RunConfig, out: Path, manifest: _Manifest) -> int:
         params = BaselineParams(max_iters=cfg.iters, tau=cfg.tau)
         solve = baseline_reconstruct
     else:
-        if complex_mode and cfg.reference is not None:
-            raise ConfigError("the upper bound (reference) applies to real mode only")
-        # only real mode reads the upper bound and the beta that relaxes it
-        bound = {} if complex_mode else {"beta": cfg.beta,
-                                         "upper_bound": _upper_bound(cfg, optics)}
+        # only real mode reads beta; ReconParams refuses a complex-mode bound
+        beta = {} if complex_mode else {"beta": cfg.beta}
         params = ReconParams(
             max_iters=cfg.iters, tau=cfg.tau, init_mode=cfg.init, stop_rule=cfg.stop,
-            stop_delta=cfg.stop_delta, **bound,
+            stop_delta=cfg.stop_delta, upper_bound=_upper_bound(cfg, optics), **beta,
         )
         solve = reconstruct_complex if complex_mode else reconstruct_real
     truth = _load_truth(cfg, optics, complex_mode)
     estimate, trace = solve(holo, params, ground_truth=truth)
-    manifest.record("stop_reason", trace.stop_reason)
-    manifest.record("step_halvings", trace.step_halvings)
+    outcome.update(stop_reason=trace.stop_reason, step_halvings=trace.step_halvings)
     largest = float(np.abs(estimate).max())
     if largest > float(np.finfo(np.float32).max):
         raise NumericError(f"estimate magnitude {largest:.6g} exceeds the float32 range "
@@ -484,13 +466,12 @@ def _run_reconstruct(cfg: RunConfig, out: Path, manifest: _Manifest) -> int:
                   for name, part in (("amplitude", np.abs), ("phase", np.angle))]
     else:
         images = [(f"slice_{i:02d}.pfm", s) for i, s in enumerate(estimate)]
-    _save_all(out, images, optics, manifest)
-    trace_path = write_trace(out / "trace.csv", trace)
-    manifest.outputs([trace_path])
+    _save_all(out, images, optics, outcome)
+    outcome.update(_outputs(write_trace(out / "trace.csv", trace)))
     if truth is not None:
         qpath = out / "quality.json"
         qpath.write_text(_quality_json(estimate, truth, complex_mode), encoding="utf-8")
-        manifest.outputs([qpath])
+        outcome.update(_outputs(qpath))
 
     if trace.stop_reason == "diverged":
         write_error_record(out, 3, "Divergence",
@@ -502,33 +483,33 @@ def _run_reconstruct(cfg: RunConfig, out: Path, manifest: _Manifest) -> int:
     return 0
 
 
-def _run_autofocus(cfg: RunConfig, out: Path, manifest: _Manifest) -> int:
+def _run_autofocus(cfg: RunConfig, out: Path, outcome: dict) -> int:
     cfg.require("input", "z_min", "z_max", "z_step")
     best = autofocus(_load_hologram(cfg), cfg.z_min, cfg.z_max, cfg.z_step)
-    manifest.outputs([write_key_values(out / "autofocus.txt", {"best_z": best})])
+    outcome.update(_outputs(write_key_values(out / "autofocus.txt", {"best_z": best})))
     print(f"best focus at {format_length(best)}")
     return 0
 
 
-def _run_metrics(cfg: RunConfig, out: Path, manifest: _Manifest) -> int:
+def _run_metrics(cfg: RunConfig, out: Path, outcome: dict) -> int:
     cfg.require("input", "truth")
     if len(cfg.truth) != 1:
         raise ConfigError("metrics mode takes exactly one truth image")
     report = quality_report(load_image(cfg.input).data, load_image(cfg.truth[0]).data, cfg.peak)
     qpath = out / "quality.json"
     qpath.write_text(report.to_json() + "\n", encoding="utf-8")
-    manifest.outputs([qpath])
+    outcome.update(_outputs(qpath))
     print(f"mse {report.mse:.6g}  psnr {report.psnr_db:.2f} dB  "
           f"ssim {report.ssim:.4f}  ssim(median) {report.ssim_after_median:.4f}")
     return 0
 
 
-def _run_resolution(cfg: RunConfig, out: Path, manifest: _Manifest) -> int:
+def _run_resolution(cfg: RunConfig, out: Path, outcome: dict) -> int:
     cfg.require("numerical_aperture")
     wavelength = _optic(cfg, {}, "wavelength", DEFAULT_WAVELENGTH)
     lateral, axial = resolution_limits(wavelength, cfg.numerical_aperture)
     result = write_key_values(out / "resolution.txt", {"lateral": lateral, "axial": axial})
-    manifest.outputs([result])
+    outcome.update(_outputs(result))
     print(f"lateral resolution {format_length(lateral)}, axial {format_length(axial)}")
     return 0
 
@@ -562,9 +543,9 @@ def run(args: argparse.Namespace, started: float) -> int:
         cfg.update({key[len("key_"):]: value for key, value in vars(args).items()
                     if key.startswith("key_") and value is not None}, where="<flags>")
         out.mkdir(parents=True, exist_ok=True)
-        manifest = _Manifest(cfg, started)
-        code = _RUNNERS[cfg.mode](cfg, out, manifest)
-        manifest.write(out)
+        outcome: dict[str, object] = {}  # entries each runner records as it goes
+        code = _RUNNERS[cfg.mode](cfg, out, outcome)
+        _write_manifest(out, cfg, outcome, started)
         return code
     except (ConfigError, ValueError) as exc:
         # invalid parameter combinations surface as configuration errors

@@ -22,7 +22,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .em import ReconTrace
 from .grid import RealGrid2D
 
 logger = logging.getLogger(__name__)
@@ -306,21 +305,30 @@ def load_key_values(path) -> dict[str, str]:
     return parse_key_values(text, where=str(path))
 
 
+def _format_value(value) -> str:
+    """A value as one ``key = value`` document reads it back: a bool as
+    true/false, any float (numpy's too) by its shortest round-trip repr, a
+    tuple or list comma-joined, anything else as str."""
+    if isinstance(value, (bool, np.bool_)):
+        return "true" if value else "false"
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (tuple, list)):
+        return ",".join(_format_value(v) for v in value)
+    return str(value)
+
+
 def write_key_values(path, mapping) -> Path:
     path = Path(path)
-    lines = []
-    for key, value in mapping.items():
-        if isinstance(value, float):
-            value = repr(value)
-        lines.append(f"{key} = {value}")
+    lines = [f"{key} = {_format_value(value)}" for key, value in mapping.items()]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
-def write_trace(path, trace: ReconTrace) -> Path:
-    """Write a trace as CSV with the header ``ReconTrace.COLUMNS``."""
+def write_trace(path, trace) -> Path:
+    """Write a solver trace (``em.ReconTrace``) as CSV with the header ``trace.COLUMNS``."""
     path = Path(path)
-    rows = [",".join(ReconTrace.COLUMNS)]
+    rows = [",".join(trace.COLUMNS)]
     for i in range(len(trace)):
         s = "" if trace.ssim[i] is None else repr(trace.ssim[i])
         rows.append(

@@ -29,7 +29,7 @@ P_z(a + j b) = P_z a + j P_z b, and the autofocus sweep once per plane.
 The operators in ``operators.py`` and ``propagate`` take one-plane builds
 from ``_transfer_array``, which keeps the last 32 signed depths (numpy's
 cos is even and its sin odd, so -z builds conj H(z) bit for bit) and
-counts its builds; the autofocus sweep keeps none.
+counts its builds (holoem's one cache); the autofocus sweep keeps none.
 
 Padding is the operators' mean split: the field's mean advances as a plane
 wave, picking up exp(j k0 z), and only the zero-mean remainder is embedded
@@ -52,7 +52,6 @@ from .grid import _checked_samples
 __all__ = ["propagate"]
 
 
-@lru_cache(maxsize=4)
 def _transfer_grid(height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float):
     """sqrt(1 - (lambda v)^2), 0 outside the band, and the band mask on the
     kx-major columns of v_y >= 0: the depth-free part of a transfer build."""
@@ -60,10 +59,7 @@ def _transfer_grid(height: int, width: int, pitch_x: float, pitch_y: float, wave
     vy = np.fft.fftfreq(height, d=pitch_y)[:height // 2 + 1]
     s = 1.0 - (wavelength * vx[:, None]) ** 2 - (wavelength * vy[None, :]) ** 2
     inside = s > 0.0
-    root = np.sqrt(np.where(inside, s, 0.0))
-    for shared in (root, inside):
-        shared.setflags(write=False)
-    return root, inside
+    return np.sqrt(np.where(inside, s, 0.0)), inside
 
 
 def _sweep_transfers(height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float,

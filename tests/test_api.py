@@ -2,23 +2,29 @@
 export lists keep a pinned number of names and the exported callables a
 pinned number of defaulted parameters, and the
 source keeps no dead inputs: no parameter a function never reads, no import
-a module never uses.
+a module never uses. The source also calls no BLAS and keeps one cache,
+and ``holoem.io`` imports no holoem module but ``holoem.grid``.
 
 A deletion that forgets the export list would otherwise surface only when
 a caller runs ``from holoem.<module> import *``. No linter is required: the
-last two checks walk the source with ``ast``.
+source checks walk the source with ``ast``.
 """
 
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import holoem
+from holoem.baseline import BaselineParams
+from holoem.cli import RunConfig
 from holoem.em import ReconParams
 from holoem.forward import Hologram, OpticalConfig
 from holoem.grid import RealGrid2D
@@ -66,6 +72,13 @@ def test_records_holding_arrays_compare_by_identity():
                  lambda: ReconParams(upper_bound=np.ones((4, 4)))):
         a, b = make(), make()
         assert (a == b) is False and (a == a) is True and a != b
+
+
+def test_shared_solver_defaults_agree():
+    # the CLI's iters and tau keys feed both solvers, and take ReconParams' defaults
+    em, cfg = ReconParams(), RunConfig()
+    assert (BaselineParams().max_iters, BaselineParams().tau) == (em.max_iters, em.tau)
+    assert (cfg.iters, cfg.tau) == (em.max_iters, em.tau)
 
 
 SOURCES = sorted(Path(holoem.__file__).parent.glob("*.py"))
@@ -134,3 +147,26 @@ def test_no_blas_reductions():
                     or isinstance(node, ast.Call) and _optimized_einsum(node)):
                 calls.append(f"{path.name}:{node.lineno}")
     assert not calls, f"BLAS calls in the source: {calls}"
+
+
+def test_one_cache():
+    # propagation._transfer_array is holoem's only memoized function
+    cached = []
+    for path in SOURCES:
+        for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+                    isinstance(n, (ast.Name, ast.Attribute))
+                    and getattr(n, "id", getattr(n, "attr", None)) in ("lru_cache", "cache")
+                    for d in fn.decorator_list for n in ast.walk(d)):
+                cached.append(f"{path.stem}.{fn.name}")
+    assert cached == ["propagation._transfer_array"]
+
+
+def test_io_imports_only_grid():
+    # file formats load without the solvers, metrics or propagation
+    script = ("import sys, holoem.io; "
+              "print(sorted(m for m in sys.modules if m.startswith('holoem')))")
+    env = {**os.environ, "PYTHONPATH": str(Path(holoem.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, check=True, timeout=60)
+    assert proc.stdout.strip() == str(["holoem", "holoem.grid", "holoem.io"])

@@ -87,3 +87,12 @@ def test_trace_without_truth(demo64):
 def test_params_validation(kw):
     with pytest.raises(ValueError):
         BaselineParams(**kw)
+
+
+def test_step_size_refuses_a_degenerate_operator(monkeypatch):
+    # an adjoint that annihilates everything leaves power iteration at zero
+    cfg = OpticalConfig(WAVELENGTH, PITCH, 8, 8, (1.0e-3,))
+    monkeypatch.setattr("holoem.baseline.stack_adjoint",
+                        lambda field, *optics, real: np.zeros((1, 8, 8)))
+    with pytest.raises(ValueError, match="power iteration collapsed"):
+        estimate_step_size(cfg)

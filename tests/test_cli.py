@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from holoem import cli, forward, grid, io, operators
 from holoem.em import NumericError
-from holoem.cli import (MODES, RunConfig, _build_parser, _Manifest, format_length, main,
+from holoem.cli import (MODES, RunConfig, _build_parser, _write_manifest, format_length, main,
                         parse_length)
 from holoem.grid import RealGrid2D
 from holoem.io import ConfigError, load_image, load_key_values, save_image
@@ -1062,7 +1062,8 @@ def test_config_manifest_config_round_trip(mode_and_values):
     cfg = RunConfig.from_mapping(values)
     cfg.mode = mode
     with tempfile.TemporaryDirectory() as tmp:
-        manifest = load_key_values(_Manifest(cfg, time.perf_counter() - 1.0).write(Path(tmp)))
+        manifest = load_key_values(
+            _write_manifest(Path(tmp), cfg, {}, time.perf_counter() - 1.0))
     # the time since the given start and the peak memory are recorded, and
     # ignored on the way back
     assert float(manifest["wall_s"]) >= 1.0 and float(manifest["peak_rss_mib"]) > 0

@@ -48,6 +48,15 @@ class TestPfm:
         np.testing.assert_array_equal(back.data, g.data)
         assert back.pitch_x == g.pitch_x and back.pitch_y == g.pitch_y
 
+    def test_numpy_scalar_pitch_and_wavelength_round_trip(self, rng, tmp_path):
+        # the sidecar records the values, not numpy's repr of them
+        pitch = np.float64(1.12e-6)
+        g = RealGrid2D(grid_from(rng).data, pitch, np.float64(2 * pitch))
+        save_image(tmp_path / "img.pfm", g, wavelength=np.float64(675e-9))
+        back = load_image(tmp_path / "img.pfm")
+        assert (back.pitch_x, back.pitch_y) == (1.12e-6, 2 * 1.12e-6)
+        assert float(load_metadata(tmp_path / "img.pfm")["wavelength"]) == 675e-9
+
     def test_big_endian_variant(self, tmp_path):
         # positive scale marks big-endian samples; rows run bottom-to-top
         data = np.array([[1.0, 2.0], [3.0, 4.0]], dtype=np.float64)
@@ -259,6 +268,14 @@ class TestKeyValues:
         out = load_key_values(path)
         assert float(out["pitch"]) == 1.12e-6
         assert out["name"] == "run1" and out["n"] == "3"
+
+    def test_numpy_scalars_bools_and_sequences_round_trip(self, tmp_path):
+        # numpy 2 reprs a float64 as 'np.float64(...)', which no reader parses
+        values = {"pitch": np.float64(1.12e-6), "narrow": np.float32(0.1), "pad": True,
+                  "off": np.bool_(False), "zs": (1e-3, np.float64(2.5e-3)), "paths": ["a", "b"]}
+        out = load_key_values(write_key_values(tmp_path / "conf.txt", values))
+        assert out == {"pitch": "1.12e-06", "narrow": repr(float(np.float32(0.1))),
+                       "pad": "true", "off": "false", "zs": "0.001,0.0025", "paths": "a,b"}
 
     def test_load_missing_file(self, tmp_path):
         with pytest.raises(HoloIOError):

@@ -340,14 +340,21 @@ class TestAutofocus:
         np.testing.assert_allclose(scores, expected, rtol=1e-12)
         assert np.argmax(scores) == np.argmax(expected)
 
-    def test_sweep_keeps_no_transfer_and_takes_the_grid_once(self, holo):
+    def test_sweep_keeps_no_transfer_and_takes_the_grid_once(self, holo, monkeypatch):
         # the sweep's transfers come from its own recurrence, not from the
-        # cache the solvers keep, and the grid part is taken once per frame:
+        # cache the solvers keep, and the grid part is taken once per stage:
         # the decimated coarse frame and the full fine frame
+        frames = []
+        original = propagation._transfer_grid
+
+        def recording(rows, cols, *optics):
+            frames.append((rows, cols))
+            return original(rows, cols, *optics)
+
+        monkeypatch.setattr(propagation, "_transfer_grid", recording)
         _transfer_array.cache_clear()
-        propagation._transfer_grid.cache_clear()
         autofocus(holo, 0.5e-3, 1.5e-3, 10e-6)  # 101 planes
-        assert propagation._transfer_grid.cache_info().misses == 2
+        assert len(frames) == len(set(frames)) == 2
         info = _transfer_array.cache_info()
         assert (info.misses, info.hits, info.currsize) == (0, 0, 0)
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import ReconTrace, _iterate, _joined, _norm, _resolve_tau, _truth_parts
+from .em import ReconTrace, _iterate, _norm, _resolve_epsilon, _resolve_tau, _truth_parts
 # no longer called here; kept as module names that perfbench/tracing.py wraps
 from .em import _tv_gradient_array, tv_value  # noqa: F401
 from .forward import Hologram, OpticalConfig, _stack_optics
@@ -31,9 +31,8 @@ class BaselineParams:
 
     The step is always 1/L, the step FISTA takes, L from :func:`estimate_step_size`;
     tau=None mirrors the statistical solver's default 0.002 * mean(g) so
-    comparisons are sparsity-matched. The TV smoothing epsilon is fixed
-    as in the statistical solver, from the initial estimate's range, and
-    the padding is the hologram config's.
+    comparisons are sparsity-matched. The smoothed TV is the statistical
+    solver's, and the padding is the hologram config's.
     """
 
     max_iters: int = 100
@@ -91,7 +90,7 @@ def baseline_reconstruct(
         s = scale * step
         return (w - s * grad) - (s * tau) * tv_grad
 
-    start = stack_adjoint(g, *_stack_optics(cfg), real=True)
-    w, trace = _iterate(cfg, params.max_iters, start[None], data_term, update,
-                        _truth_parts(ground_truth, cfg, complex_mode=False))
-    return _joined(w), trace
+    # the backpropagated start is the loop's alone, freed once the first step replaces it
+    return _iterate(cfg, params.max_iters, stack_adjoint(g, *_stack_optics(cfg), real=True)[None],
+                    data_term, _resolve_epsilon, update,
+                    _truth_parts(ground_truth, cfg, complex_mode=False))

@@ -27,15 +27,15 @@ TV is the isotropic sum sum sqrt((d_x w)^2 + (d_y w)^2) with forward
 differences and replicated edges; its gradient uses the smoothed
 magnitude sqrt(|grad w|^2 + eps^2) and is the exact gradient of the
 smoothed functional (forward-difference operator and its exact adjoint).
-The loop takes both from one pass over the whole estimate's differences:
-the value, sum sqrt(dx^2 + dy^2) of the squares the gradient smooths,
-goes into the trace row, and the gradient into the next step.
+Both solvers hand the loop `_resolve_epsilon`, one pass over the estimate's
+differences for both: the value, sum sqrt(dx^2 + dy^2) of the squares the
+gradient smooths, goes into the trace row, the gradient into the next step.
 
 grad J = stack_adjoint(1 - g / max(g_hat, floor)) is taken in one place,
-the loop `_iterate` shared with the baseline, and the step and clip above
-in one, `_em_update`. The public helpers take arrays; the solvers take
-their optics from the hologram, and an optional ground truth and the
-returned estimate are (S, H, W) object arrays.
+the loop `_iterate` shared with the baseline, which names no regularizer;
+the step and clip above in one, `_em_update`. The public helpers take
+arrays; the solvers take their optics from the hologram, and an optional
+ground truth and the returned estimate are (S, H, W) object arrays.
 """
 
 from __future__ import annotations
@@ -244,10 +244,11 @@ def _resolve_tau(g: np.ndarray, params) -> float:
     return 0.002 * float(g.mean()) if params.tau is None else float(params.tau)
 
 
-def _resolve_epsilon(w: np.ndarray) -> float:
-    """TV smoothing epsilon: 1e-4 times the initial estimate's dynamic range."""
-    span = float(w.max()) - float(w.min())
-    return 1e-4 * span if span > 0 else 1e-4
+def _resolve_epsilon(w0: np.ndarray):
+    """Smoothed TV, w -> (value, gradient), epsilon 1e-4 times w0's dynamic range."""
+    span = float(w0.max()) - float(w0.min())
+    eps = 1e-4 * span if span > 0 else 1e-4
+    return lambda w: _tv_gradient_array(w, eps)
 
 
 def _joined(w: np.ndarray) -> np.ndarray:
@@ -260,6 +261,7 @@ def _iterate(
     max_iters: int,
     w: np.ndarray,
     data_term,
+    regularizer,
     update,
     truth_parts: list[_SsimReference] | None,
     stop_delta: float | None = None,
@@ -268,12 +270,13 @@ def _iterate(
 
     The estimate w is one real (parts, slices, H, W) array: one part in
     real mode, Re and Im in complex mode. config supplies the optics and
-    padding, max_iters caps the updates; the TV smoothing epsilon is fixed
-    from the initial estimate by :func:`_resolve_epsilon`. The solver supplies the rest:
+    padding, max_iters caps the updates. The solver supplies the rest:
 
     - data_term(ghat) -> (value, residual): the data objective at the
       predicted intensity and the residual whose adjoint is its gradient;
-    - update(w, grad, tv_grad, scale) -> new estimate: one step with the
+    - regularizer(w0) -> regularize, once; regularize(w) -> (tv, state) at
+      each iterate and the start: tv for the trace row, state for update;
+    - update(w, grad, state, scale) -> new estimate: one step with the
       gradient scaled by scale, which halves while the result is
       non-finite.
 
@@ -283,10 +286,10 @@ def _iterate(
     """
     optics = _stack_optics(config)
     real = len(w) == 1
-    eps = _resolve_epsilon(w)
+    regularize = regularizer(w)
     trace = ReconTrace()
     prev, resid = data_term(stack_forward(_joined(w), *optics))
-    _, tv_grad = _tv_gradient_array(w, eps)
+    _, state = regularize(w)
     consecutive_up = 0
 
     for k in range(1, max_iters + 1):
@@ -296,7 +299,7 @@ def _iterate(
 
         for attempt in range(5):
             scale = 0.5**attempt
-            new = update(w, grad, tv_grad, scale)
+            new = update(w, grad, state, scale)
             if np.isfinite(new).all():
                 if attempt:
                     trace.step_halvings += attempt
@@ -311,10 +314,10 @@ def _iterate(
         converged = stop_delta is not None and (
             _norm(new - w) / max(_norm(w), np.finfo(np.float64).tiny) < stop_delta)
         w = new
-        del adj, grad, new  # not alive through the forward map and the trace
+        del adj, grad, new, state  # not alive through the forward map and the trace
 
         value, resid = data_term(stack_forward(_joined(w), *optics))
-        tv_now, tv_grad = _tv_gradient_array(w, eps)
+        tv_now, state = regularize(w)
         millis = (time.perf_counter() - t0) * 1e3
         trace.append(k, value, tv_now, _trace_ssim(w, truth_parts), millis)
 
@@ -335,7 +338,7 @@ def _iterate(
             trace.stop_reason = "relative_change"
             break
 
-    return w, trace
+    return _joined(w), trace
 
 
 def _em_start(g: np.ndarray, config: OpticalConfig, params: ReconParams,
@@ -407,9 +410,9 @@ def _em_solve(hologram: Hologram, params: ReconParams | None, ground_truth,
         return _em_update(w, scale * grad, tv_grad, scale * tau, ub, params.beta)
 
     stop_delta = params.stop_delta if params.stop_rule == "relative_change" else None
-    w, trace = _iterate(cfg, params.max_iters, _em_start(g, cfg, params, complex_mode), data_term,
-                        update, _truth_parts(ground_truth, cfg, complex_mode), stop_delta)
-    return _joined(w), trace
+    return _iterate(cfg, params.max_iters, _em_start(g, cfg, params, complex_mode), data_term,
+                    _resolve_epsilon, update, _truth_parts(ground_truth, cfg, complex_mode),
+                    stop_delta)
 
 
 def reconstruct_real(

@@ -150,9 +150,9 @@ def test_nll_gradient_where_some_predictions_fall_below_the_floor(rng):
 @given(_sizes, _sizes, st.integers(1, 5), st.booleans(), _seeds)
 def test_tv_gradient_of_the_loop_matches_finite_differences(height, width, n_slices,
                                                             complex_slices, seed):
-    # the TV gradient _iterate takes: _tv_gradient_array on the whole
-    # (parts, slices, H, W) estimate; TV acts on the samples, so pitch and
-    # padding do not enter
+    # the TV gradient both solvers' regularizer, _resolve_epsilon, hands
+    # their updates: _tv_gradient_array on the whole (parts, slices, H, W)
+    # estimate; TV acts on the samples, so pitch and padding do not enter
     rng = np.random.Generator(np.random.Philox(seed))
     eps = 0.05
     shape = (n_slices, height, width)

@@ -474,8 +474,8 @@ def _run_reconstruct(cfg: RunConfig, out: Path, outcome: dict) -> int:
         outcome.update(_outputs(qpath))
 
     if trace.stop_reason == "diverged":
-        write_error_record(out, 3, "Divergence",
-                           "objective increased for 5 consecutive iterations")
+        write_error_record(out, 3, "Divergence", "objective increased for 5 consecutive "
+                           f"iterations; the slices written are iteration {len(trace) - 5}")
         print(f"{cfg.mode} halted: diverging objective (outputs written)", file=sys.stderr)
         return 3
     print(f"reconstructed {optics.n_slices} slice(s) in {len(trace)} iteration(s), "

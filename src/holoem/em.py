@@ -280,9 +280,9 @@ def _iterate(
       gradient scaled by scale, which halves while the result is
       non-finite.
 
-    The run halts when the objective rises 5 iterations in a row (each
-    rise above 1e-6 relative) and, when stop_delta is given, once the
-    relative change of the estimate falls below it.
+    The run halts when the objective rises 5 iterations in a row (each rise
+    above 1e-6 relative), returning the iterate before the first rise, and,
+    when stop_delta is given, once the estimate's relative change falls below it.
     """
     optics = _stack_optics(config)
     real = len(w) == 1
@@ -291,6 +291,7 @@ def _iterate(
     prev, resid = data_term(stack_forward(_joined(w), *optics))
     _, state = regularize(w)
     consecutive_up = 0
+    kept = w  # the last iterate whose objective did not rise
 
     for k in range(1, max_iters + 1):
         t0 = time.perf_counter()
@@ -327,11 +328,12 @@ def _iterate(
                 trace.stop_reason = "diverged"
                 logger.warning(
                     "objective increased for 5 consecutive iterations "
-                    "(iteration %d, objective %.6g); halting", k, value,
+                    "(iteration %d, objective %.6g); halting with iteration %d", k, value, k - 5,
                 )
-                break
+                return _joined(kept), trace
         else:
             consecutive_up = 0
+            kept = w
         prev = value
 
         if converged:
@@ -426,7 +428,8 @@ def reconstruct_real(
     Returns the (S, H, W) float64 estimate and the per-iteration trace.
     When ground_truth is given, the trace records the mean SSIM over
     slices, computed on display-normalized images. Divergence does not
-    raise: the run halts with the trace's stop_reason "diverged".
+    raise: the run halts with stop_reason "diverged" and returns the
+    iterate from before the objective rose, row len(trace) - 5.
     """
     return _em_solve(hologram, params, ground_truth, complex_mode=False)
 

@@ -67,9 +67,12 @@ def test_objective_decreases_at_default_step(demo64):
 def test_oversized_step_flags_divergence(demo64):
     _, _, holo = demo64
     # the step is always 1/L; a TV weight far past the data term's scale oversteps it
-    _, trace = baseline_reconstruct(holo, BaselineParams(max_iters=30, tau=100.0))
+    stack, trace = baseline_reconstruct(holo, BaselineParams(max_iters=30, tau=100.0))
     assert trace.diverged
     assert len(trace) == 9  # halted after five straight increases
+    # and returns the estimate from before the first of them, bit for bit
+    capped, _ = baseline_reconstruct(holo, BaselineParams(max_iters=4, tau=100.0))
+    assert stack.tobytes() == capped.tobytes()
 
 
 def test_trace_without_truth(demo64):

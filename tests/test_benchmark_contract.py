@@ -14,8 +14,11 @@ import importlib.util
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 from holoem import metrics, propagation
+from holoem.baseline import BaselineParams, baseline_reconstruct
+from holoem.em import ReconParams, reconstruct_real
 from holoem.forward import OpticalConfig, simulate
 from holoem.grid import RealGrid2D
 from holoem.io import load_image, load_metadata, save_image
@@ -55,6 +58,24 @@ def test_every_scored_autofocus_plane_is_a_traced_propagation():
     summary = tracer.summary()
     assert summary["metrics.focus"]["calls"] > 0
     assert summary["propagation.propagate"]["calls"] == summary["metrics.focus"]["calls"]
+
+
+@pytest.mark.parametrize("solve,params", [(reconstruct_real, ReconParams(max_iters=3)),
+                                          (baseline_reconstruct, BaselineParams(max_iters=3))],
+                         ids=["em", "baseline"])
+def test_every_tv_pass_is_a_traced_em_tv_span(solve, params):
+    # each solver's regularizer calls the TV helper by the name the tracer
+    # wraps, so em.tv counts one pass per iterate and one at the start
+    cfg = OpticalConfig(675e-9, 1e-6, 32, 32, (1.0e-3,))
+    hologram = simulate(single_slice_stack(cfg, contrast=0.04), cfg)
+    tracer = _tracing().Tracer("contract")
+    tracer.install()
+    try:
+        _, trace = solve(hologram, params)
+    finally:
+        tracer.restore()
+    assert len(trace) == 3
+    assert tracer.summary()["em.tv"]["calls"] == len(trace) + 1
 
 
 def test_transfer_cache_reports_its_counters():

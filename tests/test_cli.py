@@ -366,6 +366,8 @@ class TestExitCodes:
         assert (rec / "slice_00.pfm").exists()  # partial outputs still written
         record = json.loads((rec / "error.json").read_text())
         assert record["exit_code"] == 3 and record["error"] == "Divergence"
+        rows = len((rec / "trace.csv").read_text().splitlines()) - 1
+        assert record["message"].endswith(f"the slices written are iteration {rows - 5}")
         assert load_key_values(rec / "manifest.txt")["stop_reason"] == "diverged"
 
     def test_numeric_failure_exits_3_with_an_error_record(self, tmp_path, monkeypatch):
@@ -385,8 +387,9 @@ class TestExitCodes:
 
     def test_estimate_beyond_float32_range_is_numeric_failure(self, tmp_path):
         # 5000 times the default tau blows the explicit TV step up to finite
-        # values beyond 1e53, which no PFM can hold: a numeric failure, not an
-        # I/O failure, and no slice is written
+        # values beyond 1e42 by iteration 4, which no PFM can hold: a numeric
+        # failure, not an I/O failure, and no slice is written (a fifth
+        # iteration would trip the divergence rule, which writes an earlier one)
         sim = tmp_path / "sim"
         assert main(simulate_args(sim, ["--width", "96", "--height", "96",
                                         "--slice-distances", "0.5mm,1mm,1.25mm",
@@ -394,7 +397,7 @@ class TestExitCodes:
                                         "--noise-seed", "7"])) == 0
         out = tmp_path / "rec"
         code = main(["reconstruct-real", "--out", str(out), "--input", str(sim / "hologram.pfm"),
-                     "--slice-distances", "0.5mm,1mm,1.25mm", "--tau", "10", "--iters", "8"])
+                     "--slice-distances", "0.5mm,1mm,1.25mm", "--tau", "10", "--iters", "4"])
         assert code == 3
         record = json.loads((out / "error.json").read_text())
         assert record["exit_code"] == 3 and record["error"] == "NumericError"

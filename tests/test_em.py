@@ -322,11 +322,16 @@ def test_trace_ssim_improves_over_backpropagation(demo128):
 
 
 def test_oversized_tv_weight_flags_divergence(demo128):
+    # the estimate returned is the one from before the first of the five
+    # rises: bit for bit a run capped there
     _, _, holo = demo128
-    _, trace = reconstruct_real(
+    stack, trace = reconstruct_real(
         holo, ReconParams(max_iters=30, tau=0.05, init_mode="constant"))
     assert trace.diverged and trace.stop_reason == "diverged"
-    assert len(trace) < 30  # halted, not exhausted
+    assert 5 < len(trace) < 30  # halted, not exhausted
+    capped, _ = reconstruct_real(
+        holo, ReconParams(max_iters=len(trace) - 5, tau=0.05, init_mode="constant"))
+    assert stack.tobytes() == capped.tobytes()
 
 
 def test_large_tv_weight_stops_as_diverged(demo128):
@@ -520,6 +525,28 @@ def test_one_tv_pass_per_iterate_and_truth_side_ssim_once(bound64, monkeypatch, 
     assert len(trace) == iters
     assert counts == {"_forward_diffs": iters + 1,
                       "_windowed": 2 * n_parts + 3 * n_parts * iters}
+
+
+def test_loop_without_a_regularizer_takes_no_tv_pass(bound64, monkeypatch):
+    # the loop names no regularizer: a solver that passes none pays for no
+    # forward differences, and its trace's tv column reads 0
+    cfg, _, holo = bound64
+    counts = {"_forward_diffs": 0}
+    _counting(monkeypatch, em, "_forward_diffs", counts)
+    g = holo.intensity
+    floor = em._resolve_floor(g)
+
+    def data_term(ghat):
+        return em.nll(g, ghat, floor), em._ratio_residual(g, ghat, floor)
+
+    def update(w, grad, state, scale):
+        return w - np.abs(w) * (scale * grad)
+
+    start = em._em_start(g, cfg, ReconParams(), complex_mode=False)
+    _, trace = em._iterate(cfg, 3, start, data_term, lambda w0: lambda w: (0.0, None), update,
+                           None)
+    assert len(trace) == 3 and trace.tv == [0.0, 0.0, 0.0]
+    assert counts == {"_forward_diffs": 0}
 
 
 @pytest.mark.parametrize("solve", [reconstruct_real, reconstruct_complex])

@@ -90,7 +90,7 @@ def baseline_reconstruct(
         s = scale * step
         return (w - s * grad) - (s * tau) * tv_grad
 
-    # the backpropagated start is the loop's alone, freed once the first step replaces it
+    # passed unnamed, so the loop holds the only reference and can free the start
     return _iterate(cfg, params.max_iters, stack_adjoint(g, *_stack_optics(cfg), real=True)[None],
                     data_term, _resolve_epsilon, update,
                     _truth_parts(ground_truth, cfg, complex_mode=False))

@@ -284,10 +284,10 @@ def _focus_scores(hologram: Hologram):
     of |P_{-z} (G_sigma * g)| at z = start + i step, i < count, for the
     mean-removed hologram g and a Gaussian blur G_sigma of sigma pixels.
 
-    g is real and is its own zero-mean remainder, the part that padded
-    propagation transforms, so its kx-major half spectrum is taken once and
-    each call blurs a copy. Each plane then costs one recurrence step of its
-    transfer, kept in no cache, and one ``_propagate_array``.
+    g is real and is its own zero-mean remainder, the part that propagation
+    transforms on either frame, so its kx-major half spectrum is taken once
+    and each call blurs a copy. Each plane then costs one recurrence step of
+    its transfer, kept in no cache, and one ``_propagate_array``.
 
     The blurred spectrum is cut to the frequencies below 1 / (2 d) cycles
     per pixel for a decimation d, the central 1/d of the frame on each axis,

@@ -25,20 +25,19 @@ approximation. With padding, the x transforms skip half of the doubled
 frame: forward ones run on the slice's rows only (``_half_spectrum``),
 inverse ones only on the rows the crop keeps (``_irfft2_crop``).
 
-With ``pad=True`` each slice is split into its window mean and the
-zero-mean remainder. The mean models the unscattered plane-wave
-component, which physically extends far beyond the recorded window; it
-propagates analytically (a plane wave just picks up the phase
-exp(j k0 z)). Only the remainder, which is compact for sparse objects, is
-embedded at the corner of a doubled zero frame, transformed and cropped
-back from the same corner (circular convolution is shift-invariant, so
-the corner is as good as the centre). Naively zero-padding the whole
-slice instead would make a constant background unrepresentable: its
-padded propagation rings at the frame edge, and an iterative solver then
-fights a structural residual over the entire field. The adjoint
-implements the exact transpose of this split (analytic mean response plus
-mean-removed padded back-propagation), so gradient checks hold to
-rounding error with padding on.
+Each slice is split into its window mean and the zero-mean remainder.
+The mean models the unscattered plane wave, which physically extends far
+beyond the recorded window; it propagates analytically, picking up the
+phase exp(j k0 z). Only the remainder, compact for sparse objects, goes
+through the transform frame that ``pad`` chooses (``propagation._frame``):
+the grid itself, where the split is exact since H(0) = exp(j k0 z), or a
+doubled zero frame with the remainder at its corner, cropped back from the
+same corner (circular convolution is shift-invariant). There the split
+keeps a constant background representable: a zero-padded constant rings
+at the frame edge, and an iterative solver then fights a structural
+residual over the entire field. The adjoint is the exact transpose of the
+split (analytic mean response plus mean-removed back-propagation), so
+gradient checks hold to rounding error on either frame.
 
 These functions are the performance core; the public modules check
 their arrays against an ``OpticalConfig`` and call them.
@@ -71,7 +70,7 @@ def stack_forward(
     frame = _frame(height, width, pad)
 
     def transform(part):
-        return _half_spectrum(part - part.mean() if pad else part, frame)
+        return _half_spectrum(part - part.mean(), frame)
 
     has_imag = np.iscomplexobj(stack) and bool(stack.imag.any())
     spectrum = np.zeros((frame[1] // 2 + 1, frame[0]), dtype=np.complex128)
@@ -81,8 +80,6 @@ def stack_forward(
         if has_imag:
             spectrum -= transform(stack.imag[i]) * im_h
     out = _irfft2_crop(spectrum, frame, height, width)
-    if not pad:
-        return out
     # the window means advance analytically as plane waves: Re[m exp(j k0 z)]
     k0 = 2.0 * np.pi / wavelength
     phases = np.exp(1j * k0 * np.asarray(distances, dtype=np.float64))
@@ -113,8 +110,6 @@ def stack_adjoint(
 
     def back(h, mean_response):
         part = _irfft2_crop(spectrum * h, frame, height, width)
-        if not pad:
-            return part
         part = part - part.mean()
         part += mean_response
         return part

@@ -31,14 +31,14 @@ from ``_transfer_array``, which keeps the last 32 signed depths (numpy's
 cos is even and its sin odd, so -z builds conj H(z) bit for bit) and
 counts its builds (holoem's one cache); the autofocus sweep keeps none.
 
-Padding is the operators' mean split: the field's mean advances as a plane
-wave, picking up exp(j k0 z), and only the zero-mean remainder is embedded
-at the corner of a 2H x 2W zero frame and cropped from the same corner;
-circular convolution is shift-invariant, so the corner is as good as the
-centre. The x transforms skip the frame's zero rows going forward and the
-cropped rows coming back. Padding suppresses wrap-around but breaks exact
-unitarity at the frame edge, so the round trip, energy conservation and
-composition hold for the unpadded operator.
+``propagate`` splits a field as the operators do: its mean advances as a
+plane wave, picking up exp(j k0 z), and only the zero-mean remainder goes
+through the frame that ``pad`` chooses (``_frame``): the grid, or the
+corner of a 2H x 2W zero frame, cropped from the same corner (circular
+convolution is shift-invariant). The x transforms skip the frame's zero
+rows going forward and the cropped rows coming back. Padding suppresses
+wrap-around but breaks exact unitarity at the frame edge, so the round
+trip, energy conservation and composition hold for the unpadded operator.
 """
 
 from __future__ import annotations
@@ -148,9 +148,9 @@ def _propagate_array(spectrum: np.ndarray, transfer: tuple[np.ndarray, np.ndarra
 def propagate(field, pitch_x: float, pitch_y: float, wavelength: float, z: float,
               pad: bool = False) -> np.ndarray:
     """Propagate a sampled (H, W) field over distance z (negative = backward);
-    returns the complex (H, W) field. Each part goes through
-    ``_propagate_array``; with padding (``pad=True``) its mean advances as a
-    plane wave and only its zero-mean remainder is padded.
+    returns the complex (H, W) field. Each part's mean advances as a plane
+    wave, and its zero-mean remainder goes through ``_propagate_array`` on
+    the grid, or with ``pad=True`` on the doubled zero frame.
     """
     if not (np.isfinite(wavelength) and wavelength > 0):
         raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
@@ -163,11 +163,9 @@ def propagate(field, pitch_x: float, pitch_y: float, wavelength: float, z: float
     transfer = _transfer_array(*frame, pitch_x, pitch_y, wavelength, z)
 
     def part(real: np.ndarray) -> np.ndarray:
-        mean = real.mean() if pad else 0.0
-        spectrum = _half_spectrum(real - mean if pad else real, frame)
-        out = _propagate_array(spectrum, transfer, frame, height, width)
-        if pad:
-            out += mean * np.exp(1j * 2.0 * np.pi / wavelength * z)
+        mean = real.mean()
+        out = _propagate_array(_half_spectrum(real - mean, frame), transfer, frame, height, width)
+        out += mean * np.exp(1j * 2.0 * np.pi / wavelength * z)
         return out
 
     return part(field.real) + 1j * part(field.imag)

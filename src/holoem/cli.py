@@ -52,13 +52,13 @@ from .io import (
     HoloIOError,
     _check_dims,
     _read_pixels,
+    _sidecar_optics,
     apply_reference_illumination,
     load_image,
     load_key_values,
     load_metadata,
     parse_key_values,
     save_image,
-    sidecar_path,
     write_error_record,
     write_key_values,
     write_trace,
@@ -266,23 +266,17 @@ class RunConfig:
             )
 
 
-def _optic(cfg: RunConfig, meta: dict[str, str], key: str, default: float) -> float:
+def _optic(cfg: RunConfig, recorded: dict[str, float], key: str, default: float) -> float:
     """One optical key: the config's value, else the input image sidecar's
-    (which records the pitch as pitch_x), else default. The resolved value is
-    written into cfg, so the manifest records it. pitch_y defaults to the
+    (``recorded``, by ``io._sidecar_optics``), else default. The resolved value
+    is written into cfg, so the manifest records it. pitch_y defaults to the
     resolved pitch, and :func:`_optical_config` passes it the sidecar only when
     the pitch came from there; any other default is logged as a warning."""
     value = getattr(cfg, key)
-    recorded = "pitch_x" if key == "pitch" else key
-    if value is None and recorded in meta:
-        try:
-            value = float(meta[recorded])
-        except ValueError as exc:
-            raise HoloIOError(f"{sidecar_path(cfg.input)}: bad {recorded} value ({exc})") from None
     if value is None:
-        if key != "pitch_y":
+        value = recorded.get(key, default)
+        if key not in recorded and key != "pitch_y":
             logger.warning("no %s configured or recorded; assuming %s", key, format_length(default))
-        value = default
     setattr(cfg, key, value)
     return value
 
@@ -323,19 +317,19 @@ def _save_all(out: Path, named_arrays, optics: OpticalConfig, outcome: dict):
         outcome.update(_outputs(*save_image(out / name, grid, wavelength=optics.wavelength)))
 
 
-def _optical_config(cfg: RunConfig, meta: dict[str, str], width: int,
+def _optical_config(cfg: RunConfig, recorded: dict[str, float], width: int,
                     height: int) -> OpticalConfig:
     """The run's optics, each key resolved by :func:`_optic`. Autofocus reads
     no geometry: its hologram carries one fixed depth. Only simulate reads the
     illumination amplitude; a solver folds A^2 into its estimate."""
     if cfg.mode != "autofocus":
         cfg.require("slice_distances")
-    pitch_meta = meta if cfg.pitch is None and "pitch_x" in meta else {}
-    pitch = _optic(cfg, meta, "pitch", DEFAULT_PITCH)
+    pitch_recorded = recorded if cfg.pitch is None and "pitch" in recorded else {}
+    pitch = _optic(cfg, recorded, "pitch", DEFAULT_PITCH)
     return OpticalConfig(
-        wavelength=_optic(cfg, meta, "wavelength", DEFAULT_WAVELENGTH),
+        wavelength=_optic(cfg, recorded, "wavelength", DEFAULT_WAVELENGTH),
         pitch_x=pitch,
-        pitch_y=_optic(cfg, pitch_meta, "pitch_y", pitch),
+        pitch_y=_optic(cfg, pitch_recorded, "pitch_y", pitch),
         width=width,
         height=height,
         slice_distances=(1.0,) if cfg.mode == "autofocus" else cfg.slice_distances,
@@ -403,7 +397,8 @@ def _load_hologram(cfg: RunConfig) -> Hologram:
     cfg.require("input")
     meta = load_metadata(cfg.input)
     data = _read_pixels(Path(cfg.input), meta)
-    return Hologram(data, _optical_config(cfg, meta, data.shape[1], data.shape[0]))
+    optics = _optical_config(cfg, _sidecar_optics(cfg.input, meta), *data.shape[::-1])
+    return Hologram(data, optics)
 
 
 def _load_truth(cfg: RunConfig, optics: OpticalConfig, complex_mode: bool) -> np.ndarray | None:

@@ -238,6 +238,24 @@ def _read_pixels(path: Path, meta: dict[str, str]) -> np.ndarray:
     return data
 
 
+def _sidecar_optics(path, meta: dict[str, str]) -> dict[str, float]:
+    """The pitch (recorded as pitch_x), pitch_y and wavelength that an image's
+    sidecar holds, keyed as config documents name them; a value that is not a
+    positive finite number raises HoloIOError naming the sidecar and the key."""
+    optics = {}
+    for recorded in ("pitch_x", "pitch_y", "wavelength"):
+        if recorded in meta:
+            try:
+                value = float(meta[recorded])
+            except ValueError:
+                value = np.nan
+            if not 0.0 < value < np.inf:
+                raise HoloIOError(f"{sidecar_path(path)}: {recorded} must be positive and "
+                                  f"finite, got {meta[recorded]}")
+            optics["pitch" if recorded == "pitch_x" else recorded] = value
+    return optics
+
+
 def load_image(path) -> RealGrid2D:
     """Read a .pfm or .pgm image with its sidecar metadata.
 
@@ -249,12 +267,9 @@ def load_image(path) -> RealGrid2D:
     path = Path(path)
     meta = load_metadata(path)
     data = _read_pixels(path, meta)
-    try:
-        pitch_x = float(meta.get("pitch_x", DEFAULT_PITCH))
-        pitch_y = float(meta.get("pitch_y", meta.get("pitch_x", DEFAULT_PITCH)))
-    except ValueError as exc:
-        raise HoloIOError(f"{sidecar_path(path)}: bad pitch value ({exc})") from None
-    return RealGrid2D(data, pitch_x, pitch_y)
+    optics = _sidecar_optics(path, meta)
+    pitch = optics.get("pitch", DEFAULT_PITCH)
+    return RealGrid2D(data, pitch, optics.get("pitch_y", pitch))
 
 
 def apply_reference_illumination(raw: np.ndarray) -> np.ndarray:

@@ -502,19 +502,28 @@ class TestExitCodes:
         assert "40000x2" in json.loads((out / "error.json").read_text())["message"]
         assert not (out / "hologram.pfm").exists()
 
-    @pytest.mark.parametrize("mode", ["autofocus", "metrics"])
+    @pytest.mark.parametrize("mode", ["autofocus", "metrics", "reconstruct-real"])
     def test_malformed_sidecar_value_is_io_error(self, tmp_path, mode):
+        # an optical value that does not parse, or is not a positive finite number
         sim = tmp_path / "sim"
         assert main(simulate_args(sim)) == 0
         holo = sim / "hologram.pfm"
         side = sim / "hologram.pfm.meta"
-        side.write_text(side.read_text().replace("pitch_x = ", "pitch_x = abc # "))
+        recorded = side.read_text()
         flags = {"autofocus": ["--z-min", "0.9mm", "--z-max", "1.1mm", "--z-step", "0.1mm"],
-                 "metrics": ["--truth", str(holo)]}[mode]
-        out = tmp_path / mode
-        assert main([mode, "--out", str(out), "--input", str(holo), *flags]) == 4
-        record = json.loads((out / "error.json").read_text())
-        assert record["exit_code"] == 4 and "hologram.pfm.meta" in record["message"]
+                 "metrics": ["--truth", str(holo)],
+                 "reconstruct-real": ["--slice-distances", "1mm", "--iters", "1"]}[mode]
+        cases = [("pitch_x", v) for v in ("abc", "-1e-6", "0", "nan", "inf")]
+        cases += [("wavelength", v) for v in ("-675e-9", "0", "nan")]
+        for i, (key, value) in enumerate(cases):
+            side.write_text(recorded.replace(f"{key} = ", f"{key} = {value} # "))
+            out = tmp_path / f"{mode}{i}"
+            assert main([mode, "--out", str(out), "--input", str(holo), *flags]) == 4, value
+            record = json.loads((out / "error.json").read_text())
+            assert record["exit_code"] == 4
+            assert f"hologram.pfm.meta: {key} must be positive and finite, got {value}" \
+                in record["message"]
+            assert not (out / "slice_00.pfm").exists()
 
     @pytest.mark.parametrize("mode", ["autofocus", "metrics"])
     def test_malformed_pgm_range_is_io_error(self, tmp_path, mode):

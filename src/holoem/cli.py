@@ -42,7 +42,7 @@ import numpy as np
 
 from . import __version__
 from .baseline import BaselineParams, baseline_reconstruct
-from .em import NumericError, ReconParams, reconstruct_complex, reconstruct_real
+from .em import _RISES, NumericError, ReconParams, reconstruct_complex, reconstruct_real
 from .forward import Hologram, OpticalConfig, simulate
 from .grid import RealGrid2D
 from .io import (
@@ -468,9 +468,9 @@ def _run_reconstruct(cfg: RunConfig, out: Path, outcome: dict) -> int:
         qpath.write_text(_quality_json(estimate, truth, complex_mode), encoding="utf-8")
         outcome.update(_outputs(qpath))
 
-    if trace.stop_reason == "diverged":
-        write_error_record(out, 3, "Divergence", "objective increased for 5 consecutive "
-                           f"iterations; the slices written are iteration {len(trace) - 5}")
+    if trace.diverged:
+        write_error_record(out, 3, "Divergence", f"objective increased for {_RISES} consecutive "
+                           f"iterations; the slices written are iteration {len(trace) - _RISES}")
         print(f"{cfg.mode} halted: diverging objective (outputs written)", file=sys.stderr)
         return 3
     print(f"reconstructed {optics.n_slices} slice(s) in {len(trace)} iteration(s), "

@@ -65,6 +65,7 @@ __all__ = [
 
 _INIT_MODES = ("backpropagation", "constant")
 _STOP_RULES = ("fixed_iters", "relative_change")
+_RISES = 5  # objective rises in a row that halt a run as diverged
 
 
 class NumericError(RuntimeError):
@@ -280,9 +281,9 @@ def _iterate(
       gradient scaled by scale, which halves while the result is
       non-finite.
 
-    The run halts when the objective rises 5 iterations in a row (each rise
-    above 1e-6 relative), returning the iterate before the first rise, and,
-    when stop_delta is given, once the estimate's relative change falls below it.
+    The run halts after _RISES rises of the objective in a row (each above
+    1e-6 relative), returning the iterate before the first rise, and, when
+    stop_delta is given, once the estimate's relative change falls below it.
     """
     optics = _stack_optics(config)
     real = len(w) == 1
@@ -324,11 +325,11 @@ def _iterate(
 
         if value > prev + 1e-6 * abs(prev):
             consecutive_up += 1
-            if consecutive_up >= 5:
+            if consecutive_up >= _RISES:
                 trace.stop_reason = "diverged"
                 logger.warning(
-                    "objective increased for 5 consecutive iterations "
-                    "(iteration %d, objective %.6g); halting with iteration %d", k, value, k - 5,
+                    "objective increased for %d consecutive iterations (iteration %d, "
+                    "objective %.6g); halting with iteration %d", _RISES, k, value, k - _RISES,
                 )
                 return _joined(kept), trace
         else:

@@ -3,7 +3,9 @@ export lists keep a pinned number of names and the exported callables a
 pinned number of defaulted parameters, and the
 source keeps no dead inputs: no parameter a function never reads, no import
 a module never uses. The source also calls no BLAS and keeps one cache,
-and ``holoem.io`` imports no holoem module but ``holoem.grid``.
+reads ``pad`` in the operator core only to size the transform, names the
+image sidecar's keys only in ``holoem.io``, and ``holoem.io`` imports no
+holoem module but ``holoem.grid``.
 
 A deletion that forgets the export list would otherwise surface only when
 a caller runs ``from holoem.<module> import *``. No linter is required: the
@@ -160,6 +162,34 @@ def test_one_cache():
                     for d in fn.decorator_list for n in ast.walk(d)):
                 cached.append(f"{path.stem}.{fn.name}")
     assert cached == ["propagation._transfer_array"]
+
+
+def test_pad_only_picks_the_frame():
+    # the mean split runs on either frame, so the operator core reads pad
+    # only to size the transform: inside _frame or as an argument of a call to it
+    reads = []
+    for path in SOURCES:
+        if path.stem not in ("operators", "propagation"):
+            continue
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        frame = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "_frame":
+                frame.update(map(id, ast.walk(node)))
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_frame":
+                frame.update(map(id, node.args + [k.value for k in node.keywords]))
+        reads += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
+                  if isinstance(n, ast.Name) and n.id == "pad" and id(n) not in frame]
+    assert not reads, f"pad read outside _frame: {reads}"
+
+
+def test_sidecar_keys_only_in_io():
+    # io alone reads and writes an image sidecar's keys
+    keys = ("pitch_x", "pgm_min", "pgm_max")
+    found = [f"{path.name}:{n.lineno} {n.value}" for path in SOURCES if path.stem != "io"
+             for n in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(n, ast.Constant) and isinstance(n.value, str) and n.value in keys]
+    assert not found, f"sidecar keys outside io: {found}"
 
 
 def test_io_imports_only_grid():

@@ -140,7 +140,7 @@ def test_full_model_deviation_is_second_order(pad):
 @pytest.mark.parametrize("pad", [False, True])
 def test_full_model_matches_the_propagated_field(rng, pad):
     # |A + sum_z P_z(A o_z)|^2 through the public single-field propagator,
-    # which pads with the same mean split as the multi-slice operator
+    # which splits the mean off as the multi-slice operator does
     cfg = make_config(slice_distances=(0.9e-3, 1.2e-3), illumination_amplitude=1.3, pad=pad)
     arrs = [0.3 + 0.05 * (rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
             for _ in range(2)]

@@ -78,9 +78,9 @@ def test_transfer_mirrored_from_half_spectrum_at_odd_and_even_sizes(shape, z):
 @pytest.mark.parametrize("imaginary", [True, False], ids=["complex", "real"])
 def test_complex_field_on_the_spectra_of_its_parts(rng, shape, pad, z, imaginary):
     # propagate takes a + j b as P_z a + j P_z b, each part on its own rfft2
-    # half spectrum with the mean split when padded; the oracle runs the
-    # field on the full complex transform and embeds the zero-mean remainder
-    # at the frame centre
+    # half spectrum with the mean split on either frame; the oracle runs the
+    # whole field on the full complex transform unpadded (where the split is
+    # exact), and embeds the zero-mean remainder at the frame centre padded
     data = rng.standard_normal(shape) + 0.7
     if imaginary:
         data = data + 1j * (rng.standard_normal(shape) - 0.4)
@@ -172,7 +172,7 @@ def test_plane_wave_phase():
 def test_kernel_sums_match_spatial_sum():
     # the lattice sums of the real and imaginary point-spread kernels are
     # the zero-frequency transfer sample, cos(k0 z) + j sin(k0 z): the
-    # analytic response to the mean that padded propagation uses
+    # analytic response to the mean that propagation uses on either frame
     for shape in ((16, 16), (15, 12)):
         for z in (1.0e-3, -0.6e-3):
             re_h, im_h = _transfer_array(*shape, PITCH, PITCH, WAVELENGTH, z)

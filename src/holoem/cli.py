@@ -16,7 +16,8 @@ unreadable or invalid config document included, also leaves an
 
 Start-up: importing this module before numpy sets ``OPENBLAS_NUM_THREADS=1``
 unless the environment already sets it, so a CLI process starts no BLAS
-thread pool; set the variable to choose another count.
+thread pool and runs SSIM's window, holoem's one BLAS call, on one thread;
+set the variable to choose another count.
 """
 
 from __future__ import annotations
@@ -33,8 +34,9 @@ import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
 
-# holoem calls no BLAS, and numpy reads this only once, when it loads: one
-# thread spares a CLI process the start of OpenBLAS's thread pool
+# holoem's one BLAS call is SSIM's window (metrics._windowed), and numpy reads
+# this only once, when it loads: one thread spares a CLI process the start of
+# OpenBLAS's thread pool, and the window runs on that thread
 if "numpy" not in sys.modules:
     os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 

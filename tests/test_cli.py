@@ -168,6 +168,23 @@ def test_reconstruct_real_end_to_end(tmp_path):
     assert len(trace_lines) == 6  # header + 5 iterations
 
 
+def test_last_trace_ssim_is_the_mean_of_the_reported_slices(tmp_path):
+    # the trace and quality.json score the final estimate through one SSIM
+    sim = tmp_path / "sim"
+    assert main(simulate_args(sim, ["--slice-distances", "0.5mm,1mm,1.25mm",
+                                    "--phantom", "multi-depth", "--noise-seed", "3"])) == 0
+    rec = tmp_path / "rec"
+    truths = ",".join(str(sim / f"truth_{i:02d}_re.pfm") for i in range(3))
+    assert main(["reconstruct-real", "--out", str(rec), "--input", str(sim / "hologram.pfm"),
+                 "--slice-distances", "0.5mm,1mm,1.25mm", "--truth", truths,
+                 "--iters", "6"]) == 0
+    assert load_key_values(rec / "manifest.txt")["stop_reason"] == "iteration_cap"
+    last = (rec / "trace.csv").read_text().splitlines()[-1].split(",")
+    reported = [s["ssim"] for s in json.loads((rec / "quality.json").read_text())["slices"]]
+    assert len(reported) == 3
+    assert abs(float(last[3]) - float(np.mean(reported))) <= 1e-12
+
+
 def test_reconstruct_complex_end_to_end(tmp_path):
     sim = tmp_path / "sim"
     assert main(simulate_args(sim, ["--phantom", "complex"])) == 0

@@ -2,7 +2,11 @@
 
 import json
 import logging
+import os
+import subprocess
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -31,6 +35,8 @@ from holoem.phantoms import disk_mask, single_slice_stack
 from holoem.propagation import _transfer_array, propagate
 
 from conftest import PITCH, WAVELENGTH
+
+BLOCK = metrics._SSIM_BLOCK  # output rows or columns per product in SSIM's window
 
 
 class TestMseAndPsnr:
@@ -99,16 +105,39 @@ class TestSsim:
         self._check_two_dimensional_window(rng, shape)
 
     @settings(max_examples=60)
-    @given(shape=st.tuples(st.integers(11, 48), st.integers(11, 48)),
+    @given(shape=st.tuples(st.integers(11, 2 * BLOCK + 21), st.integers(11, 2 * BLOCK + 21)),
            seed=st.integers(0, 2**32 - 1))
     @example(shape=(11, 11), seed=0)
     @example(shape=(12, 11), seed=0)
     @example(shape=(11, 30), seed=0)
     @example(shape=(40, 33), seed=0)
     @example(shape=(64, 64), seed=0)
+    # output sides of one and two whole blocks, and one past each
+    @example(shape=(BLOCK + 10, BLOCK + 11), seed=0)
+    @example(shape=(BLOCK + 11, BLOCK + 10), seed=0)
+    @example(shape=(2 * BLOCK + 10, 2 * BLOCK + 11), seed=0)
+    @example(shape=(2 * BLOCK + 11, 2 * BLOCK + 10), seed=0)
+    @example(shape=(11, 300), seed=0)
+    @example(shape=(300, 11), seed=0)
     def test_matches_two_dimensional_window_any_shape(self, shape, seed):
-        """The same check over odd and even, square and non-square sides."""
+        """The same check over odd and even, square and non-square sides, and
+        across the window's blocks of output rows and columns."""
         self._check_two_dimensional_window(np.random.default_rng(seed), shape)
+
+    def test_window_bytes_do_not_depend_on_blas_threads(self):
+        # the window is a BLAS product, and a library caller keeps OpenBLAS's pool
+        script = ("import hashlib, numpy as np; from holoem.metrics import _windowed; "
+                  "rng = np.random.default_rng(7); "
+                  "print(*(hashlib.sha256(_windowed(rng.random(s)).tobytes()).hexdigest() "
+                  "for s in ((300, 257), (512, 512))))")
+        digests = []
+        for threads in ("1", "2"):
+            env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+                   "PYTHONPATH": str(Path(metrics.__file__).parents[1])}
+            proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                                  text=True, env=env, check=True, timeout=60)
+            digests.append(proc.stdout.split())
+        assert len(digests[0]) == 2 and digests[0] == digests[1]
 
     @staticmethod
     def _check_two_dimensional_window(rng, shape):

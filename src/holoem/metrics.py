@@ -2,10 +2,10 @@
 
 SSIM follows the standard structural-similarity definition: an 11x11
 Gaussian window with sigma = 1.5, applied in real space as its 11
-separable taps along each axis, as products with a band matrix (holoem's
-one BLAS call), stability constants K1 = 0.01 and
+separable taps along each axis, stability constants K1 = 0.01 and
 K2 = 0.03 relative to the dynamic range, moments taken as plain weighted
-averages, and the mean taken over fully valid windows only. PSNR and SSIM
+averages, and the mean taken over fully valid windows only. The taps run
+as matrix products with a band matrix, holoem's one BLAS call. PSNR and SSIM
 use the peak of the reference image unless an explicit peak is given; a
 reference whose maximum is not positive (an absorber's real part) uses
 its dynamic range instead. Autofocus scores back-propagated planes in two
@@ -114,8 +114,8 @@ def _windowed(img: np.ndarray) -> np.ndarray:
     with the band's leading (b + 10) x b corner: the row pass takes
     ``img[:, j:j+b+10] @ band`` for output columns j..j+b-1, the column pass
     ``band.T @ rows[i:i+b+10]`` for output rows i..i+b-1. These are holoem's
-    only BLAS calls; OpenBLAS splits no dot product across its threads, so
-    the bytes do not depend on its thread count.
+    only BLAS calls. OpenBLAS's threads share out a product's outputs, not
+    its sums, and the bytes are the same on one thread and on two.
     """
     k = SSIM_WINDOW - 1
     height, width = img.shape[0] - k, img.shape[1] - k

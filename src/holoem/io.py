@@ -70,69 +70,71 @@ def _check_dims(width: int, height: int, where: str, error=HoloIOError):
         raise error(f"{where}: dimensions {width}x{height} overflow the supported range")
 
 
-def _read_token(buf: bytes, pos: int, where: str, allow_comments: bool) -> tuple[bytes, int]:
-    n = len(buf)
-    while pos < n:
-        if allow_comments and buf[pos:pos + 1] == b"#":
-            while pos < n and buf[pos] not in b"\r\n":
-                pos += 1
-        elif buf[pos] in b" \t\r\n":
-            pos += 1
-        else:
-            break
-    if pos >= n:
-        raise HoloIOError(f"{where}: header truncated at byte {pos}")
-    start = pos
-    while pos < n and buf[pos] not in b" \t\r\n":
-        pos += 1
-    return buf[start:pos], pos
-
-
-def _header_int(token: bytes, where: str) -> int:
+def _read_netpbm(path: Path, magic: bytes, comments: bool) -> tuple[int, int, bytes, bytes]:
+    """Width, height, the third header token and the bytes after the one
+    whitespace byte that ends the header of a binary Netpbm file; with
+    ``comments``, '#' between tokens starts a comment that runs to the end
+    of its line."""
+    buf = path.read_bytes()
+    token = re.compile((rb"(?:[ \t\r\n]|#[^\r\n]*)*" if comments else rb"[ \t\r\n]*")
+                       + rb"([^ \t\r\n]+)")
+    tokens, pos = [], 0
+    while len(tokens) < 4:
+        found = token.match(buf, pos)
+        if found is None:
+            raise HoloIOError(f"{path}: header truncated at byte {len(buf)}")
+        tokens.append(found[1])
+        pos = found.end()
+        if tokens[0] != magic:
+            kind = "color PFM not supported" if tokens[0] == b"PF" else f"bad magic {tokens[0]!r}"
+            raise HoloIOError(f"{path}: {kind}, expected {magic.decode()!r}")
     try:
-        return int(token)
+        width, height = int(tokens[1]), int(tokens[2])
     except ValueError:
-        raise HoloIOError(f"{where}: expected an integer, got {token!r}") from None
+        raise HoloIOError(f"{path}: expected integer dimensions, got {tokens[1]!r} by "
+                          f"{tokens[2]!r}") from None
+    _check_dims(width, height, str(path))
+    return width, height, tokens[3], buf[pos + 1:]
+
+
+def _samples(path: Path, raw: bytes, dtype: str, width: int, height: int) -> np.ndarray:
+    """The height x width samples of ``dtype`` that ``raw`` holds, exactly."""
+    size = np.dtype(dtype).itemsize * width * height
+    if len(raw) != size:
+        raise HoloIOError(f"{path}: expected {size} data bytes, found {len(raw)}")
+    return np.frombuffer(raw, dtype=dtype).reshape(height, width)
+
+
+def _write_netpbm(path: Path, header: tuple[str, str], samples: np.ndarray):
+    """A binary Netpbm file: the magic and the third header token of
+    ``header`` around the samples' width and height, one line each, then
+    the samples' bytes."""
+    magic, third = header
+    height, width = samples.shape
+    with open(path, "wb") as f:
+        f.write(f"{magic}\n{width} {height}\n{third}\n".encode("ascii"))
+        f.write(samples.tobytes())
 
 
 def _write_pfm(path: Path, data: np.ndarray):
-    height, width = data.shape
     with np.errstate(over="ignore"):
         samples = np.flipud(data).astype("<f4")
     if not np.isfinite(samples).all():
         raise HoloIOError(f"{path}: values up to {float(np.abs(data).max())!r} exceed "
                           "the float32 range of PFM")
-    with open(path, "wb") as f:
-        f.write(f"Pf\n{width} {height}\n-1.0\n".encode("ascii"))
-        f.write(samples.tobytes())
+    _write_netpbm(path, ("Pf", "-1.0"), samples)
 
 
 def _read_pfm(path: Path) -> np.ndarray:
-    buf = path.read_bytes()
-    magic, pos = _read_token(buf, 0, str(path), allow_comments=False)
-    if magic == b"PF":
-        raise HoloIOError(f"{path}: color PFM not supported, expected grayscale 'Pf'")
-    if magic != b"Pf":
-        raise HoloIOError(f"{path}: bad magic {magic!r}, expected 'Pf'")
-    wtok, pos = _read_token(buf, pos, str(path), allow_comments=False)
-    htok, pos = _read_token(buf, pos, str(path), allow_comments=False)
-    stok, pos = _read_token(buf, pos, str(path), allow_comments=False)
-    width, height = _header_int(wtok, str(path)), _header_int(htok, str(path))
-    _check_dims(width, height, str(path))
+    width, height, token, raw = _read_netpbm(path, b"Pf", comments=False)
     try:
-        scale = float(stok)
+        scale = float(token)
     except ValueError:
-        raise HoloIOError(f"{path}: bad scale token {stok!r}") from None
+        raise HoloIOError(f"{path}: bad scale token {token!r}") from None
     if scale == 0.0 or not np.isfinite(scale):
         raise HoloIOError(f"{path}: scale must be finite and nonzero, got {scale}")
-    pos += 1  # single whitespace after the scale line
-    raw = buf[pos:pos + 4 * width * height]
-    if len(raw) < 4 * width * height:
-        raise HoloIOError(
-            f"{path}: expected {4 * width * height} data bytes, found {len(raw)}"
-        )
-    dtype = "<f4" if scale < 0 else ">f4"
-    data = np.flipud(np.frombuffer(raw, dtype=dtype).reshape(height, width)).astype(np.float64)
+    samples = _samples(path, raw, "<f4" if scale < 0 else ">f4", width, height)
+    data = np.flipud(samples).astype(np.float64)
     if not np.isfinite(data).all():
         bad = np.argwhere(~np.isfinite(data))[0]
         raise HoloIOError(f"{path}: non-finite pixel at (y={bad[0]}, x={bad[1]})")
@@ -148,34 +150,16 @@ def _write_pgm(path: Path, data: np.ndarray) -> tuple[float, float]:
         q = np.rint((data - lo) / (hi - lo) * maxval)
     else:
         q = np.zeros_like(data)
-    height, width = data.shape
-    with open(path, "wb") as f:
-        f.write(f"P5\n{width} {height}\n{maxval}\n".encode("ascii"))
-        f.write(q.astype(">u2").tobytes())
+    _write_netpbm(path, ("P5", str(maxval)), q.astype(">u2"))
     return lo, hi
 
 
 def _read_pgm(path: Path) -> tuple[np.ndarray, int]:
-    buf = path.read_bytes()
-    magic, pos = _read_token(buf, 0, str(path), allow_comments=True)
-    if magic != b"P5":
-        raise HoloIOError(f"{path}: bad magic {magic!r}, expected binary 'P5'")
-    wtok, pos = _read_token(buf, pos, str(path), allow_comments=True)
-    htok, pos = _read_token(buf, pos, str(path), allow_comments=True)
-    mtok, pos = _read_token(buf, pos, str(path), allow_comments=True)
-    width, height = _header_int(wtok, str(path)), _header_int(htok, str(path))
-    _check_dims(width, height, str(path))
-    maxval = _header_int(mtok, str(path))
+    width, height, token, raw = _read_netpbm(path, b"P5", comments=True)
+    maxval = int(token) if token.isdigit() else 0
     if not 0 < maxval < 65536:
-        raise HoloIOError(f"{path}: maxval {maxval} out of range")
-    pos += 1
-    itemsize = 2 if maxval > 255 else 1
-    raw = buf[pos:pos + itemsize * width * height]
-    if len(raw) < itemsize * width * height:
-        raise HoloIOError(
-            f"{path}: expected {itemsize * width * height} data bytes, found {len(raw)}"
-        )
-    counts = np.frombuffer(raw, dtype=">u2" if itemsize == 2 else "u1").reshape(height, width)
+        raise HoloIOError(f"{path}: maxval must be an integer in 1..65535, got {token!r}")
+    counts = _samples(path, raw, ">u2" if maxval > 255 else "u1", width, height)
     return counts.astype(np.float64), maxval
 
 

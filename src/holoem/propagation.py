@@ -11,21 +11,22 @@ Distances may be negative (back-propagation); H(-z) = conj(H(z)), so the
 propagation operator is unitary on the propagating band and P_{-z} is the
 adjoint of P_z.
 
-H depends on v only through |v|^2, so it is even: H(-v) = H(v). For a real
-field w that makes Re[P_z w] and Im[P_z w] real-to-real filters,
+H depends on v only through |v|^2, so it is even: H(-v) = H(v). For a
+field w = a + j b, with a and b real and A = rfft2(a), B = rfft2(b),
+that makes Re[P_z w] and Im[P_z w] real-to-real filters,
 
-    Re[P_z w] = irfft2(rfft2(w) Re H),   Im[P_z w] = irfft2(rfft2(w) Im H),
+    Re[P_z w] = irfft2(A Re H - B Im H),   Im[P_z w] = irfft2(A Im H + B Re H),
 
-because the Hermitian part of W(v) H(v) is W(v) Re H(v) and its
-anti-Hermitian part is j W(v) Im H(v). Half spectra are stored kx-major,
+because the Hermitian part of A(v) H(v) is A(v) Re H(v) and its
+anti-Hermitian part is j A(v) Im H(v). Half spectra are stored kx-major,
 ``rfft2(w).T`` of shape (W//2 + 1, H), so the y transforms run along the
 contiguous axis; ``_half_spectrum`` and ``_irfft2_crop`` are the one
 transform pair. ``_sweep_transfers`` gives Re H and Im H in that layout
 on a scan of depths, with cos and sin taken twice per scan and the square
-root once per grid. ``_propagate_array`` is the one per-plane step: a
-half spectrum times Re H and Im H, through two cropped inverses, to the
-complex plane. ``propagate`` takes it once per part of a complex field,
-P_z(a + j b) = P_z a + j P_z b, and the autofocus sweep once per plane.
+root once per grid. ``propagate`` takes this decomposition, the one
+``operators.stack_forward`` sums over slices for Re, with two cropped
+inverses; ``_propagate_array`` is its B = 0 case, the autofocus sweep's
+per-plane step.
 The operators in ``operators.py`` and ``propagate`` take one-plane builds
 from ``_transfer_array``, which keeps the last 32 signed depths (numpy's
 cos is even and its sin odd, so -z builds conj H(z) bit for bit) and
@@ -148,9 +149,10 @@ def _propagate_array(spectrum: np.ndarray, transfer: tuple[np.ndarray, np.ndarra
 def propagate(field, pitch_x: float, pitch_y: float, wavelength: float, z: float,
               pad: bool = False) -> np.ndarray:
     """Propagate a sampled (H, W) field over distance z (negative = backward);
-    returns the complex (H, W) field. Each part's mean advances as a plane
-    wave, and its zero-mean remainder goes through ``_propagate_array`` on
-    the grid, or with ``pad=True`` on the doubled zero frame.
+    returns the complex (H, W) field. Its mean advances as a plane wave,
+    and the half spectra A and B of its zero-mean parts go through two
+    cropped inverses, on the grid or with ``pad=True`` on the doubled zero
+    frame, as ``stack_forward``'s decomposition (see the module docstring).
     """
     if not (np.isfinite(wavelength) and wavelength > 0):
         raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
@@ -160,12 +162,12 @@ def propagate(field, pitch_x: float, pitch_y: float, wavelength: float, z: float
     height, width = field.shape
     frame = _frame(height, width, pad)
     wavelength, z = float(wavelength), float(z)
-    transfer = _transfer_array(*frame, pitch_x, pitch_y, wavelength, z)
-
-    def part(real: np.ndarray) -> np.ndarray:
-        mean = real.mean()
-        out = _propagate_array(_half_spectrum(real - mean, frame), transfer, frame, height, width)
-        out += mean * np.exp(1j * 2.0 * np.pi / wavelength * z)
-        return out
-
-    return part(field.real) + 1j * part(field.imag)
+    re_h, im_h = _transfer_array(*frame, pitch_x, pitch_y, wavelength, z)
+    mean = field.mean()
+    a = _half_spectrum(field.real - mean.real, frame)
+    b = _half_spectrum(field.imag - mean.imag, frame)
+    out = np.empty((height, width), dtype=np.complex128)
+    out.real = _irfft2_crop(a * re_h - b * im_h, frame, height, width)
+    out.imag = _irfft2_crop(a * im_h + b * re_h, frame, height, width)
+    out += mean * np.exp(1j * 2.0 * np.pi / wavelength * z)
+    return out

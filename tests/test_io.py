@@ -151,6 +151,37 @@ class TestPgm:
         with pytest.raises(HoloIOError, match="maxval"):
             load_image(p)
 
+    @pytest.mark.parametrize("blob, complaint", [
+        (b"P5\n2", "truncated"),
+        (b"P5\n2 x\n255\n" + b"\x00" * 4, "integer"),
+        (b"P5\n0 2\n255\n", "dimensions"),
+        (b"P5\n2 2\n255\n" + b"\x00" * 3, "bytes"),
+        (b"P5\n2 2\n65535\n" + b"\x00" * 7, "bytes"),
+    ], ids=["truncated", "non-integer-width", "zero-dimensions", "short-8-bit",
+            "short-16-bit"])
+    def test_malformed_headers_rejected_as_for_pfm(self, tmp_path, blob, complaint):
+        # the same header grammar and data-size check as PFM, with the same words
+        p = tmp_path / "bad.pgm"
+        p.write_bytes(blob)
+        with pytest.raises(HoloIOError, match=complaint):
+            load_image(p)
+
+
+@pytest.mark.parametrize("name, blob, size, found", [
+    ("crlf.pfm", b"Pf\r\n3 2\r\n-1.0\r\n" + b"\x01" * 24, 24, 25),
+    ("crlf.pgm", b"P5\r\n3 2\r\n255\r\n" + b"\x01" * 6, 6, 7),
+    ("trailing.pfm", b"Pf\n2 2\n-1.0\n" + b"\x00" * 16 + b"\n", 16, 17),
+    ("trailing.pgm", b"P5\n2 2\n65535\n" + b"\x00" * 8 + b"\n", 8, 9),
+], ids=["crlf-pfm", "crlf-pgm", "trailing-pfm", "trailing-pgm"])
+def test_data_must_end_the_file(tmp_path, name, blob, size, found):
+    # one whitespace byte ends the header, so a CRLF header leaves its LF in
+    # front of the data; a file longer than its header's data is refused,
+    # not read shifted by a byte or cut short
+    p = tmp_path / name
+    p.write_bytes(blob)
+    with pytest.raises(HoloIOError, match=f"expected {size} data bytes, found {found}"):
+        load_image(p)
+
 
 F32 = np.finfo(np.float32)
 _shapes = st.tuples(st.integers(2, 17), st.integers(2, 17))

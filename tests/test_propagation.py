@@ -18,6 +18,7 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holoem import propagation
 from holoem.propagation import (
     _frame,
     _half_spectrum,
@@ -77,10 +78,11 @@ def test_transfer_mirrored_from_half_spectrum_at_odd_and_even_sizes(shape, z):
 @pytest.mark.parametrize("z", [0.7e-3, -0.7e-3])
 @pytest.mark.parametrize("imaginary", [True, False], ids=["complex", "real"])
 def test_complex_field_on_the_spectra_of_its_parts(rng, shape, pad, z, imaginary):
-    # propagate takes a + j b as P_z a + j P_z b, each part on its own rfft2
-    # half spectrum with the mean split on either frame; the oracle runs the
-    # whole field on the full complex transform unpadded (where the split is
-    # exact), and embeds the zero-mean remainder at the frame centre padded
+    # propagate takes a + j b on the half spectra A and B of its zero-mean
+    # parts, Re = irfft2(A Re H - B Im H) and Im = irfft2(A Im H + B Re H),
+    # with the mean split on either frame; the oracle runs the whole field
+    # on the full complex transform unpadded (where the split is exact), and
+    # embeds the zero-mean remainder at the frame centre padded
     data = rng.standard_normal(shape) + 0.7
     if imaginary:
         data = data + 1j * (rng.standard_normal(shape) - 0.4)
@@ -88,6 +90,24 @@ def test_complex_field_on_the_spectra_of_its_parts(rng, shape, pad, z, imaginary
     out = propagate(data, px, py, WAVELENGTH, z, pad=pad)
     expected = oracle_propagate(data, px, py, WAVELENGTH, z, pad)
     np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
+
+
+@pytest.mark.parametrize("pad", [False, True])
+@pytest.mark.parametrize("imaginary", [True, False], ids=["complex", "real"])
+def test_two_cropped_inverses_per_call(rng, monkeypatch, pad, imaginary):
+    # the real and imaginary outputs share the parts' spectra: one inverse each
+    calls = []
+
+    def counting(*args):
+        calls.append(args[1])
+        return _irfft2_crop(*args)
+
+    monkeypatch.setattr(propagation, "_irfft2_crop", counting)
+    data = rng.standard_normal((9, 6))
+    if imaginary:
+        data = data + 1j * rng.standard_normal((9, 6))
+    propagate(data, PITCH, PITCH, WAVELENGTH, 0.7e-3, pad=pad)
+    assert calls == [_frame(9, 6, pad)] * 2
 
 
 def test_transfer_anisotropic_pitch():
@@ -222,6 +242,23 @@ def test_propagate_validation(rng):
 
 
 sizes = st.integers(2, 40)
+
+
+@settings(max_examples=150)
+@given(sizes, sizes, st.booleans(), st.booleans(),
+       st.floats(0.4e-6, 3e-6), st.floats(0.4e-6, 3e-6), st.floats(-2e-3, 2e-3),
+       st.integers(0, 2**32 - 1))
+def test_propagate_matches_the_complex_transform(height, width, pad, imaginary, pitch_x,
+                                                 pitch_y, z, seed):
+    # odd and even sides, anisotropic pitch (coarse enough at 0.4 um to cut
+    # evanescent corners) and either sign of z, at the oracle tolerance above
+    rng = np.random.Generator(np.random.Philox(seed))
+    data = rng.standard_normal((height, width)) + 0.7
+    if imaginary:
+        data = data + 1j * (rng.standard_normal((height, width)) - 0.4)
+    out = propagate(data, pitch_x, pitch_y, WAVELENGTH, z, pad=pad)
+    expected = oracle_propagate(data, pitch_x, pitch_y, WAVELENGTH, z, pad)
+    np.testing.assert_allclose(out, expected, rtol=0, atol=1e-12 * np.abs(expected).max())
 
 
 @settings(max_examples=150)

@@ -163,11 +163,12 @@ _FOCUS = ("autofocus",)
 # (the last two are no longer written, but earlier manifests carry them)
 _RESULT_KEYS = ("holoem_version", "numpy_version", "stop_reason", "step_halvings", "wall_s",
                 "peak_rss_mib", "scipy_version", "fft_workers")
-# keys retired from the solvers, each now fixed at one value: older manifests record
-# them, so each stays legal config input at that value only (key -> kind, value)
+# retired keys, each now fixed at one value: older manifests record them, so each
+# stays legal config input at that value only (key -> kind, value)
 _RETIRED = {"tv_epsilon": ("optfloat", "auto"), "ratio_floor": ("optfloat", "auto"),
             "power_iters": ("int", "20"), "power_seed": ("int", "0"),
-            "step_size": ("optfloat", "auto"), "median_size": ("int", "3")}
+            "step_size": ("optfloat", "auto"), "median_size": ("int", "3"),
+            "illumination_amplitude": ("float", "1.0")}
 
 
 @dataclass
@@ -188,8 +189,6 @@ class RunConfig:
     height: int | None = _key("int", "grid height in pixels", modes=_SIM)
     slice_distances: tuple[float, ...] | None = _key(
         "lengths", "comma-separated object-to-sensor distances", modes=_GEOMETRY)
-    illumination_amplitude: float = _key(
-        "float", "plane-wave amplitude A", OpticalConfig.illumination_amplitude, modes=_SIM)
     model: str = _key("str", "forward model: linear or full", "linear", modes=_SIM)
     photon_scale: float | None = _key(
         "optfloat", "photons per intensity unit ('auto' scales mean to 1e4)", modes=_SIM)
@@ -322,8 +321,8 @@ def _save_all(out: Path, named_arrays, optics: OpticalConfig, outcome: dict):
 def _optical_config(cfg: RunConfig, recorded: dict[str, float], width: int,
                     height: int) -> OpticalConfig:
     """The run's optics, each key resolved by :func:`_optic`. Autofocus reads
-    no geometry: its hologram carries one fixed depth. Only simulate reads the
-    illumination amplitude; a solver folds A^2 into its estimate."""
+    no geometry: its hologram carries one fixed depth. Every mode works in
+    units of the illumination, so none reads an amplitude."""
     if cfg.mode != "autofocus":
         cfg.require("slice_distances")
     pitch_recorded = recorded if cfg.pitch is None and "pitch" in recorded else {}
@@ -335,8 +334,6 @@ def _optical_config(cfg: RunConfig, recorded: dict[str, float], width: int,
         width=width,
         height=height,
         slice_distances=(1.0,) if cfg.mode == "autofocus" else cfg.slice_distances,
-        illumination_amplitude=(cfg.illumination_amplitude if cfg.mode == "simulate"
-                                else OpticalConfig.illumination_amplitude),
         pad=cfg.pad,
     )
 

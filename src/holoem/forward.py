@@ -1,16 +1,16 @@
 """Weak-scattering hologram formation model.
 
-A unit-magnitude plane illumination of amplitude A passes through S thin
-object slices with complex perturbations o_z (|o_z| << 1). To first order
-the recorded in-line intensity is
+A plane illumination of amplitude A passes through S thin object slices
+with complex perturbations o_z (|o_z| << 1). In units of the illumination
+|A|^2, the recorded in-line intensity is to first order
 
-    g(x) = |A|^2 * ( 1 + 2 sum_z Re[ P_z o_z ](x) )
+    g(x) = 1 + 2 sum_z Re[ P_z o_z ](x)
 
-(``synthesize_linear``); the exact squared-magnitude interference pattern
-|A + sum_z P_z(A o_z)|^2 is available as ``synthesize_full`` for checking
-where the linearization holds. Both run on ``operators.stack_forward`` and
-its padding, so they differ by exactly |A|^2 |sum_z P_z o_z|^2. Shot noise
-is modeled as Poisson counts at a chosen photons-per-intensity-unit scale.
+(``synthesize_linear``); the exact interference pattern |1 + sum_z P_z o_z|^2
+is ``synthesize_full``, for checking where the linearization holds. Both
+run on ``operators.stack_forward`` and its padding, so they differ by
+exactly |sum_z P_z o_z|^2. Shot noise is Poisson counts at a chosen
+photons-per-intensity-unit scale: a brighter illumination is a larger scale.
 
 An object is an (S, H, W) array, float64 when real and complex128 when
 complex, slice z at ``config.slice_distances[z]``; intensities are (H, W)
@@ -45,11 +45,11 @@ __all__ = [
 
 @dataclass(frozen=True)
 class OpticalConfig:
-    """Geometry and illumination of a single recording.
+    """Geometry of a single recording: what the operators and the grid read.
 
     All lengths in meters. ``slice_distances`` are the object-to-sensor
-    distances, strictly increasing and positive. ``illumination_amplitude``
-    is the real positive plane-wave amplitude A. ``pad`` picks the doubled
+    distances, strictly increasing and positive. The illumination is the
+    intensity unit, so it has no field here. ``pad`` picks the doubled
     zero frame for every propagation on the config (synthesis, the solvers
     and autofocus), so a solve inverts the model that made its hologram.
     """
@@ -60,7 +60,6 @@ class OpticalConfig:
     height: int
     slice_distances: tuple[float, ...]
     pitch_y: float | None = None
-    illumination_amplitude: float = 1.0
     pad: bool = True
 
     def __post_init__(self):
@@ -74,8 +73,6 @@ class OpticalConfig:
                              f"({self.pitch_x}, {self.pitch_y})")
         if self.width < 2 or self.height < 2:
             raise ValueError(f"grid must be at least 2x2, got {self.width}x{self.height}")
-        if not (self.illumination_amplitude > 0 and math.isfinite(self.illumination_amplitude)):
-            raise ValueError("illumination amplitude must be real and positive")
         zs = self.slice_distances
         if len(zs) < 1:
             raise ValueError("at least one slice distance is required")
@@ -140,13 +137,12 @@ def _object_args(obj, config: OpticalConfig):
 
 
 def synthesize_linear(obj, config: OpticalConfig) -> np.ndarray:
-    """First-order interference intensity |A|^2 (1 + 2 sum_z Re[P_z o_z]).
+    """First-order interference intensity 1 + 2 sum_z Re[P_z o_z], in illumination units.
 
     Negative output pixels (possible when the perturbations are not weak)
     are clamped to zero; the clamp count is logged as a warning.
     """
-    a2 = config.illumination_amplitude**2
-    g = a2 * (1.0 + 2.0 * stack_forward(*_object_args(obj, config)))
+    g = 1.0 + 2.0 * stack_forward(*_object_args(obj, config))
     n_neg = int(np.count_nonzero(g < 0.0))
     if n_neg:
         logger.warning(
@@ -158,13 +154,13 @@ def synthesize_linear(obj, config: OpticalConfig) -> np.ndarray:
 
 
 def synthesize_full(obj, config: OpticalConfig) -> np.ndarray:
-    """Exact interference intensity |A + sum_z P_z(A o_z)|^2 as
-    A^2 ((1 + F(o))^2 + F(-j o)^2), with F = ``stack_forward``: F(o) is
-    Re[sum_z P_z o_z] and F(-j o) its imaginary part."""
+    """Exact interference intensity |1 + sum_z P_z o_z|^2, in units of the
+    illumination, as (1 + F(o))^2 + F(-j o)^2, with F = ``stack_forward``:
+    F(o) is Re[sum_z P_z o_z] and F(-j o) its imaginary part."""
     obj, *optics = _object_args(obj, config)
     re = stack_forward(obj, *optics)
     im = stack_forward(-1j * obj, *optics)
-    return config.illumination_amplitude**2 * ((1.0 + re) ** 2 + im**2)
+    return (1.0 + re) ** 2 + im**2
 
 
 def add_poisson_noise(intensity: np.ndarray, photon_scale: float, seed: int) -> np.ndarray:

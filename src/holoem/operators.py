@@ -69,16 +69,17 @@ def stack_forward(
     height, width = stack.shape[1:]
     frame = _frame(height, width, pad)
 
-    def transform(part):
-        return _half_spectrum(part - part.mean(), frame)
+    def transform(part, h):
+        half = _half_spectrum(part - part.mean(), frame)
+        return np.multiply(half, h, out=half)
 
     has_imag = np.iscomplexobj(stack) and bool(stack.imag.any())
     spectrum = np.zeros((frame[1] // 2 + 1, frame[0]), dtype=np.complex128)
     for i, z in enumerate(distances):
         re_h, im_h = _transfer_array(*frame, pitch_x, pitch_y, wavelength, z)
-        spectrum += transform(stack.real[i]) * re_h
+        spectrum += transform(stack.real[i], re_h)
         if has_imag:
-            spectrum -= transform(stack.imag[i]) * im_h
+            spectrum -= transform(stack.imag[i], im_h)
     out = _irfft2_crop(spectrum, frame, height, width)
     # the window means advance analytically as plane waves: Re[m exp(j k0 z)]
     k0 = 2.0 * np.pi / wavelength
@@ -107,9 +108,10 @@ def stack_adjoint(
     k0 = 2.0 * np.pi / wavelength
     r_mean = residual.mean()
     spectrum = _half_spectrum(residual, frame)
+    product = np.empty_like(spectrum)
 
     def back(h, mean_response):
-        part = _irfft2_crop(spectrum * h, frame, height, width)
+        part = _irfft2_crop(np.multiply(spectrum, h, out=product), frame, height, width)
         part = part - part.mean()
         part += mean_response
         return part

@@ -124,9 +124,10 @@ def _irfft2_crop(spectrum: np.ndarray, frame: tuple[int, int], height: int,
     """``irfft2(spectrum.T, s=frame)[:height, :width]``, bit for bit: the y
     transforms run along the contiguous axis, the x transforms only on the
     rows the crop keeps, and one 1 / (frame size) scale comes last, as in
-    irfft2. The kept rows are copied out contiguous 32 columns at a time,
-    so that both sides of the transposing copy stay in cache."""
-    cols = np.fft.ifft(spectrum, axis=1, norm="forward")
+    irfft2. The y transforms overwrite ``spectrum``, a product each caller
+    owns. The kept rows are copied out contiguous 32 columns at a time, so
+    that both sides of the transposing copy stay in cache."""
+    cols = np.fft.ifft(spectrum, axis=1, norm="forward", out=spectrum)
     rows = np.empty((height, cols.shape[0]), dtype=np.complex128)
     for k in range(0, cols.shape[0], 32):
         rows[:, k:k + 32] = cols[k:k + 32, :height].T
@@ -138,11 +139,13 @@ def _irfft2_crop(spectrum: np.ndarray, frame: tuple[int, int], height: int,
 def _propagate_array(spectrum: np.ndarray, transfer: tuple[np.ndarray, np.ndarray],
                      frame: tuple[int, int], height: int, width: int) -> np.ndarray:
     """P_z of a real field, cropped to height x width, from its kx-major half
-    spectrum on the frame and the plane's Re H and Im H: two cropped inverses."""
+    spectrum on the frame and the plane's Re H and Im H: two cropped inverses
+    of one product buffer."""
     re_h, im_h = transfer
     out = np.empty((height, width), dtype=np.complex128)
-    out.real = _irfft2_crop(spectrum * re_h, frame, height, width)
-    out.imag = _irfft2_crop(spectrum * im_h, frame, height, width)
+    product = np.multiply(spectrum, re_h)
+    out.real = _irfft2_crop(product, frame, height, width)
+    out.imag = _irfft2_crop(np.multiply(spectrum, im_h, out=product), frame, height, width)
     return out
 
 

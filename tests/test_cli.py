@@ -604,8 +604,13 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert all(flag in err for flag in ("--slice-distances", "--illumination-amplitude"))
         assert not out.exists()
-        # only simulate reads the amplitude (a solver folds A^2 into its estimate), and
-        # only real mode the upper bound that beta relaxes
+        # no mode reads an illumination amplitude: intensities are in its units
+        with pytest.raises(SystemExit) as exc:
+            main(simulate_args(out, ["--illumination-amplitude", "2"]))
+        assert exc.value.code == 2
+        assert "--illumination-amplitude" in capsys.readouterr().err
+        assert not out.exists()
+        # nor a solver, and only real mode reads the upper bound that beta relaxes
         solve = ["--input", str(sim / "hologram.pfm"), "--slice-distances", "1mm"]
         for mode, flag, value in [("reconstruct-real", "--illumination-amplitude", "3"),
                                   ("reconstruct-complex", "--illumination-amplitude", "3"),
@@ -623,8 +628,8 @@ def test_flag_surface():
     optics = "wavelength pitch pitch-y pad"
     solve = f"{optics} slice-distances input truth iters tau"
     expected = {
-        "simulate": f"{optics} width height slice-distances illumination-amplitude model "
-                    "photon-scale noise-seed phantom contrast phase-contrast objects",
+        "simulate": f"{optics} width height slice-distances model photon-scale noise-seed "
+                    "phantom contrast phase-contrast objects",
         "reconstruct-real": f"{solve} reference beta init stop stop-delta",
         "reconstruct-complex": f"{solve} init stop stop-delta",
         "baseline": solve,
@@ -636,7 +641,7 @@ def test_flag_surface():
     (modes,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     pairs = {(mode, a.option_strings[0]) for mode, p in modes.choices.items()
              for a in p._actions if a.dest.startswith("key_")}
-    assert len(expected) == 63
+    assert len(expected) == 62
     assert pairs == expected
 
 
@@ -683,9 +688,10 @@ def test_baseline_manifest_reruns_identically(tmp_path):
     assert rows(second) == rows(first)
 
 
-# what manifests of each solve mode recorded before the solver knobs were retired and
-# the illumination amplitude (and, in complex mode, beta) became keys no solver reads
+# what manifests of each mode recorded before the solver knobs and the illumination
+# amplitude were retired (and, in complex mode, beta became a key no solver reads)
 _OLDER_MANIFEST_KEYS = {
+    "simulate": "illumination_amplitude = 1.0\n",
     "reconstruct-real": "illumination_amplitude = 1.0\ntv_epsilon = auto\nratio_floor = auto\n",
     "reconstruct-complex": "illumination_amplitude = 1.0\nbeta = 0.5\ntv_epsilon = auto\n"
                            "ratio_floor = auto\n",
@@ -696,25 +702,29 @@ _OLDER_MANIFEST_KEYS = {
 
 @pytest.mark.parametrize("mode", sorted(_OLDER_MANIFEST_KEYS))
 def test_older_manifest_reruns_identically(tmp_path, mode):
-    sim = tmp_path / "sim"
-    assert main(simulate_args(sim, ["--noise-seed", "3"])) == 0
     first = tmp_path / "a"
-    assert main([mode, "--out", str(first), "--input", str(sim / "hologram.pfm"),
-                 "--slice-distances", "1mm", "--iters", "3"]) == 0
+    assert main(simulate_args(first, ["--noise-seed", "3"])) == 0
+    if mode != "simulate":
+        sim, first = first, tmp_path / "solve"
+        assert main([mode, "--out", str(first), "--input", str(sim / "hologram.pfm"),
+                     "--slice-distances", "1mm", "--iters", "3"]) == 0
     manifest = (first / "manifest.txt").read_text()
     assert not any(key in manifest for key in ("illumination_amplitude", "tv_epsilon"))
     old = tmp_path / "old.txt"
     old.write_text(manifest + _OLDER_MANIFEST_KEYS[mode])
     second = tmp_path / "b"
     assert main([mode, "--config", str(old), "--out", str(second)]) == 0
-    for path in sorted(first.glob("slice_*.pfm")):
+    images = sorted(first.glob("*.p?m"))
+    assert images
+    for path in images:
         assert (second / path.name).read_bytes() == path.read_bytes(), path.name
     # a retired key set to anything but its fixed value is refused, by name
-    old.write_text(manifest + "tv_epsilon = 0.5\n")
-    third = tmp_path / "c"
-    assert main([mode, "--config", str(old), "--out", str(third)]) == 2
-    assert "'tv_epsilon'" in json.loads((third / "error.json").read_text())["message"]
-    assert not list(third.glob("*.pfm"))
+    for key, value in (("tv_epsilon", "0.5"), ("illumination_amplitude", "3")):
+        old.write_text(manifest + f"{key} = {value}\n")
+        third = tmp_path / f"c_{key}"
+        assert main([mode, "--config", str(old), "--out", str(third)]) == 2
+        assert f"'{key}'" in json.loads((third / "error.json").read_text())["message"]
+        assert not list(third.glob("*.p?m"))
 
 
 def test_older_metrics_manifest_reruns_identically(tmp_path):

@@ -38,7 +38,7 @@ class TestOpticalConfig:
         assert cfg.pitch_y == cfg.pitch_x
         assert cfg.n_slices == 3
         assert cfg.grid_shape == (16, 16)
-        assert cfg.illumination_amplitude == 1.0
+        assert cfg.pad
 
     @pytest.mark.parametrize("kw", [
         dict(wavelength=0.0),
@@ -52,7 +52,6 @@ class TestOpticalConfig:
         dict(slice_distances=(-1e-3,)),
         dict(slice_distances=(2e-3, 1e-3)),
         dict(slice_distances=(1e-3, 1e-3)),
-        dict(illumination_amplitude=0.0),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):
@@ -95,9 +94,9 @@ class TestHologram:
 
 
 def test_linear_model_matches_formula(rng):
-    # independent evaluation of |A|^2 (1 + 2 sum_z Re[P_z o_z]) through the
-    # public single-field propagator
-    cfg = make_config(slice_distances=(0.9e-3, 1.2e-3), illumination_amplitude=1.3, pad=False)
+    # independent evaluation of 1 + 2 sum_z Re[P_z o_z], in units of the
+    # illumination, through the public single-field propagator
+    cfg = make_config(slice_distances=(0.9e-3, 1.2e-3), pad=False)
     arrs = [0.01 * (rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
             for _ in range(2)]
     got = synthesize_linear(np.stack(arrs), cfg)
@@ -105,7 +104,7 @@ def test_linear_model_matches_formula(rng):
     scattered = np.zeros((16, 16))
     for o, z in zip(arrs, cfg.slice_distances):
         scattered += propagate(o, PITCH, PITCH, WAVELENGTH, z).real
-    expected = 1.3**2 * (1.0 + 2.0 * scattered)
+    expected = 1.0 + 2.0 * scattered
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -118,6 +117,17 @@ def test_linear_model_clamps_and_warns(caplog):
         g = synthesize_linear(strong[None], cfg)
     assert g.min() == 0.0
     assert any("negative" in r.message for r in caplog.records)
+
+
+@pytest.mark.parametrize("model", ["linear", "full"])
+@pytest.mark.parametrize("pad", [False, True])
+def test_empty_object_records_the_illumination(model, pad):
+    # intensities are in units of the illumination, so a noise-free hologram
+    # of a zero object is exactly 1 everywhere, real or complex
+    cfg = make_config(slice_distances=(0.9e-3, 1.2e-3), pad=pad)
+    for dtype in (np.float64, np.complex128):
+        g = simulate(np.zeros((2, 16, 16), dtype=dtype), cfg, model=model).intensity
+        assert np.array_equal(g, np.ones((16, 16)))
 
 
 @pytest.mark.parametrize("pad", [False, True])
@@ -139,16 +149,16 @@ def test_full_model_deviation_is_second_order(pad):
 
 @pytest.mark.parametrize("pad", [False, True])
 def test_full_model_matches_the_propagated_field(rng, pad):
-    # |A + sum_z P_z(A o_z)|^2 through the public single-field propagator,
+    # |1 + sum_z P_z o_z|^2 through the public single-field propagator,
     # which splits the mean off as the multi-slice operator does
-    cfg = make_config(slice_distances=(0.9e-3, 1.2e-3), illumination_amplitude=1.3, pad=pad)
+    cfg = make_config(slice_distances=(0.9e-3, 1.2e-3), pad=pad)
     arrs = [0.3 + 0.05 * (rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16)))
             for _ in range(2)]
     got = synthesize_full(np.stack(arrs), cfg)
 
-    total = np.full((16, 16), 1.3, dtype=np.complex128)
+    total = np.ones((16, 16), dtype=np.complex128)
     for o, z in zip(arrs, cfg.slice_distances):
-        total += propagate(1.3 * o, PITCH, PITCH, WAVELENGTH, z, pad=pad)
+        total += propagate(o, PITCH, PITCH, WAVELENGTH, z, pad=pad)
     np.testing.assert_allclose(got, np.abs(total) ** 2, rtol=1e-12)
 
 

@@ -17,9 +17,8 @@ then a full-resolution window around its best.
 
 from __future__ import annotations
 
-import json
 import logging
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -29,11 +28,9 @@ from .propagation import _frame, _half_spectrum, _propagate_array, _sweep_transf
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "QualityReport",
     "mse",
     "psnr",
     "ssim",
-    "median_filter",
     "display_normalize",
     "ncc",
     "focus_metric",
@@ -76,11 +73,13 @@ def _pair(test, reference) -> tuple[np.ndarray, np.ndarray]:
 
 def _default_peak(reference: np.ndarray, peak: float | None) -> float:
     """The given peak, else max(reference), else, when that is not positive,
-    the reference's dynamic range max - min (0 for a constant reference)."""
-    if peak is not None:
-        return peak
-    top = float(reference.max())
-    return top if top > 0 else top - float(reference.min())
+    the reference's dynamic range max - min; raises unless it is positive and finite."""
+    if peak is None:
+        top = float(reference.max())
+        peak = top if top > 0 else top - float(reference.min())
+    if not (np.isfinite(peak) and peak > 0):
+        raise ValueError(f"peak must be positive and finite, got {peak}")
+    return peak
 
 
 def mse(test, reference) -> float:
@@ -94,12 +93,11 @@ def psnr(test, reference, peak: float | None = None) -> float:
 
     peak defaults to max(reference), or to max - min of the reference when
     its maximum is not positive; a peak that is still not positive (a
-    constant non-positive reference) raises. Identical images give +inf.
+    constant non-positive reference) raises, as does a non-finite one.
+    Identical images give +inf.
     """
     a, b = _pair(test, reference)
     peak = _default_peak(b, peak)
-    if not peak > 0:
-        raise ValueError(f"peak must be positive, got {peak}")
     err = float(np.mean((a - b) ** 2))
     if err == 0.0:
         return float("inf")
@@ -148,8 +146,6 @@ def _ssim_reference(reference: np.ndarray, peak: float | None) -> _SsimReference
     if min(reference.shape) < SSIM_WINDOW:
         raise ValueError(f"images must be at least {SSIM_WINDOW} pixels on a side")
     peak = _default_peak(reference, peak)
-    if not peak > 0:
-        raise ValueError(f"peak (dynamic range) must be positive, got {peak}")
     mu = _windowed(reference)
     var = _windowed(reference * reference) - mu**2
     return _SsimReference(reference, mu, var, (SSIM_K1 * peak) ** 2, (SSIM_K2 * peak) ** 2)
@@ -224,30 +220,6 @@ def ncc(test, reference) -> float:
     if den == 0.0:
         return 0.0
     return float(np.sum(a * b) / den)
-
-
-_MEDIAN_BLOCK = 1 << 18  # window samples sorted at once, bounding the filter's memory
-
-
-def median_filter(image, size: int = 3) -> np.ndarray:
-    """k x k median filter with replicated edges; k must be odd and >= 1.
-
-    Each pixel takes the middle of its k * k window samples, selected a
-    block of rows at a time.
-    """
-    if size < 1 or size % 2 == 0:
-        raise ValueError(f"median filter size must be odd and >= 1, got {size}")
-    a = _as_array(image)
-    height, width = a.shape
-    windows = np.lib.stride_tricks.sliding_window_view(np.pad(a, size // 2, mode="edge"),
-                                                       (size, size))
-    middle = size * size // 2
-    rows = max(1, _MEDIAN_BLOCK // (width * size * size))
-    out = np.empty_like(a)
-    for top in range(0, height, rows):
-        block = windows[top:top + rows].reshape(-1, width, size * size)
-        out[top:top + rows] = np.partition(block, middle, axis=-1)[..., middle]
-    return out
 
 
 def _forward_diffs(w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -371,6 +343,8 @@ def autofocus(hologram: Hologram, z_min: float, z_max: float, z_step: float) -> 
     visits at most ceil(n / m) + 2 m + 1. Ties take the smallest distance. A
     maximum on the boundary of a scan of several planes is returned as-is
     with a low-confidence warning: the optimum may lie outside the range.
+    A coarse maximum on the first or last of several coarse planes warns
+    too, as the fine stage then searches only the scan's edge.
     """
     if not (np.isfinite([z_min, z_max, z_step]).all() and z_step > 0 and z_max >= z_min):
         raise ValueError("need finite z_min <= z_max and a finite z_step > 0")
@@ -382,14 +356,17 @@ def autofocus(hologram: Hologram, z_min: float, z_max: float, z_step: float) -> 
     m = max(1, round(min(_COARSE_STEP / z_step, n)))
     scores = _focus_scores(hologram)
     decimation = 2 if min(hologram.intensity.shape) >= _DECIMATED_MIN_SIDE else 1
-    coarse = m * int(np.argmax(scores(z_min, z_step * m, (n - 1) // m + 1, _COARSE_SIGMA,
-                                      decimation)))
-    low, high = max(0, coarse - m), min(n - 1, coarse + m)
+    count = (n - 1) // m + 1
+    coarse = int(np.argmax(scores(z_min, z_step * m, count, _COARSE_SIGMA, decimation)))
+    low, high = max(0, m * (coarse - 1)), min(n - 1, m * (coarse + 1))
     fine = scores(z_min + z_step * low, z_step, high - low + 1, _FINE_SIGMA, 1)
     best = low + int(np.argmax(fine))
     z = float(z_min + z_step * best)
     if n > 1 and best in (0, n - 1):
         logger.warning("autofocus maximum at scan boundary z=%.6g m; result is low confidence", z)
+    elif count > 1 and coarse in (0, count - 1):
+        logger.warning("autofocus coarse maximum at scan boundary z=%.6g m; result z=%.6g m is "
+                       "low confidence", z_min + z_step * m * coarse, z)
     return z
 
 
@@ -407,29 +384,14 @@ def resolution_limits(wavelength: float, numerical_aperture: float) -> tuple[flo
     return lateral, axial
 
 
-@dataclass
-class QualityReport:
-    """Reconstruction quality versus a reference image."""
-
-    mse: float
-    psnr_db: float
-    ssim: float
-    ssim_after_median: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2)
-
-
-def quality_report(test, reference, peak: float | None = None) -> QualityReport:
-    """MSE / PSNR / SSIM of test vs reference, plus SSIM after a 3x3 median filter of test.
+def quality_report(test, reference, peak: float | None = None) -> dict[str, float]:
+    """``{"mse": ..., "psnr_db": ..., "ssim": ...}`` of test vs reference, in that order.
 
     peak defaults as in :func:`psnr`: max(reference), or its dynamic range
-    when that maximum is not positive. Both SSIM figures share one
-    reference side.
+    when that maximum is not positive. The figures are those of
+    :func:`mse`, :func:`psnr` and :func:`ssim` at that peak.
     """
     a, b = _pair(test, reference)
     peak = _default_peak(b, peak)
-    psnr_db = psnr(a, b, peak=peak)  # first, so that a bad peak raises psnr's message
-    ref = _ssim_reference(b, peak)
-    return QualityReport(mse=mse(a, b), psnr_db=psnr_db, ssim=_ssim_test(a, ref),
-                         ssim_after_median=_ssim_test(median_filter(a, 3), ref))
+    return {"mse": mse(a, b), "psnr_db": psnr(a, b, peak=peak),
+            "ssim": _ssim_test(a, _ssim_reference(b, peak))}

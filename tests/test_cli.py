@@ -22,6 +22,7 @@ from holoem.cli import (MODES, RunConfig, _build_parser, _write_manifest, format
                         parse_length)
 from holoem.grid import RealGrid2D
 from holoem.io import ConfigError, load_image, load_key_values, save_image
+from holoem.metrics import mse, psnr, ssim
 from holoem.phantoms import complex_stack
 
 from conftest import PITCH
@@ -237,7 +238,11 @@ def test_metrics_end_to_end(tmp_path, rng):
                  "--truth", str(tmp_path / "ref.pfm"), "--peak", "1.0"])
     assert code == 0
     report = json.loads((out / "quality.json").read_text())
-    assert set(report) == {"mse", "psnr_db", "ssim", "ssim_after_median"}
+    assert set(report) == {"mse", "psnr_db", "ssim"}
+    a, b = load_image(tmp_path / "test.pfm").data, load_image(tmp_path / "ref.pfm").data
+    assert report["mse"] == mse(a, b)
+    assert report["psnr_db"] == psnr(a, b, peak=1.0)
+    assert report["ssim"] == ssim(a, b, peak=1.0)
 
 
 def test_metrics_default_peak_against_simulated_absorber_truth(tmp_path):
@@ -499,6 +504,18 @@ class TestExitCodes:
         assert main(["metrics", "--out", str(out), "--input", str(test), "--truth", truths]) == 2
         record = json.loads((out / "error.json").read_text())
         assert record["exit_code"] == 2 and message in record["message"]
+        assert not (out / "quality.json").exists()
+
+    def test_non_finite_peak_is_config_error(self, tmp_path):
+        sim = tmp_path / "sim"
+        assert main(simulate_args(sim)) == 0
+        holo = str(sim / "hologram.pfm")
+        out = tmp_path / "m"
+        assert main(["metrics", "--out", str(out), "--input", holo, "--truth", holo,
+                     "--peak", "inf"]) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["exit_code"] == 2
+        assert "peak must be positive and finite" in record["message"]
         assert not (out / "quality.json").exists()
 
     @pytest.mark.parametrize("bound, value", [("--z-max", "inf"), ("--z-step", "nan")])
@@ -1042,6 +1059,10 @@ def test_manifest_records_every_key_the_mode_reads(tmp_path):
         for key, value in flags.items():
             argv += ["--" + key.replace("_", "-"), value]
         assert main(argv) == 0, mode
+        # every text file a run writes ends its last line
+        for path in out.iterdir():
+            if path.suffix in (".txt", ".csv", ".json", ".meta"):
+                assert path.read_bytes().endswith(b"\n"), (mode, path.name)
         manifest = load_key_values(out / "manifest.txt")
         assert manifest["numpy_version"] == np.__version__
         given = RunConfig.from_mapping(flags)

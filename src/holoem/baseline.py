@@ -41,8 +41,8 @@ class BaselineParams:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tau is not None and not self.tau >= 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
+        if self.tau is not None and not 0 <= self.tau < np.inf:
+            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
 
 
 def estimate_step_size(config: OpticalConfig) -> float:

@@ -415,14 +415,19 @@ def _load_truth(cfg: RunConfig, optics: OpticalConfig, complex_mode: bool) -> np
     return parts[::2] + 1j * parts[1::2] if complex_mode else parts
 
 
+def _psnr_db(db: float) -> float | None:
+    """A PSNR as quality.json's strict JSON holds it: identical images' +inf as null."""
+    return None if db == float("inf") else db
+
+
 def _quality_json(estimate: np.ndarray, truth: np.ndarray, complex_mode: bool) -> str:
     def _norm_report(a, b):
         an, bn = display_normalize(a), display_normalize(b)
-        return {"ssim": ssim(an, bn, peak=1.0), "psnr_db": psnr(an, bn, peak=1.0)}
+        return {"ssim": ssim(an, bn, peak=1.0), "psnr_db": _psnr_db(psnr(an, bn, peak=1.0))}
 
     slices = [{"real": _norm_report(est.real, tru.real), "imag": _norm_report(est.imag, tru.imag)}
               if complex_mode else _norm_report(est, tru) for est, tru in zip(estimate, truth)]
-    return json.dumps({"normalized": True, "slices": slices}, indent=2) + "\n"
+    return json.dumps({"normalized": True, "slices": slices}, indent=2, allow_nan=False) + "\n"
 
 
 def _upper_bound(cfg: RunConfig, optics: OpticalConfig) -> np.ndarray | None:
@@ -491,7 +496,8 @@ def _run_metrics(cfg: RunConfig, out: Path, outcome: dict) -> int:
         raise ConfigError("metrics mode takes exactly one truth image")
     report = quality_report(load_image(cfg.input).data, load_image(cfg.truth[0]).data, cfg.peak)
     qpath = out / "quality.json"
-    qpath.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
+    record = {**report, "psnr_db": _psnr_db(report["psnr_db"])}
+    qpath.write_text(json.dumps(record, indent=2, allow_nan=False) + "\n", encoding="utf-8")
     outcome.update(_outputs(qpath))
     print(f"mse {report['mse']:.6g}  psnr {report['psnr_db']:.2f} dB  ssim {report['ssim']:.4f}")
     return 0

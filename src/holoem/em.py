@@ -57,7 +57,6 @@ __all__ = [
     "NumericError",
     "ReconParams",
     "ReconTrace",
-    "nll",
     "tv_value",
     "reconstruct_real",
     "reconstruct_complex",
@@ -96,14 +95,14 @@ class ReconParams:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
         if not 0.0 <= self.beta <= 1.0:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
-        if self.tau is not None and not self.tau >= 0:
-            raise ValueError(f"tau must be >= 0, got {self.tau}")
+        if self.tau is not None and not 0 <= self.tau < np.inf:
+            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
         if self.init_mode not in _INIT_MODES:
             raise ValueError(f"init_mode must be one of {_INIT_MODES}, got {self.init_mode!r}")
         if self.stop_rule not in _STOP_RULES:
             raise ValueError(f"stop_rule must be one of {_STOP_RULES}, got {self.stop_rule!r}")
-        if not self.stop_delta > 0:
-            raise ValueError(f"stop_delta must be > 0, got {self.stop_delta}")
+        if not 0 < self.stop_delta < np.inf:
+            raise ValueError(f"stop_delta must be finite and > 0, got {self.stop_delta}")
 
 
 @dataclass
@@ -116,16 +115,17 @@ class ReconTrace:
     before the trace SSIM against the truth is taken. stop_reason says why
     the run stopped: iteration_cap, relative_change or diverged.
     step_halvings counts the gradient halvings that kept updates finite,
-    over the whole run.
+    over the whole run. Only the iteration loop fills a trace; ReconTrace()
+    is an empty one.
     """
 
-    iterations: list[int] = field(default_factory=list)
-    nll: list[float] = field(default_factory=list)
-    tv: list[float] = field(default_factory=list)
-    ssim: list[float | None] = field(default_factory=list)
-    millis: list[float] = field(default_factory=list)
-    stop_reason: str = "iteration_cap"
-    step_halvings: int = 0
+    iterations: list[int] = field(default_factory=list, init=False)
+    nll: list[float] = field(default_factory=list, init=False)
+    tv: list[float] = field(default_factory=list, init=False)
+    ssim: list[float | None] = field(default_factory=list, init=False)
+    millis: list[float] = field(default_factory=list, init=False)
+    stop_reason: str = field(default="iteration_cap", init=False)
+    step_halvings: int = field(default=0, init=False)
 
     COLUMNS = ("iteration", "nll", "tv", "ssim", "millis")
 

@@ -37,8 +37,6 @@ __all__ = [
     "Hologram",
     "synthesize_linear",
     "synthesize_full",
-    "add_poisson_noise",
-    "default_photon_scale",
     "simulate",
 ]
 
@@ -112,8 +110,8 @@ class Hologram:
             raise ValueError(
                 f"hologram intensity is negative at (y={bad[0]}, x={bad[1]}): {data[tuple(bad)]}"
             )
-        if self.photon_scale is not None and not self.photon_scale > 0:
-            raise ValueError(f"photon_scale must be positive, got {self.photon_scale}")
+        if self.photon_scale is not None and not 0 < self.photon_scale < math.inf:
+            raise ValueError(f"photon_scale must be positive and finite, got {self.photon_scale}")
         object.__setattr__(self, "intensity", data)
 
 
@@ -173,8 +171,8 @@ def add_poisson_noise(intensity: np.ndarray, photon_scale: float, seed: int) -> 
     rejection for large means); for a fixed seed the stream is identical
     across platforms.
     """
-    if not photon_scale > 0:
-        raise ValueError(f"photon_scale must be positive, got {photon_scale}")
+    if not 0 < photon_scale < math.inf:
+        raise ValueError(f"photon_scale must be positive and finite, got {photon_scale}")
     if intensity.min() < 0.0:
         raise ValueError("intensity must be non-negative for Poisson sampling")
     rng = np.random.Generator(np.random.Philox(seed))

@@ -34,7 +34,6 @@ __all__ = [
     "save_image",
     "load_image",
     "load_metadata",
-    "sidecar_path",
     "apply_reference_illumination",
     "parse_key_values",
     "load_key_values",

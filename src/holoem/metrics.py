@@ -28,7 +28,6 @@ from .propagation import _frame, _half_spectrum, _propagate_array, _sweep_transf
 logger = logging.getLogger(__name__)
 
 __all__ = [
-    "mse",
     "psnr",
     "ssim",
     "display_normalize",

@@ -22,11 +22,6 @@ import numpy as np
 from .forward import OpticalConfig
 
 __all__ = [
-    "disk_mask",
-    "rect_mask",
-    "ring_mask",
-    "cross_mask",
-    "multi_depth_masks",
     "multi_depth_stack",
     "single_slice_stack",
     "complex_stack",

@@ -145,13 +145,22 @@ def _anchored_scores(rec_parts, truth, masks):
     return ssims, leaks
 
 
+def _relative_errors(rec_parts, truth):
+    """Per-slice ||(r - median r) / 2 - t|| / ||t||: the estimate in object
+    units against the truth. A blank estimate scores 1."""
+    return [float(np.linalg.norm((r - np.median(r)) / 2.0 - t) / np.linalg.norm(t))
+            for r, t in zip(rec_parts, truth)]
+
+
 def test_c3_multi_depth_em_beats_backpropagation():
     distances = (0.5e-3, 1.0e-3, 1.25e-3)
     all_ok = True
     details = []
     # reference run: 128 px/300 its ssim (0.951, 0.312, 0.520) vs backprop
     # (0.002, -0.003, -0.000), worst leak 0.069, 3.6 s; 512 px/200 its ssim
-    # (0.995, 0.527, 0.756) vs (0.102, 0.006, 0.004), worst leak 0.027, 48 s
+    # (0.995, 0.527, 0.756) vs (0.102, 0.006, 0.004), worst leak 0.027, 48 s;
+    # relative error in object units 0.75/0.68/0.61 and 0.79/0.94/0.78, where a
+    # blank estimate scores 1.00
     for n, iters, budget in ((128, 300, 10.0), (512, 200, 120.0)):
         cfg = _config(n, distances)
         truth = multi_depth_stack(cfg)
@@ -162,17 +171,20 @@ def test_c3_multi_depth_em_beats_backpropagation():
         rec, trace = reconstruct_real(holo, ReconParams(max_iters=iters, init_mode="constant"))
         elapsed = time.perf_counter() - start
         em_ssim, leaks = _anchored_scores(list(rec), truth, masks)
+        errors = _relative_errors(rec, truth)
         bp = stack_adjoint(holo.intensity, PITCH, PITCH, WAVELENGTH,
                            distances, pad=True).real
         bp_ssim, _ = _anchored_scores(list(bp), truth, masks)
         ok = (not trace.diverged
               and all(e > b for e, b in zip(em_ssim, bp_ssim))
               and max(leaks) < 0.10
+              and max(errors) < 1.0
               and elapsed < budget)
         all_ok = all_ok and ok
         details.append(
             f"{n}px/{iters}it em ssim ({', '.join(f'{s:.3f}' for s in em_ssim)}) vs "
             f"bp ({', '.join(f'{s:.3f}' for s in bp_ssim)}), leak<= {max(leaks):.3f}, "
+            f"rel err ({', '.join(f'{e:.2f}' for e in errors)}) (<1.00), "
             f"{elapsed:.1f}s/{budget:.0f}s")
     _verdict(3, all_ok, "; ".join(details))
 
@@ -247,10 +259,14 @@ def test_c6_complex_object_recovery():
     real_truth = single_slice_stack(cfg)
     stack_r, _ = reconstruct_complex(simulate(real_truth, cfg, model="linear"), params)
     leak = float(np.linalg.norm(stack_r[0].imag) / np.linalg.norm(stack_r[0].real))
+    # the leak above is small for a blank imaginary part whatever its offset;
+    # the spread about the mean is the structure that leaked (reference 0.0079)
+    spread = float(np.std(stack_r[0].imag) / np.std(stack_r[0].real))
 
-    ok = ncc_re > 0.8 and ncc_im > 0.8 and leak < 0.05
+    ok = ncc_re > 0.8 and ncc_im > 0.8 and leak < 0.05 and spread < 0.05
     _verdict(6, ok, f"ncc real {ncc_re:.3f} / imag {ncc_im:.3f} (>0.8); "
-                    f"imaginary leakage for a real object {leak:.4f} (<0.05)")
+                    f"imaginary leakage for a real object {leak:.4f} (<0.05), "
+                    f"its spread over the real part's {spread:.4f} (<0.05)")
 
 
 # --- criterion 7: autofocus lands on the simulated depth ---

@@ -1,6 +1,6 @@
-"""Every name a holoem module exports through ``__all__`` exists, the
-export lists keep a pinned number of names and the exported callables a
-pinned number of defaulted parameters, and the
+"""Every name a holoem module exports through ``__all__`` exists and has a
+caller outside its module, the export lists keep a pinned number of names
+and the exported callables a pinned number of defaulted parameters, and the
 source keeps no dead inputs: no parameter a function never reads, no import
 a module never uses. The source also calls BLAS only for SSIM's window
 (``metrics._windowed``, matrix products alone) and keeps one cache,
@@ -57,14 +57,63 @@ def test_defaulted_parameter_count():
                 defaulted += [f"{name}.{attr}.{p.name}"
                               for p in inspect.signature(obj).parameters.values()
                               if p.default is not inspect.Parameter.empty]
-    assert len(defaulted) == 41, defaulted
+    assert len(defaulted) == 34, defaulted
 
 
 def test_exported_name_count():
     # every name over every __all__; a new export means a reviewed edit here
     exported = [f"{name}.{attr}" for name in MODULES
                 for attr in getattr(importlib.import_module(f"holoem.{name}"), "__all__", ())]
-    assert len(exported) == 52, exported
+    assert len(exported) == 42, exported
+
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+# what README's "Library use" documents and nothing else calls
+LIBRARY = {"forward.synthesize_linear", "forward.synthesize_full", "propagation.propagate"}
+
+
+def _read_by_other_modules() -> set[str]:
+    """Every ``module.name`` a holoem module takes from another one: by
+    ``from .module import name`` or by reading ``module.name``."""
+    read = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.module:
+                module = node.module.rpartition(".")[2]
+                read |= {f"{module}.{alias.name}" for alias in node.names if module != path.stem}
+            elif (isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                  and node.value.id in MODULES and node.value.id != path.stem):
+                read.add(f"{node.value.id}.{node.attr}")
+    return read
+
+
+def _read_by_the_benchmark() -> set[str]:
+    """The ``module.name`` pairs perfbench/tracing.py's TARGETS wraps and
+    perfbench/child.py imports, read with ``ast``."""
+    tracing = ast.parse((PERFBENCH / "tracing.py").read_text(encoding="utf-8"))
+    targets = next(node.value for node in ast.walk(tracing) if isinstance(node, ast.Assign)
+                   and any(getattr(t, "id", None) == "TARGETS" for t in node.targets))
+    read = {f"{module.removeprefix('holoem.')}.{attr}"
+            for module, attr, _ in ast.literal_eval(targets)}
+    child = ast.parse((PERFBENCH / "child.py").read_text(encoding="utf-8"))
+    return read | {f"{node.module.removeprefix('holoem.')}.{alias.name}"
+                   for node in ast.walk(child) if isinstance(node, ast.ImportFrom)
+                   and (node.module or "").startswith("holoem.") for alias in node.names}
+
+
+def test_every_export_has_a_caller():
+    # __all__ lists what callers use; a helper only its own module calls
+    # stays importable by name but leaves the list
+    called = _read_by_other_modules() | _read_by_the_benchmark()
+    assert not LIBRARY & called, "a called name needs no LIBRARY entry"
+    readme = (PERFBENCH.parent / "README.md").read_text(encoding="utf-8")
+    library_use = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    assert all(f"`{name.split('.')[1]}" in library_use for name in LIBRARY)
+    called |= LIBRARY
+    uncalled = [f"{name}.{attr}" for name in MODULES
+                for attr in getattr(importlib.import_module(f"holoem.{name}"), "__all__", ())
+                if f"{name}.{attr}" not in called]
+    assert not uncalled, f"exported names no other module calls: {uncalled}"
 
 
 def test_records_holding_arrays_compare_by_identity():

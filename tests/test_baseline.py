@@ -86,6 +86,7 @@ def test_trace_without_truth(demo64):
     dict(max_iters=0),
     dict(tau=float("nan")),
     dict(tau=-0.5),
+    dict(tau=float("inf")),
 ])
 def test_params_validation(kw):
     with pytest.raises(ValueError):

@@ -106,6 +106,13 @@ class TestRunConfig:
             cfg.require("width", "height")
 
 
+def _strict_json(text: str):
+    """json.loads refusing NaN, Infinity and -Infinity, which strict JSON lacks."""
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    return json.loads(text, parse_constant=refuse)
+
+
 def simulate_args(out, extra=()):
     return ["simulate", "--out", str(out),
             "--width", "64", "--height", "64",
@@ -243,6 +250,19 @@ def test_metrics_end_to_end(tmp_path, rng):
     assert report["mse"] == mse(a, b)
     assert report["psnr_db"] == psnr(a, b, peak=1.0)
     assert report["ssim"] == ssim(a, b, peak=1.0)
+
+
+def test_metrics_of_identical_images_writes_a_null_psnr(tmp_path, capsys):
+    # strict JSON has no infinity: the PSNR of identical images is written as null
+    sim = tmp_path / "sim"
+    assert main(simulate_args(sim)) == 0
+    holo = str(sim / "hologram.pfm")
+    out = tmp_path / "m"
+    assert main(["metrics", "--out", str(out), "--input", holo, "--truth", holo,
+                 "--peak", "2"]) == 0
+    report = _strict_json((out / "quality.json").read_text(encoding="utf-8"))
+    assert report["psnr_db"] is None and report["mse"] == 0.0
+    assert "psnr inf dB" in capsys.readouterr().out
 
 
 def test_metrics_default_peak_against_simulated_absorber_truth(tmp_path):
@@ -517,6 +537,25 @@ class TestExitCodes:
         assert record["exit_code"] == 2
         assert "peak must be positive and finite" in record["message"]
         assert not (out / "quality.json").exists()
+
+    @pytest.mark.parametrize("mode, flags, key", [
+        ("reconstruct-real", ["--tau", "inf"], "tau"),
+        ("baseline", ["--tau", "inf"], "tau"),
+        ("reconstruct-real", ["--stop", "relative_change", "--stop-delta", "inf"], "stop_delta"),
+        ("simulate", ["--noise-seed", "1", "--photon-scale", "inf"], "photon_scale"),
+    ], ids=["real-tau", "baseline-tau", "stop-delta", "photon-scale"])
+    def test_non_finite_setting_is_config_error(self, tmp_path, mode, flags, key):
+        # not a numeric failure, a one-iteration stop or numpy's unnamed error
+        distances = ["--slice-distances", "0.5mm,1mm,1.25mm"]
+        sim, out = tmp_path / "sim", tmp_path / "out"
+        assert main(simulate_args(sim, [*distances, "--phantom", "multi-depth"])) == 0
+        argv = (simulate_args(out, [*distances, "--phantom", "multi-depth", *flags])
+                if mode == "simulate" else
+                [mode, "--out", str(out), "--input", str(sim / "hologram.pfm"), *distances, *flags])
+        assert main(argv) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["exit_code"] == 2 and f"{key} must be" in record["message"]
+        assert not list(out.glob("*.pfm")) and not list(out.glob("*.pgm"))
 
     @pytest.mark.parametrize("bound, value", [("--z-max", "inf"), ("--z-step", "nan")])
     def test_non_finite_scan_bound_is_config_error(self, tmp_path, bound, value):
@@ -1059,10 +1098,12 @@ def test_manifest_records_every_key_the_mode_reads(tmp_path):
         for key, value in flags.items():
             argv += ["--" + key.replace("_", "-"), value]
         assert main(argv) == 0, mode
-        # every text file a run writes ends its last line
+        # every text file a run writes ends its last line, and its JSON is strict
         for path in out.iterdir():
             if path.suffix in (".txt", ".csv", ".json", ".meta"):
                 assert path.read_bytes().endswith(b"\n"), (mode, path.name)
+            if path.suffix == ".json":
+                _strict_json(path.read_text(encoding="utf-8"))
         manifest = load_key_values(out / "manifest.txt")
         assert manifest["numpy_version"] == np.__version__
         given = RunConfig.from_mapping(flags)

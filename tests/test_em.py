@@ -293,6 +293,8 @@ class TestReconParams:
         dict(init_mode="random"),
         dict(stop_rule="never"),
         dict(stop_delta=0.0),
+        dict(tau=float("inf")),
+        dict(stop_delta=float("inf")),
     ])
     def test_rejects_bad_values(self, kw):
         with pytest.raises(ValueError):

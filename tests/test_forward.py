@@ -89,8 +89,9 @@ class TestHologram:
 
     def test_photon_scale_guard(self):
         cfg = make_config()
-        with pytest.raises(ValueError):
-            Hologram(np.ones((16, 16)), cfg, photon_scale=0.0)
+        for scale in (0.0, float("inf")):
+            with pytest.raises(ValueError, match="photon_scale must be positive and finite"):
+                Hologram(np.ones((16, 16)), cfg, photon_scale=scale)
 
 
 def test_linear_model_matches_formula(rng):
@@ -181,8 +182,10 @@ class TestPoissonNoise:
         assert np.max(np.abs(noisy - 1.0)) < 1e-4
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            add_poisson_noise(np.ones((4, 4)), 0.0, 1)
+        # numpy's own error for an infinite mean would name no setting
+        for scale in (0.0, float("inf"), float("nan")):
+            with pytest.raises(ValueError, match="photon_scale must be positive and finite"):
+                add_poisson_noise(np.ones((4, 4)), scale, 1)
         with pytest.raises(ValueError, match="non-negative"):
             add_poisson_noise(np.full((4, 4), -0.5), 100.0, 1)
 

@@ -338,21 +338,29 @@ def _optical_config(cfg: RunConfig, recorded: dict[str, float], width: int,
     )
 
 
+_CONTRASTS = ("contrast", "phase_contrast")  # the keys a phantom builder may take
+
+
 def _phantom_stack(cfg: RunConfig, optics: OpticalConfig) -> np.ndarray:
-    """The built-in object. A contrast key left unset takes the phantom's own
-    default, which goes into cfg so that the manifest records it."""
-    builders = {"multi-depth": (multi_depth_stack, {"contrast": "contrast"}),
-                "single": (single_slice_stack, {"contrast": "contrast"}),
-                "complex": (complex_stack, {"contrast": "absorb_contrast",
-                                            "phase_contrast": "phase_contrast"})}
+    """The built-in object, given the keywords its builder takes after the config.
+    A keyword left unset takes the builder's default, which goes into cfg so that
+    the manifest records it. A contrast key the builder does not take, or one
+    that is not finite, is refused."""
+    builders = {"multi-depth": multi_depth_stack, "single": single_slice_stack,
+                "complex": complex_stack}
     if cfg.phantom not in builders:
         raise ConfigError(f"unknown phantom {cfg.phantom!r} (multi-depth, single or complex)")
-    build, names = builders[cfg.phantom]
-    own = inspect.signature(build).parameters
-    for key, name in names.items():
-        if getattr(cfg, key) is None:
-            setattr(cfg, key, own[name].default)
-    return build(optics, **{name: getattr(cfg, key) for key, name in names.items()})
+    build = builders[cfg.phantom]
+    own = {p.name: p.default for p in list(inspect.signature(build).parameters.values())[1:]}
+    for key in _CONTRASTS:
+        value = getattr(cfg, key)
+        if value is not None and key not in own:
+            raise ConfigError(f"phantom {cfg.phantom!r} takes no {key!r}")
+        if value is not None and not np.isfinite(value):
+            raise ConfigError(f"{key} must be finite, got {value}")
+        if value is None and key in own:
+            setattr(cfg, key, own[key])
+    return build(optics, **{key: getattr(cfg, key) for key in own})
 
 
 def _object_stack(cfg: RunConfig, optics: OpticalConfig) -> np.ndarray:
@@ -360,6 +368,9 @@ def _object_stack(cfg: RunConfig, optics: OpticalConfig) -> np.ndarray:
         raise ConfigError("simulate needs exactly one object source: 'phantom' or 'objects'")
     if cfg.phantom is not None:
         return _phantom_stack(cfg, optics)
+    for key in _CONTRASTS:
+        if getattr(cfg, key) is not None:
+            raise ConfigError(f"{key!r} sets a phantom, and 'objects' builds none")
     return np.stack([_load_on_grid(p, optics) for p in cfg.objects])
 
 

@@ -202,6 +202,8 @@ def simulate(
     """
     if photon_scale is not None and seed is None:
         raise ValueError("photon_scale sets the shot noise, which needs a seed")
+    if seed is not None and seed < 0:
+        raise ValueError(f"noise seed must be a non-negative integer, got {seed}")
     if model == "linear":
         g = synthesize_linear(obj, config)
     elif model == "full":

@@ -372,14 +372,18 @@ def autofocus(hologram: Hologram, z_min: float, z_max: float, z_step: float) -> 
 def resolution_limits(wavelength: float, numerical_aperture: float) -> tuple[float, float]:
     """Diffraction-limited lateral and axial resolution (meters).
 
-    lateral = wavelength / (2 NA), axial = 2 wavelength / NA^2.
+    lateral = wavelength / (2 NA), axial = 2 wavelength / NA^2; both must be finite.
     """
     if not (np.isfinite(wavelength) and wavelength > 0):
         raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
     if not 0 < numerical_aperture <= 1:
         raise ValueError(f"numerical aperture must be in (0, 1], got {numerical_aperture}")
     lateral = wavelength / (2.0 * numerical_aperture)
-    axial = 2.0 * wavelength / numerical_aperture**2
+    na2 = numerical_aperture**2  # 0.0 below about 1.5e-162
+    axial = 2.0 * wavelength / na2 if na2 else np.inf
+    if not (np.isfinite(lateral) and np.isfinite(axial)):
+        raise ValueError(f"numerical aperture {numerical_aperture} gives a non-finite "
+                         f"resolution limit at wavelength {wavelength}")
     return lateral, axial
 
 

@@ -138,7 +138,7 @@ def test_simulate_writes_expected_files(tmp_path):
 @pytest.mark.parametrize("flags,contrasts", [
     ((), {}),
     (("--contrast", "0.03", "--phase-contrast", "0.02"),
-     {"absorb_contrast": 0.03, "phase_contrast": 0.02})])
+     {"contrast": 0.03, "phase_contrast": 0.02})])
 def test_complex_phantom_is_the_library_object(tmp_path, flags, contrasts):
     # the truth carries an imaginary part; with no contrast flag the CLI builds
     # complex_stack(cfg)'s own object (the one the acceptance criteria test),
@@ -305,6 +305,15 @@ def test_resolution_with_a_non_finite_wavelength_is_config_error(tmp_path):
     assert not (out / "resolution.txt").exists()
 
 
+@pytest.mark.parametrize("aperture", ["1e-160", "1e-200"])
+def test_resolution_with_a_vanishing_aperture_is_config_error(tmp_path, aperture):
+    out = tmp_path / "res"
+    assert main(["resolution", "--out", str(out), "--numerical-aperture", aperture]) == 2
+    record = json.loads((out / "error.json").read_text())
+    assert record["exit_code"] == 2 and "numerical aperture" in record["message"]
+    assert not (out / "resolution.txt").exists()
+
+
 def test_simulate_from_object_images(tmp_path, rng):
     obj = RealGrid2D(-0.04 * (rng.random((32, 32)) > 0.9), PITCH, PITCH)
     save_image(tmp_path / "obj.pfm", obj)
@@ -340,6 +349,42 @@ class TestExitCodes:
         assert code == 2
         record = json.loads((out / "error.json").read_text())
         assert record["exit_code"] == 2
+
+    @pytest.mark.parametrize("source, flags, key", [
+        (["--phantom", "single"], ["--phase-contrast", "0.3"], "phase_contrast"),
+        (["--phantom", "multi-depth"], ["--phase-contrast", "0.3"], "phase_contrast"),
+        (["--objects", "obj.pfm"], ["--contrast", "0.3"], "contrast"),
+        (["--objects", "obj.pfm"], ["--phase-contrast", "0.2"], "phase_contrast"),
+    ], ids=["single", "multi-depth", "objects-contrast", "objects-phase-contrast"])
+    def test_contrast_the_object_does_not_read_is_config_error(self, tmp_path, monkeypatch,
+                                                               source, flags, key):
+        # a phantom takes only the keys its builder reads; object images take none
+        monkeypatch.chdir(tmp_path)
+        save_image("obj.pfm", RealGrid2D(np.zeros((32, 32)), PITCH, PITCH))
+        distances = "1mm,2mm,3mm" if "multi-depth" in source else "1mm"
+        code = main(["simulate", "--out", "sim", "--width", "32", "--height", "32",
+                     "--slice-distances", distances, *source, *flags])
+        assert code == 2
+        record = json.loads(Path("sim/error.json").read_text())
+        assert record["exit_code"] == 2 and f"'{key}'" in record["message"]
+        assert not Path("sim/hologram.pfm").exists()
+
+    def test_negative_noise_seed_is_config_error(self, tmp_path):
+        out = tmp_path / "sim"
+        assert main(simulate_args(out, ["--noise-seed", "-1"])) == 2
+        record = json.loads((out / "error.json").read_text())
+        assert record["exit_code"] == 2
+        assert "noise seed must be a non-negative integer, got -1" in record["message"]
+        assert not (out / "hologram.pfm").exists()
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("flag", ["--pitch", "--pitch-y"])
+    def test_vanishing_pitch_is_simulated(self, tmp_path, flag):
+        # at --pitch 1e-300 the squared feature radii overflow to inf, so each
+        # disk covers the grid: a valid object, not a traceback
+        out = tmp_path / "sim"
+        assert main(simulate_args(out, [flag, "1e-300"])) == 0
+        assert (out / "hologram.pfm").exists()
 
     def test_missing_required_key(self, tmp_path):
         code = main(["simulate", "--out", str(tmp_path / "x"),
@@ -543,7 +588,8 @@ class TestExitCodes:
         ("baseline", ["--tau", "inf"], "tau"),
         ("reconstruct-real", ["--stop", "relative_change", "--stop-delta", "inf"], "stop_delta"),
         ("simulate", ["--noise-seed", "1", "--photon-scale", "inf"], "photon_scale"),
-    ], ids=["real-tau", "baseline-tau", "stop-delta", "photon-scale"])
+        ("simulate", ["--contrast", "inf"], "contrast"),
+    ], ids=["real-tau", "baseline-tau", "stop-delta", "photon-scale", "contrast"])
     def test_non_finite_setting_is_config_error(self, tmp_path, mode, flags, key):
         # not a numeric failure, a one-iteration stop or numpy's unnamed error
         distances = ["--slice-distances", "0.5mm,1mm,1.25mm"]

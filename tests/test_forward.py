@@ -222,6 +222,10 @@ class TestSimulate:
         with pytest.raises(ValueError, match="seed"):
             simulate(self.obj, self.cfg, photon_scale=100.0)
 
+    def test_negative_seed_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="noise seed must be a non-negative integer, got -1"):
+            simulate(self.obj, self.cfg, seed=-1)
+
     def test_full_model_dispatch(self):
         holo = simulate(self.obj, self.cfg, model="full")
         expected = synthesize_full(self.obj, self.cfg)

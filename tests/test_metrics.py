@@ -265,7 +265,7 @@ class TestNcc:
 
 
 def test_focus_metric_drops_under_blur():
-    disk = disk_mask(32, 32, 0.5, 0.5, 0.3, scale=32)
+    disk = disk_mask(32, 32, 0.5, 0.5, 0.3, scale=32).astype(np.float64)
     assert focus_metric(disk) > 5 * focus_metric(ndi.gaussian_filter(disk, 2.0))
 
 
@@ -557,6 +557,9 @@ class TestResolutionLimits:
             resolution_limits(675e-9, 0.0)
         with pytest.raises(ValueError):
             resolution_limits(675e-9, 1.2)
+        for aperture in (1e-160, 1e-200):  # axial 2λ/NA² is inf, or NA² underflows to 0
+            with pytest.raises(ValueError, match="numerical aperture"):
+                resolution_limits(675e-9, aperture)
         for wavelength in (float("inf"), float("nan")):
             with pytest.raises(ValueError, match="wavelength"):
                 resolution_limits(wavelength, 0.5)

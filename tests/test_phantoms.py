@@ -34,7 +34,7 @@ class TestMaskGeometry:
         assert m[16, 24] == 1.0   # distance exactly 8
         assert m[16, 25] == 0.0
         assert m[24, 16] == 1.0
-        assert m.dtype == np.float64
+        assert m.dtype == np.bool_
 
     def test_disk_explicit_scale(self):
         # same fractional radius, half the scale -> half the pixel radius
@@ -110,7 +110,7 @@ def test_single_slice_contrast_and_support():
 
 
 def test_complex_stack_parts_are_disjoint():
-    stack = complex_stack(config1(), absorb_contrast=0.06, phase_contrast=0.05)
+    stack = complex_stack(config1(), contrast=0.06, phase_contrast=0.05)
     assert stack.shape == (1, 128, 128) and stack.dtype == np.complex128
     re = stack[0].real
     im = stack[0].imag

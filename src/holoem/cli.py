@@ -164,11 +164,12 @@ _FOCUS = ("autofocus",)
 _RESULT_KEYS = ("holoem_version", "numpy_version", "stop_reason", "step_halvings", "wall_s",
                 "peak_rss_mib", "scipy_version", "fft_workers")
 # retired keys, each now fixed at one value: older manifests record them, so each
-# stays legal config input at that value only (key -> kind, value)
+# stays legal config input at that value only (key -> kind, value); init, the EM
+# start, also keeps its RunConfig field and flag, which command lines still pass
 _RETIRED = {"tv_epsilon": ("optfloat", "auto"), "ratio_floor": ("optfloat", "auto"),
             "power_iters": ("int", "20"), "power_seed": ("int", "0"),
             "step_size": ("optfloat", "auto"), "median_size": ("int", "3"),
-            "illumination_amplitude": ("float", "1.0")}
+            "illumination_amplitude": ("float", "1.0"), "init": ("str", "constant")}
 
 
 @dataclass
@@ -213,8 +214,7 @@ class RunConfig:
     tau: float | None = _key(
         "optfloat", "TV weight ('auto' = 0.002 * mean intensity)", modes=_SOLVE)
     beta: float = _key("float", "upper-bound relaxation factor", ReconParams.beta, modes=_REAL)
-    init: str = _key(
-        "str", "initialization: backpropagation or constant", ReconParams.init_mode, modes=_EM)
+    init: str = _key("str", "EM start: constant, the only one", "constant", modes=_EM)
     stop: str = _key(
         "str", "stop rule: fixed_iters or relative_change", ReconParams.stop_rule, modes=_EM)
     stop_delta: float = _key(
@@ -383,13 +383,25 @@ def _load_on_grid(path, optics: OpticalConfig) -> np.ndarray:
     return data
 
 
+def _fits_float32(data: np.ndarray, what: str, error=ConfigError):
+    """Raise error, before any image is written, when no image can hold data."""
+    largest = float(np.abs(data).max())
+    if largest > float(np.finfo(np.float32).max):
+        raise error(f"{what} magnitude {largest:.6g} exceeds the float32 range of its images")
+
+
 def _run_simulate(cfg: RunConfig, out: Path, outcome: dict) -> int:
     cfg.require("width", "height", "slice_distances")
     _check_dims(cfg.width, cfg.height, "configured grid", ConfigError)  # as the reader limits it
     optics = _optical_config(cfg, {}, cfg.width, cfg.height)
     obj = _object_stack(cfg, optics)
+    # an object an image can hold keeps either model's hologram finite
+    source = "objects" if cfg.objects else "/".join(
+        k for k in _CONTRASTS if getattr(cfg, k) is not None)
+    _fits_float32(obj, f"{source}: object")
     holo = simulate(obj, optics, model=cfg.model, photon_scale=cfg.photon_scale,
                     seed=cfg.noise_seed)
+    _fits_float32(holo.intensity, f"{source}: hologram")
     cfg.photon_scale = holo.photon_scale
     images = [("hologram.pfm", holo.intensity), ("hologram.pgm", holo.intensity)]
     for i, s in enumerate(obj):
@@ -459,17 +471,14 @@ def _run_reconstruct(cfg: RunConfig, out: Path, outcome: dict) -> int:
         # only real mode reads beta; ReconParams refuses a complex-mode bound
         beta = {} if complex_mode else {"beta": cfg.beta}
         params = ReconParams(
-            max_iters=cfg.iters, tau=cfg.tau, init_mode=cfg.init, stop_rule=cfg.stop,
-            stop_delta=cfg.stop_delta, upper_bound=_upper_bound(cfg, optics), **beta,
+            max_iters=cfg.iters, tau=cfg.tau, stop_rule=cfg.stop, stop_delta=cfg.stop_delta,
+            upper_bound=_upper_bound(cfg, optics), **beta,
         )
         solve = reconstruct_complex if complex_mode else reconstruct_real
     truth = _load_truth(cfg, optics, complex_mode)
     estimate, trace = solve(holo, params, ground_truth=truth)
     outcome.update(stop_reason=trace.stop_reason, step_halvings=trace.step_halvings)
-    largest = float(np.abs(estimate).max())
-    if largest > float(np.finfo(np.float32).max):
-        raise NumericError(f"estimate magnitude {largest:.6g} exceeds the float32 range "
-                           "of its images; no slice written")
+    _fits_float32(estimate, "estimate", NumericError)
 
     if complex_mode:
         images = [(f"slice_{i:02d}_{name}.pfm", part(s)) for i, s in enumerate(estimate)

@@ -62,7 +62,6 @@ __all__ = [
     "reconstruct_complex",
 ]
 
-_INIT_MODES = ("backpropagation", "constant")
 _STOP_RULES = ("fixed_iters", "relative_change")
 _RISES = 5  # objective rises in a row that halt a run as diverged
 
@@ -75,6 +74,8 @@ class NumericError(RuntimeError):
 class ReconParams:
     """Reconstruction controls.
 
+    Every solve starts from the same flat estimate: one constant level per
+    slice, chosen so that its predicted intensity has the mean of g.
     tau = None means 0.002 * mean(g). upper_bound, a scalar or a per-pixel
     bound of the config's grid shape on every slice (real mode only), is
     relaxed by beta. The numeric safeguards are fixed by the data: the TV
@@ -85,7 +86,6 @@ class ReconParams:
     max_iters: int = 100
     tau: float | None = None
     beta: float = 0.5
-    init_mode: str = "backpropagation"
     stop_rule: str = "fixed_iters"
     stop_delta: float = 1e-6
     upper_bound: float | np.ndarray | None = None
@@ -97,8 +97,6 @@ class ReconParams:
             raise ValueError(f"beta must be in [0, 1], got {self.beta}")
         if self.tau is not None and not 0 <= self.tau < np.inf:
             raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
-        if self.init_mode not in _INIT_MODES:
-            raise ValueError(f"init_mode must be one of {_INIT_MODES}, got {self.init_mode!r}")
         if self.stop_rule not in _STOP_RULES:
             raise ValueError(f"stop_rule must be one of {_STOP_RULES}, got {self.stop_rule!r}")
         if not 0 < self.stop_delta < np.inf:
@@ -220,18 +218,6 @@ def _em_update(w, grad, tv_grad, tau: float, bound, beta: float) -> np.ndarray:
     return new if bound is None else np.where(new > bound, bound + beta * (new - bound), new)
 
 
-def _sign_floor(arr: np.ndarray, floor: float) -> np.ndarray:
-    """Push magnitudes below the floor out to +-floor, preserving sign.
-
-    Keeps the multiplicative update away from its fixed point at zero
-    without destroying legitimately negative values (backpropagated
-    backgrounds are negative wherever cos(k0 z) < 0). Exact zeros go to
-    +floor.
-    """
-    small = np.abs(arr) < floor
-    return np.where(small, np.where(arr < 0, -floor, floor), arr)
-
-
 def _trace_ssim(w: np.ndarray, truth_parts: list[_SsimReference] | None) -> float | None:
     """Mean SSIM of every slice of every part against the truth; None without truth."""
     if truth_parts is None:
@@ -344,25 +330,26 @@ def _iterate(
     return _joined(w), trace
 
 
-def _em_start(g: np.ndarray, config: OpticalConfig, params: ReconParams,
-              complex_mode: bool) -> np.ndarray:
-    """Initial (parts, slices, H, W) estimate for the multiplicative solver."""
-    lam, zs = config.wavelength, config.slice_distances
-    if params.init_mode == "backpropagation":
-        bp = stack_adjoint(g, *_stack_optics(config), real=not complex_mode)
-        parts = [bp.real, bp.imag] if complex_mode else [bp]
-        return np.stack([_sign_floor(p, 1e-6 * float(np.abs(p).mean())) for p in parts])
-    # DC-matched flat start: levels d_z with sum_z cos(k0 z) d_z = mean(g),
-    # minimum-norm, so the initial prediction already carries the right DC;
-    # |cos x| > 1e-19 for every finite double x, so the sum is never zero
-    cosz = np.cos(2.0 * np.pi / lam * np.asarray(zs))
+def _em_start(g: np.ndarray, config: OpticalConfig, complex_mode: bool) -> np.ndarray:
+    """The flat (parts, slices, H, W) start of the multiplicative solver.
+
+    Slice z holds the level d_z of the minimum-norm solution of
+    sum_z cos(k0 z) d_z = mean(g), so the initial prediction already carries
+    the right DC; |cos x| > 1e-19 for every finite double x, so the sum is
+    never zero. A zero is a fixed point of the multiplicative update, so a
+    level below 1e-6 of the levels' mean magnitude goes out to that floor,
+    keeping its sign (an exact zero goes to +floor).
+    """
+    cosz = np.cos(2.0 * np.pi / config.wavelength * np.asarray(config.slice_distances))
     levels = cosz * float(g.mean()) / float(np.sum(cosz**2))
-    w_re = np.broadcast_to(levels[:, None, None], (len(zs),) + config.grid_shape).copy()
-    w_re = _sign_floor(w_re, 1e-6 * max(float(np.abs(levels).mean()), np.finfo(np.float64).tiny))
+    scale = float(np.abs(levels).mean())
+    floor = 1e-6 * max(scale, np.finfo(np.float64).tiny)
+    levels = np.where(np.abs(levels) < floor, np.where(levels < 0, -floor, floor), levels)
+    w_re = np.broadcast_to(levels[:, None, None], (len(levels),) + config.grid_shape).copy()
     if not complex_mode:
         return w_re[None]
     # small nonzero tilt: a zero imaginary part is a multiplicative fixed point
-    return np.stack([w_re, np.full_like(w_re, 0.01 * float(np.abs(levels).mean()))])
+    return np.stack([w_re, np.full_like(w_re, 0.01 * scale)])
 
 
 def _upper_bound(params: ReconParams, config: OpticalConfig, complex_mode: bool):
@@ -413,7 +400,7 @@ def _em_solve(hologram: Hologram, params: ReconParams | None, ground_truth,
         return _em_update(w, scale * grad, tv_grad, scale * tau, ub, params.beta)
 
     stop_delta = params.stop_delta if params.stop_rule == "relative_change" else None
-    return _iterate(cfg, params.max_iters, _em_start(g, cfg, params, complex_mode), data_term,
+    return _iterate(cfg, params.max_iters, _em_start(g, cfg, complex_mode), data_term,
                     _resolve_epsilon, update, _truth_parts(ground_truth, cfg, complex_mode),
                     stop_delta)
 

@@ -168,7 +168,7 @@ def test_c3_multi_depth_em_beats_backpropagation():
                  multi_depth_masks(n, n, REFERENCE_EXTENT / cfg.pitch_x)]
         holo = simulate(truth, cfg, model="linear")
         start = time.perf_counter()
-        rec, trace = reconstruct_real(holo, ReconParams(max_iters=iters, init_mode="constant"))
+        rec, trace = reconstruct_real(holo, ReconParams(max_iters=iters))
         elapsed = time.perf_counter() - start
         em_ssim, leaks = _anchored_scores(list(rec), truth, masks)
         errors = _relative_errors(rec, truth)
@@ -200,7 +200,7 @@ def test_c4_upper_bound_speeds_convergence():
     holo = simulate(truth, cfg, model="linear")
 
     _, tr_bound = reconstruct_real(
-        holo, ReconParams(max_iters=100, init_mode="constant", upper_bound=1.0, beta=0.5),
+        holo, ReconParams(max_iters=100, upper_bound=1.0, beta=0.5),
         ground_truth=truth)
     curve = np.array(tr_bound.ssim, dtype=float)
     # settling point: first 1-indexed iteration from which the curve stays at
@@ -208,7 +208,7 @@ def test_c4_upper_bound_speeds_convergence():
     below = np.nonzero(curve < 0.95 * curve[-1])[0]
     settle = int(below[-1]) + 2 if below.size else 1
 
-    _, tr_free = reconstruct_real(holo, ReconParams(max_iters=100, init_mode="constant"),
+    _, tr_free = reconstruct_real(holo, ReconParams(max_iters=100),
                                   ground_truth=truth)
     _, tr_base = baseline_reconstruct(holo, BaselineParams(max_iters=100), ground_truth=truth)
     target = float(tr_base.ssim[-1])
@@ -227,7 +227,7 @@ def test_c5_poisson_psnr_beats_baseline_and_db_identities():
     cfg = _config(256, (1.0e-3,))
     truth = single_slice_stack(cfg)
     holo = simulate(truth, cfg, model="linear", seed=2024)
-    rec_em, _ = reconstruct_real(holo, ReconParams(max_iters=100, init_mode="constant"))
+    rec_em, _ = reconstruct_real(holo, ReconParams(max_iters=100))
     rec_base, _ = baseline_reconstruct(holo, BaselineParams(max_iters=100))
     tn = display_normalize(truth[0])
     em_db = psnr(display_normalize(rec_em[0]), tn, peak=1.0)
@@ -248,7 +248,7 @@ def test_c5_poisson_psnr_beats_baseline_and_db_identities():
 
 def test_c6_complex_object_recovery():
     cfg = _config(192, (1.0e-3,))
-    params = ReconParams(max_iters=1000, init_mode="constant")
+    params = ReconParams(max_iters=1000)
 
     truth = complex_stack(cfg)
     stack, _ = reconstruct_complex(simulate(truth, cfg, model="linear"), params)

@@ -57,7 +57,7 @@ def test_defaulted_parameter_count():
                 defaulted += [f"{name}.{attr}.{p.name}"
                               for p in inspect.signature(obj).parameters.values()
                               if p.default is not inspect.Parameter.empty]
-    assert len(defaulted) == 34, defaulted
+    assert len(defaulted) == 33, defaulted
 
 
 def test_exported_name_count():

@@ -1,9 +1,11 @@
-"""The names the benchmark wraps and reads still exist in holoem.
+"""The names the benchmark wraps and reads, and the command lines it runs,
+still work in holoem.
 
 ``perfbench/tracing.py`` replaces functions by the name their callers look
-up (``TARGETS``), and ``perfbench/child.py`` reads the transfer cache's
+up (``TARGETS``), ``perfbench/child.py`` reads the transfer cache's
 counters and checks each job's outputs through holoem's own readers and
-operators. A rename, deletion or change of return type in holoem would
+operators, and ``perfbench/workloads.py`` builds each job's argv. A rename,
+deletion or change of return type in holoem, or a retired flag value, would
 otherwise surface only when the benchmark runs. This module reads
 ``perfbench/`` and changes nothing there.
 """
@@ -11,6 +13,7 @@ otherwise surface only when the benchmark runs. This module reads
 import ast
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +21,7 @@ import pytest
 
 from holoem import metrics, propagation
 from holoem.baseline import BaselineParams, baseline_reconstruct
+from holoem.cli import RunConfig, _build_parser
 from holoem.em import ReconParams, reconstruct_real
 from holoem.forward import OpticalConfig, simulate
 from holoem.grid import RealGrid2D
@@ -27,19 +31,20 @@ from holoem.operators import stack_adjoint
 from holoem.phantoms import single_slice_stack
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
-TRACING = PERFBENCH / "tracing.py"
 CHILD = PERFBENCH / "child.py"
 
 
-def _tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
-    module = importlib.util.module_from_spec(spec)
+def _perfbench(name: str):
+    """perfbench's module ``name``, loaded from its file (and registered, as
+    its dataclasses need)."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_name_resolves():
-    missing = [f"{module}.{attr}" for module, attr, _ in _tracing().TARGETS
+    missing = [f"{module}.{attr}" for module, attr, _ in _perfbench("tracing").TARGETS
                if not callable(getattr(importlib.import_module(module), attr, None))]
     assert not missing, f"names the benchmark traces are gone: {missing}"
 
@@ -49,7 +54,7 @@ def test_every_scored_autofocus_plane_is_a_traced_propagation():
     # so its propagate span counts every plane the focus span scores
     cfg = OpticalConfig(675e-9, 1e-6, 128, 128, (1.0e-3,))
     hologram = simulate(single_slice_stack(cfg, contrast=0.04), cfg)
-    tracer = _tracing().Tracer("contract")
+    tracer = _perfbench("tracing").Tracer("contract")
     tracer.install()
     try:
         metrics.autofocus(hologram, 0.5e-3, 1.5e-3, 15.625e-6)
@@ -68,7 +73,7 @@ def test_every_tv_pass_is_a_traced_em_tv_span(solve, params):
     # wraps, so em.tv counts one pass per iterate and one at the start
     cfg = OpticalConfig(675e-9, 1e-6, 32, 32, (1.0e-3,))
     hologram = simulate(single_slice_stack(cfg, contrast=0.04), cfg)
-    tracer = _tracing().Tracer("contract")
+    tracer = _perfbench("tracing").Tracer("contract")
     tracer.install()
     try:
         _, trace = solve(hologram, params)
@@ -119,3 +124,21 @@ def test_output_check_reads_a_saved_image_and_back_propagates_it(tmp_path):
     np.testing.assert_array_equal(bp, expected)
     image = np.outer(np.arange(16.0), np.ones(16))
     assert ncc(image, image) == 1.0 and ssim(image, image, peak=1.0) == 1.0
+
+
+@pytest.mark.parametrize("smoke", [False, True], ids=["full", "smoke"])
+def test_every_benchmark_command_line_resolves(tmp_path, smoke):
+    # every simulate and job argv the workloads build parses and resolves as
+    # cli.run resolves flags, so retiring a value the benchmark passes fails here
+    workloads = _perfbench("workloads")
+    parser = _build_parser()
+    argvs = [step.argv for name in workloads.NAMES
+             for wl in [workloads.build(name, 1, tmp_path / "in", tmp_path / "out", smoke)]
+             for step in wl.sims + wl.jobs]
+    assert {argv[0] for argv in argvs} == {"simulate", "reconstruct-real",
+                                           "reconstruct-complex", "baseline", "autofocus"}
+    for argv in argvs:
+        args = parser.parse_args(list(argv))
+        cfg = RunConfig(mode=args.mode)
+        cfg.update({key[len("key_"):]: value for key, value in vars(args).items()
+                    if key.startswith("key_") and value is not None}, where=" ".join(argv))

@@ -369,6 +369,27 @@ class TestExitCodes:
         assert record["exit_code"] == 2 and f"'{key}'" in record["message"]
         assert not Path("sim/hologram.pfm").exists()
 
+    @pytest.mark.parametrize("source, model, key", [
+        (["--phantom", "single", "--contrast", "1e300"], "linear", "contrast"),
+        (["--phantom", "single", "--contrast", "1e300"], "full", "contrast"),
+        (["--phantom", "single", "--contrast", "1e30"], "full", "contrast"),
+        (["--objects", "obj.pfm"], "full", "objects"),
+    ], ids=["linear", "full", "full-hologram", "objects"])
+    def test_object_beyond_the_image_range_is_config_error(self, tmp_path, monkeypatch,
+                                                           source, model, key):
+        # an object or hologram that no float32 image holds is refused before
+        # anything is written, naming the key that built the object; a 1e30
+        # object fits, and its full-model hologram of about 1e60 does not
+        monkeypatch.chdir(tmp_path)
+        save_image("obj.pfm", RealGrid2D(np.full((32, 32), 1e30), PITCH, PITCH))
+        code = main(["simulate", "--out", "sim", "--width", "32", "--height", "32",
+                     "--slice-distances", "1mm", "--model", model, *source])
+        assert code == 2
+        record = json.loads(Path("sim/error.json").read_text())
+        assert record["exit_code"] == 2 and record["message"].startswith(f"{key}: ")
+        assert "float32" in record["message"]
+        assert not list(Path("sim").glob("*.p?m"))
+
     def test_negative_noise_seed_is_config_error(self, tmp_path):
         out = tmp_path / "sim"
         assert main(simulate_args(out, ["--noise-seed", "-1"])) == 2
@@ -474,8 +495,8 @@ class TestExitCodes:
 
     def test_estimate_beyond_float32_range_is_numeric_failure(self, tmp_path):
         # 5000 times the default tau blows the explicit TV step up to finite
-        # values beyond 1e42 by iteration 4, which no PFM can hold: a numeric
-        # failure, not an I/O failure, and no slice is written (a fifth
+        # values beyond 1e43 by iteration 5, which no PFM can hold: a numeric
+        # failure, not an I/O failure, and no slice is written (a sixth
         # iteration would trip the divergence rule, which writes an earlier one)
         sim = tmp_path / "sim"
         assert main(simulate_args(sim, ["--width", "96", "--height", "96",
@@ -484,7 +505,7 @@ class TestExitCodes:
                                         "--noise-seed", "7"])) == 0
         out = tmp_path / "rec"
         code = main(["reconstruct-real", "--out", str(out), "--input", str(sim / "hologram.pfm"),
-                     "--slice-distances", "0.5mm,1mm,1.25mm", "--tau", "10", "--iters", "4"])
+                     "--slice-distances", "0.5mm,1mm,1.25mm", "--tau", "10", "--iters", "5"])
         assert code == 3
         record = json.loads((out / "error.json").read_text())
         assert record["exit_code"] == 3 and record["error"] == "NumericError"
@@ -851,6 +872,34 @@ def test_older_metrics_manifest_reruns_identically(tmp_path):
                     == (first / "quality.json").read_bytes())
 
 
+@pytest.mark.parametrize("mode", ["reconstruct-real", "reconstruct-complex"])
+def test_init_is_retired_at_the_flat_start(tmp_path, mode):
+    # --init constant, which the benchmark passes, runs the one start; any
+    # other start, by flag or in a manifest, is refused by name
+    sim = tmp_path / "sim"
+    assert main(simulate_args(sim)) == 0
+    solve = [mode, "--input", str(sim / "hologram.pfm"), "--slice-distances", "1mm",
+             "--iters", "3"]
+    first, second = tmp_path / "a", tmp_path / "b"
+    assert main([*solve, "--out", str(first)]) == 0
+    assert main([*solve, "--out", str(second), "--init", "constant"]) == 0
+    manifest = (first / "manifest.txt").read_text()
+    assert "init = constant\n" in manifest
+    images = sorted(first.glob("slice_*.pfm"))
+    assert images
+    for path in images:
+        assert (second / path.name).read_bytes() == path.read_bytes(), path.name
+    conf = tmp_path / "old.txt"
+    conf.write_text(manifest.replace("init = constant", "init = backpropagation"))
+    for name, argv in (("flag", [*solve, "--init", "backpropagation"]),
+                       ("manifest", [mode, "--config", str(conf)])):
+        out = tmp_path / name
+        assert main([*argv, "--out", str(out)]) == 2, name
+        record = json.loads((out / "error.json").read_text())
+        assert record["exit_code"] == 2 and "'init'" in record["message"], name
+        assert not list(out.glob("slice_*")), name
+
+
 def test_truth_path_with_a_comma_runs_and_reruns(tmp_path):
     # a paths value naming an existing file as a whole is that one file
     sim = tmp_path / "sim"
@@ -1191,8 +1240,9 @@ _RAW = {
 
 
 def _mode_and_values(mode):
-    raw = {f.name: _RAW[f.metadata["kind"]] for f in fields(RunConfig)
-           if mode in f.metadata["modes"]}
+    # a retired key that keeps its flag (init) takes its one value
+    raw = {f.name: st.just(cli._RETIRED[f.name][1]) if f.name in cli._RETIRED
+           else _RAW[f.metadata["kind"]] for f in fields(RunConfig) if mode in f.metadata["modes"]}
     return st.tuples(st.just(mode), st.fixed_dictionaries({}, optional=raw))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .em import ReconTrace, _iterate, _norm, _resolve_epsilon, _resolve_tau, _truth_parts
+from .em import ReconTrace, _iterate, _norm, _resolve_epsilon, _resolve_tau, _truth_scores
 # no longer called here; kept as module names that perfbench/tracing.py wraps
 from .em import _tv_gradient_array, tv_value  # noqa: F401
 from .forward import Hologram, OpticalConfig, _stack_optics
@@ -93,4 +93,4 @@ def baseline_reconstruct(
     # passed unnamed, so the loop holds the only reference and can free the start
     return _iterate(cfg, params.max_iters, stack_adjoint(g, *_stack_optics(cfg), real=True)[None],
                     data_term, _resolve_epsilon, update,
-                    _truth_parts(ground_truth, cfg, complex_mode=False))
+                    _truth_scores(ground_truth, cfg, complex_mode=False))

@@ -65,7 +65,7 @@ from .io import (
     write_key_values,
     write_trace,
 )
-from .metrics import autofocus, display_normalize, psnr, quality_report, resolution_limits, ssim
+from .metrics import autofocus, object_units, psnr, quality_report, resolution_limits, ssim
 from .phantoms import complex_stack, multi_depth_stack, single_slice_stack
 
 logger = logging.getLogger(__name__)
@@ -444,13 +444,14 @@ def _psnr_db(db: float) -> float | None:
 
 
 def _quality_json(estimate: np.ndarray, truth: np.ndarray, complex_mode: bool) -> str:
-    def _norm_report(a, b):
-        an, bn = display_normalize(a), display_normalize(b)
-        return {"ssim": ssim(an, bn, peak=1.0), "psnr_db": _psnr_db(psnr(an, bn, peak=1.0))}
+    def _report(a, b):
+        x, t, rel_error = object_units(a, b)
+        return {"ssim": ssim(x, t, peak=1.0), "psnr_db": _psnr_db(psnr(x, t, peak=1.0)),
+                "rel_error": rel_error}
 
-    slices = [{"real": _norm_report(est.real, tru.real), "imag": _norm_report(est.imag, tru.imag)}
-              if complex_mode else _norm_report(est, tru) for est, tru in zip(estimate, truth)]
-    return json.dumps({"normalized": True, "slices": slices}, indent=2, allow_nan=False) + "\n"
+    slices = [{"real": _report(est.real, tru.real), "imag": _report(est.imag, tru.imag)}
+              if complex_mode else _report(est, tru) for est, tru in zip(estimate, truth)]
+    return json.dumps({"slices": slices}, indent=2, allow_nan=False) + "\n"
 
 
 def _upper_bound(cfg: RunConfig, optics: OpticalConfig) -> np.ndarray | None:

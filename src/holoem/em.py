@@ -47,8 +47,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forward import Hologram, OpticalConfig, _stack_optics
-from .metrics import _forward_diffs, _forward_diffs_adjoint, _ssim_reference, _SsimReference
-from .metrics import _ssim_test as _ssim, display_normalize
+from .metrics import _forward_diffs, _forward_diffs_adjoint, _object_truth, _relative_error
+from .metrics import _ssim_reference, _ssim_test as _ssim
 from .operators import stack_adjoint, stack_forward
 
 logger = logging.getLogger(__name__)
@@ -107,11 +107,11 @@ class ReconParams:
 class ReconTrace:
     """Per-iteration record of an iterative run.
 
-    Row k describes the state after k updates. ssim entries are None when
-    no ground truth was supplied. millis is wall time and is the one field
-    exempt from run-to-run reproducibility; it is solver time only, read
-    before the trace SSIM against the truth is taken. stop_reason says why
-    the run stopped: iteration_cap, relative_change or diverged.
+    Row k describes the state after k updates. ssim and rel_error score it
+    against the truth (``metrics.object_units``), None without one. millis is
+    wall time and is the one field exempt from run-to-run reproducibility; it
+    is solver time only, read before the trace scores the estimate. stop_reason
+    says why the run stopped: iteration_cap, relative_change or diverged.
     step_halvings counts the gradient halvings that kept updates finite,
     over the whole run. Only the iteration loop fills a trace; ReconTrace()
     is an empty one.
@@ -121,17 +121,20 @@ class ReconTrace:
     nll: list[float] = field(default_factory=list, init=False)
     tv: list[float] = field(default_factory=list, init=False)
     ssim: list[float | None] = field(default_factory=list, init=False)
+    rel_error: list[float | None] = field(default_factory=list, init=False)
     millis: list[float] = field(default_factory=list, init=False)
     stop_reason: str = field(default="iteration_cap", init=False)
     step_halvings: int = field(default=0, init=False)
 
-    COLUMNS = ("iteration", "nll", "tv", "ssim", "millis")
+    COLUMNS = ("iteration", "nll", "tv", "ssim", "rel_error", "millis")
 
-    def append(self, iteration: int, nll: float, tv: float, ssim: float | None, millis: float):
+    def append(self, iteration: int, nll: float, tv: float, ssim: float | None,
+               rel_error: float | None, millis: float):
         self.iterations.append(int(iteration))
         self.nll.append(float(nll))
         self.tv.append(float(tv))
         self.ssim.append(None if ssim is None else float(ssim))
+        self.rel_error.append(None if rel_error is None else float(rel_error))
         self.millis.append(float(millis))
 
     def __len__(self) -> int:
@@ -218,14 +221,6 @@ def _em_update(w, grad, tv_grad, tau: float, bound, beta: float) -> np.ndarray:
     return new if bound is None else np.where(new > bound, bound + beta * (new - bound), new)
 
 
-def _trace_ssim(w: np.ndarray, truth_parts: list[_SsimReference] | None) -> float | None:
-    """Mean SSIM of every slice of every part against the truth; None without truth."""
-    if truth_parts is None:
-        return None
-    slices = w.reshape(-1, *w.shape[-2:])
-    return float(np.mean([_ssim(display_normalize(s), t) for s, t in zip(slices, truth_parts)]))
-
-
 def _resolve_tau(g: np.ndarray, params) -> float:
     """TV weight: params.tau, or 0.002 * mean(g) when None (shared by both solvers)."""
     return 0.002 * float(g.mean()) if params.tau is None else float(params.tau)
@@ -250,7 +245,7 @@ def _iterate(
     data_term,
     regularizer,
     update,
-    truth_parts: list[_SsimReference] | None,
+    score,
     stop_delta: float | None = None,
 ) -> tuple[np.ndarray, ReconTrace]:
     """The iteration loop shared by every solver.
@@ -265,7 +260,8 @@ def _iterate(
       each iterate and the start: tv for the trace row, state for update;
     - update(w, grad, state, scale) -> new estimate: one step with the
       gradient scaled by scale, which halves while the result is
-      non-finite.
+      non-finite;
+    - score(w) -> (ssim, rel_error) for the trace row, or None without truth.
 
     The run halts after _RISES rises of the objective in a row (each above
     1e-6 relative), returning the iterate before the first rise, and, when
@@ -307,7 +303,7 @@ def _iterate(
         value, resid = data_term(stack_forward(_joined(w), *optics))
         tv_now, state = regularize(w)
         millis = (time.perf_counter() - t0) * 1e3
-        trace.append(k, value, tv_now, _trace_ssim(w, truth_parts), millis)
+        trace.append(k, value, tv_now, *(score(w) if score else (None, None)), millis)
 
         if value > prev + 1e-6 * abs(prev):
             consecutive_up += 1
@@ -364,15 +360,10 @@ def _upper_bound(params: ReconParams, config: OpticalConfig, complex_mode: bool)
     return bound
 
 
-def _truth_parts(ground_truth, config: OpticalConfig,
-                 complex_mode: bool) -> list[_SsimReference] | None:
-    """The reference side of trace SSIM for each normalized truth slice, taken once per run.
-
-    Both sides of the comparison go through the display stretch, so the
-    ground truth may be given either in object units or with the
-    illumination DC folded in; any positive-scale affine difference
-    drops out. The truth must be an (n_slices, H, W) array on the config.
-    """
+def _truth_scores(ground_truth, config: OpticalConfig, complex_mode: bool):
+    """w -> (mean SSIM over every slice of every part, relative error over all of
+    them, None for an all-zero truth) against an (n_slices, H, W) truth on the
+    config, in object units; None without truth. Each part's SSIM side is taken once."""
     if ground_truth is None:
         return None
     truth = np.asarray(ground_truth)
@@ -380,8 +371,19 @@ def _truth_parts(ground_truth, config: OpticalConfig,
     if truth.shape != expected:
         raise ValueError(f"ground truth shape {truth.shape} does not match the config's "
                          f"(slices, height, width) {expected}")
-    parts = list(truth.real) + (list(truth.imag) if complex_mode else [])
-    return [_ssim_reference(display_normalize(p), peak=1.0) for p in parts]
+    parts = [*truth.real, *(truth.imag if complex_mode else ())]
+    places, scaled, norms = zip(*map(_object_truth, parts))
+    references = [_ssim_reference(s, peak=1.0) for s in scaled]
+
+    def score(w):
+        ssims, err_sq = [], 0.0
+        for s, place, reference in zip(w.reshape(-1, *w.shape[-2:]), places, references):
+            placed, e = place(s)
+            ssims.append(_ssim(placed, reference))
+            err_sq += e
+        return float(np.mean(ssims)), _relative_error(err_sq, sum(norms))
+
+    return score
 
 
 def _em_solve(hologram: Hologram, params: ReconParams | None, ground_truth,
@@ -401,7 +403,7 @@ def _em_solve(hologram: Hologram, params: ReconParams | None, ground_truth,
 
     stop_delta = params.stop_delta if params.stop_rule == "relative_change" else None
     return _iterate(cfg, params.max_iters, _em_start(g, cfg, complex_mode), data_term,
-                    _resolve_epsilon, update, _truth_parts(ground_truth, cfg, complex_mode),
+                    _resolve_epsilon, update, _truth_scores(ground_truth, cfg, complex_mode),
                     stop_delta)
 
 
@@ -415,7 +417,7 @@ def reconstruct_real(
 
     Returns the (S, H, W) float64 estimate and the per-iteration trace.
     When ground_truth is given, the trace records the mean SSIM over
-    slices, computed on display-normalized images. Divergence does not
+    slices and the relative error, both in object units. Divergence does not
     raise: the run halts with stop_reason "diverged" and returns the
     iterate from before the objective rose, row len(trace) - 5.
     """

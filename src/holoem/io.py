@@ -326,12 +326,9 @@ def write_key_values(path, mapping) -> Path:
 def write_trace(path, trace) -> Path:
     """Write a solver trace (``em.ReconTrace``) as CSV with the header ``trace.COLUMNS``."""
     path = Path(path)
-    rows = [",".join(trace.COLUMNS)]
-    for i in range(len(trace)):
-        s = "" if trace.ssim[i] is None else repr(trace.ssim[i])
-        rows.append(
-            f"{trace.iterations[i]},{trace.nll[i]!r},{trace.tv[i]!r},{s},{trace.millis[i]!r}"
-        )
+    columns = zip(trace.iterations, trace.nll, trace.tv, trace.ssim, trace.rel_error, trace.millis)
+    rows = [",".join(trace.COLUMNS)] + [",".join("" if v is None else repr(v) for v in row)
+                                        for row in columns]
     path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     return path
 

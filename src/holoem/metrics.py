@@ -30,7 +30,7 @@ logger = logging.getLogger(__name__)
 __all__ = [
     "psnr",
     "ssim",
-    "display_normalize",
+    "object_units",
     "ncc",
     "focus_metric",
     "autofocus",
@@ -172,39 +172,38 @@ def ssim(test, reference, peak: float | None = None) -> float:
     return _ssim_test(_as_array(test), _ssim_reference(_as_array(reference), peak))
 
 
-def _sorted_percentile(s: np.ndarray, q: float) -> float:
-    """``np.percentile(s, q)`` of sorted samples, bit for bit: numpy's linear
-    method, which interpolates from the nearer of the two order statistics."""
-    at = (s.size - 1) * (q / 100)
-    i = int(at)
-    if i >= s.size - 1:
-        return float(s[-1])
-    low, high, g = float(s[i]), float(s[i + 1]), at - i
-    return low + (high - low) * g if g < 0.5 else high - (high - low) * (1 - g)
+def _object_truth(truth) -> tuple:
+    """A truth part t prepared for :func:`object_units`: (place, t on its own 0..1
+    range, ||t||^2); place(r) returns x = (r - median r) / 2 on it, and ||x - t||^2."""
+    t = _as_array(truth)
+    low = float(t.min())
+    span = float(t.max()) - low or 1.0
+
+    def place(part):
+        s = np.sort(part, axis=None)  # np.median's value; numpy sorts faster than it partitions
+        x = (part - (s[(s.size - 1) // 2] + s[s.size // 2]) / 2) / 2.0
+        err = x - t
+        return (x - low) / span, float(np.einsum("ij,ij->", err, err))
+
+    return place, (t - low) / span, float(np.einsum("ij,ij->", t, t))
 
 
-def display_normalize(image) -> np.ndarray:
-    """Percentile contrast stretch to [0, 1] with clipping.
+def _relative_error(err_sq: float, norm_sq: float) -> float | None:
+    return float(np.sqrt(err_sq / norm_sq)) if norm_sq > 0 else None
 
-    Maps the 1st..99th percentile range to 0..1 and clips outliers,
-    the way reconstructions are windowed for display. Robust image
-    comparisons (SSIM between a reconstruction and ground truth) should
-    run on display-normalized images: plain min-max lets a single hot
-    pixel compress all structure toward a constant. When the percentile
-    window collapses (images whose structure occupies fewer pixels than
-    the clipped tails, e.g. very sparse ground truths) the stretch widens
-    to min-max. A constant image maps to zeros.
+
+def object_units(estimate, truth) -> tuple[np.ndarray, np.ndarray, float | None]:
+    """An estimate part r and its truth t on t's own 0..1 range, (v - t.min()) /
+    span with span t.max() - t.min() or 1, for :func:`ssim` and :func:`psnr` at
+    peak 1, and the relative error ||x - t|| / ||t||, None when ||t|| = 0.
+
+    r is folded to x = (r - median r) / 2, as a real-mode estimate is a flat
+    background plus twice the object contrast; a flat estimate scores 1.0.
     """
-    a = _as_array(image)
-    s = np.sort(a, axis=None)
-    lo, hi = _sorted_percentile(s, 1.0), _sorted_percentile(s, 99.0)
-    if hi <= lo:
-        lo, hi = float(s[0]), float(s[-1])
-    if hi <= lo:
-        return np.zeros_like(a)
-    out = a - lo
-    out /= hi - lo
-    return np.clip(out, 0.0, 1.0, out=out)
+    a, b = _pair(estimate, truth)
+    place, scaled, norm_sq = _object_truth(b)
+    placed, err_sq = place(a)
+    return placed, scaled, _relative_error(err_sq, norm_sq)
 
 
 def ncc(test, reference) -> float:

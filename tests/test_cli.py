@@ -169,15 +169,15 @@ def test_reconstruct_real_end_to_end(tmp_path):
     for name in ("slice_00.pfm", "trace.csv", "quality.json", "manifest.txt"):
         assert (rec / name).exists(), name
     quality = json.loads((rec / "quality.json").read_text())
-    assert quality["normalized"] is True
-    assert "ssim" in quality["slices"][0]
+    assert list(quality) == ["slices"]
+    assert list(quality["slices"][0]) == ["ssim", "psnr_db", "rel_error"]
     trace_lines = (rec / "trace.csv").read_text().splitlines()
-    assert trace_lines[0] == "iteration,nll,tv,ssim,millis"
+    assert trace_lines[0] == "iteration,nll,tv,ssim,rel_error,millis"
     assert len(trace_lines) == 6  # header + 5 iterations
 
 
 def test_last_trace_ssim_is_the_mean_of_the_reported_slices(tmp_path):
-    # the trace and quality.json score the final estimate through one SSIM
+    # the trace and quality.json score the final estimate through one scorer
     sim = tmp_path / "sim"
     assert main(simulate_args(sim, ["--slice-distances", "0.5mm,1mm,1.25mm",
                                     "--phantom", "multi-depth", "--noise-seed", "3"])) == 0
@@ -188,9 +188,13 @@ def test_last_trace_ssim_is_the_mean_of_the_reported_slices(tmp_path):
                  "--iters", "6"]) == 0
     assert load_key_values(rec / "manifest.txt")["stop_reason"] == "iteration_cap"
     last = (rec / "trace.csv").read_text().splitlines()[-1].split(",")
-    reported = [s["ssim"] for s in json.loads((rec / "quality.json").read_text())["slices"]]
-    assert len(reported) == 3
-    assert abs(float(last[3]) - float(np.mean(reported))) <= 1e-12
+    slices = json.loads((rec / "quality.json").read_text())["slices"]
+    assert len(slices) == 3
+    assert abs(float(last[3]) - float(np.mean([s["ssim"] for s in slices]))) <= 1e-12
+    # the trace's relative error is over all slices: the reported ones, norm-weighted
+    norms = [np.sum(load_image(sim / f"truth_{i:02d}_re.pfm").data ** 2) for i in range(3)]
+    weighted = sum(s["rel_error"] ** 2 * n for s, n in zip(slices, norms)) / sum(norms)
+    assert float(last[4]) == pytest.approx(np.sqrt(weighted), rel=1e-12)
 
 
 def test_reconstruct_complex_end_to_end(tmp_path):
@@ -207,6 +211,37 @@ def test_reconstruct_complex_end_to_end(tmp_path):
     assert (rec / "slice_00_phase.pfm").exists()
     quality = json.loads((rec / "quality.json").read_text())
     assert set(quality["slices"][0]) == {"real", "imag"}
+
+
+@pytest.mark.parametrize("mode,truths", [
+    ("reconstruct-complex", ("truth_00_re.pfm", "zeros.pfm")),
+    ("reconstruct-real", ("zeros.pfm",)),
+    ("baseline", ("zeros.pfm",)),
+    ("reconstruct-real", ("truth_00_re.pfm",)),
+])
+def test_relative_error_is_absent_exactly_for_a_zero_truth(tmp_path, mode, truths):
+    # a zero truth part keeps span 1, so its ssim and psnr_db are finite; its
+    # rel_error is null in quality.json, and the trace's cell is empty when
+    # every part of the truth is zero
+    sim = tmp_path / "sim"
+    assert main(simulate_args(sim)) == 0
+    save_image(sim / "zeros.pfm", RealGrid2D(np.zeros((64, 64)), PITCH, PITCH))
+    rec = tmp_path / "rec"
+    assert main([mode, "--out", str(rec), "--input", str(sim / "hologram.pfm"),
+                 "--slice-distances", "1mm", "--iters", "3",
+                 "--truth", ",".join(str(sim / name) for name in truths)]) == 0
+    report = _strict_json((rec / "quality.json").read_text(encoding="utf-8"))["slices"][0]
+    parts = [report["real"], report["imag"]] if mode == "reconstruct-complex" else [report]
+    for part, name in zip(parts, truths):
+        assert np.isfinite(part["ssim"]) and np.isfinite(part["psnr_db"]), name
+        assert (part["rel_error"] is None) == (name == "zeros.pfm"), name
+    header, *rows = [line.split(",") for line in
+                     (rec / "trace.csv").read_text(encoding="utf-8").splitlines()]
+    cells = [row[header.index("rel_error")] for row in rows]
+    if all(name == "zeros.pfm" for name in truths):
+        assert cells == ["", "", ""]
+    else:
+        assert all(np.isfinite(float(cell)) for cell in cells)
 
 
 def test_baseline_end_to_end(tmp_path):

@@ -321,23 +321,28 @@ class TestTraceCsv:
 
     def test_round_trip_with_and_without_ssim(self, tmp_path):
         trace = ReconTrace()
-        trace.append(1, 10.5, 3.25, None, 12.0)
-        trace.append(2, 9.125, 3.0, 0.875, 11.5)
+        trace.append(1, 10.5, 3.25, None, None, 12.0)
+        trace.append(2, 9.125, 3.0, 0.875, 0.25, 11.5)
+        trace.append(3, 9.0, 2.5, 0.5, None, 11.0)  # a zero truth has no relative error
         header, *rows = self._rows(write_trace(tmp_path / "t.csv", trace))
-        assert header == list(ReconTrace.COLUMNS) == ["iteration", "nll", "tv", "ssim", "millis"]
-        assert rows == [["1", "10.5", "3.25", "", "12.0"], ["2", "9.125", "3.0", "0.875", "11.5"]]
+        assert header == list(ReconTrace.COLUMNS) == ["iteration", "nll", "tv", "ssim",
+                                                      "rel_error", "millis"]
+        assert rows == [["1", "10.5", "3.25", "", "", "12.0"],
+                        ["2", "9.125", "3.0", "0.875", "0.25", "11.5"],
+                        ["3", "9.0", "2.5", "0.5", "", "11.0"]]
 
     def test_full_precision_floats(self, tmp_path):
         trace = ReconTrace()
-        trace.append(1, 1.0 / 3.0, 2.0 / 7.0, 1.0 / 9.0, 0.1)
-        trace.append(2, 1e-300, -5e307, None, 1.0 / 7.0)
+        trace.append(1, 1.0 / 3.0, 2.0 / 7.0, 1.0 / 9.0, 1.0 / 11.0, 0.1)
+        trace.append(2, 1e-300, -5e307, None, None, 1.0 / 7.0)
         header, *rows = self._rows(write_trace(tmp_path / "t.csv", trace))
         assert header == list(ReconTrace.COLUMNS)
         columns = {name: [row[i] for row in rows] for i, name in enumerate(header)}
         assert [int(v) for v in columns["iteration"]] == trace.iterations
         for name in ("nll", "tv", "millis"):
             assert [float(v) for v in columns[name]] == getattr(trace, name), name
-        assert [float(v) if v else None for v in columns["ssim"]] == trace.ssim
+        for name in ("ssim", "rel_error"):
+            assert [float(v) if v else None for v in columns[name]] == getattr(trace, name), name
 
 
 def test_write_error_record(tmp_path):

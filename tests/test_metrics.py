@@ -19,10 +19,10 @@ from holoem.forward import OpticalConfig, simulate
 from holoem.metrics import (
     _focus_scores,
     autofocus,
-    display_normalize,
     focus_metric,
     mse,
     ncc,
+    object_units,
     psnr,
     quality_report,
     resolution_limits,
@@ -189,61 +189,58 @@ class TestSsim:
             ssim(a, a, peak=np.inf)
 
 
-def _minmax(a):
-    return (a - a.min()) / (a.max() - a.min())
+class TestObjectUnits:
+    @pytest.mark.parametrize("shape", [(24, 20), (15, 13)])
+    def test_matches_the_folded_formula_bit_for_bit(self, rng, shape):
+        # (r - median r) / 2 on the truth's own range, (x - t.min()) / span, with
+        # np.median's value from an even and an odd number of pixels
+        t = -0.04 * (rng.random(shape) > 0.5)
+        t.flat[0] = -0.04
+        r = 1.3 + 2 * t + 0.01 * rng.standard_normal(t.shape)
+        placed, scaled, error = object_units(r, t)
+        span = t.max() - t.min()
+        np.testing.assert_array_equal(placed, ((r - np.median(r)) / 2.0 - t.min()) / span)
+        np.testing.assert_array_equal(scaled, (t - t.min()) / span)
+        assert error == pytest.approx(
+            np.linalg.norm((r - np.median(r)) / 2.0 - t) / np.linalg.norm(t), rel=1e-13)
 
+    @pytest.mark.parametrize("level", [-0.99, 0.0, 1.0, 3.7e5])
+    def test_a_flat_estimate_reads_relative_error_one(self, rng, level):
+        t = 0.04 * (rng.random((16, 16)) > 0.7)
+        assert object_units(np.full(t.shape, level), t)[2] == 1.0
 
-class TestNormalization:
-    def test_minmax_mapping(self):
-        # the 1st..99th percentile window maps to 0..1: on the samples 2, 2, 4, 6
-        # it is 2..5.94 by linear interpolation, and 6 clips to 1
-        a = np.array([[2.0, 4.0], [6.0, 2.0]])
-        np.testing.assert_allclose(display_normalize(a), [[0.0, 2.0 / 3.94], [1.0, 0.0]])
-        assert np.all(display_normalize(np.full((3, 3), 7.0)) == 0.0)
+    def test_the_folded_truth_scores_perfectly(self, rng):
+        # a flat background plus twice a sparse truth (median 0) is the truth
+        t = -0.05 * (rng.random((32, 32)) > 0.9)
+        placed, scaled, error = object_units(0.8 + 2 * t, t)
+        assert error == pytest.approx(0.0, abs=1e-15)
+        assert ssim(placed, scaled, peak=1.0) == pytest.approx(1.0, abs=1e-12)
 
-    def test_display_stretch_resists_hot_pixels(self, rng):
-        img = rng.random((64, 64))
-        img[5, 5] = 1000.0
-        flat = _minmax(img)
-        stretched = display_normalize(img)
-        # min-max lets the outlier crush everything toward 0
-        assert stretched.std() > 5 * flat.std()
-        assert stretched.max() == 1.0 and stretched.min() == 0.0
+    def test_the_background_level_drops_out(self, rng):
+        t = 0.03 * (rng.random((16, 16)) > 0.8)
+        r = 2 * t + 0.01 * rng.standard_normal(t.shape)
+        low, high = object_units(r - 0.9, t), object_units(r + 5.0, t)
+        np.testing.assert_allclose(low[0], high[0], atol=1e-12)
+        assert low[2] == pytest.approx(high[2], rel=1e-10)
 
-    def test_display_stretch_falls_back_on_sparse_images(self):
-        sparse = np.zeros((64, 64))
-        sparse[10:12, 10:15] = 0.04  # fewer pixels than the clipped tails
-        np.testing.assert_array_equal(display_normalize(sparse), _minmax(sparse))
+    @pytest.mark.parametrize("value", [0.0, -0.25])
+    def test_a_constant_truth_keeps_span_one(self, rng, value):
+        # a blank imaginary truth: both images stay finite, and only a zero
+        # truth has no relative error
+        t = np.full((16, 16), value)
+        r = 0.5 + 0.01 * rng.standard_normal(t.shape)
+        placed, scaled, error = object_units(r, t)
+        np.testing.assert_array_equal(scaled, np.zeros_like(t))
+        np.testing.assert_array_equal(placed, (r - np.median(r)) / 2.0 - value)
+        assert np.isfinite(ssim(placed, scaled, peak=1.0))
+        assert np.isfinite(psnr(placed, scaled, peak=1.0))
+        assert (error is None) == (value == 0.0)
 
-    def test_display_stretch_constant_image(self):
-        assert np.all(display_normalize(np.full((8, 8), 3.0)) == 0.0)
-
-    @settings(max_examples=80)
-    @given(shape=st.tuples(st.integers(1, 40), st.integers(1, 40)),
-           seed=st.integers(0, 2**32 - 1), scale=st.integers(-5, 5),
-           kind=st.sampled_from(["spread", "ties", "sorted", "constant"]))
-    # at 11 x 11, seed 8, only the upper branch of numpy's interpolation,
-    # next - diff (1 - g), gives its 99th percentile bit for bit
-    @example(shape=(11, 11), seed=8, scale=0, kind="spread")
-    def test_stretch_bounds_are_numpys_percentiles(self, shape, seed, scale, kind):
-        # the stretch takes its 1st and 99th percentiles from one sort; they
-        # and the stretched image match np.percentile's bit for bit
-        rng = np.random.default_rng(seed)
-        image = rng.standard_normal(shape) * 10.0**scale
-        if kind == "ties":
-            image = rng.integers(0, 4, shape) * 10.0**scale
-        elif kind == "sorted":
-            image = np.sort(image, axis=None).reshape(shape)
-        elif kind == "constant":
-            image = np.full(shape, image[0, 0])
-        samples = np.sort(image, axis=None)
-        for q in (1.0, 99.0):
-            assert metrics._sorted_percentile(samples, q) == np.percentile(image, q)
-        lo, hi = np.percentile(image, (1.0, 99.0))
-        if hi <= lo:
-            lo, hi = image.min(), image.max()
-        expected = np.zeros_like(image) if hi <= lo else np.clip((image - lo) / (hi - lo), 0, 1)
-        np.testing.assert_array_equal(display_normalize(image), expected)
+    def test_rejects_mismatched_or_non_finite_images(self):
+        with pytest.raises(ValueError, match="shapes differ"):
+            object_units(np.ones((4, 4)), np.ones((4, 5)))
+        with pytest.raises(ValueError, match="non-finite"):
+            object_units(np.ones((4, 4)), np.full((4, 4), np.nan))
 
 
 class TestNcc:

@@ -12,37 +12,23 @@ comparisons against it should be read with that in mind.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .em import ReconTrace, _iterate, _norm, _resolve_epsilon, _resolve_tau, _truth_scores
+from .em import ReconParams, ReconTrace, _iterate, _norm, _resolve_epsilon, _resolve_tau
+from .em import _truth_scores
 # no longer called here; kept as module names that perfbench/tracing.py wraps
 from .em import _tv_gradient_array, tv_value  # noqa: F401
 from .forward import Hologram, OpticalConfig, _stack_optics
 from .operators import stack_adjoint, stack_forward
 
-__all__ = ["BaselineParams", "estimate_step_size", "baseline_reconstruct"]
+__all__ = ["estimate_step_size", "baseline_reconstruct"]
 
 
-@dataclass(frozen=True)
-class BaselineParams:
-    """Controls for the additive comparator.
-
-    The step is always 1/L, the step FISTA takes, L from :func:`estimate_step_size`;
-    tau=None mirrors the statistical solver's default 0.002 * mean(g) so
-    comparisons are sparsity-matched. The smoothed TV is the statistical
-    solver's, and the padding is the hologram config's.
-    """
-
-    max_iters: int = 100
-    tau: float | None = None
-
-    def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if self.tau is not None and not 0 <= self.tau < np.inf:
-            raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
+def _least_squares_term(g: np.ndarray, ghat: np.ndarray) -> tuple[float, np.ndarray]:
+    """The least-squares objective 0.5 ||g_hat - g||^2 and its residual g_hat - g,
+    whose adjoint (``em._data_gradient``) is its gradient."""
+    resid = ghat - g
+    return 0.5 * float(np.sum(resid**2)), resid
 
 
 def estimate_step_size(config: OpticalConfig) -> float:
@@ -65,26 +51,26 @@ def estimate_step_size(config: OpticalConfig) -> float:
 
 def baseline_reconstruct(
     hologram: Hologram,
-    params: BaselineParams | None = None,
+    params: ReconParams | None = None,
     *,
     ground_truth: np.ndarray | None = None,
 ) -> tuple[np.ndarray, ReconTrace]:
     """Reconstruct real slices by additive least-squares descent with TV.
 
-    Returns the (S, H, W) float64 estimate and the trace. The trace's nll
-    column records the least-squares objective 0.5 ||g - H w||^2 for this
-    solver.
+    Reads params.max_iters and params.tau, whose None default matches the
+    statistical solver's so comparisons are sparsity-matched; params with an
+    upper bound or the relative_change stop rule raise ValueError. Returns the
+    (S, H, W) float64 estimate and the trace, whose nll column records the
+    least-squares objective 0.5 ||g - H w||^2.
     """
     cfg = hologram.config
-    params = params or BaselineParams()
+    params = params or ReconParams()
+    if params.upper_bound is not None or params.stop_rule != "fixed_iters":
+        raise ValueError("the baseline takes no upper bound and no relative_change stop rule")
     g = hologram.intensity
 
     step = estimate_step_size(cfg)
     tau = _resolve_tau(g, params)
-
-    def data_term(ghat):
-        resid = ghat - g
-        return 0.5 * float(np.sum(resid**2)), resid
 
     def update(w, grad, tv_grad, scale):
         s = scale * step
@@ -92,5 +78,5 @@ def baseline_reconstruct(
 
     # passed unnamed, so the loop holds the only reference and can free the start
     return _iterate(cfg, params.max_iters, stack_adjoint(g, *_stack_optics(cfg), real=True)[None],
-                    data_term, _resolve_epsilon, update,
+                    lambda ghat: _least_squares_term(g, ghat), _resolve_epsilon, update,
                     _truth_scores(ground_truth, cfg, complex_mode=False))

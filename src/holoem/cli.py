@@ -43,7 +43,7 @@ if "numpy" not in sys.modules:
 import numpy as np
 
 from . import __version__
-from .baseline import BaselineParams, baseline_reconstruct
+from .baseline import baseline_reconstruct
 from .em import _RISES, NumericError, ReconParams, reconstruct_complex, reconstruct_real
 from .forward import Hologram, OpticalConfig, simulate
 from .grid import RealGrid2D
@@ -466,7 +466,7 @@ def _run_reconstruct(cfg: RunConfig, out: Path, outcome: dict) -> int:
     optics = holo.config
     complex_mode = cfg.mode == "reconstruct-complex"
     if cfg.mode == "baseline":
-        params = BaselineParams(max_iters=cfg.iters, tau=cfg.tau)
+        params = ReconParams(max_iters=cfg.iters, tau=cfg.tau)
         solve = baseline_reconstruct
     else:
         # only real mode reads beta; ReconParams refuses a complex-mode bound

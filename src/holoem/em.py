@@ -31,11 +31,13 @@ Both solvers hand the loop `_resolve_epsilon`, one pass over the estimate's
 differences for both: the value, sum sqrt(dx^2 + dy^2) of the squares the
 gradient smooths, goes into the trace row, the gradient into the next step.
 
-grad J = stack_adjoint(1 - g / max(g_hat, floor)) is taken in one place,
-the loop `_iterate` shared with the baseline, which names no regularizer;
-the step and clip above in one, `_em_update`. The public helpers take
-arrays; the solvers take their optics from the hologram, and an optional
-ground truth and the returned estimate are (S, H, W) object arrays.
+J and its residual 1 - g / max(g_hat, floor) come from one floored
+prediction, `_poisson_term`; grad J, the residual's adjoint, is taken in one
+place, `_data_gradient`, by the loop `_iterate` shared with the baseline,
+which names no regularizer; the step and clip above in one, `_em_update`.
+The public helpers take arrays; the solvers take their optics from the
+hologram, and an optional ground truth and the returned estimate are
+(S, H, W) object arrays.
 """
 
 from __future__ import annotations
@@ -72,15 +74,19 @@ class NumericError(RuntimeError):
 
 @dataclass(frozen=True, eq=False)
 class ReconParams:
-    """Reconstruction controls.
+    """Reconstruction controls, the one settings record of every solver.
 
-    Every solve starts from the same flat estimate: one constant level per
-    slice, chosen so that its predicted intensity has the mean of g.
-    tau = None means 0.002 * mean(g). upper_bound, a scalar or a per-pixel
-    bound of the config's grid shape on every slice (real mode only), is
-    relaxed by beta. The numeric safeguards are fixed by the data: the TV
-    smoothing epsilon is 1e-4 times the initial estimate's dynamic range,
-    the ratio floor 1e-12 * mean(g). The padding is the hologram config's.
+    reconstruct_real reads every field. reconstruct_complex refuses an
+    upper_bound, so beta, which acts on one, is idle. baseline_reconstruct
+    reads max_iters and tau and refuses a bound or the relative_change rule.
+    Every EM solve starts flat: one level per slice, whose predicted
+    intensity has the mean of g. tau = None means 0.002 * mean(g).
+    upper_bound, a scalar or a per-pixel bound of the config's grid shape on
+    every slice, is relaxed by beta. The TV smoothing epsilon is 1e-4 times
+    the start's dynamic range: for EM the spread of the flat start's values
+    (its slice levels, and the imaginary start in complex mode), so a
+    one-slice real-mode solve uses epsilon = 1e-4 exactly. The ratio floor
+    is 1e-12 * mean(g). The padding is the hologram config's.
     """
 
     max_iters: int = 100
@@ -153,34 +159,42 @@ def _resolve_floor(g: np.ndarray) -> float:
 
 
 def xlogy(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """x log y for positive y, as the floored g_hat of :func:`nll` always is:
+    """x log y for positive y, as the floored g_hat of :func:`_poisson_term` always is:
     zero counts then contribute 0 without a special case."""
     out = np.log(y)
     out *= x
     return out
 
 
-def nll(g: np.ndarray, ghat: np.ndarray, floor: float) -> float:
-    """Poisson negative log-likelihood sum[g_hat - g log g_hat].
+def _poisson_term(g: np.ndarray, ghat: np.ndarray, floor: float) -> tuple[float, np.ndarray]:
+    """Poisson negative log-likelihood sum[g_hat - g log g_hat] and its residual
+    1 - g / max(g_hat, floor), both from one floored prediction.
 
     Below the ratio floor (a solver's is :func:`_resolve_floor` of g) the
     log continues as its tangent there, log floor + (g_hat - floor) / floor,
-    so the objective stays bounded below and 1 - g / max(g_hat, floor) is
-    its exact gradient. Zero observed counts contribute g_hat alone.
+    so the objective stays bounded below and the adjoint of the residual is
+    its exact gradient (:func:`_data_gradient`). Zero observed counts
+    contribute g_hat alone.
     """
     if g.shape != ghat.shape:
         raise ValueError(f"shapes differ: {g.shape} vs {ghat.shape}")
     if g.min() < 0:
         raise ValueError("observed intensity must be non-negative")
-    value = float(np.sum(ghat - xlogy(g, np.maximum(ghat, floor))))
+    floored = np.maximum(ghat, floor)
+    value = float(np.sum(ghat - xlogy(g, floored)))
     below = ghat < floor
     if below.any():
         value -= float(np.sum(g[below] * (ghat[below] - floor))) / floor
-    return value
+    ratio = np.divide(g, floored, out=floored)  # the residual reuses its memory
+    return value, np.subtract(1.0, ratio, out=ratio)
 
 
-def _ratio_residual(g: np.ndarray, ghat: np.ndarray, floor: float) -> np.ndarray:
-    return 1.0 - g / np.maximum(ghat, floor)
+def _data_gradient(residual: np.ndarray, optics: tuple, real: bool) -> np.ndarray:
+    """The data term's gradient in the estimate's (parts, slices, H, W) layout:
+    the adjoint of its residual on optics (:func:`forward._stack_optics`),
+    its real part alone for a real estimate, Re and Im for a complex one."""
+    adj = stack_adjoint(residual, *optics, real=real)
+    return adj[None] if real else np.stack([adj.real, adj.imag])
 
 
 def _norm(x: np.ndarray) -> float:
@@ -255,7 +269,8 @@ def _iterate(
     padding, max_iters caps the updates. The solver supplies the rest:
 
     - data_term(ghat) -> (value, residual): the data objective at the
-      predicted intensity and the residual whose adjoint is its gradient;
+      predicted intensity and the residual whose adjoint, taken by
+      :func:`_data_gradient`, is its gradient;
     - regularizer(w0) -> regularize, once; regularize(w) -> (tv, state) at
       each iterate and the start: tv for the trace row, state for update;
     - update(w, grad, state, scale) -> new estimate: one step with the
@@ -278,8 +293,7 @@ def _iterate(
 
     for k in range(1, max_iters + 1):
         t0 = time.perf_counter()
-        adj = stack_adjoint(resid, *optics, real=real)
-        grad = adj[None] if real else np.stack([adj.real, adj.imag])
+        grad = _data_gradient(resid, optics, real)
 
         for attempt in range(5):
             scale = 0.5**attempt
@@ -298,7 +312,7 @@ def _iterate(
         converged = stop_delta is not None and (
             _norm(new - w) / max(_norm(w), np.finfo(np.float64).tiny) < stop_delta)
         w = new
-        del adj, grad, new, state  # not alive through the forward map and the trace
+        del grad, new, state  # not alive through the forward map and the trace
 
         value, resid = data_term(stack_forward(_joined(w), *optics))
         tv_now, state = regularize(w)
@@ -395,16 +409,13 @@ def _em_solve(hologram: Hologram, params: ReconParams | None, ground_truth,
     tau = _resolve_tau(g, params)
     floor = _resolve_floor(g)
 
-    def data_term(ghat):
-        return nll(g, ghat, floor), _ratio_residual(g, ghat, floor)
-
     def update(w, grad, tv_grad, scale):
         return _em_update(w, scale * grad, tv_grad, scale * tau, ub, params.beta)
 
     stop_delta = params.stop_delta if params.stop_rule == "relative_change" else None
-    return _iterate(cfg, params.max_iters, _em_start(g, cfg, complex_mode), data_term,
-                    _resolve_epsilon, update, _truth_scores(ground_truth, cfg, complex_mode),
-                    stop_delta)
+    return _iterate(cfg, params.max_iters, _em_start(g, cfg, complex_mode),
+                    lambda ghat: _poisson_term(g, ghat, floor), _resolve_epsilon, update,
+                    _truth_scores(ground_truth, cfg, complex_mode), stop_delta)
 
 
 def reconstruct_real(

@@ -10,7 +10,8 @@ for PGM the quantization range so loading can undo the scaling.
 
 Config documents are flat ``key = value`` lines; ``#`` at a line's start
 or after whitespace starts a comment. All physical quantities in files are
-SI. Traces are CSV with the fixed header ``iteration,nll,tv,ssim,millis``.
+SI. Traces are CSV whose fixed header is the trace's ``COLUMNS``,
+``iteration,nll,tv,ssim,rel_error,millis``.
 """
 
 from __future__ import annotations

@@ -26,7 +26,6 @@ import numpy as np
 import pytest
 
 import holoem
-from holoem.baseline import BaselineParams
 from holoem.cli import RunConfig
 from holoem.em import ReconParams
 from holoem.forward import Hologram, OpticalConfig
@@ -57,14 +56,14 @@ def test_defaulted_parameter_count():
                 defaulted += [f"{name}.{attr}.{p.name}"
                               for p in inspect.signature(obj).parameters.values()
                               if p.default is not inspect.Parameter.empty]
-    assert len(defaulted) == 33, defaulted
+    assert len(defaulted) == 31, defaulted
 
 
 def test_exported_name_count():
     # every name over every __all__; a new export means a reviewed edit here
     exported = [f"{name}.{attr}" for name in MODULES
                 for attr in getattr(importlib.import_module(f"holoem.{name}"), "__all__", ())]
-    assert len(exported) == 42, exported
+    assert len(exported) == 41, exported
 
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -127,9 +126,8 @@ def test_records_holding_arrays_compare_by_identity():
 
 
 def test_shared_solver_defaults_agree():
-    # the CLI's iters and tau keys feed both solvers, and take ReconParams' defaults
+    # the CLI's iters and tau keys feed every solver, and take ReconParams' defaults
     em, cfg = ReconParams(), RunConfig()
-    assert (BaselineParams().max_iters, BaselineParams().tau) == (em.max_iters, em.tau)
     assert (cfg.iters, cfg.tau) == (em.max_iters, em.tau)
 
 

@@ -1,14 +1,20 @@
-"""Additive least-squares comparator: step-size estimate and descent loop."""
+"""Additive least-squares comparator: step-size estimate, data-term
+gradient and descent loop."""
 
 import numpy as np
 import pytest
 
-from holoem.baseline import BaselineParams, baseline_reconstruct, estimate_step_size
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from holoem import baseline, em
+from holoem.baseline import baseline_reconstruct, estimate_step_size
+from holoem.em import ReconParams
 from holoem.forward import OpticalConfig, simulate
 from holoem.operators import stack_adjoint, stack_forward
 from holoem.phantoms import single_slice_stack
 
-from conftest import PITCH, WAVELENGTH
+from conftest import PITCH, WAVELENGTH, directional_check
 
 
 def dense_normal_matrix(distances, pad):
@@ -55,7 +61,7 @@ def demo64():
 
 def test_objective_decreases_at_default_step(demo64):
     cfg, truth, holo = demo64
-    stack, trace = baseline_reconstruct(holo, BaselineParams(max_iters=30),
+    stack, trace = baseline_reconstruct(holo, ReconParams(max_iters=30),
                                         ground_truth=truth)
     assert not trace.diverged
     assert len(trace) == 30
@@ -67,30 +73,49 @@ def test_objective_decreases_at_default_step(demo64):
 def test_oversized_step_flags_divergence(demo64):
     _, _, holo = demo64
     # the step is always 1/L; a TV weight far past the data term's scale oversteps it
-    stack, trace = baseline_reconstruct(holo, BaselineParams(max_iters=30, tau=100.0))
+    stack, trace = baseline_reconstruct(holo, ReconParams(max_iters=30, tau=100.0))
     assert trace.diverged
     assert len(trace) == 9  # halted after five straight increases
     # and returns the estimate from before the first of them, bit for bit
-    capped, _ = baseline_reconstruct(holo, BaselineParams(max_iters=4, tau=100.0))
+    capped, _ = baseline_reconstruct(holo, ReconParams(max_iters=4, tau=100.0))
     assert stack.tobytes() == capped.tobytes()
 
 
 def test_trace_without_truth(demo64):
     _, _, holo = demo64
-    _, trace = baseline_reconstruct(holo, BaselineParams(max_iters=3))
+    _, trace = baseline_reconstruct(holo, ReconParams(max_iters=3))
     assert trace.iterations == [1, 2, 3]
     assert all(s is None for s in trace.ssim)
 
 
-@pytest.mark.parametrize("kw", [
-    dict(max_iters=0),
-    dict(tau=float("nan")),
-    dict(tau=-0.5),
-    dict(tau=float("inf")),
-])
-def test_params_validation(kw):
-    with pytest.raises(ValueError):
-        BaselineParams(**kw)
+@pytest.mark.parametrize("kw", [dict(upper_bound=1.0), dict(stop_rule="relative_change")],
+                         ids=["upper-bound", "relative-change"])
+def test_refuses_a_bound_and_a_relative_change_stop(demo64, kw):
+    # the baseline reads max_iters and tau alone; settings it would ignore raise
+    _, _, holo = demo64
+    with pytest.raises(ValueError, match="no upper bound and no relative_change"):
+        baseline_reconstruct(holo, ReconParams(max_iters=3, **kw))
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 17), st.integers(2, 17), st.floats(0.5e-6, 3e-6), st.floats(0.5e-6, 3e-6),
+       st.lists(st.floats(50e-6, 2e-3), min_size=1, max_size=3, unique=True), st.booleans(),
+       st.integers(0, 2**32 - 1))
+def test_least_squares_gradient_of_the_loop_matches_finite_differences(
+        height, width, pitch_x, pitch_y, depths, pad, seed):
+    # the gradient _iterate takes for the baseline: em._data_gradient of
+    # _least_squares_term's residual, on either frame, odd sizes, anisotropic
+    # pitch and 1 to 3 slices
+    rng = np.random.Generator(np.random.Philox(seed))
+    optics = (pitch_x, pitch_y, WAVELENGTH, tuple(sorted(depths)), pad)
+    w = 0.5 + 0.05 * rng.standard_normal((len(depths), height, width))
+    g = rng.uniform(0.5, 1.5, (height, width))
+
+    def objective(ps):
+        return baseline._least_squares_term(g, stack_forward(ps[0], *optics))[0]
+
+    resid = baseline._least_squares_term(g, stack_forward(w, *optics))[1]
+    directional_check(objective, [w], list(em._data_gradient(resid, optics, real=True)), rng)
 
 
 def test_step_size_refuses_a_degenerate_operator(monkeypatch):

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from holoem import metrics, propagation
-from holoem.baseline import BaselineParams, baseline_reconstruct
+from holoem.baseline import baseline_reconstruct
 from holoem.cli import RunConfig, _build_parser
 from holoem.em import ReconParams, reconstruct_real
 from holoem.forward import OpticalConfig, simulate
@@ -66,7 +66,7 @@ def test_every_scored_autofocus_plane_is_a_traced_propagation():
 
 
 @pytest.mark.parametrize("solve,params", [(reconstruct_real, ReconParams(max_iters=3)),
-                                          (baseline_reconstruct, BaselineParams(max_iters=3))],
+                                          (baseline_reconstruct, ReconParams(max_iters=3))],
                          ids=["em", "baseline"])
 def test_every_tv_pass_is_a_traced_em_tv_span(solve, params):
     # each solver's regularizer calls the TV helper by the name the tracer

@@ -846,6 +846,30 @@ def test_baseline_manifest_reruns_identically(tmp_path):
     assert rows(second) == rows(first)
 
 
+def test_baseline_config_ignores_the_em_keys(tmp_path):
+    # the baseline reads iters and tau alone: a config document that also sets
+    # the EM modes' stop, stop_delta, beta and reference runs the same solve,
+    # and its manifest records none of them
+    sim = tmp_path / "sim"
+    assert main(simulate_args(sim, ["--noise-seed", "3"])) == 0
+    holo = sim / "hologram.pfm"
+    conf = tmp_path / "c.txt"
+    conf.write_text(f"stop = relative_change\nstop_delta = 0.5\nbeta = 0.25\nreference = {holo}\n")
+    common = ["--input", str(holo), "--slice-distances", "1mm", "--iters", "5"]
+    plain, keyed = tmp_path / "a", tmp_path / "b"
+    assert main(["baseline", "--out", str(plain), *common]) == 0
+    assert main(["baseline", "--config", str(conf), "--out", str(keyed), *common]) == 0
+    assert (keyed / "slice_00.pfm").read_bytes() == (plain / "slice_00.pfm").read_bytes()
+
+    def recorded(out):  # the manifest but its measured fields, the trace but its millis
+        manifest = load_key_values(out / "manifest.txt")
+        lines = (out / "trace.csv").read_text().splitlines()
+        return ({k: v for k, v in manifest.items() if k not in ("wall_s", "peak_rss_mib")},
+                [line.rsplit(",", 1)[0] for line in lines])
+
+    assert recorded(keyed) == recorded(plain)
+
+
 # what manifests of each mode recorded before the solver knobs and the illumination
 # amplitude were retired (and, in complex mode, beta became a key no solver reads)
 _OLDER_MANIFEST_KEYS = {

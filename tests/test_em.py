@@ -22,7 +22,6 @@ from holoem.em import (
     NumericError,
     ReconParams,
     ReconTrace,
-    nll,
     reconstruct_complex,
     reconstruct_real,
     tv_value,
@@ -33,7 +32,7 @@ from holoem.metrics import object_units, ssim
 from holoem.operators import stack_adjoint, stack_forward
 from holoem.phantoms import multi_depth_stack, single_slice_stack
 
-from conftest import PITCH, WAVELENGTH
+from conftest import PITCH, WAVELENGTH, directional_check
 
 
 @pytest.fixture(scope="module")
@@ -53,12 +52,13 @@ def bound64():
     return cfg, truth, simulate(truth, cfg)
 
 
-class TestNll:
+class TestPoissonTerm:
     def test_matches_elementwise_loop(self):
         g = np.array([[0.0, 1.5], [2.0, 0.3]])
         ghat = np.array([[0.7, 1.2], [-0.3, 1e-20]])  # negative and sub-floor entries
         floor = 1e-6
         expected = 0.0
+        residual = np.empty((2, 2))
         for i in range(2):
             for j in range(2):
                 expected += ghat[i, j]
@@ -67,27 +67,16 @@ class TestNll:
                     log = (np.log(ghat[i, j]) if ghat[i, j] >= floor
                            else np.log(floor) + (ghat[i, j] - floor) / floor)
                     expected -= g[i, j] * log
-        assert nll(g, ghat, floor) == pytest.approx(expected, rel=1e-12)
+                residual[i, j] = 1.0 - g[i, j] / max(ghat[i, j], floor)
+        value, resid = em._poisson_term(g, ghat, floor)
+        assert value == pytest.approx(expected, rel=1e-12)
+        assert np.array_equal(resid, residual)
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            nll(np.ones((2, 2)), np.ones((2, 3)), 1e-12)
+            em._poisson_term(np.ones((2, 2)), np.ones((2, 3)), 1e-12)
         with pytest.raises(ValueError):
-            nll(-np.ones((2, 2)), np.ones((2, 2)), 1e-12)
-
-
-def _directional_check(objective, parts, grads, rng):
-    """Central difference of objective along the gradient plus noise (so the
-    directional derivative cannot vanish) against the analytic value."""
-    rms = np.sqrt(np.mean([np.mean(gr * gr) for gr in grads]))
-    dirs = [gr + 0.5 * rms * rng.standard_normal(gr.shape) for gr in grads]
-    norm = np.sqrt(np.mean([np.mean(d * d) for d in dirs]))
-    dirs = [d / norm for d in dirs]
-    analytic = sum(float(np.sum(gr * d)) for gr, d in zip(grads, dirs))
-    t = 1e-6
-    numeric = (objective([p + t * d for p, d in zip(parts, dirs)])
-               - objective([p - t * d for p, d in zip(parts, dirs)])) / (2 * t)
-    assert abs(numeric - analytic) / abs(analytic) < 1e-7
+            em._poisson_term(-np.ones((2, 2)), np.ones((2, 2)), 1e-12)
 
 
 _sizes = st.integers(2, 17)
@@ -101,8 +90,8 @@ _seeds = st.integers(0, 2**32 - 1)
 def test_nll_gradient_of_the_loop_matches_finite_differences(height, width, pitch_x, pitch_y,
                                                              waves, pad, complex_slices, level,
                                                              seed):
-    # the gradient _iterate takes: stack_adjoint of the ratio residual, the
-    # real part only for real slices, both parts for complex slices
+    # the gradient _iterate takes: _data_gradient of _poisson_term's
+    # residual, the real part only for real slices, both parts for complex ones
     rng = np.random.Generator(np.random.Philox(seed))
     # a whole number of wavelengths gives cos(k0 z) = 1, so a +-0.5 level per
     # slice keeps the predicted intensity well above or well below the ratio
@@ -115,17 +104,15 @@ def test_nll_gradient_of_the_loop_matches_finite_differences(height, width, pitc
     g = 0.5 * len(zs) * rng.uniform(0.5, 1.5, (height, width))
     g[0, 0] = 0.0  # zero-count pixel contributes g_hat alone
     floor = em._resolve_floor(g)
-    args = (pitch_x, pitch_y, WAVELENGTH, zs)
+    optics = (pitch_x, pitch_y, WAVELENGTH, zs, pad)
 
     def objective(ps):
-        return em.nll(g, stack_forward(em._joined(ps), *args, pad=pad), floor)
+        return em._poisson_term(g, stack_forward(em._joined(ps), *optics), floor)[0]
 
-    ghat = stack_forward(em._joined(parts), *args, pad=pad)
+    ghat = stack_forward(em._joined(parts), *optics)
     assert ghat.min() > 0.1 if level > 0 else ghat.max() < -0.1
-    adj = stack_adjoint(em._ratio_residual(g, ghat, floor), *args, pad=pad,
-                        real=len(parts) == 1)
-    grads = [adj] if len(parts) == 1 else [adj.real, adj.imag]
-    _directional_check(objective, parts, grads, rng)
+    grads = em._data_gradient(em._poisson_term(g, ghat, floor)[1], optics, len(parts) == 1)
+    directional_check(objective, parts, list(grads), rng)
 
 
 @settings(max_examples=60)
@@ -156,21 +143,21 @@ def test_flat_start_is_constant_per_slice_and_matches_the_mean(height, width, pi
 
 def test_nll_gradient_where_some_predictions_fall_below_the_floor(rng):
     # a -3 block at z = 2 um drives part of the prediction below the ratio
-    # floor and leaves the rest above it; the ratio residual is the exact
-    # gradient on both sides
-    args = (PITCH, PITCH, WAVELENGTH, (2.0e-6,))
+    # floor and leaves the rest above it; the adjoint of the Poisson term's
+    # residual is the exact gradient on both sides
+    optics = (PITCH, PITCH, WAVELENGTH, (2.0e-6,), False)
     w = np.ones((1, 8, 8))
     w[0, 2:6, 2:6] = -3.0
     g = np.ones((8, 8))
     floor = em._resolve_floor(g)
-    ghat = stack_forward(w, *args, pad=False)
+    ghat = stack_forward(w, *optics)
     assert 0 < np.count_nonzero(ghat < floor) < ghat.size
 
     def objective(ps):
-        return em.nll(g, stack_forward(ps[0], *args, pad=False), floor)
+        return em._poisson_term(g, stack_forward(ps[0], *optics), floor)[0]
 
-    grad = stack_adjoint(em._ratio_residual(g, ghat, floor), *args, pad=False, real=True)
-    _directional_check(objective, [w], [grad], rng)
+    grad = em._data_gradient(em._poisson_term(g, ghat, floor)[1], optics, real=True)
+    directional_check(objective, [w], list(grad), rng)
 
 
 @settings(max_examples=60)
@@ -196,7 +183,7 @@ def test_tv_gradient_of_the_loop_matches_finite_differences(height, width, n_sli
         return sum(smoothed(s) for p in ps for s in p)
 
     grads = list(em._tv_gradient_array(np.stack(parts), eps)[1])
-    _directional_check(objective, parts, grads, rng)
+    directional_check(objective, parts, grads, rng)
 
 
 _estimate_shapes = st.tuples(st.integers(1, 2), st.integers(1, 5), _sizes, _sizes)
@@ -586,15 +573,12 @@ def test_loop_without_a_regularizer_takes_no_tv_pass(bound64, monkeypatch):
     g = holo.intensity
     floor = em._resolve_floor(g)
 
-    def data_term(ghat):
-        return em.nll(g, ghat, floor), em._ratio_residual(g, ghat, floor)
-
     def update(w, grad, state, scale):
         return w - np.abs(w) * (scale * grad)
 
     start = em._em_start(g, cfg, complex_mode=False)
-    _, trace = em._iterate(cfg, 3, start, data_term, lambda w0: lambda w: (0.0, None), update,
-                           None)
+    _, trace = em._iterate(cfg, 3, start, lambda ghat: em._poisson_term(g, ghat, floor),
+                           lambda w0: lambda w: (0.0, None), update, None)
     assert len(trace) == 3 and trace.tv == [0.0, 0.0, 0.0]
     assert counts == {"_forward_diffs": 0}
 

@@ -169,7 +169,8 @@ _RESULT_KEYS = ("holoem_version", "numpy_version", "stop_reason", "step_halvings
 _RETIRED = {"tv_epsilon": ("optfloat", "auto"), "ratio_floor": ("optfloat", "auto"),
             "power_iters": ("int", "20"), "power_seed": ("int", "0"),
             "step_size": ("optfloat", "auto"), "median_size": ("int", "3"),
-            "illumination_amplitude": ("float", "1.0"), "init": ("str", "constant")}
+            "illumination_amplitude": ("float", "1.0"), "init": ("str", "constant"),
+            "beta": ("float", "0.5")}
 
 
 @dataclass
@@ -213,7 +214,6 @@ class RunConfig:
     iters: int = _key("int", "iteration count", ReconParams.max_iters, modes=_SOLVE)
     tau: float | None = _key(
         "optfloat", "TV weight ('auto' = 0.002 * mean intensity)", modes=_SOLVE)
-    beta: float = _key("float", "upper-bound relaxation factor", ReconParams.beta, modes=_REAL)
     init: str = _key("str", "EM start: constant, the only one", "constant", modes=_EM)
     stop: str = _key(
         "str", "stop rule: fixed_iters or relative_change", ReconParams.stop_rule, modes=_EM)
@@ -469,12 +469,8 @@ def _run_reconstruct(cfg: RunConfig, out: Path, outcome: dict) -> int:
         params = ReconParams(max_iters=cfg.iters, tau=cfg.tau)
         solve = baseline_reconstruct
     else:
-        # only real mode reads beta; ReconParams refuses a complex-mode bound
-        beta = {} if complex_mode else {"beta": cfg.beta}
-        params = ReconParams(
-            max_iters=cfg.iters, tau=cfg.tau, stop_rule=cfg.stop, stop_delta=cfg.stop_delta,
-            upper_bound=_upper_bound(cfg, optics), **beta,
-        )
+        params = ReconParams(max_iters=cfg.iters, tau=cfg.tau, stop_rule=cfg.stop,
+                             stop_delta=cfg.stop_delta, upper_bound=_upper_bound(cfg, optics))
         solve = reconstruct_complex if complex_mode else reconstruct_real
     truth = _load_truth(cfg, optics, complex_mode)
     estimate, trace = solve(holo, params, ground_truth=truth)

@@ -15,8 +15,8 @@ applied first, the regularization step to its result:
     w'    = w_mle - |w_mle| tau grad TV(w)
 
 An optional per-pixel upper bound (typically the filtered reference
-illumination) is enforced after each update by relaxed clipping:
-w > UB  ->  UB + beta (w - UB).
+illumination) is enforced after each update by a clip relaxed by the
+constant _RELAX = 0.5: w > UB  ->  UB + 0.5 (w - UB).
 
 Real mode estimates one real slice per depth (absorbing objects with the
 illumination DC folded in); complex mode estimates real and imaginary
@@ -66,6 +66,7 @@ __all__ = [
 
 _STOP_RULES = ("fixed_iters", "relative_change")
 _RISES = 5  # objective rises in a row that halt a run as diverged
+_RELAX = 0.5  # the upper bound's relaxation: w > UB -> UB + _RELAX (w - UB)
 
 
 class NumericError(RuntimeError):
@@ -76,13 +77,13 @@ class NumericError(RuntimeError):
 class ReconParams:
     """Reconstruction controls, the one settings record of every solver.
 
-    reconstruct_real reads every field. reconstruct_complex refuses an
-    upper_bound, so beta, which acts on one, is idle. baseline_reconstruct
-    reads max_iters and tau and refuses a bound or the relative_change rule.
-    Every EM solve starts flat: one level per slice, whose predicted
-    intensity has the mean of g. tau = None means 0.002 * mean(g).
-    upper_bound, a scalar or a per-pixel bound of the config's grid shape on
-    every slice, is relaxed by beta. The TV smoothing epsilon is 1e-4 times
+    reconstruct_real reads every field, and reconstruct_complex every field
+    but upper_bound, which it refuses. baseline_reconstruct reads max_iters
+    and tau and refuses a bound or the relative_change rule. Every EM solve
+    starts flat: one level per slice, whose predicted intensity has the mean
+    of g. tau = None means 0.002 * mean(g). upper_bound, a finite scalar or
+    a finite per-pixel bound of the config's grid shape on every slice, is
+    relaxed by the fixed _RELAX = 0.5. The TV smoothing epsilon is 1e-4 times
     the start's dynamic range: for EM the spread of the flat start's values
     (its slice levels, and the imaginary start in complex mode), so a
     one-slice real-mode solve uses epsilon = 1e-4 exactly. The ratio floor
@@ -91,7 +92,6 @@ class ReconParams:
 
     max_iters: int = 100
     tau: float | None = None
-    beta: float = 0.5
     stop_rule: str = "fixed_iters"
     stop_delta: float = 1e-6
     upper_bound: float | np.ndarray | None = None
@@ -99,8 +99,6 @@ class ReconParams:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
-        if not 0.0 <= self.beta <= 1.0:
-            raise ValueError(f"beta must be in [0, 1], got {self.beta}")
         if self.tau is not None and not 0 <= self.tau < np.inf:
             raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
         if self.stop_rule not in _STOP_RULES:
@@ -227,12 +225,12 @@ def _tv_gradient_array(w: np.ndarray, epsilon: float) -> tuple[float, np.ndarray
     return value, _forward_diffs_adjoint(dx, dy)
 
 
-def _em_update(w, grad, tv_grad, tau: float, bound, beta: float) -> np.ndarray:
+def _em_update(w, grad, tv_grad, tau: float, bound) -> np.ndarray:
     """Data step then TV step, both gradients evaluated at the input iterate,
-    then the relaxed clip w > UB -> UB + beta (w - UB) when a bound is given."""
+    then the relaxed clip w > UB -> UB + _RELAX (w - UB) when a bound is given."""
     w_mle = w - np.abs(w) * grad
     new = w_mle - np.abs(w_mle) * (tau * tv_grad)
-    return new if bound is None else np.where(new > bound, bound + beta * (new - bound), new)
+    return new if bound is None else np.where(new > bound, bound + _RELAX * (new - bound), new)
 
 
 def _resolve_tau(g: np.ndarray, params) -> float:
@@ -371,6 +369,8 @@ def _upper_bound(params: ReconParams, config: OpticalConfig, complex_mode: bool)
     if bound.ndim and bound.shape != config.grid_shape:
         raise ValueError(f"upper bound shape {bound.shape} does not match grid "
                          f"{config.grid_shape}")
+    if not np.isfinite(bound).all():
+        raise ValueError("upper bound must be finite; it holds NaN or infinite entries")
     return bound
 
 
@@ -410,7 +410,7 @@ def _em_solve(hologram: Hologram, params: ReconParams | None, ground_truth,
     floor = _resolve_floor(g)
 
     def update(w, grad, tv_grad, scale):
-        return _em_update(w, scale * grad, tv_grad, scale * tau, ub, params.beta)
+        return _em_update(w, scale * grad, tv_grad, scale * tau, ub)
 
     stop_delta = params.stop_delta if params.stop_rule == "relative_change" else None
     return _iterate(cfg, params.max_iters, _em_start(g, cfg, complex_mode),

@@ -56,7 +56,7 @@ def test_defaulted_parameter_count():
                 defaulted += [f"{name}.{attr}.{p.name}"
                               for p in inspect.signature(obj).parameters.values()
                               if p.default is not inspect.Parameter.empty]
-    assert len(defaulted) == 31, defaulted
+    assert len(defaulted) == 30, defaulted
 
 
 def test_exported_name_count():

@@ -472,7 +472,7 @@ class TestExitCodes:
         assert main(simulate_args(sim)) == 0
         code = main(["reconstruct-real", "--out", str(tmp_path / "rec"),
                      "--input", str(sim / "hologram.pfm"),
-                     "--slice-distances", "1mm", "--beta", "1.5"])
+                     "--slice-distances", "1mm", "--iters", "0"])
         assert code == 2
 
     @pytest.mark.parametrize("mode", ["reconstruct-real", "reconstruct-complex"])
@@ -768,12 +768,13 @@ class TestExitCodes:
         assert exc.value.code == 2
         assert "--illumination-amplitude" in capsys.readouterr().err
         assert not out.exists()
-        # nor a solver, and only real mode reads the upper bound that beta relaxes
+        # nor a solver, and no mode takes the retired relaxation of the upper bound
         solve = ["--input", str(sim / "hologram.pfm"), "--slice-distances", "1mm"]
         for mode, flag, value in [("reconstruct-real", "--illumination-amplitude", "3"),
                                   ("reconstruct-complex", "--illumination-amplitude", "3"),
                                   ("baseline", "--illumination-amplitude", "3"),
-                                  ("reconstruct-complex", "--beta", "0.1")]:
+                                  ("reconstruct-real", "--beta", "0.5"),
+                                  ("reconstruct-complex", "--beta", "0.5")]:
             with pytest.raises(SystemExit) as exc:
                 main([mode, "--out", str(out), *solve, flag, value])
             assert exc.value.code == 2, (mode, flag)
@@ -788,7 +789,7 @@ def test_flag_surface():
     expected = {
         "simulate": f"{optics} width height slice-distances model photon-scale noise-seed "
                     "phantom contrast phase-contrast objects",
-        "reconstruct-real": f"{solve} reference beta init stop stop-delta",
+        "reconstruct-real": f"{solve} reference init stop stop-delta",
         "reconstruct-complex": f"{solve} init stop stop-delta",
         "baseline": solve,
         "autofocus": f"{optics} input z-min z-max z-step",
@@ -799,7 +800,7 @@ def test_flag_surface():
     (modes,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
     pairs = {(mode, a.option_strings[0]) for mode, p in modes.choices.items()
              for a in p._actions if a.dest.startswith("key_")}
-    assert len(expected) == 62
+    assert len(expected) == 61
     assert pairs == expected
 
 
@@ -848,13 +849,13 @@ def test_baseline_manifest_reruns_identically(tmp_path):
 
 def test_baseline_config_ignores_the_em_keys(tmp_path):
     # the baseline reads iters and tau alone: a config document that also sets
-    # the EM modes' stop, stop_delta, beta and reference runs the same solve,
-    # and its manifest records none of them
+    # the EM modes' stop, stop_delta and reference, and the retired beta at its
+    # one value, runs the same solve, and its manifest records none of them
     sim = tmp_path / "sim"
     assert main(simulate_args(sim, ["--noise-seed", "3"])) == 0
     holo = sim / "hologram.pfm"
     conf = tmp_path / "c.txt"
-    conf.write_text(f"stop = relative_change\nstop_delta = 0.5\nbeta = 0.25\nreference = {holo}\n")
+    conf.write_text(f"stop = relative_change\nstop_delta = 0.5\nbeta = 0.5\nreference = {holo}\n")
     common = ["--input", str(holo), "--slice-distances", "1mm", "--iters", "5"]
     plain, keyed = tmp_path / "a", tmp_path / "b"
     assert main(["baseline", "--out", str(plain), *common]) == 0
@@ -870,11 +871,12 @@ def test_baseline_config_ignores_the_em_keys(tmp_path):
     assert recorded(keyed) == recorded(plain)
 
 
-# what manifests of each mode recorded before the solver knobs and the illumination
-# amplitude were retired (and, in complex mode, beta became a key no solver reads)
+# what manifests of each mode recorded before the solver knobs, the illumination
+# amplitude and the upper bound's relaxation beta were retired
 _OLDER_MANIFEST_KEYS = {
     "simulate": "illumination_amplitude = 1.0\n",
-    "reconstruct-real": "illumination_amplitude = 1.0\ntv_epsilon = auto\nratio_floor = auto\n",
+    "reconstruct-real": "illumination_amplitude = 1.0\nbeta = 0.5\ntv_epsilon = auto\n"
+                        "ratio_floor = auto\n",
     "reconstruct-complex": "illumination_amplitude = 1.0\nbeta = 0.5\ntv_epsilon = auto\n"
                            "ratio_floor = auto\n",
     "baseline": "illumination_amplitude = 1.0\ntv_epsilon = auto\npower_iters = 20\n"
@@ -891,7 +893,7 @@ def test_older_manifest_reruns_identically(tmp_path, mode):
         assert main([mode, "--out", str(first), "--input", str(sim / "hologram.pfm"),
                      "--slice-distances", "1mm", "--iters", "3"]) == 0
     manifest = (first / "manifest.txt").read_text()
-    assert not any(key in manifest for key in ("illumination_amplitude", "tv_epsilon"))
+    assert not any(key in manifest for key in ("illumination_amplitude", "tv_epsilon", "beta"))
     old = tmp_path / "old.txt"
     old.write_text(manifest + _OLDER_MANIFEST_KEYS[mode])
     second = tmp_path / "b"
@@ -975,24 +977,31 @@ def test_truth_path_with_a_comma_runs_and_reruns(tmp_path):
     assert (again / "quality.json").read_bytes() == (first / "quality.json").read_bytes()
 
 
-def test_complex_manifest_rerun_ignores_beta(tmp_path):
-    # beta relaxes the real-mode upper bound; a complex run neither reads nor checks it
+@pytest.mark.parametrize("mode", ["reconstruct-real", "reconstruct-complex", "baseline"])
+def test_beta_is_retired_at_one_half(tmp_path, mode):
+    # the upper bound's relaxation is fixed at 0.5: a config document may carry
+    # that value and runs the same solve; any other is refused by name
     sim = tmp_path / "sim"
     assert main(simulate_args(sim, ["--noise-seed", "3"])) == 0
-    solve = ["--input", str(sim / "hologram.pfm"), "--slice-distances", "1mm", "--iters", "3"]
-    for mode, code in (("reconstruct-complex", 0), ("reconstruct-real", 2)):
-        first = tmp_path / mode
-        assert main([mode, "--out", str(first), *solve]) == 0
-        lines = (first / "manifest.txt").read_text().splitlines()
-        edited = tmp_path / f"{mode}.txt"
-        edited.write_text("\n".join(x for x in lines if not x.startswith("beta ")) + "\nbeta = 7\n")
-        second = tmp_path / f"{mode}-again"
-        assert main([mode, "--config", str(edited), "--out", str(second)]) == code, mode
+    solve = [mode, "--input", str(sim / "hologram.pfm"), "--slice-distances", "1mm",
+             "--iters", "3"]
+    first = tmp_path / "a"
+    assert main([*solve, "--out", str(first)]) == 0
+    assert "beta" not in load_key_values(first / "manifest.txt")
+    manifest = (first / "manifest.txt").read_text()
+    conf = tmp_path / "old.txt"
+    for value, code in (("0.5", 0), ("7", 2), ("0.25", 2)):
+        conf.write_text(manifest + f"beta = {value}\n")
+        again = tmp_path / value
+        assert main([mode, "--config", str(conf), "--out", str(again)]) == code, value
         if code:
-            assert "beta" in json.loads((second / "error.json").read_text())["message"]
+            assert "'beta'" in json.loads((again / "error.json").read_text())["message"]
+            assert not list(again.glob("slice_*")), value
             continue
-        for path in sorted(first.glob("slice_*.pfm")):
-            assert (second / path.name).read_bytes() == path.read_bytes(), path.name
+        images = sorted(first.glob("slice_*.pfm"))
+        assert images
+        for path in images:
+            assert (again / path.name).read_bytes() == path.read_bytes(), path.name
 
 
 def _glibc() -> bool:

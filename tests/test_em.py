@@ -261,10 +261,10 @@ class TestTotalVariation:
         assert tv_value(np.full((5, 5), 3.2)) == 0.0
 
 
-def _clip(w, bound, beta):
+def _clip(w, bound):
     """The relaxed clip alone: _em_update with zero gradients and tau = 0."""
     zero = np.zeros_like(w)
-    return em._em_update(w, zero, zero, 0.0, bound, beta)
+    return em._em_update(w, zero, zero, 0.0, bound)
 
 
 class TestUpdateAlgebra:
@@ -272,35 +272,31 @@ class TestUpdateAlgebra:
         # tau = 0 leaves the data step w - |w| grad alone
         w = np.array([1.0, -1.0, 0.0])
         grad = np.array([0.2, 0.2, 0.5])
-        np.testing.assert_allclose(em._em_update(w, grad, np.ones(3), 0.0, None, 0.5),
+        np.testing.assert_allclose(em._em_update(w, grad, np.ones(3), 0.0, None),
                                    [0.8, -1.2, 0.0], atol=1e-15)
 
     def test_alternating_update_values(self):
         # data step first, TV step applied to its result
-        out = em._em_update(np.array([2.0]), np.array([0.25]), np.array([1.0]), 0.1, None, 0.5)
+        out = em._em_update(np.array([2.0]), np.array([0.25]), np.array([1.0]), 0.1, None)
         np.testing.assert_allclose(out, [1.35], atol=1e-15)
-        out = em._em_update(np.array([-2.0]), np.array([-0.5]), np.array([-1.0]), 0.1, None,
-                            0.5)
+        out = em._em_update(np.array([-2.0]), np.array([-0.5]), np.array([-1.0]), 0.1, None)
         np.testing.assert_allclose(out, [-0.9], atol=1e-15)
 
     def test_apply_upper_bound_values(self):
         w = np.array([0.0, 2.0, -3.0])
-        np.testing.assert_allclose(_clip(w, 1.0, 0.5), [0.0, 1.5, -3.0])
-        np.testing.assert_allclose(_clip(w, 1.0, 0.0), [0.0, 1.0, -3.0])
-        np.testing.assert_allclose(_clip(w, 1.0, 1.0), w)
+        # the relaxation is fixed at 0.5: w > UB -> UB + (w - UB) / 2
+        np.testing.assert_allclose(_clip(w, 1.0), [0.0, 1.5, -3.0])
         per_pixel = np.array([0.5, 3.0, 1.0])
-        np.testing.assert_allclose(_clip(np.array([1.0, 1.0, 1.0]), per_pixel, 0.5),
+        np.testing.assert_allclose(_clip(np.array([1.0, 1.0, 1.0]), per_pixel),
                                    [0.75, 1.0, 1.0])
         # the clip acts on the stepped iterate: 2 - 2 * 0.25 = 1.5 > 1 -> 1.25
-        out = em._em_update(np.array([2.0]), np.array([0.25]), np.zeros(1), 0.0, 1.0, 0.5)
+        out = em._em_update(np.array([2.0]), np.array([0.25]), np.zeros(1), 0.0, 1.0)
         np.testing.assert_allclose(out, [1.25], atol=1e-15)
 
 
 class TestReconParams:
     @pytest.mark.parametrize("kw", [
         dict(max_iters=0),
-        dict(beta=-0.1),
-        dict(beta=1.5),
         dict(tau=-1.0),
         dict(tau=float("nan")),
         dict(stop_delta=float("nan")),
@@ -359,6 +355,21 @@ def test_single_plane_runs_to_the_cap_at_any_depth(z):
     assert trace.rel_error[-1] < 1.0
 
 
+@pytest.mark.xfail(strict=True, reason="known defect (ROADMAP item 1: the explicit TV "
+                   "step drives a period-2 cycle)")
+@pytest.mark.parametrize("seed", [None, 1])
+def test_last_iterates_settle_without_a_period_two_cycle(seed):
+    # criterion 3's 128 px case at the default tau: the last iterate should be
+    # closer to the one before it than to the one two before. At 100
+    # iterations one step apart reads 7.40e-3 against 4.19e-4 two steps apart
+    # clean, 4.93e-3 against 1.43e-3 on noisy seed 1
+    cfg = OpticalConfig(WAVELENGTH, PITCH, 128, 128, (0.5e-3, 1.0e-3, 1.25e-3))
+    holo = simulate(multi_depth_stack(cfg), cfg, seed=seed)
+    w98, w99, w100 = (reconstruct_real(holo, ReconParams(max_iters=n))[0]
+                      for n in (98, 99, 100))
+    assert np.linalg.norm(w100 - w99) < np.linalg.norm(w100 - w98)
+
+
 def test_oversized_tv_weight_flags_divergence(demo128):
     # the estimate returned is the one from before the first of the five
     # rises: bit for bit a run capped there
@@ -389,34 +400,36 @@ def test_huge_tv_weight_raises_numeric_error(demo128):
 
 
 class TestUpperBound:
-    def test_hard_clip_caps_estimate(self, bound64):
-        _, _, holo = bound64
-        free, _ = reconstruct_real(holo, ReconParams(max_iters=10))
-        capped, trace = reconstruct_real(
-            holo, ReconParams(max_iters=10, upper_bound=1.0, beta=0.0))
-        assert free[0].max() > 1.0
-        assert capped[0].max() <= 1.0 + 1e-12
-        assert not trace.diverged
-
     def test_scalar_and_grid_bounds_agree(self, bound64):
         cfg, _, holo = bound64
-        a, _ = reconstruct_real(holo, ReconParams(max_iters=10, upper_bound=1.0, beta=0.5))
+        a, _ = reconstruct_real(holo, ReconParams(max_iters=10, upper_bound=1.0))
         ub = np.ones(cfg.grid_shape)
-        b, _ = reconstruct_real(holo, ReconParams(max_iters=10, upper_bound=ub, beta=0.5))
+        b, _ = reconstruct_real(holo, ReconParams(max_iters=10, upper_bound=ub))
         np.testing.assert_array_equal(a, b)
 
     def test_relaxed_clip_binds_but_overshoots(self, bound64):
         _, _, holo = bound64
         free, _ = reconstruct_real(holo, ReconParams(max_iters=10))
-        soft, _ = reconstruct_real(holo, ReconParams(max_iters=10, upper_bound=1.0, beta=0.5))
+        soft, trace = reconstruct_real(holo, ReconParams(max_iters=10, upper_bound=1.0))
         assert not np.array_equal(soft, free)
         assert 1.0 < soft[0].max() < free[0].max()
+        assert not trace.diverged
 
     def test_mismatched_bound_grid_rejected(self, bound64):
         _, _, holo = bound64
         for shape in ((64, 32), (1, 64, 64), (64,)):
             with pytest.raises(ValueError, match="upper bound shape"):
                 reconstruct_real(holo, ReconParams(max_iters=2, upper_bound=np.ones(shape)))
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_bound_rejected(self, bound64, value):
+        # a NaN bound would clip nothing and -inf would end in NumericError
+        cfg, _, holo = bound64
+        per_pixel = np.ones(cfg.grid_shape)
+        per_pixel[3, 5] = value
+        for bound in (value, per_pixel):
+            with pytest.raises(ValueError, match="upper bound must be finite"):
+                reconstruct_real(holo, ReconParams(max_iters=2, upper_bound=bound))
 
     def test_complex_mode_rejects_bound(self, bound64):
         _, _, holo = bound64
@@ -504,19 +517,19 @@ def test_millis_excludes_trace_ssim(bound64, monkeypatch):
 
 
 def test_solver_runs_the_public_update_helpers(bound64, monkeypatch):
-    """The loop applies the tested _em_update, with the bound and beta it was given."""
+    """The loop applies the tested _em_update, with the bound it was given."""
     _, _, holo = bound64
     bounds = []
     original = em._em_update
 
-    def spy(w, grad, tv_grad, tau, bound, beta):
-        bounds.append((bound, beta))
-        return original(w, grad, tv_grad, tau, bound, beta)
+    def spy(w, grad, tv_grad, tau, bound):
+        bounds.append(bound)
+        return original(w, grad, tv_grad, tau, bound)
 
     monkeypatch.setattr(em, "_em_update", spy)
-    _, trace = reconstruct_real(holo, ReconParams(max_iters=3, upper_bound=1.0, beta=0.5))
+    _, trace = reconstruct_real(holo, ReconParams(max_iters=3, upper_bound=1.0))
     assert len(trace) == 3
-    assert bounds == [(1.0, 0.5)] * 3
+    assert bounds == [1.0] * 3
 
 
 def test_step_halvings_are_counted(bound64, monkeypatch, caplog):

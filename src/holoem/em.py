@@ -15,8 +15,8 @@ applied first, the regularization step to its result:
     w'    = w_mle - |w_mle| tau grad TV(w)
 
 An optional per-pixel upper bound (typically the filtered reference
-illumination) is enforced after each update by a clip relaxed by the
-constant _RELAX = 0.5: w > UB  ->  UB + 0.5 (w - UB).
+illumination) is enforced after each update by the projection onto
+{w <= UB}, a hard clip: no estimate exceeds UB.
 
 Real mode estimates one real slice per depth (absorbing objects with the
 illumination DC folded in); complex mode estimates real and imaginary
@@ -66,7 +66,6 @@ __all__ = [
 
 _STOP_RULES = ("fixed_iters", "relative_change")
 _RISES = 5  # objective rises in a row that halt a run as diverged
-_RELAX = 0.5  # the upper bound's relaxation: w > UB -> UB + _RELAX (w - UB)
 
 
 class NumericError(RuntimeError):
@@ -83,11 +82,11 @@ class ReconParams:
     starts flat: one level per slice, whose predicted intensity has the mean
     of g. tau = None means 0.002 * mean(g). upper_bound, a finite scalar or
     a finite per-pixel bound of the config's grid shape on every slice, is
-    relaxed by the fixed _RELAX = 0.5. The TV smoothing epsilon is 1e-4 times
-    the start's dynamic range: for EM the spread of the flat start's values
-    (its slice levels, and the imaginary start in complex mode), so a
-    one-slice real-mode solve uses epsilon = 1e-4 exactly. The ratio floor
-    is 1e-12 * mean(g). The padding is the hologram config's.
+    enforced by projection, w -> min(w, UB). The TV smoothing epsilon is
+    1e-4 times the start's dynamic range: for EM the spread of the flat
+    start's values (its slice levels, and the imaginary start in complex
+    mode), so a one-slice real-mode solve uses epsilon = 1e-4 exactly. The
+    ratio floor is 1e-12 * mean(g). The padding is the hologram config's.
     """
 
     max_iters: int = 100
@@ -227,10 +226,10 @@ def _tv_gradient_array(w: np.ndarray, epsilon: float) -> tuple[float, np.ndarray
 
 def _em_update(w, grad, tv_grad, tau: float, bound) -> np.ndarray:
     """Data step then TV step, both gradients evaluated at the input iterate,
-    then the relaxed clip w > UB -> UB + _RELAX (w - UB) when a bound is given."""
+    then the projection onto {w <= UB} when a bound is given."""
     w_mle = w - np.abs(w) * grad
     new = w_mle - np.abs(w_mle) * (tau * tv_grad)
-    return new if bound is None else np.where(new > bound, bound + _RELAX * (new - bound), new)
+    return new if bound is None else np.minimum(new, bound, out=new)
 
 
 def _resolve_tau(g: np.ndarray, params) -> float:

@@ -223,7 +223,7 @@ def test_c4_upper_bound_speeds_convergence():
         ground_truth=truth)
     curve = np.array(tr_bound.ssim, dtype=float)
     # stays at or above 95% of the final ssim (reference run settles at 1: in
-    # object units the curve falls from row 1, 0.873 -> 0.538)
+    # object units the curve falls from row 1, 0.905 -> 0.665)
     settle = _settle(curve < 0.95 * curve[-1])
 
     _, tr_free = reconstruct_real(holo, ReconParams(max_iters=100),
@@ -234,7 +234,7 @@ def test_c4_upper_bound_speeds_convergence():
     reach = int(hits[0]) + 1 if hits.size else 101
 
     # stays at or below 105% of the final relative error (reference run: the
-    # bounded error reads 0.569/0.293/0.272 at rows 1/10/100 and settles at
+    # bounded error reads 0.559/0.254/0.224 at rows 1/10/100 and settles at
     # 14, the unbounded one 0.592/0.395/0.328 and settles at 78)
     err_settle = [_settle(e > 1.05 * e[-1]) for e in
                   (np.array(tr.rel_error, dtype=float) for tr in (tr_bound, tr_free))]

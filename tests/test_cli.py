@@ -979,8 +979,9 @@ def test_truth_path_with_a_comma_runs_and_reruns(tmp_path):
 
 @pytest.mark.parametrize("mode", ["reconstruct-real", "reconstruct-complex", "baseline"])
 def test_beta_is_retired_at_one_half(tmp_path, mode):
-    # the upper bound's relaxation is fixed at 0.5: a config document may carry
-    # that value and runs the same solve; any other is refused by name
+    # beta, the retired relaxation of the upper bound, parses only at 0.5, the
+    # value older manifests record, and runs the same solve; any other value
+    # is refused by name
     sim = tmp_path / "sim"
     assert main(simulate_args(sim, ["--noise-seed", "3"])) == 0
     solve = [mode, "--input", str(sim / "hologram.pfm"), "--slice-distances", "1mm",

@@ -3,25 +3,27 @@
 The estimate minimizes the Poisson negative log-likelihood of the
 recorded intensity g under the linear multi-slice forward map
 
-    J(w) = sum_x [ g_hat(x) - g(x) log g_hat(x) ],   g_hat = sum_z Re[P_z w_z]
+    J(w) = sum_x [ g_hat(x) - g(x) log g_hat(x) ],   g_hat = c + sum_z Re[P_z w_z]
 
 with a multiplicative gradient step w <- w - |w| grad J that preserves the
 scale-free fixed-point structure of expectation-maximization updates, and
 an alternating total-variation step with the same multiplicative form.
-Both gradients are evaluated at the current iterate; the data step is
-applied first, the regularization step to its result:
+Every slice starts at w0 = 1 (1 + 0.01j in complex mode), which the scalar
+c = mean(g) - sum_z Re[P_z w0] makes predict mean(g). Both gradients are
+taken at the current iterate and scaled by 1/S for S slices; the data step
+is applied first, the regularization step to its result:
 
-    w_mle = w - |w| grad J(w)
-    w'    = w_mle - |w_mle| tau grad TV(w)
+    w_mle = w - |w| grad J(w) / S
+    w'    = w_mle - |w_mle| (tau / S) grad TV(w)
 
 An optional per-pixel upper bound (typically the filtered reference
 illumination) is enforced after each update by the projection onto
 {w <= UB}, a hard clip: no estimate exceeds UB.
 
-Real mode estimates one real slice per depth (absorbing objects with the
-illumination DC folded in); complex mode estimates real and imaginary
-parts jointly, each with its own TV term and multiplicative step, and
-does not apply the upper bound.
+Real mode estimates 1 + 2o for a slice of contrast o, its in-focus
+intensity to first order, so a unit bound is the passive-absorber limit.
+Complex mode estimates Re and Im jointly, each with its own TV term and
+multiplicative step, and does not apply the upper bound.
 
 TV is the isotropic sum sum sqrt((d_x w)^2 + (d_y w)^2) with forward
 differences and replicated edges; its gradient uses the smoothed
@@ -79,13 +81,12 @@ class ReconParams:
     reconstruct_real reads every field, and reconstruct_complex every field
     but upper_bound, which it refuses. baseline_reconstruct reads max_iters
     and tau and refuses a bound or the relative_change rule. Every EM solve
-    starts flat: one level per slice, whose predicted intensity has the mean
-    of g. tau = None means 0.002 * mean(g). upper_bound, a finite scalar or
-    a finite per-pixel bound of the config's grid shape on every slice, is
+    starts at 1 on every slice (0.01 in the imaginary part in complex mode).
+    tau = None means 0.002 * mean(g). upper_bound, a finite scalar or a
+    finite per-pixel bound of the config's grid shape on every slice, is
     enforced by projection, w -> min(w, UB). The TV smoothing epsilon is
-    1e-4 times the start's dynamic range: for EM the spread of the flat
-    start's values (its slice levels, and the imaginary start in complex
-    mode), so a one-slice real-mode solve uses epsilon = 1e-4 exactly. The
+    1e-4 times the start's dynamic range, or 1e-4 when it has none: every
+    real-mode EM solve uses epsilon = 1e-4, complex mode 0.99e-4. The
     ratio floor is 1e-12 * mean(g). The padding is the hologram config's.
     """
 
@@ -337,26 +338,21 @@ def _iterate(
     return _joined(w), trace
 
 
-def _em_start(g: np.ndarray, config: OpticalConfig, complex_mode: bool) -> np.ndarray:
-    """The flat (parts, slices, H, W) start of the multiplicative solver.
+_START = (1.0, 0.01)  # every slice's start, Re and Im; a zero part is a multiplicative fixed point
 
-    Slice z holds the level d_z of the minimum-norm solution of
-    sum_z cos(k0 z) d_z = mean(g), so the initial prediction already carries
-    the right DC; |cos x| > 1e-19 for every finite double x, so the sum is
-    never zero. A zero is a fixed point of the multiplicative update, so a
-    level below 1e-6 of the levels' mean magnitude goes out to that floor,
-    keeping its sign (an exact zero goes to +floor).
-    """
-    cosz = np.cos(2.0 * np.pi / config.wavelength * np.asarray(config.slice_distances))
-    levels = cosz * float(g.mean()) / float(np.sum(cosz**2))
-    scale = float(np.abs(levels).mean())
-    floor = 1e-6 * max(scale, np.finfo(np.float64).tiny)
-    levels = np.where(np.abs(levels) < floor, np.where(levels < 0, -floor, floor), levels)
-    w_re = np.broadcast_to(levels[:, None, None], (len(levels),) + config.grid_shape).copy()
-    if not complex_mode:
-        return w_re[None]
-    # small nonzero tilt: a zero imaginary part is a multiplicative fixed point
-    return np.stack([w_re, np.full_like(w_re, 0.01 * scale)])
+
+def _em_start(config: OpticalConfig, complex_mode: bool) -> np.ndarray:
+    """The flat (parts, slices, H, W) start of the multiplicative solver: 1 on
+    every slice, with an imaginary part of 0.01 in complex mode."""
+    parts = np.reshape(_START[:1 + complex_mode], (-1, 1, 1, 1))
+    return parts * np.ones((config.n_slices,) + config.grid_shape)
+
+
+def _em_offset(g: np.ndarray, config: OpticalConfig, complex_mode: bool) -> float:
+    """The prediction's constant c = mean(g) - sum_z Re[w0 exp(j k0 z)] for the
+    start's value w0, so that the start predicts mean(g) at every pixel."""
+    phases = np.exp(1j * (2.0 * np.pi / config.wavelength) * np.asarray(config.slice_distances))
+    return float(g.mean()) - float(np.sum((complex(*_START[:1 + complex_mode]) * phases).real))
 
 
 def _upper_bound(params: ReconParams, config: OpticalConfig, complex_mode: bool):
@@ -407,13 +403,16 @@ def _em_solve(hologram: Hologram, params: ReconParams | None, ground_truth,
     ub = _upper_bound(params, cfg, complex_mode)
     tau = _resolve_tau(g, params)
     floor = _resolve_floor(g)
+    c = _em_offset(g, cfg, complex_mode)
+    step = 1.0 / cfg.n_slices  # the data gradient and tau, per slice
 
     def update(w, grad, tv_grad, scale):
-        return _em_update(w, scale * grad, tv_grad, scale * tau, ub)
+        return _em_update(w, (scale * step) * grad, tv_grad, (scale * step) * tau, ub)
 
     stop_delta = params.stop_delta if params.stop_rule == "relative_change" else None
-    return _iterate(cfg, params.max_iters, _em_start(g, cfg, complex_mode),
-                    lambda ghat: _poisson_term(g, ghat, floor), _resolve_epsilon, update,
+    return _iterate(cfg, params.max_iters, _em_start(cfg, complex_mode),
+                    lambda ghat: _poisson_term(g, np.add(ghat, c, out=ghat), floor),
+                    _resolve_epsilon, update,
                     _truth_scores(ground_truth, cfg, complex_mode), stop_delta)
 
 

@@ -197,8 +197,8 @@ def object_units(estimate, truth) -> tuple[np.ndarray, np.ndarray, float | None]
     span with span t.max() - t.min() or 1, for :func:`ssim` and :func:`psnr` at
     peak 1, and the relative error ||x - t|| / ||t||, None when ||t|| = 0.
 
-    r is folded to x = (r - median r) / 2, as a real-mode estimate is a flat
-    background plus twice the object contrast; a flat estimate scores 1.0.
+    r is folded to x = (r - median r) / 2. EM estimates 1 + 2o, but the baseline's
+    back-propagated start fixes no background, so the median stays; a flat r reads 1.0.
     """
     a, b = _pair(estimate, truth)
     place, scaled, norm_sq = _object_truth(b)

@@ -146,12 +146,13 @@ def test_c3_multi_depth_em_beats_backpropagation():
     distances = (0.5e-3, 1.0e-3, 1.25e-3)
     all_ok = True
     details = []
-    # reference run: 128 px/300 its ssim (0.951, 0.312, 0.520) vs backprop
-    # (0.002, -0.003, -0.000), worst leak 0.069, 3.6 s; 512 px/200 its ssim
-    # (0.995, 0.527, 0.756) vs (0.102, 0.006, 0.004), worst leak 0.027, 48 s;
-    # relative error in object units 0.75/0.68/0.61 and 0.79/0.94/0.78, where a
-    # blank estimate scores 1.00
-    for n, iters, budget in ((128, 300, 10.0), (512, 200, 120.0)):
+    # reference run: 128 px/300 its ssim (0.736, 0.745, 0.751) vs backprop
+    # (0.001, -0.003, -0.000), worst leak 0.026, 1.4 s; 512 px/200 its ssim
+    # (0.840, 0.850, 0.856) vs (0.101, 0.006, 0.004), worst leak 0.022, 17 s
+    # (2 vCPU); relative error in object units 0.49/0.44/0.46 and
+    # 0.65/0.54/0.66, where a blank estimate scores 1.00; the 128 px case's
+    # error is also frozen below 0.55 on every slice
+    for n, iters, budget, frozen in ((128, 300, 10.0, 0.55), (512, 200, 120.0, 1.0)):
         cfg = _config(n, distances)
         truth = multi_depth_stack(cfg)
         masks = [m.astype(bool) for m in
@@ -168,12 +169,13 @@ def test_c3_multi_depth_em_beats_backpropagation():
               and all(e > b for e, b in zip(em_ssim, bp_ssim))
               and max(leaks) < 0.10
               and max(errors) < 1.0
+              and max(errors) < frozen
               and elapsed < budget)
         all_ok = all_ok and ok
         details.append(
             f"{n}px/{iters}it em ssim ({', '.join(f'{s:.3f}' for s in em_ssim)}) vs "
             f"bp ({', '.join(f'{s:.3f}' for s in bp_ssim)}), leak<= {max(leaks):.3f}, "
-            f"rel err ({', '.join(f'{e:.2f}' for e in errors)}) (<1.00), "
+            f"rel err ({', '.join(f'{e:.2f}' for e in errors)}) (<{frozen:.2f}), "
             f"{elapsed:.1f}s/{budget:.0f}s")
     _verdict(3, all_ok, "; ".join(details))
 
@@ -182,9 +184,10 @@ def test_c3_off_model_holograms():
     # beside criterion 3: its 128 px case on data the solver did not make, the
     # object on a grid twice as fine with the full model, binned to the sensor
     # (conftest.binned_hologram), clean and on noisy seed 1, scored against the
-    # binned truth. Reference run (300 its): ssim 0.949/0.302/0.510 clean and
-    # 0.694/0.274/0.461 noisy vs backprop 0.002/-0.003/0.000; relative error
-    # 0.77/0.74/0.67 and 0.82/0.73/0.69; worst leak 0.098 and 0.110
+    # binned truth. Reference run (300 its): ssim 0.721/0.725/0.730 clean and
+    # 0.505/0.538/0.567 noisy vs backprop 0.002/-0.003/0.000; relative error
+    # 0.51/0.50/0.52 and 0.61/0.57/0.59; worst leak 0.037 and 0.060, both
+    # below criterion 3's 0.10
     distances = (0.5e-3, 1.0e-3, 1.25e-3)
     cfg = _config(128, distances)
     masks = multi_depth_masks(128, 128, REFERENCE_EXTENT / cfg.pitch_x)
@@ -196,8 +199,8 @@ def test_c3_off_model_holograms():
         bp_ssim, _, _ = _anchored_scores(list(bp), truth, masks)
         assert not trace.diverged, seed
         assert all(e > b for e, b in zip(em_ssim, bp_ssim)), (seed, em_ssim, bp_ssim)
-        assert max(errors) < 0.85, (seed, errors)
-        assert max(leaks) < 0.12, (seed, leaks)
+        assert max(errors) < 0.70, (seed, errors)
+        assert max(leaks) < 0.08, (seed, leaks)
 
 
 # --- criterion 4: the upper bound accelerates settling ---
@@ -211,8 +214,8 @@ def _settle(off) -> int:
 
 
 def test_c4_upper_bound_speeds_convergence():
-    # an integer number of wavelengths puts cos(k0 z) at +1, so the folded
-    # background sits near +1 and a unit upper bound actually engages
+    # a unit upper bound is the passive-absorber limit of the estimate's
+    # 1 + 2o and engages at any depth; this one is a whole number of wavelengths
     z = 1481 * WAVELENGTH
     cfg = _config(256, (z,))
     truth = single_slice_stack(cfg)
@@ -223,7 +226,7 @@ def test_c4_upper_bound_speeds_convergence():
         ground_truth=truth)
     curve = np.array(tr_bound.ssim, dtype=float)
     # stays at or above 95% of the final ssim (reference run settles at 1: in
-    # object units the curve falls from row 1, 0.905 -> 0.665)
+    # object units the curve falls from row 1, 0.932 -> 0.756)
     settle = _settle(curve < 0.95 * curve[-1])
 
     _, tr_free = reconstruct_real(holo, ReconParams(max_iters=100),
@@ -234,8 +237,8 @@ def test_c4_upper_bound_speeds_convergence():
     reach = int(hits[0]) + 1 if hits.size else 101
 
     # stays at or below 105% of the final relative error (reference run: the
-    # bounded error reads 0.559/0.254/0.224 at rows 1/10/100 and settles at
-    # 14, the unbounded one 0.592/0.395/0.328 and settles at 78)
+    # bounded error reads 0.550/0.248/0.242 at rows 1/10/100 and settles at
+    # 8, the unbounded one 0.591/0.395/0.329 and settles at 76)
     err_settle = [_settle(e > 1.05 * e[-1]) for e in
                   (np.array(tr.rel_error, dtype=float) for tr in (tr_bound, tr_free))]
 
@@ -255,7 +258,7 @@ def test_c5_poisson_psnr_beats_baseline_and_db_identities():
     holo = simulate(truth, cfg, model="linear", seed=2024)
     rec_em, _ = reconstruct_real(holo, ReconParams(max_iters=100))
     rec_base, _ = baseline_reconstruct(holo, ReconParams(max_iters=100))
-    # in object units (reference run: 22.73 dB against 15.45 dB)
+    # in object units (reference run: 22.74 dB against 15.45 dB)
     em_db = psnr(*object_units(rec_em[0], truth[0])[:2], peak=1.0)
     base_db = psnr(*object_units(rec_base[0], truth[0])[:2], peak=1.0)
 
@@ -286,7 +289,7 @@ def test_c6_complex_object_recovery():
     stack_r, _ = reconstruct_complex(simulate(real_truth, cfg, model="linear"), params)
     leak = float(np.linalg.norm(stack_r[0].imag) / np.linalg.norm(stack_r[0].real))
     # the leak above is small for a blank imaginary part whatever its offset;
-    # the spread about the mean is the structure that leaked (reference 0.0079)
+    # the spread about the mean is the structure that leaked (reference 0.0083)
     spread = float(np.std(stack_r[0].imag) / np.std(stack_r[0].real))
 
     ok = ncc_re > 0.8 and ncc_im > 0.8 and leak < 0.05 and spread < 0.05

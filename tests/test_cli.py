@@ -176,6 +176,22 @@ def test_reconstruct_real_end_to_end(tmp_path):
     assert len(trace_lines) == 6  # header + 5 iterations
 
 
+def test_unit_reference_bounds_the_written_slices(tmp_path):
+    # a written slice holds 1 + 2o, so a flat reference of 1.0 is the
+    # passive-absorber limit and engages at 1 mm
+    sim = tmp_path / "sim"
+    assert main(simulate_args(sim, ["--width", "128", "--height", "128"])) == 0
+    save_image(tmp_path / "ref.pfm", RealGrid2D(np.ones((128, 128)), PITCH, PITCH))
+    solve = ["reconstruct-real", "--input", str(sim / "hologram.pfm"),
+             "--slice-distances", "1mm", "--iters", "20"]
+    free, bounded = tmp_path / "free", tmp_path / "bounded"
+    assert main([*solve, "--out", str(free)]) == 0
+    assert main([*solve, "--out", str(bounded), "--reference", str(tmp_path / "ref.pfm")]) == 0
+    slices = [load_image(out / "slice_00.pfm").data for out in (free, bounded)]
+    assert slices[1].tobytes() != slices[0].tobytes()
+    assert slices[0].max() > 1.0 and slices[1].max() <= 1.0
+
+
 def test_last_trace_ssim_is_the_mean_of_the_reported_slices(tmp_path):
     # the trace and quality.json score the final estimate through one scorer
     sim = tmp_path / "sim"

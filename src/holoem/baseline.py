@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .em import ReconParams, ReconTrace, _iterate, _norm, _resolve_epsilon, _resolve_tau
+from .em import ReconParams, ReconTrace, _iterate, _norm, _resolve_tau, _smoothed_tv
 from .em import _truth_scores
 # no longer called here; kept as module names that perfbench/tracing.py wraps
 from .em import _tv_gradient_array, tv_value  # noqa: F401
@@ -78,5 +78,5 @@ def baseline_reconstruct(
 
     # passed unnamed, so the loop holds the only reference and can free the start
     return _iterate(cfg, params.max_iters, stack_adjoint(g, *_stack_optics(cfg), real=True)[None],
-                    lambda ghat: _least_squares_term(g, ghat), _resolve_epsilon, update,
+                    lambda ghat: _least_squares_term(g, ghat), _smoothed_tv, update,
                     _truth_scores(ground_truth, cfg, complex_mode=False))

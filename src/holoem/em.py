@@ -9,9 +9,10 @@ with a multiplicative gradient step w <- w - |w| grad J that preserves the
 scale-free fixed-point structure of expectation-maximization updates, and
 an alternating total-variation step with the same multiplicative form.
 Every slice starts at w0 = 1 (1 + 0.01j in complex mode), which the scalar
-c = mean(g) - sum_z Re[P_z w0] makes predict mean(g). Both gradients are
-taken at the current iterate and scaled by 1/S for S slices; the data step
-is applied first, the regularization step to its result:
+c = mean(g) - sum_z Re[P_z w0] makes predict mean(g); P_z of a constant is
+its plane wave, w0 exp(j k0 z) from ``operators._plane_waves``. Both
+gradients are taken at the current iterate and scaled by 1/S for S slices;
+the data step is applied first, the regularization step to its result:
 
     w_mle = w - |w| grad J(w) / S
     w'    = w_mle - |w_mle| (tau / S) grad TV(w)
@@ -29,9 +30,10 @@ TV is the isotropic sum sum sqrt((d_x w)^2 + (d_y w)^2) with forward
 differences and replicated edges; its gradient uses the smoothed
 magnitude sqrt(|grad w|^2 + eps^2) and is the exact gradient of the
 smoothed functional (forward-difference operator and its exact adjoint).
-Both solvers hand the loop `_resolve_epsilon`, one pass over the estimate's
-differences for both: the value, sum sqrt(dx^2 + dy^2) of the squares the
-gradient smooths, goes into the trace row, the gradient into the next step.
+Every solver smooths at eps = 1e-4 and hands the loop `_smoothed_tv`, one
+pass over the estimate's differences for both: the value, sum
+sqrt(dx^2 + dy^2) of the squares the gradient smooths, goes into the trace
+row, the gradient into the next step.
 
 J and its residual 1 - g / max(g_hat, floor) come from one floored
 prediction, `_poisson_term`; grad J, the residual's adjoint, is taken in one
@@ -53,7 +55,7 @@ import numpy as np
 from .forward import Hologram, OpticalConfig, _stack_optics
 from .metrics import _forward_diffs, _forward_diffs_adjoint, _object_truth, _relative_error
 from .metrics import _ssim_reference, _ssim_test as _ssim
-from .operators import stack_adjoint, stack_forward
+from .operators import _plane_waves, stack_adjoint, stack_forward
 
 logger = logging.getLogger(__name__)
 
@@ -84,10 +86,9 @@ class ReconParams:
     starts at 1 on every slice (0.01 in the imaginary part in complex mode).
     tau = None means 0.002 * mean(g). upper_bound, a finite scalar or a
     finite per-pixel bound of the config's grid shape on every slice, is
-    enforced by projection, w -> min(w, UB). The TV smoothing epsilon is
-    1e-4 times the start's dynamic range, or 1e-4 when it has none: every
-    real-mode EM solve uses epsilon = 1e-4, complex mode 0.99e-4. The
-    ratio floor is 1e-12 * mean(g). The padding is the hologram config's.
+    enforced by projection, w -> min(w, UB). Every solver smooths TV with
+    epsilon = 1e-4. The ratio floor is 1e-12 * mean(g). The padding is the
+    hologram config's.
     """
 
     max_iters: int = 100
@@ -238,11 +239,9 @@ def _resolve_tau(g: np.ndarray, params) -> float:
     return 0.002 * float(g.mean()) if params.tau is None else float(params.tau)
 
 
-def _resolve_epsilon(w0: np.ndarray):
-    """Smoothed TV, w -> (value, gradient), epsilon 1e-4 times w0's dynamic range."""
-    span = float(w0.max()) - float(w0.min())
-    eps = 1e-4 * span if span > 0 else 1e-4
-    return lambda w: _tv_gradient_array(w, eps)
+def _smoothed_tv(w: np.ndarray) -> tuple[float, np.ndarray]:
+    """Every solver's regularizer: TV and its gradient smoothed at epsilon = 1e-4."""
+    return _tv_gradient_array(w, 1e-4)
 
 
 def _joined(w: np.ndarray) -> np.ndarray:
@@ -255,7 +254,7 @@ def _iterate(
     max_iters: int,
     w: np.ndarray,
     data_term,
-    regularizer,
+    regularize,
     update,
     score,
     stop_delta: float | None = None,
@@ -269,8 +268,8 @@ def _iterate(
     - data_term(ghat) -> (value, residual): the data objective at the
       predicted intensity and the residual whose adjoint, taken by
       :func:`_data_gradient`, is its gradient;
-    - regularizer(w0) -> regularize, once; regularize(w) -> (tv, state) at
-      each iterate and the start: tv for the trace row, state for update;
+    - regularize(w) -> (tv, state) at each iterate and the start: tv for
+      the trace row, state for update;
     - update(w, grad, state, scale) -> new estimate: one step with the
       gradient scaled by scale, which halves while the result is
       non-finite;
@@ -282,7 +281,6 @@ def _iterate(
     """
     optics = _stack_optics(config)
     real = len(w) == 1
-    regularize = regularizer(w)
     trace = ReconTrace()
     prev, resid = data_term(stack_forward(_joined(w), *optics))
     _, state = regularize(w)
@@ -351,7 +349,7 @@ def _em_start(config: OpticalConfig, complex_mode: bool) -> np.ndarray:
 def _em_offset(g: np.ndarray, config: OpticalConfig, complex_mode: bool) -> float:
     """The prediction's constant c = mean(g) - sum_z Re[w0 exp(j k0 z)] for the
     start's value w0, so that the start predicts mean(g) at every pixel."""
-    phases = np.exp(1j * (2.0 * np.pi / config.wavelength) * np.asarray(config.slice_distances))
+    phases = _plane_waves(config.wavelength, config.slice_distances)
     return float(g.mean()) - float(np.sum((complex(*_START[:1 + complex_mode]) * phases).real))
 
 
@@ -412,7 +410,7 @@ def _em_solve(hologram: Hologram, params: ReconParams | None, ground_truth,
     stop_delta = params.stop_delta if params.stop_rule == "relative_change" else None
     return _iterate(cfg, params.max_iters, _em_start(cfg, complex_mode),
                     lambda ghat: _poisson_term(g, np.add(ghat, c, out=ghat), floor),
-                    _resolve_epsilon, update,
+                    _smoothed_tv, update,
                     _truth_scores(ground_truth, cfg, complex_mode), stop_delta)
 
 

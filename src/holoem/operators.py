@@ -1,4 +1,4 @@
-"""Multi-slice hologram operator on raw arrays.
+"""Multi-slice hologram operator on raw arrays: holoem's one operator core.
 
 Forward map for a stack of S object slices w_z = a_z + j b_z at distances z:
 
@@ -28,16 +28,23 @@ inverse ones only on the rows the crop keeps (``_irfft2_crop``).
 Each slice is split into its window mean and the zero-mean remainder.
 The mean models the unscattered plane wave, which physically extends far
 beyond the recorded window; it propagates analytically, picking up the
-phase exp(j k0 z). Only the remainder, compact for sparse objects, goes
-through the transform frame that ``pad`` chooses (``propagation._frame``):
-the grid itself, where the split is exact since H(0) = exp(j k0 z), or a
-doubled zero frame with the remainder at its corner, cropped back from the
-same corner (circular convolution is shift-invariant). There the split
+phase exp(j k0 z), which ``_plane_waves`` alone forms. Only the
+remainder, compact for sparse objects, goes through the transform frame
+that ``pad`` chooses (``propagation._frame``): the grid itself, where the
+split is exact since H(0) = exp(j k0 z), or a doubled zero frame with the
+remainder at its corner, cropped back from the same corner (circular
+convolution is shift-invariant). There the split
 keeps a constant background representable: a zero-padded constant rings
 at the frame edge, and an iterative solver then fights a structural
 residual over the entire field. The adjoint is the exact transpose of the
 split (analytic mean response plus mean-removed back-propagation), so
 gradient checks hold to rounding error on either frame.
+
+``propagate`` moves one complex field, Re[P_z w] and Im[P_z w], as the
+forward map of the one-slice stack w and of -j w: two forward passes.
+Padding suppresses wrap-around but breaks exact unitarity at the frame
+edge, so its round trip, energy conservation and composition hold for the
+unpadded operator.
 
 These functions are the performance core; the public modules check
 their arrays against an ``OpticalConfig`` and call them.
@@ -47,9 +54,16 @@ from __future__ import annotations
 
 import numpy as np
 
+from .grid import _checked_samples
 from .propagation import _frame, _half_spectrum, _irfft2_crop, _transfer_array
 
-__all__ = ["stack_forward", "stack_adjoint"]
+__all__ = ["propagate", "stack_forward", "stack_adjoint"]
+
+
+def _plane_waves(wavelength: float, distances) -> np.ndarray:
+    """exp(j k0 z) at each distance z, k0 = 2 pi / wavelength: the phase a
+    window mean picks up as a plane wave, and H(0) on either frame."""
+    return np.exp(1j * (2.0 * np.pi / wavelength) * np.asarray(distances, dtype=np.float64))
 
 
 def stack_forward(
@@ -82,8 +96,7 @@ def stack_forward(
             spectrum -= transform(stack.imag[i], im_h)
     out = _irfft2_crop(spectrum, frame, height, width)
     # the window means advance analytically as plane waves: Re[m exp(j k0 z)]
-    k0 = 2.0 * np.pi / wavelength
-    phases = np.exp(1j * k0 * np.asarray(distances, dtype=np.float64))
+    phases = _plane_waves(wavelength, distances)
     return out + float(np.sum((stack.mean(axis=(1, 2)) * phases).real))
 
 
@@ -105,8 +118,7 @@ def stack_adjoint(
     residual = np.asarray(residual, dtype=np.float64)
     height, width = residual.shape
     frame = _frame(height, width, pad)
-    k0 = 2.0 * np.pi / wavelength
-    r_mean = residual.mean()
+    responses = residual.mean() * _plane_waves(wavelength, distances)
     spectrum = _half_spectrum(residual, frame)
     product = np.empty_like(spectrum)
 
@@ -118,11 +130,27 @@ def stack_adjoint(
 
     out = np.empty((len(distances), height, width),
                    dtype=np.float64 if real else np.complex128)
-    for i, z in enumerate(distances):
+    for i, (z, response) in enumerate(zip(distances, responses)):
         re_h, im_h = _transfer_array(*frame, pitch_x, pitch_y, wavelength, z)
         if real:
-            out[i] = back(re_h, r_mean * np.cos(k0 * z))
+            out[i] = back(re_h, response.real)
         else:
-            out.real[i] = back(re_h, r_mean * np.cos(k0 * z))
-            out.imag[i] = -back(im_h, r_mean * np.sin(k0 * z))
+            out.real[i] = back(re_h, response.real)
+            out.imag[i] = -back(im_h, response.imag)
     return out
+
+
+def propagate(field, pitch_x: float, pitch_y: float, wavelength: float, z: float,
+              pad: bool = False) -> np.ndarray:
+    """Propagate a sampled (H, W) field over distance z (negative = backward);
+    returns the complex (H, W) field P_z w, on the grid or with ``pad=True``
+    on the doubled zero frame. It is the forward map of the one-slice stack
+    w: Re[P_z w] = stack_forward(w) and Im[P_z w] = stack_forward(-j w).
+    """
+    if not (np.isfinite(wavelength) and wavelength > 0):
+        raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
+    if not np.isfinite(z):
+        raise ValueError(f"distance must be finite, got {z}")
+    w = _checked_samples(field, pitch_x, pitch_y, np.complex128)[None]
+    optics = (pitch_x, pitch_y, float(wavelength), (float(z),))
+    return stack_forward(w, *optics, pad) + 1j * stack_forward(-1j * w, *optics, pad)

@@ -1,4 +1,4 @@
-"""Angular-spectrum propagation between parallel planes.
+"""Angular-spectrum transfer samples and the half-spectrum transform pair.
 
 The transfer function for propagation over a distance z at wavelength
 lambda is
@@ -21,25 +21,17 @@ because the Hermitian part of A(v) H(v) is A(v) Re H(v) and its
 anti-Hermitian part is j A(v) Im H(v). Half spectra are stored kx-major,
 ``rfft2(w).T`` of shape (W//2 + 1, H), so the y transforms run along the
 contiguous axis; ``_half_spectrum`` and ``_irfft2_crop`` are the one
-transform pair. ``_sweep_transfers`` gives Re H and Im H in that layout
-on a scan of depths, with cos and sin taken twice per scan and the square
-root once per grid. ``propagate`` takes this decomposition, the one
-``operators.stack_forward`` sums over slices for Re, with two cropped
-inverses; ``_propagate_array`` is its B = 0 case, the autofocus sweep's
-per-plane step.
-The operators in ``operators.py`` and ``propagate`` take one-plane builds
-from ``_transfer_array``, which keeps the last 32 signed depths (numpy's
-cos is even and its sin odd, so -z builds conj H(z) bit for bit) and
-counts its builds (holoem's one cache); the autofocus sweep keeps none.
+transform pair, and ``_frame`` sizes their frame: the grid, or a 2H x 2W
+zero frame whose corner holds the field. ``_sweep_transfers`` gives Re H
+and Im H in that layout on a scan of depths, with cos and sin taken twice
+per scan and the square root once per grid; ``_propagate_array``, the
+B = 0 case, is the autofocus sweep's per-plane step.
 
-``propagate`` splits a field as the operators do: its mean advances as a
-plane wave, picking up exp(j k0 z), and only the zero-mean remainder goes
-through the frame that ``pad`` chooses (``_frame``): the grid, or the
-corner of a 2H x 2W zero frame, cropped from the same corner (circular
-convolution is shift-invariant). The x transforms skip the frame's zero
-rows going forward and the cropped rows coming back. Padding suppresses
-wrap-around but breaks exact unitarity at the frame edge, so the round
-trip, energy conservation and composition hold for the unpadded operator.
+The operators (``operators.propagate`` runs on ``stack_forward``) take
+one-plane builds from ``_transfer_array``. It keeps the last 32 signed
+depths (numpy's cos is even and its sin odd, so -z builds conj H(z) bit
+for bit) and counts its builds (holoem's one cache); the autofocus sweep
+keeps none. This module exports nothing.
 """
 
 from __future__ import annotations
@@ -48,9 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .grid import _checked_samples
-
-__all__ = ["propagate"]
+__all__ = []
 
 
 def _transfer_grid(height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float):
@@ -148,29 +138,3 @@ def _propagate_array(spectrum: np.ndarray, transfer: tuple[np.ndarray, np.ndarra
     out.imag = _irfft2_crop(np.multiply(spectrum, im_h, out=product), frame, height, width)
     return out
 
-
-def propagate(field, pitch_x: float, pitch_y: float, wavelength: float, z: float,
-              pad: bool = False) -> np.ndarray:
-    """Propagate a sampled (H, W) field over distance z (negative = backward);
-    returns the complex (H, W) field. Its mean advances as a plane wave,
-    and the half spectra A and B of its zero-mean parts go through two
-    cropped inverses, on the grid or with ``pad=True`` on the doubled zero
-    frame, as ``stack_forward``'s decomposition (see the module docstring).
-    """
-    if not (np.isfinite(wavelength) and wavelength > 0):
-        raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
-    if not np.isfinite(z):
-        raise ValueError(f"distance must be finite, got {z}")
-    field = _checked_samples(field, pitch_x, pitch_y, np.complex128)
-    height, width = field.shape
-    frame = _frame(height, width, pad)
-    wavelength, z = float(wavelength), float(z)
-    re_h, im_h = _transfer_array(*frame, pitch_x, pitch_y, wavelength, z)
-    mean = field.mean()
-    a = _half_spectrum(field.real - mean.real, frame)
-    b = _half_spectrum(field.imag - mean.imag, frame)
-    out = np.empty((height, width), dtype=np.complex128)
-    out.real = _irfft2_crop(a * re_h - b * im_h, frame, height, width)
-    out.imag = _irfft2_crop(a * im_h + b * re_h, frame, height, width)
-    out += mean * np.exp(1j * 2.0 * np.pi / wavelength * z)
-    return out

@@ -4,7 +4,8 @@ and the exported callables a pinned number of defaulted parameters, and the
 source keeps no dead inputs: no parameter a function never reads, no import
 a module never uses. The source also calls BLAS only for SSIM's window
 (``metrics._windowed``, matrix products alone) and keeps one cache,
-reads ``pad`` in the operator core only to size the transform, names the
+reads ``pad`` in the operator core only to size the transform, forms the
+plane-wave phase exp(j k0 z) only in ``operators._plane_waves``, names the
 image sidecar's keys only in ``holoem.io``, and ``holoem.io`` imports no
 holoem module but ``holoem.grid``.
 
@@ -68,7 +69,7 @@ def test_exported_name_count():
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 # what README's "Library use" documents and nothing else calls
-LIBRARY = {"forward.synthesize_linear", "forward.synthesize_full", "propagation.propagate"}
+LIBRARY = {"forward.synthesize_linear", "forward.synthesize_full", "operators.propagate"}
 
 
 def _read_by_other_modules() -> set[str]:
@@ -225,7 +226,8 @@ def test_one_cache():
 
 def test_pad_only_picks_the_frame():
     # the mean split runs on either frame, so the operator core reads pad
-    # only to size the transform: inside _frame or as an argument of a call to it
+    # only to size the transform: inside _frame or as an argument of a call
+    # to it, or passed on to stack_forward, which sizes its frame by _frame
     reads = []
     for path in SOURCES:
         if path.stem not in ("operators", "propagation"):
@@ -235,11 +237,30 @@ def test_pad_only_picks_the_frame():
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef) and node.name == "_frame":
                 frame.update(map(id, ast.walk(node)))
-            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "_frame":
+            elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in (
+                    "_frame", "stack_forward"):
                 frame.update(map(id, node.args + [k.value for k in node.keywords]))
         reads += [f"{path.name}:{n.lineno}" for n in ast.walk(tree)
                   if isinstance(n, ast.Name) and n.id == "pad" and id(n) not in frame]
     assert not reads, f"pad read outside _frame: {reads}"
+
+
+def test_plane_wave_phase_formed_once():
+    # exp(j k0 z), the phase a window mean picks up, comes from one place:
+    # no np.exp of an expression holding an imaginary literal elsewhere
+    found = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        allowed = {id(n) for fn in ast.walk(tree) if path.stem == "operators"
+                   and isinstance(fn, ast.FunctionDef) and fn.name == "_plane_waves"
+                   for n in ast.walk(fn)}
+        found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in allowed
+                  and getattr(node.func, "attr", None) == "exp"
+                  and getattr(node.func.value, "id", None) == "np"
+                  and any(isinstance(n, ast.Constant) and isinstance(n.value, complex)
+                          for arg in node.args for n in ast.walk(arg))]
+    assert not found, f"exp(j ...) outside operators._plane_waves: {found}"
 
 
 def test_sidecar_keys_only_in_io():

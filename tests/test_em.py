@@ -161,7 +161,7 @@ def test_nll_gradient_where_some_predictions_fall_below_the_floor(rng):
 @given(_sizes, _sizes, st.integers(1, 5), st.booleans(), _seeds)
 def test_tv_gradient_of_the_loop_matches_finite_differences(height, width, n_slices,
                                                             complex_slices, seed):
-    # the TV gradient both solvers' regularizer, _resolve_epsilon, hands
+    # the TV gradient every solver's regularizer, _smoothed_tv, hands
     # their updates: _tv_gradient_array on the whole (parts, slices, H, W)
     # estimate; TV acts on the samples, so pitch and padding do not enter
     rng = np.random.Generator(np.random.Philox(seed))
@@ -631,9 +631,25 @@ def test_loop_without_a_regularizer_takes_no_tv_pass(bound64, monkeypatch):
 
     start = em._em_start(cfg, complex_mode=False)
     _, trace = em._iterate(cfg, 3, start, lambda ghat: em._poisson_term(g, ghat, floor),
-                           lambda w0: lambda w: (0.0, None), update, None)
+                           lambda w: (0.0, None), update, None)
     assert len(trace) == 3 and trace.tv == [0.0, 0.0, 0.0]
     assert counts == {"_forward_diffs": 0}
+
+
+@pytest.mark.parametrize("solve", [reconstruct_real, reconstruct_complex, baseline_reconstruct])
+def test_every_solver_smooths_tv_at_one_epsilon(bound64, monkeypatch, solve):
+    # one TV smoothing constant, whatever the solver and its start
+    _, _, holo = bound64
+    epsilons = []
+    original = em._tv_gradient_array
+
+    def recording(w, epsilon):
+        epsilons.append(epsilon)
+        return original(w, epsilon)
+
+    monkeypatch.setattr(em, "_tv_gradient_array", recording)
+    _, trace = solve(holo, ReconParams(max_iters=2))
+    assert epsilons == [1e-4] * (len(trace) + 1)
 
 
 @pytest.mark.parametrize("solve", [reconstruct_real, reconstruct_complex])

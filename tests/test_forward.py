@@ -14,7 +14,7 @@ from holoem.forward import (
     synthesize_full,
     synthesize_linear,
 )
-from holoem.propagation import propagate
+from holoem.operators import propagate
 
 from conftest import PITCH, WAVELENGTH
 

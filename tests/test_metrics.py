@@ -28,8 +28,9 @@ from holoem.metrics import (
     resolution_limits,
     ssim,
 )
+from holoem.operators import propagate
 from holoem.phantoms import disk_mask, single_slice_stack
-from holoem.propagation import _transfer_array, propagate
+from holoem.propagation import _transfer_array
 
 from conftest import PITCH, WAVELENGTH
 

@@ -12,8 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holoem.operators import stack_adjoint, stack_forward
-from holoem.propagation import propagate
+from holoem.operators import propagate, stack_adjoint, stack_forward
 
 from complex_core import full_transfer, oracle_adjoint, oracle_forward, pad_slices
 from conftest import PITCH, WAVELENGTH

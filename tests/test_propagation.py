@@ -18,14 +18,9 @@ import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holoem import propagation
-from holoem.propagation import (
-    _frame,
-    _half_spectrum,
-    _irfft2_crop,
-    _transfer_array,
-    propagate,
-)
+from holoem import operators
+from holoem.operators import propagate
+from holoem.propagation import _frame, _half_spectrum, _irfft2_crop, _transfer_array
 
 from complex_core import oracle_propagate
 from conftest import PITCH, WAVELENGTH
@@ -79,8 +74,9 @@ def test_transfer_mirrored_from_half_spectrum_at_odd_and_even_sizes(shape, z):
 @pytest.mark.parametrize("imaginary", [True, False], ids=["complex", "real"])
 def test_complex_field_on_the_spectra_of_its_parts(rng, shape, pad, z, imaginary):
     # propagate takes a + j b on the half spectra A and B of its zero-mean
-    # parts, Re = irfft2(A Re H - B Im H) and Im = irfft2(A Im H + B Re H),
-    # with the mean split on either frame; the oracle runs the whole field
+    # parts, Re = irfft2(A Re H - B Im H) = stack_forward(w) and
+    # Im = irfft2(A Im H + B Re H) = stack_forward(-j w), with the mean split
+    # on either frame; the oracle runs the whole field
     # on the full complex transform unpadded (where the split is exact), and
     # embeds the zero-mean remainder at the frame centre padded
     data = rng.standard_normal(shape) + 0.7
@@ -95,14 +91,15 @@ def test_complex_field_on_the_spectra_of_its_parts(rng, shape, pad, z, imaginary
 @pytest.mark.parametrize("pad", [False, True])
 @pytest.mark.parametrize("imaginary", [True, False], ids=["complex", "real"])
 def test_two_cropped_inverses_per_call(rng, monkeypatch, pad, imaginary):
-    # the real and imaginary outputs share the parts' spectra: one inverse each
+    # the real and imaginary outputs are one forward map each, and each
+    # forward map sums its spectra before one cropped inverse
     calls = []
 
     def counting(*args):
         calls.append(args[1])
         return _irfft2_crop(*args)
 
-    monkeypatch.setattr(propagation, "_irfft2_crop", counting)
+    monkeypatch.setattr(operators, "_irfft2_crop", counting)
     data = rng.standard_normal((9, 6))
     if imaginary:
         data = data + 1j * rng.standard_normal((9, 6))

@@ -34,7 +34,10 @@ def _least_squares_term(g: np.ndarray, ghat: np.ndarray) -> tuple[float, np.ndar
 def estimate_step_size(config: OpticalConfig) -> float:
     """1/L with L the largest eigenvalue of H*H on the config's optics and
     padding, by 20 power iterations from a fixed start (standard normal,
-    Philox seed 0), so it is reproducible."""
+    Philox seed 0), so it is reproducible. It is floored at the slice count
+    S, a lower bound of L: constant slices pass unchanged (H(0) = 1), so
+    their Rayleigh quotient is S, and low frequencies that nearly tie with
+    them slow the power iteration."""
     optics = _stack_optics(config)
     rng = np.random.Generator(np.random.Philox(0))
     v = rng.standard_normal((config.n_slices,) + config.grid_shape)
@@ -46,7 +49,7 @@ def estimate_step_size(config: OpticalConfig) -> float:
         if lam_max == 0.0:
             raise ValueError("power iteration collapsed to zero; operator is degenerate")
         v = u / lam_max
-    return 1.0 / lam_max
+    return 1.0 / max(lam_max, config.n_slices)
 
 
 def baseline_reconstruct(

@@ -9,9 +9,9 @@ with a multiplicative gradient step w <- w - |w| grad J that preserves the
 scale-free fixed-point structure of expectation-maximization updates, and
 an alternating total-variation step with the same multiplicative form.
 Every slice starts at w0 = 1 (1 + 0.01j in complex mode), which the scalar
-c = mean(g) - sum_z Re[P_z w0] makes predict mean(g); P_z of a constant is
-its plane wave, w0 exp(j k0 z) from ``operators._plane_waves``. Both
-gradients are taken at the current iterate and scaled by 1/S for S slices;
+c = mean(g) - S Re(w0) for S slices makes predict mean(g): propagation is
+relative to the unscattered wave, so P_z of a constant is that constant.
+Both gradients are taken at the current iterate and scaled by 1/S;
 the data step is applied first, the regularization step to its result:
 
     w_mle = w - |w| grad J(w) / S
@@ -55,7 +55,7 @@ import numpy as np
 from .forward import Hologram, OpticalConfig, _stack_optics
 from .metrics import _forward_diffs, _forward_diffs_adjoint, _object_truth, _relative_error
 from .metrics import _ssim_reference, _ssim_test as _ssim
-from .operators import _plane_waves, stack_adjoint, stack_forward
+from .operators import stack_adjoint, stack_forward
 
 logger = logging.getLogger(__name__)
 
@@ -346,11 +346,10 @@ def _em_start(config: OpticalConfig, complex_mode: bool) -> np.ndarray:
     return parts * np.ones((config.n_slices,) + config.grid_shape)
 
 
-def _em_offset(g: np.ndarray, config: OpticalConfig, complex_mode: bool) -> float:
-    """The prediction's constant c = mean(g) - sum_z Re[w0 exp(j k0 z)] for the
+def _em_offset(g: np.ndarray, config: OpticalConfig) -> float:
+    """The prediction's constant c = mean(g) - S Re(w0) for S slices at the
     start's value w0, so that the start predicts mean(g) at every pixel."""
-    phases = _plane_waves(config.wavelength, config.slice_distances)
-    return float(g.mean()) - float(np.sum((complex(*_START[:1 + complex_mode]) * phases).real))
+    return float(g.mean()) - config.n_slices * _START[0]
 
 
 def _upper_bound(params: ReconParams, config: OpticalConfig, complex_mode: bool):
@@ -401,7 +400,7 @@ def _em_solve(hologram: Hologram, params: ReconParams | None, ground_truth,
     ub = _upper_bound(params, cfg, complex_mode)
     tau = _resolve_tau(g, params)
     floor = _resolve_floor(g)
-    c = _em_offset(g, cfg, complex_mode)
+    c = _em_offset(g, cfg)
     step = 1.0 / cfg.n_slices  # the data gradient and tau, per slice
 
     def update(w, grad, tv_grad, scale):

@@ -7,7 +7,8 @@ with complex perturbations o_z (|o_z| << 1). In units of the illumination
     g(x) = 1 + 2 sum_z Re[ P_z o_z ](x)
 
 (``synthesize_linear``); the exact interference pattern |1 + sum_z P_z o_z|^2
-is ``synthesize_full``, for checking where the linearization holds. Both
+is ``synthesize_full``, for checking where the linearization holds. P_z is
+relative to the unscattered wave, whose phase exp(j k0 z) cancels. Both
 run on ``operators.stack_forward`` and its padding, so they differ by
 exactly |sum_z P_z o_z|^2. Shot noise is Poisson counts at a chosen
 photons-per-intensity-unit scale: a brighter illumination is a larger scale.

@@ -18,33 +18,34 @@ real a and b
     Im[P_{-z} r] = -irfft2(rfft2(r) Im H_z)
 
 The forward sums slice spectra before a single inverse FFT (one rfft2 per
-nonzero slice part); the adjoint reuses one rfft2 of the residual and
-pays one inverse per slice for the real part and one more for the
-imaginary part, which ``real=True`` skips. This is exact linearity, not an
-approximation. With padding, the x transforms skip half of the doubled
-frame: forward ones run on the slice's rows only (``_half_spectrum``),
-inverse ones only on the rows the crop keeps (``_irfft2_crop``).
+slice part whose zero-mean remainder is nonzero; with none, no inverse
+either); the adjoint reuses one rfft2 of the residual and pays one inverse
+per slice for the real part and one more for the imaginary part, which
+``real=True`` skips. With padding, the x transforms skip half of the
+doubled frame: forward ones run on the slice's rows only
+(``_half_spectrum``), inverse ones only on the rows the crop keeps
+(``_irfft2_crop``).
 
 Each slice is split into its window mean and the zero-mean remainder.
 The mean models the unscattered plane wave, which physically extends far
-beyond the recorded window; it propagates analytically, picking up the
-phase exp(j k0 z), which ``_plane_waves`` alone forms. Only the
-remainder, compact for sparse objects, goes through the transform frame
-that ``pad`` chooses (``propagation._frame``): the grid itself, where the
-split is exact since H(0) = exp(j k0 z), or a doubled zero frame with the
+beyond the recorded window. Propagation is relative to that wave
+(``propagation``), so H(0) = 1: the forward map adds sum_z Re(mean w_z),
+and the adjoint's mean response is the residual's mean, 0 in the
+imaginary part. Only the remainder, compact for sparse objects, goes
+through the frame that ``pad`` chooses (``propagation._frame``): the grid
+itself, where the split is exact, or a doubled zero frame with the
 remainder at its corner, cropped back from the same corner (circular
-convolution is shift-invariant). There the split
-keeps a constant background representable: a zero-padded constant rings
-at the frame edge, and an iterative solver then fights a structural
-residual over the entire field. The adjoint is the exact transpose of the
-split (analytic mean response plus mean-removed back-propagation), so
-gradient checks hold to rounding error on either frame.
+convolution is shift-invariant). There the split keeps a constant
+background representable: a zero-padded constant rings at the frame edge,
+and an iterative solver then fights a structural residual over the entire
+field. The adjoint is the exact transpose of the split, so gradient
+checks hold to rounding error on either frame.
 
-``propagate`` moves one complex field, Re[P_z w] and Im[P_z w], as the
-forward map of the one-slice stack w and of -j w: two forward passes.
-Padding suppresses wrap-around but breaks exact unitarity at the frame
-edge, so its round trip, energy conservation and composition hold for the
-unpadded operator.
+``propagate`` moves one complex field relative to the unscattered plane
+wave, Re[P_z w] and Im[P_z w], as the forward map of the one-slice stack
+w and of -j w: two forward passes. Padding suppresses wrap-around but
+breaks exact unitarity at the frame edge, so its round trip, energy
+conservation and composition hold for the unpadded operator.
 
 These functions are the performance core; the public modules check
 their arrays against an ``OpticalConfig`` and call them.
@@ -58,12 +59,6 @@ from .grid import _checked_samples
 from .propagation import _frame, _half_spectrum, _irfft2_crop, _transfer_array
 
 __all__ = ["propagate", "stack_forward", "stack_adjoint"]
-
-
-def _plane_waves(wavelength: float, distances) -> np.ndarray:
-    """exp(j k0 z) at each distance z, k0 = 2 pi / wavelength: the phase a
-    window mean picks up as a plane wave, and H(0) on either frame."""
-    return np.exp(1j * (2.0 * np.pi / wavelength) * np.asarray(distances, dtype=np.float64))
 
 
 def stack_forward(
@@ -83,21 +78,20 @@ def stack_forward(
     height, width = stack.shape[1:]
     frame = _frame(height, width, pad)
 
-    def transform(part, h):
-        half = _half_spectrum(part - part.mean(), frame)
-        return np.multiply(half, h, out=half)
-
-    has_imag = np.iscomplexobj(stack) and bool(stack.imag.any())
+    parts = (stack.real, -stack.imag) if np.iscomplexobj(stack) else (stack,)
     spectrum = np.zeros((frame[1] // 2 + 1, frame[0]), dtype=np.complex128)
+    transformed = False
     for i, z in enumerate(distances):
-        re_h, im_h = _transfer_array(*frame, pitch_x, pitch_y, wavelength, z)
-        spectrum += transform(stack.real[i], re_h)
-        if has_imag:
-            spectrum -= transform(stack.imag[i], im_h)
-    out = _irfft2_crop(spectrum, frame, height, width)
-    # the window means advance analytically as plane waves: Re[m exp(j k0 z)]
-    phases = _plane_waves(wavelength, distances)
-    return out + float(np.sum((stack.mean(axis=(1, 2)) * phases).real))
+        for part, h in zip(parts, _transfer_array(*frame, pitch_x, pitch_y, wavelength, z)):
+            rest = part[i] - part[i].mean()
+            if rest.any():
+                half = _half_spectrum(rest, frame)
+                spectrum += np.multiply(half, h, out=half)
+                transformed = True
+    mean = float(np.sum(stack.real.mean(axis=(1, 2))))  # H(0) = 1: the means pass unchanged
+    if not transformed:
+        return np.full((height, width), mean)
+    return _irfft2_crop(spectrum, frame, height, width) + mean
 
 
 def stack_adjoint(
@@ -118,32 +112,30 @@ def stack_adjoint(
     residual = np.asarray(residual, dtype=np.float64)
     height, width = residual.shape
     frame = _frame(height, width, pad)
-    responses = residual.mean() * _plane_waves(wavelength, distances)
     spectrum = _half_spectrum(residual, frame)
     product = np.empty_like(spectrum)
 
-    def back(h, mean_response):
+    def back(h):
         part = _irfft2_crop(np.multiply(spectrum, h, out=product), frame, height, width)
-        part = part - part.mean()
-        part += mean_response
+        part -= part.mean()
         return part
 
     out = np.empty((len(distances), height, width),
                    dtype=np.float64 if real else np.complex128)
-    for i, (z, response) in enumerate(zip(distances, responses)):
+    mean = residual.mean()  # H(0) = 1: the residual's mean is the mean response
+    for i, z in enumerate(distances):
         re_h, im_h = _transfer_array(*frame, pitch_x, pitch_y, wavelength, z)
-        if real:
-            out[i] = back(re_h, response.real)
-        else:
-            out.real[i] = back(re_h, response.real)
-            out.imag[i] = -back(im_h, response.imag)
+        np.add(back(re_h), mean, out=out.real[i])
+        if not real:
+            np.negative(back(im_h), out=out.imag[i])
     return out
 
 
 def propagate(field, pitch_x: float, pitch_y: float, wavelength: float, z: float,
               pad: bool = False) -> np.ndarray:
     """Propagate a sampled (H, W) field over distance z (negative = backward);
-    returns the complex (H, W) field P_z w, on the grid or with ``pad=True``
+    returns the complex (H, W) field P_z w relative to the unscattered plane
+    wave, on the grid or with ``pad=True``
     on the doubled zero frame. It is the forward map of the one-slice stack
     w: Re[P_z w] = stack_forward(w) and Im[P_z w] = stack_forward(-j w).
     """

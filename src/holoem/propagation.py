@@ -1,15 +1,17 @@
 """Angular-spectrum transfer samples and the half-spectrum transform pair.
 
-The transfer function for propagation over a distance z at wavelength
-lambda is
+Propagation is relative to the unscattered plane wave: the phase
+exp(j k0 z), k0 = 2 pi / lambda, that it shares with the scattered wave
+cancels in a recorded intensity. Over a distance z the transfer is
 
-    H(v) = exp(j k0 z sqrt(1 - (lambda v_x)^2 - (lambda v_y)^2))
+    H(v) = exp(j k0 z (sqrt(1 - (lambda v_x)^2 - (lambda v_y)^2) - 1))
 
 inside the propagating band sqrt(v_x^2 + v_y^2) < 1/lambda and exactly 0
-outside (evanescent components are dropped), with k0 = 2 pi / lambda.
-Distances may be negative (back-propagation); H(-z) = conj(H(z)), so the
-propagation operator is unitary on the propagating band and P_{-z} is the
-adjoint of P_z.
+outside (evanescent components are dropped), the root minus 1 taken as
+-(lambda v)^2 / (1 + root) so that low frequencies keep their digits;
+H(0) = 1. Distances may be negative (back-propagation); H(-z) = conj(H(z)),
+so the propagation operator is unitary on the propagating band and P_{-z}
+is the adjoint of P_z.
 
 H depends on v only through |v|^2, so it is even: H(-v) = H(v). For a
 field w = a + j b, with a and b real and A = rfft2(a), B = rfft2(b),
@@ -44,13 +46,13 @@ __all__ = []
 
 
 def _transfer_grid(height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float):
-    """sqrt(1 - (lambda v)^2), 0 outside the band, and the band mask on the
-    kx-major columns of v_y >= 0: the depth-free part of a transfer build."""
+    """sqrt(1 - (lambda v)^2) - 1 and the band mask on the kx-major columns
+    of v_y >= 0: the depth-free part of a transfer build."""
     vx = np.fft.rfftfreq(width, d=pitch_x)
     vy = np.fft.fftfreq(height, d=pitch_y)[:height // 2 + 1]
-    s = 1.0 - (wavelength * vx[:, None]) ** 2 - (wavelength * vy[None, :]) ** 2
-    inside = s > 0.0
-    return np.sqrt(np.where(inside, s, 0.0)), inside
+    q = (wavelength * vx[:, None]) ** 2 + (wavelength * vy[None, :]) ** 2
+    inside = q < 1.0
+    return -q / (1.0 + np.sqrt(np.maximum(1.0 - q, 0.0))), inside
 
 
 def _sweep_transfers(height: int, width: int, pitch_x: float, pitch_y: float, wavelength: float,
@@ -62,11 +64,11 @@ def _sweep_transfers(height: int, width: int, pitch_x: float, pitch_y: float, wa
     addition in place, c' = c cos - s sin and s' = s cos + c sin, and
     entries outside the band stay 0. The columns of v_y < 0 are mirrored,
     as fftfreq gives -v exactly and H depends on v_y only through v_y^2."""
-    root, inside = _transfer_grid(height, width, pitch_x, pitch_y, wavelength)
+    lag, inside = _transfer_grid(height, width, pitch_x, pitch_y, wavelength)
     k0 = 2.0 * np.pi / wavelength
-    c = np.cos(k0 * start * root, out=np.zeros_like(root), where=inside)
-    s = np.sin(k0 * start * root, out=np.zeros_like(root), where=inside)
-    re_h, im_h = np.empty((2, root.shape[0], height))
+    c = np.cos(k0 * start * lag, out=np.zeros_like(lag), where=inside)
+    s = np.sin(k0 * start * lag, out=np.zeros_like(lag), where=inside)
+    re_h, im_h = np.empty((2, lag.shape[0], height))
 
     def mirrored():
         for full, q in ((re_h, c), (im_h, s)):
@@ -74,7 +76,7 @@ def _sweep_transfers(height: int, width: int, pitch_x: float, pitch_y: float, wa
         return re_h, im_h
 
     yield mirrored()
-    cos_step, sin_step = np.cos(k0 * step * root), np.sin(k0 * step * root)
+    cos_step, sin_step = np.cos(k0 * step * lag), np.sin(k0 * step * lag)
     for _ in range(count - 1):
         c_sin = c * sin_step
         c *= cos_step

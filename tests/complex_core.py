@@ -1,24 +1,27 @@
 """Complex-FFT reference for the multi-slice operators and propagation.
 
-A straight transcription of the operator core before it moved to rfft2
-half spectra: full complex transforms, transfer samples built on the full
-FFT grid as the code built them then, and padding that embeds the
-zero-mean remainder at the centre of a doubled frame. Tests compare the
-production operators and ``propagate``, real and complex fields alike,
-against it.
+A straight transcription of the operator model on full complex
+transforms: transfer samples on the full FFT grid, relative to the
+unscattered plane wave (so a window mean passes unchanged), and padding
+that embeds the zero-mean remainder at the centre of a doubled frame.
+Tests compare the production operators and ``propagate``, real and
+complex fields alike, against it.
 """
 
 import numpy as np
 
 
 def full_transfer(height, width, pitch_x, pitch_y, wavelength, z):
-    """exp(j k0 z sqrt(1 - (lambda v)^2)) on the full FFT grid, 0 outside the band."""
+    """exp(j k0 z (sqrt(1 - (lambda v)^2) - 1)) on the full FFT grid, 0 outside
+    the band; the root minus 1 is taken as expm1(log1p(-(lambda v)^2) / 2),
+    accurate at low frequencies."""
     vx = np.fft.fftfreq(width, d=pitch_x)
     vy = np.fft.fftfreq(height, d=pitch_y)
-    s = 1.0 - (wavelength * vx[None, :]) ** 2 - (wavelength * vy[:, None]) ** 2
-    inside = s > 0.0
+    q = (wavelength * vx[None, :]) ** 2 + (wavelength * vy[:, None]) ** 2
+    inside = q < 1.0
     h = np.zeros((height, width), dtype=np.complex128)
-    h[inside] = np.exp(1j * (2.0 * np.pi / wavelength) * z * np.sqrt(s[inside]))
+    lag = np.expm1(0.5 * np.log1p(-q[inside]))
+    h[inside] = np.exp(1j * (2.0 * np.pi / wavelength) * z * lag)
     return h
 
 
@@ -38,8 +41,8 @@ def _embed(field):
 
 def oracle_propagate(field, pitch_x, pitch_y, wavelength, z, pad=True):
     """P_z field for a real or complex field on the full complex transform;
-    with padding the mean advances as a plane wave and the zero-mean
-    remainder is embedded, propagated and cropped."""
+    with padding the mean passes unchanged and the zero-mean remainder is
+    embedded, propagated and cropped."""
     height, width = field.shape
     if not pad:
         h = full_transfer(height, width, pitch_x, pitch_y, wavelength, z)
@@ -48,21 +51,20 @@ def oracle_propagate(field, pitch_x, pitch_y, wavelength, z, pad=True):
     sy, sx = pad_slices(height, width)
     h = full_transfer(2 * height, 2 * width, pitch_x, pitch_y, wavelength, z)
     back = np.fft.ifft2(np.fft.fft2(_embed(field - mean)) * h)[sy, sx]
-    return back + mean * np.exp(1j * (2.0 * np.pi / wavelength) * z)
+    return back + mean
 
 
 def oracle_forward(stack, pitch_x, pitch_y, wavelength, distances, pad=True):
     """sum_z Re[P_z w_z] as a real (H, W) array."""
     stack = np.asarray(stack)
     height, width = stack.shape[1:]
-    k0 = 2.0 * np.pi / wavelength
     if pad:
         sy, sx = pad_slices(height, width)
         spectrum = np.zeros((2 * height, 2 * width), dtype=np.complex128)
         dc = 0.0
         for w, z in zip(stack, distances):
             mean = w.mean()
-            dc += (mean * np.exp(1j * k0 * z)).real
+            dc += mean.real
             h = full_transfer(2 * height, 2 * width, pitch_x, pitch_y, wavelength, z)
             spectrum += np.fft.fft2(_embed(w - mean)) * h
         return dc + np.fft.ifft2(spectrum).real[sy, sx]
@@ -77,7 +79,6 @@ def oracle_adjoint(residual, pitch_x, pitch_y, wavelength, distances, pad=True):
     """(P_{-z} r)_z as an (S, H, W) complex array."""
     residual = np.asarray(residual, dtype=np.float64)
     height, width = residual.shape
-    k0 = 2.0 * np.pi / wavelength
     out = np.empty((len(distances), height, width), dtype=np.complex128)
     if pad:
         sy, sx = pad_slices(height, width)
@@ -86,7 +87,7 @@ def oracle_adjoint(residual, pitch_x, pitch_y, wavelength, distances, pad=True):
         for i, z in enumerate(distances):
             h = full_transfer(2 * height, 2 * width, pitch_x, pitch_y, wavelength, -z)
             back = np.fft.ifft2(spectrum * h)[sy, sx]
-            out[i] = (back - back.mean()) + r_mean * np.exp(-1j * k0 * z)
+            out[i] = (back - back.mean()) + r_mean
         return out
     spectrum = np.fft.fft2(residual.astype(np.complex128))
     for i, z in enumerate(distances):

@@ -103,15 +103,15 @@ def test_c2_round_trip_energy_and_kernel_sums(rng):
     energy_gap = abs(float(np.sum(np.abs(fwd) ** 2)) - ref_energy) / ref_energy
 
     # spatial-sum oracle: summing the real and imaginary kernels over the
-    # whole lattice picks out the zero-frequency transfer sample, the
-    # analytic mean response (cos k0 z, sin k0 z) that padding relies on
+    # whole lattice picks out the zero-frequency transfer sample, the mean
+    # response (1, 0) that padding relies on: propagation is relative to the
+    # unscattered plane wave
     worst_kernel = 0.0
     for zk in (0.5e-3, 1.0e-3, 1.25e-3):
         re_h, im_h = _transfer_array(16, 16, PITCH, PITCH, WAVELENGTH, zk)
         spatial = complex(scipy.fft.irfft2(re_h.T, s=(16, 16)).sum(),
                           scipy.fft.irfft2(im_h.T, s=(16, 16)).sum())
-        k0z = 2.0 * np.pi / WAVELENGTH * zk
-        worst_kernel = max(worst_kernel, abs(spatial - complex(np.cos(k0z), np.sin(k0z))))
+        worst_kernel = max(worst_kernel, abs(spatial - 1.0))
 
     ok = round_trip < 1e-10 and energy_gap < 1e-10 and worst_kernel < 1e-10
     _verdict(2, ok, f"round trip {round_trip:.2e}, energy drift {energy_gap:.2e}, "
@@ -146,11 +146,11 @@ def test_c3_multi_depth_em_beats_backpropagation():
     distances = (0.5e-3, 1.0e-3, 1.25e-3)
     all_ok = True
     details = []
-    # reference run: 128 px/300 its ssim (0.736, 0.745, 0.751) vs backprop
-    # (0.001, -0.003, -0.000), worst leak 0.026, 1.4 s; 512 px/200 its ssim
-    # (0.840, 0.850, 0.856) vs (0.101, 0.006, 0.004), worst leak 0.022, 17 s
-    # (2 vCPU); relative error in object units 0.49/0.44/0.46 and
-    # 0.65/0.54/0.66, where a blank estimate scores 1.00; the 128 px case's
+    # reference run: 128 px/300 its ssim (0.749, 0.737, 0.765) vs backprop
+    # (0.003, 0.006, -0.003), worst leak 0.045, 1.3 s; 512 px/200 its ssim
+    # (0.840, 0.849, 0.856) vs (0.114, 0.006, 0.005), worst leak 0.048, 18 s
+    # (2 vCPU); relative error in object units 0.43/0.50/0.50 and
+    # 0.61/0.61/0.65, where a blank estimate scores 1.00; the 128 px case's
     # error is also frozen below 0.55 on every slice
     for n, iters, budget, frozen in ((128, 300, 10.0, 0.55), (512, 200, 120.0, 1.0)):
         cfg = _config(n, distances)
@@ -184,10 +184,10 @@ def test_c3_off_model_holograms():
     # beside criterion 3: its 128 px case on data the solver did not make, the
     # object on a grid twice as fine with the full model, binned to the sensor
     # (conftest.binned_hologram), clean and on noisy seed 1, scored against the
-    # binned truth. Reference run (300 its): ssim 0.721/0.725/0.730 clean and
-    # 0.505/0.538/0.567 noisy vs backprop 0.002/-0.003/0.000; relative error
-    # 0.51/0.50/0.52 and 0.61/0.57/0.59; worst leak 0.037 and 0.060, both
-    # below criterion 3's 0.10
+    # binned truth. Reference run (300 its): ssim 0.730/0.726/0.744 clean and
+    # 0.509/0.532/0.582 noisy; relative error 0.45/0.55/0.56 and
+    # 0.55/0.63/0.63; worst leak 0.063 and 0.060, both below criterion 3's
+    # 0.10
     distances = (0.5e-3, 1.0e-3, 1.25e-3)
     cfg = _config(128, distances)
     masks = multi_depth_masks(128, 128, REFERENCE_EXTENT / cfg.pitch_x)
@@ -215,7 +215,7 @@ def _settle(off) -> int:
 
 def test_c4_upper_bound_speeds_convergence():
     # a unit upper bound is the passive-absorber limit of the estimate's
-    # 1 + 2o and engages at any depth; this one is a whole number of wavelengths
+    # 1 + 2o and engages at any depth; this one is 1481 wavelengths, about 1 mm
     z = 1481 * WAVELENGTH
     cfg = _config(256, (z,))
     truth = single_slice_stack(cfg)
@@ -258,7 +258,7 @@ def test_c5_poisson_psnr_beats_baseline_and_db_identities():
     holo = simulate(truth, cfg, model="linear", seed=2024)
     rec_em, _ = reconstruct_real(holo, ReconParams(max_iters=100))
     rec_base, _ = baseline_reconstruct(holo, ReconParams(max_iters=100))
-    # in object units (reference run: 22.74 dB against 15.46 dB)
+    # in object units (reference run: 22.96 dB against 18.29 dB)
     em_db = psnr(*object_units(rec_em[0], truth[0])[:2], peak=1.0)
     base_db = psnr(*object_units(rec_base[0], truth[0])[:2], peak=1.0)
 
@@ -289,7 +289,7 @@ def test_c6_complex_object_recovery():
     stack_r, _ = reconstruct_complex(simulate(real_truth, cfg, model="linear"), params)
     leak = float(np.linalg.norm(stack_r[0].imag) / np.linalg.norm(stack_r[0].real))
     # the leak above is small for a blank imaginary part whatever its offset;
-    # the spread about the mean is the structure that leaked (reference 0.0084)
+    # the spread about the mean is the structure that leaked (reference 0.0080)
     spread = float(np.std(stack_r[0].imag) / np.std(stack_r[0].real))
 
     ok = ncc_re > 0.8 and ncc_im > 0.8 and leak < 0.05 and spread < 0.05
@@ -312,7 +312,7 @@ def test_c7_autofocus_recovers_depth():
 def test_c7_off_model_holograms():
     # beside criterion 7: its sweep on the object made on a grid twice as fine
     # with the full model and binned to the sensor, clean and on noisy seed 1
-    # (reference run: both land at 1.005 mm)
+    # (reference run: 1.005 mm clean, 1.000 mm noisy)
     cfg = _config(512, (1.0e-3,))
     for seed in (None, 1):
         _, holo = binned_hologram(single_slice_stack, cfg, seed=seed)

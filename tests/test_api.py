@@ -4,10 +4,10 @@ and the exported callables a pinned number of defaulted parameters, and the
 source keeps no dead inputs: no parameter a function never reads, no import
 a module never uses. The source also calls BLAS only for SSIM's window
 (``metrics._windowed``, matrix products alone) and keeps one cache,
-reads ``pad`` in the operator core only to size the transform, forms the
-plane-wave phase exp(j k0 z) only in ``operators._plane_waves``, names the
-image sidecar's keys only in ``holoem.io``, and ``holoem.io`` imports no
-holoem module but ``holoem.grid``.
+reads ``pad`` in the operator core only to size the transform, takes the
+transfer's phase (cos, sin or an exp of an imaginary argument) only in
+``propagation._sweep_transfers``, names the image sidecar's keys only in
+``holoem.io``, and ``holoem.io`` imports no holoem module but ``holoem.grid``.
 
 A deletion that forgets the export list would otherwise surface only when
 a caller runs ``from holoem.<module> import *``. No linter is required: the
@@ -245,22 +245,24 @@ def test_pad_only_picks_the_frame():
     assert not reads, f"pad read outside _frame: {reads}"
 
 
-def test_plane_wave_phase_formed_once():
-    # exp(j k0 z), the phase a window mean picks up, comes from one place:
-    # no np.exp of an expression holding an imaginary literal elsewhere
+def test_phase_taken_only_in_the_transfer_build():
+    # propagation is relative to the unscattered plane wave, so no plane-wave
+    # phase exp(j k0 z) is formed anywhere: cos, sin and np.exp of an
+    # expression holding an imaginary literal appear in the transfer build alone
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        allowed = {id(n) for fn in ast.walk(tree) if path.stem == "operators"
-                   and isinstance(fn, ast.FunctionDef) and fn.name == "_plane_waves"
+        allowed = {id(n) for fn in ast.walk(tree) if path.stem == "propagation"
+                   and isinstance(fn, ast.FunctionDef) and fn.name == "_sweep_transfers"
                    for n in ast.walk(fn)}
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
                   if isinstance(node, ast.Call) and id(node) not in allowed
-                  and getattr(node.func, "attr", None) == "exp"
-                  and getattr(node.func.value, "id", None) == "np"
-                  and any(isinstance(n, ast.Constant) and isinstance(n.value, complex)
-                          for arg in node.args for n in ast.walk(arg))]
-    assert not found, f"exp(j ...) outside operators._plane_waves: {found}"
+                  and getattr(getattr(node.func, "value", None), "id", None) == "np"
+                  and (node.func.attr in ("cos", "sin")
+                       or node.func.attr == "exp"
+                       and any(isinstance(n, ast.Constant) and isinstance(n.value, complex)
+                               for arg in node.args for n in ast.walk(arg)))]
+    assert not found, f"a phase taken outside propagation._sweep_transfers: {found}"
 
 
 def test_sidecar_keys_only_in_io():

@@ -5,6 +5,9 @@ import logging
 import numpy as np
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
 from holoem.forward import (
     Hologram,
     OpticalConfig,
@@ -129,6 +132,23 @@ def test_empty_object_records_the_illumination(model, pad):
     for dtype in (np.float64, np.complex128):
         g = simulate(np.zeros((2, 16, 16), dtype=dtype), cfg, model=model).intensity
         assert np.array_equal(g, np.ones((16, 16)))
+
+
+@settings(max_examples=60)
+@given(st.integers(2, 17), st.integers(2, 17), st.floats(0.5e-6, 3e-6),
+       st.lists(st.floats(1e-6, 2e-3), min_size=1, max_size=5, unique=True),
+       st.lists(st.floats(-0.2, 0.2), min_size=5, max_size=5), st.booleans())
+def test_constant_real_slices_record_their_sum_at_any_depth(height, width, pitch, depths,
+                                                             levels, pad):
+    # the plane-wave phase that illumination and scattered wave share cancels
+    # in the intensity: real slices o_z = a_z record 1 + 2 sum_z a_z at every
+    # depth, on either frame
+    cfg = make_config(width=width, height=height, pitch_x=pitch,
+                      slice_distances=tuple(sorted(depths)), pad=pad)
+    levels = levels[:len(depths)]
+    obj = np.stack([np.full((height, width), a) for a in levels])
+    g = synthesize_linear(obj, cfg)
+    np.testing.assert_allclose(g, 1.0 + 2.0 * sum(levels), rtol=0, atol=1e-14)
 
 
 @pytest.mark.parametrize("pad", [False, True])

@@ -12,6 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from holoem import em, operators
+from holoem.forward import OpticalConfig, _stack_optics
 from holoem.operators import propagate, stack_adjoint, stack_forward
 
 from complex_core import full_transfer, oracle_adjoint, oracle_forward, pad_slices
@@ -42,13 +44,12 @@ def test_adjoint_dot_identity(rng, pad, distances):
 
 @pytest.mark.parametrize("pad", [False, True])
 def test_ones_response(pad):
-    # constant slices carry only the zero-frequency component, so the reply
-    # is sum_z c_z cos(k0 z_z) regardless of padding
-    coeffs = (0.7, -0.2, 1.4)
+    # constant slices carry only the zero-frequency component, where the
+    # transfer is 1, so the reply is sum_z Re c_z regardless of padding
+    coeffs = (0.7 + 0.3j, -0.2 - 0.5j, 1.4 + 0.1j)
     w = np.stack([c * np.ones((8, 6), dtype=np.complex128) for c in coeffs])
     out = stack_forward(w, PITCH, PITCH, WAVELENGTH, DISTANCES_3, pad=pad)
-    k0 = 2.0 * np.pi / WAVELENGTH
-    expected = sum(c * np.cos(k0 * z) for c, z in zip(coeffs, DISTANCES_3))
+    expected = sum(c.real for c in coeffs)
     np.testing.assert_allclose(out, np.full((8, 6), expected), atol=1e-12)
 
 
@@ -80,18 +81,17 @@ def test_unpadded_adjoint_is_back_propagation(rng):
 
 
 def test_padded_forward_matches_mean_split_oracle(rng):
-    # per-slice oracle: window mean advances analytically as a plane wave,
-    # the zero-mean remainder goes through embed / transform / crop
+    # per-slice oracle: the window mean passes unchanged, the zero-mean
+    # remainder goes through embed / transform / crop
     w = _random_stack(rng, 2, shape=(6, 10))
     distances = (0.8e-3, 1.2e-3)
     out = stack_forward(w, PITCH, PITCH, WAVELENGTH, distances, pad=True)
 
-    k0 = 2.0 * np.pi / WAVELENGTH
     sy, sx = pad_slices(6, 10)
     expected = np.zeros((6, 10))
     for wz, z in zip(w, distances):
         mean = wz.mean()
-        expected += (mean * np.exp(1j * k0 * z)).real
+        expected += mean.real
         frame = np.zeros((12, 20), dtype=np.complex128)
         frame[sy, sx] = wz - mean
         h = full_transfer(12, 20, PITCH, PITCH, WAVELENGTH, z)
@@ -101,13 +101,44 @@ def test_padded_forward_matches_mean_split_oracle(rng):
 
 def test_padded_adjoint_mean_terms(rng):
     # the adjoint of the mean split: cropped back-propagation loses its own
-    # window mean, replaced by the analytic residual-mean response
+    # window mean, replaced by the residual's mean, 0 in the imaginary part
     r = rng.standard_normal((8, 6))
     z = 1.0e-3
     adj = stack_adjoint(r, PITCH, PITCH, WAVELENGTH, (z,), pad=True)[0]
-    k0 = 2.0 * np.pi / WAVELENGTH
-    expected_mean = r.mean() * np.exp(-1j * k0 * z)
-    assert adj.mean() == pytest.approx(expected_mean, abs=1e-12)
+    assert adj.mean() == pytest.approx(r.mean(), abs=1e-12)
+
+
+def test_no_transform_of_a_part_without_remainder(rng, monkeypatch):
+    # a slice part whose zero-mean remainder is all zero takes no half
+    # spectrum: a real field's propagate takes 2, a complex one 4, and
+    # EM's flat start none and no inverse either, its prediction the mean term
+    calls = {"_half_spectrum": 0, "_irfft2_crop": 0}
+
+    def counting(name):
+        original = getattr(operators, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return original(*args)
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(operators, name, counting(name))
+
+    def transforms(run):
+        calls.update(dict.fromkeys(calls, 0))
+        out = run()
+        return (calls["_half_spectrum"], calls["_irfft2_crop"]), out
+
+    field = rng.standard_normal((16, 16))
+    assert transforms(lambda: propagate(field, PITCH, PITCH, WAVELENGTH, 1e-3))[0] == (2, 2)
+    complex_field = field + 1j * rng.standard_normal((16, 16))
+    assert transforms(lambda: propagate(complex_field, PITCH, PITCH, WAVELENGTH,
+                                        1e-3))[0] == (4, 2)
+    cfg = OpticalConfig(WAVELENGTH, PITCH, 16, 16, DISTANCES_3)
+    start = em._joined(em._em_start(cfg, complex_mode=False))
+    counts, out = transforms(lambda: stack_forward(start, *_stack_optics(cfg)))
+    assert counts == (0, 0) and np.array_equal(out, np.full((16, 16), 3.0))
 
 
 def test_forward_shape_validation(rng):

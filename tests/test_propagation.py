@@ -27,7 +27,9 @@ from conftest import PITCH, WAVELENGTH
 
 
 def transfer_oracle(shape, pitch_x, pitch_y, wavelength, z):
-    """Direct per-sample evaluation of the band-limited transfer function."""
+    """Direct per-sample evaluation of the band-limited transfer function
+    relative to the unscattered plane wave, exp(j k0 z (sqrt(1 - q) - 1))
+    with q = (lambda v)^2, the root minus 1 as expm1(log1p(-q) / 2)."""
     height, width = shape
     vx = np.fft.fftfreq(width, d=pitch_x)
     vy = np.fft.fftfreq(height, d=pitch_y)
@@ -35,9 +37,9 @@ def transfer_oracle(shape, pitch_x, pitch_y, wavelength, z):
     out = np.zeros((height, width), dtype=np.complex128)
     for i in range(height):
         for j in range(width):
-            s = 1.0 - (wavelength * vx[j]) ** 2 - (wavelength * vy[i]) ** 2
-            if s > 0.0:
-                out[i, j] = np.exp(1j * k0 * z * np.sqrt(s))
+            q = (wavelength * vx[j]) ** 2 + (wavelength * vy[i]) ** 2
+            if q < 1.0:
+                out[i, j] = np.exp(1j * k0 * z * np.expm1(0.5 * np.log1p(-q)))
     return out
 
 
@@ -179,28 +181,32 @@ def test_composition_unpadded(rng):
     assert np.max(np.abs(two_hops - one_hop)) < 1e-11
 
 
-def test_plane_wave_phase():
-    z = 1.3e-3
-    out = _propagate(np.ones((12, 12)), z)
-    expected = np.exp(1j * 2.0 * np.pi / WAVELENGTH * z)
-    np.testing.assert_allclose(out, np.full((12, 12), expected), atol=1e-12)
+@pytest.mark.parametrize("pad", [False, True])
+def test_plane_wave_passes_unchanged(pad):
+    # propagation is relative to the unscattered plane wave: H(0) = 1
+    # exactly on either frame, and a constant field whose mean is exact
+    # comes back bit for bit
+    for z in (1.3e-3, -0.6e-3, 1481.25 * WAVELENGTH):
+        re_h, im_h = _transfer_array(*_frame(12, 10, pad), PITCH, PITCH, WAVELENGTH, z)
+        assert re_h[0, 0] == 1.0 and im_h[0, 0] == 0.0
+        field = np.full((12, 10), 0.75 - 0.25j)
+        assert np.array_equal(_propagate(field, z, pad=pad), field)
 
 
 def test_kernel_sums_match_spatial_sum():
     # the lattice sums of the real and imaginary point-spread kernels are
-    # the zero-frequency transfer sample, cos(k0 z) + j sin(k0 z): the
-    # analytic response to the mean that propagation uses on either frame
+    # the zero-frequency transfer sample, 1 + 0j: the mean passes unchanged
+    # on either frame
     for shape in ((16, 16), (15, 12)):
         for z in (1.0e-3, -0.6e-3):
             re_h, im_h = _transfer_array(*shape, PITCH, PITCH, WAVELENGTH, z)
-            k0z = 2.0 * np.pi / WAVELENGTH * z
-            assert abs(scipy.fft.irfft2(re_h.T, s=shape).sum() - np.cos(k0z)) < 1e-10
-            assert abs(scipy.fft.irfft2(im_h.T, s=shape).sum() - np.sin(k0z)) < 1e-10
+            assert abs(scipy.fft.irfft2(re_h.T, s=shape).sum() - 1.0) < 1e-10
+            assert abs(scipy.fft.irfft2(im_h.T, s=shape).sum()) < 1e-10
 
 
 def test_padded_matches_manual_embed(rng):
-    # mean split: the mean advances as a plane wave, the zero-mean remainder
-    # is embedded at the centre of a doubled zero frame and cropped back
+    # mean split: the mean passes unchanged, the zero-mean remainder is
+    # embedded at the centre of a doubled zero frame and cropped back
     f = _random_field(rng, shape=(10, 14)) + (0.8 - 0.3j)
     z = 0.5e-3
     got = _propagate(f, z, pad=True)
@@ -210,7 +216,7 @@ def test_padded_matches_manual_embed(rng):
     frame[5:15, 7:21] = f - mean
     h = transfer_oracle((20, 28), PITCH, PITCH, WAVELENGTH, z)
     full = np.fft.ifft2(np.fft.fft2(frame) * h)
-    expected = full[5:15, 7:21] + mean * np.exp(1j * 2.0 * np.pi / WAVELENGTH * z)
+    expected = full[5:15, 7:21] + mean
     np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -298,9 +304,10 @@ def test_half_row_transfer_build_equals_evaluation_on_every_row(height, width, p
     re_h, im_h = _transfer_array(height, width, pitch_x, pitch_y, WAVELENGTH, depth)
     vx = np.fft.rfftfreq(width, d=pitch_x)
     vy = np.fft.fftfreq(height, d=pitch_y)
-    s = 1.0 - (WAVELENGTH * vx[None, :]) ** 2 - (WAVELENGTH * vy[:, None]) ** 2
-    inside = s > 0.0
-    phase = 2.0 * np.pi / WAVELENGTH * depth * np.sqrt(np.where(inside, s, 0.0))
+    q = (WAVELENGTH * vx[None, :]) ** 2 + (WAVELENGTH * vy[:, None]) ** 2
+    inside = q < 1.0
+    lag = -q / (1.0 + np.sqrt(np.maximum(1.0 - q, 0.0)))
+    phase = 2.0 * np.pi / WAVELENGTH * depth * lag
     assert re_h.tobytes() == np.where(inside, np.cos(phase), 0.0).T.tobytes()
     assert im_h.tobytes() == np.where(inside, np.sin(phase), 0.0).T.tobytes()
     assert not (re_h.flags.writeable or im_h.flags.writeable)

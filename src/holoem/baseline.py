@@ -1,27 +1,31 @@
 """Additive gradient-descent comparator with the same TV machinery.
 
 Minimizes the least-squares data term 0.5 ||g - H w||^2 by plain gradient
-descent at step 1/L (L from seeded power iteration on H*H), alternated
-with a TV gradient step of the same step size. It runs on the iteration
-loop of the statistical reconstruction (trace, divergence rule, step
-halving) and differs only in its data term and additive update. This is
-a simple shrinkage-thresholding-style reference point, not a faithful
-port of any published two-step or fast iterative solver; convergence
-comparisons against it should be read with that in mind.
+descent at step 1/S for S slices, alternated with a TV gradient step of the
+same step size. On the grid H*H splits into one rank-one block per
+frequency, whose eigenvalue sum_z cos^2(k0 z (root - 1)) peaks at S at
+zero frequency, and on the padded frame its largest eigenvalue L keeps
+S <= L <= 2S, so 1/S always stays below the descent limit 2/L. It runs on
+the iteration loop of the statistical reconstruction (trace, divergence
+rule, step halving) and differs only in its data term and additive
+update. This is a simple shrinkage-thresholding-style reference point,
+not a faithful port of any published two-step or fast iterative solver;
+convergence comparisons against it should be read with that in mind.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .em import ReconParams, ReconTrace, _iterate, _norm, _resolve_tau, _smoothed_tv
+from .em import ReconParams, ReconTrace, _iterate, _resolve_tau, _smoothed_tv
 from .em import _truth_scores
 # no longer called here; kept as module names that perfbench/tracing.py wraps
 from .em import _tv_gradient_array, tv_value  # noqa: F401
 from .forward import Hologram, OpticalConfig, _stack_optics
-from .operators import stack_adjoint, stack_forward
+from .operators import stack_adjoint
+from .operators import stack_forward  # noqa: F401  (wrapped as above)
 
-__all__ = ["estimate_step_size", "baseline_reconstruct"]
+__all__ = ["baseline_reconstruct"]
 
 
 def _least_squares_term(g: np.ndarray, ghat: np.ndarray) -> tuple[float, np.ndarray]:
@@ -32,24 +36,8 @@ def _least_squares_term(g: np.ndarray, ghat: np.ndarray) -> tuple[float, np.ndar
 
 
 def estimate_step_size(config: OpticalConfig) -> float:
-    """1/L with L the largest eigenvalue of H*H on the config's optics and
-    padding, by 20 power iterations from a fixed start (standard normal,
-    Philox seed 0), so it is reproducible. It is floored at the slice count
-    S, a lower bound of L: constant slices pass unchanged (H(0) = 1), so
-    their Rayleigh quotient is S, and low frequencies that nearly tie with
-    them slow the power iteration."""
-    optics = _stack_optics(config)
-    rng = np.random.Generator(np.random.Philox(0))
-    v = rng.standard_normal((config.n_slices,) + config.grid_shape)
-    v /= _norm(v)
-    lam_max = 0.0
-    for _ in range(20):
-        u = stack_adjoint(stack_forward(v, *optics), *optics, real=True)
-        lam_max = _norm(u)
-        if lam_max == 0.0:
-            raise ValueError("power iteration collapsed to zero; operator is degenerate")
-        v = u / lam_max
-    return 1.0 / max(lam_max, config.n_slices)
+    """The step 1/S, EM's per-slice scale, for a config with S slices."""
+    return 1.0 / config.n_slices
 
 
 def baseline_reconstruct(

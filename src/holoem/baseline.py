@@ -6,20 +6,21 @@ same step size. On the grid H*H splits into one rank-one block per
 frequency, whose eigenvalue sum_z cos^2(k0 z (root - 1)) peaks at S at
 zero frequency, and on the padded frame its largest eigenvalue L keeps
 S <= L <= 2S, so 1/S always stays below the descent limit 2/L. It runs on
-the iteration loop of the statistical reconstruction (trace, divergence
-rule, step halving) and differs only in its data term and additive
-update. This is a simple shrinkage-thresholding-style reference point,
-not a faithful port of any published two-step or fast iterative solver;
-convergence comparisons against it should be read with that in mind.
+the iteration loop of the statistical reconstruction, which scales both
+gradients by 1/S, weighs TV by the same tau and keeps the trace, divergence
+rule and step halving; the baseline supplies only its back-propagated
+start, its data term and its additive step. This is a simple
+shrinkage-thresholding-style reference point, not a faithful port of any
+published two-step or fast iterative solver; convergence comparisons
+against it should be read with that in mind.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .em import ReconParams, ReconTrace, _iterate, _resolve_tau, _smoothed_tv
-from .em import _truth_scores
-# no longer called here; kept as module names that perfbench/tracing.py wraps
+from .em import ReconParams, ReconTrace, _iterate
+# not called here; kept as module names that perfbench/tracing.py wraps
 from .em import _tv_gradient_array, tv_value  # noqa: F401
 from .forward import Hologram, OpticalConfig, _stack_optics
 from .operators import stack_adjoint
@@ -35,6 +36,7 @@ def _least_squares_term(g: np.ndarray, ghat: np.ndarray) -> tuple[float, np.ndar
     return 0.5 * float(np.sum(resid**2)), resid
 
 
+# uncalled: kept only because perfbench/tracing.py names it; ROADMAP item 5 removes it
 def estimate_step_size(config: OpticalConfig) -> float:
     """The step 1/S, EM's per-slice scale, for a config with S slices."""
     return 1.0 / config.n_slices
@@ -54,20 +56,11 @@ def baseline_reconstruct(
     (S, H, W) float64 estimate and the trace, whose nll column records the
     least-squares objective 0.5 ||g - H w||^2.
     """
-    cfg = hologram.config
     params = params or ReconParams()
     if params.upper_bound is not None or params.stop_rule != "fixed_iters":
         raise ValueError("the baseline takes no upper bound and no relative_change stop rule")
     g = hologram.intensity
-
-    step = estimate_step_size(cfg)
-    tau = _resolve_tau(g, params)
-
-    def update(w, grad, tv_grad, scale):
-        s = scale * step
-        return (w - s * grad) - (s * tau) * tv_grad
-
-    # passed unnamed, so the loop holds the only reference and can free the start
-    return _iterate(cfg, params.max_iters, stack_adjoint(g, *_stack_optics(cfg), real=True)[None],
-                    lambda ghat: _least_squares_term(g, ghat), _smoothed_tv, update,
-                    _truth_scores(ground_truth, cfg, complex_mode=False))
+    # the start is passed unnamed, so the loop holds the only reference and can free it
+    return _iterate(hologram, params, stack_adjoint(g, *_stack_optics(hologram.config), real=True),
+                    lambda ghat: _least_squares_term(g, ghat),
+                    lambda w, grad, tv_step: (w - grad) - tv_step, ground_truth)

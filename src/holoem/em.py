@@ -30,18 +30,19 @@ TV is the isotropic sum sum sqrt((d_x w)^2 + (d_y w)^2) with forward
 differences and replicated edges; its gradient uses the smoothed
 magnitude sqrt(|grad w|^2 + eps^2) and is the exact gradient of the
 smoothed functional (forward-difference operator and its exact adjoint).
-Every solver smooths at eps = 1e-4 and hands the loop `_smoothed_tv`, one
-pass over the estimate's differences for both: the value, sum
-sqrt(dx^2 + dy^2) of the squares the gradient smooths, goes into the trace
-row, the gradient into the next step.
+The loop smooths at eps = 1e-4 for every solver, in one pass over the
+estimate's differences for both: the value, sum sqrt(dx^2 + dy^2) of the
+squares the gradient smooths, goes into the trace row, the gradient into
+the next step.
 
 J and its residual 1 - g / max(g_hat, floor) come from one floored
-prediction, `_poisson_term`; grad J, the residual's adjoint, is taken in one
-place, `_data_gradient`, by the loop `_iterate` shared with the baseline,
-which names no regularizer; the step and clip above in one, `_em_update`.
-The public helpers take arrays; the solvers take their optics from the
-hologram, and an optional ground truth and the returned estimate are
-(S, H, W) object arrays.
+prediction, `_poisson_term`; the step and clip above in one place,
+`_em_update`. Everything the baseline shares lives in the loop `_iterate`:
+the 1/S scale and its halving, tau, grad J as the residual's adjoint
+(`_data_gradient`), the TV pass and the truth scores. A solver hands it a
+start, a data term and the form of its step. The public helpers take
+arrays; the solvers take their optics from the hologram, and an optional
+ground truth and the returned estimate are (S, H, W) object arrays.
 """
 
 from __future__ import annotations
@@ -82,13 +83,14 @@ class ReconParams:
 
     reconstruct_real reads every field, and reconstruct_complex every field
     but upper_bound, which it refuses. baseline_reconstruct reads max_iters
-    and tau and refuses a bound or the relative_change rule. Every EM solve
-    starts at 1 on every slice (0.01 in the imaginary part in complex mode).
-    tau = None means 0.002 * mean(g). upper_bound, a finite scalar or a
-    finite per-pixel bound of the config's grid shape on every slice, is
-    enforced by projection, w -> min(w, UB). Every solver smooths TV with
-    epsilon = 1e-4. The ratio floor is 1e-12 * mean(g). The padding is the
-    hologram config's.
+    and tau and refuses a bound or the relative_change rule. The iteration
+    loop reads max_iters, tau, stop_rule and stop_delta for every solver:
+    tau = None means 0.002 * mean(g), scaled like the data gradient by 1/S
+    for S slices, with TV smoothed at epsilon = 1e-4. Every EM solve starts
+    at 1 on every slice (0.01 in the imaginary part in complex mode).
+    upper_bound, a finite scalar or a finite per-pixel bound of the config's
+    grid shape on every slice, is enforced by projection, w -> min(w, UB).
+    The ratio floor is 1e-12 * mean(g). The padding is the hologram config's.
     """
 
     max_iters: int = 100
@@ -226,22 +228,12 @@ def _tv_gradient_array(w: np.ndarray, epsilon: float) -> tuple[float, np.ndarray
     return value, _forward_diffs_adjoint(dx, dy)
 
 
-def _em_update(w, grad, tv_grad, tau: float, bound) -> np.ndarray:
-    """Data step then TV step, both gradients evaluated at the input iterate,
-    then the projection onto {w <= UB} when a bound is given."""
+def _em_update(w, grad, tv_step, bound) -> np.ndarray:
+    """Data step then TV step, both gradients evaluated at the input iterate and
+    scaled by the loop, then the projection onto {w <= UB} when a bound is given."""
     w_mle = w - np.abs(w) * grad
-    new = w_mle - np.abs(w_mle) * (tau * tv_grad)
+    new = w_mle - np.abs(w_mle) * tv_step
     return new if bound is None else np.minimum(new, bound, out=new)
-
-
-def _resolve_tau(g: np.ndarray, params) -> float:
-    """TV weight: params.tau, or 0.002 * mean(g) when None (shared by both solvers)."""
-    return 0.002 * float(g.mean()) if params.tau is None else float(params.tau)
-
-
-def _smoothed_tv(w: np.ndarray) -> tuple[float, np.ndarray]:
-    """Every solver's regularizer: TV and its gradient smoothed at epsilon = 1e-4."""
-    return _tv_gradient_array(w, 1e-4)
 
 
 def _joined(w: np.ndarray) -> np.ndarray:
@@ -249,51 +241,51 @@ def _joined(w: np.ndarray) -> np.ndarray:
     return w[0] if len(w) == 1 else w[0] + 1j * w[1]
 
 
-def _iterate(
-    config: OpticalConfig,
-    max_iters: int,
-    w: np.ndarray,
-    data_term,
-    regularize,
-    update,
-    score,
-    stop_delta: float | None = None,
-) -> tuple[np.ndarray, ReconTrace]:
+def _iterate(hologram: Hologram, params: ReconParams, start: np.ndarray, data_term, step,
+             ground_truth) -> tuple[np.ndarray, ReconTrace]:
     """The iteration loop shared by every solver.
 
-    The estimate w is one real (parts, slices, H, W) array: one part in
-    real mode, Re and Im in complex mode. config supplies the optics and
-    padding, max_iters caps the updates. The solver supplies the rest:
+    The solver supplies its (S, H, W) start, real or complex, and two terms:
 
     - data_term(ghat) -> (value, residual): the data objective at the
       predicted intensity and the residual whose adjoint, taken by
       :func:`_data_gradient`, is its gradient;
-    - regularize(w) -> (tv, state) at each iterate and the start: tv for
-      the trace row, state for update;
-    - update(w, grad, state, scale) -> new estimate: one step with the
-      gradient scaled by scale, which halves while the result is
-      non-finite;
-    - score(w) -> (ssim, rel_error) for the trace row, or None without truth.
+    - step(w, grad, tv_step) -> new estimate: one update of the
+      (parts, S, H, W) estimate, one part in real mode, Re and Im in
+      complex mode, from the data gradient and the TV gradient, both
+      taken at w and already scaled.
 
-    The run halts after _RISES rises of the objective in a row (each above
-    1e-6 relative), returning the iterate before the first rise, and, when
-    stop_delta is given, once the estimate's relative change falls below it.
+    The loop makes every other decision. The scale is s = 1/S, halved
+    while the step's result is non-finite; the step gets s grad J and
+    s tau grad TV, tau being params.tau or 0.002 * mean(g), and TV smoothed
+    at epsilon = 1e-4. Each trace row is scored against ground_truth when
+    one is given. The run stops after params.max_iters updates, after
+    _RISES rises of the objective in a row (each above 1e-6 relative),
+    returning the iterate before the first rise, or, under the
+    relative_change rule, once the estimate's relative change falls below
+    params.stop_delta.
     """
+    config = hologram.config
     optics = _stack_optics(config)
-    real = len(w) == 1
+    real = not np.iscomplexobj(start)
+    w = start[None] if real else np.stack([start.real, start.imag])
+    del start  # the loop holds the only reference, so a replaced start is freed
+    tau = 0.002 * float(hologram.intensity.mean()) if params.tau is None else float(params.tau)
+    score = _truth_scores(ground_truth, config, complex_mode=not real)
+    stop_delta = params.stop_delta if params.stop_rule == "relative_change" else None
     trace = ReconTrace()
     prev, resid = data_term(stack_forward(_joined(w), *optics))
-    _, state = regularize(w)
+    _, tv_grad = _tv_gradient_array(w, 1e-4)
     consecutive_up = 0
     kept = w  # the last iterate whose objective did not rise
 
-    for k in range(1, max_iters + 1):
+    for k in range(1, params.max_iters + 1):
         t0 = time.perf_counter()
         grad = _data_gradient(resid, optics, real)
 
         for attempt in range(5):
-            scale = 0.5**attempt
-            new = update(w, grad, state, scale)
+            s = 0.5**attempt / config.n_slices
+            new = step(w, s * grad, (s * tau) * tv_grad)
             if np.isfinite(new).all():
                 if attempt:
                     trace.step_halvings += attempt
@@ -308,10 +300,10 @@ def _iterate(
         converged = stop_delta is not None and (
             _norm(new - w) / max(_norm(w), np.finfo(np.float64).tiny) < stop_delta)
         w = new
-        del grad, new, state  # not alive through the forward map and the trace
+        del grad, new, tv_grad  # not alive through the forward map and the trace
 
         value, resid = data_term(stack_forward(_joined(w), *optics))
-        tv_now, state = regularize(w)
+        tv_now, tv_grad = _tv_gradient_array(w, 1e-4)
         millis = (time.perf_counter() - t0) * 1e3
         trace.append(k, value, tv_now, *(score(w) if score else (None, None)), millis)
 
@@ -336,20 +328,19 @@ def _iterate(
     return _joined(w), trace
 
 
-_START = (1.0, 0.01)  # every slice's start, Re and Im; a zero part is a multiplicative fixed point
+_START = 1 + 0.01j  # every slice's start; a zero part is a multiplicative fixed point
 
 
 def _em_start(config: OpticalConfig, complex_mode: bool) -> np.ndarray:
-    """The flat (parts, slices, H, W) start of the multiplicative solver: 1 on
-    every slice, with an imaginary part of 0.01 in complex mode."""
-    parts = np.reshape(_START[:1 + complex_mode], (-1, 1, 1, 1))
-    return parts * np.ones((config.n_slices,) + config.grid_shape)
+    """The flat (slices, H, W) start of the multiplicative solver: 1 on every
+    slice, with an imaginary part of 0.01 in complex mode."""
+    return np.full((config.n_slices,) + config.grid_shape, _START if complex_mode else _START.real)
 
 
 def _em_offset(g: np.ndarray, config: OpticalConfig) -> float:
     """The prediction's constant c = mean(g) - S Re(w0) for S slices at the
     start's value w0, so that the start predicts mean(g) at every pixel."""
-    return float(g.mean()) - config.n_slices * _START[0]
+    return float(g.mean()) - config.n_slices * _START.real
 
 
 def _upper_bound(params: ReconParams, config: OpticalConfig, complex_mode: bool):
@@ -398,19 +389,11 @@ def _em_solve(hologram: Hologram, params: ReconParams | None, ground_truth,
     params = params or ReconParams()
     g = hologram.intensity
     ub = _upper_bound(params, cfg, complex_mode)
-    tau = _resolve_tau(g, params)
     floor = _resolve_floor(g)
     c = _em_offset(g, cfg)
-    step = 1.0 / cfg.n_slices  # the data gradient and tau, per slice
-
-    def update(w, grad, tv_grad, scale):
-        return _em_update(w, (scale * step) * grad, tv_grad, (scale * step) * tau, ub)
-
-    stop_delta = params.stop_delta if params.stop_rule == "relative_change" else None
-    return _iterate(cfg, params.max_iters, _em_start(cfg, complex_mode),
+    return _iterate(hologram, params, _em_start(cfg, complex_mode),
                     lambda ghat: _poisson_term(g, np.add(ghat, c, out=ghat), floor),
-                    _smoothed_tv, update,
-                    _truth_scores(ground_truth, cfg, complex_mode), stop_delta)
+                    lambda w, grad, tv_step: _em_update(w, grad, tv_step, ub), ground_truth)
 
 
 def reconstruct_real(

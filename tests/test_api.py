@@ -3,7 +3,9 @@ caller outside its module, the export lists keep a pinned number of names
 and the exported callables a pinned number of defaulted parameters, and the
 source keeps no dead inputs: no parameter a function never reads, no import
 a module never uses. The source also calls BLAS only for SSIM's window
-(``metrics._windowed``, matrix products alone) and keeps one cache,
+(``metrics._windowed``, matrix products alone), takes the data gradient,
+the TV pass and the truth scores only in the iteration loop
+(``em._iterate``) and keeps one cache,
 reads ``pad`` in the operator core only to size the transform, takes the
 transfer's phase (cos, sin or an exp of an imaginary argument) only in
 ``propagation._sweep_transfers``, names the image sidecar's keys only in
@@ -209,6 +211,23 @@ def test_no_blas_reductions():
                     or isinstance(node, ast.Call) and _optimized_einsum(node)):
                 calls.append(f"{path.name}:{node.lineno}")
     assert not calls, f"BLAS calls in the source: {calls}"
+
+
+def test_shared_solver_steps_only_in_the_loop():
+    # every solver's data gradient, TV pass and truth scores are taken by
+    # em._iterate alone; a solver supplies its start, data term and step form
+    shared = ("_data_gradient", "_tv_gradient_array", "_truth_scores")
+    calls = []
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        loop = {id(n) for fn in ast.walk(tree) if path.stem == "em"
+                and isinstance(fn, ast.FunctionDef) and fn.name == "_iterate"
+                for n in ast.walk(fn)}
+        calls += [f"{path.name}:{node.lineno} {name}" for node in ast.walk(tree)
+                  if isinstance(node, ast.Call) and id(node) not in loop
+                  for name in [getattr(node.func, "id", getattr(node.func, "attr", None))]
+                  if name in shared]
+    assert not calls, f"shared solver steps called outside em._iterate: {calls}"
 
 
 def test_one_cache():

@@ -69,8 +69,8 @@ def test_every_scored_autofocus_plane_is_a_traced_propagation():
                                           (baseline_reconstruct, ReconParams(max_iters=3))],
                          ids=["em", "baseline"])
 def test_every_tv_pass_is_a_traced_em_tv_span(solve, params):
-    # each solver's regularizer calls the TV helper by the name the tracer
-    # wraps, so em.tv counts one pass per iterate and one at the start
+    # the loop takes every solver's TV pass by the name the tracer wraps, so
+    # em.tv counts one pass per iterate and one at the start
     cfg = OpticalConfig(675e-9, 1e-6, 32, 32, (1.0e-3,))
     hologram = simulate(single_slice_stack(cfg, contrast=0.04), cfg)
     tracer = _perfbench("tracing").Tracer("contract")

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from holoem import em, metrics
+from holoem import baseline, em, metrics
 from holoem.em import (
     NumericError,
     ReconParams,
@@ -128,12 +128,13 @@ def test_flat_start_is_one_and_predicts_the_mean(height, width, pitch_x, pitch_y
     cfg = OpticalConfig(WAVELENGTH, pitch_x, width, height, zs, pitch_y=pitch_y, pad=pad)
     g = rng.uniform(0.5, 1.5, (height, width))
     start = em._em_start(cfg, complex_mode)
-    assert start.shape == (1 + complex_mode, len(zs), height, width)
-    assert np.all(start[0] == 1.0)
+    assert start.shape == (len(zs), height, width)
+    assert np.iscomplexobj(start) == complex_mode
+    assert np.all(start.real == 1.0)
     if complex_mode:
-        assert np.all(start[1] == 0.01)
+        assert np.all(start.imag == 0.01)
     c = em._em_offset(g, cfg)
-    ghat = c + stack_forward(em._joined(start), *_stack_optics(cfg))
+    ghat = c + stack_forward(start, *_stack_optics(cfg))
     assert np.all(np.abs(ghat - g.mean()) <= 1e-12 * g.mean())
 
 
@@ -160,9 +161,9 @@ def test_nll_gradient_where_some_predictions_fall_below_the_floor(rng):
 @given(_sizes, _sizes, st.integers(1, 5), st.booleans(), _seeds)
 def test_tv_gradient_of_the_loop_matches_finite_differences(height, width, n_slices,
                                                             complex_slices, seed):
-    # the TV gradient every solver's regularizer, _smoothed_tv, hands
-    # their updates: _tv_gradient_array on the whole (parts, slices, H, W)
-    # estimate; TV acts on the samples, so pitch and padding do not enter
+    # the TV gradient the loop hands every solver's step: _tv_gradient_array
+    # on the whole (parts, slices, H, W) estimate; TV acts on the samples,
+    # so pitch and padding do not enter
     rng = np.random.Generator(np.random.Philox(seed))
     eps = 0.05
     shape = (n_slices, height, width)
@@ -258,24 +259,24 @@ class TestTotalVariation:
 
 
 def _clip(w, bound):
-    """The projection alone: _em_update with zero gradients and tau = 0."""
+    """The projection alone: _em_update with zero gradient and TV steps."""
     zero = np.zeros_like(w)
-    return em._em_update(w, zero, zero, 0.0, bound)
+    return em._em_update(w, zero, zero, bound)
 
 
 class TestUpdateAlgebra:
     def test_em_step_values(self):
-        # tau = 0 leaves the data step w - |w| grad alone
+        # a zero TV step leaves the data step w - |w| grad alone
         w = np.array([1.0, -1.0, 0.0])
         grad = np.array([0.2, 0.2, 0.5])
-        np.testing.assert_allclose(em._em_update(w, grad, np.ones(3), 0.0, None),
+        np.testing.assert_allclose(em._em_update(w, grad, np.zeros(3), None),
                                    [0.8, -1.2, 0.0], atol=1e-15)
 
     def test_alternating_update_values(self):
-        # data step first, TV step applied to its result
-        out = em._em_update(np.array([2.0]), np.array([0.25]), np.array([1.0]), 0.1, None)
+        # data step first, TV step (tau grad TV, scaled by the loop) applied to its result
+        out = em._em_update(np.array([2.0]), np.array([0.25]), np.array([0.1]), None)
         np.testing.assert_allclose(out, [1.35], atol=1e-15)
-        out = em._em_update(np.array([-2.0]), np.array([-0.5]), np.array([-1.0]), 0.1, None)
+        out = em._em_update(np.array([-2.0]), np.array([-0.5]), np.array([-0.1]), None)
         np.testing.assert_allclose(out, [-0.9], atol=1e-15)
 
     @settings(max_examples=60)
@@ -294,8 +295,8 @@ class TestUpdateAlgebra:
         assert np.array_equal(_clip(once, bound), once)
         grad = 0.1 * rng.standard_normal(w.shape)
         zero = np.zeros_like(w)
-        assert np.array_equal(em._em_update(w, grad, zero, 0.0, bound),
-                              np.minimum(em._em_update(w, grad, zero, 0.0, None), bound))
+        assert np.array_equal(em._em_update(w, grad, zero, bound),
+                              np.minimum(em._em_update(w, grad, zero, None), bound))
 
 
 class TestReconParams:
@@ -377,13 +378,29 @@ def test_single_plane_error_does_not_depend_on_the_wavelength_fraction():
 def test_last_iterates_settle_without_a_period_two_cycle(seed):
     # criterion 3's 128 px case at the default tau: the last iterate should be
     # closer to the one before it than to the one two before. At 100
-    # iterations one step apart reads 0.396 against 0.028 two steps apart
-    # clean, 0.227 against 0.094 on noisy seed 1
+    # iterations, relative to ||w100||, one step apart reads 1.79e-3 against
+    # 1.28e-4 two steps apart clean, 1.02e-3 against 4.22e-4 on noisy seed 1
     cfg = OpticalConfig(WAVELENGTH, PITCH, 128, 128, (0.5e-3, 1.0e-3, 1.25e-3))
     holo = simulate(multi_depth_stack(cfg), cfg, seed=seed)
     w98, w99, w100 = (reconstruct_real(holo, ReconParams(max_iters=n))[0]
                       for n in (98, 99, 100))
     assert np.linalg.norm(w100 - w99) < np.linalg.norm(w100 - w98)
+
+
+@pytest.mark.xfail(strict=True, reason="known defect (ROADMAP item 2: at 1e3 counts the "
+                   "default tau ends worse than a blank estimate)")
+def test_low_count_run_ends_better_than_blank():
+    # criterion 3's 128 px case at 1e3 mean counts, noisy seed 1, 300
+    # iterations at the default tau: the last row's relative error should
+    # beat a blank estimate's 1.00. It reads 2.195 (best 0.958, at row 1;
+    # seed 2: 2.190, best 0.955 at row 1); at 1e4 counts it reads 0.549
+    cfg = OpticalConfig(WAVELENGTH, PITCH, 128, 128, (0.5e-3, 1.0e-3, 1.25e-3))
+    truth = multi_depth_stack(cfg)
+    scale = 1e3 / float(simulate(truth, cfg).intensity.mean())
+    holo = simulate(truth, cfg, photon_scale=scale, seed=1)
+    _, trace = reconstruct_real(holo, ReconParams(max_iters=300), ground_truth=truth)
+    assert len(trace) == 300
+    assert trace.rel_error[-1] < 1.0
 
 
 @pytest.mark.parametrize("seed", [None, 1])
@@ -574,9 +591,9 @@ def test_solver_runs_the_public_update_helpers(bound64, monkeypatch):
     bounds = []
     original = em._em_update
 
-    def spy(w, grad, tv_grad, tau, bound):
+    def spy(w, grad, tv_step, bound):
         bounds.append(bound)
-        return original(w, grad, tv_grad, tau, bound)
+        return original(w, grad, tv_step, bound)
 
     monkeypatch.setattr(em, "_em_update", spy)
     _, trace = reconstruct_real(holo, ReconParams(max_iters=3, upper_bound=1.0))
@@ -600,6 +617,50 @@ def test_step_halvings_are_counted(bound64, monkeypatch, caplog):
     assert trace.step_halvings == 1
     assert "iteration 1: gradient halved 1 time(s)" in caplog.text
     assert trace.stop_reason == "iteration_cap"
+
+
+@pytest.mark.parametrize("overflow", [False, True], ids=["finite", "first-overflows"])
+@pytest.mark.parametrize("tau", [None, 3e-3], ids=["default-tau", "tau"])
+@pytest.mark.parametrize("solve", [reconstruct_real, reconstruct_complex, baseline_reconstruct])
+@pytest.mark.parametrize("n_slices", [1, 2, 3, 4, 5])
+def test_loop_hands_every_step_its_gradients_at_one_over_s(monkeypatch, n_slices, solve, tau,
+                                                           overflow):
+    # whatever the solver, its step gets s _data_gradient and s tau grad TV at
+    # the iterate it steps, bit for bit, with s = 1/S and tau = 0.002 mean(g)
+    # by default; a non-finite attempt is retried at s = 0.5/S (forced at
+    # iteration 2, past EM's flat start, whose TV gradient is zero)
+    rng = np.random.Generator(np.random.Philox(n_slices))
+    cfg = OpticalConfig(WAVELENGTH, PITCH, 12, 10, tuple(0.4e-3 * np.arange(1, n_slices + 1)))
+    holo = simulate(-0.04 * (rng.uniform(size=(n_slices, 10, 12)) > 0.7), cfg)
+    calls, terms = [], []
+    original = em._iterate
+
+    def recording_loop(hologram, params, start, data_term, step, ground_truth):
+        def recording(w, grad, tv_step):
+            calls.append((w, grad, tv_step))
+            out = step(w, grad, tv_step)
+            return np.full_like(out, np.inf) if overflow and len(calls) == 2 else out
+
+        terms.append(data_term)
+        return original(hologram, params, start, data_term, recording, ground_truth)
+
+    monkeypatch.setattr(em, "_iterate", recording_loop)
+    monkeypatch.setattr(baseline, "_iterate", recording_loop)
+    _, trace = solve(holo, ReconParams(max_iters=3, tau=tau))
+    assert len(trace) == 3 and trace.step_halvings == overflow
+    scales = [1.0, 1.0, 0.5, 1.0] if overflow else [1.0] * 3
+    assert len(calls) == len(scales)
+    weight = 0.002 * float(holo.intensity.mean()) if tau is None else tau
+    optics = _stack_optics(cfg)
+    for (w, grad, tv_step), scale in zip(calls, scales):
+        s = scale / n_slices
+        resid = terms[0](stack_forward(em._joined(w), *optics))[1]
+        assert len(w) == 1 + (solve is reconstruct_complex)
+        assert grad.tobytes() == (s * em._data_gradient(resid, optics, len(w) == 1)).tobytes()
+        assert tv_step.tobytes() == ((s * weight) * em._tv_gradient_array(w, 1e-4)[1]).tobytes()
+    assert calls[-1][2].any()
+    if overflow:
+        assert calls[2][0] is calls[1][0]
 
 
 def _counting(monkeypatch, module, name, counts):
@@ -627,25 +688,6 @@ def test_one_tv_pass_per_iterate_and_truth_side_ssim_once(bound64, monkeypatch, 
     assert len(trace) == iters
     assert counts == {"_forward_diffs": iters + 1,
                       "_windowed": 2 * n_parts + 3 * n_parts * iters}
-
-
-def test_loop_without_a_regularizer_takes_no_tv_pass(bound64, monkeypatch):
-    # the loop names no regularizer: a solver that passes none pays for no
-    # forward differences, and its trace's tv column reads 0
-    cfg, _, holo = bound64
-    counts = {"_forward_diffs": 0}
-    _counting(monkeypatch, em, "_forward_diffs", counts)
-    g = holo.intensity
-    floor = em._resolve_floor(g)
-
-    def update(w, grad, state, scale):
-        return w - np.abs(w) * (scale * grad)
-
-    start = em._em_start(cfg, complex_mode=False)
-    _, trace = em._iterate(cfg, 3, start, lambda ghat: em._poisson_term(g, ghat, floor),
-                           lambda w: (0.0, None), update, None)
-    assert len(trace) == 3 and trace.tv == [0.0, 0.0, 0.0]
-    assert counts == {"_forward_diffs": 0}
 
 
 @pytest.mark.parametrize("solve", [reconstruct_real, reconstruct_complex, baseline_reconstruct])

@@ -136,7 +136,7 @@ def test_no_transform_of_a_part_without_remainder(rng, monkeypatch):
     assert transforms(lambda: propagate(complex_field, PITCH, PITCH, WAVELENGTH,
                                         1e-3))[0] == (4, 2)
     cfg = OpticalConfig(WAVELENGTH, PITCH, 16, 16, DISTANCES_3)
-    start = em._joined(em._em_start(cfg, complex_mode=False))
+    start = em._em_start(cfg, complex_mode=False)
     counts, out = transforms(lambda: stack_forward(start, *_stack_optics(cfg)))
     assert counts == (0, 0) and np.array_equal(out, np.full((16, 16), 3.0))
 

@@ -54,6 +54,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .forward import Hologram, OpticalConfig, _stack_optics
+from .grid import _finite, _positive
 from .metrics import _forward_diffs, _forward_diffs_adjoint, _object_truth, _relative_error
 from .metrics import _ssim_reference, _ssim_test as _ssim
 from .operators import stack_adjoint, stack_forward
@@ -100,14 +101,13 @@ class ReconParams:
     upper_bound: float | np.ndarray | None = None
 
     def __post_init__(self):
-        if self.max_iters < 1:
-            raise ValueError(f"max_iters must be >= 1, got {self.max_iters}")
+        if not (isinstance(self.max_iters, (int, np.integer)) and self.max_iters >= 1):
+            raise ValueError(f"max_iters must be an integer >= 1, got {self.max_iters}")
         if self.tau is not None and not 0 <= self.tau < np.inf:
             raise ValueError(f"tau must be finite and >= 0, got {self.tau}")
         if self.stop_rule not in _STOP_RULES:
             raise ValueError(f"stop_rule must be one of {_STOP_RULES}, got {self.stop_rule!r}")
-        if not 0 < self.stop_delta < np.inf:
-            raise ValueError(f"stop_delta must be finite and > 0, got {self.stop_delta}")
+        _positive(self.stop_delta, "stop_delta")
 
 
 @dataclass
@@ -177,10 +177,6 @@ def _poisson_term(g: np.ndarray, ghat: np.ndarray, floor: float) -> tuple[float,
     its exact gradient (:func:`_data_gradient`). Zero observed counts
     contribute g_hat alone.
     """
-    if g.shape != ghat.shape:
-        raise ValueError(f"shapes differ: {g.shape} vs {ghat.shape}")
-    if g.min() < 0:
-        raise ValueError("observed intensity must be non-negative")
     floored = np.maximum(ghat, floor)
     value = float(np.sum(ghat - xlogy(g, floored)))
     below = ghat < floor
@@ -352,9 +348,7 @@ def _upper_bound(params: ReconParams, config: OpticalConfig, complex_mode: bool)
     if bound.ndim and bound.shape != config.grid_shape:
         raise ValueError(f"upper bound shape {bound.shape} does not match grid "
                          f"{config.grid_shape}")
-    if not np.isfinite(bound).all():
-        raise ValueError("upper bound must be finite; it holds NaN or infinite entries")
-    return bound
+    return _finite(bound, "upper bound")
 
 
 def _truth_scores(ground_truth, config: OpticalConfig, complex_mode: bool):

@@ -23,12 +23,11 @@ enters.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import _checked_samples
+from .grid import _checked_samples, _finite, _nonnegative, _positive
 from .operators import stack_forward
 
 logger = logging.getLogger(__name__)
@@ -65,18 +64,17 @@ class OpticalConfig:
         if self.pitch_y is None:
             object.__setattr__(self, "pitch_y", self.pitch_x)
         object.__setattr__(self, "slice_distances", tuple(float(z) for z in self.slice_distances))
-        if not (self.wavelength > 0 and math.isfinite(self.wavelength)):
-            raise ValueError(f"wavelength must be positive, got {self.wavelength}")
-        if not all(p > 0 and math.isfinite(p) for p in (self.pitch_x, self.pitch_y)):
-            raise ValueError(f"pixel pitch must be positive and finite, got "
-                             f"({self.pitch_x}, {self.pitch_y})")
-        if self.width < 2 or self.height < 2:
-            raise ValueError(f"grid must be at least 2x2, got {self.width}x{self.height}")
+        _positive(self.wavelength, "wavelength")
+        _positive(self.pitch_x, "pixel pitch")
+        _positive(self.pitch_y, "pixel pitch")
+        size = self.width, self.height
+        if not all(isinstance(n, (int, np.integer)) and n >= 2 for n in size):
+            raise ValueError(f"width and height must be integers >= 2, got {size}")
         zs = self.slice_distances
         if len(zs) < 1:
             raise ValueError("at least one slice distance is required")
-        if any(not (z > 0 and math.isfinite(z)) for z in zs):
-            raise ValueError(f"slice distances must be positive, got {zs}")
+        for z in zs:
+            _positive(z, "slice distance")
         if any(b <= a for a, b in zip(zs, zs[1:])):
             raise ValueError(f"slice distances must be strictly increasing, got {zs}")
 
@@ -106,13 +104,9 @@ class Hologram:
         if data.shape != self.config.grid_shape:
             raise ValueError(f"intensity shape {data.shape} does not match config "
                              f"{self.config.grid_shape}")
-        if data.min() < 0.0:
-            bad = np.argwhere(data < 0.0)[0]
-            raise ValueError(
-                f"hologram intensity is negative at (y={bad[0]}, x={bad[1]}): {data[tuple(bad)]}"
-            )
-        if self.photon_scale is not None and not 0 < self.photon_scale < math.inf:
-            raise ValueError(f"photon_scale must be positive and finite, got {self.photon_scale}")
+        _nonnegative(data, "hologram intensity")
+        if self.photon_scale is not None:
+            _positive(self.photon_scale, "photon_scale")
         object.__setattr__(self, "intensity", data)
 
 
@@ -130,9 +124,7 @@ def _object_args(obj, config: OpticalConfig):
     if obj.shape != expected:
         raise ValueError(f"object shape {obj.shape} does not match the config's "
                          f"(slices, height, width) {expected}")
-    if not np.isfinite(obj).all():
-        raise ValueError("object contains non-finite values")
-    return obj, *_stack_optics(config)
+    return _finite(obj, "object"), *_stack_optics(config)
 
 
 def synthesize_linear(obj, config: OpticalConfig) -> np.ndarray:
@@ -172,10 +164,8 @@ def add_poisson_noise(intensity: np.ndarray, photon_scale: float, seed: int) -> 
     rejection for large means); for a fixed seed the stream is identical
     across platforms.
     """
-    if not 0 < photon_scale < math.inf:
-        raise ValueError(f"photon_scale must be positive and finite, got {photon_scale}")
-    if intensity.min() < 0.0:
-        raise ValueError("intensity must be non-negative for Poisson sampling")
+    _positive(photon_scale, "photon_scale")
+    _nonnegative(_finite(intensity, "intensity"), "intensity")
     rng = np.random.Generator(np.random.Philox(seed))
     return rng.poisson(photon_scale * intensity) / photon_scale
 
@@ -203,7 +193,7 @@ def simulate(
     """
     if photon_scale is not None and seed is None:
         raise ValueError("photon_scale sets the shot noise, which needs a seed")
-    if seed is not None and seed < 0:
+    if seed is not None and not (isinstance(seed, (int, np.integer)) and seed >= 0):
         raise ValueError(f"noise seed must be a non-negative integer, got {seed}")
     if model == "linear":
         g = synthesize_linear(obj, config)

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .grid import RealGrid2D
+from .grid import RealGrid2D, _finite
 
 logger = logging.getLogger(__name__)
 
@@ -134,11 +134,7 @@ def _read_pfm(path: Path) -> np.ndarray:
     if scale == 0.0 or not np.isfinite(scale):
         raise HoloIOError(f"{path}: scale must be finite and nonzero, got {scale}")
     samples = _samples(path, raw, "<f4" if scale < 0 else ">f4", width, height)
-    data = np.flipud(samples).astype(np.float64)
-    if not np.isfinite(data).all():
-        bad = np.argwhere(~np.isfinite(data))[0]
-        raise HoloIOError(f"{path}: non-finite pixel at (y={bad[0]}, x={bad[1]})")
-    return data
+    return _finite(np.flipud(samples).astype(np.float64), f"{path}: pixel data", HoloIOError)
 
 
 def _write_pgm(path: Path, data: np.ndarray) -> tuple[float, float]:

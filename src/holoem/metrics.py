@@ -23,6 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forward import Hologram
+from .grid import _finite, _positive
 from .propagation import _frame, _half_spectrum, _propagate_array, _sweep_transfers
 
 logger = logging.getLogger(__name__)
@@ -58,9 +59,7 @@ def _as_array(image) -> np.ndarray:
     arr = np.asarray(image, dtype=np.float64)
     if arr.ndim != 2:
         raise ValueError(f"expected a 2-D image, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise ValueError("image contains non-finite values")
-    return arr
+    return _finite(arr, "image")
 
 
 def _pair(test, reference) -> tuple[np.ndarray, np.ndarray]:
@@ -76,9 +75,7 @@ def _default_peak(reference: np.ndarray, peak: float | None) -> float:
     if peak is None:
         top = float(reference.max())
         peak = top if top > 0 else top - float(reference.min())
-    if not (np.isfinite(peak) and peak > 0):
-        raise ValueError(f"peak must be positive and finite, got {peak}")
-    return peak
+    return _positive(peak, "peak")
 
 
 def mse(test, reference) -> float:
@@ -373,8 +370,7 @@ def resolution_limits(wavelength: float, numerical_aperture: float) -> tuple[flo
 
     lateral = wavelength / (2 NA), axial = 2 wavelength / NA^2; both must be finite.
     """
-    if not (np.isfinite(wavelength) and wavelength > 0):
-        raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
+    _positive(wavelength, "wavelength")
     if not 0 < numerical_aperture <= 1:
         raise ValueError(f"numerical aperture must be in (0, 1], got {numerical_aperture}")
     lateral = wavelength / (2.0 * numerical_aperture)

@@ -55,7 +55,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .grid import _checked_samples
+from .grid import _checked_samples, _positive
 from .propagation import _frame, _half_spectrum, _irfft2_crop, _transfer_array
 
 __all__ = ["propagate", "stack_forward", "stack_adjoint"]
@@ -139,8 +139,7 @@ def propagate(field, pitch_x: float, pitch_y: float, wavelength: float, z: float
     on the doubled zero frame. It is the forward map of the one-slice stack
     w: Re[P_z w] = stack_forward(w) and Im[P_z w] = stack_forward(-j w).
     """
-    if not (np.isfinite(wavelength) and wavelength > 0):
-        raise ValueError(f"wavelength must be positive and finite, got {wavelength}")
+    _positive(wavelength, "wavelength")
     if not np.isfinite(z):
         raise ValueError(f"distance must be finite, got {z}")
     w = _checked_samples(field, pitch_x, pitch_y, np.complex128)[None]

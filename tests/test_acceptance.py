@@ -11,6 +11,7 @@ comments) so later changes cannot silently degrade them.
 import time
 
 import numpy as np
+import pytest
 import scipy.fft
 
 from holoem.baseline import baseline_reconstruct
@@ -201,6 +202,43 @@ def test_c3_off_model_holograms():
         assert all(e > b for e, b in zip(em_ssim, bp_ssim)), (seed, em_ssim, bp_ssim)
         assert max(errors) < 0.70, (seed, errors)
         assert max(leaks) < 0.08, (seed, leaks)
+
+
+# Axial sectioning beside criterion 3: three planes at 1 mm - dz, 1 mm and
+# 1 mm + dz, 128 px, 300 iterations, clean and noisy seed 1. Worst-slice
+# leak of the reference run, (clean, noisy) per dz of 500/250/100/50 um:
+# disjoint masks 0.027/0.035, 0.076/0.075, 0.153/0.176, 0.307/0.350;
+# one mask shifted 3 px down and right per slice 0.010/0.024, 0.015/0.023,
+# 0.029/0.024, 0.089/0.091. Back-propagation leaks 3.74-4.40 and 0.59-1.03.
+# Each bound is the larger reference leak plus at least 20%; lambda/NA^2 is
+# about 131 um at this aperture.
+_SECTIONING_BOUNDS = {
+    False: {500e-6: 0.045, 250e-6: 0.091, 100e-6: 0.22, 50e-6: 0.43},
+    True: {500e-6: 0.030, 250e-6: 0.028, 100e-6: 0.036, 50e-6: 0.11},
+}
+
+
+@pytest.mark.parametrize("overlap", [False, True], ids=["disjoint", "overlapping"])
+def test_axial_sectioning_leak_by_slice_spacing(overlap):
+    masks = [m.astype(bool) for m in multi_depth_masks(128, 128, REFERENCE_EXTENT / PITCH)]
+    if overlap:
+        masks = [np.roll(masks[0], (3 * i, 3 * i), axis=(0, 1)) for i in range(3)]
+    truth = np.stack([-0.04 * m for m in masks])
+    for seed in (None, 1):
+        sectioned = []
+        for dz, bound in _SECTIONING_BOUNDS[overlap].items():
+            cfg = _config(128, (1e-3 - dz, 1e-3, 1e-3 + dz))
+            holo = simulate(truth, cfg, seed=seed)
+            rec, _ = reconstruct_real(holo, ReconParams(max_iters=300))
+            leak = max(_anchored_scores(list(rec), truth, masks)[2])
+            bp = stack_adjoint(holo.intensity, PITCH, PITCH, WAVELENGTH,
+                               cfg.slice_distances, pad=True).real
+            bp_leak = max(_anchored_scores(list(bp), truth, masks)[2])
+            assert leak < bp_leak and leak < bound, (seed, dz, leak, bp_leak, bound)
+            if leak < 0.10:
+                sectioned.append(dz)
+        print(f"{'overlapping' if overlap else 'disjoint'} masks, seed {seed}: smallest "
+              f"spacing with leak < 0.10 is {min(sectioned) * 1e6:.0f} um")
 
 
 # --- criterion 4: the upper bound accelerates settling ---

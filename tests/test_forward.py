@@ -60,6 +60,12 @@ class TestOpticalConfig:
         with pytest.raises(ValueError):
             make_config(**kw)
 
+    def test_grid_size_is_an_integer(self):
+        # a float size used to simulate and then fail in the solver's start
+        with pytest.raises(ValueError, match="width and height must be integers"):
+            make_config(width=64.0, height=64.0)
+        assert make_config(width=np.int64(8), height=np.int32(6)).grid_shape == (6, 8)
+
 
 class TestHologram:
     def test_negative_intensity_rejected(self):
@@ -245,6 +251,12 @@ class TestSimulate:
     def test_negative_seed_is_refused_by_name(self):
         with pytest.raises(ValueError, match="noise seed must be a non-negative integer, got -1"):
             simulate(self.obj, self.cfg, seed=-1)
+
+    def test_fractional_seed_is_refused_by_name(self):
+        with pytest.raises(ValueError, match="noise seed must be a non-negative integer, got 1.5"):
+            simulate(self.obj, self.cfg, seed=1.5)
+        assert simulate(self.obj, self.cfg, seed=np.int64(3)).intensity.tobytes() == \
+            simulate(self.obj, self.cfg, seed=3).intensity.tobytes()
 
     def test_full_model_dispatch(self):
         holo = simulate(self.obj, self.cfg, model="full")

@@ -527,6 +527,15 @@ class TestAutofocus:
         z = autofocus(noisy, 0.5e-3, 1.5e-3, 50e-6)
         assert abs(z - 1.0e-3) <= 10e-6
 
+    @pytest.mark.xfail(strict=True, reason="ROADMAP item 6: a clean 64 px plane at 1 mm "
+                       "lands at the scan's near edge")
+    def test_finds_a_small_plane_over_a_wide_scan(self):
+        # 0.540 / 0.516 / 0.500 mm at 10 / 15.625 / 50 um steps, with a
+        # scan-boundary warning; at 96 and 128 px the same sweep finds 1.000 mm
+        cfg = OpticalConfig(WAVELENGTH, PITCH, 64, 64, (1.0e-3,))
+        z = autofocus(simulate(single_slice_stack(cfg), cfg), 0.5e-3, 1.5e-3, 15.625e-6)
+        assert abs(z - 1.0e-3) <= 10e-6
+
     def test_validation(self, holo):
         with pytest.raises(ValueError):
             autofocus(holo, 1.0e-3, 0.5e-3, 10e-6)

@@ -443,7 +443,14 @@ def _psnr_db(db: float) -> float | None:
     return None if db == float("inf") else db
 
 
-def _quality_json(estimate: np.ndarray, truth: np.ndarray, complex_mode: bool) -> str:
+def _write_quality(out: Path, record: dict, outcome: dict) -> None:
+    """Write ``record`` to quality.json as strict JSON and list the file in the outcome."""
+    qpath = out / "quality.json"
+    qpath.write_text(json.dumps(record, indent=2, allow_nan=False) + "\n", encoding="utf-8")
+    outcome.update(_outputs(qpath))
+
+
+def _slice_quality(estimate: np.ndarray, truth: np.ndarray, complex_mode: bool) -> dict:
     def _report(a, b):
         x, t, rel_error = object_units(a, b)
         return {"ssim": ssim(x, t, peak=1.0), "psnr_db": _psnr_db(psnr(x, t, peak=1.0)),
@@ -451,7 +458,7 @@ def _quality_json(estimate: np.ndarray, truth: np.ndarray, complex_mode: bool) -
 
     slices = [{"real": _report(est.real, tru.real), "imag": _report(est.imag, tru.imag)}
               if complex_mode else _report(est, tru) for est, tru in zip(estimate, truth)]
-    return json.dumps({"slices": slices}, indent=2, allow_nan=False) + "\n"
+    return {"slices": slices}
 
 
 def _upper_bound(cfg: RunConfig, optics: OpticalConfig) -> np.ndarray | None:
@@ -485,9 +492,7 @@ def _run_reconstruct(cfg: RunConfig, out: Path, outcome: dict) -> int:
     _save_all(out, images, optics, outcome)
     outcome.update(_outputs(write_trace(out / "trace.csv", trace)))
     if truth is not None:
-        qpath = out / "quality.json"
-        qpath.write_text(_quality_json(estimate, truth, complex_mode), encoding="utf-8")
-        outcome.update(_outputs(qpath))
+        _write_quality(out, _slice_quality(estimate, truth, complex_mode), outcome)
 
     if trace.diverged:
         write_error_record(out, 3, "Divergence", f"objective increased for {_RISES} consecutive "
@@ -512,10 +517,7 @@ def _run_metrics(cfg: RunConfig, out: Path, outcome: dict) -> int:
     if len(cfg.truth) != 1:
         raise ConfigError("metrics mode takes exactly one truth image")
     report = quality_report(load_image(cfg.input).data, load_image(cfg.truth[0]).data, cfg.peak)
-    qpath = out / "quality.json"
-    record = {**report, "psnr_db": _psnr_db(report["psnr_db"])}
-    qpath.write_text(json.dumps(record, indent=2, allow_nan=False) + "\n", encoding="utf-8")
-    outcome.update(_outputs(qpath))
+    _write_quality(out, {**report, "psnr_db": _psnr_db(report["psnr_db"])}, outcome)
     print(f"mse {report['mse']:.6g}  psnr {report['psnr_db']:.2f} dB  ssim {report['ssim']:.4f}")
     return 0
 
@@ -608,7 +610,10 @@ def _keep_freed_pages() -> None:
     call page-faults and zero-fills the same memory again. A 32 MiB mmap
     threshold (the most glibc's own adaptive threshold reaches on 64-bit)
     serves them from the heap, and a 1 GiB trim threshold keeps the heap's
-    freed top; larger blocks are still mapped. Only the CLI process calls
+    freed top; larger blocks are still mapped. It pays where many calls reuse
+    such blocks: 7-15% on autofocus sweeps and the baseline. On a short EM
+    solve, whose few iterations are mostly first touches (the benchmark's
+    ``multidepth-512``), it measured neutral. Only the CLI process calls
     this; off glibc it does nothing.
     """
     try:

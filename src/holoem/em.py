@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .forward import Hologram, OpticalConfig, _stack_optics
+from .forward import Hologram, OpticalConfig, _slice_stack, _stack_optics
 from .grid import _finite, _positive
 from .metrics import _forward_diffs, _forward_diffs_adjoint, _object_truth, _relative_error
 from .metrics import _ssim_reference, _ssim_test as _ssim
@@ -357,11 +357,7 @@ def _truth_scores(ground_truth, config: OpticalConfig, complex_mode: bool):
     config, in object units; None without truth. Each part's SSIM side is taken once."""
     if ground_truth is None:
         return None
-    truth = np.asarray(ground_truth)
-    expected = (config.n_slices,) + config.grid_shape
-    if truth.shape != expected:
-        raise ValueError(f"ground truth shape {truth.shape} does not match the config's "
-                         f"(slices, height, width) {expected}")
+    truth = _slice_stack(ground_truth, config, "ground truth")
     parts = [*truth.real, *(truth.imag if complex_mode else ())]
     places, scaled, norms = zip(*map(_object_truth, parts))
     references = [_ssim_reference(s, peak=1.0) for s in scaled]

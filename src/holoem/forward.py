@@ -116,15 +116,19 @@ def _stack_optics(config: OpticalConfig) -> tuple:
     return config.pitch_x, config.pitch_y, config.wavelength, config.slice_distances, config.pad
 
 
-def _object_args(obj, config: OpticalConfig):
-    """The stack_forward arguments for an object on the config: a finite
-    (n_slices, H, W) array, then :func:`_stack_optics`."""
-    obj = np.asarray(obj)
+def _slice_stack(stack, config: OpticalConfig, what: str) -> np.ndarray:
+    """``stack`` as an array, refused unless it is (n_slices, H, W) on the config."""
+    stack = np.asarray(stack)
     expected = (config.n_slices,) + config.grid_shape
-    if obj.shape != expected:
-        raise ValueError(f"object shape {obj.shape} does not match the config's "
+    if stack.shape != expected:
+        raise ValueError(f"{what} shape {stack.shape} does not match the config's "
                          f"(slices, height, width) {expected}")
-    return _finite(obj, "object"), *_stack_optics(config)
+    return stack
+
+
+def _object_args(obj, config: OpticalConfig):
+    """stack_forward's arguments: the object, refused unless finite, then :func:`_stack_optics`."""
+    return _finite(_slice_stack(obj, config, "object"), "object"), *_stack_optics(config)
 
 
 def synthesize_linear(obj, config: OpticalConfig) -> np.ndarray:

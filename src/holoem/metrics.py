@@ -24,7 +24,8 @@ import numpy as np
 
 from .forward import Hologram
 from .grid import _finite, _positive
-from .propagation import _frame, _half_spectrum, _propagate_array, _sweep_transfers
+from .operators import (_decimated, _frame, _half_spectrum, _low_pass, _propagate_array,
+                        _sweep_transfers)
 
 logger = logging.getLogger(__name__)
 
@@ -247,27 +248,6 @@ def focus_metric(amplitude) -> float:
     gx *= gx
     gx += gy * gy
     return float(np.var(np.sqrt(gx, out=gx)))
-
-
-def _low_pass(frame: tuple[int, int], sigma: float) -> np.ndarray:
-    """exp(-2 pi^2 sigma^2 |v|^2) on the kx-major half spectrum of the frame,
-    v in cycles per pixel: the transfer of a Gaussian blur of sigma pixels."""
-    a = -2.0 * (np.pi * sigma) ** 2
-    return np.outer(np.exp(a * np.fft.rfftfreq(frame[1]) ** 2),
-                    np.exp(a * np.fft.fftfreq(frame[0]) ** 2))
-
-
-def _decimated(spectrum: np.ndarray, frame: tuple[int, int], d: int):
-    """A frame's kx-major half spectrum cut to the frequencies of the frame
-    (f0, f1) 1/d its size: the rows kx <= f1 / 2 and the columns of the
-    frame's fftfreq that fftfreq(f0) also holds. Returns it and (f0, f1);
-    at d = 1 the cut keeps every row and column, in order, so the spectrum
-    itself."""
-    if d == 1:
-        return spectrum, frame
-    cut = (frame[0] // d, frame[1] // d)
-    columns = np.r_[:(cut[0] + 1) // 2, frame[0] - cut[0] // 2:frame[0]]
-    return spectrum[:cut[1] // 2 + 1, columns], cut
 
 
 def _focus_scores(hologram: Hologram):

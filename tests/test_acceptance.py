@@ -21,7 +21,7 @@ from holoem.em import ReconParams, reconstruct_complex, reconstruct_real
 from holoem.forward import OpticalConfig, simulate
 from holoem.io import load_key_values
 from holoem.metrics import autofocus, ncc, object_units, psnr, resolution_limits, ssim
-from holoem.operators import propagate, stack_adjoint, stack_forward
+from holoem.operators import _transfer_array, propagate, stack_adjoint, stack_forward
 from holoem.phantoms import (
     REFERENCE_EXTENT,
     complex_stack,
@@ -29,7 +29,6 @@ from holoem.phantoms import (
     multi_depth_stack,
     single_slice_stack,
 )
-from holoem.propagation import _transfer_array
 
 from conftest import PITCH, SHORT_DISTANCES, WAVELENGTH, binned_hologram
 

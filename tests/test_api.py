@@ -5,10 +5,10 @@ source keeps no dead inputs: no parameter a function never reads, no import
 a module never uses. The source also calls BLAS only for SSIM's window
 (``metrics._windowed``, matrix products alone), takes the data gradient,
 the TV pass and the truth scores only in the iteration loop
-(``em._iterate``) and keeps one cache,
-reads ``pad`` in the operator core only to size the transform, takes the
-transfer's phase (cos, sin or an exp of an imaginary argument) only in
-``propagation._sweep_transfers``, names the image sidecar's keys only in
+(``em._iterate``) and keeps one cache, reads ``pad`` in the operator core
+only to size the transform, calls ``np.fft`` only in ``operators``, takes
+the transfer's phase (cos, sin or an exp of an imaginary argument) only
+in ``operators._sweep_transfers``, names the image sidecar's keys only in
 ``holoem.io``, and ``holoem.io`` imports no holoem module but ``holoem.grid``.
 
 A deletion that forgets the export list would otherwise surface only when
@@ -231,7 +231,7 @@ def test_shared_solver_steps_only_in_the_loop():
 
 
 def test_one_cache():
-    # propagation._transfer_array is holoem's only memoized function
+    # operators._transfer_array is holoem's only memoized function
     cached = []
     for path in SOURCES:
         for fn in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
@@ -240,7 +240,7 @@ def test_one_cache():
                     and getattr(n, "id", getattr(n, "attr", None)) in ("lru_cache", "cache")
                     for d in fn.decorator_list for n in ast.walk(d)):
                 cached.append(f"{path.stem}.{fn.name}")
-    assert cached == ["propagation._transfer_array"]
+    assert cached == ["operators._transfer_array"]
 
 
 def test_pad_only_picks_the_frame():
@@ -249,7 +249,7 @@ def test_pad_only_picks_the_frame():
     # to it, or passed on to stack_forward, which sizes its frame by _frame
     reads = []
     for path in SOURCES:
-        if path.stem not in ("operators", "propagation"):
+        if path.stem != "operators":
             continue
         tree = ast.parse(path.read_text(encoding="utf-8"))
         frame = set()
@@ -271,7 +271,7 @@ def test_phase_taken_only_in_the_transfer_build():
     found = []
     for path in SOURCES:
         tree = ast.parse(path.read_text(encoding="utf-8"))
-        allowed = {id(n) for fn in ast.walk(tree) if path.stem == "propagation"
+        allowed = {id(n) for fn in ast.walk(tree) if path.stem == "operators"
                    and isinstance(fn, ast.FunctionDef) and fn.name == "_sweep_transfers"
                    for n in ast.walk(fn)}
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree)
@@ -281,7 +281,19 @@ def test_phase_taken_only_in_the_transfer_build():
                        or node.func.attr == "exp"
                        and any(isinstance(n, ast.Constant) and isinstance(n.value, complex)
                                for arg in node.args for n in ast.walk(arg)))]
-    assert not found, f"a phase taken outside propagation._sweep_transfers: {found}"
+    assert not found, f"a phase taken outside operators._sweep_transfers: {found}"
+
+
+def test_transforms_only_in_operators():
+    # the kx-major half-spectrum layout is one decision, so numpy's FFT
+    # module, transforms and frequency samples alike, is called in operators
+    # alone, and no other module imports an FFT
+    calls = [f"{path.name}:{node.lineno}" for path in SOURCES if path.stem != "operators"
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and ast.unparse(node.func.value) in ("np.fft", "numpy.fft")
+             or isinstance(node, (ast.Import, ast.ImportFrom)) and "fft" in ast.unparse(node)]
+    assert not calls, f"FFT calls outside operators: {calls}"
 
 
 def test_sidecar_keys_only_in_io():

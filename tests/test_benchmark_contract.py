@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from holoem import metrics, propagation
+from holoem import metrics, operators, propagation
 from holoem.baseline import baseline_reconstruct
 from holoem.cli import RunConfig, _build_parser
 from holoem.em import ReconParams, reconstruct_real
@@ -84,6 +84,8 @@ def test_every_tv_pass_is_a_traced_em_tv_span(solve, params):
 
 
 def test_transfer_cache_reports_its_counters():
+    # the counters child.py reads through ``propagation`` are the operator core's one cache
+    assert propagation._transfer_array is operators._transfer_array
     info = propagation._transfer_array.cache_info()
     assert info.maxsize is not None and info.misses >= 0 and info.hits >= 0
 

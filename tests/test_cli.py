@@ -1051,6 +1051,22 @@ def test_cli_process_keeps_freed_pages():
     assert int(proc.stdout) < 100
 
 
+def _unknown_name(name):
+    raise ValueError(f"unrecognized configuration name {name!r}")
+
+
+@pytest.mark.parametrize("confstr", [lambda name: "", _unknown_name], ids=["empty", "unknown"])
+def test_allocator_hook_does_nothing_off_glibc(monkeypatch, confstr):
+    # off glibc (musl, macOS) os.confstr holds no glibc version or refuses the
+    # name; the hook returns before it loads the C library, so no mallopt runs
+    def no_library(*args, **kwargs):
+        pytest.fail("the hook loaded the C library off glibc")
+
+    monkeypatch.setattr(cli.os, "confstr", confstr)
+    monkeypatch.setattr(cli.ctypes, "CDLL", no_library)
+    assert cli._keep_freed_pages() is None
+
+
 # each mode on a 48 px hologram in one process; prints the scipy modules it
 # loaded and then its OS thread count, where /proc lists the threads
 _MODES_ON_NUMPY_ALONE = """

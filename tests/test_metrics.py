@@ -14,7 +14,7 @@ import scipy.signal
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from holoem import metrics, propagation
+from holoem import metrics, operators
 from holoem.forward import OpticalConfig, simulate
 from holoem.metrics import (
     _focus_scores,
@@ -28,9 +28,8 @@ from holoem.metrics import (
     resolution_limits,
     ssim,
 )
-from holoem.operators import propagate
+from holoem.operators import _transfer_array, propagate
 from holoem.phantoms import disk_mask, single_slice_stack
-from holoem.propagation import _transfer_array
 
 from conftest import PITCH, WAVELENGTH
 
@@ -365,13 +364,13 @@ class TestAutofocus:
         # cache the solvers keep, and the grid part is taken once per stage:
         # the decimated coarse frame and the full fine frame
         frames = []
-        original = propagation._transfer_grid
+        original = operators._transfer_grid
 
         def recording(rows, cols, *optics):
             frames.append((rows, cols))
             return original(rows, cols, *optics)
 
-        monkeypatch.setattr(propagation, "_transfer_grid", recording)
+        monkeypatch.setattr(operators, "_transfer_grid", recording)
         _transfer_array.cache_clear()
         autofocus(holo, 0.5e-3, 1.5e-3, 10e-6)  # 101 planes
         assert len(frames) == len(set(frames)) == 2
@@ -444,13 +443,13 @@ class TestAutofocus:
         cfg = OpticalConfig(WAVELENGTH, PITCH, width, height, (1.0e-3,))
         small = simulate(single_slice_stack(cfg, contrast=0.04), cfg)
         frames = set()
-        original = propagation._transfer_grid
+        original = operators._transfer_grid
 
         def recording(rows, cols, *optics):
             frames.add((rows, cols))
             return original(rows, cols, *optics)
 
-        monkeypatch.setattr(propagation, "_transfer_grid", recording)
+        monkeypatch.setattr(operators, "_transfer_grid", recording)
         autofocus(small, 0.5e-3, 1.5e-3, 10e-6)
         assert frames == {(2 * height, 2 * width)}
 
@@ -466,11 +465,11 @@ class TestAutofocus:
         kx = np.fft.rfftfreq(frame[1])[None, :]
         spectrum[(ky >= 0.5 / d) | (kx >= 0.5 / d)] = 0.0
         band_limited = np.fft.irfft2(spectrum, s=frame)
-        half = propagation._half_spectrum(band_limited, frame)
-        kept, cut = metrics._decimated(half, frame, d)
+        half = operators._half_spectrum(band_limited, frame)
+        kept, cut = operators._decimated(half, frame, d)
         assert cut == (frame[0] // d, frame[1] // d)
         assert (kept is half) == (d == 1)
-        sampled = propagation._irfft2_crop(kept, cut, *cut)
+        sampled = operators._irfft2_crop(kept, cut, *cut)
         np.testing.assert_allclose(sampled, d * d * band_limited[::d, ::d], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("height, width, pitch_y", [
@@ -486,8 +485,8 @@ class TestAutofocus:
         rows = slice(0, cut[1] // 2 + 1)
         cols = np.r_[:(cut[0] + 1) // 2, frame[0] - cut[0] // 2:frame[0]]
         sweep = (WAVELENGTH, 0.2e-3, -0.15e-3, 4)  # crosses z = 0
-        full = propagation._sweep_transfers(*frame, PITCH, pitch_y, *sweep)
-        decimated = propagation._sweep_transfers(*cut, 2 * PITCH, 2 * pitch_y, *sweep)
+        full = operators._sweep_transfers(*frame, PITCH, pitch_y, *sweep)
+        decimated = operators._sweep_transfers(*cut, 2 * PITCH, 2 * pitch_y, *sweep)
         for (re_f, im_f), (re_d, im_d) in zip(full, decimated):
             np.testing.assert_array_equal(re_d, re_f[rows][:, cols])
             np.testing.assert_array_equal(im_d, im_f[rows][:, cols])

@@ -19,8 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from holoem import operators
-from holoem.operators import propagate
-from holoem.propagation import _frame, _half_spectrum, _irfft2_crop, _transfer_array
+from holoem.operators import _frame, _half_spectrum, _irfft2_crop, _transfer_array, propagate
 
 from complex_core import oracle_propagate
 from conftest import PITCH, WAVELENGTH
